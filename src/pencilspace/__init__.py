@@ -32,7 +32,7 @@ from .errors import (
     ShapeError,
     ZeroAnsatzError,
 )
-from .matrices import Matrix, exact_det_scalar, kron
+from .matrices import Matrix, kron
 from .pencil import (
     CorrespondenceReport,
     Pencil2P,
@@ -42,7 +42,6 @@ from .pencil import (
     box_add_pencil,
     eigenvector_correspondence,
     lambda_kron_identity,
-    standard_linearization,
 )
 from .polymatrix import PolyMatrix, exact_det_poly, poly_div_constant_ratio
 from .qep import (
@@ -57,7 +56,6 @@ from .qep import (
     singularity_check,
     spectrum_pencil,
     spectrum_quadratic,
-    standard_blocks,
     verify_eigenpair,
     verify_spectral_equality,
 )
@@ -74,6 +72,8 @@ from .space import (
     membership,
     reduce_mu_zero,
     space_dimension,
+    standard_blocks,
+    standard_linearization,
 )
 
 __version__ = "0.1.0"
@@ -121,7 +121,6 @@ __all__ = [
     "durand_kerner",
     "eigenvector_correspondence",
     "exact_det_poly",
-    "exact_det_scalar",
     "generate_member",
     "kernel_member",
     "kron",

@@ -59,14 +59,6 @@ class BiPoly:
     def mu() -> "BiPoly":
         return _MU
 
-    @staticmethod
-    def variable(var: str) -> "BiPoly":
-        if var == LAM:
-            return _LAM
-        if var == MU:
-            return _MU
-        raise ValueError(f"unknown variable {var!r}")
-
     # -- inspection -------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -79,9 +71,6 @@ class BiPoly:
         if not self.is_constant():
             raise DegreeError("polynomial is not constant")
         return self._terms.get((0, 0), GaussianRational(0))
-
-    def coeff(self, i: int, j: int) -> GaussianRational:
-        return self._terms.get((i, j), GaussianRational(0))
 
     def terms(self) -> Iterator[Tuple[Exponent, GaussianRational]]:
         """Iterate terms in a deterministic (sorted) order."""

@@ -7,20 +7,22 @@ compare, verify-pair.  Every verdict prints together with its evidence
 are bit-reproducible.
 
 Exit codes: 0 success/verified, 1 negative verdict, 2 input error,
-3 numeric non-convergence, 4 non-generic system.
+3 numeric non-convergence or overflow (an exact value too large for a
+float in the root iteration), 4 non-generic system.
 """
 
 from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from . import serialization as ser
-from .construct import best_certificate, procedure_linearize
+from .construct import _random_block, best_certificate, procedure_linearize
 from .errors import (
     ConditionUnsatisfiableError,
     ConvergenceError,
@@ -30,7 +32,7 @@ from .errors import (
     ParseError,
 )
 from .matrices import Matrix
-from .pencil import apply_to_lambda, box_add_pencil, standard_linearization
+from .pencil import apply_to_lambda, box_add_pencil
 from .qep import (
     LinearSystem2P,
     QuadSystem2P,
@@ -41,13 +43,23 @@ from .qep import (
     verify_eigenpair,
     verify_spectral_equality,
 )
-from .space import FreeBlocks, generate_member, kernel_member, membership, space_dimension
+from .space import (
+    FreeBlocks,
+    generate_member,
+    kernel_member,
+    lower_z_block,
+    membership,
+    space_dimension,
+    standard_linearization,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_NONGENERIC = 4
+
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
 def _read(path: str) -> str:
@@ -121,18 +133,11 @@ def _build_linear_system(args, system: QuadSystem2P) -> LinearSystem2P:
 def _random_component_blocks(rng: random.Random, n: int) -> FreeBlocks:
     zero = Matrix.zeros(2 * n, n)
     for _ in range(64):
-        y11 = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        z1 = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(3 * n)])
-        z2 = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(3 * n)])
-        blocks = FreeBlocks(n, Matrix.vstack([y11, zero]), z1, z2)
-        lower = Matrix.from_blocks(
-            [
-                [blocks.sub("z1", 1), blocks.sub("z2", 1)],
-                [blocks.sub("z1", 2), blocks.sub("z2", 2)],
-            ]
-        )
-        if lower.det():
-            return blocks
+        y11 = _random_block(rng, n, n)
+        z1 = _random_block(rng, 3 * n, n)
+        z2 = _random_block(rng, 3 * n, n)
+        if lower_z_block(z1, z2).det():
+            return FreeBlocks(n, Matrix.vstack([y11, zero]), z1, z2)
     raise ConditionUnsatisfiableError("could not draw admissible blocks")
 
 
@@ -299,6 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
+        # argparse takes "-1,1,2" or "-1/2" after an option for another
+        # option; no option here starts with "-<digit>", so such a token
+        # is always a value.
+        p._negative_number_matcher = _NEGATIVE_VALUE
         p.set_defaults(handler=handler)
         return p
 
@@ -376,6 +385,9 @@ def main(argv=None) -> int:
         return EXIT_NEGATIVE
     except ConvergenceError as exc:
         print(f"numeric non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except OverflowError as exc:
+        print(f"numeric overflow: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (NonGenericSystemError, DegreeError) as exc:
         print(f"non-generic system: {exc}", file=sys.stderr)

@@ -30,11 +30,19 @@ from .errors import (
     ShapeError,
     ZeroAnsatzError,
 )
-from .matrices import Matrix
-from .pencil import Pencil2P, QuadPoly2P, standard_linearization
+from .matrices import Matrix, kron
+from .pencil import Pencil2P, QuadPoly2P
 from .polymatrix import PolyMatrix, exact_det_poly, poly_div_constant_ratio
 from .scalars import GaussianRational
-from .space import FreeBlocks, coerce_vector3, generate_member, membership
+from .space import (
+    FreeBlocks,
+    coerce_vector3,
+    free_blocks,
+    generate_member,
+    lower_z_block,
+    membership,
+    standard_linearization,
+)
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
@@ -124,22 +132,15 @@ def ansatz_transform(
 def condition_det_check(m3: Matrix, z1: Matrix, z2: Matrix) -> bool:
     """Exact nonsingularity of the transformed lower Z block.
 
-    Assembles the 2n x 2n matrix whose block entry (i, j) is
-    sum_k m3[i+1, k] * Z_{j+1}[k-th block] and tests det != 0.
+    Tests det != 0 for the lower Z block of the transformed blocks
+    (M kron I_n) Z1 and (M kron I_n) Z2.
     """
     if m3.shape != (3, 3):
         raise ShapeError("block transformation must be 3 x 3")
     if z1.shape != z2.shape or z1.rows != 3 * z1.cols:
         raise ShapeError("Z blocks must be conformal 3n x n matrices")
-    n = z1.cols
-    sub = lambda z, k: z.submatrix(range(k * n, (k + 1) * n), range(n))
-    combo = lambda i, z: (
-        sub(z, 0).scale(m3[i, 0]) + sub(z, 1).scale(m3[i, 1]) + sub(z, 2).scale(m3[i, 2])
-    )
-    block = Matrix.from_blocks(
-        [[combo(1, z1), combo(1, z2)], [combo(2, z1), combo(2, z2)]]
-    )
-    return bool(block.det())
+    op = kron(m3, Matrix.identity(z1.cols))
+    return bool(lower_z_block(op @ z1, op @ z2).det())
 
 
 @dataclass(frozen=True)
@@ -197,21 +198,35 @@ def certify_scaled_e1(
     alpha = GaussianRational.coerce(alpha)
     if not alpha:
         raise ValueError("alpha must be nonzero")
-    n = q.n
     result = membership(pencil, q)
     if not result or result.v != (alpha, ZERO, ZERO):
         raise HypothesisViolatedError(
             f"pencil does not have ansatz ({alpha}, 0, 0)"
         )
-    y1 = pencil.mu_coeff.submatrix(range(3 * n), range(n))
-    z1 = pencil.const.submatrix(range(3 * n), range(n))
-    z2 = pencil.const.submatrix(range(3 * n), range(n, 2 * n))
-    sub = lambda m, k: m.submatrix(range(k * n, (k + 1) * n), range(m.cols))
-    if not sub(y1, 1).is_zero() or not sub(y1, 2).is_zero():
+    return _unimodular_pair(pencil, q, alpha)
+
+
+def certify_standard(q: QuadPoly2P) -> LinearizationCertificate:
+    """Unimodular-pair certificate for the standard linearization.
+
+    The alpha = 1 pair of certify_scaled_e1, here
+        E = [[lam I, I, 0], [mu I, 0, I], [I, 0, 0]]
+        F = [[I, mu*A02 + lam*A11 + A01, lam*A20 + A10], [0, 0, -I], [0, -I, 0]].
+    No membership test: it is ambiguous for Q = 0, whose pair holds too.
+    """
+    return _unimodular_pair(standard_linearization(q), q, ONE)
+
+
+def _unimodular_pair(
+    pencil: Pencil2P, q: QuadPoly2P, alpha: GaussianRational
+) -> LinearizationCertificate:
+    """certify_scaled_e1 for a pencil whose ansatz is known to be alpha*e1:
+    check the block hypotheses, build E and F, verify F * L * E exactly."""
+    n = q.n
+    blocks = free_blocks(pencil)
+    if not blocks.sub("y1", 1).is_zero() or not blocks.sub("y1", 2).is_zero():
         raise HypothesisViolatedError("certificate requires Y21 = Y31 = 0")
-    z_block = Matrix.from_blocks(
-        [[sub(z1, 1), sub(z2, 1)], [sub(z1, 2), sub(z2, 2)]]
-    )
+    z_block = lower_z_block(blocks.z1, blocks.z2)
     if not z_block.det():
         raise HypothesisViolatedError("lower Z block is singular")
     z_inv = z_block.inverse()
@@ -227,17 +242,17 @@ def certify_scaled_e1(
             [eye.scale(BiPoly.constant(inv_alpha)), zero_n, zero_n],
         ]
     )
-    y11 = sub(y1, 0)
+    y11 = blocks.sub("y1", 0)
     w1 = (
         PolyMatrix.from_scalar(q.a20).scale(lam * alpha)
         + PolyMatrix.from_scalar(y11).scale(mu)
-        + PolyMatrix.from_scalar(sub(z1, 0))
+        + PolyMatrix.from_scalar(blocks.sub("z1", 0))
     )
     w2 = (
         PolyMatrix.from_scalar(q.a02).scale(mu * alpha)
         + PolyMatrix.from_scalar(q.a11).scale(lam * alpha)
         - PolyMatrix.from_scalar(y11).scale(lam)
-        + PolyMatrix.from_scalar(sub(z2, 0))
+        + PolyMatrix.from_scalar(blocks.sub("z2", 0))
     )
     w = PolyMatrix.from_blocks([[w1, w2]])
     minus_w_zinv = (-w) @ PolyMatrix.from_scalar(z_inv)
@@ -248,56 +263,8 @@ def certify_scaled_e1(
         ]
     )
     product = f @ pencil.as_polymatrix() @ e
-    verified = product == _diag_q_identity(q)
-    if not verified:
-        raise AssertionError("certificate product failed; construction is wrong")
-    return LinearizationCertificate(
-        kind="unimodular-pair",
-        verified=True,
-        e=e,
-        f=f,
-        det_e=_constant_nonzero_det(e),
-        det_f=_constant_nonzero_det(f),
-    )
-
-
-def certify_standard(q: QuadPoly2P) -> LinearizationCertificate:
-    """Unimodular-pair certificate for the standard linearization.
-
-    Uses the fixed factors
-        E = [[lam I, I, 0], [mu I, 0, I], [I, 0, 0]]
-        F = [[I, mu*A02 + lam*A11 + A01, lam*A20 + A10], [0, 0, -I], [0, -I, 0]]
-    and verifies F * L * E = diag(Q, I_2n) exactly.  The identity must
-    always hold; a failure is an internal error.
-    """
-    n = q.n
-    lam, mu = BiPoly.lam(), BiPoly.mu()
-    eye = PolyMatrix.identity(n)
-    zero_n = PolyMatrix.zeros(n, n)
-    e = PolyMatrix.from_blocks(
-        [
-            [eye.scale(lam), eye, zero_n],
-            [eye.scale(mu), zero_n, eye],
-            [eye, zero_n, zero_n],
-        ]
-    )
-    f12 = (
-        PolyMatrix.from_scalar(q.a02).scale(mu)
-        + PolyMatrix.from_scalar(q.a11).scale(lam)
-        + PolyMatrix.from_scalar(q.a01)
-    )
-    f13 = PolyMatrix.from_scalar(q.a20).scale(lam) + PolyMatrix.from_scalar(q.a10)
-    f = PolyMatrix.from_blocks(
-        [
-            [eye, f12, f13],
-            [zero_n, zero_n, -eye],
-            [zero_n, -eye, zero_n],
-        ]
-    )
-    pencil = standard_linearization(q)
-    product = f @ pencil.as_polymatrix() @ e
     if product != _diag_q_identity(q):
-        raise AssertionError("standard certificate identity failed")
+        raise AssertionError("certificate product failed; construction is wrong")
     return LinearizationCertificate(
         kind="unimodular-pair",
         verified=True,
@@ -419,9 +386,6 @@ def procedure_linearize(
     used = FreeBlocks(n, y1, z1, z2)
     source = generate_member(q, transform.v, used)
     aligned = source.transform(transform.matrix)
-    result = membership(aligned, q)
-    if not result or result.v != (transform.alpha, ZERO, ZERO):
-        raise AssertionError("aligned pencil lost the expected ansatz")
     certificate = certify_scaled_e1(aligned, q, transform.alpha)
     return ProcedureResult(
         pencil=aligned,

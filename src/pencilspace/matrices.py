@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ShapeError
 from .scalars import GaussianRational, ScalarLike
@@ -156,14 +156,6 @@ class Matrix:
             other.cols,
         )
 
-    def transpose(self) -> "Matrix":
-        return _wrap(tuple(zip(*self._data)), self.cols, self.rows)
-
-    def map(self, fn: Callable[[GaussianRational], GaussianRational]) -> "Matrix":
-        return _wrap(
-            tuple(tuple(fn(v) for v in row) for row in self._data), self.rows, self.cols
-        )
-
     # -- exact linear algebra -------------------------------------------------------
 
     def det(self) -> GaussianRational:
@@ -200,36 +192,7 @@ class Matrix:
             for v in row:
                 scale = lcm(scale, v.re.denominator, v.im.denominator)
             a.append([(int(v.re * scale), int(v.im * scale)) for v in row])
-        rank = 0
-        prev_re, prev_im, prev_norm = 1, 0, 1
-        for col in range(self.cols):
-            pivot_row = next(
-                (r for r in range(rank, self.rows) if a[r][col] != (0, 0)), None
-            )
-            if pivot_row is None:
-                continue
-            a[rank], a[pivot_row] = a[pivot_row], a[rank]
-            p_re, p_im = a[rank][col]
-            row_p = a[rank]
-            for i in range(rank + 1, self.rows):
-                row_i = a[i]
-                l_re, l_im = row_i[col]
-                for j in range(col + 1, self.cols):
-                    x_re, x_im = row_i[j]
-                    y_re, y_im = row_p[j]
-                    t_re = x_re * p_re - x_im * p_im - (l_re * y_re - l_im * y_im)
-                    t_im = x_re * p_im + x_im * p_re - (l_re * y_im + l_im * y_re)
-                    row_i[j] = (
-                        (t_re * prev_re + t_im * prev_im) // prev_norm,
-                        (t_im * prev_re - t_re * prev_im) // prev_norm,
-                    )
-                row_i[col] = (0, 0)
-            prev_re, prev_im = p_re, p_im
-            prev_norm = prev_re * prev_re + prev_im * prev_im
-            rank += 1
-            if rank == self.rows:
-                break
-        return rank
+        return sum(1 for _ in _bareiss_pivots(a, self.cols))
 
     def inverse(self) -> "Matrix":
         """Exact inverse by Gauss-Jordan elimination."""
@@ -273,14 +236,8 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(not v for row in self._data for v in row)
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def max_abs(self) -> float:
         return max(abs(v.to_complex()) for row in self._data for v in row)
-
-    def to_complex_rows(self) -> list[list[complex]]:
-        return [[v.to_complex() for v in row] for row in self._data]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -309,33 +266,35 @@ def _wrap(data: tuple, rows: int, cols: int) -> Matrix:
     return m
 
 
-def bareiss_det_int(a: list[list[tuple[int, int]]]) -> tuple[int, int]:
-    """Determinant of a Gaussian-integer matrix given as (re, im) int pairs.
+def _bareiss_pivots(a: list[list[tuple[int, int]]], cols: int):
+    """Fraction-free (Bareiss) forward elimination of Gaussian-integer rows.
 
-    The fraction-free Bareiss recurrence: every intermediate entry is a
-    minor of the input (a Gaussian integer), so the quotient by the
-    previous pivot is exact in Z[i].  The input list is consumed.
+    Works on ``a`` in place, column by column, skipping columns without a
+    pivot.  At each pivot it first moves the pivot row up to the current
+    rank and yields ``(col, swapped)``, then eliminates below it when
+    resumed, so a caller that stops iterating skips the remaining work.
+    Every intermediate entry is a minor of the input (a Gaussian integer),
+    so each quotient by the previous pivot is exact in Z[i].
     """
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    sign = 1
+    rows = len(a)
+    rank = 0
     prev_re, prev_im, prev_norm = 1, 0, 1
-    for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if a[r][k] != (0, 0)), None)
-        if pivot_row is None:
-            return (0, 0)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        p_re, p_im = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, n):
+    for col in range(cols):
+        for pivot_row in range(rank, rows):
+            if a[pivot_row][col] != (0, 0):
+                break
+        else:
+            continue
+        a[rank], a[pivot_row] = a[pivot_row], a[rank]
+        yield col, pivot_row != rank
+        p_re, p_im = a[rank][col]
+        row_p = a[rank]
+        for i in range(rank + 1, rows):
             row_i = a[i]
-            l_re, l_im = row_i[k]
-            for j in range(k + 1, n):
+            l_re, l_im = row_i[col]
+            for j in range(col + 1, cols):
                 x_re, x_im = row_i[j]
-                y_re, y_im = row_k[j]
+                y_re, y_im = row_p[j]
                 # (x * pivot - lead * y) / prev, exactly in Z[i]
                 t_re = x_re * p_re - x_im * p_im - (l_re * y_re - l_im * y_im)
                 t_im = x_re * p_im + x_im * p_re - (l_re * y_im + l_im * y_re)
@@ -343,18 +302,32 @@ def bareiss_det_int(a: list[list[tuple[int, int]]]) -> tuple[int, int]:
                     (t_re * prev_re + t_im * prev_im) // prev_norm,
                     (t_im * prev_re - t_re * prev_im) // prev_norm,
                 )
-            row_i[k] = (0, 0)
+            row_i[col] = (0, 0)
         prev_re, prev_im = p_re, p_im
         prev_norm = prev_re * prev_re + prev_im * prev_im
-    d_re, d_im = a[n - 1][n - 1]
+        rank += 1
+        if rank == rows:
+            return
+
+
+def bareiss_det_int(a: list[list[tuple[int, int]]]) -> tuple[int, int]:
+    """Determinant of a Gaussian-integer matrix given as (re, im) int pairs.
+
+    The input list is consumed.  The elimination stops at the first column
+    without a pivot, where the determinant is zero.
+    """
+    sign = 1
+    for k, (col, swapped) in enumerate(_bareiss_pivots(a, len(a))):
+        if col != k:
+            return (0, 0)
+        if swapped:
+            sign = -sign
+    # The last Bareiss pivot is the determinant up to sign; it is zero when
+    # the elimination ended without a pivot in the last column.
+    d_re, d_im = a[-1][-1]
     return (sign * d_re, sign * d_im)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Module-level alias for the Kronecker product."""
     return a.kron(b)
-
-
-def exact_det_scalar(m: Matrix) -> GaussianRational:
-    """Exact determinant of a GaussianRational matrix (Bareiss)."""
-    return m.det()

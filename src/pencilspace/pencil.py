@@ -189,23 +189,6 @@ def box_add_pencil(pencil: Pencil2P) -> Matrix:
     return box_add(pencil.lam_coeff, pencil.mu_coeff, pencil.const)
 
 
-def standard_linearization(q: QuadPoly2P) -> Pencil2P:
-    """The 3n x 3n companion-style linearization with ansatz e1."""
-    n = q.n
-    eye = Matrix.identity(n)
-    zero = Matrix.zeros(n, n)
-    a1 = Matrix.from_blocks(
-        [[q.a20, q.a11, zero], [zero, zero, zero], [zero, zero, eye]]
-    )
-    a2 = Matrix.from_blocks(
-        [[zero, q.a02, zero], [zero, zero, eye], [zero, zero, zero]]
-    )
-    a3 = Matrix.from_blocks(
-        [[q.a10, q.a01, q.a00], [zero, -eye, zero], [-eye, zero, zero]]
-    )
-    return Pencil2P(3 * n, a1, a2, a3)
-
-
 def apply_to_lambda(pencil: Pencil2P) -> PolyMatrix:
     """The exact 3n x n product L(lam,mu) * (Lambda kron I_n)."""
     n = pencil.block_size

@@ -139,17 +139,11 @@ class PolyMatrix:
                 )
         return PolyMatrix(rows)
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(tuple(zip(*self._data)))
-
     # -- evaluation -------------------------------------------------------------------
 
     def eval(self, lam: ScalarLike, mu: ScalarLike) -> Matrix:
         """Exact evaluation at a Gaussian-rational point."""
         return Matrix([[p.eval(lam, mu) for p in row] for row in self._data])
-
-    def eval_complex(self, lam: complex, mu: complex) -> list[list[complex]]:
-        return [[p.eval_complex(lam, mu) for p in row] for row in self._data]
 
     # -- inspection ---------------------------------------------------------------------
 
@@ -160,18 +154,12 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self._data for p in row)
 
-    def max_entry_degree(self) -> int:
-        return max((p.total_degree() for row in self._data for p in row), default=-1)
-
     def is_constant(self) -> bool:
         return all(p.is_constant() for row in self._data for p in row)
 
     def to_scalar(self) -> Matrix:
         """Round-trip a degree-0 PolyMatrix back to a scalar matrix."""
         return Matrix([[p.constant_value() for p in row] for row in self._data])
-
-    def det(self) -> BiPoly:
-        return exact_det_poly(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):

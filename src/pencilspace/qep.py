@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bipoly import BiPoly
 from .construct import LinearizationCertificate, certify_scaled_e1
 from .errors import (
     ConvergenceError,
@@ -26,11 +25,11 @@ from .errors import (
 )
 from .matrices import Matrix, kron
 from .pencil import Pencil2P, QuadPoly2P
-from .polymatrix import exact_det_poly
+from .polymatrix import PolyMatrix, exact_det_poly
 from .roots import durand_kerner, unipoly_roots
 from .resultants import sylvester_resultant
 from .scalars import GaussianRational, ScalarLike
-from .space import FreeBlocks, generate_member
+from .space import FreeBlocks, generate_member, standard_blocks
 
 DEFAULT_SPECTRUM_TOL = 1e-9
 
@@ -91,34 +90,6 @@ class SpectrumReport:
     generic: bool
 
 
-def standard_blocks(q: QuadPoly2P) -> FreeBlocks:
-    """The free blocks that make generate_member reproduce the standard
-    linearization at ansatz e1: Y1 = 0, Z1 = [A10; 0; -I], Z2 = [A01; -I; 0]."""
-    n = q.n
-    eye = Matrix.identity(n)
-    zero = Matrix.zeros(n, n)
-    return FreeBlocks(
-        n,
-        Matrix.zeros(3 * n, n),
-        Matrix.vstack([q.a10, zero, -eye]),
-        Matrix.vstack([q.a01, -eye, zero]),
-    )
-
-
-def _check_component_blocks(blocks: FreeBlocks, label: str) -> None:
-    n = blocks.n
-    if not blocks.sub("y1", 1).is_zero() or not blocks.sub("y1", 2).is_zero():
-        raise HypothesisViolatedError(f"{label}: Y1 must have the form [Y11; 0; 0]")
-    z_block = Matrix.from_blocks(
-        [
-            [blocks.sub("z1", 1), blocks.sub("z2", 1)],
-            [blocks.sub("z1", 2), blocks.sub("z2", 2)],
-        ]
-    )
-    if not z_block.det():
-        raise HypothesisViolatedError(f"{label}: lower 2n x 2n Z block is singular")
-
-
 def linearize_system(
     system: QuadSystem2P,
     alpha1: ScalarLike = 1,
@@ -129,8 +100,8 @@ def linearize_system(
     """Linearize both components with ansatz alpha_i * e1 and certify them.
 
     Blocks default to the standard-linearization choice per component.
-    Block hypotheses (Y1 = [Y11; 0; 0], nonsingular lower Z block) raise
-    HypothesisViolatedError when violated.
+    Violated certificate hypotheses (Y1 = [Y11; 0; 0], nonsingular lower
+    Z block) raise HypothesisViolatedError naming the component.
     """
     alpha1 = GaussianRational.coerce(alpha1)
     alpha2 = GaussianRational.coerce(alpha2)
@@ -142,9 +113,11 @@ def linearize_system(
     ):
         if blocks is None:
             blocks = standard_blocks(q)
-        _check_component_blocks(blocks, label)
         pencil = generate_member(q, (alpha, 0, 0), blocks)
-        certs.append(certify_scaled_e1(pencil, q, alpha))
+        try:
+            certs.append(certify_scaled_e1(pencil, q, alpha))
+        except HypothesisViolatedError as exc:
+            raise HypothesisViolatedError(f"{label}: {exc}") from exc
         pencils.append(pencil)
     return LinearSystem2P(pencils[0], pencils[1], alpha1, alpha2, certs[0], certs[1])
 
@@ -174,15 +147,17 @@ def singularity_check(delta: DeltaOps) -> SingularityReport:
 
 
 def _common_zeros(
-    f: BiPoly, g: BiPoly, bound: int, tol: float
+    a: PolyMatrix, b: PolyMatrix, bound: int, tol: float
 ) -> SpectrumReport:
-    """Finite common zeros of two bivariate polynomials.
+    """Finite common zeros of det a and det b.
 
     lam candidates are the roots of the Sylvester resultant eliminating mu;
-    mu candidates at each lam come from the mu-coefficients of f (falling
-    back to g when f collapses there), accepted when both residuals pass
-    and deduplicated within 10*tol in the max metric.
+    mu candidates at each lam come from the mu-coefficients of f = det a
+    (falling back to g = det b when f collapses there), accepted when both
+    residuals pass and deduplicated within 10*tol in the max metric.
     """
+    f = exact_det_poly(a)
+    g = exact_det_poly(b)
     if f.is_zero() or g.is_zero():
         raise NonGenericSystemError("a determinant polynomial is identically zero")
     if f.is_constant() or g.is_constant():
@@ -257,18 +232,18 @@ def spectrum_quadratic(
     system: QuadSystem2P, tol: float = DEFAULT_SPECTRUM_TOL
 ) -> SpectrumReport:
     """The spectrum {(lam, mu) : det Q1 = det Q2 = 0} with bound 4*n1*n2."""
-    f = exact_det_poly(system.q1.as_polymatrix())
-    g = exact_det_poly(system.q2.as_polymatrix())
-    return _common_zeros(f, g, system.bezout_bound, tol)
+    return _common_zeros(
+        system.q1.as_polymatrix(), system.q2.as_polymatrix(), system.bezout_bound, tol
+    )
 
 
 def spectrum_pencil(
     lin: LinearSystem2P, tol: float = DEFAULT_SPECTRUM_TOL
 ) -> SpectrumReport:
     """The spectrum {(lam, mu) : det L1 = det L2 = 0} with bound m1*m2."""
-    f = exact_det_poly(lin.l1.as_polymatrix())
-    g = exact_det_poly(lin.l2.as_polymatrix())
-    return _common_zeros(f, g, lin.l1.m * lin.l2.m, tol)
+    return _common_zeros(
+        lin.l1.as_polymatrix(), lin.l2.as_polymatrix(), lin.l1.m * lin.l2.m, tol
+    )
 
 
 @dataclass(frozen=True)

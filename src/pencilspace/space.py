@@ -4,7 +4,8 @@ Membership of a pencil is decided through box-addition: the pencil belongs
 to the space iff its box-add equals v kron [A20 A11 A02 A10 A01 A00] for
 some ansatz vector v in C^3.  Every member is generated from v plus three
 free 3n x n blocks (Y1, Z1, Z2); the v = 0 members form the kernel of the
-ansatz map.  The space has dimension 9n^2 + 3 whenever the coefficient row
+ansatz map, and the standard linearization is the e1 member with fixed
+blocks.  The space has dimension 9n^2 + 3 whenever the coefficient row
 is nonzero, certified here by an exact rank witness rather than asserted.
 """
 
@@ -145,6 +146,43 @@ def generate_member(q: QuadPoly2P, v: Sequence, blocks: FreeBlocks) -> Pencil2P:
     return Pencil2P(3 * n, a1, a2, a3)
 
 
+def free_blocks(pencil: Pencil2P) -> FreeBlocks:
+    """The free blocks (Y1, Z1, Z2) of a member, the inverse of generate_member.
+
+    Whatever the ansatz, Y1 is block column 0 of A2 and Z1, Z2 are block
+    columns 0 and 1 of A3.
+    """
+    n = pencil.block_size
+    col = lambda m, j: m.submatrix(range(3 * n), range(j * n, (j + 1) * n))
+    return FreeBlocks(n, col(pencil.mu_coeff, 0), col(pencil.const, 0), col(pencil.const, 1))
+
+
+def lower_z_block(z1: Matrix, z2: Matrix) -> Matrix:
+    """The 2n x 2n block [[Z21, Z22], [Z31, Z32]] of two 3n x n blocks."""
+    n = z1.cols
+    lower = range(n, 3 * n)
+    return Matrix.hstack([z1.submatrix(lower, range(n)), z2.submatrix(lower, range(n))])
+
+
+def standard_blocks(q: QuadPoly2P) -> FreeBlocks:
+    """The free blocks of the standard linearization at ansatz e1:
+    Y1 = 0, Z1 = [A10; 0; -I], Z2 = [A01; -I; 0]."""
+    n = q.n
+    eye = Matrix.identity(n)
+    zero = Matrix.zeros(n, n)
+    return FreeBlocks(
+        n,
+        Matrix.zeros(3 * n, n),
+        Matrix.vstack([q.a10, zero, -eye]),
+        Matrix.vstack([q.a01, -eye, zero]),
+    )
+
+
+def standard_linearization(q: QuadPoly2P) -> Pencil2P:
+    """The 3n x 3n companion-style linearization with ansatz e1."""
+    return generate_member(q, (1, 0, 0), standard_blocks(q))
+
+
 def kernel_member(n: int, blocks: FreeBlocks) -> Pencil2P:
     """A member of the kernel of the ansatz map.
 
@@ -249,8 +287,7 @@ def reduce_mu_zero(pencil: Pencil2P, q: QuadPoly2P) -> SingleParamPencil:
     if not result:
         raise HypothesisViolatedError("pencil is not a member of the space")
     n = q.n
-    y1 = pencil.mu_coeff.submatrix(range(3 * n), range(n))
-    if not y1.is_zero():
+    if not free_blocks(pencil).y1.is_zero():
         raise HypothesisViolatedError("reduction requires Y1 = 0")
     rows = range(2 * n)
     cols = list(range(n)) + list(range(2 * n, 3 * n))

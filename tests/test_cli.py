@@ -202,6 +202,47 @@ def test_verify_pair_rejects_bad_point(capsys, tmp_path):
     assert "eigenpair rejected" in out
 
 
+@pytest.mark.parametrize(
+    "argv, spaced, joined",
+    [
+        (
+            ("generate", "-q", Q_WORKED, "--blocks", BLOCKS_WORKED),
+            ("-v", "-1,1,2"),
+            "--vector=-1,1,2",
+        ),
+        (("qep-linearize", "-s", SYS_CIRCLE_LINE), ("--alpha1", "-1/2"), "--alpha1=-1/2"),
+        (("qep-linearize", "-s", SYS_CIRCLE_LINE), ("--alpha2", "-3/4"), "--alpha2=-3/4"),
+    ],
+    ids=["vector", "alpha1", "alpha2"],
+)
+def test_negative_value_after_space_matches_equals_form(capsys, argv, spaced, joined):
+    code_spaced, out_spaced, _ = run(capsys, *argv, *spaced)
+    code_joined, out_joined, _ = run(capsys, *argv, joined)
+    assert code_spaced == code_joined == 0
+    assert out_spaced == out_joined
+
+
+@pytest.mark.parametrize("command", ["spectrum", "compare"])
+def test_float_overflow_is_numeric_exit_without_traceback(tmp_path, command):
+    import json
+    import subprocess
+    import sys
+
+    # 10^400 is exact in the input but overflows a float in the root iteration.
+    doc = json.loads(Path(SYS_CIRCLE_LINE).read_text())
+    doc["Q1"]["coefficients"]["A20"] = [[10**400]]
+    system = tmp_path / "huge.json"
+    system.write_text(json.dumps(doc))
+    result = subprocess.run(
+        [sys.executable, "-m", "pencilspace", command, "-s", str(system)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 3
+    assert "numeric overflow" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "member", "-q", "/nonexistent.json", "-l", L_WORKED)
     assert code == 2
@@ -219,6 +260,19 @@ def test_malformed_file_is_input_error(capsys, tmp_path):
 def test_zero_ansatz_is_input_error(capsys):
     code, _, err = run(capsys, "procedure", "-q", Q_CIRCLE, "-v", "0,0,0")
     assert code == 2
+
+
+def test_procedure_on_zero_quadratic_is_not_certified(capsys, tmp_path):
+    import json
+
+    # Membership is ambiguous for Q = 0 (it reports v = 0), so the aligned
+    # pencil cannot be certified as an alpha*e1 member.
+    names = ("A20", "A11", "A02", "A10", "A01", "A00")
+    zero = {"n": 1, "coefficients": {name: [["0"]] for name in names}}
+    (tmp_path / "zero.json").write_text(json.dumps(zero))
+    code, _, err = run(capsys, "procedure", "-q", str(tmp_path / "zero.json"), "-v", "1,1,2")
+    assert code == 1
+    assert "not certified" in err
 
 
 def test_zero_eigenvector_is_input_error(capsys, tmp_path):

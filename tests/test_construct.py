@@ -25,6 +25,7 @@ from pencilspace.construct import ALL_CASES
 from pencilspace.errors import HypothesisViolatedError, ZeroAnsatzError
 from pencilspace.polymatrix import PolyMatrix, exact_det_poly
 from pencilspace.scalars import GaussianRational
+from pencilspace.space import lower_z_block
 
 from conftest import example_quad, rand_blocks, rand_matrix, rand_quad
 
@@ -118,6 +119,16 @@ def test_certify_standard_random(rng):
         assert cert.det_e == GaussianRational(1)
 
 
+@pytest.mark.parametrize("n, det_f", [(1, -1), (2, 1), (3, -1)])
+def test_certify_standard_zero_quadratic(n, det_f):
+    # Membership is ambiguous for Q = 0, yet the standard pair still holds.
+    zero = Matrix.zeros(n, n)
+    cert = certify_standard(QuadPoly2P(n, *([zero] * 6)))
+    assert cert.verified and cert.kind == "unimodular-pair"
+    assert cert.det_e == GaussianRational(1)
+    assert cert.det_f == GaussianRational(det_f)
+
+
 def test_certify_standard_scalar_product_by_hand():
     # n = 1 unit circle: F*L*E spelled out symbolically must equal
     # diag(q, 1, 1).
@@ -163,15 +174,8 @@ def admissible_blocks(rng, n):
         y11 = rand_matrix(rng, n, n)
         z1 = rand_matrix(rng, 3 * n, n)
         z2 = rand_matrix(rng, 3 * n, n)
-        blocks = FreeBlocks(n, Matrix.vstack([y11, zero]), z1, z2)
-        lower = Matrix.from_blocks(
-            [
-                [blocks.sub("z1", 1), blocks.sub("z2", 1)],
-                [blocks.sub("z1", 2), blocks.sub("z2", 2)],
-            ]
-        )
-        if lower.det():
-            return blocks
+        if lower_z_block(z1, z2).det():
+            return FreeBlocks(n, Matrix.vstack([y11, zero]), z1, z2)
 
 
 def test_certify_scaled_e1_rejects_singular_z(rng):

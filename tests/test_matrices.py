@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from pencilspace.errors import ShapeError
-from pencilspace.matrices import Matrix, exact_det_scalar, kron
+from pencilspace.matrices import Matrix, kron
 from pencilspace.scalars import GaussianRational
 
 from conftest import rand_matrix
@@ -141,8 +141,24 @@ def test_matmul_shapes():
         a @ a
 
 
-def test_exact_det_scalar_alias():
-    assert exact_det_scalar(Matrix([[Fraction(1, 2), 0], [7, 4]])) == GaussianRational(2)
+def test_det_fractional_entries():
+    assert Matrix([[Fraction(1, 2), 0], [7, 4]]).det() == GaussianRational(2)
+
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    [
+        ([[0]], 0),
+        # zero first column, the other columns of full rank
+        ([[0, 1, 2], [0, 3, 1], [0, 0, 5]], 2),
+        # the pivot-free column is the last one
+        ([[1, 2, 3], [0, 1, 1], [1, 3, 4]], 2),
+    ],
+)
+def test_det_and_rank_of_singular_edge_cases(rows, rank):
+    m = Matrix(rows)
+    assert m.det() == GaussianRational(0)
+    assert m.rank() == rank
 
 
 def test_complex_entries_det():

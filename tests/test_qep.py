@@ -75,7 +75,7 @@ def test_linearize_system_rejects_singular_z(rng):
         Matrix.vstack([q2.a10, Matrix.zeros(2, 2), Matrix.zeros(2, 2)]),
         Matrix.vstack([q2.a01, Matrix.zeros(2, 2), Matrix.zeros(2, 2)]),
     )
-    with pytest.raises(HypothesisViolatedError):
+    with pytest.raises(HypothesisViolatedError, match="component 2"):
         linearize_system(QuadSystem2P(rand_quad(rng, 1), q2), blocks2=bad)
 
 
@@ -88,7 +88,7 @@ def test_linearize_system_rejects_bad_y1(rng):
         blocks.z1,
         blocks.z2,
     )
-    with pytest.raises(HypothesisViolatedError):
+    with pytest.raises(HypothesisViolatedError, match="component 1"):
         linearize_system(QuadSystem2P(q1, rand_quad(rng, 1)), blocks1=bad)
 
 

@@ -5,6 +5,7 @@ import pytest
 from pencilspace import (
     FreeBlocks,
     Matrix,
+    Pencil2P,
     QuadPoly2P,
     apply_to_lambda,
     box_add_pencil,
@@ -13,7 +14,6 @@ from pencilspace import (
     membership,
     reduce_mu_zero,
     space_dimension,
-    standard_blocks,
     standard_linearization,
 )
 from pencilspace.errors import HypothesisViolatedError, ShapeError
@@ -98,10 +98,21 @@ def test_generate_worked_example_blocks_entry_for_entry():
     assert generated == worked_example_pencil(q)
 
 
-def test_generate_standard_blocks_reproduce_standard_linearization(rng):
+def test_standard_linearization_matches_explicit_blocks(rng):
     for n in (1, 2, 3):
         q = rand_quad(rng, n)
-        assert generate_member(q, (1, 0, 0), standard_blocks(q)) == standard_linearization(q)
+        eye = Matrix.identity(n)
+        zero = Matrix.zeros(n, n)
+        a1 = Matrix.from_blocks(
+            [[q.a20, q.a11, zero], [zero, zero, zero], [zero, zero, eye]]
+        )
+        a2 = Matrix.from_blocks(
+            [[zero, q.a02, zero], [zero, zero, eye], [zero, zero, zero]]
+        )
+        a3 = Matrix.from_blocks(
+            [[q.a10, q.a01, q.a00], [zero, -eye, zero], [-eye, zero, zero]]
+        )
+        assert standard_linearization(q) == Pencil2P(3 * n, a1, a2, a3)
 
 
 def test_generate_zero_everything():
