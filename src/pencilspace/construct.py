@@ -316,7 +316,7 @@ def best_certificate(pencil: Pencil2P, q: QuadPoly2P) -> LinearizationCertificat
         a, b, c = result.v
         if a and not b and not c:
             try:
-                return certify_scaled_e1(pencil, q, a)
+                return _unimodular_pair(pencil, q, a)
             except HypothesisViolatedError:
                 pass
     return certify_det_ratio(pencil, q)

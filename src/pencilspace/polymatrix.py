@@ -2,17 +2,20 @@
 
 Certificates multiply polynomial matrices (F * L * E) and compare them
 entry-for-entry, so products here are exact.  Determinants of polynomial
-matrices are computed by evaluating at an integer grid and interpolating
-per variable: for a k x k matrix with maximum entry total degree t, the
-determinant has degree at most d = k * t in each variable, so values at
-the nodes 0..d determine it exactly.  Matrices whose entries involve only
-one (or neither) variable take the correspondingly cheaper path.
+matrices are computed by evaluation and interpolation on integers.  Every
+term of a determinant takes one entry per row and one per column, so its
+lam-, mu- and total degree are bounded by the row sums, and by the column
+sums, of the largest entry degrees.  The determinant's support then lies in
+the lower set S = {(a, b) : b <= d_mu, a <= min(d_lam, d - b)}; the scaled
+Gaussian-integer determinant is evaluated by Bareiss at the nodes of S,
+interpolated in the Newton basis by integer forward differences, and each
+monomial coefficient is divided out once at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 from typing import Iterable, Sequence
 
 from .bipoly import LAM, MU, BiPoly
@@ -183,53 +186,138 @@ def _as_poly(value) -> BiPoly:
     return BiPoly.constant(GaussianRational.coerce(value))
 
 
+def _common_denominator(values: Iterable[GaussianRational]) -> int:
+    scale = 1
+    for v in values:
+        scale = lcm(scale, v.re.denominator, v.im.denominator)
+    return scale
+
+
+def _scaled(x: Fraction, scale: int) -> int:
+    """x * scale as an int, for a scale that x's denominator divides."""
+    return x.numerator * (scale // x.denominator)
+
+
+def _differences(line: list[int]) -> list[int]:
+    """Forward differences at 0: entry k of the result is (Delta^k f)(0),
+    given the values f(0), ..., f(len - 1)."""
+    line = list(line)
+    for level in range(1, len(line)):
+        for i in range(len(line) - 1, level - 1, -1):
+            line[i] -= line[i - 1]
+    return line
+
+
+def _newton_weights(d: int) -> list[list[int]]:
+    """w[k][i] = s(k, i) * d!/k! for k <= d, s the signed Stirling numbers
+    of the first kind, so that (d!/k!) * x(x-1)...(x-k+1) = sum_i w[k][i] x^i."""
+    stirling = [[1]]
+    for k in range(d):
+        prev = stirling[-1] + [0]
+        stirling.append([(prev[i - 1] if i else 0) - k * prev[i] for i in range(k + 2)])
+    return [
+        [s * (factorial(d) // factorial(k)) for s in row] for k, row in enumerate(stirling)
+    ]
+
+
+def _to_monomial(line: list[int], weights: list[list[int]]) -> list[int]:
+    """Newton-to-monomial map on one line of forward differences."""
+    return [
+        sum(line[k] * weights[k][i] for k in range(i, len(line))) for i in range(len(line))
+    ]
+
+
+def _rows_then_columns(table: list[list[int]], row_op, col_op) -> list[list[int]]:
+    """Apply row_op to every row of a staircase table, then col_op to every
+    column (rows are non-increasing in length, so column a is the prefix of
+    rows longer than a)."""
+    table = [row_op(row) for row in table]
+    for a in range(len(table[0])):
+        height = sum(1 for row in table if len(row) > a)
+        col = col_op([table[b][a] for b in range(height)])
+        for b in range(height):
+            table[b][a] = col[b]
+    return table
+
+
+def _lower_set_coeffs(values: list[list[int]]) -> list[list[int]]:
+    """Integer interpolation on a staircase lower set of integer nodes.
+
+    values[b][a] = p(a, b) for the nodes S = {(a, b) : a < len(values[b])},
+    with row lengths non-increasing in b, for a polynomial p whose support
+    lies in S.  Returns, in the same shape, the coefficient of lam^a mu^b
+    in p times d_lam! * d_mu!, where d_lam = len(values[0]) - 1 and
+    d_mu = len(values) - 1; for integer values these are integers.
+
+    The Newton coefficient of N_k(lam) N_l(mu), with
+    N_k(x) = x(x-1)...(x-k+1), is the tensor forward difference over
+    [0..k] x [0..l] divided by k! l!; S is downward closed, so that box
+    lies in S and differencing each row and then each column is exact.
+    Expanding N_k by Stirling numbers then gives the monomial coefficients.
+    """
+    w_lam = _newton_weights(len(values[0]) - 1)
+    w_mu = _newton_weights(len(values) - 1)
+    newton = _rows_then_columns(values, _differences, _differences)
+    return _rows_then_columns(
+        newton, lambda row: _to_monomial(row, w_lam), lambda col: _to_monomial(col, w_mu)
+    )
+
+
 def newton_interpolate(values: Sequence[GaussianRational]) -> list[GaussianRational]:
     """Exact polynomial interpolation at the integer nodes 0..d.
 
     Given values p(0), ..., p(d) of a polynomial of degree <= d, return its
-    ascending coefficient list via Newton divided differences (the node
-    spacing is 1, so the differences divide by small integers exactly).
+    ascending coefficient list.  This is the one-variable case of the
+    lower-set kernel: the values are scaled to a common denominator D,
+    interpolated on integers, and each coefficient is divided by d! * D.
     """
-    d = len(values) - 1
-    table = list(values)
-    for level in range(1, d + 1):
-        for i in range(d, level - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / GaussianRational(level)
-    # Expand the Newton form sum_k table[k] * prod_{i<k} (x - i).
-    zero = GaussianRational(0)
-    coeffs = [zero] * (d + 1)
-    coeffs[0] = table[d]
-    for node in range(d - 1, -1, -1):
-        # multiply by (x - node), then add table[node]
-        shifted = [zero] + coeffs[:-1]
-        minus_node = GaussianRational(-node)
-        coeffs = [s + c * minus_node for s, c in zip(shifted, coeffs)]
-        coeffs[0] = coeffs[0] + table[node]
-    return coeffs
+    scale = _common_denominator(values)
+    re = _lower_set_coeffs([[_scaled(v.re, scale) for v in values]])[0]
+    im = _lower_set_coeffs([[_scaled(v.im, scale) for v in values]])[0]
+    denom = factorial(len(values) - 1) * scale
+    return [GaussianRational(Fraction(r, denom), Fraction(i, denom)) for r, i in zip(re, im)]
+
+
+def _degree_bounds(m: PolyMatrix) -> tuple[int, int, int]:
+    """Bounds (d_lam, d_mu, d) on the lam-, mu- and total degree of det m.
+
+    Every term of the determinant takes one entry from each row and one
+    from each column, so each degree is at most the sum over rows of the
+    row's largest entry degree, and at most the same sum over columns (a
+    zero entry counts as 0); the smaller sum is the bound.
+    """
+    degrees = [
+        [(p.degree_in(LAM), p.degree_in(MU), p.total_degree()) for p in row]
+        for row in m._data
+    ]
+    bounds = []
+    for axis in range(3):
+        # max(0, ...): a zero entry has degree -1 and counts as 0.
+        by_rows = sum(max(0, *(e[axis] for e in row)) for row in degrees)
+        by_cols = sum(max(0, *(e[axis] for e in col)) for col in zip(*degrees))
+        bounds.append(min(by_rows, by_cols))
+    d_lam, d_mu, d = bounds
+    return d_lam, d_mu, d
 
 
 def _integer_grid_det(m: PolyMatrix, scale: int):
-    """Determinant evaluator over the integer node grid.
+    """Determinant evaluator at integer nodes.
 
     All polynomial coefficients are pre-scaled by ``scale`` (their common
-    denominator) to Gaussian-integer pairs, so each grid determinant is a
-    pure Z[i] Bareiss run; the caller divides scale^size back out.
+    denominator) to Gaussian-integer pairs, so each node's determinant is
+    a pure Z[i] Bareiss run, returned as the (re, im) pair of
+    scale^size * det m(lam, mu).
     """
     size = m.rows
-    entries = []
-    for row in m._data:
-        for p in row:
-            entries.append(
-                [
-                    (i, j, int(c.re * scale), int(c.im * scale))
-                    for (i, j), c in p.terms()
-                ]
-            )
-
+    entries = [
+        [(i, j, _scaled(c.re, scale), _scaled(c.im, scale)) for (i, j), c in p.terms()]
+        for row in m._data
+        for p in row
+    ]
     max_lam = max((t[0] for terms in entries for t in terms), default=0)
     max_mu = max((t[1] for terms in entries for t in terms), default=0)
 
-    def value(lam: int, mu: int) -> GaussianRational:
+    def value(lam: int, mu: int) -> tuple[int, int]:
         lam_pows = [1]
         for _ in range(max_lam):
             lam_pows.append(lam_pows[-1] * lam)
@@ -249,9 +337,7 @@ def _integer_grid_det(m: PolyMatrix, scale: int):
                 row_vals.append((acc_re, acc_im))
                 idx += 1
             grid.append(row_vals)
-        d_re, d_im = bareiss_det_int(grid)
-        factor = Fraction(1, scale**size)
-        return GaussianRational(d_re * factor, d_im * factor)
+        return bareiss_det_int(grid)
 
     return value
 
@@ -259,42 +345,32 @@ def _integer_grid_det(m: PolyMatrix, scale: int):
 def exact_det_poly(m: PolyMatrix) -> BiPoly:
     """Exact determinant of a polynomial matrix.
 
-    Evaluates at the integer grid {0..d} per occurring variable (with
-    d = size * max entry total degree) and interpolates; identical to the
-    symbolic expansion.
+    With (d_lam, d_mu, d) the row/column degree bounds of _degree_bounds,
+    the determinant's support lies in the lower set
+    S = {(a, b) : b <= d_mu, a <= min(d_lam, d - b)}.  Evaluates the
+    scaled integer determinant at the nodes of S by Bareiss, interpolates
+    on integers, and divides each coefficient once by
+    d_lam! * d_mu! * scale^size; identical to the symbolic expansion.
     """
     if m.rows != m.cols:
         raise ShapeError("determinant requires a square matrix")
-    uses_lam = any(p.degree_in(LAM) > 0 for row in m._data for p in row)
-    uses_mu = any(p.degree_in(MU) > 0 for row in m._data for p in row)
-    if not uses_lam and not uses_mu:
+    if m.is_constant():
         return BiPoly.constant(m.to_scalar().det())
-    d = m.rows * max(p.total_degree() for row in m._data for p in row)
-    scale = 1
-    for row in m._data:
-        for p in row:
-            for _, c in p.terms():
-                scale = lcm(scale, c.re.denominator, c.im.denominator)
+    scale = _common_denominator(c for row in m._data for p in row for _, c in p.terms())
+    d_lam, d_mu, d = _degree_bounds(m)
     det_at = _integer_grid_det(m, scale)
-    if uses_lam and not uses_mu:
-        coeffs = newton_interpolate([det_at(k, 0) for k in range(d + 1)])
-        return BiPoly({(i, 0): c for i, c in enumerate(coeffs)})
-    if uses_mu and not uses_lam:
-        coeffs = newton_interpolate([det_at(0, k) for k in range(d + 1)])
-        return BiPoly({(0, j): c for j, c in enumerate(coeffs)})
-    # Full grid: interpolate in lam for each mu node, then in mu per
-    # lam-coefficient.
-    per_mu = []
-    for j in range(d + 1):
-        per_mu.append(newton_interpolate([det_at(k, j) for k in range(d + 1)]))
-    terms = {}
-    for i in range(d + 1):
-        col = [per_mu[j][i] for j in range(d + 1)]
-        mu_coeffs = newton_interpolate(col)
-        for j, coeff in enumerate(mu_coeffs):
-            if coeff:
-                terms[(i, j)] = coeff
-    return BiPoly(terms)
+    grid = [[det_at(a, b) for a in range(min(d_lam, d - b) + 1)] for b in range(d_mu + 1)]
+    re = _lower_set_coeffs([[v[0] for v in row] for row in grid])
+    im = _lower_set_coeffs([[v[1] for v in row] for row in grid])
+    denom = factorial(d_lam) * factorial(d_mu) * scale**m.rows
+    return BiPoly(
+        {
+            (a, b): GaussianRational(Fraction(re[b][a], denom), Fraction(im[b][a], denom))
+            for b in range(d_mu + 1)
+            for a in range(len(re[b]))
+            if re[b][a] or im[b][a]
+        }
+    )
 
 
 def poly_div_constant_ratio(p: BiPoly, q: BiPoly) -> GaussianRational | None:

@@ -220,15 +220,6 @@ def parse_eigenpair(text: str) -> dict:
     return out
 
 
-def eigenpair_to_dict(lam, mu, x1: Matrix, x2: Matrix) -> dict:
-    return {
-        "lambda": format_scalar(GaussianRational.coerce(lam)),
-        "mu": format_scalar(GaussianRational.coerce(mu)),
-        "x1": [format_scalar(x1[i, 0]) for i in range(x1.rows)],
-        "x2": [format_scalar(x2[i, 0]) for i in range(x2.rows)],
-    }
-
-
 # -- canonical text form ---------------------------------------------------------
 
 
@@ -250,7 +241,3 @@ def serialize_system(system: QuadSystem2P) -> str:
 
 def serialize_blocks(blocks: FreeBlocks) -> str:
     return dumps(blocks_to_dict(blocks))
-
-
-def serialize_eigenpair(lam, mu, x1: Matrix, x2: Matrix) -> str:
-    return dumps(eigenpair_to_dict(lam, mu, x1, x2))

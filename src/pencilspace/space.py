@@ -186,17 +186,14 @@ def standard_linearization(q: QuadPoly2P) -> Pencil2P:
 def kernel_member(n: int, blocks: FreeBlocks) -> Pencil2P:
     """A member of the kernel of the ansatz map.
 
-    Coefficients are A1 = [0 | -Y1 | -Z1], A2 = [Y1 | 0 | -Z2],
-    A3 = [Z1 | Z2 | 0]; both the box-add and the Lambda-product of the
-    result vanish identically.
+    The member of the zero quadratic with ansatz 0, so its coefficients are
+    A1 = [0 | -Y1 | -Z1], A2 = [Y1 | 0 | -Z2], A3 = [Z1 | Z2 | 0]; both the
+    box-add and the Lambda-product of the result vanish identically.
     """
     if blocks.n != n:
         raise ShapeError(f"blocks sized for n = {blocks.n}, requested n = {n}")
-    zero = Matrix.zeros(3 * n, n)
-    a1 = Matrix.hstack([zero, -blocks.y1, -blocks.z1])
-    a2 = Matrix.hstack([blocks.y1, zero, -blocks.z2])
-    a3 = Matrix.hstack([blocks.z1, blocks.z2, zero])
-    return Pencil2P(3 * n, a1, a2, a3)
+    zero_q = QuadPoly2P(n, *(Matrix.zeros(n, n) for _ in range(6)))
+    return generate_member(zero_q, (0, 0, 0), blocks)
 
 
 @dataclass(frozen=True)

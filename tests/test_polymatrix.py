@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from pencilspace import polymatrix
 from pencilspace.bipoly import BiPoly
+from pencilspace.construct import certify_standard
 from pencilspace.errors import ShapeError
 from pencilspace.matrices import Matrix
+from pencilspace.pencil import Pencil2P
 from pencilspace.polymatrix import (
     PolyMatrix,
     exact_det_poly,
@@ -13,7 +17,7 @@ from pencilspace.polymatrix import (
 )
 from pencilspace.scalars import GaussianRational
 
-from conftest import rand_gr
+from conftest import rand_gr, rand_matrix, rand_nonzero_gr, rand_quad
 
 LAM = BiPoly.lam()
 MU = BiPoly.mu()
@@ -119,7 +123,7 @@ def test_det_multiplicative(rng):
 
 
 def test_det_single_variable_path(rng):
-    # Entries in lam only exercise the 1-D interpolation branch.
+    # Entries in lam only: the lower set of nodes is a single row.
     m = PolyMatrix([[LAM**2 + ONE, LAM], [3 * LAM, LAM**2 - ONE]])
     assert exact_det_poly(m) == cofactor_det(m)
 
@@ -137,6 +141,116 @@ def test_scalar_round_trip():
 def test_eval():
     m = PolyMatrix([[LAM * MU, ONE], [MU, LAM]])
     assert m.eval(2, 3) == Matrix([[6, 1], [3, 2]])
+
+
+def _rand_entry(rng, variables, max_degree, zero_prob=0.3):
+    """A random entry in the given variables with complex fractional
+    coefficients, total degree <= max_degree, zero with probability zero_prob."""
+    if rng.random() < zero_prob:
+        return BiPoly.zero()
+    terms = {}
+    for i in range(max_degree + 1 if "lam" in variables else 1):
+        for j in range(max_degree + 1 - i if "mu" in variables else 1):
+            if rng.random() < 0.6:
+                terms[(i, j)] = rand_gr(rng, complex_prob=0.5)
+    return BiPoly(terms)
+
+
+def _rand_entries(rng, size, variables, max_degree):
+    return [[_rand_entry(rng, variables, max_degree) for _ in range(size)] for _ in range(size)]
+
+
+def _assert_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    lam, mu = sympy.symbols("lam mu")
+
+    def to_sympy(p):
+        return sum(
+            (
+                (sympy.Rational(c.re.numerator, c.re.denominator)
+                 + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+                * lam**i * mu**j
+                for (i, j), c in p.terms()
+            ),
+            sympy.Integer(0),
+        )
+
+    # sympy's own determinant over the polynomial ring QQ<I>[lam, mu].
+    expected = sympy.Matrix(m.rows, m.cols, lambda i, j: to_sympy(m[i, j])).to_DM()
+    expected = expected.domain.to_sympy(expected.det())
+    assert sympy.expand(to_sympy(exact_det_poly(m)) - expected) == 0
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+@pytest.mark.parametrize("variables", [("lam",), ("mu",), ("lam", "mu")], ids="-".join)
+def test_det_matches_sympy_on_random_matrices(variables, size):
+    rng = random.Random(f"{'-'.join(variables)}/{size}")
+    _assert_matches_sympy(PolyMatrix(_rand_entries(rng, size, variables, 2)))
+
+
+@pytest.mark.parametrize("size", [2, 4, 6])
+def test_det_matches_sympy_on_one_sided_degree_bounds(size):
+    # E-shaped: only the first column is non-constant, so the column bound
+    # (1 in each degree) is tighter than the row bound (size); F-shaped is
+    # its transpose.
+    rng = random.Random(size)
+    entries = _rand_entries(rng, size, (), 0)
+    for i in range(size):
+        entries[i][0] = (
+            LAM * rand_nonzero_gr(rng) + MU * rand_nonzero_gr(rng) + _rand_entry(rng, (), 0)
+        )
+    e_shaped = PolyMatrix(entries)
+    f_shaped = PolyMatrix([[entries[j][i] for j in range(size)] for i in range(size)])
+    assert polymatrix._degree_bounds(e_shaped) == (1, 1, 1)
+    assert polymatrix._degree_bounds(f_shaped) == (1, 1, 1)
+    _assert_matches_sympy(e_shaped)
+    _assert_matches_sympy(f_shaped)
+
+
+@pytest.mark.parametrize("size", [2, 3, 5])
+def test_det_zero_row_and_zero_polynomial(size):
+    rng = random.Random(50 + size)
+    entries = _rand_entries(rng, size, ("lam", "mu"), 1)
+    with_zero_row = [list(row) for row in entries]
+    with_zero_row[size - 1] = [BiPoly.zero()] * size
+    assert exact_det_poly(PolyMatrix(with_zero_row)).is_zero()
+    _assert_matches_sympy(PolyMatrix(with_zero_row))
+    # Last row = (lam + mu/2) * first row: the determinant is the zero
+    # polynomial although no entry is zero.
+    factor = LAM + MU * Fraction(1, 2)
+    dependent = [list(row) for row in entries]
+    dependent[0] = [_rand_entry(rng, ("lam", "mu"), 1, zero_prob=0) for _ in range(size)]
+    dependent[size - 1] = [factor * p for p in dependent[0]]
+    assert exact_det_poly(PolyMatrix(dependent)).is_zero()
+    _assert_matches_sympy(PolyMatrix(dependent))
+
+
+def test_det_evaluates_only_on_the_lower_set(monkeypatch):
+    rng = random.Random(3)
+    q = rand_quad(rng, 3)
+    cert = certify_standard(q)
+    a1, a2, a3 = (rand_matrix(rng, 9, 9) for _ in range(3))
+    pencil = Pencil2P(9, a1, a2, a3).as_polymatrix()
+    real = polymatrix.bareiss_det_int
+    calls = []
+
+    def counting(a):
+        calls.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(polymatrix, "bareiss_det_int", counting)
+
+    def nodes(m):
+        calls.clear()
+        exact_det_poly(m)
+        return len(calls)
+
+    # E and F: degree bound 3 from columns / rows, 10 nodes of a + b <= 3.
+    assert nodes(cert.e) <= 10
+    assert nodes(cert.f) <= 10
+    # Q (3 x 3 quadratic): bound 6, 28 nodes; L: bound 9, 55 nodes.
+    assert nodes(q.as_polymatrix()) <= 28
+    assert nodes(pencil) <= 55
 
 
 def test_newton_interpolation_exactness():
