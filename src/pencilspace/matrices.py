@@ -10,11 +10,10 @@ new values.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
-from .scalars import GaussianRational, ScalarLike
+from .scalars import GaussianRational, ScalarLike, clear_denominators
 
 
 class Matrix:
@@ -167,16 +166,10 @@ class Matrix:
         """
         if self.rows != self.cols:
             raise ShapeError("determinant requires a square matrix")
-        scale = 1
-        for row in self._data:
-            for v in row:
-                scale = lcm(scale, v.re.denominator, v.im.denominator)
-        a = [
-            [(int(v.re * scale), int(v.im * scale)) for v in row]
-            for row in self._data
-        ]
-        d_re, d_im = bareiss_det_int(a)
-        factor = Fraction(1, scale**self.rows)
+        n = self.rows
+        scale, flat = clear_denominators(v for row in self._data for v in row)
+        d_re, d_im = bareiss_det_int([flat[k * n : (k + 1) * n] for k in range(n)])
+        factor = Fraction(1, scale**n)
         return GaussianRational(d_re * factor, d_im * factor)
 
     def rank(self) -> int:
@@ -186,12 +179,7 @@ class Matrix:
         are cleared first and the elimination runs on Gaussian-integer
         pairs with exact divisions only.
         """
-        a = []
-        for row in self._data:
-            scale = 1
-            for v in row:
-                scale = lcm(scale, v.re.denominator, v.im.denominator)
-            a.append([(int(v.re * scale), int(v.im * scale)) for v in row])
+        a = [clear_denominators(row)[1] for row in self._data]
         return sum(1 for _ in _bareiss_pivots(a, self.cols))
 
     def inverse(self) -> "Matrix":

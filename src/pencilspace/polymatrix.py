@@ -15,13 +15,13 @@ monomial coefficient is divided out once at the end.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import Iterable, Sequence
 
 from .bipoly import LAM, MU, BiPoly
 from .errors import ShapeError
 from .matrices import Matrix, bareiss_det_int
-from .scalars import GaussianRational, ScalarLike
+from .scalars import GaussianRational, ScalarLike, clear_denominators
 
 
 class PolyMatrix:
@@ -186,18 +186,6 @@ def _as_poly(value) -> BiPoly:
     return BiPoly.constant(GaussianRational.coerce(value))
 
 
-def _common_denominator(values: Iterable[GaussianRational]) -> int:
-    scale = 1
-    for v in values:
-        scale = lcm(scale, v.re.denominator, v.im.denominator)
-    return scale
-
-
-def _scaled(x: Fraction, scale: int) -> int:
-    """x * scale as an int, for a scale that x's denominator divides."""
-    return x.numerator * (scale // x.denominator)
-
-
 def _differences(line: list[int]) -> list[int]:
     """Forward differences at 0: entry k of the result is (Delta^k f)(0),
     given the values f(0), ..., f(len - 1)."""
@@ -271,9 +259,9 @@ def newton_interpolate(values: Sequence[GaussianRational]) -> list[GaussianRatio
     lower-set kernel: the values are scaled to a common denominator D,
     interpolated on integers, and each coefficient is divided by d! * D.
     """
-    scale = _common_denominator(values)
-    re = _lower_set_coeffs([[_scaled(v.re, scale) for v in values]])[0]
-    im = _lower_set_coeffs([[_scaled(v.im, scale) for v in values]])[0]
+    scale, pairs = clear_denominators(values)
+    re = _lower_set_coeffs([[v[0] for v in pairs]])[0]
+    im = _lower_set_coeffs([[v[1] for v in pairs]])[0]
     denom = factorial(len(values) - 1) * scale
     return [GaussianRational(Fraction(r, denom), Fraction(i, denom)) for r, i in zip(re, im)]
 
@@ -300,8 +288,8 @@ def _degree_bounds(m: PolyMatrix) -> tuple[int, int, int]:
     return d_lam, d_mu, d
 
 
-def _integer_grid_det(m: PolyMatrix, scale: int):
-    """Determinant evaluator at integer nodes.
+def _integer_grid_det(m: PolyMatrix):
+    """Determinant evaluator at integer nodes, and its scale.
 
     All polynomial coefficients are pre-scaled by ``scale`` (their common
     denominator) to Gaussian-integer pairs, so each node's determinant is
@@ -309,11 +297,10 @@ def _integer_grid_det(m: PolyMatrix, scale: int):
     scale^size * det m(lam, mu).
     """
     size = m.rows
-    entries = [
-        [(i, j, _scaled(c.re, scale), _scaled(c.im, scale)) for (i, j), c in p.terms()]
-        for row in m._data
-        for p in row
-    ]
+    entry_terms = [list(p.terms()) for row in m._data for p in row]
+    scale, pairs = clear_denominators(c for terms in entry_terms for _, c in terms)
+    scaled = iter(pairs)
+    entries = [[(i, j, *next(scaled)) for (i, j), _ in terms] for terms in entry_terms]
     max_lam = max((t[0] for terms in entries for t in terms), default=0)
     max_mu = max((t[1] for terms in entries for t in terms), default=0)
 
@@ -339,7 +326,7 @@ def _integer_grid_det(m: PolyMatrix, scale: int):
             grid.append(row_vals)
         return bareiss_det_int(grid)
 
-    return value
+    return scale, value
 
 
 def exact_det_poly(m: PolyMatrix) -> BiPoly:
@@ -356,9 +343,8 @@ def exact_det_poly(m: PolyMatrix) -> BiPoly:
         raise ShapeError("determinant requires a square matrix")
     if m.is_constant():
         return BiPoly.constant(m.to_scalar().det())
-    scale = _common_denominator(c for row in m._data for p in row for _, c in p.terms())
     d_lam, d_mu, d = _degree_bounds(m)
-    det_at = _integer_grid_det(m, scale)
+    scale, det_at = _integer_grid_det(m)
     grid = [[det_at(a, b) for a in range(min(d_lam, d - b) + 1)] for b in range(d_mu + 1)]
     re = _lower_set_coeffs([[v[0] for v in row] for row in grid])
     im = _lower_set_coeffs([[v[1] for v in row] for row in grid])

@@ -29,9 +29,9 @@ def durand_kerner(
     """All complex roots (with multiplicity) of sum_k coeffs[k] * x^k.
 
     coeffs is ascending with a nonzero leading coefficient and degree >= 1.
-    Raises ConvergenceError (carrying the best iterate) if the maximum
-    relative correction max |dz| / max(1, |z|) stays above tol for
-    max_iter sweeps.
+    Raises ConvergenceError (carrying the best iterate and the sweep count)
+    if the maximum relative correction max |dz| / max(1, |z|) stays above
+    tol for max_iter sweeps.
     """
     if len(coeffs) < 2:
         raise DegreeError("root finding requires degree >= 1")
@@ -50,6 +50,9 @@ def durand_kerner(
     )
 
     powers = np.arange(degree + 1)
+    # Stays None while no sweep has computed a correction (max_iter = 0, or
+    # every sweep so far nudged colliding iterates apart).
+    rel = None
     for _ in range(max_iter):
         values = (z[:, None] ** powers[None, :]) @ monic
         diff = z[:, None] - z[None, :]
@@ -65,10 +68,14 @@ def durand_kerner(
         rel = np.abs(correction) / np.maximum(1.0, np.abs(z))
         if rel.max() < tol:
             return sorted(map(complex, z), key=lambda w: (w.real, w.imag))
+    if rel is None:
+        last = "no correction computed"
+    else:
+        last = f"last max relative correction {rel.max():.3e}"
     raise ConvergenceError(
-        f"Durand-Kerner did not converge in {max_iter} iterations "
-        f"(last max relative correction {rel.max():.3e})",
+        f"Durand-Kerner did not converge in {max_iter} iterations ({last})",
         sorted(map(complex, z), key=lambda w: (w.real, w.imag)),
+        sweeps=max_iter,
     )
 
 

@@ -13,7 +13,8 @@ finder via :meth:`GaussianRational.to_complex`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import Iterable, Union
 
 RationalLike = Union[int, str, Fraction]
 ScalarLike = Union["GaussianRational", int, str, Fraction]
@@ -162,6 +163,28 @@ def _as_gr(value) -> "GaussianRational":
     if isinstance(value, (int, Fraction)):
         return GaussianRational(value)
     return NotImplemented
+
+
+def clear_denominators(
+    values: Iterable[GaussianRational],
+) -> tuple[int, list[tuple[int, int]]]:
+    """Scale Q(i) values to Gaussian integers by one common factor.
+
+    Returns ``(scale, pairs)``: ``scale`` is the lcm of every real and
+    imaginary denominator, and ``pairs[k]`` is the ``(re, im)`` int pair of
+    ``scale * values[k]``.
+    """
+    values = list(values)
+    scale = 1
+    for v in values:
+        scale = lcm(scale, v.re.denominator, v.im.denominator)
+    return scale, [
+        (
+            v.re.numerator * (scale // v.re.denominator),
+            v.im.numerator * (scale // v.im.denominator),
+        )
+        for v in values
+    ]
 
 
 ZERO = GaussianRational(0)

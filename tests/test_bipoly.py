@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,11 @@ from hypothesis import strategies as st
 
 from pencilspace.bipoly import LAM, MU, BiPoly, UniPoly
 from pencilspace.errors import DegreeError
+from pencilspace.polymatrix import exact_det_poly
+from pencilspace.resultants import sylvester_resultant
 from pencilspace.scalars import GaussianRational
+
+from conftest import rand_quad
 
 LAM_P = BiPoly.lam()
 MU_P = BiPoly.mu()
@@ -167,3 +172,120 @@ def test_unipoly_square_free_part():
 def test_unipoly_derivative():
     p = UniPoly([5, -1, 0, 2], var=LAM)  # 2x^3 - x + 5
     assert p.derivative() == UniPoly([-1, 0, 6], var=LAM)
+
+
+def euclid_gcd(a, b):
+    """Monic gcd by the textbook Euclidean algorithm over Q(i).
+
+    The reference oracle for UniPoly.gcd: its coefficients grow without
+    bound, so it is used on small degrees only.
+    """
+    while not b.is_zero():
+        _, r = a.divmod(b)
+        a, b = b, r
+    return a.monic()
+
+
+def rand_unipoly(rng, degree):
+    """Random degree-``degree`` polynomial with complex fractional coefficients."""
+
+    def coeff():
+        return GaussianRational(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+        )
+
+    lead = coeff()
+    while not lead:
+        lead = coeff()
+    return UniPoly([coeff() for _ in range(degree)] + [lead], var=LAM)
+
+
+def unipoly_product(*factors):
+    coeffs = (GaussianRational(1),)
+    for f in factors:
+        coeffs = tuple(_mul_coeffs(coeffs, f.coeffs))
+    return UniPoly(coeffs, var=LAM)
+
+
+def planted(rng, s_degree, t_degree, power):
+    """(s^power * t, s) for random s and t: a square factor planted in p."""
+    s = rand_unipoly(rng, s_degree)
+    t = rand_unipoly(rng, t_degree)
+    return unipoly_product(*([s] * power), t), s
+
+
+# (degree of s, degree of t, power of s) for p = s^power * t: degree <= 12
+# for the Euclidean oracle, up to 36 against sympy.
+EUCLID_SHAPES = [(1, 2, 2), (2, 3, 2), (4, 4, 2), (2, 6, 3), (3, 3, 3), (4, 0, 3)]
+PLANTED_SHAPES = [(3, 4, 3), (5, 7, 2), (4, 12, 3), (8, 20, 2), (6, 18, 3), (12, 0, 3)]
+
+
+def test_unipoly_gcd_zero_and_constant_inputs():
+    p = unipoly_from_roots(1, 1, -2)
+    zero = UniPoly([], var=LAM)
+    one = UniPoly([1], var=LAM)
+    assert p.gcd(zero) == p.monic()
+    assert zero.gcd(p) == p.monic()
+    assert zero.gcd(zero).is_zero()
+    constant = UniPoly([GaussianRational(Fraction(2, 3), -1)], var=LAM)
+    assert p.gcd(constant) == one
+    assert constant.gcd(p) == one
+    assert constant.gcd(zero) == one
+    assert zero.gcd(constant) == one
+
+
+def test_unipoly_gcd_coprime_inputs():
+    rng = random.Random(11)
+    for degree in (1, 4, 9):
+        p, q = rand_unipoly(rng, degree), rand_unipoly(rng, degree + 2)
+        assert p.gcd(q) == UniPoly([1], var=LAM)
+        assert q.gcd(p) == UniPoly([1], var=LAM)
+
+
+@pytest.mark.parametrize("shape", EUCLID_SHAPES)
+def test_unipoly_gcd_matches_euclid(shape):
+    rng = random.Random(sum(shape))
+    p, s = planted(rng, *shape)
+    q = unipoly_product(s, rand_unipoly(rng, shape[1] + 1))
+    # A low-degree multiple of s: (p, low) drops degree by more than one in
+    # its first step and then runs normal steps down to the common factor.
+    low = unipoly_product(s, rand_unipoly(rng, 2))
+    for a, b in ((p, q), (q, p), (p, p.derivative()), (p, s), (p, low), (low, p)):
+        assert a.gcd(b) == euclid_gcd(a, b)
+    quotient, remainder = p.divmod(euclid_gcd(p, p.derivative()))
+    assert remainder.is_zero()
+    assert p.square_free_part() == quotient
+
+
+def to_sympy(poly):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    return sympy.Poly(
+        [sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im) for c in reversed(poly.coeffs)],
+        x,
+        domain=sympy.QQ_I,
+    )
+
+
+@pytest.mark.parametrize("shape", PLANTED_SHAPES)
+def test_unipoly_gcd_and_square_free_part_match_sympy(shape):
+    rng = random.Random(100 + sum(shape))
+    p, s = planted(rng, *shape)
+    q = unipoly_product(s, rand_unipoly(rng, 3))
+    sp, sq = to_sympy(p), to_sympy(q)
+    assert to_sympy(p.gcd(q)) == sp.gcd(sq)
+    assert to_sympy(p.gcd(p.derivative())) == sp.gcd(sp.diff())
+    assert to_sympy(p.square_free_part().monic()) == sp.sqf_part()
+    # s^power is planted, so gcd(p, p') has degree at least (power - 1) deg s.
+    assert p.gcd(p.derivative()).degree() >= (shape[2] - 1) * shape[0]
+
+
+def test_square_free_part_of_seeded_3x3_resultant():
+    # The degree-36 resultant of a seeded complex n1 = n2 = 3 system is
+    # square-free, so its square-free part is the resultant itself.
+    rng = random.Random(5)
+    f, g = (exact_det_poly(rand_quad(rng, 3).as_polymatrix()) for _ in range(2))
+    resultant = sylvester_resultant(f, g, MU)
+    assert resultant.degree() == 36
+    assert resultant.square_free_part() == resultant

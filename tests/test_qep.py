@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -220,6 +221,25 @@ def test_spectral_equality_certified(rng):
     report = verify_spectral_equality(CIRCLE_LINE, linearize_system(CIRCLE_LINE))
     assert report.equal
     assert not report.unmatched_q and not report.unmatched_l
+
+
+@pytest.mark.parametrize("complex_prob", [0.0, 0.25])
+def test_spectral_equality_at_n2(complex_prob):
+    rng = random.Random(5)
+    system = QuadSystem2P(rand_quad(rng, 2, complex_prob), rand_quad(rng, 2, complex_prob))
+    report = verify_spectral_equality(system, linearize_system(system))
+    assert report.equal
+    assert report.sigma_q.bezout_bound == 16
+    assert len(report.sigma_q.points) == len(report.sigma_l.points) == 16
+
+
+def test_spectrum_at_n1_2_n2_3_reaches_bezout_bound():
+    rng = random.Random(5)
+    system = QuadSystem2P(rand_quad(rng, 2), rand_quad(rng, 3))
+    report = spectrum_quadratic(system)
+    assert report.generic
+    assert report.bezout_bound == 24
+    assert len(report.points) == 24
 
 
 def test_spectral_equality_detects_constant_replacement():

@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from pencilspace import roots
 from pencilspace.bipoly import LAM, UniPoly
 from pencilspace.errors import ConvergenceError, DegreeError
 from pencilspace.roots import durand_kerner, unipoly_roots
@@ -65,6 +67,24 @@ def test_convergence_error_carries_best_iterate():
     with pytest.raises(ConvergenceError) as info:
         durand_kerner([1.0, 0.0, 0.0, 0.0, 1.0], max_iter=2)
     assert len(info.value.best) == 4
+    assert info.value.sweeps == 2
+    assert "last max relative correction" in str(info.value)
+
+
+def test_zero_sweeps_raise_convergence_error():
+    with pytest.raises(ConvergenceError, match="no correction computed") as info:
+        durand_kerner([1.0, 0.0, 1.0], max_iter=0)
+    assert info.value.sweeps == 0
+    assert len(info.value.best) == 2
+
+
+def test_colliding_iterates_in_every_sweep_raise_convergence_error(monkeypatch):
+    # Equal starting points collide in every sweep, so no correction is
+    # ever computed.
+    monkeypatch.setattr(roots, "cmath", SimpleNamespace(pi=math.pi, exp=lambda w: 1.0))
+    with pytest.raises(ConvergenceError, match="no correction computed") as info:
+        durand_kerner([1.0, 0.0, 1.0], max_iter=3)
+    assert info.value.sweeps == 3
 
 
 def test_multiplicities_are_reported():
