@@ -1,0 +1,112 @@
+"""Golden CLI transcript: stdout, stderr and exit code, byte for byte.
+
+Each entry of ``golden/cli_transcript.json`` is one in-process run of
+``pencilspace.cli.main`` on the shipped ``corpus/`` files, with paths
+relative to the repository root.  The test replays every command and
+compares all three streams exactly, so a refactor that changes any printed
+value, verdict or exit code fails here.
+
+To re-record after a deliberate output change (say so in CHANGES.md):
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from pencilspace.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+TRANSCRIPT = Path(__file__).resolve().parent / "golden" / "cli_transcript.json"
+
+Q_CIRCLE = "corpus/q_circle.json"
+Q_WORKED = "corpus/q_worked.json"
+L_WORKED = "corpus/l_worked.json"
+L_STANDARD = "corpus/l_standard_worked.json"
+L_ALIGNED = "corpus/l_aligned_worked.json"
+B_WORKED = "corpus/blocks_worked.json"
+B_CIRCLE = "corpus/blocks_standard_circle.json"
+SYS_CL = "corpus/sys_circle_line.json"
+SYS_RE = "corpus/sys_rational_eig.json"
+
+COMMANDS = [
+    ["standard", "-q", Q_CIRCLE],
+    ["standard", "-q", Q_WORKED],
+    ["member", "-q", Q_WORKED, "-l", L_WORKED],
+    ["member", "-q", Q_WORKED, "-l", L_STANDARD],
+    ["member", "-q", Q_WORKED, "-l", L_ALIGNED],
+    ["member", "-q", Q_CIRCLE, "-l", L_WORKED],
+    ["generate", "-q", Q_WORKED, "-v", "1,1,2", "--blocks", B_WORKED],
+    ["generate", "-q", Q_WORKED, "-v", "-1/2,3,0", "--blocks", B_WORKED],
+    ["generate", "-q", Q_WORKED, "-v", "0,0,0", "--blocks", B_WORKED],
+    ["generate", "-q", Q_CIRCLE, "-v", "1,0,0", "--blocks", B_CIRCLE],
+    ["generate", "-q", Q_CIRCLE, "-v", "1,0,0", "--blocks", B_WORKED],
+    ["kernel", "--blocks", B_WORKED],
+    ["kernel", "--blocks", B_CIRCLE],
+    ["dimension", "-q", Q_CIRCLE],
+    ["dimension", "-q", Q_WORKED],
+    ["procedure", "-q", Q_CIRCLE, "-v", "1,1,2", "--alpha", "1", "--seed", "7"],
+    ["procedure", "-q", Q_CIRCLE, "-v", "0,2,3", "--alpha", "2", "--seed", "99"],
+    ["procedure", "-q", Q_WORKED, "-v", "1,1,2", "--alpha", "3/2", "--seed", "4"],
+    ["procedure", "-q", Q_WORKED, "-v", "0,1,-1", "--seed", "1"],
+    ["procedure", "-q", Q_WORKED, "-v", "0,0,5", "--alpha", "-2", "--seed", "2"],
+    ["procedure", "-q", Q_WORKED, "-v", "2,0,1", "--seed", "3"],
+    ["procedure", "-q", Q_WORKED, "-v", "-1,0,0", "--blocks", B_WORKED, "--seed", "5"],
+    ["procedure", "-q", Q_WORKED, "-v", "1,1,0", "--seed", "6"],
+    ["procedure", "-q", Q_WORKED, "-v", "0,1/3,0", "--seed", "7"],
+    ["procedure", "-q", Q_CIRCLE, "-v", "0,0,0", "--seed", "0"],
+    ["certify", "-q", Q_WORKED, "-l", L_WORKED],
+    ["certify", "-q", Q_WORKED, "-l", L_STANDARD],
+    ["certify", "-q", Q_WORKED, "-l", L_ALIGNED],
+    ["certify", "-q", Q_CIRCLE, "-l", L_WORKED],
+    ["qep-linearize", "-s", SYS_CL],
+    ["qep-linearize", "-s", SYS_RE],
+    ["qep-linearize", "-s", SYS_CL, "--seed", "3"],
+    ["qep-linearize", "-s", SYS_RE, "--alpha1", "-1/2", "--alpha2", "3"],
+    ["delta", "-s", SYS_CL],
+    ["delta", "-s", SYS_RE],
+    ["delta", "-s", SYS_CL, "--seed", "5"],
+    ["delta", "-s", SYS_RE, "--alpha1", "2", "--alpha2", "-1/3", "--seed", "8"],
+]
+
+
+def _run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": argv, "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+def record() -> None:
+    os.chdir(ROOT)
+    TRANSCRIPT.parent.mkdir(exist_ok=True)
+    entries = [_run(argv) for argv in COMMANDS]
+    TRANSCRIPT.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+
+
+def _entries() -> list[dict]:
+    return json.loads(TRANSCRIPT.read_text(encoding="utf-8"))
+
+
+def test_transcript_covers_the_command_list():
+    assert [entry["argv"] for entry in _entries()] == COMMANDS
+
+
+@pytest.mark.parametrize(
+    "index", range(len(COMMANDS)), ids=[" ".join(a).replace("corpus/", "") for a in COMMANDS]
+)
+def test_cli_output_is_byte_identical(index, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    expected = _entries()[index]
+    assert _run(expected["argv"]) == expected
+
+
+if __name__ == "__main__":
+    record()
