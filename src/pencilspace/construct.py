@@ -23,7 +23,6 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .bipoly import BiPoly
 from .errors import (
     ConditionUnsatisfiableError,
     HypothesisViolatedError,
@@ -231,36 +230,40 @@ def _unimodular_pair(
         raise HypothesisViolatedError("lower Z block is singular")
     z_inv = z_block.inverse()
 
-    lam, mu = BiPoly.lam(), BiPoly.mu()
+    m = 3 * n
     inv_alpha = ONE / alpha
-    eye = PolyMatrix.identity(n)
-    zero_n = PolyMatrix.zeros(n, n)
-    e = PolyMatrix.from_blocks(
-        [
-            [eye.scale(lam * inv_alpha), eye, zero_n],
-            [eye.scale(mu * inv_alpha), zero_n, eye],
-            [eye.scale(BiPoly.constant(inv_alpha)), zero_n, zero_n],
-        ]
+    eye = Matrix.identity(n)
+    # E = [[(lam/alpha) I, I, 0], [(mu/alpha) I, 0, I], [(1/alpha) I, 0, 0]]
+    e = PolyMatrix.from_coefficients(
+        m,
+        m,
+        {
+            (1, 0): kron(Matrix([[inv_alpha, 0, 0], [0, 0, 0], [0, 0, 0]]), eye),
+            (0, 1): kron(Matrix([[0, 0, 0], [inv_alpha, 0, 0], [0, 0, 0]]), eye),
+            (0, 0): kron(Matrix([[0, 1, 0], [0, 0, 1], [inv_alpha, 0, 0]]), eye),
+        },
     )
+    # W = [alpha*lam*A20 + mu*Y11 + Z11 | alpha*mu*A02 + alpha*lam*A11 - lam*Y11 + Z12]
     y11 = blocks.sub("y1", 0)
-    w1 = (
-        PolyMatrix.from_scalar(q.a20).scale(lam * alpha)
-        + PolyMatrix.from_scalar(y11).scale(mu)
-        + PolyMatrix.from_scalar(blocks.sub("z1", 0))
-    )
-    w2 = (
-        PolyMatrix.from_scalar(q.a02).scale(mu * alpha)
-        + PolyMatrix.from_scalar(q.a11).scale(lam * alpha)
-        - PolyMatrix.from_scalar(y11).scale(lam)
-        + PolyMatrix.from_scalar(blocks.sub("z2", 0))
-    )
-    w = PolyMatrix.from_blocks([[w1, w2]])
-    minus_w_zinv = (-w) @ PolyMatrix.from_scalar(z_inv)
-    f = PolyMatrix.from_blocks(
-        [
-            [eye, minus_w_zinv],
-            [PolyMatrix.zeros(2 * n, n), PolyMatrix.from_scalar(z_inv)],
-        ]
+    w_lam = Matrix.hstack([q.a20.scale(alpha), q.a11.scale(alpha) - y11])
+    w_mu = Matrix.hstack([y11, q.a02.scale(alpha)])
+    w_const = Matrix.hstack([blocks.sub("z1", 0), blocks.sub("z2", 0)])
+
+    # F = [[I, -W Z^-1], [0, Z^-1]]
+    def f_coeff(w_part: Matrix, top_left: Matrix, bottom_right: Matrix) -> Matrix:
+        return Matrix.from_blocks(
+            [[top_left, -(w_part @ z_inv)], [Matrix.zeros(2 * n, n), bottom_right]]
+        )
+
+    zero_n, zero_2n = Matrix.zeros(n, n), Matrix.zeros(2 * n, 2 * n)
+    f = PolyMatrix.from_coefficients(
+        m,
+        m,
+        {
+            (1, 0): f_coeff(w_lam, zero_n, zero_2n),
+            (0, 1): f_coeff(w_mu, zero_n, zero_2n),
+            (0, 0): f_coeff(w_const, eye, z_inv),
+        },
     )
     product = f @ pencil.as_polymatrix() @ e
     if product != _diag_q_identity(q):

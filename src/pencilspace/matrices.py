@@ -1,38 +1,42 @@
-"""Dense matrices over the Gaussian rationals.
+"""Dense matrices over the Gaussian rationals, stored on integers.
 
-The block machinery (3x3 grids of n x n blocks, Kronecker products,
-stacking) lives here together with the exact kernels every verdict relies
-on: a fraction-free (Bareiss) determinant, an exact rank, and Gauss-Jordan
-inversion.  Matrices are immutable tuples of tuples; all operations return
-new values.
+A matrix is one positive common denominator plus the Gaussian-integer
+numerators of its entries as (re, im) int pairs, in canonical form (no
+common factor of the denominator and all numerators), so equal values
+compare and hash equal.  All arithmetic runs on ints; ``GaussianRational``
+appears only where entries come in or go out.  Determinant, rank and
+inverse share one fraction-free (Bareiss) elimination over Z[i].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
 from .scalars import GaussianRational, ScalarLike, clear_denominators
 
+Pair = tuple[int, int]
+
 
 class Matrix:
-    """An immutable rows x cols matrix of GaussianRational entries."""
+    """An immutable rows x cols matrix over Q(i), stored as Gaussian-integer
+    numerators over one common denominator."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_den", "_data")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]]):
-        data = tuple(
-            tuple(GaussianRational.coerce(v) for v in row) for row in entries
-        )
-        if not data or not data[0]:
+        values = [[GaussianRational.coerce(v) for v in row] for row in entries]
+        if not values or not values[0]:
             raise ShapeError("matrix must have at least one row and one column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
+        width = len(values[0])
+        if any(len(row) != width for row in values):
             raise ShapeError("ragged rows in matrix literal")
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_data", data)
+        # The lcm of lowest-terms denominators is already canonical.
+        den, pairs = clear_denominators(chain.from_iterable(values))
+        _init(self, tuple(tuple(pairs[k : k + width]) for k in range(0, len(pairs), width)), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -41,16 +45,12 @@ class Matrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        zero = GaussianRational(0)
-        return _wrap(tuple(tuple(zero for _ in range(cols)) for _ in range(rows)), rows, cols)
+        return _new((((0, 0),) * cols,) * rows, 1)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        zero, one = GaussianRational(0), GaussianRational(1)
-        return _wrap(
-            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)),
-            n,
-            n,
+        return _new(
+            tuple(tuple((1, 0) if i == j else (0, 0) for j in range(n)) for i in range(n)), 1
         )
 
     @staticmethod
@@ -62,22 +62,22 @@ class Matrix:
         """Assemble a matrix from a 2-D grid of conformal blocks."""
         if not grid or not grid[0]:
             raise ShapeError("empty block grid")
-        rows: list[tuple[GaussianRational, ...]] = []
+        # Over the lcm of canonical denominators the result is canonical.
+        den = lcm(*(block._den for block_row in grid for block in block_row))
+        rows: list[tuple[Pair, ...]] = []
         width = None
         for block_row in grid:
             height = block_row[0].rows
             if any(b.rows != height for b in block_row):
                 raise ShapeError("blocks in a row must have equal height")
+            parts = [_times(b._data, (den // b._den, 0)) for b in block_row]
             for i in range(height):
-                row: tuple[GaussianRational, ...] = ()
-                for block in block_row:
-                    row = row + block._data[i]
-                rows.append(row)
+                rows.append(tuple(chain.from_iterable(part[i] for part in parts)))
             if width is None:
                 width = len(rows[-1])
             elif len(rows[-1]) != width:
                 raise ShapeError("block rows must have equal total width")
-        return _wrap(tuple(rows), len(rows), width)
+        return _new(tuple(rows), den)
 
     @staticmethod
     def hstack(blocks: Sequence["Matrix"]) -> "Matrix":
@@ -91,13 +91,21 @@ class Matrix:
 
     def __getitem__(self, key: tuple[int, int]) -> GaussianRational:
         i, j = key
-        return self._data[i][j]
+        re, im = self._data[i][j]
+        return GaussianRational(Fraction(re, self._den), Fraction(im, self._den))
 
     def row_entries(self, i: int) -> tuple[GaussianRational, ...]:
-        return self._data[i]
+        return tuple(self[i, j] for j in range(self.cols))
 
-    def submatrix(self, row_range: range, col_range: range) -> "Matrix":
-        return Matrix([[self._data[i][j] for j in col_range] for i in row_range])
+    def integer_form(self) -> tuple[int, tuple[tuple[Pair, ...], ...]]:
+        """The common denominator and the rows of (re, im) numerator pairs."""
+        return self._den, self._data
+
+    def submatrix(self, row_range: Sequence[int], col_range: Sequence[int]) -> "Matrix":
+        if not row_range or not col_range:
+            raise ShapeError("matrix must have at least one row and one column")
+        data = tuple(tuple(self._data[i][j] for j in col_range) for i in row_range)
+        return _reduced(data, self._den)
 
     def block(self, block_row: int, block_col: int, size: int) -> "Matrix":
         """Extract the (block_row, block_col) block of an n-blocked matrix."""
@@ -110,110 +118,118 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._require_same_shape(other)
-        return _wrap(
+        den = lcm(self._den, other._den)
+        a = _times(self._data, (den // self._den, 0))
+        b = _times(other._data, (den // other._den, 0))
+        return _reduced(
             tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self._data, other._data)
+                tuple((x + u, y + v) for (x, y), (u, v) in zip(ra, rb))
+                for ra, rb in zip(a, b)
             ),
-            self.rows,
-            self.cols,
+            den,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        return _wrap(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self._data, other._data)
-            ),
-            self.rows,
-            self.cols,
-        )
+        return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return self.scale(-1)
+        return _new(_times(self._data, (-1, 0)), self._den)
 
     def scale(self, scalar: ScalarLike) -> "Matrix":
-        s = GaussianRational.coerce(scalar)
-        return _wrap(
-            tuple(tuple(v * s for v in row) for row in self._data),
-            self.rows,
-            self.cols,
-        )
+        s_den, (s,) = clear_denominators([GaussianRational.coerce(scalar)])
+        return _reduced(_times(self._data, s), self._den * s_den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         cols = tuple(zip(*other._data))
-        zero = GaussianRational(0)
-        return _wrap(
+        out = []
+        for row in self._data:
+            nonzero = [(k, a, b) for k, (a, b) in enumerate(row) if a or b]
+            out_row = []
+            for col in cols:
+                re = im = 0
+                for k, a, b in nonzero:
+                    c, d = col[k]
+                    re += a * c - b * d
+                    im += a * d + b * c
+                out_row.append((re, im))
+            out.append(tuple(out_row))
+        return _reduced(tuple(out), self._den * other._den)
+
+    def kron(self, other: "Matrix") -> "Matrix":
+        """Kronecker product: block (i, j) equals self[i, j] * other."""
+        return _reduced(
             tuple(
-                tuple(sum((a * b for a, b in zip(row, col)), zero) for col in cols)
-                for row in self._data
+                tuple((a * c - b * d, a * d + b * c) for a, b in row_s for c, d in row_o)
+                for row_s in self._data
+                for row_o in other._data
             ),
-            self.rows,
-            other.cols,
+            self._den * other._den,
         )
 
     # -- exact linear algebra -------------------------------------------------------
 
     def det(self) -> GaussianRational:
-        """Exact determinant by fraction-free (Bareiss) elimination.
-
-        Denominators are cleared up front so the elimination runs on raw
-        Gaussian-integer pairs; every Bareiss quotient is an exact division
-        in Z[i].  The common scale is divided back out at the end.
-        """
+        """Exact determinant by fraction-free (Bareiss) elimination of the
+        numerators; every quotient is an exact division in Z[i], and the
+        common denominator (to the power n) is divided out at the end."""
         if self.rows != self.cols:
             raise ShapeError("determinant requires a square matrix")
-        n = self.rows
-        scale, flat = clear_denominators(v for row in self._data for v in row)
-        d_re, d_im = bareiss_det_int([flat[k * n : (k + 1) * n] for k in range(n)])
-        factor = Fraction(1, scale**n)
-        return GaussianRational(d_re * factor, d_im * factor)
+        d_re, d_im = bareiss_det_int([list(row) for row in self._data])
+        scale = self._den**self.rows
+        return GaussianRational(Fraction(d_re, scale), Fraction(d_im, scale))
 
     def rank(self) -> int:
-        """Exact rank by fraction-free (Bareiss) forward elimination.
-
-        Row scaling leaves the rank unchanged, so each row's denominators
-        are cleared first and the elimination runs on Gaussian-integer
-        pairs with exact divisions only.
-        """
-        a = [clear_denominators(row)[1] for row in self._data]
-        return sum(1 for _ in _bareiss_pivots(a, self.cols))
+        """Exact rank by fraction-free (Bareiss) forward elimination of the
+        numerators (the common denominator does not change the rank)."""
+        return sum(1 for _ in _bareiss_pivots([list(row) for row in self._data], self.cols))
 
     def inverse(self) -> "Matrix":
-        """Exact inverse by Gauss-Jordan elimination."""
+        """Exact inverse, fraction-free.
+
+        Bareiss elimination of [N | I], N the numerators, leaves [U | R] with
+        U upper triangular, its diagonal the leading principal minors d_i of
+        the row-permuted N, the last one D.  Back-substitution computes
+        D * N^-1 (an adjugate, so integer): each division by d_i is exact in
+        Z[i].  Then M^-1 = den * (D * N^-1) / D, one division.
+        """
         if self.rows != self.cols:
             raise ShapeError("inverse requires a square matrix")
         n = self.rows
-        a = [list(row) + list(Matrix.identity(n)._data[i]) for i, row in enumerate(self._data)]
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if a[r][col]), None)
-            if pivot_row is None:
+        a = [
+            list(row) + [(1, 0) if j == i else (0, 0) for j in range(n)]
+            for i, row in enumerate(self._data)
+        ]
+        for k, (col, _) in enumerate(_bareiss_pivots(a, 2 * n)):
+            if col != k:
                 raise ShapeError("matrix is singular")
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            pivot = a[col][col]
-            a[col] = [v / pivot for v in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    factor = a[r][col]
-                    a[r] = [v - factor * p for v, p in zip(a[r], a[col])]
-        return Matrix([row[n:] for row in a])
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product: block (i, j) equals self[i, j] * other."""
-        rows = []
-        for i in range(self.rows):
-            for p in range(other.rows):
-                rows.append(
-                    tuple(
-                        self._data[i][j] * other._data[p][q]
-                        for j in range(self.cols)
-                        for q in range(other.cols)
-                    )
+        d_re, d_im = a[n - 1][n - 1]
+        x: list = [None] * n
+        for i in range(n - 1, -1, -1):
+            row = a[i]
+            p_re, p_im = row[i]
+            p_norm = p_re * p_re + p_im * p_im
+            x_row = []
+            for j in range(n):
+                # d_i * (D x_ij) = D * R_ij - sum_{k > i} U_ik * (D x_kj)
+                r_re, r_im = row[n + j]
+                t_re = r_re * d_re - r_im * d_im
+                t_im = r_re * d_im + r_im * d_re
+                for k in range(i + 1, n):
+                    u_re, u_im = row[k]
+                    y_re, y_im = x[k][j]
+                    t_re -= u_re * y_re - u_im * y_im
+                    t_im -= u_re * y_im + u_im * y_re
+                x_row.append(
+                    ((t_re * p_re + t_im * p_im) // p_norm, (t_im * p_re - t_re * p_im) // p_norm)
                 )
-        return _wrap(tuple(rows), self.rows * other.rows, self.cols * other.cols)
+            x[i] = x_row
+        # den * (D X) / D = den * conj(D) * (D X) / |D|^2
+        return _reduced(
+            _times(tuple(map(tuple, x)), (d_re * self._den, -d_im * self._den)),
+            d_re * d_re + d_im * d_im,
+        )
 
     # -- predicates and conversions -----------------------------------------------------
 
@@ -222,36 +238,69 @@ class Matrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(not v for row in self._data for v in row)
+        return not any(re or im for row in self._data for re, im in row)
 
     def max_abs(self) -> float:
-        return max(abs(v.to_complex()) for row in self._data for v in row)
+        den = self._den
+        return max(abs(complex(re / den, im / den)) for row in self._data for re, im in row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.shape == other.shape and self._data == other._data
+        return self._den == other._den and self._data == other._data
 
     def __hash__(self) -> int:
-        return hash(self._data)
+        return hash((self._den, self._data))
 
     def __str__(self) -> str:
-        return "\n".join("[" + "  ".join(str(v) for v in row) + "]" for row in self._data)
+        return "\n".join(
+            "[" + "  ".join(str(v) for v in self.row_entries(i)) + "]" for i in range(self.rows)
+        )
 
     def __repr__(self) -> str:
-        return f"Matrix({[[str(v) for v in row] for row in self._data]})"
+        return f"Matrix({[[str(v) for v in self.row_entries(i)] for i in range(self.rows)]})"
 
     def _require_same_shape(self, other: "Matrix") -> None:
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
 
 
-def _wrap(data: tuple, rows: int, cols: int) -> Matrix:
-    m = Matrix.__new__(Matrix)
-    object.__setattr__(m, "rows", rows)
-    object.__setattr__(m, "cols", cols)
+def _init(m: Matrix, data: tuple, den: int) -> None:
+    object.__setattr__(m, "rows", len(data))
+    object.__setattr__(m, "cols", len(data[0]))
+    object.__setattr__(m, "_den", den)
     object.__setattr__(m, "_data", data)
+
+
+def _new(data: tuple, den: int) -> Matrix:
+    """Wrap numerator rows already in canonical form over den."""
+    m = Matrix.__new__(Matrix)
+    _init(m, data, den)
     return m
+
+
+def _reduced(data: tuple, den: int) -> Matrix:
+    """The canonical matrix data / den (den > 0): divide out the gcd of den
+    and every numerator component."""
+    g = den
+    for row in data:
+        if g == 1:
+            break
+        g = gcd(g, *chain.from_iterable(row))
+    if g != 1:
+        data = tuple(tuple((re // g, im // g) for re, im in row) for row in data)
+        den //= g
+    return _new(data, den)
+
+
+def _times(data: tuple, s: Pair) -> tuple:
+    """Numerator rows multiplied by the Gaussian integer s = (re, im)."""
+    if s == (1, 0):
+        return data
+    s_re, s_im = s
+    return tuple(
+        tuple((re * s_re - im * s_im, re * s_im + im * s_re) for re, im in row) for row in data
+    )
 
 
 def _bareiss_pivots(a: list[list[tuple[int, int]]], cols: int):

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bipoly import BiPoly
 from .errors import ShapeError
 from .matrices import Matrix, kron
 from .polymatrix import PolyMatrix
 from .scalars import GaussianRational, ScalarLike
 
-# Canonical ordering of the six coefficient blocks in the target row.
+# Canonical ordering of the six coefficient blocks in the target row, and
+# the monomial lam^a mu^b, as (a, b), that each one multiplies.
 COEFF_ORDER = ("a20", "a11", "a02", "a10", "a01", "a00")
+COEFF_MONOMIALS = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))
 
 
 @dataclass(frozen=True)
@@ -61,24 +62,12 @@ class QuadPoly2P:
         return Matrix.hstack(self.coefficients())
 
     def eval(self, lam: ScalarLike, mu: ScalarLike) -> Matrix:
-        lam = GaussianRational.coerce(lam)
-        mu = GaussianRational.coerce(mu)
-        return (
-            self.a20.scale(lam * lam)
-            + self.a02.scale(mu * mu)
-            + self.a11.scale(lam * mu)
-            + self.a10.scale(lam)
-            + self.a01.scale(mu)
-            + self.a00
-        )
+        return self.as_polymatrix().eval(lam, mu)
 
     def as_polymatrix(self) -> PolyMatrix:
-        lam, mu = BiPoly.lam(), BiPoly.mu()
-        weights = (lam * lam, lam * mu, mu * mu, lam, mu, BiPoly.constant(1))
-        out = PolyMatrix.zeros(self.n, self.n)
-        for weight, coeff in zip(weights, self.coefficients()):
-            out = out + PolyMatrix.from_scalar(coeff).scale(weight)
-        return out
+        return PolyMatrix.from_coefficients(
+            self.n, self.n, dict(zip(COEFF_MONOMIALS, self.coefficients()))
+        )
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.coefficients())
@@ -109,15 +98,11 @@ class Pencil2P:
         return self.m // 3
 
     def eval(self, lam: ScalarLike, mu: ScalarLike) -> Matrix:
-        lam = GaussianRational.coerce(lam)
-        mu = GaussianRational.coerce(mu)
-        return self.lam_coeff.scale(lam) + self.mu_coeff.scale(mu) + self.const
+        return self.as_polymatrix().eval(lam, mu)
 
     def as_polymatrix(self) -> PolyMatrix:
-        return (
-            PolyMatrix.from_scalar(self.lam_coeff).scale(BiPoly.lam())
-            + PolyMatrix.from_scalar(self.mu_coeff).scale(BiPoly.mu())
-            + PolyMatrix.from_scalar(self.const)
+        return PolyMatrix.from_coefficients(
+            self.m, self.m, {(1, 0): self.lam_coeff, (0, 1): self.mu_coeff, (0, 0): self.const}
         )
 
     def transform(self, m3: Matrix) -> "Pencil2P":
@@ -156,9 +141,11 @@ class Pencil2P:
 
 def lambda_kron_identity(n: int) -> PolyMatrix:
     """The 3n x n polynomial matrix (lam, mu, 1)^T kron I_n."""
-    lam = PolyMatrix.identity(n).scale(BiPoly.lam())
-    mu = PolyMatrix.identity(n).scale(BiPoly.mu())
-    return PolyMatrix.from_blocks([[lam], [mu], [PolyMatrix.identity(n)]])
+    units = {(1, 0): (1, 0, 0), (0, 1): (0, 1, 0), (0, 0): (0, 0, 1)}
+    eye = Matrix.identity(n)
+    return PolyMatrix.from_coefficients(
+        3 * n, n, {mono: kron(Matrix.column(e), eye) for mono, e in units.items()}
+    )
 
 
 def box_add(x: Matrix, y: Matrix, z: Matrix) -> Matrix:
@@ -198,7 +185,9 @@ def apply_to_lambda(pencil: Pencil2P) -> PolyMatrix:
 def ansatz_target(q: QuadPoly2P, v) -> PolyMatrix:
     """The 3n x n polynomial matrix v kron Q(lam,mu)."""
     v_col = Matrix.column(v)
-    return PolyMatrix.from_scalar(v_col).kron(q.as_polymatrix())
+    return PolyMatrix.from_coefficients(
+        3 * q.n, q.n, {mono: kron(v_col, c) for mono, c in q.as_polymatrix().terms()}
+    )
 
 
 @dataclass(frozen=True)

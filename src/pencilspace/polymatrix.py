@@ -1,44 +1,45 @@
-"""Matrices with bivariate-polynomial entries and their exact determinants.
+"""Matrix polynomials in (lam, mu) and their exact determinants.
 
-Certificates multiply polynomial matrices (F * L * E) and compare them
-entry-for-entry, so products here are exact.  Determinants of polynomial
-matrices are computed by evaluation and interpolation on integers.  Every
-term of a determinant takes one entry per row and one per column, so its
-lam-, mu- and total degree are bounded by the row sums, and by the column
-sums, of the largest entry degrees.  The determinant's support then lies in
-the lower set S = {(a, b) : b <= d_mu, a <= min(d_lam, d - b)}; the scaled
-Gaussian-integer determinant is evaluated by Bareiss at the nodes of S,
-interpolated in the Newton basis by integer forward differences, and each
-monomial coefficient is divided out once at the end.
+A polynomial matrix is the sum of lam^a * mu^b * M_ab over monomials
+(a, b), stored as a map from (a, b) to its nonzero coefficient ``Matrix``:
+the paper's own form lam*A1 + mu*A2 + A3.  Certificates multiply
+polynomial matrices (F * L * E) and compare them exactly, one coefficient
+product at a time.
+
+Determinants are evaluated by Bareiss at the integer nodes of a lower set
+that bounds their support, and interpolated on integers (exact_det_poly).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Sequence
+from math import factorial, lcm
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .bipoly import LAM, MU, BiPoly
+from .bipoly import BiPoly, Exponent
 from .errors import ShapeError
 from .matrices import Matrix, bareiss_det_int
-from .scalars import GaussianRational, ScalarLike, clear_denominators
+from .scalars import GaussianRational, ScalarLike
 
 
 class PolyMatrix:
-    """An immutable rows x cols matrix of BiPoly entries."""
+    """An immutable rows x cols matrix polynomial sum lam^a mu^b M_ab."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_coeffs")
 
     def __init__(self, entries: Iterable[Iterable[BiPoly]]):
-        data = tuple(tuple(_as_poly(v) for v in row) for row in entries)
-        if not data or not data[0]:
-            raise ShapeError("matrix must have at least one row and one column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise ShapeError("ragged rows in matrix literal")
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_data", data)
+        """Build from a grid of BiPoly entries, one coefficient grid per monomial."""
+        grid = [list(row) for row in entries]
+        # A zero Matrix of the same layout checks that the grid is rectangular.
+        rows, cols = Matrix([[0] * len(row) for row in grid]).shape
+        values: dict = {}
+        for i, row in enumerate(grid):
+            for j, entry in enumerate(row):
+                for mono, c in entry.terms():
+                    if mono not in values:
+                        values[mono] = [[0] * cols for _ in range(rows)]
+                    values[mono][i][j] = c
+        _init(self, rows, cols, {mono: Matrix(v) for mono, v in values.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -46,15 +47,22 @@ class PolyMatrix:
     # -- constructors ------------------------------------------------------------
 
     @staticmethod
+    def from_coefficients(rows: int, cols: int, coeffs: Mapping[Exponent, Matrix]) -> "PolyMatrix":
+        """sum lam^a mu^b coeffs[(a, b)], each coefficient rows x cols."""
+        for m in coeffs.values():
+            if m.shape != (rows, cols):
+                raise ShapeError(f"coefficient shape {m.shape}, expected {(rows, cols)}")
+        p = PolyMatrix.__new__(PolyMatrix)
+        _init(p, rows, cols, {mono: m for mono, m in coeffs.items() if not m.is_zero()})
+        return p
+
+    @staticmethod
     def from_scalar(m: Matrix) -> "PolyMatrix":
-        return PolyMatrix(
-            [[BiPoly.constant(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
-        )
+        return PolyMatrix.from_coefficients(m.rows, m.cols, {(0, 0): m})
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "PolyMatrix":
-        zero = BiPoly.zero()
-        return PolyMatrix([[zero] * cols for _ in range(rows)])
+        return PolyMatrix.from_coefficients(rows, cols, {})
 
     @staticmethod
     def identity(n: int) -> "PolyMatrix":
@@ -62,91 +70,71 @@ class PolyMatrix:
 
     @staticmethod
     def from_blocks(grid: Sequence[Sequence["PolyMatrix"]]) -> "PolyMatrix":
-        rows: list[tuple[BiPoly, ...]] = []
-        width = None
-        for block_row in grid:
-            height = block_row[0].rows
-            if any(b.rows != height for b in block_row):
-                raise ShapeError("blocks in a row must have equal height")
-            for i in range(height):
-                row: tuple[BiPoly, ...] = ()
-                for block in block_row:
-                    row = row + block._data[i]
-                rows.append(row)
-            if width is None:
-                width = len(rows[-1])
-            elif len(rows[-1]) != width:
-                raise ShapeError("block rows must have equal total width")
-        return PolyMatrix(rows)
+        """Assemble a 2-D grid of conformal blocks, one Matrix.from_blocks
+        per monomial (a block without that monomial contributes zeros)."""
+        monomials = {mono for block_row in grid for block in block_row for mono in block._coeffs}
+        coeffs = {
+            mono: Matrix.from_blocks(
+                [[block.coefficient(mono) for block in block_row] for block_row in grid]
+            )
+            # (0, 0) for an all-zero grid, so its shapes are still checked.
+            for mono in sorted(monomials) or [(0, 0)]
+        }
+        shape = next(iter(coeffs.values())).shape
+        return PolyMatrix.from_coefficients(*shape, coeffs)
 
     # -- element access ----------------------------------------------------------
 
     def __getitem__(self, key: tuple[int, int]) -> BiPoly:
-        i, j = key
-        return self._data[i][j]
+        return BiPoly({mono: m[key] for mono, m in self._coeffs.items()})
 
-    def submatrix(self, row_range: range, col_range: range) -> "PolyMatrix":
-        return PolyMatrix([[self._data[i][j] for j in col_range] for i in row_range])
+    def coefficient(self, mono: Exponent) -> Matrix:
+        """The coefficient matrix of lam^a mu^b, zero if absent."""
+        return self._coeffs.get(mono) or Matrix.zeros(self.rows, self.cols)
+
+    def terms(self) -> Iterator[tuple[Exponent, Matrix]]:
+        """The nonzero coefficients, in sorted monomial order."""
+        for mono in sorted(self._coeffs):
+            yield mono, self._coeffs[mono]
 
     # -- arithmetic ----------------------------------------------------------------
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._require_same_shape(other)
-        return PolyMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self._data, other._data)
-            )
-        )
+        coeffs = dict(self._coeffs)
+        for mono, m in other._coeffs.items():
+            coeffs[mono] = coeffs[mono] + m if mono in coeffs else m
+        return PolyMatrix.from_coefficients(self.rows, self.cols, coeffs)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._require_same_shape(other)
-        return PolyMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self._data, other._data)
-            )
-        )
+        return self + (-other)
 
     def __neg__(self) -> "PolyMatrix":
-        return self.scale(-1)
-
-    def scale(self, scalar) -> "PolyMatrix":
-        if isinstance(scalar, BiPoly):
-            return PolyMatrix(tuple(tuple(v * scalar for v in row) for row in self._data))
-        s = GaussianRational.coerce(scalar)
-        return PolyMatrix(tuple(tuple(v * s for v in row) for row in self._data))
+        return PolyMatrix.from_coefficients(
+            self.rows, self.cols, {mono: -m for mono, m in self._coeffs.items()}
+        )
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        cols = tuple(zip(*other._data))
-        zero = BiPoly.zero()
-        return PolyMatrix(
-            tuple(
-                tuple(sum((a * b for a, b in zip(row, col)), zero) for col in cols)
-                for row in self._data
-            )
-        )
-
-    def kron(self, other: "PolyMatrix") -> "PolyMatrix":
-        rows = []
-        for i in range(self.rows):
-            for p in range(other.rows):
-                rows.append(
-                    tuple(
-                        self._data[i][j] * other._data[p][q]
-                        for j in range(self.cols)
-                        for q in range(other.cols)
-                    )
-                )
-        return PolyMatrix(rows)
+        coeffs: dict = {}
+        for (a1, b1), x in self._coeffs.items():
+            for (a2, b2), y in other._coeffs.items():
+                mono = (a1 + a2, b1 + b2)
+                product = x @ y
+                coeffs[mono] = coeffs[mono] + product if mono in coeffs else product
+        return PolyMatrix.from_coefficients(self.rows, other.cols, coeffs)
 
     # -- evaluation -------------------------------------------------------------------
 
     def eval(self, lam: ScalarLike, mu: ScalarLike) -> Matrix:
         """Exact evaluation at a Gaussian-rational point."""
-        return Matrix([[p.eval(lam, mu) for p in row] for row in self._data])
+        lam = GaussianRational.coerce(lam)
+        mu = GaussianRational.coerce(mu)
+        out = Matrix.zeros(self.rows, self.cols)
+        for (a, b), m in self._coeffs.items():
+            out = out + m.scale(lam**a * mu**b)
+        return out
 
     # -- inspection ---------------------------------------------------------------------
 
@@ -155,35 +143,31 @@ class PolyMatrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self._data for p in row)
-
-    def is_constant(self) -> bool:
-        return all(p.is_constant() for row in self._data for p in row)
-
-    def to_scalar(self) -> Matrix:
-        """Round-trip a degree-0 PolyMatrix back to a scalar matrix."""
-        return Matrix([[p.constant_value() for p in row] for row in self._data])
+        return not self._coeffs
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return self.shape == other.shape and self._data == other._data
+        return self.shape == other.shape and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(self._data)
+        return hash((self.shape, frozenset(self._coeffs.items())))
 
     def __str__(self) -> str:
-        return "\n".join("[" + " | ".join(str(p) for p in row) + "]" for row in self._data)
+        return "\n".join(
+            "[" + " | ".join(str(self[i, j]) for j in range(self.cols)) + "]"
+            for i in range(self.rows)
+        )
 
     def _require_same_shape(self, other: "PolyMatrix") -> None:
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
 
 
-def _as_poly(value) -> BiPoly:
-    if isinstance(value, BiPoly):
-        return value
-    return BiPoly.constant(GaussianRational.coerce(value))
+def _init(p: PolyMatrix, rows: int, cols: int, coeffs: dict) -> None:
+    object.__setattr__(p, "rows", rows)
+    object.__setattr__(p, "cols", cols)
+    object.__setattr__(p, "_coeffs", coeffs)
 
 
 def _differences(line: list[int]) -> list[int]:
@@ -251,19 +235,20 @@ def _lower_set_coeffs(values: list[list[int]]) -> list[list[int]]:
     )
 
 
-def newton_interpolate(values: Sequence[GaussianRational]) -> list[GaussianRational]:
-    """Exact polynomial interpolation at the integer nodes 0..d.
-
-    Given values p(0), ..., p(d) of a polynomial of degree <= d, return its
-    ascending coefficient list.  This is the one-variable case of the
-    lower-set kernel: the values are scaled to a common denominator D,
-    interpolated on integers, and each coefficient is divided by d! * D.
-    """
-    scale, pairs = clear_denominators(values)
-    re = _lower_set_coeffs([[v[0] for v in pairs]])[0]
-    im = _lower_set_coeffs([[v[1] for v in pairs]])[0]
-    denom = factorial(len(values) - 1) * scale
-    return [GaussianRational(Fraction(r, denom), Fraction(i, denom)) for r, i in zip(re, im)]
+def _integer_terms(m: PolyMatrix) -> tuple[int, list[tuple[int, ...]]]:
+    """The common denominator ``scale`` of all coefficient matrices, and
+    (a, b, i, j, re, im) for every nonzero entry (i, j) of every
+    coefficient M_ab, with (re, im) the numerator of scale * M_ab[i, j]."""
+    forms = [(mono, coeff.integer_form()) for mono, coeff in m._coeffs.items()]
+    scale = lcm(*(den for _, (den, _) in forms))
+    terms = [
+        (a, b, i, j, re * (scale // den), im * (scale // den))
+        for (a, b), (den, data) in forms
+        for i, row in enumerate(data)
+        for j, (re, im) in enumerate(row)
+        if re or im
+    ]
+    return scale, terms
 
 
 def _degree_bounds(m: PolyMatrix) -> tuple[int, int, int]:
@@ -274,15 +259,14 @@ def _degree_bounds(m: PolyMatrix) -> tuple[int, int, int]:
     row's largest entry degree, and at most the same sum over columns (a
     zero entry counts as 0); the smaller sum is the bound.
     """
-    degrees = [
-        [(p.degree_in(LAM), p.degree_in(MU), p.total_degree()) for p in row]
-        for row in m._data
-    ]
+    degrees = [[(0, 0, 0)] * m.cols for _ in range(m.rows)]
+    for a, b, i, j, _, _ in _integer_terms(m)[1]:
+        d_lam, d_mu, d = degrees[i][j]
+        degrees[i][j] = (max(d_lam, a), max(d_mu, b), max(d, a + b))
     bounds = []
     for axis in range(3):
-        # max(0, ...): a zero entry has degree -1 and counts as 0.
-        by_rows = sum(max(0, *(e[axis] for e in row)) for row in degrees)
-        by_cols = sum(max(0, *(e[axis] for e in col)) for col in zip(*degrees))
+        by_rows = sum(max(e[axis] for e in row) for row in degrees)
+        by_cols = sum(max(e[axis] for e in col) for col in zip(*degrees))
         bounds.append(min(by_rows, by_cols))
     d_lam, d_mu, d = bounds
     return d_lam, d_mu, d
@@ -291,40 +275,23 @@ def _degree_bounds(m: PolyMatrix) -> tuple[int, int, int]:
 def _integer_grid_det(m: PolyMatrix):
     """Determinant evaluator at integer nodes, and its scale.
 
-    All polynomial coefficients are pre-scaled by ``scale`` (their common
-    denominator) to Gaussian-integer pairs, so each node's determinant is
-    a pure Z[i] Bareiss run, returned as the (re, im) pair of
+    Every coefficient matrix is brought to the common denominator ``scale``
+    of all of them, so each node's value sum lam^a mu^b M_ab, summed over
+    the nonzero entries only, is a Gaussian-integer matrix and its
+    determinant a pure Z[i] Bareiss run, returned as the (re, im) pair of
     scale^size * det m(lam, mu).
     """
     size = m.rows
-    entry_terms = [list(p.terms()) for row in m._data for p in row]
-    scale, pairs = clear_denominators(c for terms in entry_terms for _, c in terms)
-    scaled = iter(pairs)
-    entries = [[(i, j, *next(scaled)) for (i, j), _ in terms] for terms in entry_terms]
-    max_lam = max((t[0] for terms in entries for t in terms), default=0)
-    max_mu = max((t[1] for terms in entries for t in terms), default=0)
+    scale, terms = _integer_terms(m)
 
     def value(lam: int, mu: int) -> tuple[int, int]:
-        lam_pows = [1]
-        for _ in range(max_lam):
-            lam_pows.append(lam_pows[-1] * lam)
-        mu_pows = [1]
-        for _ in range(max_mu):
-            mu_pows.append(mu_pows[-1] * mu)
-        grid = []
-        idx = 0
-        for _ in range(size):
-            row_vals = []
-            for _ in range(size):
-                acc_re = acc_im = 0
-                for i, j, c_re, c_im in entries[idx]:
-                    w = lam_pows[i] * mu_pows[j]
-                    acc_re += c_re * w
-                    acc_im += c_im * w
-                row_vals.append((acc_re, acc_im))
-                idx += 1
-            grid.append(row_vals)
-        return bareiss_det_int(grid)
+        re = [[0] * size for _ in range(size)]
+        im = [[0] * size for _ in range(size)]
+        for a, b, i, j, c_re, c_im in terms:
+            w = lam**a * mu**b
+            re[i][j] += c_re * w
+            im[i][j] += c_im * w
+        return bareiss_det_int([list(zip(r, s)) for r, s in zip(re, im)])
 
     return scale, value
 
@@ -341,8 +308,6 @@ def exact_det_poly(m: PolyMatrix) -> BiPoly:
     """
     if m.rows != m.cols:
         raise ShapeError("determinant requires a square matrix")
-    if m.is_constant():
-        return BiPoly.constant(m.to_scalar().det())
     d_lam, d_mu, d = _degree_bounds(m)
     scale, det_at = _integer_grid_det(m)
     grid = [[det_at(a, b) for a in range(min(d_lam, d - b) + 1)] for b in range(d_mu + 1)]

@@ -11,6 +11,8 @@ so serialize(parse(file)) is byte-identical for canonically written files.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -27,11 +29,27 @@ COEFF_KEYS = ("A20", "A11", "A02", "A10", "A01", "A00")
 # -- scalar grammar ----------------------------------------------------------
 
 
+# No int of more decimal digits than this can be printed, so no scalar with
+# a longer numerator or denominator could be written back.  A mantissa has
+# at most MAX_DIGITS digits, so past an exponent of 2 * MAX_DIGITS only a
+# zero mantissa is printable: decided before Fraction builds 10**exponent.
+MAX_DIGITS = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+_TOO_LONG = 10**MAX_DIGITS
+_EXPONENT_FORM = re.compile(r"\s*([-+]?(?:\d+\.?\d*|\.\d+))[eE]([-+]?\d+)\s*")
+
+
 def _fraction_from_text(text: str, location: str) -> Fraction:
+    exponent_form = _EXPONENT_FORM.fullmatch(text)
     try:
-        return Fraction(text)
+        huge = exponent_form is not None and abs(int(exponent_form[2])) > 2 * MAX_DIGITS
+        value = Fraction(exponent_form[1] if huge else text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not an exact rational: {text!r} ({exc})", location)
+    if (huge and value) or max(abs(value.numerator), value.denominator) >= _TOO_LONG:
+        raise ParseError(
+            f"{text!r} has a numerator or denominator of more than {MAX_DIGITS} digits", location
+        )
+    return value
 
 
 def parse_scalar(value: Any, location: str) -> GaussianRational:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .bipoly import BiPoly
 from .errors import HypothesisViolatedError, ShapeError
 from .matrices import Matrix, kron
 from .pencil import Pencil2P, QuadPoly2P, box_add_pencil
@@ -85,25 +84,16 @@ NOT_MEMBER = MembershipResult(False, None)
 def membership(pencil: Pencil2P, q: QuadPoly2P) -> MembershipResult:
     """Recover the ansatz vector of a pencil, or report non-membership.
 
-    Solves block-row-wise: each block row i of the box-add must equal
-    v_i times the coefficient row; v_i is read off the first nonzero
-    coefficient block and then all six block columns are verified exactly.
+    Each block row i of the box-add must equal v_i times the coefficient
+    row; v is read off the first nonzero coefficient and the whole identity
+    box-add = v kron [A20 A11 A02 A10 A01 A00] is then checked exactly.
     """
     n = q.n
     if pencil.m != 3 * n:
         raise ShapeError(f"pencil size {pencil.m} does not match 3n = {3 * n}")
     b = box_add_pencil(pencil)
-    coeffs = q.coefficients()
-    pivot = next(
-        (
-            (j, r, c)
-            for j, block in enumerate(coeffs)
-            for r in range(n)
-            for c in range(n)
-            if block[r, c]
-        ),
-        None,
-    )
+    row = q.coefficient_row()
+    pivot = next(((r, c) for r in range(n) for c in range(6 * n) if row[r, c]), None)
     if pivot is None:
         # Zero coefficient row: the identity degenerates; any v works when
         # the box-add vanishes, no v works otherwise.
@@ -111,17 +101,10 @@ def membership(pencil: Pencil2P, q: QuadPoly2P) -> MembershipResult:
             zero = GaussianRational(0)
             return MembershipResult(True, (zero, zero, zero), ambiguous=True)
         return MembershipResult(False, None, ambiguous=True)
-    j0, r0, c0 = pivot
-    denominator = coeffs[j0][r0, c0]
-    v = tuple(
-        b[i * n + r0, j0 * n + c0] / denominator for i in range(3)
-    )
-    for i in range(3):
-        for j, block in enumerate(coeffs):
-            for r in range(n):
-                for c in range(n):
-                    if b[i * n + r, j * n + c] != v[i] * block[r, c]:
-                        return NOT_MEMBER
+    r0, c0 = pivot
+    v = tuple(b[i * n + r0, c0] / row[r0, c0] for i in range(3))
+    if b != kron(Matrix.column(v), row):
+        return NOT_MEMBER
     return MembershipResult(True, v)
 
 
@@ -210,12 +193,16 @@ class DimensionSummary:
         return self.witness_rank == self.dimension
 
 
-def _vectorize(pencil: Pencil2P) -> list[GaussianRational]:
-    out = []
-    for mat in (pencil.lam_coeff, pencil.mu_coeff, pencil.const):
-        for i in range(mat.rows):
-            out.extend(mat.row_entries(i))
-    return out
+def _vectorize(pencil: Pencil2P) -> Matrix:
+    """The three coefficients of a pencil, row after row, as one row."""
+    m = pencil.m
+    return Matrix.hstack(
+        [
+            coeff.submatrix(range(i, i + 1), range(m))
+            for coeff in (pencil.lam_coeff, pencil.mu_coeff, pencil.const)
+            for i in range(m)
+        ]
+    )
 
 
 def space_dimension(q: QuadPoly2P) -> DimensionSummary:
@@ -229,31 +216,18 @@ def space_dimension(q: QuadPoly2P) -> DimensionSummary:
     """
     n = q.n
     degenerate = q.is_zero()
-    rows = []
-    if not degenerate:
-        zero_blocks = FreeBlocks.zero(n)
-        for i in range(3):
-            e = [0, 0, 0]
-            e[i] = 1
-            rows.append(_vectorize(generate_member(q, e, zero_blocks)))
+    directions = () if degenerate else ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    members = [generate_member(q, e, FreeBlocks.zero(n)) for e in directions]
     zero = Matrix.zeros(3 * n, n)
-    for which in ("y1", "z1", "z2"):
+    for which in range(3):
         for r in range(3 * n):
             for c in range(n):
-                unit = Matrix(
-                    [
-                        [1 if (i == r and j == c) else 0 for j in range(n)]
-                        for i in range(3 * n)
-                    ]
+                blocks = [zero, zero, zero]
+                blocks[which] = Matrix(
+                    [[int(i == r and j == c) for j in range(n)] for i in range(3 * n)]
                 )
-                blocks = FreeBlocks(
-                    n,
-                    unit if which == "y1" else zero,
-                    unit if which == "z1" else zero,
-                    unit if which == "z2" else zero,
-                )
-                rows.append(_vectorize(kernel_member(n, blocks)))
-    witness_rank = Matrix(rows).rank()
+                members.append(kernel_member(n, FreeBlocks(n, *blocks)))
+    witness_rank = Matrix.vstack([_vectorize(p) for p in members]).rank()
     dimension = 9 * n * n if degenerate else 9 * n * n + 3
     return DimensionSummary(n, dimension, witness_rank, degenerate)
 
@@ -288,8 +262,8 @@ def reduce_mu_zero(pencil: Pencil2P, q: QuadPoly2P) -> SingleParamPencil:
         raise HypothesisViolatedError("reduction requires Y1 = 0")
     rows = range(2 * n)
     cols = list(range(n)) + list(range(2 * n, 3 * n))
-    x1 = Matrix([[pencil.lam_coeff[i, j] for j in cols] for i in rows])
-    x3 = Matrix([[pencil.const[i, j] for j in cols] for i in rows])
+    x1 = pencil.lam_coeff.submatrix(rows, cols)
+    x3 = pencil.const.submatrix(rows, cols)
     reduced = SingleParamPencil(n, x1, x3, (result.v[0], result.v[1]))
     _check_single_param_identity(reduced, q)
     return reduced
@@ -297,19 +271,19 @@ def reduce_mu_zero(pencil: Pencil2P, q: QuadPoly2P) -> SingleParamPencil:
 
 def _check_single_param_identity(reduced: SingleParamPencil, q: QuadPoly2P) -> None:
     n = reduced.n
-    lam = BiPoly.lam()
-    pencil_poly = PolyMatrix.from_scalar(reduced.lam_coeff).scale(lam) + PolyMatrix.from_scalar(
-        reduced.const
+    eye, zero = Matrix.identity(n), Matrix.zeros(n, n)
+    v_col = Matrix.column(reduced.v)
+    pencil_poly = PolyMatrix.from_coefficients(
+        2 * n, 2 * n, {(1, 0): reduced.lam_coeff, (0, 0): reduced.const}
     )
-    stack = PolyMatrix.from_blocks(
-        [[PolyMatrix.identity(n).scale(lam)], [PolyMatrix.identity(n)]]
+    stack = PolyMatrix.from_coefficients(
+        2 * n, n, {(1, 0): Matrix.vstack([eye, zero]), (0, 0): Matrix.vstack([zero, eye])}
     )
-    single = (
-        PolyMatrix.from_scalar(q.a20).scale(lam * lam)
-        + PolyMatrix.from_scalar(q.a10).scale(lam)
-        + PolyMatrix.from_scalar(q.a00)
+    target = PolyMatrix.from_coefficients(
+        2 * n,
+        n,
+        {(2, 0): kron(v_col, q.a20), (1, 0): kron(v_col, q.a10), (0, 0): kron(v_col, q.a00)},
     )
-    target = PolyMatrix.from_scalar(Matrix.column(reduced.v)).kron(single)
     if pencil_poly @ stack != target:
         raise HypothesisViolatedError(
             "reduced pencil fails the one-parameter ansatz identity"

@@ -1,0 +1,290 @@
+"""The integer-backed Matrix and the coefficient-form PolyMatrix against
+entrywise oracles over GaussianRational and BiPoly.
+
+The oracles are the plain loops: every entry of a sum, product, Kronecker
+product or block matrix computed from GaussianRational (or BiPoly) entries
+one at a time, a field-elimination determinant and rank, and Gauss-Jordan
+inversion.  Equal values must also compare and hash equal however they
+were built, and the integer kernels must run no Fraction or
+GaussianRational arithmetic.
+"""
+
+from __future__ import annotations
+
+import sys
+from fractions import Fraction
+
+import pytest
+
+from pencilspace.bipoly import BiPoly
+from pencilspace.errors import ShapeError
+from pencilspace.matrices import Matrix
+from pencilspace.polymatrix import PolyMatrix
+from pencilspace.scalars import GaussianRational
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+ZERO = GaussianRational(0)
+
+# -- entrywise oracles --------------------------------------------------------
+
+
+def grid(m: Matrix) -> list[list[GaussianRational]]:
+    return [list(m.row_entries(i)) for i in range(m.rows)]
+
+
+def o_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def o_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def o_matmul(a, b, zero=ZERO):
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)] for row in a]
+
+
+def o_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def o_scale(a, s):
+    return [[x * s for x in row] for row in a]
+
+
+def o_from_blocks(blocks):
+    return [
+        sum((block[i] for block in block_row), [])
+        for block_row in blocks
+        for i in range(len(block_row[0]))
+    ]
+
+
+def o_eliminate(a):
+    """Field elimination: (rank, determinant of the square case)."""
+    a = [list(row) for row in a]
+    rank, det = 0, GaussianRational(1)
+    for col in range(len(a[0])):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            det = ZERO
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            det = -det
+        det = det * a[rank][col]
+        for r in range(rank + 1, len(a)):
+            factor = a[r][col] / a[rank][col]
+            a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+        if rank == len(a):
+            break
+    return rank, det
+
+
+def o_inverse(a):
+    """Gauss-Jordan over GaussianRational; None when singular."""
+    n = len(a)
+    a = [list(row) + [GaussianRational(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [v / a[col][col] for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                factor = a[r][col]
+                a[r] = [v - factor * p for v, p in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def same(ours: Matrix, oracle) -> bool:
+    expected = Matrix(oracle)
+    return ours == expected and hash(ours) == hash(expected) and grid(ours) == oracle
+
+
+# -- strategies -----------------------------------------------------------------
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+scalars = st.builds(GaussianRational, rationals, st.one_of(st.just(0), rationals))
+sizes = st.integers(1, 3)
+
+
+def entries(rows, cols):
+    return st.lists(st.lists(scalars, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def polys(draw):
+    exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return BiPoly(draw(st.dictionaries(exponents, scalars, max_size=3)))
+
+
+def poly_entries(rows, cols):
+    return st.lists(st.lists(polys(), min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+SETTINGS = settings(max_examples=30, deadline=None)
+
+# -- Matrix ----------------------------------------------------------------------
+
+
+@SETTINGS
+@given(st.data())
+def test_matrix_ring_operations_match_entrywise_oracle(data):
+    r, k, c = data.draw(sizes), data.draw(sizes), data.draw(sizes)
+    a, b = data.draw(entries(r, k)), data.draw(entries(r, k))
+    d = data.draw(entries(k, c))
+    s = data.draw(scalars)
+    ma, mb, md = Matrix(a), Matrix(b), Matrix(d)
+    assert same(ma + mb, o_add(a, b))
+    assert same(ma - mb, o_sub(a, b))
+    assert same(ma @ md, o_matmul(a, d))
+    assert same(ma.kron(md), o_kron(a, d))
+    assert same(ma.scale(s), o_scale(a, s))
+    assert same(-ma, o_scale(a, GaussianRational(-1)))
+
+
+@SETTINGS
+@given(st.data())
+def test_matrix_blocks_and_submatrix_match_entrywise_oracle(data):
+    heights = data.draw(st.lists(sizes, min_size=1, max_size=3))
+    widths = data.draw(st.lists(sizes, min_size=1, max_size=3))
+    blocks = [[data.draw(entries(h, w)) for w in widths] for h in heights]
+    whole = Matrix.from_blocks([[Matrix(b) for b in row] for row in blocks])
+    oracle = o_from_blocks(blocks)
+    assert same(whole, oracle)
+    rows = range(data.draw(st.integers(0, whole.rows - 1)), whole.rows)
+    cols = range(0, data.draw(st.integers(1, whole.cols)))
+    assert same(whole.submatrix(rows, cols), [[oracle[i][j] for j in cols] for i in rows])
+
+
+@SETTINGS
+@given(st.data())
+def test_matrix_det_rank_inverse_match_field_elimination(data):
+    n = data.draw(st.integers(1, 4))
+    a = data.draw(entries(n, n))
+    if data.draw(st.booleans()) and n > 1:
+        # A dependent last row, so singular cases come up often.
+        a[-1] = [x * 2 - y for x, y in zip(a[0], a[1 % n])]
+    m = Matrix(a)
+    rank, det = o_eliminate(a)
+    assert m.det() == det
+    assert m.rank() == rank
+    inverse = o_inverse(a)
+    if inverse is None:
+        with pytest.raises(ShapeError):
+            m.inverse()
+    else:
+        assert same(m.inverse(), inverse)
+    wide = data.draw(entries(n, data.draw(sizes)))
+    assert Matrix(wide).rank() == o_eliminate(wide)[0]
+
+
+def test_equal_values_built_differently_compare_and_hash_equal():
+    half = Matrix([[Fraction(2, 4)]])
+    assert half == Matrix([["1/2"]]) and hash(half) == hash(Matrix([["1/2"]]))
+    m = Matrix([[Fraction(1, 3), GaussianRational(2, Fraction(-5, 6))], [0, "7/4"]])
+    twice_halved = m.scale(2).scale(Fraction(1, 2))
+    assert twice_halved == m and hash(twice_halved) == hash(m)
+    # Denominators 2 and 3 cancel to 1 in the product.
+    product = Matrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) @ Matrix([[2, 0], [0, 3]])
+    assert product == Matrix.identity(2) and hash(product) == hash(Matrix.identity(2))
+    assert product.integer_form() == (1, (((1, 0), (0, 0)), ((0, 0), (1, 0))))
+    assert (m - m) == Matrix.zeros(2, 2) and (m - m).integer_form()[0] == 1
+
+
+# -- PolyMatrix ---------------------------------------------------------------------
+
+
+def same_poly(ours: PolyMatrix, oracle) -> bool:
+    expected = PolyMatrix(oracle)
+    return (
+        ours == expected
+        and hash(ours) == hash(expected)
+        and all(ours[i, j] == oracle[i][j] for i in range(ours.rows) for j in range(ours.cols))
+    )
+
+
+@SETTINGS
+@given(st.data())
+def test_polymatrix_operations_match_entrywise_bipoly_oracle(data):
+    r, k, c = data.draw(sizes), data.draw(sizes), data.draw(sizes)
+    a, b = data.draw(poly_entries(r, k)), data.draw(poly_entries(r, k))
+    d = data.draw(poly_entries(k, c))
+    pa, pb, pd = PolyMatrix(a), PolyMatrix(b), PolyMatrix(d)
+    assert same_poly(pa, a)
+    assert same_poly(pa + pb, o_add(a, b))
+    assert same_poly(pa - pb, o_sub(a, b))
+    assert same_poly(pa @ pd, o_matmul(a, d, BiPoly.zero()))
+    assert same_poly(
+        PolyMatrix.from_blocks([[pa, pb], [pa, pb]]), o_from_blocks([[a, b], [a, b]])
+    )
+    lam, mu = data.draw(scalars), data.draw(scalars)
+    assert pa.eval(lam, mu) == Matrix([[p.eval(lam, mu) for p in row] for row in a])
+    # No zero coefficient is stored.
+    assert all(not m.is_zero() for _, m in pa.terms())
+
+
+def test_polymatrix_holds_one_matrix_per_monomial():
+    lam, mu, one = BiPoly.lam(), BiPoly.mu(), BiPoly.constant(1)
+    p = PolyMatrix([[lam + one, mu], [BiPoly.zero(), lam * mu]])
+    assert dict(p.terms()) == {
+        (0, 0): Matrix([[1, 0], [0, 0]]),
+        (0, 1): Matrix([[0, 1], [0, 0]]),
+        (1, 0): Matrix([[1, 0], [0, 0]]),
+        (1, 1): Matrix([[0, 0], [0, 1]]),
+    }
+    assert PolyMatrix.zeros(2, 3).is_zero() and list(PolyMatrix.zeros(2, 3).terms()) == []
+
+
+# -- no scalar arithmetic inside the integer kernels -----------------------------------
+
+
+def _calls_into_scalars(run) -> set:
+    """(module file, function) of every Python call in fractions.py or
+    scalars.py while run() executes."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            name = frame.f_code.co_filename
+            if name.endswith(("fractions.py", "scalars.py")):
+                seen.add((name.rsplit("/", 1)[-1], frame.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_integer_kernels_run_no_fraction_or_gaussian_rational_arithmetic():
+    a = Matrix(
+        [[Fraction(1, 2), GaussianRational(1, 3), 2], [0, "5/7", 1], [GaussianRational(0, 1), 3, "-1/4"]]
+    )
+    b = Matrix([[1, "2/3", 0], [GaussianRational(2, -1), 1, 4], [0, 1, "1/5"]])
+    lam_a = PolyMatrix.from_coefficients(3, 3, {(1, 0): a, (0, 0): b})
+    s = GaussianRational(Fraction(3, 2), -1)
+
+    def run():
+        a + b, a - b, a @ b, a.kron(b), a.scale(s), -a
+        a.det(), a.rank(), a.inverse()
+        lam_a @ lam_a
+
+    boundary = {
+        # building the scalar argument of scale and the det result
+        ("scalars.py", "coerce"),
+        ("scalars.py", "clear_denominators"),
+        ("scalars.py", "<listcomp>"),
+        ("scalars.py", "__init__"),
+        ("fractions.py", "__new__"),
+        ("fractions.py", "numerator"),
+        ("fractions.py", "denominator"),
+    }
+    assert _calls_into_scalars(run) <= boundary

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pencilspace.bipoly import LAM, MU, BiPoly, UniPoly
@@ -103,3 +105,54 @@ def test_resultant_roots_locate_common_zeros(rng):
                 for mu0 in durand_kerner(f_mu, tol=1e-13)
             )
             assert shared < 1e-8
+
+
+def _random_bipoly(rng, degree):
+    """Random complex-rational f of total degree <= degree, with positive
+    degree in both lam and mu."""
+    from conftest import rand_gr, rand_nonzero_gr
+
+    terms = {
+        (i, j): rand_gr(rng, complex_prob=0.5)
+        for i in range(degree + 1)
+        for j in range(degree + 1 - i)
+        if rng.random() < 0.5
+    }
+    terms[(rng.randint(1, degree), 0)] = rand_nonzero_gr(rng)
+    terms[(0, rng.randint(1, degree))] = rand_nonzero_gr(rng)
+    return BiPoly(terms)
+
+
+@pytest.mark.parametrize("eliminate", [LAM, MU])
+@pytest.mark.parametrize("seed", range(8))
+def test_resultant_matches_sympy_over_gaussian_rationals(seed, eliminate):
+    sympy = pytest.importorskip("sympy")
+    lam, mu = sympy.symbols("lam mu")
+    rng = random.Random(f"resultant/{seed}")
+    f = _random_bipoly(rng, rng.randint(1, 4))
+    g = _random_bipoly(rng, rng.randint(1, 4))
+
+    def to_sympy(p):
+        return sum(
+            (
+                (sympy.Rational(c.re.numerator, c.re.denominator)
+                 + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+                * lam**i * mu**j
+                for (i, j), c in p.terms()
+            ),
+            sympy.Integer(0),
+        )
+
+    gone, kept = (lam, mu) if eliminate == LAM else (mu, lam)
+    m, n = f.degree_in(eliminate), g.degree_in(eliminate)
+    f_sym, g_sym = (sympy.Poly(to_sympy(p), gone, kept, domain="QQ_I") for p in (f, g))
+    # sympy's resultant carries the sign of res(g, f) when deg f < deg g
+    # (it gives -a^3 + b for res(x - a, x^3 - b), not g(a) = a^3 - b), so
+    # it is asked with the higher degree first and res(f, g) =
+    # (-1)^(mn) res(g, f) applied.
+    if m >= n:
+        expected = sympy.resultant(f_sym, g_sym).as_expr()
+    else:
+        expected = (-1) ** (m * n) * sympy.resultant(g_sym, f_sym).as_expr()
+    ours = sylvester_resultant(f, g, eliminate).to_bipoly()
+    assert sympy.expand(to_sympy(ours) - expected) == 0

@@ -1,9 +1,12 @@
+import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from pencilspace import Matrix, QuadPoly2P, standard_linearization
+from pencilspace.cli import main
 from pencilspace.errors import ParseError
 from pencilspace.scalars import GaussianRational
 from pencilspace import serialization as ser
@@ -145,3 +148,51 @@ def test_complex_matrix_round_trip():
         Matrix([[-1]]),
     )
     assert ser.parse_problem(ser.serialize_problem(q)) == q
+
+
+def _circle_with_a20(tmp_path, entry_json: str) -> str:
+    """corpus/q_circle.json with A20 replaced by a raw JSON token."""
+    doc = json.loads((CORPUS / "q_circle.json").read_text(encoding="utf-8"))
+    doc["coefficients"]["A20"] = [["__A20__"]]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc).replace('"__A20__"', entry_json), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("form", ["number", "string"])
+@pytest.mark.parametrize("literal", ["1e10000000", "-1e-10000000", "1e5000", "1e-5000"])
+def test_literal_too_long_to_print_exits_2_at_parse(tmp_path, capsys, literal, form):
+    problem = _circle_with_a20(tmp_path, literal if form == "number" else json.dumps(literal))
+    for command in ("standard", "dimension"):
+        start = time.perf_counter()
+        code = main([command, "-q", problem])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2 and elapsed < 1.0, (command, elapsed)
+        assert "problem.coefficients.A20[0][0]" in err
+        assert "more than" in err
+
+
+def test_zero_mantissa_with_huge_exponent_is_zero():
+    assert ser.parse_scalar("0e10000000", "t") == GaussianRational(0)
+    assert ser.parse_scalar("-0.0E-99999999", "t") == GaussianRational(0)
+
+
+def test_literal_at_the_digit_limit_parses():
+    limit = ser.MAX_DIGITS
+    assert ser.parse_scalar(f"1e{limit - 1}", "t") == GaussianRational(10 ** (limit - 1))
+    tiny = GaussianRational(Fraction(1, 10 ** (limit - 1)))
+    assert ser.parse_scalar(f"1e-{limit - 1}", "t") == tiny
+    with pytest.raises(ParseError):
+        ser.parse_scalar(f"1e{limit}", "t")
+
+
+@pytest.mark.parametrize("form", ["number", "string"])
+def test_4000_digit_entry_round_trips_through_standard(tmp_path, capsys, form):
+    digits = "7" * 4000
+    problem = _circle_with_a20(tmp_path, digits if form == "number" else json.dumps(digits))
+    code = main(["standard", "-q", problem])
+    out = capsys.readouterr().out
+    assert code == 0
+    pencil = ser.parse_pencil(out.split("\n", 1)[1])
+    assert pencil.lam_coeff[0, 0] == GaussianRational(int(digits))
