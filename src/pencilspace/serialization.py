@@ -30,9 +30,10 @@ COEFF_KEYS = ("A20", "A11", "A02", "A10", "A01", "A00")
 
 
 # No int of more decimal digits than this can be printed, so no scalar with
-# a longer numerator or denominator could be written back.  A mantissa has
-# at most MAX_DIGITS digits, so past an exponent of 2 * MAX_DIGITS only a
-# zero mantissa is printable: decided before Fraction builds 10**exponent.
+# a longer numerator or denominator could be written back.  The integer and
+# fractional digits of a mantissa are at most MAX_DIGITS each, so past an
+# exponent of 2 * MAX_DIGITS only a zero mantissa is printable: decided
+# before Fraction builds 10**exponent.
 MAX_DIGITS = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 _TOO_LONG = 10**MAX_DIGITS
 _EXPONENT_FORM = re.compile(r"\s*([-+]?(?:\d+\.?\d*|\.\d+))[eE]([-+]?\d+)\s*")
