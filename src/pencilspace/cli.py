@@ -17,7 +17,6 @@ import argparse
 import random
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -79,17 +78,7 @@ def _parse_vector(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
         raise ParseError("ansatz vector must be three comma-separated rationals", "-v")
-    try:
-        return tuple(Fraction(p.strip()) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational in ansatz vector: {exc}", "-v")
-
-
-def _parse_rational(text: str, flag: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational: {exc}", flag)
+    return tuple(ser.parse_fraction(p, "-v") for p in parts)
 
 
 def _fmt_complex(z: complex) -> str:
@@ -125,8 +114,8 @@ def _build_linear_system(args, system: QuadSystem2P) -> LinearSystem2P:
         rng = random.Random(args.seed)
         blocks1 = _random_component_blocks(rng, system.q1.n)
         blocks2 = _random_component_blocks(rng, system.q2.n)
-    alpha1 = _parse_rational(getattr(args, "alpha1", "1"), "--alpha1")
-    alpha2 = _parse_rational(getattr(args, "alpha2", "1"), "--alpha2")
+    alpha1 = ser.parse_fraction(getattr(args, "alpha1", "1"), "--alpha1")
+    alpha2 = ser.parse_fraction(getattr(args, "alpha2", "1"), "--alpha2")
     return linearize_system(system, alpha1, alpha2, blocks1, blocks2)
 
 
@@ -202,7 +191,7 @@ def _cmd_dimension(args) -> int:
 def _cmd_procedure(args) -> int:
     q = ser.parse_problem(_read(args.problem))
     v = _parse_vector(args.vector)
-    alpha = _parse_rational(args.alpha, "--alpha")
+    alpha = ser.parse_fraction(args.alpha, "--alpha")
     blocks = ser.parse_blocks(_read(args.blocks)) if args.blocks else None
     rng = random.Random(args.seed)
     result = procedure_linearize(q, v, alpha, blocks=blocks, rng=rng)

@@ -39,7 +39,10 @@ _TOO_LONG = 10**MAX_DIGITS
 _EXPONENT_FORM = re.compile(r"\s*([-+]?(?:\d+\.?\d*|\.\d+))[eE]([-+]?\d+)\s*")
 
 
-def _fraction_from_text(text: str, location: str) -> Fraction:
+def parse_fraction(text: str, location: str) -> Fraction:
+    """An exact rational from its text (integer, p/q or decimal, with an
+    optional exponent), bounded by MAX_DIGITS; a ParseError at location
+    otherwise."""
     exponent_form = _EXPONENT_FORM.fullmatch(text)
     try:
         huge = exponent_form is not None and abs(int(exponent_form[2])) > 2 * MAX_DIGITS
@@ -59,7 +62,7 @@ def parse_scalar(value: Any, location: str) -> GaussianRational:
     if isinstance(value, int):
         return GaussianRational(value)
     if isinstance(value, str):
-        return GaussianRational(_fraction_from_text(value, location))
+        return GaussianRational(parse_fraction(value, location))
     if isinstance(value, dict):
         extra = set(value) - {"re", "im"}
         if extra:

@@ -211,8 +211,12 @@ def space_dimension(q: QuadPoly2P) -> DimensionSummary:
     The witness stacks the vectorized pencils of the canonical parameter
     directions (three ansatz directions with zero blocks, plus the unit
     directions of Y1, Z1, Z2) and confirms their exact rank by elimination.
-    For the all-zero quadratic the ansatz directions collapse into the
-    kernel and the dimension degenerates to 9n^2.
+    Each unit direction has its +1 in block column 0 of A2 or in block
+    column 0 or 1 of A3, where every other row is zero, so the singleton
+    pre-pass of ``Matrix.rank`` counts those 9n^2 rows and Bareiss sees
+    only the three ansatz rows.  For the all-zero quadratic the ansatz
+    directions collapse into the kernel and the dimension degenerates to
+    9n^2.
     """
     n = q.n
     degenerate = q.is_zero()

@@ -113,3 +113,21 @@ def worked_example_pencil(q: QuadPoly2P):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """[rows, pivots] of every Bareiss elimination run after the fixture."""
+    from pencilspace import matrices
+
+    real = matrices._bareiss_pivots
+    calls = []
+
+    def counting(a, cols):
+        calls.append([len(a), 0])
+        for pivot in real(a, cols):
+            calls[-1][1] += 1
+            yield pivot
+
+    monkeypatch.setattr(matrices, "_bareiss_pivots", counting)
+    return calls

@@ -323,3 +323,35 @@ def test_cli_console_script_runs_member():
     )
     assert result.returncode == 0
     assert "v = (1, 1, 2)" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("procedure", "-q", Q_CIRCLE, "-v", "1e1000000,1,0"), "-v"),
+        (("generate", "-q", Q_WORKED, "--blocks", BLOCKS_WORKED, "-v", "1,1,1e1000000"), "-v"),
+        (("procedure", "-q", Q_CIRCLE, "-v", "1,1,2", "--alpha", "1e1000000"), "--alpha"),
+        (("qep-linearize", "-s", SYS_CIRCLE_LINE, "--alpha1", "1e1000000"), "--alpha1"),
+        (("qep-linearize", "-s", SYS_CIRCLE_LINE, "--alpha2", "-1e1000000"), "--alpha2"),
+    ],
+    ids=["procedure-vector", "generate-vector", "alpha", "alpha1", "alpha2"],
+)
+def test_huge_exponent_in_a_flag_value_exits_2_naming_the_flag(argv, flag):
+    import subprocess
+    import sys
+    import time
+
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "pencilspace", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"input error: {flag}: ")
+    assert "more than" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+    assert elapsed < 5.0, elapsed

@@ -166,3 +166,134 @@ def test_complex_entries_det():
     m = Matrix([[i, 1], [1, i]])
     # det = i*i - 1 = -2
     assert m.det() == GaussianRational(-2)
+
+
+# -- the singleton-column pre-pass of rank ---------------------------------------
+
+SPARSE_VALUES = (
+    GaussianRational(1),
+    GaussianRational(-1),
+    GaussianRational(2),
+    GaussianRational(0, 1),
+    GaussianRational(Fraction(1, 2)),
+)
+
+
+def sparse_entry(rng, density):
+    return rng.choice(SPARSE_VALUES) if rng.random() < density else GaussianRational(0)
+
+
+def shuffled(rng, rows):
+    """The rows in random order, with their columns in random order."""
+    order = list(range(len(rows[0])))
+    rng.shuffle(order)
+    rows = [[row[j] for j in order] for row in rows]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_rank_of_random_sparse_matrices_matches_oracle(rng):
+    for _ in range(150):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 12)
+        density = rng.choice((0.1, 0.25, 0.5))
+        entries = [[sparse_entry(rng, density) for _ in range(cols)] for _ in range(rows)]
+        if rows >= 2 and rng.random() < 0.3:
+            # a dependent row, so that the rank falls short of min(rows, cols)
+            entries[-1] = [x + x for x in entries[0]]
+        m = Matrix(entries)
+        assert m.rank() == field_elimination_rank(m), entries
+
+
+def test_rank_follows_a_planted_singleton_chain(rng, bareiss_calls):
+    # A staircase: chain row i is nonzero in columns i..k-1, so only column
+    # 0 is a singleton at first, and dropping the row of column i makes
+    # column i + 1 one.  The tail rows are zero on the staircase columns
+    # and hold a dependent pair with no zero in the columns after it, so
+    # the pre-pass leaves exactly them to the Bareiss loop.
+    for _ in range(30):
+        k, extra, tail = rng.randint(1, 6), rng.randint(2, 5), rng.randint(2, 4)
+        zero = GaussianRational(0)
+        chain = [
+            [zero] * i
+            + [rng.choice(SPARSE_VALUES) for _ in range(k - i)]
+            + [sparse_entry(rng, 0.5) for _ in range(extra)]
+            for i in range(k)
+        ]
+        rest = [[zero] * k + [sparse_entry(rng, 0.5) for _ in range(extra)] for _ in range(tail)]
+        rest[0][k:] = [rng.choice(SPARSE_VALUES) for _ in range(extra)]
+        rest[-1] = [x + x for x in rest[0]]
+        m = Matrix(shuffled(rng, chain + rest))
+        bareiss_calls.clear()
+        assert m.rank() == field_elimination_rank(m)
+        assert [rows for rows, _ in bareiss_calls] == [tail]
+
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    [
+        ([[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0]], 4),
+        ([[0, 0, 0], [0, 0, 0]], 0),
+        ([[0, 2, 0, -1, 0]], 1),
+        ([[0, 0, 0, 0, 0]], 0),
+        ([[0], [3], [0], [1]], 1),
+        ([[0], [0], [0]], 0),
+    ],
+    ids=["permutation", "zero", "single-row", "zero-row", "single-column", "zero-column"],
+)
+def test_rank_of_structural_edge_cases(rows, rank):
+    m = Matrix(rows)
+    assert m.rank() == field_elimination_rank(m) == rank
+
+
+def test_rank_without_singleton_columns_is_pure_bareiss(rng, bareiss_calls):
+    i = GaussianRational(0, 1)
+    cases = [
+        Matrix([[1, 1], [1, 1]]),
+        Matrix([[1, 2, 0], [0, 1, 1], [1, 3, 1]]),
+        Matrix([[i, 1, 1], [1, i, 1], [1, 1, i], [2, 2, 2]]),
+    ]
+    for _ in range(20):
+        rows, cols = rng.randint(2, 8), rng.randint(1, 12)
+        entries = [[sparse_entry(rng, 0.4) for _ in range(cols)] for _ in range(rows)]
+        # every column is nonzero in the first row and in the last one, a
+        # multiple of the first when the rank is to fall short
+        entries[0] = [rng.choice(SPARSE_VALUES) for _ in range(cols)]
+        factor = rng.choice(SPARSE_VALUES) if rng.random() < 0.5 else None
+        if factor is not None:
+            entries[-1] = [factor * x for x in entries[0]]
+        else:
+            entries[-1] = [rng.choice(SPARSE_VALUES) for _ in range(cols)]
+        cases.append(Matrix(entries))
+    for m in cases:
+        bareiss_calls.clear()
+        assert m.rank() == field_elimination_rank(m)
+        assert [rows for rows, _ in bareiss_calls] == [m.rows]
+
+
+def test_rank_of_the_n2_dimension_witness_matches_sympy(rng, monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    from pencilspace import space_dimension
+
+    from conftest import rand_quad
+
+    real = Matrix.rank
+    witnesses = []
+
+    def capturing(self):
+        witnesses.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "rank", capturing)
+    summary = space_dimension(rand_quad(rng, 2))
+    (w,) = witnesses
+    assert w.shape == (39, 108)
+
+    def to_qq_i(x):
+        qq = sympy.QQ
+        return sympy.QQ_I(qq(x.re.numerator, x.re.denominator), qq(x.im.numerator, x.im.denominator))
+
+    entries = [[to_qq_i(x) for x in w.row_entries(r)] for r in range(w.rows)]
+    expected = DomainMatrix(entries, w.shape, sympy.QQ_I).rank()
+    assert summary.witness_rank == real(w) == expected == 39

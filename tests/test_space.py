@@ -196,6 +196,26 @@ def test_space_dimension_zero_quadratic():
     assert summary.verified
 
 
+def test_space_dimension_at_n3_leaves_bareiss_the_ansatz_rows(rng, bareiss_calls):
+    summary = space_dimension(rand_quad(rng, 3))
+    assert summary.dimension == 84
+    assert summary.witness_rank == 84
+    assert summary.verified and not summary.degenerate
+    # The 81 kernel directions are all singleton-column rows; only the three
+    # ansatz directions reach the elimination.
+    assert len(bareiss_calls) == 1 and bareiss_calls[0][0] <= 3
+
+
+def test_space_dimension_zero_quadratic_at_n3_needs_no_pivot(bareiss_calls):
+    n = 3
+    zero_q = QuadPoly2P(n, *(Matrix.zeros(n, n) for _ in range(6)))
+    summary = space_dimension(zero_q)
+    assert summary.degenerate
+    assert summary.dimension == summary.witness_rank == 81
+    assert summary.verified
+    assert sum(pivots for _, pivots in bareiss_calls) == 0
+
+
 def brute_force_dimension(q: QuadPoly2P) -> int:
     """Constraint-system oracle for n = 1, assembled directly from the
     box-add definition: unknowns are the 27 pencil entries plus v, and each
