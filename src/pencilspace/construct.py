@@ -172,6 +172,15 @@ def _diag_q_identity(q: QuadPoly2P) -> PolyMatrix:
 
 
 def _constant_nonzero_det(m: PolyMatrix) -> GaussianRational:
+    """The determinant of a certificate factor, checked to be a nonzero constant.
+
+    Constancy is proved, not assumed: the assignment degree bound of
+    ``exact_det_poly`` is (0, 0, 0) for E (a block permutation) and F
+    (block upper triangular with constant diagonal blocks), since every
+    nonzero Leibniz term of either uses constant entries only, so the
+    exact determinant comes from one Bareiss run; a factor whose bound
+    were positive would be interpolated in full and rejected here.
+    """
     det = exact_det_poly(m)
     if not det.is_constant():
         raise AssertionError("certificate factor has non-constant determinant")

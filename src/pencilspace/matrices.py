@@ -7,7 +7,11 @@ compare and hash equal.  All arithmetic runs on ints; ``GaussianRational``
 appears only where entries come in or go out.  Determinant, rank and
 inverse share one fraction-free (Bareiss) elimination over Z[i]; rank first
 drops the rows of singleton columns (a column nonzero in one live row
-only), which adds one to the rank each, and eliminates the rest.
+only), which adds one to the rank each, and eliminates the rest.  Before
+any elimination, det checks the nonzero pattern: without a perfect
+matching of rows to columns every Leibniz term has a zero factor, so the
+determinant is exactly 0 (structural rank, after Duff's maximum
+transversal).
 """
 
 from __future__ import annotations
@@ -54,6 +58,12 @@ class Matrix:
         return _new(
             tuple(tuple((1, 0) if i == j else (0, 0) for j in range(n)) for i in range(n)), 1
         )
+
+    @staticmethod
+    def from_integer_form(den: int, data: Iterable[Iterable[Pair]]) -> "Matrix":
+        """The matrix data / den from rows of (re, im) numerator pairs over a
+        positive denominator; the inverse of ``integer_form``."""
+        return _reduced(tuple(map(tuple, data)), den)
 
     @staticmethod
     def column(values: Iterable[ScalarLike]) -> "Matrix":
@@ -175,9 +185,17 @@ class Matrix:
     def det(self) -> GaussianRational:
         """Exact determinant by fraction-free (Bareiss) elimination of the
         numerators; every quotient is an exact division in Z[i], and the
-        common denominator (to the power n) is divided out at the end."""
+        common denominator (to the power n) is divided out at the end.
+
+        A structurally singular matrix (no perfect matching of rows to
+        columns on its nonzero entries, so every Leibniz term holds a zero)
+        gets an exact 0 without any elimination.
+        """
         if self.rows != self.cols:
             raise ShapeError("determinant requires a square matrix")
+        pattern = [[j for j, x in enumerate(row) if x != (0, 0)] for row in self._data]
+        if structural_rank(pattern, self.cols) < self.rows:
+            return GaussianRational(0)
         d_re, d_im = bareiss_det_int([list(row) for row in self._data])
         scale = self._den**self.rows
         return GaussianRational(Fraction(d_re, scale), Fraction(d_im, scale))
@@ -380,6 +398,52 @@ def _strip_singleton_columns(data: tuple) -> tuple[list[list[Pair]], int]:
                     singles.append(j)
     rows = [list(row) for row, keep in zip(data, live) if keep]
     return rows, len(data) - len(rows)
+
+
+def structural_rank(pattern: Sequence[Sequence[int]], cols: int) -> int:
+    """Size of a maximum matching of rows to columns, row i adjacent to the
+    columns in pattern[i]: an upper bound on the rank of every matrix with
+    that nonzero pattern, and equal to it for generic values.
+
+    Augmenting paths from each row in turn (Kuhn; Duff's MC21 with its
+    cheap look-ahead for a free column), searched depth-first on an
+    explicit stack, since paths can be as long as the matrix.  Columns
+    visited by a failed search stay marked until the next augmentation:
+    the matching has not changed, so they cannot lead to a free column.
+    """
+    owner = [-1] * cols  # the row matched to each column
+    seen = [-1] * cols  # the search epoch that last visited each column
+    epoch = 0
+    size = 0
+    for root in range(len(pattern)):
+        stack = [(root, 0)]  # (row, next position in its pattern)
+        path: list[int] = []  # the matched column taken below each stacked row
+        while stack:
+            row, k = stack[-1]
+            # No column frees up during a search, so one look-ahead per row.
+            free = None if k else next((c for c in pattern[row] if owner[c] < 0), None)
+            if free is not None:
+                # Augment: each row on the stack takes the column below it.
+                path.append(free)
+                for (r, _), c in zip(stack, path):
+                    owner[c] = r
+                size += 1
+                epoch += 1
+                break
+            adj = pattern[row]
+            while k < len(adj) and seen[adj[k]] == epoch:
+                k += 1
+            if k == len(adj):
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            c = adj[k]
+            seen[c] = epoch
+            stack[-1] = (row, k + 1)
+            stack.append((owner[c], 0))
+            path.append(c)
+    return size
 
 
 def bareiss_det_int(a: list[list[tuple[int, int]]]) -> tuple[int, int]:

@@ -8,6 +8,10 @@ product at a time.
 
 Determinants are evaluated by Bareiss at the integer nodes of a lower set
 that bounds their support, and interpolated on integers (exact_det_poly).
+The bound on each degree is a maximum-weight assignment of the entry
+degrees (Jacobi's bound, by Kuhn's Hungarian method): the largest degree
+any Leibniz term can reach.  Block-triangular and block-permutation
+factors, whose every term is constant, need one node.
 """
 
 from __future__ import annotations
@@ -251,25 +255,80 @@ def _integer_terms(m: PolyMatrix) -> tuple[int, list[tuple[int, ...]]]:
     return scale, terms
 
 
-def _degree_bounds(m: PolyMatrix) -> tuple[int, int, int]:
-    """Bounds (d_lam, d_mu, d) on the lam-, mu- and total degree of det m.
+def _degree_bounds(m: PolyMatrix) -> tuple[int, int, int] | None:
+    """Bounds (d_lam, d_mu, d) on the lam-, mu- and total degree of det m,
+    or None when det m is structurally zero.
 
-    Every term of the determinant takes one entry from each row and one
-    from each column, so each degree is at most the sum over rows of the
-    row's largest entry degree, and at most the same sum over columns (a
-    zero entry counts as 0); the smaller sum is the bound.
+    Every Leibniz term of the determinant is the product of the entries
+    (i, p(i)) of a permutation p, and its degree is at most the sum of
+    their entry degrees; it is zero unless all of them are nonzero.  Each
+    bound is the largest such sum over the permutations that use nonzero
+    entries only (a maximum-weight assignment), so no term can exceed it,
+    and it is never above the row or column sums of the largest entry
+    degrees.  Without any such permutation (no perfect matching on the
+    nonzero pattern) every term vanishes.
     """
-    degrees = [[(0, 0, 0)] * m.cols for _ in range(m.rows)]
+    degrees: list[list] = [[None] * m.cols for _ in range(m.rows)]
     for a, b, i, j, _, _ in _integer_terms(m)[1]:
-        d_lam, d_mu, d = degrees[i][j]
+        d_lam, d_mu, d = degrees[i][j] or (0, 0, 0)
         degrees[i][j] = (max(d_lam, a), max(d_mu, b), max(d, a + b))
-    bounds = []
-    for axis in range(3):
-        by_rows = sum(max(e[axis] for e in row) for row in degrees)
-        by_cols = sum(max(e[axis] for e in col) for col in zip(*degrees))
-        bounds.append(min(by_rows, by_cols))
-    d_lam, d_mu, d = bounds
-    return d_lam, d_mu, d
+    weights = lambda axis: [[e and e[axis] for e in row] for row in degrees]
+    d_lam = _max_assignment(weights(0))
+    if d_lam is None:
+        return None
+    return d_lam, _max_assignment(weights(1)), _max_assignment(weights(2))
+
+
+def _max_assignment(weights: list[list[int | None]]) -> int | None:
+    """The largest sum of weights[i][p(i)] over the permutations p that
+    avoid the None entries, or None if every permutation meets one.
+
+    Kuhn's Hungarian method in its O(n^3) shortest-augmenting-path form,
+    minimizing the cost -weight: rows join one at a time, and the dual
+    potentials u (rows) and v (columns) keep every reduced cost
+    -w[i][j] - u[i] - v[j] nonnegative, zero on the matching.  A row that
+    reaches no free column through finite costs has no augmenting path, so
+    the rows so far have no perfect matching (Berge), nor has the whole.
+    """
+    n = len(weights)
+    inf = float("inf")
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    owner = [0] * (n + 1)  # 1-based row matched to each 1-based column; 0 free
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        slack = [inf] * (n + 1)
+        prev = [0] * (n + 1)
+        done = [False] * (n + 1)
+        while owner[j0]:
+            done[j0] = True
+            i0 = owner[j0]
+            row = weights[i0 - 1]
+            delta, j1 = inf, 0
+            for j in range(1, n + 1):
+                if done[j]:
+                    continue
+                w = row[j - 1]
+                if w is not None and -w - u[i0] - v[j] < slack[j]:
+                    slack[j] = -w - u[i0] - v[j]
+                    prev[j] = j0
+                if slack[j] < delta:
+                    delta, j1 = slack[j], j
+            if delta == inf:
+                return None
+            for j in range(n + 1):
+                if done[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = prev[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    return sum(weights[owner[j] - 1][j - 1] for j in range(1, n + 1))
 
 
 def _integer_grid_det(m: PolyMatrix):
@@ -299,16 +358,21 @@ def _integer_grid_det(m: PolyMatrix):
 def exact_det_poly(m: PolyMatrix) -> BiPoly:
     """Exact determinant of a polynomial matrix.
 
-    With (d_lam, d_mu, d) the row/column degree bounds of _degree_bounds,
+    With (d_lam, d_mu, d) the assignment degree bounds of _degree_bounds,
     the determinant's support lies in the lower set
     S = {(a, b) : b <= d_mu, a <= min(d_lam, d - b)}.  Evaluates the
     scaled integer determinant at the nodes of S by Bareiss, interpolates
     on integers, and divides each coefficient once by
-    d_lam! * d_mu! * scale^size; identical to the symbolic expansion.
+    d_lam! * d_mu! * scale^size; identical to the symbolic expansion.  A
+    structurally singular m (no perfect matching on its nonzero entries)
+    gives the zero polynomial without any evaluation.
     """
     if m.rows != m.cols:
         raise ShapeError("determinant requires a square matrix")
-    d_lam, d_mu, d = _degree_bounds(m)
+    bounds = _degree_bounds(m)
+    if bounds is None:
+        return BiPoly.zero()
+    d_lam, d_mu, d = bounds
     scale, det_at = _integer_grid_det(m)
     grid = [[det_at(a, b) for a in range(min(d_lam, d - b) + 1)] for b in range(d_mu + 1)]
     re = _lower_set_coeffs([[v[0] for v in row] for row in grid])

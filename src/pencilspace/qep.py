@@ -9,6 +9,15 @@ eigenvalue equations Delta1 z = lam Delta0 z, Delta2 z = mu Delta0 z --
 but Delta0 is always exactly singular for this class, so spectra here are
 computed by resultants plus root iteration and the Delta equations are
 verified on known eigenpairs instead of solved.
+
+Why Delta0 = B1 kron C2 - C1 kron B2 is singular: in an alpha*e1 member
+with Y21 = Y31 = 0, the lower 2n block rows of the lam and mu
+coefficients (A1 and A2 in the member layout) are nonzero only in block
+column 3.  So the 4*n1*n2 rows of Delta0 that are lower in both factors
+are nonzero only in the n1*n2 columns that are block column 3 in both,
+and its structural rank is at most 9*n1*n2 - 4*n1*n2 + n1*n2 = 6*n1*n2
+(54 of 81 at n1 = n2 = 3).  ``Matrix.det`` finds that by a maximum
+matching and returns 0 without eliminating.
 """
 
 from __future__ import annotations

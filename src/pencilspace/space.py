@@ -12,6 +12,7 @@ is nonzero, certified here by an exact rank witness rather than asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from .errors import HypothesisViolatedError, ShapeError
@@ -195,13 +196,9 @@ class DimensionSummary:
 
 def _vectorize(pencil: Pencil2P) -> Matrix:
     """The three coefficients of a pencil, row after row, as one row."""
-    m = pencil.m
+    forms = (coeff.integer_form() for coeff in (pencil.lam_coeff, pencil.mu_coeff, pencil.const))
     return Matrix.hstack(
-        [
-            coeff.submatrix(range(i, i + 1), range(m))
-            for coeff in (pencil.lam_coeff, pencil.mu_coeff, pencil.const)
-            for i in range(m)
-        ]
+        [Matrix.from_integer_form(den, [list(chain.from_iterable(data))]) for den, data in forms]
     )
 
 
@@ -223,14 +220,16 @@ def space_dimension(q: QuadPoly2P) -> DimensionSummary:
     directions = () if degenerate else ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     members = [generate_member(q, e, FreeBlocks.zero(n)) for e in directions]
     zero = Matrix.zeros(3 * n, n)
+    zero_q = QuadPoly2P(n, *(Matrix.zeros(n, n) for _ in range(6)))
     for which in range(3):
         for r in range(3 * n):
             for c in range(n):
                 blocks = [zero, zero, zero]
-                blocks[which] = Matrix(
-                    [[int(i == r and j == c) for j in range(n)] for i in range(3 * n)]
+                blocks[which] = Matrix.from_integer_form(
+                    1, [[(int(i == r and j == c), 0) for j in range(n)] for i in range(3 * n)]
                 )
-                members.append(kernel_member(n, FreeBlocks(n, *blocks)))
+                # kernel_member(n, blocks), sharing one zero quadratic
+                members.append(generate_member(zero_q, (0, 0, 0), FreeBlocks(n, *blocks)))
     witness_rank = Matrix.vstack([_vectorize(p) for p in members]).rank()
     dimension = 9 * n * n if degenerate else 9 * n * n + 3
     return DimensionSummary(n, dimension, witness_rank, degenerate)

@@ -1,9 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 from pencilspace.errors import ShapeError
-from pencilspace.matrices import Matrix, kron
+from pencilspace.matrices import Matrix, kron, structural_rank
 from pencilspace.scalars import GaussianRational
 
 from conftest import rand_matrix
@@ -297,3 +298,89 @@ def test_rank_of_the_n2_dimension_witness_matches_sympy(rng, monkeypatch):
     entries = [[to_qq_i(x) for x in w.row_entries(r)] for r in range(w.rows)]
     expected = DomainMatrix(entries, w.shape, sympy.QQ_I).rank()
     assert summary.witness_rank == real(w) == expected == 39
+
+
+# -- structural zeros of det ----------------------------------------------------------
+
+
+def field_elimination_det(m: Matrix) -> GaussianRational:
+    """Oracle: the product of the pivots of classical exact elimination with
+    divisions, with the sign of its row swaps."""
+    a = [list(m.row_entries(i)) for i in range(m.rows)]
+    det = GaussianRational(1)
+    for col in range(m.cols):
+        pivot_row = next((r for r in range(col, m.rows) if a[r][col]), None)
+        if pivot_row is None:
+            return GaussianRational(0)
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            det = -det
+        pivot = a[col][col]
+        det = det * pivot
+        for r in range(col + 1, m.rows):
+            if a[r][col]:
+                factor = a[r][col] / pivot
+                for c in range(col, m.cols):
+                    a[r][c] = a[r][c] - factor * a[col][c]
+    return det
+
+
+def textbook_matching(pattern, cols):
+    """Oracle: Kuhn's augmenting-path matching in its textbook recursive
+    form, with a fresh visited set for every row and no look-ahead."""
+    owner = [None] * cols
+
+    def augment(row, seen):
+        for c in pattern[row]:
+            if c not in seen:
+                seen.add(c)
+                if owner[c] is None or augment(owner[c], seen):
+                    owner[c] = row
+                    return True
+        return False
+
+    return sum(augment(row, set()) for row in range(len(pattern)))
+
+
+def test_det_of_random_sparse_matrices_matches_oracle(rng, bareiss_calls):
+    structurally_singular = 0
+    for _ in range(150):
+        size = rng.randint(1, 7)
+        density = rng.choice((0.15, 0.3, 0.5))
+        m = Matrix([[sparse_entry(rng, density) for _ in range(size)] for _ in range(size)])
+        bareiss_calls.clear()
+        assert m.det() == field_elimination_det(m)
+        pattern = [[j for j in range(size) if m[i, j]] for i in range(size)]
+        if structural_rank(pattern, size) < size:
+            structurally_singular += 1
+            assert not bareiss_calls
+    assert structurally_singular >= 20
+
+
+def test_structural_rank_matches_the_textbook_matching(rng):
+    for _ in range(300):
+        rows, cols = rng.randint(1, 30), rng.randint(1, 30)
+        density = rng.choice((0.05, 0.1, 0.2, 0.4))
+        pattern = [[j for j in range(cols) if rng.random() < density] for _ in range(rows)]
+        for row in pattern:
+            rng.shuffle(row)
+        assert structural_rank(pattern, cols) == textbook_matching(pattern, cols), pattern
+    # Row 2 augments through column 0 (to row 1, then the free column 3);
+    # row 3 must pass column 0 again, now to row 2 and on through column 5
+    # to row 0 and the free column 6.  A search that kept column 0 marked
+    # after the first augmentation would stop at 3.
+    assert structural_rank([[5, 6], [0, 3], [0, 5], [0]], 7) == 4
+
+
+def test_structural_rank_follows_a_5000_row_augmenting_chain():
+    # Row k is adjacent to columns k and k + 1 and first takes column k; the
+    # last row, adjacent to column 0 only, is matched by shifting every
+    # other row one column right, a single augmenting path through all of
+    # them.  The search keeps its path on an explicit stack, not the
+    # interpreter's, whose limit is far below that depth.
+    n = 5000
+    assert sys.getrecursionlimit() < n
+    pattern = [[k, k + 1] for k in range(n)] + [[0]]
+    assert structural_rank(pattern, n + 1) == n + 1
+    # With column n gone the chain has no free end: one row stays unmatched.
+    assert structural_rank([[k, k + 1] for k in range(n - 1)] + [[n - 1], [0]], n) == n

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from pencilspace.polymatrix import (
     exact_det_poly,
     poly_div_constant_ratio,
 )
+from pencilspace.resultants import sylvester_matrix
 from pencilspace.scalars import GaussianRational
 
 from conftest import rand_gr, rand_matrix, rand_nonzero_gr, rand_quad
@@ -159,7 +161,9 @@ def _rand_entries(rng, size, variables, max_degree):
     return [[_rand_entry(rng, variables, max_degree) for _ in range(size)] for _ in range(size)]
 
 
-def _assert_matches_sympy(m):
+def _sympy_det(m):
+    """sympy's own determinant of m over the polynomial ring QQ<I>[lam, mu],
+    as an expression in the symbols lam, mu, and the BiPoly converter."""
     sympy = pytest.importorskip("sympy")
     lam, mu = sympy.symbols("lam mu")
 
@@ -174,9 +178,13 @@ def _assert_matches_sympy(m):
             sympy.Integer(0),
         )
 
-    # sympy's own determinant over the polynomial ring QQ<I>[lam, mu].
     expected = sympy.Matrix(m.rows, m.cols, lambda i, j: to_sympy(m[i, j])).to_DM()
-    expected = expected.domain.to_sympy(expected.det())
+    return expected.domain.to_sympy(expected.det()), to_sympy
+
+
+def _assert_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    expected, to_sympy = _sympy_det(m)
     assert sympy.expand(to_sympy(exact_det_poly(m)) - expected) == 0
 
 
@@ -189,9 +197,11 @@ def test_det_matches_sympy_on_random_matrices(variables, size):
 
 @pytest.mark.parametrize("size", [2, 4, 6])
 def test_det_matches_sympy_on_one_sided_degree_bounds(size):
-    # E-shaped: only the first column is non-constant, so the column bound
-    # (1 in each degree) is tighter than the row bound (size); F-shaped is
-    # its transpose.
+    # E-shaped: only the first column is non-constant, so every Leibniz term
+    # has degree at most 1 in lam, in mu and in total, against the row sum
+    # (size); F-shaped is its transpose.  The assignment bound is (1, 1, 1),
+    # or None (structurally zero) where the constant entries leave no
+    # perfect matching: the size-2 draw has a zero second column.
     rng = random.Random(size)
     entries = _rand_entries(rng, size, (), 0)
     for i in range(size):
@@ -200,8 +210,9 @@ def test_det_matches_sympy_on_one_sided_degree_bounds(size):
         )
     e_shaped = PolyMatrix(entries)
     f_shaped = PolyMatrix([[entries[j][i] for j in range(size)] for i in range(size)])
-    assert polymatrix._degree_bounds(e_shaped) == (1, 1, 1)
-    assert polymatrix._degree_bounds(f_shaped) == (1, 1, 1)
+    expected = None if size == 2 else (1, 1, 1)
+    assert polymatrix._degree_bounds(e_shaped) == expected
+    assert polymatrix._degree_bounds(f_shaped) == expected
     _assert_matches_sympy(e_shaped)
     _assert_matches_sympy(f_shaped)
 
@@ -250,6 +261,96 @@ def test_det_evaluates_only_on_the_lower_set(monkeypatch):
     # Q (3 x 3 quadratic): bound 6, 28 nodes; L: bound 9, 55 nodes.
     assert nodes(q.as_polymatrix()) <= 28
     assert nodes(pencil) <= 55
+
+
+def _rand_sparse_polymatrix(rng, size, max_degree):
+    """Entries of total degree <= max_degree, zero with a probability drawn
+    per matrix, so that some patterns have no perfect matching."""
+    zero_prob = rng.choice((0.2, 0.5, 0.7))
+    return PolyMatrix(
+        [
+            [_rand_entry(rng, ("lam", "mu"), max_degree, zero_prob) for _ in range(size)]
+            for _ in range(size)
+        ]
+    )
+
+
+AXES = (lambda mono: mono[0], lambda mono: mono[1], sum)  # lam-, mu-, total degree
+
+
+def brute_force_bounds(m):
+    """Oracle: the largest lam-, mu- and total-degree sum of the entries
+    (i, p(i)) over every permutation p whose entries are all nonzero, or
+    None when there is none."""
+    degrees = [
+        [
+            None
+            if m[i, j].is_zero()
+            else tuple(max(key(mono) for mono, _ in m[i, j].terms()) for key in AXES)
+            for j in range(m.cols)
+        ]
+        for i in range(m.rows)
+    ]
+    best = None
+    for p in itertools.permutations(range(m.rows)):
+        entries = [degrees[i][p[i]] for i in range(m.rows)]
+        if None not in entries:
+            sums = tuple(map(sum, zip(*entries)))
+            best = sums if best is None else tuple(map(max, best, sums))
+    return best
+
+
+def test_assignment_bound_matches_brute_force_permutations():
+    rng = random.Random("assignment")
+    singular = 0
+    for _ in range(120):
+        m = _rand_sparse_polymatrix(rng, rng.randint(1, 6), 3)
+        expected = brute_force_bounds(m)
+        assert polymatrix._degree_bounds(m) == expected
+        singular += expected is None
+    # The draws include patterns without a perfect matching.
+    assert 10 <= singular <= 100
+
+
+def test_det_support_lies_inside_the_assignment_bound():
+    sympy = pytest.importorskip("sympy")
+    lam, mu = sympy.symbols("lam mu")
+    rng = random.Random("support")
+    for _ in range(30):
+        m = _rand_sparse_polymatrix(rng, rng.randint(1, 4), 2)
+        det, _ = _sympy_det(m)
+        bounds = polymatrix._degree_bounds(m)
+        if bounds is None:
+            assert sympy.expand(det) == 0
+            assert exact_det_poly(m).is_zero()
+            continue
+        d_lam, d_mu, d = bounds
+        for a, b in sympy.Poly(det, lam, mu).monoms():
+            assert a <= d_lam and b <= d_mu and a + b <= d
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certificate_factors_take_one_bareiss_run(n, bareiss_calls):
+    cert = certify_standard(rand_quad(random.Random(n), n))
+    for factor in (cert.e, cert.f):
+        assert polymatrix._degree_bounds(factor) == (0, 0, 0)
+        bareiss_calls.clear()
+        assert exact_det_poly(factor).is_constant()
+        assert len(bareiss_calls) == 1
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)])
+def test_generic_sylvester_bound_is_the_bezout_degree(n1, n2, bareiss_calls):
+    rng = random.Random(f"sylvester/{n1}/{n2}")
+    f = exact_det_poly(rand_quad(rng, n1).as_polymatrix())
+    g = exact_det_poly(rand_quad(rng, n2).as_polymatrix())
+    s = sylvester_matrix(f, g, "mu")
+    bezout = 4 * n1 * n2
+    assert polymatrix._degree_bounds(s) == (bezout, 0, bezout)
+    bareiss_calls.clear()
+    resultant = exact_det_poly(s)
+    assert len(bareiss_calls) == bezout + 1
+    assert resultant.degree_in("lam") == bezout
 
 
 def test_lower_set_interpolation_exactness_in_one_variable():

@@ -21,10 +21,11 @@ from pencilspace import (
     verify_spectral_equality,
 )
 from pencilspace.errors import HypothesisViolatedError, NonGenericSystemError
+from pencilspace.matrices import structural_rank
 from pencilspace.qep import DeltaOps, LinearSystem2P
 from pencilspace.scalars import GaussianRational
 
-from conftest import rand_quad
+from conftest import rand_matrix, rand_quad
 
 CIRCLE = QuadPoly2P.scalar(a20=1, a02=1, a00=-1)
 LINE = QuadPoly2P.scalar(a10=1, a01=-1)
@@ -135,6 +136,25 @@ def test_delta0_singular_for_constructed_class(rng):
         report = singularity_check(delta_operators(linearize_system(system)))
         assert report.singular
         assert report.det0 == GaussianRational(0)
+
+
+def test_delta0_at_n3_is_structurally_singular(rng, bareiss_calls):
+    # Random admissible blocks (Y1 = [Y11; 0; 0]) fill Delta0 far beyond the
+    # standard blocks, yet its 36 rows that are lower in both factors live
+    # in 9 columns: structural rank 54 of 81, decided with no elimination.
+    def blocks(n):
+        y1 = Matrix.vstack([rand_matrix(rng, n, n), Matrix.zeros(2 * n, n)])
+        return FreeBlocks(n, y1, rand_matrix(rng, 3 * n, n), rand_matrix(rng, 3 * n, n))
+
+    system = QuadSystem2P(rand_quad(rng, 3), rand_quad(rng, 3))
+    delta0 = delta_operators(linearize_system(system, 2, -1, blocks(3), blocks(3))).delta0
+    pattern = [[j for j, x in enumerate(row) if x != (0, 0)] for row in delta0.integer_form()[1]]
+    assert delta0.shape == (81, 81) and sum(map(len, pattern)) > 1500
+    assert structural_rank(pattern, 81) == 54
+    bareiss_calls.clear()
+    report = singularity_check(DeltaOps(delta0, delta0, delta0))
+    assert report.det0 == GaussianRational(0) and report.singular
+    assert bareiss_calls == []
 
 
 def test_identity_delta0_nonsingular():

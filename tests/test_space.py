@@ -216,6 +216,53 @@ def test_space_dimension_zero_quadratic_at_n3_needs_no_pivot(bareiss_calls):
     assert sum(pivots for _, pivots in bareiss_calls) == 0
 
 
+def reference_witness(q: QuadPoly2P) -> Matrix:
+    """The dimension witness built member by member: the three ansatz
+    directions, then one kernel_member per unit direction of Y1, Z1, Z2,
+    each pencil vectorized by submatrix and hstack, stacked by vstack."""
+    n = q.n
+    directions = () if q.is_zero() else ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    members = [generate_member(q, e, FreeBlocks.zero(n)) for e in directions]
+    zero = Matrix.zeros(3 * n, n)
+    for which in range(3):
+        for r in range(3 * n):
+            for c in range(n):
+                blocks = [zero, zero, zero]
+                blocks[which] = Matrix(
+                    [[int(i == r and j == c) for j in range(n)] for i in range(3 * n)]
+                )
+                members.append(kernel_member(n, FreeBlocks(n, *blocks)))
+
+    def vectorize(p: Pencil2P) -> Matrix:
+        return Matrix.hstack(
+            [
+                coeff.submatrix(range(i, i + 1), range(p.m))
+                for coeff in (p.lam_coeff, p.mu_coeff, p.const)
+                for i in range(p.m)
+            ]
+        )
+
+    return Matrix.vstack([vectorize(p) for p in members])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_space_dimension_witness_equals_the_member_by_member_reference(n, rng, monkeypatch):
+    witnesses = []
+    real = Matrix.rank
+
+    def capturing(self):
+        witnesses.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "rank", capturing)
+    zero_q = QuadPoly2P(n, *(Matrix.zeros(n, n) for _ in range(6)))
+    for q in (rand_quad(rng, n), rand_quad(rng, n, complex_prob=1.0), zero_q):
+        witnesses.clear()
+        space_dimension(q)
+        (w,) = witnesses
+        assert w == reference_witness(q)
+
+
 def brute_force_dimension(q: QuadPoly2P) -> int:
     """Constraint-system oracle for n = 1, assembled directly from the
     box-add definition: unknowns are the 27 pencil entries plus v, and each
