@@ -81,6 +81,16 @@ def _parse_vector(text: str) -> tuple:
     return tuple(ser.parse_fraction(p, "-v") for p in parts)
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: finite and positive, or argparse exits 2."""
+    try:
+        if 0 < float(text) < float("inf"):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite positive number, not {text!r}")
+
+
 def _fmt_complex(z: complex) -> str:
     return f"({z.real:.12g}, {z.imag:.12g})"
 
@@ -347,13 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "qep-linearize":
             p.add_argument("-o", "--out", help="prefix for the two pencil files")
         if name in ("compare", "verify-pair"):
-            p.add_argument("--tol", type=float, default=1e-9)
+            p.add_argument("--tol", type=_tolerance, default=1e-9)
         if name == "verify-pair":
             p.add_argument("--pair", required=True)
 
     p = add("spectrum", _cmd_spectrum, "finite spectrum of a system")
     p.add_argument("-s", "--system", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
 
     return parser
 

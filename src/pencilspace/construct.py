@@ -36,7 +36,6 @@ from .scalars import GaussianRational
 from .space import (
     FreeBlocks,
     coerce_vector3,
-    free_blocks,
     generate_member,
     lower_z_block,
     membership,
@@ -45,6 +44,7 @@ from .space import (
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
+_MAX_DRAWS = 32  # redraws of the Z blocks before procedure_linearize gives up
 
 
 @dataclass(frozen=True)
@@ -228,18 +228,20 @@ def certify_standard(q: QuadPoly2P) -> LinearizationCertificate:
 def _unimodular_pair(
     pencil: Pencil2P, q: QuadPoly2P, alpha: GaussianRational
 ) -> LinearizationCertificate:
-    """certify_scaled_e1 for a pencil whose ansatz is known to be alpha*e1:
-    check the block hypotheses, build E and F, verify F * L * E exactly."""
+    """certify_scaled_e1 for a pencil whose ansatz is known to be alpha*e1,
+    read off its block form L = [[W(lam, mu), *], [Z, *]]: W is the top-left
+    n x 2n block of L, Z the lower-left 2n x 2n block of A3, and Y21 = Y31 = 0
+    iff the lower-left 2n x 2n blocks of A1 and A2 vanish."""
     n = q.n
-    blocks = free_blocks(pencil)
-    if not blocks.sub("y1", 1).is_zero() or not blocks.sub("y1", 2).is_zero():
+    m = 3 * n
+    top, lower, left = range(n), range(n, m), range(2 * n)
+    if any(not c.submatrix(lower, left).is_zero() for c in (pencil.lam_coeff, pencil.mu_coeff)):
         raise HypothesisViolatedError("certificate requires Y21 = Y31 = 0")
-    z_block = lower_z_block(blocks.z1, blocks.z2)
+    z_block = pencil.const.submatrix(lower, left)
     if not z_block.det():
         raise HypothesisViolatedError("lower Z block is singular")
-    z_inv = z_block.inverse()
+    z_inv = PolyMatrix.from_scalar(z_block.inverse())
 
-    m = 3 * n
     inv_alpha = ONE / alpha
     eye = Matrix.identity(n)
     # E = [[(lam/alpha) I, I, 0], [(mu/alpha) I, 0, I], [(1/alpha) I, 0, 0]]
@@ -252,30 +254,13 @@ def _unimodular_pair(
             (0, 0): kron(Matrix([[0, 1, 0], [0, 0, 1], [inv_alpha, 0, 0]]), eye),
         },
     )
-    # W = [alpha*lam*A20 + mu*Y11 + Z11 | alpha*mu*A02 + alpha*lam*A11 - lam*Y11 + Z12]
-    y11 = blocks.sub("y1", 0)
-    w_lam = Matrix.hstack([q.a20.scale(alpha), q.a11.scale(alpha) - y11])
-    w_mu = Matrix.hstack([y11, q.a02.scale(alpha)])
-    w_const = Matrix.hstack([blocks.sub("z1", 0), blocks.sub("z2", 0)])
-
     # F = [[I, -W Z^-1], [0, Z^-1]]
-    def f_coeff(w_part: Matrix, top_left: Matrix, bottom_right: Matrix) -> Matrix:
-        return Matrix.from_blocks(
-            [[top_left, -(w_part @ z_inv)], [Matrix.zeros(2 * n, n), bottom_right]]
-        )
-
-    zero_n, zero_2n = Matrix.zeros(n, n), Matrix.zeros(2 * n, 2 * n)
-    f = PolyMatrix.from_coefficients(
-        m,
-        m,
-        {
-            (1, 0): f_coeff(w_lam, zero_n, zero_2n),
-            (0, 1): f_coeff(w_mu, zero_n, zero_2n),
-            (0, 0): f_coeff(w_const, eye, z_inv),
-        },
+    l = pencil.as_polymatrix()
+    w = PolyMatrix.from_coefficients(n, 2 * n, {x: c.submatrix(top, left) for x, c in l.terms()})
+    f = PolyMatrix.from_blocks(
+        [[PolyMatrix.identity(n), -(w @ z_inv)], [PolyMatrix.zeros(2 * n, n), z_inv]]
     )
-    product = f @ pencil.as_polymatrix() @ e
-    if product != _diag_q_identity(q):
+    if f @ l @ e != _diag_q_identity(q):
         raise AssertionError("certificate product failed; construction is wrong")
     return LinearizationCertificate(
         kind="unimodular-pair",
@@ -358,7 +343,6 @@ def procedure_linearize(
     alpha=1,
     blocks: Optional[FreeBlocks] = None,
     rng: Optional[random.Random] = None,
-    max_draws: int = 32,
     case: Optional[str] = None,
 ) -> ProcedureResult:
     """Build a certified linearization from an arbitrary nonzero ansatz.
@@ -366,7 +350,7 @@ def procedure_linearize(
     Steps: select the alignment transform M for v; force Y21 = Y31 = 0 and,
     unless M has m21 = m31 = 0, also Y11 = 0; keep the caller's Z blocks if
     they pass the transformed-Z nonsingularity condition, otherwise redraw
-    them with small random integers (budget ``max_draws``; the condition is
+    them with small random integers (budget ``_MAX_DRAWS``; the condition is
     generically satisfiable, so exhausting the budget is reported with
     diagnostics).  The transformed pencil (M kron I_n) L has ansatz
     alpha*e1 and is returned with its unimodular-pair certificate.
@@ -384,9 +368,9 @@ def procedure_linearize(
     z1, z2 = blocks.z1, blocks.z2
     draws = 0
     while not condition_det_check(transform.matrix, z1, z2):
-        if draws >= max_draws:
+        if draws >= _MAX_DRAWS:
             raise ConditionUnsatisfiableError(
-                f"no admissible Z blocks after {max_draws} draws for case "
+                f"no admissible Z blocks after {_MAX_DRAWS} draws for case "
                 f"{transform.case} (v = {transform.v}); last det was zero"
             )
         if rng is None:

@@ -239,22 +239,6 @@ def _lower_set_coeffs(values: list[list[int]]) -> list[list[int]]:
     )
 
 
-def _integer_terms(m: PolyMatrix) -> tuple[int, list[tuple[int, ...]]]:
-    """The common denominator ``scale`` of all coefficient matrices, and
-    (a, b, i, j, re, im) for every nonzero entry (i, j) of every
-    coefficient M_ab, with (re, im) the numerator of scale * M_ab[i, j]."""
-    forms = [(mono, coeff.integer_form()) for mono, coeff in m._coeffs.items()]
-    scale = lcm(*(den for _, (den, _) in forms))
-    terms = [
-        (a, b, i, j, re * (scale // den), im * (scale // den))
-        for (a, b), (den, data) in forms
-        for i, row in enumerate(data)
-        for j, (re, im) in enumerate(row)
-        if re or im
-    ]
-    return scale, terms
-
-
 def _degree_bounds(m: PolyMatrix) -> tuple[int, int, int] | None:
     """Bounds (d_lam, d_mu, d) on the lam-, mu- and total degree of det m,
     or None when det m is structurally zero.
@@ -269,9 +253,12 @@ def _degree_bounds(m: PolyMatrix) -> tuple[int, int, int] | None:
     nonzero pattern) every term vanishes.
     """
     degrees: list[list] = [[None] * m.cols for _ in range(m.rows)]
-    for a, b, i, j, _, _ in _integer_terms(m)[1]:
-        d_lam, d_mu, d = degrees[i][j] or (0, 0, 0)
-        degrees[i][j] = (max(d_lam, a), max(d_mu, b), max(d, a + b))
+    for (a, b), coeff in m._coeffs.items():
+        for i, row in enumerate(coeff.integer_form()[1]):
+            for j, entry in enumerate(row):
+                if entry != (0, 0):
+                    d_lam, d_mu, d = degrees[i][j] or (0, 0, 0)
+                    degrees[i][j] = (max(d_lam, a), max(d_mu, b), max(d, a + b))
     weights = lambda axis: [[e and e[axis] for e in row] for row in degrees]
     d_lam = _max_assignment(weights(0))
     if d_lam is None:
@@ -341,7 +328,16 @@ def _integer_grid_det(m: PolyMatrix):
     scale^size * det m(lam, mu).
     """
     size = m.rows
-    scale, terms = _integer_terms(m)
+    forms = [(mono, coeff.integer_form()) for mono, coeff in m._coeffs.items()]
+    scale = lcm(*(den for _, (den, _) in forms))
+    # (a, b, i, j, re, im): the numerator of scale * M_ab[i, j], nonzero only
+    terms = [
+        (a, b, i, j, re * (scale // den), im * (scale // den))
+        for (a, b), (den, data) in forms
+        for i, row in enumerate(data)
+        for j, (re, im) in enumerate(row)
+        if re or im
+    ]
 
     def value(lam: int, mu: int) -> tuple[int, int]:
         re = [[0] * size for _ in range(size)]

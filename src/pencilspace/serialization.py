@@ -36,6 +36,7 @@ COEFF_KEYS = ("A20", "A11", "A02", "A10", "A01", "A00")
 # before Fraction builds 10**exponent.
 MAX_DIGITS = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 _TOO_LONG = 10**MAX_DIGITS
+_NESTED_PARTS = re.compile(r"(?:\.re|\.im)+$")
 _EXPONENT_FORM = re.compile(r"\s*([-+]?(?:\d+\.?\d*|\.\d+))[eE]([-+]?\d+)\s*")
 
 
@@ -67,8 +68,12 @@ def parse_scalar(value: Any, location: str) -> GaussianRational:
         extra = set(value) - {"re", "im"}
         if extra:
             raise ParseError(f"unknown scalar keys {sorted(extra)}", location)
-        re = parse_scalar(value.get("re", 0), f"{location}.re")
-        im = parse_scalar(value.get("im", 0), f"{location}.im")
+        try:
+            re = parse_scalar(value.get("re", 0), f"{location}.re")
+            im = parse_scalar(value.get("im", 0), f"{location}.im")
+        except RecursionError:
+            # Raised where the stack has room, naming the outermost scalar.
+            raise ParseError("scalar nested too deeply", _NESTED_PARTS.sub("", location)) from None
         if not re.is_real() or not im.is_real():
             raise ParseError("re/im parts must themselves be rational", location)
         return GaussianRational(re.re, im.re)
@@ -108,7 +113,7 @@ def format_matrix(m: Matrix) -> list:
 # -- documents --------------------------------------------------------------------
 
 
-def _loads(text: str) -> Any:
+def _loads(text: str, location: str) -> Any:
     def reject_constant(name: str):
         raise ParseError(f"non-finite number {name} is not allowed")
 
@@ -118,6 +123,8 @@ def _loads(text: str) -> Any:
         return json.loads(text, parse_float=str, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply", location) from None
 
 
 def _require_keys(doc: dict, keys: tuple[str, ...], location: str) -> None:
@@ -150,7 +157,7 @@ def parse_problem_dict(doc: Any, location: str = "problem") -> QuadPoly2P:
 
 
 def parse_problem(text: str) -> QuadPoly2P:
-    return parse_problem_dict(_loads(text))
+    return parse_problem_dict(_loads(text, "problem"))
 
 
 def problem_to_dict(q: QuadPoly2P) -> dict:
@@ -163,7 +170,7 @@ def problem_to_dict(q: QuadPoly2P) -> dict:
 
 
 def parse_pencil(text: str) -> Pencil2P:
-    doc = _loads(text)
+    doc = _loads(text, "pencil")
     _require_keys(doc, ("m", "A1hat", "A2hat", "A3hat"), "pencil")
     m = _positive_int(doc["m"], "pencil.m")
     return Pencil2P(
@@ -184,7 +191,7 @@ def pencil_to_dict(pencil: Pencil2P) -> dict:
 
 
 def parse_system(text: str) -> QuadSystem2P:
-    doc = _loads(text)
+    doc = _loads(text, "system")
     _require_keys(doc, ("Q1", "Q2"), "system")
     return QuadSystem2P(
         parse_problem_dict(doc["Q1"], "system.Q1"),
@@ -200,7 +207,7 @@ def system_to_dict(system: QuadSystem2P) -> dict:
 
 
 def parse_blocks(text: str) -> FreeBlocks:
-    doc = _loads(text)
+    doc = _loads(text, "blocks")
     _require_keys(doc, ("n", "Y1", "Z1", "Z2"), "blocks")
     n = _positive_int(doc["n"], "blocks.n")
     return FreeBlocks(
@@ -226,7 +233,7 @@ def parse_eigenpair(text: str) -> dict:
     Returns a dict with GaussianRational 'lam'/'mu' and column Matrix
     'x1'/'x2'.
     """
-    doc = _loads(text)
+    doc = _loads(text, "pair")
     _require_keys(doc, ("lambda", "mu", "x1", "x2"), "pair")
     out = {
         "lam": parse_scalar(doc["lambda"], "pair.lambda"),

@@ -2,11 +2,12 @@
 
 Membership of a pencil is decided through box-addition: the pencil belongs
 to the space iff its box-add equals v kron [A20 A11 A02 A10 A01 A00] for
-some ansatz vector v in C^3.  Every member is generated from v plus three
-free 3n x n blocks (Y1, Z1, Z2); the v = 0 members form the kernel of the
-ansatz map, and the standard linearization is the e1 member with fixed
-blocks.  The space has dimension 9n^2 + 3 whenever the coefficient row
-is nonzero, certified here by an exact rank witness rather than asserted.
+some ansatz vector v in C^3.  Every member is an ansatz part (v kron the
+top block row of the e1 member) plus a kernel member (v = 0) laid out from
+three free 3n x n blocks (Y1, Z1, Z2); the standard linearization is the
+e1 member with fixed blocks.  The space has dimension 9n^2 + 3 whenever
+the coefficient row is nonzero, certified here by an exact rank witness
+rather than asserted.
 """
 
 from __future__ import annotations
@@ -112,22 +113,19 @@ def membership(pencil: Pencil2P, q: QuadPoly2P) -> MembershipResult:
 def generate_member(q: QuadPoly2P, v: Sequence, blocks: FreeBlocks) -> Pencil2P:
     """The member with ansatz v and free blocks (Y1, Z1, Z2).
 
-    Coefficients are
-      A1 = [v kron A20 | -Y1 + v kron A11 | -Z1 + v kron A10]
-      A2 = [Y1 | v kron A02 | -Z2 + v kron A01]
-      A3 = [Z1 | Z2 | v kron A00]
-    and membership of the result returns v (for nonzero Q).
+    It is the ansatz part, one Kronecker product per coefficient,
+      A1 = v kron [A20 A11 A10], A2 = v kron [0 A02 A01], A3 = v kron [0 0 A00],
+    plus kernel_member(n, blocks); membership of the result returns v (for
+    nonzero Q).
     """
     n = q.n
     if blocks.n != n:
         raise ShapeError(f"blocks sized for n = {blocks.n}, quadratic has n = {n}")
-    v = coerce_vector3(v)
-    v_col = Matrix.column(v)
-    vk = lambda m: kron(v_col, m)
-    a1 = Matrix.hstack([vk(q.a20), -blocks.y1 + vk(q.a11), -blocks.z1 + vk(q.a10)])
-    a2 = Matrix.hstack([blocks.y1, vk(q.a02), -blocks.z2 + vk(q.a01)])
-    a3 = Matrix.hstack([blocks.z1, blocks.z2, vk(q.a00)])
-    return Pencil2P(3 * n, a1, a2, a3)
+    v_col = Matrix.column(coerce_vector3(v))
+    zero = Matrix.zeros(n, n)
+    rows = ([q.a20, q.a11, q.a10], [zero, q.a02, q.a01], [zero, zero, q.a00])
+    ansatz = Pencil2P(3 * n, *(kron(v_col, Matrix.hstack(row)) for row in rows))
+    return ansatz + kernel_member(n, blocks)
 
 
 def free_blocks(pencil: Pencil2P) -> FreeBlocks:
@@ -168,16 +166,16 @@ def standard_linearization(q: QuadPoly2P) -> Pencil2P:
 
 
 def kernel_member(n: int, blocks: FreeBlocks) -> Pencil2P:
-    """A member of the kernel of the ansatz map.
-
-    The member of the zero quadratic with ansatz 0, so its coefficients are
-    A1 = [0 | -Y1 | -Z1], A2 = [Y1 | 0 | -Z2], A3 = [Z1 | Z2 | 0]; both the
-    box-add and the Lambda-product of the result vanish identically.
+    """A member of the kernel of the ansatz map, the one place the free
+    blocks are laid out (free_blocks reads them back):
+      A1 = [0 | -Y1 | -Z1], A2 = [Y1 | 0 | -Z2], A3 = [Z1 | Z2 | 0];
+    both the box-add and the Lambda-product of the result vanish identically.
     """
     if blocks.n != n:
         raise ShapeError(f"blocks sized for n = {blocks.n}, requested n = {n}")
-    zero_q = QuadPoly2P(n, *(Matrix.zeros(n, n) for _ in range(6)))
-    return generate_member(zero_q, (0, 0, 0), blocks)
+    zero, y1, z1, z2 = Matrix.zeros(3 * n, n), blocks.y1, blocks.z1, blocks.z2
+    layout = ([zero, -y1, -z1], [y1, zero, -z2], [z1, z2, zero])
+    return Pencil2P(3 * n, *(Matrix.hstack(coeff) for coeff in layout))
 
 
 @dataclass(frozen=True)
@@ -206,8 +204,8 @@ def space_dimension(q: QuadPoly2P) -> DimensionSummary:
     """Certified dimension 9n^2 + 3 of the space attached to q.
 
     The witness stacks the vectorized pencils of the canonical parameter
-    directions (three ansatz directions with zero blocks, plus the unit
-    directions of Y1, Z1, Z2) and confirms their exact rank by elimination.
+    directions (the ansatz parts of e1, e2, e3 and the kernel members of the
+    unit directions of Y1, Z1, Z2) and confirms their exact rank.
     Each unit direction has its +1 in block column 0 of A2 or in block
     column 0 or 1 of A3, where every other row is zero, so the singleton
     pre-pass of ``Matrix.rank`` counts those 9n^2 rows and Bareiss sees
@@ -220,7 +218,6 @@ def space_dimension(q: QuadPoly2P) -> DimensionSummary:
     directions = () if degenerate else ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     members = [generate_member(q, e, FreeBlocks.zero(n)) for e in directions]
     zero = Matrix.zeros(3 * n, n)
-    zero_q = QuadPoly2P(n, *(Matrix.zeros(n, n) for _ in range(6)))
     for which in range(3):
         for r in range(3 * n):
             for c in range(n):
@@ -228,8 +225,7 @@ def space_dimension(q: QuadPoly2P) -> DimensionSummary:
                 blocks[which] = Matrix.from_integer_form(
                     1, [[(int(i == r and j == c), 0) for j in range(n)] for i in range(3 * n)]
                 )
-                # kernel_member(n, blocks), sharing one zero quadratic
-                members.append(generate_member(zero_q, (0, 0, 0), FreeBlocks(n, *blocks)))
+                members.append(kernel_member(n, FreeBlocks(n, *blocks)))
     witness_rank = Matrix.vstack([_vectorize(p) for p in members]).rank()
     dimension = 9 * n * n if degenerate else 9 * n * n + 3
     return DimensionSummary(n, dimension, witness_rank, degenerate)

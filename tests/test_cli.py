@@ -355,3 +355,73 @@ def test_huge_exponent_in_a_flag_value_exits_2_naming_the_flag(argv, flag):
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
     assert elapsed < 5.0, elapsed
+
+
+def _nested_scalar(depth):
+    text = "1"
+    for _ in range(depth):
+        text = '{"re": %s}' % text
+    return text
+
+
+@pytest.mark.parametrize(
+    "coefficient, message",
+    [
+        ("[" * 100_000 + "]" * 100_000, "input error: problem: invalid JSON: arrays or objects nested too deeply"),
+        ("[[%s]]" % _nested_scalar(980), "input error: problem.coefficients.A20[0][0]: scalar nested too deeply"),
+    ],
+    ids=["nested-arrays", "nested-scalar"],
+)
+def test_deeply_nested_input_is_a_located_input_error(tmp_path, coefficient, message):
+    import subprocess
+    import sys
+
+    text = Path(Q_CIRCLE).read_text()
+    problem = tmp_path / "deep.json"
+    problem.write_text(text.replace('"A20": [\n      [\n        "1"\n      ]\n    ]', f'"A20": {coefficient}'))
+    assert problem.read_text() != text
+    result = subprocess.run(
+        [sys.executable, "-m", "pencilspace", "dimension", "-q", str(problem)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert result.stderr == message + "\n"
+    assert result.stdout == ""
+
+
+def test_nested_scalar_within_the_stack_still_parses(tmp_path):
+    import subprocess
+    import sys
+
+    text = Path(Q_CIRCLE).read_text()
+    problem = tmp_path / "nested.json"
+    problem.write_text(text.replace('"1"', _nested_scalar(950), 1))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "pencilspace", "standard", "-q", path],
+            capture_output=True,
+            text=True,
+        )
+        for path in (Q_CIRCLE, str(problem))
+    ]
+    assert [r.returncode for r in outputs] == [0, 0]
+    assert outputs[0].stdout == outputs[1].stdout
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "-s", SYS_CIRCLE_LINE),
+        ("compare", "-s", SYS_CIRCLE_LINE),
+        ("verify-pair", "-s", SYS_RATIONAL, "--pair", PAIR_RATIONAL),
+    ],
+    ids=["spectrum", "compare", "verify-pair"],
+)
+def test_tolerance_must_be_finite_and_positive(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", value])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert f"argument --tol: must be a finite positive number, not '{value}'" in err

@@ -27,7 +27,7 @@ from pencilspace.polymatrix import PolyMatrix, exact_det_poly
 from pencilspace.scalars import GaussianRational
 from pencilspace.space import lower_z_block
 
-from conftest import example_quad, rand_blocks, rand_matrix, rand_quad
+from conftest import example_quad, rand_blocks, rand_matrix, rand_nonzero_gr, rand_quad
 
 CASE_PATTERNS = {
     "abc": (True, True, True),
@@ -303,3 +303,54 @@ def test_procedure_deterministic_given_seed(rng):
     b = procedure_linearize(q, (0, 2, 1), rng=random.Random(9))
     assert a.pencil == b.pencil
     assert a.draws_used == b.draws_used
+
+
+def docstring_pair(pencil, q, alpha):
+    """E and F as the certify_scaled_e1 docstring writes them, with W built
+    from q, Y11 and the free blocks, and Z from the lower Z blocks."""
+    from pencilspace.space import free_blocks
+
+    n = q.n
+    blocks = free_blocks(pencil)
+    y11 = blocks.sub("y1", 0)
+    z_inv = PolyMatrix.from_scalar(lower_z_block(blocks.z1, blocks.z2).inverse())
+    w = PolyMatrix.from_coefficients(
+        n,
+        2 * n,
+        {
+            (1, 0): Matrix.hstack([q.a20.scale(alpha), q.a11.scale(alpha) - y11]),
+            (0, 1): Matrix.hstack([y11, q.a02.scale(alpha)]),
+            (0, 0): Matrix.hstack([blocks.sub("z1", 0), blocks.sub("z2", 0)]),
+        },
+    )
+    f = PolyMatrix.from_blocks(
+        [[PolyMatrix.identity(n), -(w @ z_inv)], [PolyMatrix.zeros(2 * n, n), z_inv]]
+    )
+    inv_alpha = GaussianRational(1) / GaussianRational.coerce(alpha)
+    scaled = lambda mono: PolyMatrix.from_coefficients(
+        n, n, {mono: Matrix.identity(n).scale(inv_alpha)}
+    )
+    eye, zero = PolyMatrix.identity(n), PolyMatrix.zeros(n, n)
+    e = PolyMatrix.from_blocks(
+        [[scaled((1, 0)), eye, zero], [scaled((0, 1)), zero, eye], [scaled((0, 0)), zero, zero]]
+    )
+    return e, f
+
+
+def test_certify_scaled_e1_factors_match_docstring_construction(rng):
+    for n in (1, 2, 3):
+        for _ in range(2):
+            q = rand_quad(rng, n, complex_prob=0.5)
+            alpha = rand_nonzero_gr(rng)
+            zero = Matrix.zeros(2 * n, n)
+            while True:
+                y11 = rand_matrix(rng, n, n, complex_prob=0.5)
+                z1 = rand_matrix(rng, 3 * n, n, complex_prob=0.5)
+                z2 = rand_matrix(rng, 3 * n, n, complex_prob=0.5)
+                if lower_z_block(z1, z2).det():
+                    break
+            pencil = generate_member(q, (alpha, 0, 0), FreeBlocks(n, Matrix.vstack([y11, zero]), z1, z2))
+            cert = certify_scaled_e1(pencil, q, alpha)
+            e, f = docstring_pair(pencil, q, alpha)
+            assert cert.e == e
+            assert cert.f == f

@@ -360,3 +360,19 @@ def test_reduce_mu_zero_requires_zero_y1(rng):
         blocks = FreeBlocks(n, Matrix.identity(3 * n).submatrix(range(3 * n), range(n)), blocks.z1, blocks.z2)
     with pytest.raises(HypothesisViolatedError):
         reduce_mu_zero(generate_member(q, (1, 0, 0), blocks), q)
+
+
+def test_space_dimension_forms_one_kron_per_ansatz_coefficient(monkeypatch, rng):
+    # Three ansatz parts of three Kronecker products each; the 9n^2 kernel
+    # members are laid out directly, with no product of a zero column.
+    calls = []
+    real = Matrix.kron
+
+    def counting(self, other):
+        calls.append((self.shape, other.shape))
+        return real(self, other)
+
+    monkeypatch.setattr(Matrix, "kron", counting)
+    summary = space_dimension(rand_quad(rng, 3))
+    assert summary.verified and summary.dimension == 84
+    assert len(calls) <= 9, len(calls)
