@@ -35,6 +35,13 @@ B_WORKED = "corpus/blocks_worked.json"
 B_CIRCLE = "corpus/blocks_standard_circle.json"
 SYS_CL = "corpus/sys_circle_line.json"
 SYS_RE = "corpus/sys_rational_eig.json"
+# Complex {"re", "im"} entries and non-canonical literals: decimals,
+# exponents, unreduced p/q, "+" signs, whitespace, underscores, Unicode digits.
+Q_COMPLEX = "corpus/q_complex.json"
+L_COMPLEX = "corpus/l_complex.json"
+B_COMPLEX = "corpus/blocks_complex.json"
+SYS_COMPLEX = "corpus/sys_complex.json"
+Q_BAD = "corpus/q_bad_literal.json"
 
 COMMANDS = [
     ["standard", "-q", Q_CIRCLE],
@@ -74,6 +81,19 @@ COMMANDS = [
     ["delta", "-s", SYS_RE],
     ["delta", "-s", SYS_CL, "--seed", "5"],
     ["delta", "-s", SYS_RE, "--alpha1", "2", "--alpha2", "-1/3", "--seed", "8"],
+    ["standard", "-q", Q_COMPLEX],
+    ["standard", "-q", Q_BAD],
+    ["member", "-q", Q_COMPLEX, "-l", L_COMPLEX],
+    ["member", "-q", Q_WORKED, "-l", L_COMPLEX],
+    ["generate", "-q", Q_COMPLEX, "-v", "1,0,0", "--blocks", B_COMPLEX],
+    ["generate", "-q", Q_COMPLEX, "-v", " +1/2,1_0,1e-1", "--blocks", B_COMPLEX],
+    ["generate", "-q", Q_COMPLEX, "-v", "1/-2,0,0", "--blocks", B_COMPLEX],
+    ["kernel", "--blocks", B_COMPLEX],
+    ["procedure", "-q", Q_COMPLEX, "-v", "0,2/4,-1", "--alpha", "0.5", "--seed", "3"],
+    ["certify", "-q", Q_COMPLEX, "-l", L_COMPLEX],
+    ["certify", "-q", Q_WORKED, "-l", L_COMPLEX],
+    ["qep-linearize", "-s", SYS_COMPLEX],
+    ["qep-linearize", "-s", SYS_COMPLEX, "--seed", "2", "--alpha1", "2/6", "--alpha2", "-1.5"],
 ]
 
 
