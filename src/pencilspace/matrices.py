@@ -129,10 +129,7 @@ class Matrix:
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        den = lcm(self._den, other._den)
-        a = _times(self._data, (den // self._den, 0))
-        b = _times(other._data, (den // other._den, 0))
+        a, b, den = self._aligned(other)
         return _reduced(
             tuple(
                 tuple((x + u, y + v) for (x, y), (u, v) in zip(ra, rb))
@@ -142,7 +139,14 @@ class Matrix:
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        a, b, den = self._aligned(other)
+        return _reduced(
+            tuple(
+                tuple((x - u, y - v) for (x, y), (u, v) in zip(ra, rb))
+                for ra, rb in zip(a, b)
+            ),
+            den,
+        )
 
     def __neg__(self) -> "Matrix":
         return _new(_times(self._data, (-1, 0)), self._den)
@@ -290,6 +294,14 @@ class Matrix:
     def _require_same_shape(self, other: "Matrix") -> None:
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
+
+    def _aligned(self, other: "Matrix") -> tuple[tuple, tuple, int]:
+        """Both numerator grids over the lcm of the two denominators, and
+        that lcm."""
+        self._require_same_shape(other)
+        den = lcm(self._den, other._den)
+        a = _times(self._data, (den // self._den, 0))
+        return a, _times(other._data, (den // other._den, 0)), den
 
 
 def _init(m: Matrix, data: tuple, den: int) -> None:

@@ -6,6 +6,11 @@ as strings "p/q", or as {"re": ..., "im": ...} pairs for complex values.
 NaN and infinities are rejected.  Serialization is canonical -- keys in a
 fixed order, every scalar a lowest-terms string, two-space indentation --
 so serialize(parse(file)) is byte-identical for canonically written files.
+
+Matrices are read and written on their integer form: each entry becomes
+lowest-terms (numerator, denominator) parts of re and im, the matrix one
+lcm of those denominators, and printing takes one gcd per numerator
+component, so no GaussianRational is built per entry.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any
 
 from .errors import ParseError
@@ -38,12 +44,32 @@ MAX_DIGITS = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 _TOO_LONG = 10**MAX_DIGITS
 _NESTED_PARTS = re.compile(r"(?:\.re|\.im)+$")
 _EXPONENT_FORM = re.compile(r"\s*([-+]?(?:\d+\.?\d*|\.\d+))[eE]([-+]?\d+)\s*")
+_SCALAR_KEYS = frozenset(("re", "im"))
+# The deepest {"re": ...} nesting read: the limit problem files have long
+# had from the CLI, stated so that it does not move with the caller's stack
+# or the reader's frames.  A caller with less stack left gets the same
+# ParseError from the RecursionError.
+MAX_NESTING = 979
 
 
-def parse_fraction(text: str, location: str) -> Fraction:
-    """An exact rational from its text (integer, p/q or decimal, with an
-    optional exponent), bounded by MAX_DIGITS; a ParseError at location
-    otherwise."""
+def parse_rational(text: str, location: str) -> tuple[int, int]:
+    """The lowest-terms (numerator, denominator) of a rational literal: an
+    integer, p/q or decimal, with an optional exponent, bounded by
+    MAX_DIGITS; a ParseError at location otherwise.
+
+    Plain ASCII integers and p/q are read with int() and one gcd; every
+    other form (decimals, exponents, underscores, whitespace, a + sign,
+    Unicode digits, and every rejected literal) goes through Fraction.
+    """
+    num, slash, den = text.partition("/")
+    # No int of at most MAX_DIGITS digits raises, and each is below _TOO_LONG.
+    if text.isascii() and len(text) <= MAX_DIGITS and num.removeprefix("-").isdigit():
+        if not slash:
+            return int(num), 1
+        if den.isdigit() and int(den):
+            num, den = int(num), int(den)
+            g = gcd(num, den)
+            return num // g, den // g
     exponent_form = _EXPONENT_FORM.fullmatch(text)
     try:
         huge = exponent_form is not None and abs(int(exponent_form[2])) > 2 * MAX_DIGITS
@@ -54,36 +80,60 @@ def parse_fraction(text: str, location: str) -> Fraction:
         raise ParseError(
             f"{text!r} has a numerator or denominator of more than {MAX_DIGITS} digits", location
         )
-    return value
+    return value.numerator, value.denominator
 
 
-def parse_scalar(value: Any, location: str) -> GaussianRational:
+def parse_fraction(text: str, location: str) -> Fraction:
+    """An exact rational from its text, as parse_rational reads it."""
+    return Fraction(*parse_rational(text, location))
+
+
+def _scalar_parts(value: Any, location: str, depth: int = 0) -> tuple[int, int, int, int]:
+    """A scalar as its lowest-terms parts (re numerator, re denominator,
+    im numerator, im denominator): a literal, or an {"re", "im"} pair of
+    rational scalars, themselves read recursively to MAX_NESTING pairs."""
+    if isinstance(value, str):
+        return parse_rational(value, location) + (0, 1)
     if isinstance(value, bool):
         raise ParseError("booleans are not scalars", location)
     if isinstance(value, int):
-        return GaussianRational(value)
-    if isinstance(value, str):
-        return GaussianRational(parse_fraction(value, location))
+        return value, 1, 0, 1
     if isinstance(value, dict):
-        extra = set(value) - {"re", "im"}
+        extra = value.keys() - _SCALAR_KEYS
         if extra:
             raise ParseError(f"unknown scalar keys {sorted(extra)}", location)
         try:
-            re = parse_scalar(value.get("re", 0), f"{location}.re")
-            im = parse_scalar(value.get("im", 0), f"{location}.im")
+            if depth == MAX_NESTING:
+                raise RecursionError
+            re = _scalar_parts(value.get("re", 0), f"{location}.re", depth + 1)
+            im = _scalar_parts(value.get("im", 0), f"{location}.im", depth + 1)
         except RecursionError:
-            # Raised where the stack has room, naming the outermost scalar.
+            # Past MAX_NESTING or out of stack: raised where the stack has
+            # room, naming the outermost scalar.
             raise ParseError("scalar nested too deeply", _NESTED_PARTS.sub("", location)) from None
-        if not re.is_real() or not im.is_real():
+        if re[2] or im[2]:
             raise ParseError("re/im parts must themselves be rational", location)
-        return GaussianRational(re.re, im.re)
+        return re[:2] + im[:2]
     raise ParseError(f"cannot parse scalar from {type(value).__name__}", location)
+
+
+def parse_scalar(value: Any, location: str) -> GaussianRational:
+    re_num, re_den, im_num, im_den = _scalar_parts(value, location)
+    return GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
 
 
 def format_scalar(value: GaussianRational) -> Any:
     if value.is_real():
         return str(value.re)
     return {"re": str(value.re), "im": str(value.im)}
+
+
+def _format_rational(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0: "n" or "n/d" in lowest terms."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
 
 
 # -- matrices ------------------------------------------------------------------
@@ -94,19 +144,43 @@ def parse_matrix(value: Any, rows: int, cols: int, location: str) -> Matrix:
         raise ParseError("expected a non-empty list of rows", location)
     if len(value) != rows:
         raise ParseError(f"expected {rows} rows, found {len(value)}", location)
+    suffixes = [f"[{j}]" for j in range(cols)]
     entries = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"row {i} must be a list of {cols} scalars", location)
-        entries.append(
-            [parse_scalar(v, f"{location}[{i}][{j}]") for j, v in enumerate(row)]
-        )
-    return Matrix(entries)
+        row_location = f"{location}[{i}]"
+        entries.append([_scalar_parts(v, row_location + s) for v, s in zip(row, suffixes)])
+    return _matrix_from_parts(entries)
+
+
+def _matrix_from_parts(entries: list[list[tuple[int, int, int, int]]]) -> Matrix:
+    """The matrix of lowest-terms scalar parts, over the lcm of their
+    denominators (which from_integer_form has nothing left to reduce)."""
+    den = lcm(*{part[k] for row in entries for part in row for k in (1, 3)})
+    return Matrix.from_integer_form(
+        den,
+        [
+            [
+                (num_re * (den // den_re), num_im * (den // den_im))
+                for num_re, den_re, num_im, den_im in row
+            ]
+            for row in entries
+        ],
+    )
 
 
 def format_matrix(m: Matrix) -> list:
+    """Each entry as format_scalar prints it, read off the integer form."""
+    den, data = m.integer_form()
     return [
-        [format_scalar(m[i, j]) for j in range(m.cols)] for i in range(m.rows)
+        [
+            {"re": _format_rational(re, den), "im": _format_rational(im, den)}
+            if im
+            else _format_rational(re, den)
+            for re, im in row
+        ]
+        for row in data
     ]
 
 
@@ -243,8 +317,8 @@ def parse_eigenpair(text: str) -> dict:
         vec = doc[key]
         if not isinstance(vec, list) or not vec:
             raise ParseError("expected a non-empty list of scalars", f"pair.{key}")
-        out[key] = Matrix.column(
-            [parse_scalar(v, f"pair.{key}[{i}]") for i, v in enumerate(vec)]
+        out[key] = _matrix_from_parts(
+            [[_scalar_parts(v, f"pair.{key}[{i}]")] for i, v in enumerate(vec)]
         )
     return out
 

@@ -409,6 +409,25 @@ def test_nested_scalar_within_the_stack_still_parses(tmp_path):
     assert outputs[0].stdout == outputs[1].stdout
 
 
+def test_deepest_accepted_nested_scalar_parses(tmp_path):
+    import subprocess
+    import sys
+
+    from pencilspace.serialization import MAX_NESTING
+
+    assert MAX_NESTING == 979
+    text = Path(Q_CIRCLE).read_text()
+    problem = tmp_path / "deepest.json"
+    problem.write_text(text.replace('"1"', _nested_scalar(MAX_NESTING), 1))
+    result = subprocess.run(
+        [sys.executable, "-m", "pencilspace", "dimension", "-q", str(problem)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
 @pytest.mark.parametrize(
     "argv",

@@ -1,9 +1,12 @@
 import json
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencilspace import Matrix, QuadPoly2P, standard_linearization
 from pencilspace.cli import main
@@ -196,3 +199,129 @@ def test_4000_digit_entry_round_trips_through_standard(tmp_path, capsys, form):
     assert code == 0
     pencil = ser.parse_pencil(out.split("\n", 1)[1])
     assert pencil.lam_coeff[0, 0] == GaussianRational(int(digits))
+
+
+# -- the integer-form matrix codec -----------------------------------------------
+
+# Parts with large numerators and denominators, negative, zero and (as the
+# imaginary part of a zero real part) pure-imaginary entries.
+_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**25)),
+)
+_entries = st.one_of(
+    st.builds(GaussianRational, _parts, _parts),
+    st.builds(GaussianRational, st.just(0), _parts),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matrix_codec_matches_the_per_entry_reference(data):
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    row = st.lists(_entries, min_size=cols, max_size=cols)
+    m = Matrix(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+    printed = ser.format_matrix(m)
+    assert printed == [[ser.format_scalar(m[i, j]) for j in range(cols)] for i in range(rows)]
+    assert ser.parse_matrix(printed, rows, cols, "t") == m
+    assert ser.parse_matrix(json.loads(json.dumps(printed)), rows, cols, "t") == m
+
+
+_LIMIT = ser.MAX_DIGITS
+ACCEPTED_LITERALS = [
+    "0", "-0", "7", "-12", "007", "2/4", "-4/6", "0/5", "1_000", " 1/2 ", "+3",
+    "1.5", "-0.25", "1e-3", "2.5E1", "١٢", "١/٢", "１２",
+    "9" * _LIMIT, "-" + "9" * _LIMIT, "1/" + "9" * _LIMIT,
+]
+
+
+@pytest.mark.parametrize(
+    "text", ACCEPTED_LITERALS, ids=lambda text: text if len(text) < 20 else f"{len(text)} chars"
+)
+def test_literal_reads_as_fraction_does(text):
+    value = Fraction(text)
+    assert ser.parse_rational(text, "t") == (value.numerator, value.denominator)
+    assert ser.parse_fraction(text, "t") == value
+    assert ser.parse_scalar(text, "t") == GaussianRational(value)
+    assert ser.parse_matrix([[text, {"re": text, "im": text}]], 1, 2, "t") == Matrix(
+        [[value, GaussianRational(value, value)]]
+    )
+
+
+def _fraction_error(text: str) -> str:
+    """The message of a literal Fraction rejects, as the parser words it."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"not an exact rational: {text!r} ({exc})"
+    raise AssertionError(f"Fraction accepts {text!r}")
+
+
+# (scalar, location suffix, message), the messages as earlier releases wrote them.
+REJECTED_SCALARS = [
+    ("1/0", "", "not an exact rational: '1/0' (Fraction(1, 0))"),
+    ("1/-2", "", "not an exact rational: '1/-2' (Invalid literal for Fraction: '1/-2')"),
+    ("", "", "not an exact rational: '' (Invalid literal for Fraction: '')"),
+    ("²", "", "not an exact rational: '²' (Invalid literal for Fraction: '²')"),
+    ("١/٠", "", _fraction_error("١/٠")),
+    ("9" * (_LIMIT + 1), "", _fraction_error("9" * (_LIMIT + 1))),
+    (
+        f"1e{_LIMIT}",
+        "",
+        f"'1e{_LIMIT}' has a numerator or denominator of more than {_LIMIT} digits",
+    ),
+    (True, "", "booleans are not scalars"),
+    ([1], "", "cannot parse scalar from list"),
+    ({"re": 1, "imag": 2}, "", "unknown scalar keys ['imag']"),
+    ({"re": "1/0"}, ".re", "not an exact rational: '1/0' (Fraction(1, 0))"),
+    ({"re": 1, "im": False}, ".im", "booleans are not scalars"),
+    ({"re": {"im": 1}}, "", "re/im parts must themselves be rational"),
+    ({"re": {"re": "x"}}, ".re.re", _fraction_error("x")),
+]
+
+
+@pytest.mark.parametrize(
+    "value, suffix, message",
+    REJECTED_SCALARS,
+    ids=[repr(v) if len(repr(v)) < 30 else "long" for v, _, _ in REJECTED_SCALARS],
+)
+def test_rejected_scalar_keeps_its_message_and_location(value, suffix, message):
+    with pytest.raises(ParseError) as info:
+        ser.parse_scalar(value, "t")
+    assert str(info.value) == f"t{suffix}: {message}"
+    with pytest.raises(ParseError) as info:
+        ser.parse_matrix([[0, value]], 1, 2, "m")
+    assert str(info.value) == f"m[0][1]{suffix}: {message}"
+    if isinstance(value, str):
+        with pytest.raises(ParseError) as info:
+            ser.parse_fraction(value, "-v")
+        assert str(info.value) == f"-v: {message}"
+
+
+def test_flat_matrix_codec_builds_no_fraction_or_gaussian_rational():
+    doc = [["1", "-2/4", {"re": "1/3", "im": -1}], [0, {"im": "5/6"}, "7"]]
+    m = ser.parse_matrix(doc, 2, 3, "t")
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith(("fractions.py", "scalars.py")):
+            seen.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        ser.parse_matrix(doc, 2, 3, "t")
+        ser.format_matrix(m)
+    finally:
+        sys.setprofile(None)
+    assert seen == set()
+
+
+def test_nesting_past_the_bound_names_the_outermost_scalar(monkeypatch):
+    monkeypatch.setattr(ser, "MAX_NESTING", 3)
+    assert ser.parse_scalar({"re": {"re": {"re": "1/2"}}}, "t") == GaussianRational(Fraction(1, 2))
+    assert ser.parse_scalar({"im": {"re": {"re": -2}}}, "t") == GaussianRational(0, -2)
+    for value in ({"re": {"re": {"re": {"re": 1}}}}, {"im": {"re": {"im": {"re": 1}}}}):
+        with pytest.raises(ParseError) as info:
+            ser.parse_matrix([[value]], 1, 1, "m")
+        assert str(info.value) == "m[0][0]: scalar nested too deeply"
