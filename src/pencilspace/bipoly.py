@@ -1,24 +1,31 @@
-"""Exact polynomials in the two spectral parameters.
+"""Exact polynomials in the two spectral parameters, stored on integers.
 
-A bivariate polynomial is a dict mapping exponent pairs (i, j) for the
-monomial lam^i * mu^j to nonzero GaussianRational coefficients; the zero
-polynomial is the empty dict.  All arithmetic is exact and results stay in
-canonical form (no stored zero coefficient).
+A bivariate polynomial is one positive common denominator plus a dict
+mapping exponent pairs (i, j) for the monomial lam^i * mu^j to the
+Gaussian-integer numerators (re, im) of its nonzero coefficients, in
+canonical form (no common factor of the denominator and all numerators),
+exactly as ``Matrix`` stores its entries; the zero polynomial is the empty
+dict over 1.  ``UniPoly``, the single-variable carrier used for resultants,
+is one denominator over an ascending numerator tuple whose last entry (the
+leading coefficient) is nonzero unless the polynomial is zero.
 
-``UniPoly`` is the single-variable carrier used for resultants: an
-ascending coefficient tuple whose last entry (the leading coefficient) is
-nonzero unless the polynomial is zero.
+All arithmetic runs on ints.  ``GaussianRational`` appears only where
+coefficients come in or go out: the constructors, ``terms``, ``coeffs``,
+``constant_value``, ``leading`` and exact ``eval`` at a point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 from .errors import DegreeError
 from .scalars import GaussianRational, ScalarLike, clear_denominators
 
 Exponent = Tuple[int, int]
+# Gaussian integers as (re, im) int pairs.
+GaussInt = Tuple[int, int]
 
 LAM = "lam"
 MU = "mu"
@@ -28,15 +35,15 @@ _VARS = (LAM, MU)
 class BiPoly:
     """A polynomial in (lam, mu) over the Gaussian rationals."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_den", "_terms", "_floats")
 
     def __init__(self, terms: Mapping[Exponent, ScalarLike] | None = None):
-        canonical: Dict[Exponent, GaussianRational] = {}
-        for (i, j), coeff in (terms or {}).items():
-            value = GaussianRational.coerce(coeff)
-            if value:
-                canonical[(int(i), int(j))] = value
-        object.__setattr__(self, "_terms", canonical)
+        items = [
+            ((int(i), int(j)), GaussianRational.coerce(c)) for (i, j), c in (terms or {}).items()
+        ]
+        # The lcm of lowest-terms denominators is already canonical.
+        den, pairs = clear_denominators(c for _, c in items)
+        _init(self, {e: p for (e, _), p in zip(items, pairs) if p != (0, 0)}, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
@@ -59,7 +66,19 @@ class BiPoly:
     def mu() -> "BiPoly":
         return _MU
 
+    @staticmethod
+    def from_integer_form(den: int, terms: Mapping[Exponent, GaussInt]) -> "BiPoly":
+        """The polynomial sum terms[(i, j)] / den * lam^i mu^j, from (re, im)
+        numerator pairs over a positive denominator; the inverse of
+        ``integer_form``."""
+        return _reduced({e: p for e, p in terms.items() if p != (0, 0)}, den)
+
     # -- inspection -------------------------------------------------------------
+
+    def integer_form(self) -> tuple[int, Mapping[Exponent, GaussInt]]:
+        """The common denominator and the map from each monomial to the
+        (re, im) numerator pair of its nonzero coefficient (read-only)."""
+        return self._den, self._terms
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -70,12 +89,12 @@ class BiPoly:
     def constant_value(self) -> GaussianRational:
         if not self.is_constant():
             raise DegreeError("polynomial is not constant")
-        return self._terms.get((0, 0), GaussianRational(0))
+        return _scalar(self._terms.get((0, 0), (0, 0)), self._den)
 
     def terms(self) -> Iterator[Tuple[Exponent, GaussianRational]]:
         """Iterate terms in a deterministic (sorted) order."""
         for exponent in sorted(self._terms):
-            yield exponent, self._terms[exponent]
+            yield exponent, _scalar(self._terms[exponent], self._den)
 
     def degree_in(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
@@ -92,60 +111,47 @@ class BiPoly:
 
     def max_abs_coeff(self) -> float:
         """Largest coefficient modulus as a float (for residual scales)."""
-        if not self._terms:
-            return 0.0
-        return max(abs(c.to_complex()) for c in self._terms.values())
+        return max((abs(c) for _, _, c in self._complex_terms()), default=0.0)
 
     # -- arithmetic ---------------------------------------------------------------
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            acc = out.get(exp)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[exp] = acc
-            else:
-                out.pop(exp, None)
-        return _wrap(out)
+        return _combine(self, other, 1)
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            acc = out.get(exp)
-            acc = -coeff if acc is None else acc - coeff
-            if acc:
-                out[exp] = acc
-            else:
-                out.pop(exp, None)
-        return _wrap(out)
+        return _combine(self, other, -1)
 
     def __neg__(self) -> "BiPoly":
-        return _wrap({e: -c for e, c in self._terms.items()})
+        return _wrap({e: (-re, -im) for e, (re, im) in self._terms.items()}, self._den)
 
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, BiPoly):
-            out: Dict[Exponent, GaussianRational] = {}
-            for (i1, j1), c1 in self._terms.items():
-                for (i2, j2), c2 in other._terms.items():
+            out: Dict[Exponent, GaussInt] = {}
+            for (i1, j1), (a, b) in self._terms.items():
+                for (i2, j2), (c, d) in other._terms.items():
                     exp = (i1 + i2, j1 + j2)
+                    re, im = a * c - b * d, a * d + b * c
                     acc = out.get(exp)
-                    prod = c1 * c2
-                    acc = prod if acc is None else acc + prod
-                    if acc:
-                        out[exp] = acc
+                    if acc is not None:
+                        re, im = acc[0] + re, acc[1] + im
+                    if re or im:
+                        out[exp] = (re, im)
                     else:
                         out.pop(exp, None)
-            return _wrap(out)
+            return _reduced(out, self._den * other._den)
         if isinstance(other, (int, Fraction, GaussianRational)):
-            scalar = GaussianRational.coerce(other)
-            if not scalar:
+            s_den, ((s_re, s_im),) = clear_denominators([GaussianRational.coerce(other)])
+            if not (s_re or s_im):
                 return _ZERO
-            return _wrap({e: c * scalar for e, c in self._terms.items()})
+            terms = {
+                e: (re * s_re - im * s_im, re * s_im + im * s_re)
+                for e, (re, im) in self._terms.items()
+            }
+            return _reduced(terms, self._den * s_den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -153,7 +159,7 @@ class BiPoly:
     def __pow__(self, exponent: int) -> "BiPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only non-negative integer powers are supported")
-        result = BiPoly.constant(1)
+        result = _ONE
         base = self
         while exponent:
             if exponent & 1:
@@ -171,15 +177,30 @@ class BiPoly:
         total = GaussianRational(0)
         lam_pows = _power_table(lam, self.degree_in(LAM))
         mu_pows = _power_table(mu, self.degree_in(MU))
-        for (i, j), coeff in self._terms.items():
+        for (i, j), coeff in self.terms():
             total = total + coeff * lam_pows[i] * mu_pows[j]
         return total
 
     def eval_complex(self, lam: complex, mu: complex) -> complex:
         total = 0j
-        for (i, j), coeff in self._terms.items():
-            total += coeff.to_complex() * lam**i * mu**j
+        for i, j, coeff in self._complex_terms():
+            total += coeff * lam**i * mu**j
         return total
+
+    def _complex_terms(self) -> list[tuple[int, int, complex]]:
+        """(i, j, coefficient as a complex), computed on first use.
+
+        re / den is the correctly rounded quotient, as float(Fraction) is,
+        so each value is the same float the Q(i) coefficient converts to,
+        and a coefficient beyond the float range raises OverflowError.
+        """
+        if self._floats is None:
+            den = self._den
+            floats = [
+                (i, j, complex(re / den, im / den)) for (i, j), (re, im) in self._terms.items()
+            ]
+            object.__setattr__(self, "_floats", floats)
+        return self._floats
 
     def coeffs_in(self, var: str) -> list["BiPoly"]:
         """Ascending coefficient list with respect to one variable.
@@ -191,22 +212,23 @@ class BiPoly:
         if degree < 0:
             return []
         idx = _VARS.index(var)
-        buckets: list[Dict[Exponent, GaussianRational]] = [{} for _ in range(degree + 1)]
-        for (i, j), coeff in self._terms.items():
-            power = (i, j)[idx]
-            rest = (0, j) if idx == 0 else (i, 0)
-            buckets[power][rest] = coeff
-        return [_wrap(b) for b in buckets]
+        buckets: list[Dict[Exponent, GaussInt]] = [{} for _ in range(degree + 1)]
+        for (i, j), pair in self._terms.items():
+            if idx == 0:
+                buckets[i][(0, j)] = pair
+            else:
+                buckets[j][(i, 0)] = pair
+        return [_reduced(b, self._den) for b in buckets]
 
     # -- comparisons ---------------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
         if not self._terms:
@@ -225,13 +247,60 @@ class BiPoly:
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return f"BiPoly({dict(sorted(self._terms.items()))!r})"
+        return f"BiPoly({dict(self.terms())!r})"
 
 
-def _wrap(terms: Dict[Exponent, GaussianRational]) -> BiPoly:
-    poly = BiPoly.__new__(BiPoly)
+def _init(poly: BiPoly, terms: Dict[Exponent, GaussInt], den: int) -> None:
+    object.__setattr__(poly, "_den", den)
     object.__setattr__(poly, "_terms", terms)
+    object.__setattr__(poly, "_floats", None)
+
+
+def _wrap(terms: Dict[Exponent, GaussInt], den: int) -> BiPoly:
+    """Wrap nonzero numerators already in canonical form over den."""
+    poly = BiPoly.__new__(BiPoly)
+    _init(poly, terms, den)
     return poly
+
+
+def _common_factor(den: int, pairs: Iterable[GaussInt]) -> int:
+    g = den
+    for re, im in pairs:
+        if g == 1:
+            break
+        g = gcd(g, re, im)
+    return g
+
+
+def _reduced(terms: Dict[Exponent, GaussInt], den: int) -> BiPoly:
+    """The canonical polynomial terms / den (den > 0, no zero pair stored):
+    divide out the gcd of den and every numerator component."""
+    g = _common_factor(den, terms.values())
+    if g != 1:
+        terms = {e: (re // g, im // g) for e, (re, im) in terms.items()}
+        den //= g
+    return _wrap(terms, den)
+
+
+def _combine(a: BiPoly, b: BiPoly, sign: int) -> BiPoly:
+    """a + sign * b over the lcm of the two denominators."""
+    den = lcm(a._den, b._den)
+    fa, fb = den // a._den, sign * (den // b._den)
+    out = {e: (re * fa, im * fa) for e, (re, im) in a._terms.items()}
+    for e, (re, im) in b._terms.items():
+        re, im = re * fb, im * fb
+        acc = out.get(e)
+        if acc is not None:
+            re, im = acc[0] + re, acc[1] + im
+        if re or im:
+            out[e] = (re, im)
+        else:
+            out.pop(e, None)
+    return _reduced(out, den)
+
+
+def _scalar(pair: GaussInt, den: int) -> GaussianRational:
+    return GaussianRational(Fraction(pair[0], den), Fraction(pair[1], den))
 
 
 def _power_table(base: GaussianRational, degree: int) -> list[GaussianRational]:
@@ -241,27 +310,26 @@ def _power_table(base: GaussianRational, degree: int) -> list[GaussianRational]:
     return powers
 
 
-_ZERO = _wrap({})
-_LAM = BiPoly({(1, 0): 1})
-_MU = BiPoly({(0, 1): 1})
+_ZERO = _wrap({}, 1)
+_ONE = _wrap({(0, 0): (1, 0)}, 1)
+_LAM = _wrap({(1, 0): (1, 0)}, 1)
+_MU = _wrap({(0, 1): (1, 0)}, 1)
 
 
 class UniPoly:
-    """A univariate polynomial with GaussianRational coefficients.
+    """A univariate polynomial over the Gaussian rationals.
 
-    Coefficients are ascending; the leading (last) coefficient is nonzero
-    unless the polynomial is zero (empty tuple).  ``var`` records which
+    Stored as one positive denominator over ascending Gaussian-integer
+    numerators, canonical as in ``BiPoly``; ``coeffs`` gives the
+    coefficients as GaussianRational values.  ``var`` records which
     spectral parameter the variable stands for, for display only.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("_den", "_nums", "var")
 
     def __init__(self, coeffs: Iterable[ScalarLike], var: str = LAM):
-        values = [GaussianRational.coerce(c) for c in coeffs]
-        while values and not values[-1]:
-            values.pop()
-        object.__setattr__(self, "coeffs", tuple(values))
-        object.__setattr__(self, "var", var)
+        den, nums = clear_denominators(GaussianRational.coerce(c) for c in coeffs)
+        _init_uni(self, _stripped(nums), den, var)
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
@@ -272,46 +340,57 @@ class UniPoly:
         other = MU if var == LAM else LAM
         if poly.degree_in(other) > 0:
             raise DegreeError(f"polynomial involves {other}, not univariate in {var}")
-        coeffs = [c.constant_value() for c in poly.coeffs_in(var)]
-        return UniPoly(coeffs, var=var)
+        idx = _VARS.index(var)
+        den, terms = poly.integer_form()
+        nums = [(0, 0)] * (poly.degree_in(var) + 1)
+        for exponent, pair in terms.items():
+            nums[exponent[idx]] = pair
+        return _new_uni(nums, den, var)
 
     def to_bipoly(self) -> BiPoly:
         idx = _VARS.index(self.var)
-        terms = {}
-        for k, coeff in enumerate(self.coeffs):
-            terms[(k, 0) if idx == 0 else (0, k)] = coeff
-        return BiPoly(terms)
+        return BiPoly.from_integer_form(
+            self._den, {((k, 0) if idx == 0 else (0, k)): c for k, c in enumerate(self._nums)}
+        )
+
+    @property
+    def coeffs(self) -> tuple[GaussianRational, ...]:
+        """The coefficients, ascending, as GaussianRational values."""
+        return tuple(_scalar(c, self._den) for c in self._nums)
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nums
 
     def leading(self) -> GaussianRational:
-        if not self.coeffs:
+        if not self._nums:
             raise DegreeError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return _scalar(self._nums[-1], self._den)
 
     def eval(self, value: ScalarLike) -> GaussianRational:
+        value = GaussianRational.coerce(value)
         total = GaussianRational(0)
         for coeff in reversed(self.coeffs):
-            total = total * GaussianRational.coerce(value) + coeff
+            total = total * value + coeff
         return total
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(
-            [k * c for k, c in enumerate(self.coeffs)][1:], var=self.var
-        )
+        return _reduced_uni(_derivative(self._nums), self._den, self.var)
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
-        lead = self.leading()
-        return UniPoly([c / lead for c in self.coeffs], var=self.var)
+        return _monic(self._nums, self.var)
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Exact polynomial division over the field: self = q*other + r."""
+        """Exact polynomial division over the field: self = q*other + r.
+
+        Long division on GaussianRational coefficients, kept as the
+        textbook reference: the gcd and the square-free part divide on
+        Gaussian integers instead.
+        """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         remainder = list(self.coeffs)
@@ -335,63 +414,51 @@ class UniPoly:
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic greatest common divisor, by a subresultant PRS over Z[i].
 
-        Both inputs are scaled once to Gaussian-integer coefficients.  Each
-        pseudo-remainder is then divided exactly in Z[i] by g * h^delta
-        (Collins, J. ACM 14, 1967; Brown & Traub, J. ACM 18, 1971), which
-        keeps coefficient growth polynomial where Euclid over Q(i) does not.
-        The last nonzero remainder is a Q(i)-multiple of the gcd; it is
-        converted back and made monic.  A zero input returns the other input
-        made monic; two zero inputs give the zero polynomial.
+        The PRS runs on the numerators, which are Gaussian-integer multiples
+        of the two inputs; its last nonzero remainder is a Q(i)-multiple of
+        the gcd, made monic.  A zero input returns the other input made
+        monic; two zero inputs give the zero polynomial.
         """
         if other.is_zero():
             return self.monic()
         if self.is_zero():
             return other.monic()
-        a = clear_denominators(self.coeffs)[1]
-        b = clear_denominators(other.coeffs)[1]
-        if len(a) < len(b):
-            a, b = b, a
-        g = h = (1, 0)
-        while len(b) > 1:
-            delta = len(a) - len(b)
-            r = _pseudo_remainder(a, b)
-            if not r:
-                break
-            divisor = _gi_mul(g, _gi_pow(h, delta))
-            a, b = b, _gi_exact_div(r, divisor)
-            g = a[-1]
-            # h <- g^delta h^(1 - delta); delta >= 1 after the first step.
-            if delta:
-                h = _gi_exact_div([_gi_pow(g, delta)], _gi_pow(h, delta - 1))[0]
-        return UniPoly([GaussianRational(re, im) for re, im in b], var=self.var).monic()
+        return _monic(_subresultant_gcd(self._nums, other._nums), self.var)
 
     def square_free_part(self) -> "UniPoly":
         """The product of distinct irreducible factors (each to power one).
 
         Dividing out gcd(p, p') keeps the exact root set while dropping
         multiplicities, so float root iteration never sees a cluster that
-        exists only through repetition.
+        exists only through repetition.  A proof of square-freeness mod a
+        prime (``_square_free_mod_p``) returns p itself without the PRS.
+        Otherwise the PRS gives a multiple c of the gcd, and the quotient
+        by the monic gcd is an exact division in Z[i][x].
         """
-        if self.degree() < 1:
+        nums = self._nums
+        if self.degree() < 1 or _square_free_mod_p(nums):
             return self
-        common = self.gcd(self.derivative())
-        if common.degree() < 1:
+        common = _subresultant_gcd(nums, _derivative(nums))
+        if len(common) < 2:
             return self
-        quotient, remainder = self.divmod(common)
-        if not remainder.is_zero():
-            raise DegreeError("square-free reduction failed (inexact division)")
-        return quotient
+        # p / monic(c) = lc(c) p / c, in Z[i][x] by Gauss's lemma.
+        lead = common[-1]
+        quotient = _exact_quotient([_gi_mul(x, lead) for x in nums], common)
+        return _reduced_uni(quotient, self._den, self.var)
 
     def to_complex_coeffs(self) -> list[complex]:
-        return [c.to_complex() for c in self.coeffs]
+        """The coefficients as complex floats (each the float of its exact
+        value, as in ``BiPoly._complex_terms``)."""
+        den = self._den
+        return [complex(re / den, im / den) for re, im in self._nums]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs and self.var == other.var
+        return self._den == other._den and self._nums == other._nums and self.var == other.var
 
     def __hash__(self) -> int:
-        return hash((self.coeffs, self.var))
+        return hash((self._den, self._nums, self.var))
 
     def __str__(self) -> str:
         return str(self.to_bipoly()).replace("lam" if self.var == LAM else "mu", self.var)
@@ -400,8 +467,46 @@ class UniPoly:
         return f"UniPoly({[str(c) for c in self.coeffs]}, var={self.var!r})"
 
 
-# Gaussian integers as (re, im) int pairs, for the gcd's subresultant PRS.
-GaussInt = Tuple[int, int]
+def _init_uni(poly: UniPoly, nums: list[GaussInt], den: int, var: str) -> None:
+    object.__setattr__(poly, "_den", den)
+    object.__setattr__(poly, "_nums", tuple(nums))
+    object.__setattr__(poly, "var", var)
+
+
+def _new_uni(nums: list[GaussInt], den: int, var: str) -> UniPoly:
+    """Wrap numerators already canonical over den, leading one nonzero."""
+    poly = UniPoly.__new__(UniPoly)
+    _init_uni(poly, nums, den, var)
+    return poly
+
+
+def _stripped(nums: list[GaussInt]) -> list[GaussInt]:
+    while nums and nums[-1] == (0, 0):
+        nums.pop()
+    return nums
+
+
+def _reduced_uni(nums: list[GaussInt], den: int, var: str) -> UniPoly:
+    """The canonical polynomial nums / den (den > 0)."""
+    nums = _stripped(nums)
+    g = _common_factor(den, nums)
+    if g != 1:
+        nums = [(re // g, im // g) for re, im in nums]
+        den //= g
+    return _new_uni(nums, den, var)
+
+
+def _monic(nums: list[GaussInt], var: str) -> UniPoly:
+    """nums / lc(nums), as c * conj(lc) / |lc|^2 (any denominator cancels)."""
+    l_re, l_im = nums[-1]
+    return _reduced_uni(
+        [(re * l_re + im * l_im, im * l_re - re * l_im) for re, im in nums],
+        l_re * l_re + l_im * l_im,
+        var,
+    )
+
+
+# -- Gaussian-integer polynomial kernels ------------------------------------------
 
 
 def _gi_mul(x: GaussInt, y: GaussInt) -> GaussInt:
@@ -423,6 +528,36 @@ def _gi_exact_div(xs: list[GaussInt], y: GaussInt) -> list[GaussInt]:
         ((x_re * y_re + x_im * y_im) // norm, (x_im * y_re - x_re * y_im) // norm)
         for x_re, x_im in xs
     ]
+
+
+def _derivative(nums: Iterable[GaussInt]) -> list[GaussInt]:
+    return [(k * re, k * im) for k, (re, im) in enumerate(nums)][1:]
+
+
+def _subresultant_gcd(a: Iterable[GaussInt], b: Iterable[GaussInt]) -> list[GaussInt]:
+    """The last nonzero remainder of the subresultant PRS of two nonzero
+    Gaussian-integer polynomials (ascending): a Q(i)-multiple of their gcd.
+
+    Each pseudo-remainder is divided exactly in Z[i] by g * h^delta
+    (Collins, J. ACM 14, 1967; Brown & Traub, J. ACM 18, 1971), which
+    keeps coefficient growth polynomial where Euclid over Q(i) does not.
+    """
+    a, b = list(a), list(b)
+    if len(a) < len(b):
+        a, b = b, a
+    g = h = (1, 0)
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        r = _pseudo_remainder(a, b)
+        if not r:
+            break
+        divisor = _gi_mul(g, _gi_pow(h, delta))
+        a, b = b, _gi_exact_div(r, divisor)
+        g = a[-1]
+        # h <- g^delta h^(1 - delta); delta >= 1 after the first step.
+        if delta:
+            h = _gi_exact_div([_gi_pow(g, delta)], _gi_pow(h, delta - 1))[0]
+    return b
 
 
 def _pseudo_remainder(a: list[GaussInt], b: list[GaussInt]) -> list[GaussInt]:
@@ -448,6 +583,83 @@ def _pseudo_remainder(a: list[GaussInt], b: list[GaussInt]) -> list[GaussInt]:
                 t_re -= c_re * y_re - c_im * y_im
                 t_im -= c_re * y_im + c_im * y_re
             r[k] = (t_re, t_im)
-    while r and r[-1] == (0, 0):
-        r.pop()
+    return _stripped(r)
+
+
+def _exact_quotient(a: list[GaussInt], b: list[GaussInt]) -> list[GaussInt]:
+    """a / b in Z[i][x] by long division, for a b that divides a there.
+
+    Every leading coefficient must divide exactly by lc(b) and the
+    remainder must vanish; DegreeError otherwise.  Unlike a
+    pseudo-division, nothing is scaled by powers of lc(b), whose size the
+    PRS has already inflated.
+    """
+    r = list(a)
+    l_re, l_im = b[-1]
+    norm = l_re * l_re + l_im * l_im
+    deg_b = len(b) - 1
+    quotient = [(0, 0)] * (len(r) - deg_b)
+    for shift in range(len(r) - 1 - deg_b, -1, -1):
+        t_re, t_im = r.pop()
+        q_re, rest_re = divmod(t_re * l_re + t_im * l_im, norm)
+        q_im, rest_im = divmod(t_im * l_re - t_re * l_im, norm)
+        if rest_re or rest_im:
+            raise DegreeError("square-free reduction failed (inexact division)")
+        quotient[shift] = (q_re, q_im)
+        for k in range(deg_b):
+            y_re, y_im = b[k]
+            x_re, x_im = r[shift + k]
+            r[shift + k] = (x_re - (q_re * y_re - q_im * y_im), x_im - (q_re * y_im + q_im * y_re))
+    if any(x != (0, 0) for x in r):
+        raise DegreeError("square-free reduction failed (inexact division)")
+    return quotient
+
+
+# -- the mod-p proof of square-freeness ----------------------------------------------
+
+# A prime p = 1 (mod 4), so -1 has a square root s mod p and i -> s, with
+# re + im*i -> re + im*s, is a ring map from Z[i] onto F_p (its kernel is
+# the prime ideal (p, i - s)).  11 is the least quadratic non-residue mod p.
+SQUARE_FREE_PRIME = 1_000_000_009
+_SQRT_MINUS_ONE = pow(11, (SQUARE_FREE_PRIME - 1) // 4, SQUARE_FREE_PRIME)
+
+
+def _square_free_mod_p(nums: list[GaussInt]) -> bool:
+    """True when the image r~ of r = sum nums[k] x^k in F_p[x] keeps its
+    degree and gcd(r~, r~') = 1 over F_p: then r is square-free over Q(i).
+
+    Proof: if r = u^2 v over Q(i) with deg u >= 1, Gauss's lemma gives
+    r = c u*^2 v* with c in Z[i] and u*, v* primitive in Z[i][x].  The map
+    keeps lc(r) = c lc(u*)^2 lc(v*), hence lc(u*), so the image u~ of u*
+    has degree >= 1 and divides both r~ and r~' = 2 u~ u~' v~ + u~^2 v~',
+    against gcd = 1.  No bound on deg r relative to p is needed.  A False answer
+    proves nothing (p may divide the discriminant); callers fall back to
+    the subresultant PRS.
+    """
+    p, s = SQUARE_FREE_PRIME, _SQRT_MINUS_ONE
+    a = [(re + im * s) % p for re, im in nums]
+    if not a[-1]:
+        return False
+    b = [k * c % p for k, c in enumerate(a)][1:]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        a, b = b, _remainder_mod_p(a, b)
+    return len(a) == 1
+
+
+def _remainder_mod_p(a: list[int], b: list[int]) -> list[int]:
+    """a mod b in F_p[x] (ascending, b's leading entry nonzero), with
+    trailing zeros stripped."""
+    r = list(a)
+    p = SQUARE_FREE_PRIME
+    inv = pow(b[-1], -1, p)
+    deg_b = len(b) - 1
+    while len(r) > deg_b:
+        c = r.pop() * inv % p
+        shift = len(r) - deg_b
+        for k in range(deg_b):
+            r[shift + k] = (r[shift + k] - c * b[k]) % p
+        while r and not r[-1]:
+            r.pop()
     return r

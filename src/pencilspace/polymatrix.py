@@ -32,18 +32,26 @@ class PolyMatrix:
     __slots__ = ("rows", "cols", "_coeffs")
 
     def __init__(self, entries: Iterable[Iterable[BiPoly]]):
-        """Build from a grid of BiPoly entries, one coefficient grid per monomial."""
-        grid = [list(row) for row in entries]
-        # A zero Matrix of the same layout checks that the grid is rectangular.
-        rows, cols = Matrix([[0] * len(row) for row in grid]).shape
+        """Build from a grid of BiPoly entries, one coefficient grid per
+        monomial, all over the lcm of the entries' denominators."""
+        grid = [[entry.integer_form() for entry in row] for row in entries]
+        if not grid or not grid[0]:
+            raise ShapeError("matrix must have at least one row and one column")
+        rows, cols = len(grid), len(grid[0])
+        if any(len(row) != cols for row in grid):
+            raise ShapeError("ragged rows in matrix literal")
+        den = lcm(*(d for row in grid for d, _ in row))
         values: dict = {}
         for i, row in enumerate(grid):
-            for j, entry in enumerate(row):
-                for mono, c in entry.terms():
+            for j, (d, terms) in enumerate(row):
+                f = den // d
+                for mono, (re, im) in terms.items():
                     if mono not in values:
-                        values[mono] = [[0] * cols for _ in range(rows)]
-                    values[mono][i][j] = c
-        _init(self, rows, cols, {mono: Matrix(v) for mono, v in values.items()})
+                        values[mono] = [[(0, 0)] * cols for _ in range(rows)]
+                    values[mono][i][j] = (re * f, im * f)
+        _init(
+            self, rows, cols, {mono: Matrix.from_integer_form(den, v) for mono, v in values.items()}
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -373,14 +381,9 @@ def exact_det_poly(m: PolyMatrix) -> BiPoly:
     grid = [[det_at(a, b) for a in range(min(d_lam, d - b) + 1)] for b in range(d_mu + 1)]
     re = _lower_set_coeffs([[v[0] for v in row] for row in grid])
     im = _lower_set_coeffs([[v[1] for v in row] for row in grid])
-    denom = factorial(d_lam) * factorial(d_mu) * scale**m.rows
-    return BiPoly(
-        {
-            (a, b): GaussianRational(Fraction(re[b][a], denom), Fraction(im[b][a], denom))
-            for b in range(d_mu + 1)
-            for a in range(len(re[b]))
-            if re[b][a] or im[b][a]
-        }
+    return BiPoly.from_integer_form(
+        factorial(d_lam) * factorial(d_mu) * scale**m.rows,
+        {(a, b): (re[b][a], im[b][a]) for b in range(d_mu + 1) for a in range(len(re[b]))},
     )
 
 
@@ -394,13 +397,25 @@ def poly_div_constant_ratio(p: BiPoly, q: BiPoly) -> GaussianRational | None:
         raise ZeroDivisionError("proportionality against the zero polynomial")
     if p.is_zero():
         return GaussianRational(0)
-    q_terms = dict(q.terms())
-    p_terms = dict(p.terms())
-    if set(q_terms) != set(p_terms):
+    p_den, p_terms = p.integer_form()
+    q_den, q_terms = q.integer_form()
+    if p_terms.keys() != q_terms.keys():
         return None
-    exponent = next(iter(sorted(q_terms)))
-    gamma = p_terms[exponent] / q_terms[exponent]
-    for exp, coeff in q_terms.items():
-        if p_terms[exp] != gamma * coeff:
+    # p = gamma q iff p_e * y = q_e * x at every monomial e, for the
+    # numerators x of p and y of q at one monomial (cross-multiplied in Z[i]).
+    first = min(q_terms)
+    x_re, x_im = p_terms[first]
+    y_re, y_im = q_terms[first]
+    for e, (c_re, c_im) in q_terms.items():
+        a_re, a_im = p_terms[e]
+        if (a_re * y_re - a_im * y_im, a_re * y_im + a_im * y_re) != (
+            c_re * x_re - c_im * x_im,
+            c_re * x_im + c_im * x_re,
+        ):
             return None
-    return gamma
+    # gamma = (x / p_den) / (y / q_den) = x conj(y) q_den / (|y|^2 p_den)
+    norm = (y_re * y_re + y_im * y_im) * p_den
+    return GaussianRational(
+        Fraction((x_re * y_re + x_im * y_im) * q_den, norm),
+        Fraction((x_im * y_re - x_re * y_im) * q_den, norm),
+    )

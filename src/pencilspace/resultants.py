@@ -17,14 +17,16 @@ def sylvester_matrix(f: BiPoly, g: BiPoly, eliminate: str) -> PolyMatrix:
     """The (m+n) x (m+n) Sylvester matrix of f and g w.r.t. one variable.
 
     Rows hold the descending coefficient sequences: deg(g) shifted copies
-    of f's coefficients followed by deg(f) shifted copies of g's.
+    of f's coefficients followed by deg(f) shifted copies of g's.  One
+    input may have degree 0: the matrix is then that input times the
+    identity, so the resultant is f^deg(g) (or g^deg(f)).
     """
     m = f.degree_in(eliminate)
     n = g.degree_in(eliminate)
-    if m < 1 or n < 1:
+    if min(m, n) < 0 or max(m, n) < 1:
         raise DegreeError(
-            f"both inputs must have positive degree in {eliminate} "
-            f"(got {m} and {n})"
+            f"at least one input must have positive degree in {eliminate}, "
+            f"and neither may be zero (got {m} and {n})"
         )
     f_desc = list(reversed(f.coeffs_in(eliminate)))
     g_desc = list(reversed(g.coeffs_in(eliminate)))
@@ -42,9 +44,9 @@ def sylvester_resultant(f: BiPoly, g: BiPoly, eliminate: str) -> UniPoly:
     """Exact resultant of f and g eliminating one variable.
 
     The result is univariate in the other variable.  Preconditions: f and g
-    nonzero with positive degree in the eliminated variable (DegreeError
-    otherwise).  An identically zero result signals a common factor; callers
-    decide how to report it.
+    nonzero, at least one with positive degree in the eliminated variable
+    (DegreeError otherwise).  An identically zero result signals a common
+    factor; callers decide how to report it.
     """
     if f.is_zero() or g.is_zero():
         raise DegreeError("resultant of a zero polynomial")

@@ -19,6 +19,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd, lcm
 from typing import Any
 
@@ -327,7 +328,36 @@ def parse_eigenpair(text: str) -> dict:
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """The text of json.dumps(doc, indent=2) plus a newline, for a document
+    of dicts with str keys, lists and JSON leaves.
+
+    The layout is written here and every leaf by the C encoder: json.dumps
+    with an indent runs its pure-Python encoder throughout.
+    """
+    return _dump(doc, "\n") + "\n"
+
+
+_encode_leaf = json.JSONEncoder().encode
+
+
+def _dump(value: Any, newline: str) -> str:
+    """value in json.dumps's indent=2 layout; newline is "\n" plus the
+    current indentation."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = [
+            _encode_str(k) + ": " + (_encode_str(v) if type(v) is str else _dump(v, inner))
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        parts = [_encode_str(v) if type(v) is str else _dump(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    return _encode_leaf(value)
 
 
 def serialize_problem(q: QuadPoly2P) -> str:

@@ -174,7 +174,9 @@ def kernel_member(n: int, blocks: FreeBlocks) -> Pencil2P:
     if blocks.n != n:
         raise ShapeError(f"blocks sized for n = {blocks.n}, requested n = {n}")
     zero, y1, z1, z2 = Matrix.zeros(3 * n, n), blocks.y1, blocks.z1, blocks.z2
-    layout = ([zero, -y1, -z1], [y1, zero, -z2], [z1, z2, zero])
+    # A zero block is its own negative (space_dimension passes two per call).
+    neg = lambda block: block if block == zero else -block
+    layout = ([zero, neg(y1), neg(z1)], [y1, zero, neg(z2)], [z1, z2, zero])
     return Pencil2P(3 * n, *(Matrix.hstack(coeff) for coeff in layout))
 
 

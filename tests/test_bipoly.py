@@ -289,3 +289,175 @@ def test_square_free_part_of_seeded_3x3_resultant():
     resultant = sylvester_resultant(f, g, MU)
     assert resultant.degree() == 36
     assert resultant.square_free_part() == resultant
+
+
+# -- the mod-p proof of square-freeness and its PRS fallback ---------------------------
+
+from pencilspace import bipoly  # noqa: E402
+
+
+def test_square_free_prime_maps_gaussian_integers_onto_f_p():
+    p, s = bipoly.SQUARE_FREE_PRIME, bipoly._SQRT_MINUS_ONE
+    assert p % 4 == 1 and pow(2, p - 1, p) == 1
+    assert s * s % p == p - 1
+
+
+def square_free_calls(monkeypatch):
+    """Spy on the mod-p proof and on the PRS: the list of ("proof", verdict)
+    and ("prs",) events in call order."""
+    events = []
+    proof, prs = bipoly._square_free_mod_p, bipoly._subresultant_gcd
+
+    def spy_proof(nums):
+        verdict = proof(nums)
+        events.append(("proof", verdict))
+        return verdict
+
+    def spy_prs(a, b):
+        events.append(("prs",))
+        return prs(a, b)
+
+    monkeypatch.setattr(bipoly, "_square_free_mod_p", spy_proof)
+    monkeypatch.setattr(bipoly, "_subresultant_gcd", spy_prs)
+    return events
+
+
+def test_square_free_resultant_is_proved_without_the_prs(monkeypatch):
+    rng = random.Random(5)
+    f, g = (exact_det_poly(rand_quad(rng, 2).as_polymatrix()) for _ in range(2))
+    resultant = sylvester_resultant(f, g, MU)
+    events = square_free_calls(monkeypatch)
+    assert resultant.square_free_part() is resultant
+    assert events == [("proof", True)]
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 2), (2, 3, 2), (3, 0, 3)])
+def test_planted_square_takes_the_prs_fallback(monkeypatch, shape):
+    rng = random.Random(200 + sum(shape))
+    p, s = planted(rng, *shape)
+    events = square_free_calls(monkeypatch)
+    quotient, remainder = p.divmod(euclid_gcd(p, p.derivative()))
+    assert remainder.is_zero()
+    assert p.square_free_part() == quotient
+    assert events == [("proof", False), ("prs",)]
+    assert quotient.degree() == shape[0] + shape[1]
+
+
+def test_square_free_over_q_i_but_not_mod_p_takes_the_fallback(monkeypatch):
+    # x^2 - p is x^2 mod p, a square, yet its roots +-sqrt(p) are distinct.
+    p = UniPoly([-bipoly.SQUARE_FREE_PRIME, 0, 1], var=LAM)
+    events = square_free_calls(monkeypatch)
+    assert p.square_free_part() == p
+    assert events == [("proof", False), ("prs",)]
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 3)])
+@pytest.mark.parametrize(
+    "lead",
+    [
+        GaussianRational(bipoly.SQUARE_FREE_PRIME),
+        # s - i lies in the kernel (p, i - s) of the map Z[i] -> F_p.
+        GaussianRational(bipoly._SQRT_MINUS_ONE, -1),
+    ],
+    ids=["p", "s-i"],
+)
+def test_leading_coefficient_vanishing_mod_p_takes_the_fallback(monkeypatch, lead, scale):
+    # lead x^3 + x^2 + x - 2 is x^2 + x - 2 = (x - 1)(x + 2) mod p, square-free
+    # there, so only the leading-coefficient check stops the proof.
+    p = UniPoly([c * scale for c in (-2, 1, 1, lead)], var=LAM)
+    squared = unipoly_product(p, UniPoly([1, 1], var=LAM), UniPoly([1, 1], var=LAM))
+    events = square_free_calls(monkeypatch)
+    assert p.square_free_part() == p
+    assert squared.square_free_part() == unipoly_product(p, UniPoly([1, 1], var=LAM))
+    assert events == [("proof", False), ("prs",), ("proof", False), ("prs",)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_square_free_part_matches_sympy_on_random_polynomials(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(300 + seed)
+    # A product of random factors, each to a random power 1..3.
+    factors = [rand_unipoly(rng, rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+    p = unipoly_product(*(f for f in factors for _ in range(rng.choice((1, 1, 2, 3)))))
+    sp = to_sympy(p)
+    assert to_sympy(p.square_free_part().monic()) == sp.sqf_part()
+    # The proof is sound: whenever it holds, sympy agrees p is square-free.
+    if bipoly._square_free_mod_p(list(p._nums)):
+        assert sympy.discriminant(sp) != 0
+        assert p.square_free_part() == p
+
+
+# -- integer-form BiPoly against the GaussianRational definitions ----------------------
+
+gr_st = st.builds(GaussianRational, coeff_st, st.one_of(st.just(0), coeff_st))
+term_st = st.dictionaries(exponents, gr_st, max_size=5)
+
+
+def o_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, GaussianRational(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def o_mul(p, q):
+    out = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            e = (i1 + i2, j1 + j2)
+            out[e] = out.get(e, GaussianRational(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def o_eval(p, lam, mu):
+    return sum((c * lam**i * mu**j for (i, j), c in p.items()), GaussianRational(0))
+
+
+def o_coeffs_in(p, var):
+    idx = 0 if var == LAM else 1
+    degree = max((e[idx] for e in p), default=-1)
+    out = [{} for _ in range(degree + 1)]
+    for (i, j), c in p.items():
+        out[(i, j)[idx]][(0, j) if idx == 0 else (i, 0)] = c
+    return out
+
+
+def same_poly(ours: BiPoly, oracle: dict) -> bool:
+    expected = {e: c for e, c in oracle.items() if c}
+    rebuilt = BiPoly(expected)
+    return dict(ours.terms()) == expected and ours == rebuilt and hash(ours) == hash(rebuilt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_st, term_st, gr_st, gr_st, gr_st)
+def test_integer_bipoly_matches_gaussian_rational_oracle(p_terms, q_terms, s, lam, mu):
+    p, q = BiPoly(p_terms), BiPoly(q_terms)
+    assert same_poly(p, p_terms)
+    assert same_poly(p + q, o_add(p_terms, q_terms))
+    assert same_poly(p - q, o_add(p_terms, {e: -c for e, c in q_terms.items()}))
+    assert same_poly(-p, {e: -c for e, c in p_terms.items()})
+    assert same_poly(p * q, o_mul(p_terms, q_terms))
+    assert same_poly(p * s, {e: c * s for e, c in p_terms.items()})
+    for var in (LAM, MU):
+        coeffs = p.coeffs_in(var)
+        oracle = o_coeffs_in({e: c for e, c in p_terms.items() if c}, var)
+        assert len(coeffs) == len(oracle)
+        assert all(same_poly(c, o) for c, o in zip(coeffs, oracle))
+    assert p.eval(lam, mu) == o_eval(p_terms, lam, mu)
+    approx = p.eval_complex(lam.to_complex(), mu.to_complex())
+    assert abs(approx - o_eval(p_terms, lam, mu).to_complex()) < 1e-9
+    # The same value built another way compares and hashes equal.
+    if s:
+        twice = (p * s) * (GaussianRational(1) / s)
+        assert twice == p and hash(twice) == hash(p)
+    assert p.integer_form()[0] >= 1
+
+
+def test_integer_form_is_canonical():
+    half = BiPoly({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
+    assert half.integer_form() == (2, {(1, 0): (1, 0), (0, 1): (1, 0)})
+    assert (half + half).integer_form() == (1, {(1, 0): (1, 0), (0, 1): (1, 0)})
+    assert BiPoly.from_integer_form(6, {(0, 0): (2, 4), (1, 0): (0, 0)}) == BiPoly(
+        {(0, 0): GaussianRational(Fraction(1, 3), Fraction(2, 3))}
+    )
+    assert (half - half).integer_form() == (1, {})

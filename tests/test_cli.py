@@ -183,6 +183,31 @@ def test_compare_seeded(capsys):
     assert "spectra agree" in out
 
 
+def _scalar_quadratic(**coefficients):
+    names = ("A20", "A11", "A02", "A10", "A01", "A00")
+    return {"n": 1, "coefficients": {k: [[str(coefficients.get(k, 0))]] for k in names}}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "compare"])
+@pytest.mark.parametrize("swap", [False, True], ids=["free-first", "free-second"])
+def test_determinant_free_of_mu_still_has_a_finite_spectrum(capsys, tmp_path, command, swap):
+    import json
+
+    # det Q1 = lam - 1 has degree 0 in mu; with det Q2 = mu^2 - 1 the
+    # common zeros are (1, 1) and (1, -1), in either order of the pair.
+    pair = [_scalar_quadratic(A10=1, A00=-1), _scalar_quadratic(A02=1, A00=-1)]
+    if swap:
+        pair.reverse()
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({"Q1": pair[0], "Q2": pair[1]}))
+    code, out, err = run(capsys, command, "-s", str(system))
+    assert code == 0, err
+    assert "sigma_Q: 2 point(s), bound 4" in out
+    assert "lam = (1, 0)  mu = (-1," in out and "lam = (1, 0)  mu = (1," in out
+    if command == "compare":
+        assert "spectra agree" in out
+
+
 def test_verify_pair(capsys):
     code, out, _ = run(
         capsys, "verify-pair", "-s", SYS_RATIONAL, "--pair", PAIR_RATIONAL

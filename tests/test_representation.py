@@ -5,12 +5,14 @@ The oracles are the plain loops: every entry of a sum, product, Kronecker
 product or block matrix computed from GaussianRational (or BiPoly) entries
 one at a time, a field-elimination determinant and rank, and Gauss-Jordan
 inversion.  Equal values must also compare and hash equal however they
-were built, and the integer kernels must run no Fraction or
+were built, and the integer kernels, including the spectrum path from
+determinant to float coefficients, must run no Fraction or
 GaussianRational arithmetic.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 from fractions import Fraction
 
@@ -19,7 +21,8 @@ import pytest
 from pencilspace.bipoly import BiPoly
 from pencilspace.errors import ShapeError
 from pencilspace.matrices import Matrix
-from pencilspace.polymatrix import PolyMatrix
+from pencilspace.polymatrix import PolyMatrix, exact_det_poly
+from pencilspace.resultants import sylvester_resultant
 from pencilspace.scalars import GaussianRational
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -288,3 +291,32 @@ def test_integer_kernels_run_no_fraction_or_gaussian_rational_arithmetic():
         ("fractions.py", "denominator"),
     }
     assert _calls_into_scalars(run) <= boundary
+
+
+def test_spectrum_path_runs_no_fraction_or_gaussian_rational_arithmetic():
+    # A flat complex system: every entry a plain (re, im) pair, some complex.
+    def quadratic(seed):
+        rng = random.Random(seed)
+        entry = lambda: GaussianRational(rng.randint(-3, 3), rng.choice((0, rng.randint(-2, 2))))
+        coeffs = {
+            mono: Matrix([[entry(), entry()], [entry(), entry()]])
+            for mono in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))
+        }
+        return PolyMatrix.from_coefficients(2, 2, coeffs)
+
+    a, b = quadratic(1), quadratic(2)
+    out = {}
+
+    def run():
+        f, g = exact_det_poly(a), exact_det_poly(b)
+        resultant = sylvester_resultant(f, g, "mu")
+        out["square_free"] = resultant.square_free_part()
+        out["roots"] = out["square_free"].to_complex_coeffs()
+        out["values"] = [
+            f.eval_complex(0.5 + 1j, -0.25j),
+            g.max_abs_coeff(),
+            *(c.eval_complex(0.5 + 1j, 0.0) for c in f.coeffs_in("mu")),
+        ]
+
+    assert _calls_into_scalars(run) == set()
+    assert out["square_free"].degree() == 16

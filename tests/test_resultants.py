@@ -52,9 +52,25 @@ def test_common_factor_gives_zero():
 
 def test_degenerate_degree_rejected():
     with pytest.raises(DegreeError):
-        sylvester_resultant(LAM_P**2 - ONE, LINE, MU)  # f constant in mu
+        sylvester_resultant(LAM_P**2 - ONE, LAM_P + ONE, MU)  # both constant in mu
     with pytest.raises(DegreeError):
         sylvester_resultant(BiPoly.zero(), LINE, MU)
+    with pytest.raises(DegreeError):
+        sylvester_matrix(LINE, BiPoly.zero(), MU)
+
+
+@pytest.mark.parametrize("g", [LINE, CIRCLE, MU_P**2 - ONE])
+def test_degree_zero_input_gives_its_power(g):
+    # Sylvester convention: with deg f = 0 the matrix is f * I of size
+    # deg g, so Res(f, g) = f^deg(g), and Res(g, f) = f^deg(g) too.
+    f = LAM_P**2 - ONE
+    power = UniPoly.from_bipoly(f ** g.degree_in(MU), LAM)
+    n = g.degree_in(MU)
+    s = sylvester_matrix(f, g, MU)
+    assert s.shape == (n, n)
+    assert all(s[i, j] == (f if i == j else BiPoly.zero()) for i in range(n) for j in range(n))
+    assert sylvester_resultant(f, g, MU) == power
+    assert sylvester_resultant(g, f, MU) == power
 
 
 def test_eliminate_lambda():

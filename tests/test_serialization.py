@@ -325,3 +325,41 @@ def test_nesting_past_the_bound_names_the_outermost_scalar(monkeypatch):
         with pytest.raises(ParseError) as info:
             ser.parse_matrix([[value]], 1, 1, "m")
         assert str(info.value) == "m[0][0]: scalar nested too deeply"
+
+
+# -- the indented printer --------------------------------------------------------------
+
+
+def _square(data, n):
+    row = st.lists(_entries, min_size=n, max_size=n)
+    return Matrix(data.draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_dumps_prints_what_json_dumps_indent_2_prints(data):
+    from pencilspace import Pencil2P, QuadSystem2P
+
+    n = data.draw(st.integers(1, 3))
+    q1, q2 = (QuadPoly2P(n, *(_square(data, n) for _ in range(6))) for _ in range(2))
+    pencil = Pencil2P(n, *(_square(data, n) for _ in range(3)))
+    for doc in (
+        ser.problem_to_dict(q1),
+        ser.pencil_to_dict(pencil),
+        ser.system_to_dict(QuadSystem2P(q1, q2)),
+    ):
+        assert ser.dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(), _json_values, max_size=4))
+def test_dumps_matches_json_dumps_on_any_document(doc):
+    # Empty containers, non-ASCII text, non-finite floats and nesting.
+    assert ser.dumps(doc) == json.dumps(doc, indent=2) + "\n"
