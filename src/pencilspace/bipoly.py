@@ -1,13 +1,12 @@
 """Exact polynomials in the two spectral parameters, stored on integers.
 
-A bivariate polynomial is one positive common denominator plus a dict
-mapping exponent pairs (i, j) for the monomial lam^i * mu^j to the
-Gaussian-integer numerators (re, im) of its nonzero coefficients, in
-canonical form (no common factor of the denominator and all numerators),
-exactly as ``Matrix`` stores its entries; the zero polynomial is the empty
-dict over 1.  ``UniPoly``, the single-variable carrier used for resultants,
-is one denominator over an ascending numerator tuple whose last entry (the
-leading coefficient) is nonzero unless the polynomial is zero.
+A bivariate polynomial is stored in the integer form of ``gaussint``: one
+denominator plus a dict mapping exponent pairs (i, j) for the monomial
+lam^i * mu^j to the (re, im) numerators of its nonzero coefficients; the
+zero polynomial is the empty dict over 1.  ``UniPoly``, the single-variable
+carrier used for resultants, is one denominator over an ascending numerator
+tuple whose last entry (the leading coefficient) is nonzero unless the
+polynomial is zero.
 
 All arithmetic runs on ints.  ``GaussianRational`` appears only where
 coefficients come in or go out: the constructors, ``terms``, ``coeffs``,
@@ -17,15 +16,15 @@ coefficients come in or go out: the constructors, ``terms``, ``coeffs``,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
+from . import gaussint
 from .errors import DegreeError
-from .scalars import GaussianRational, ScalarLike, clear_denominators
+from .gaussint import Pair
+from .scalars import GaussianRational, ScalarLike
 
 Exponent = Tuple[int, int]
-# Gaussian integers as (re, im) int pairs.
-GaussInt = Tuple[int, int]
 
 LAM = "lam"
 MU = "mu"
@@ -41,8 +40,7 @@ class BiPoly:
         items = [
             ((int(i), int(j)), GaussianRational.coerce(c)) for (i, j), c in (terms or {}).items()
         ]
-        # The lcm of lowest-terms denominators is already canonical.
-        den, pairs = clear_denominators(c for _, c in items)
+        den, pairs = gaussint.from_scalars(c for _, c in items)
         _init(self, {e: p for (e, _), p in zip(items, pairs) if p != (0, 0)}, den)
 
     def __setattr__(self, name, value):
@@ -67,7 +65,7 @@ class BiPoly:
         return _MU
 
     @staticmethod
-    def from_integer_form(den: int, terms: Mapping[Exponent, GaussInt]) -> "BiPoly":
+    def from_integer_form(den: int, terms: Mapping[Exponent, Pair]) -> "BiPoly":
         """The polynomial sum terms[(i, j)] / den * lam^i mu^j, from (re, im)
         numerator pairs over a positive denominator; the inverse of
         ``integer_form``."""
@@ -75,7 +73,7 @@ class BiPoly:
 
     # -- inspection -------------------------------------------------------------
 
-    def integer_form(self) -> tuple[int, Mapping[Exponent, GaussInt]]:
+    def integer_form(self) -> tuple[int, Mapping[Exponent, Pair]]:
         """The common denominator and the map from each monomial to the
         (re, im) numerator pair of its nonzero coefficient (read-only)."""
         return self._den, self._terms
@@ -89,12 +87,12 @@ class BiPoly:
     def constant_value(self) -> GaussianRational:
         if not self.is_constant():
             raise DegreeError("polynomial is not constant")
-        return _scalar(self._terms.get((0, 0), (0, 0)), self._den)
+        return gaussint.to_scalar(self._den, self._terms.get((0, 0), (0, 0)))
 
     def terms(self) -> Iterator[Tuple[Exponent, GaussianRational]]:
         """Iterate terms in a deterministic (sorted) order."""
         for exponent in sorted(self._terms):
-            yield exponent, _scalar(self._terms[exponent], self._den)
+            yield exponent, gaussint.to_scalar(self._den, self._terms[exponent])
 
     def degree_in(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
@@ -111,7 +109,7 @@ class BiPoly:
 
     def max_abs_coeff(self) -> float:
         """Largest coefficient modulus as a float (for residual scales)."""
-        return max((abs(c) for _, _, c in self._complex_terms()), default=0.0)
+        return max((abs(c) for _, c in self._complex_terms()), default=0.0)
 
     # -- arithmetic ---------------------------------------------------------------
 
@@ -130,7 +128,7 @@ class BiPoly:
 
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, BiPoly):
-            out: Dict[Exponent, GaussInt] = {}
+            out: Dict[Exponent, Pair] = {}
             for (i1, j1), (a, b) in self._terms.items():
                 for (i2, j2), (c, d) in other._terms.items():
                     exp = (i1 + i2, j1 + j2)
@@ -144,13 +142,10 @@ class BiPoly:
                         out.pop(exp, None)
             return _reduced(out, self._den * other._den)
         if isinstance(other, (int, Fraction, GaussianRational)):
-            s_den, ((s_re, s_im),) = clear_denominators([GaussianRational.coerce(other)])
-            if not (s_re or s_im):
+            s_den, (s,) = gaussint.from_scalars([GaussianRational.coerce(other)])
+            if s == (0, 0):
                 return _ZERO
-            terms = {
-                e: (re * s_re - im * s_im, re * s_im + im * s_re)
-                for e, (re, im) in self._terms.items()
-            }
+            terms = {e: gaussint.mul(pair, s) for e, pair in self._terms.items()}
             return _reduced(terms, self._den * s_den)
         return NotImplemented
 
@@ -183,23 +178,15 @@ class BiPoly:
 
     def eval_complex(self, lam: complex, mu: complex) -> complex:
         total = 0j
-        for i, j, coeff in self._complex_terms():
+        for (i, j), coeff in self._complex_terms():
             total += coeff * lam**i * mu**j
         return total
 
-    def _complex_terms(self) -> list[tuple[int, int, complex]]:
-        """(i, j, coefficient as a complex), computed on first use.
-
-        re / den is the correctly rounded quotient, as float(Fraction) is,
-        so each value is the same float the Q(i) coefficient converts to,
-        and a coefficient beyond the float range raises OverflowError.
-        """
+    def _complex_terms(self) -> list[tuple[Exponent, complex]]:
+        """(exponent, coefficient as a complex), computed on first use."""
         if self._floats is None:
-            den = self._den
-            floats = [
-                (i, j, complex(re / den, im / den)) for (i, j), (re, im) in self._terms.items()
-            ]
-            object.__setattr__(self, "_floats", floats)
+            floats = gaussint.to_complex(self._den, self._terms.values())
+            object.__setattr__(self, "_floats", list(zip(self._terms, floats)))
         return self._floats
 
     def coeffs_in(self, var: str) -> list["BiPoly"]:
@@ -212,7 +199,7 @@ class BiPoly:
         if degree < 0:
             return []
         idx = _VARS.index(var)
-        buckets: list[Dict[Exponent, GaussInt]] = [{} for _ in range(degree + 1)]
+        buckets: list[Dict[Exponent, Pair]] = [{} for _ in range(degree + 1)]
         for (i, j), pair in self._terms.items():
             if idx == 0:
                 buckets[i][(0, j)] = pair
@@ -250,32 +237,22 @@ class BiPoly:
         return f"BiPoly({dict(self.terms())!r})"
 
 
-def _init(poly: BiPoly, terms: Dict[Exponent, GaussInt], den: int) -> None:
+def _init(poly: BiPoly, terms: Dict[Exponent, Pair], den: int) -> None:
     object.__setattr__(poly, "_den", den)
     object.__setattr__(poly, "_terms", terms)
     object.__setattr__(poly, "_floats", None)
 
 
-def _wrap(terms: Dict[Exponent, GaussInt], den: int) -> BiPoly:
+def _wrap(terms: Dict[Exponent, Pair], den: int) -> BiPoly:
     """Wrap nonzero numerators already in canonical form over den."""
     poly = BiPoly.__new__(BiPoly)
     _init(poly, terms, den)
     return poly
 
 
-def _common_factor(den: int, pairs: Iterable[GaussInt]) -> int:
-    g = den
-    for re, im in pairs:
-        if g == 1:
-            break
-        g = gcd(g, re, im)
-    return g
-
-
-def _reduced(terms: Dict[Exponent, GaussInt], den: int) -> BiPoly:
-    """The canonical polynomial terms / den (den > 0, no zero pair stored):
-    divide out the gcd of den and every numerator component."""
-    g = _common_factor(den, terms.values())
+def _reduced(terms: Dict[Exponent, Pair], den: int) -> BiPoly:
+    """The canonical polynomial terms / den (den > 0, no zero pair stored)."""
+    g = gaussint.content(den, terms.values())
     if g != 1:
         terms = {e: (re // g, im // g) for e, (re, im) in terms.items()}
         den //= g
@@ -299,10 +276,6 @@ def _combine(a: BiPoly, b: BiPoly, sign: int) -> BiPoly:
     return _reduced(out, den)
 
 
-def _scalar(pair: GaussInt, den: int) -> GaussianRational:
-    return GaussianRational(Fraction(pair[0], den), Fraction(pair[1], den))
-
-
 def _power_table(base: GaussianRational, degree: int) -> list[GaussianRational]:
     powers = [GaussianRational(1)]
     for _ in range(max(degree, 0)):
@@ -321,14 +294,16 @@ class UniPoly:
 
     Stored as one positive denominator over ascending Gaussian-integer
     numerators, canonical as in ``BiPoly``; ``coeffs`` gives the
-    coefficients as GaussianRational values.  ``var`` records which
-    spectral parameter the variable stands for, for display only.
+    coefficients as GaussianRational values.  ``var``, "lam" or "mu",
+    records which spectral parameter the variable stands for.
     """
 
     __slots__ = ("_den", "_nums", "var")
 
     def __init__(self, coeffs: Iterable[ScalarLike], var: str = LAM):
-        den, nums = clear_denominators(GaussianRational.coerce(c) for c in coeffs)
+        if var not in _VARS:
+            raise ValueError(f"var must be {LAM!r} or {MU!r}, not {var!r}")
+        den, nums = gaussint.from_scalars(GaussianRational.coerce(c) for c in coeffs)
         _init_uni(self, _stripped(nums), den, var)
 
     def __setattr__(self, name, value):
@@ -356,7 +331,7 @@ class UniPoly:
     @property
     def coeffs(self) -> tuple[GaussianRational, ...]:
         """The coefficients, ascending, as GaussianRational values."""
-        return tuple(_scalar(c, self._den) for c in self._nums)
+        return tuple(gaussint.to_scalar(self._den, c) for c in self._nums)
 
     def degree(self) -> int:
         return len(self._nums) - 1
@@ -367,7 +342,7 @@ class UniPoly:
     def leading(self) -> GaussianRational:
         if not self._nums:
             raise DegreeError("zero polynomial has no leading coefficient")
-        return _scalar(self._nums[-1], self._den)
+        return gaussint.to_scalar(self._den, self._nums[-1])
 
     def eval(self, value: ScalarLike) -> GaussianRational:
         value = GaussianRational.coerce(value)
@@ -443,14 +418,13 @@ class UniPoly:
             return self
         # p / monic(c) = lc(c) p / c, in Z[i][x] by Gauss's lemma.
         lead = common[-1]
-        quotient = _exact_quotient([_gi_mul(x, lead) for x in nums], common)
+        quotient = _exact_quotient([gaussint.mul(x, lead) for x in nums], common)
         return _reduced_uni(quotient, self._den, self.var)
 
     def to_complex_coeffs(self) -> list[complex]:
         """The coefficients as complex floats (each the float of its exact
         value, as in ``BiPoly._complex_terms``)."""
-        den = self._den
-        return [complex(re / den, im / den) for re, im in self._nums]
+        return gaussint.to_complex(self._den, self._nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniPoly):
@@ -461,80 +435,55 @@ class UniPoly:
         return hash((self._den, self._nums, self.var))
 
     def __str__(self) -> str:
-        return str(self.to_bipoly()).replace("lam" if self.var == LAM else "mu", self.var)
+        return str(self.to_bipoly())
 
     def __repr__(self) -> str:
         return f"UniPoly({[str(c) for c in self.coeffs]}, var={self.var!r})"
 
 
-def _init_uni(poly: UniPoly, nums: list[GaussInt], den: int, var: str) -> None:
+def _init_uni(poly: UniPoly, nums: list[Pair], den: int, var: str) -> None:
     object.__setattr__(poly, "_den", den)
     object.__setattr__(poly, "_nums", tuple(nums))
     object.__setattr__(poly, "var", var)
 
 
-def _new_uni(nums: list[GaussInt], den: int, var: str) -> UniPoly:
+def _new_uni(nums: list[Pair], den: int, var: str) -> UniPoly:
     """Wrap numerators already canonical over den, leading one nonzero."""
     poly = UniPoly.__new__(UniPoly)
     _init_uni(poly, nums, den, var)
     return poly
 
 
-def _stripped(nums: list[GaussInt]) -> list[GaussInt]:
+def _stripped(nums: list[Pair]) -> list[Pair]:
     while nums and nums[-1] == (0, 0):
         nums.pop()
     return nums
 
 
-def _reduced_uni(nums: list[GaussInt], den: int, var: str) -> UniPoly:
+def _reduced_uni(nums: list[Pair], den: int, var: str) -> UniPoly:
     """The canonical polynomial nums / den (den > 0)."""
     nums = _stripped(nums)
-    g = _common_factor(den, nums)
+    g = gaussint.content(den, nums)
     if g != 1:
         nums = [(re // g, im // g) for re, im in nums]
         den //= g
     return _new_uni(nums, den, var)
 
 
-def _monic(nums: list[GaussInt], var: str) -> UniPoly:
-    """nums / lc(nums), as c * conj(lc) / |lc|^2 (any denominator cancels)."""
-    l_re, l_im = nums[-1]
-    return _reduced_uni(
-        [(re * l_re + im * l_im, im * l_re - re * l_im) for re, im in nums],
-        l_re * l_re + l_im * l_im,
-        var,
-    )
+def _monic(nums: list[Pair], var: str) -> UniPoly:
+    """nums / lc(nums) (any denominator cancels)."""
+    norm, s = gaussint.reciprocal(nums[-1])
+    return _reduced_uni([gaussint.mul(x, s) for x in nums], norm, var)
 
 
 # -- Gaussian-integer polynomial kernels ------------------------------------------
 
 
-def _gi_mul(x: GaussInt, y: GaussInt) -> GaussInt:
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _gi_pow(x: GaussInt, exponent: int) -> GaussInt:
-    result = (1, 0)
-    for _ in range(exponent):
-        result = _gi_mul(result, x)
-    return result
-
-
-def _gi_exact_div(xs: list[GaussInt], y: GaussInt) -> list[GaussInt]:
-    """Each x / y, for a y that divides every x in Z[i]."""
-    y_re, y_im = y
-    norm = y_re * y_re + y_im * y_im
-    return [
-        ((x_re * y_re + x_im * y_im) // norm, (x_im * y_re - x_re * y_im) // norm)
-        for x_re, x_im in xs
-    ]
-
-
-def _derivative(nums: Iterable[GaussInt]) -> list[GaussInt]:
+def _derivative(nums: Iterable[Pair]) -> list[Pair]:
     return [(k * re, k * im) for k, (re, im) in enumerate(nums)][1:]
 
 
-def _subresultant_gcd(a: Iterable[GaussInt], b: Iterable[GaussInt]) -> list[GaussInt]:
+def _subresultant_gcd(a: Iterable[Pair], b: Iterable[Pair]) -> list[Pair]:
     """The last nonzero remainder of the subresultant PRS of two nonzero
     Gaussian-integer polynomials (ascending): a Q(i)-multiple of their gcd.
 
@@ -551,16 +500,16 @@ def _subresultant_gcd(a: Iterable[GaussInt], b: Iterable[GaussInt]) -> list[Gaus
         r = _pseudo_remainder(a, b)
         if not r:
             break
-        divisor = _gi_mul(g, _gi_pow(h, delta))
-        a, b = b, _gi_exact_div(r, divisor)
+        divisor = gaussint.mul(g, gaussint.power(h, delta))
+        a, b = b, gaussint.exact_div(r, divisor)
         g = a[-1]
         # h <- g^delta h^(1 - delta); delta >= 1 after the first step.
         if delta:
-            h = _gi_exact_div([_gi_pow(g, delta)], _gi_pow(h, delta - 1))[0]
+            h = gaussint.exact_div([gaussint.power(g, delta)], gaussint.power(h, delta - 1))[0]
     return b
 
 
-def _pseudo_remainder(a: list[GaussInt], b: list[GaussInt]) -> list[GaussInt]:
+def _pseudo_remainder(a: list[Pair], b: list[Pair]) -> list[Pair]:
     """lc(b)^(deg a - deg b + 1) * a mod b over Z[i], coefficients ascending.
 
     Each of the deg a - deg b + 1 reduction steps multiplies the running
@@ -586,7 +535,7 @@ def _pseudo_remainder(a: list[GaussInt], b: list[GaussInt]) -> list[GaussInt]:
     return _stripped(r)
 
 
-def _exact_quotient(a: list[GaussInt], b: list[GaussInt]) -> list[GaussInt]:
+def _exact_quotient(a: list[Pair], b: list[Pair]) -> list[Pair]:
     """a / b in Z[i][x] by long division, for a b that divides a there.
 
     Every leading coefficient must divide exactly by lc(b) and the
@@ -624,7 +573,7 @@ SQUARE_FREE_PRIME = 1_000_000_009
 _SQRT_MINUS_ONE = pow(11, (SQUARE_FREE_PRIME - 1) // 4, SQUARE_FREE_PRIME)
 
 
-def _square_free_mod_p(nums: list[GaussInt]) -> bool:
+def _square_free_mod_p(nums: list[Pair]) -> bool:
     """True when the image r~ of r = sum nums[k] x^k in F_p[x] keeps its
     degree and gcd(r~, r~') = 1 over F_p: then r is square-free over Q(i).
 

@@ -32,7 +32,7 @@ from .errors import (
 from .matrices import Matrix, kron
 from .pencil import Pencil2P, QuadPoly2P
 from .polymatrix import PolyMatrix, exact_det_poly, poly_div_constant_ratio
-from .scalars import GaussianRational
+from .scalars import ONE, ZERO, GaussianRational
 from .space import (
     FreeBlocks,
     coerce_vector3,
@@ -42,8 +42,6 @@ from .space import (
     standard_linearization,
 )
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
 _MAX_DRAWS = 32  # redraws of the Z blocks before procedure_linearize gives up
 
 

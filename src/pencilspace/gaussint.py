@@ -1,0 +1,90 @@
+"""The integer form of exact values over Q(i).
+
+``Matrix``, ``BiPoly``, ``UniPoly`` and the JSON codec store a set of Q(i)
+values as one positive common denominator over Gaussian-integer numerators,
+each an (re, im) int pair.  The form is canonical when the denominator and
+every numerator component have no common factor, so equal values have
+equal forms.  This module alone holds its rules: the way in, canonical
+reduction, Z[i] product, power and division, and the way back to a
+``GaussianRational`` or a ``complex``.  It runs on ints; the containers keep
+their own storage and the inline arithmetic of their per-entry hot loops.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+from typing import Iterable
+
+from .scalars import GaussianRational
+
+Pair = tuple[int, int]
+# The lowest-terms parts (re numerator, re denominator, im numerator, im
+# denominator) of one value.
+Parts = tuple[int, int, int, int]
+
+
+def from_parts(parts: Iterable[Parts]) -> tuple[int, list[Pair]]:
+    """The integer form of values given by their lowest-terms parts: the lcm
+    of their denominators (already canonical) and the numerator pairs."""
+    parts = list(parts)
+    den = lcm(*{p[k] for p in parts for k in (1, 3)})
+    return den, [(a * (den // b), c * (den // d)) for a, b, c, d in parts]
+
+
+def from_scalars(values: Iterable[GaussianRational]) -> tuple[int, list[Pair]]:
+    """The integer form of GaussianRational values."""
+    return from_parts(
+        [(v.re.numerator, v.re.denominator, v.im.numerator, v.im.denominator) for v in values]
+    )
+
+
+def content(den: int, pairs: Iterable[Pair]) -> int:
+    """The gcd of den and every numerator component: the factor whose
+    division makes pairs / den canonical.  Stops once it reaches 1."""
+    for re, im in pairs:
+        if den == 1:
+            break
+        den = gcd(den, re, im)
+    return den
+
+
+def mul(x: Pair, y: Pair) -> Pair:
+    """The Z[i] product x * y."""
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def power(x: Pair, exponent: int) -> Pair:
+    """x ** exponent in Z[i], for exponent >= 0."""
+    result = (1, 0)
+    for _ in range(exponent):
+        result = mul(result, x)
+    return result
+
+
+def reciprocal(y: Pair, den: int = 1) -> tuple[int, Pair]:
+    """den / y for a nonzero Gaussian integer y, as (denominator, numerator)
+    = (|y|^2, den * conj(y)), not reduced."""
+    y_re, y_im = y
+    return y_re * y_re + y_im * y_im, (den * y_re, -den * y_im)
+
+
+def exact_div(xs: Iterable[Pair], y: Pair) -> list[Pair]:
+    """Each x / y, for a y that divides every x in Z[i]."""
+    norm, (c_re, c_im) = reciprocal(y)
+    return [((re * c_re - im * c_im) // norm, (re * c_im + im * c_re) // norm) for re, im in xs]
+
+
+def to_scalar(den: int, pair: Pair) -> GaussianRational:
+    """The value pair / den."""
+    return GaussianRational(Fraction(pair[0], den), Fraction(pair[1], den))
+
+
+def to_complex(den: int, pairs: Iterable[Pair]) -> list[complex]:
+    """Each pair / den as a complex.
+
+    re / den is the correctly rounded quotient, as float(Fraction) is, so
+    each value is the float its exact value converts to, and a value beyond
+    the float range raises OverflowError.
+    """
+    return [complex(re / den, im / den) for re, im in pairs]

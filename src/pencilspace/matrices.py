@@ -1,30 +1,27 @@
 """Dense matrices over the Gaussian rationals, stored on integers.
 
-A matrix is one positive common denominator plus the Gaussian-integer
-numerators of its entries as (re, im) int pairs, in canonical form (no
-common factor of the denominator and all numerators), so equal values
-compare and hash equal.  All arithmetic runs on ints; ``GaussianRational``
-appears only where entries come in or go out.  Determinant, rank and
-inverse share one fraction-free (Bareiss) elimination over Z[i]; rank first
-drops the rows of singleton columns (a column nonzero in one live row
-only), which adds one to the rank each, and eliminates the rest.  Before
-any elimination, det checks the nonzero pattern: without a perfect
-matching of rows to columns every Leibniz term has a zero factor, so the
-determinant is exactly 0 (structural rank, after Duff's maximum
+A matrix is stored in the integer form of ``gaussint``: one denominator
+over the (re, im) numerators of its entries.  All arithmetic runs on ints;
+``GaussianRational`` appears only where entries come in or go out.
+Determinant, rank and inverse share one fraction-free (Bareiss) elimination
+over Z[i]; rank first drops the rows of singleton columns (a column nonzero
+in one live row only), which adds one to the rank each, and eliminates the
+rest.  Before any elimination, det checks the nonzero pattern: without a
+perfect matching of rows to columns every Leibniz term has a zero factor,
+so the determinant is exactly 0 (structural rank, after Duff's maximum
 transversal).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
+from . import gaussint
 from .errors import ShapeError
-from .scalars import GaussianRational, ScalarLike, clear_denominators
-
-Pair = tuple[int, int]
+from .gaussint import Pair
+from .scalars import GaussianRational, ScalarLike
 
 
 class Matrix:
@@ -40,8 +37,7 @@ class Matrix:
         width = len(values[0])
         if any(len(row) != width for row in values):
             raise ShapeError("ragged rows in matrix literal")
-        # The lcm of lowest-terms denominators is already canonical.
-        den, pairs = clear_denominators(chain.from_iterable(values))
+        den, pairs = gaussint.from_scalars(chain.from_iterable(values))
         _init(self, tuple(tuple(pairs[k : k + width]) for k in range(0, len(pairs), width)), den)
 
     def __setattr__(self, name, value):
@@ -103,8 +99,7 @@ class Matrix:
 
     def __getitem__(self, key: tuple[int, int]) -> GaussianRational:
         i, j = key
-        re, im = self._data[i][j]
-        return GaussianRational(Fraction(re, self._den), Fraction(im, self._den))
+        return gaussint.to_scalar(self._den, self._data[i][j])
 
     def row_entries(self, i: int) -> tuple[GaussianRational, ...]:
         return tuple(self[i, j] for j in range(self.cols))
@@ -152,7 +147,7 @@ class Matrix:
         return _new(_times(self._data, (-1, 0)), self._den)
 
     def scale(self, scalar: ScalarLike) -> "Matrix":
-        s_den, (s,) = clear_denominators([GaussianRational.coerce(scalar)])
+        s_den, (s,) = gaussint.from_scalars([GaussianRational.coerce(scalar)])
         return _reduced(_times(self._data, s), self._den * s_den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -200,9 +195,8 @@ class Matrix:
         pattern = [[j for j, x in enumerate(row) if x != (0, 0)] for row in self._data]
         if structural_rank(pattern, self.cols) < self.rows:
             return GaussianRational(0)
-        d_re, d_im = bareiss_det_int([list(row) for row in self._data])
-        scale = self._den**self.rows
-        return GaussianRational(Fraction(d_re, scale), Fraction(d_im, scale))
+        det = bareiss_det_int([list(row) for row in self._data])
+        return gaussint.to_scalar(self._den**self.rows, det)
 
     def rank(self) -> int:
         """Exact rank of the numerators (the common denominator does not
@@ -239,9 +233,7 @@ class Matrix:
         x: list = [None] * n
         for i in range(n - 1, -1, -1):
             row = a[i]
-            p_re, p_im = row[i]
-            p_norm = p_re * p_re + p_im * p_im
-            x_row = []
+            t_row = []
             for j in range(n):
                 # d_i * (D x_ij) = D * R_ij - sum_{k > i} U_ik * (D x_kj)
                 r_re, r_im = row[n + j]
@@ -252,15 +244,10 @@ class Matrix:
                     y_re, y_im = x[k][j]
                     t_re -= u_re * y_re - u_im * y_im
                     t_im -= u_re * y_im + u_im * y_re
-                x_row.append(
-                    ((t_re * p_re + t_im * p_im) // p_norm, (t_im * p_re - t_re * p_im) // p_norm)
-                )
-            x[i] = x_row
-        # den * (D X) / D = den * conj(D) * (D X) / |D|^2
-        return _reduced(
-            _times(tuple(map(tuple, x)), (d_re * self._den, -d_im * self._den)),
-            d_re * d_re + d_im * d_im,
-        )
+                t_row.append((t_re, t_im))
+            x[i] = tuple(gaussint.exact_div(t_row, row[i]))
+        norm, s = gaussint.reciprocal((d_re, d_im), self._den)
+        return _reduced(_times(tuple(x), s), norm)
 
     # -- predicates and conversions -----------------------------------------------------
 
@@ -272,8 +259,7 @@ class Matrix:
         return not any(re or im for row in self._data for re, im in row)
 
     def max_abs(self) -> float:
-        den = self._den
-        return max(abs(complex(re / den, im / den)) for row in self._data for re, im in row)
+        return max(map(abs, gaussint.to_complex(self._den, chain.from_iterable(self._data))))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -319,13 +305,8 @@ def _new(data: tuple, den: int) -> Matrix:
 
 
 def _reduced(data: tuple, den: int) -> Matrix:
-    """The canonical matrix data / den (den > 0): divide out the gcd of den
-    and every numerator component."""
-    g = den
-    for row in data:
-        if g == 1:
-            break
-        g = gcd(g, *chain.from_iterable(row))
+    """The canonical matrix data / den (den > 0)."""
+    g = gaussint.content(den, chain.from_iterable(data))
     if g != 1:
         data = tuple(tuple((re // g, im // g) for re, im in row) for row in data)
         den //= g

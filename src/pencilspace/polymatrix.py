@@ -16,10 +16,10 @@ factors, whose every term is constant, need one node.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from . import gaussint
 from .bipoly import BiPoly, Exponent
 from .errors import ShapeError
 from .matrices import Matrix, bareiss_det_int
@@ -404,18 +404,9 @@ def poly_div_constant_ratio(p: BiPoly, q: BiPoly) -> GaussianRational | None:
     # p = gamma q iff p_e * y = q_e * x at every monomial e, for the
     # numerators x of p and y of q at one monomial (cross-multiplied in Z[i]).
     first = min(q_terms)
-    x_re, x_im = p_terms[first]
-    y_re, y_im = q_terms[first]
-    for e, (c_re, c_im) in q_terms.items():
-        a_re, a_im = p_terms[e]
-        if (a_re * y_re - a_im * y_im, a_re * y_im + a_im * y_re) != (
-            c_re * x_re - c_im * x_im,
-            c_re * x_im + c_im * x_re,
-        ):
-            return None
-    # gamma = (x / p_den) / (y / q_den) = x conj(y) q_den / (|y|^2 p_den)
-    norm = (y_re * y_re + y_im * y_im) * p_den
-    return GaussianRational(
-        Fraction((x_re * y_re + x_im * y_im) * q_den, norm),
-        Fraction((x_im * y_re - x_re * y_im) * q_den, norm),
-    )
+    x, y = p_terms[first], q_terms[first]
+    if any(gaussint.mul(p_terms[e], y) != gaussint.mul(c, x) for e, c in q_terms.items()):
+        return None
+    # gamma = (x / p_den) / (y / q_den)
+    norm, s = gaussint.reciprocal(y, q_den)
+    return gaussint.to_scalar(norm * p_den, gaussint.mul(x, s))

@@ -217,14 +217,7 @@ def _common_zeros(
     accepted.sort(key=lambda p: (p.lam.real, p.lam.imag, p.mu.real, p.mu.imag))
     deduped: list[SpectrumPoint] = []
     for point in accepted:
-        match = next(
-            (
-                k
-                for k, kept in enumerate(deduped)
-                if max(abs(kept.lam - point.lam), abs(kept.mu - point.mu)) < 10 * tol
-            ),
-            None,
-        )
+        match = _first_near(deduped, point, tol)
         if match is None:
             deduped.append(point)
         elif point.residual < deduped[match].residual:
@@ -234,6 +227,19 @@ def _common_zeros(
         points=tuple(deduped),
         bezout_bound=bound,
         generic=len(deduped) <= bound,
+    )
+
+
+def _first_near(points: list[SpectrumPoint], point: SpectrumPoint, tol: float) -> int | None:
+    """The index of the first of points within 10*tol of point in the max
+    metric on (lam, mu), or None."""
+    return next(
+        (
+            k
+            for k, p in enumerate(points)
+            if max(abs(p.lam - point.lam), abs(p.mu - point.mu)) < 10 * tol
+        ),
+        None,
     )
 
 
@@ -279,14 +285,7 @@ def verify_spectral_equality(
     available = list(sigma_l.points)
     unmatched_q = []
     for point in sigma_q.points:
-        hit = next(
-            (
-                k
-                for k, cand in enumerate(available)
-                if max(abs(cand.lam - point.lam), abs(cand.mu - point.mu)) < 10 * tol
-            ),
-            None,
-        )
+        hit = _first_near(available, point, tol)
         if hit is None:
             unmatched_q.append(point)
         else:

@@ -1,20 +1,20 @@
 """Exact complex scalars with rational real and imaginary parts.
 
-Every structural identity in this package is checked over the Gaussian
-rationals: a scalar is a + b*i with a, b arbitrary-precision ``Fraction``
-values, so field arithmetic never rounds.  ``Fraction`` already keeps its
-operands in lowest terms with a positive denominator, which gives the
-canonical-form invariant for free.
-
-Floating point enters only when a value is handed to the numeric root
-finder via :meth:`GaussianRational.to_complex`.
+A ``GaussianRational`` is a + b*i with a, b arbitrary-precision ``Fraction``
+values, so field arithmetic never rounds; ``Fraction`` keeps its operands
+in lowest terms with a positive denominator, so equal values compare equal.
+It is the public scalar: values come in and go out as GaussianRationals,
+and exact evaluation at a point runs on them.  The exact kernels
+(``Matrix``, ``BiPoly``, ``UniPoly``) run on ints instead, in the integer
+form of ``gaussint``, which also converts to and from this class; the
+floats handed to the root finder come from ``BiPoly._complex_terms`` and
+``UniPoly.to_complex_coeffs``, not from this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Union
+from typing import Union
 
 RationalLike = Union[int, str, Fraction]
 ScalarLike = Union["GaussianRational", int, str, Fraction]
@@ -165,28 +165,5 @@ def _as_gr(value) -> "GaussianRational":
     return NotImplemented
 
 
-def clear_denominators(
-    values: Iterable[GaussianRational],
-) -> tuple[int, list[tuple[int, int]]]:
-    """Scale Q(i) values to Gaussian integers by one common factor.
-
-    Returns ``(scale, pairs)``: ``scale`` is the lcm of every real and
-    imaginary denominator, and ``pairs[k]`` is the ``(re, im)`` int pair of
-    ``scale * values[k]``.
-    """
-    values = list(values)
-    scale = 1
-    for v in values:
-        scale = lcm(scale, v.re.denominator, v.im.denominator)
-    return scale, [
-        (
-            v.re.numerator * (scale // v.re.denominator),
-            v.im.numerator * (scale // v.im.denominator),
-        )
-        for v in values
-    ]
-
-
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I_UNIT = GaussianRational(0, 1)

@@ -7,10 +7,10 @@ NaN and infinities are rejected.  Serialization is canonical -- keys in a
 fixed order, every scalar a lowest-terms string, two-space indentation --
 so serialize(parse(file)) is byte-identical for canonically written files.
 
-Matrices are read and written on their integer form: each entry becomes
-lowest-terms (numerator, denominator) parts of re and im, the matrix one
-lcm of those denominators, and printing takes one gcd per numerator
-component, so no GaussianRational is built per entry.
+Matrices are read and written on their integer form (``gaussint``): each
+entry becomes lowest-terms (numerator, denominator) parts of re and im, the
+matrix one lcm of those denominators, and printing takes one gcd per
+numerator component, so no GaussianRational is built per entry.
 """
 
 from __future__ import annotations
@@ -19,10 +19,12 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
-from math import gcd, lcm
+from math import gcd
 from typing import Any
 
+from . import gaussint
 from .errors import ParseError
 from .matrices import Matrix
 from .pencil import Pencil2P, QuadPoly2P
@@ -89,7 +91,7 @@ def parse_fraction(text: str, location: str) -> Fraction:
     return Fraction(*parse_rational(text, location))
 
 
-def _scalar_parts(value: Any, location: str, depth: int = 0) -> tuple[int, int, int, int]:
+def _scalar_parts(value: Any, location: str, depth: int = 0) -> gaussint.Parts:
     """A scalar as its lowest-terms parts (re numerator, re denominator,
     im numerator, im denominator): a literal, or an {"re", "im"} pair of
     rational scalars, themselves read recursively to MAX_NESTING pairs."""
@@ -119,8 +121,8 @@ def _scalar_parts(value: Any, location: str, depth: int = 0) -> tuple[int, int, 
 
 
 def parse_scalar(value: Any, location: str) -> GaussianRational:
-    re_num, re_den, im_num, im_den = _scalar_parts(value, location)
-    return GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
+    den, (pair,) = gaussint.from_parts([_scalar_parts(value, location)])
+    return gaussint.to_scalar(den, pair)
 
 
 def format_scalar(value: GaussianRational) -> Any:
@@ -155,20 +157,11 @@ def parse_matrix(value: Any, rows: int, cols: int, location: str) -> Matrix:
     return _matrix_from_parts(entries)
 
 
-def _matrix_from_parts(entries: list[list[tuple[int, int, int, int]]]) -> Matrix:
-    """The matrix of lowest-terms scalar parts, over the lcm of their
-    denominators (which from_integer_form has nothing left to reduce)."""
-    den = lcm(*{part[k] for row in entries for part in row for k in (1, 3)})
-    return Matrix.from_integer_form(
-        den,
-        [
-            [
-                (num_re * (den // den_re), num_im * (den // den_im))
-                for num_re, den_re, num_im, den_im in row
-            ]
-            for row in entries
-        ],
-    )
+def _matrix_from_parts(entries: list[list[gaussint.Parts]]) -> Matrix:
+    """The matrix of rows of lowest-terms scalar parts."""
+    den, pairs = gaussint.from_parts(chain.from_iterable(entries))
+    cols = len(entries[0])
+    return Matrix.from_integer_form(den, [pairs[k : k + cols] for k in range(0, len(pairs), cols)])
 
 
 def format_matrix(m: Matrix) -> list:

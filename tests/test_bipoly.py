@@ -104,6 +104,13 @@ def test_unipoly_normalization_and_leading():
         UniPoly([0, 0]).leading()
 
 
+def test_unipoly_variable_is_lam_or_mu():
+    assert str(UniPoly([1, 2], var=MU)) == "1 + (2)*mu"
+    assert str(UniPoly([0, -1, 3], var=LAM)) == "-lam + (3)*lam^2"
+    with pytest.raises(ValueError, match="'lam' or 'mu'"):
+        UniPoly([1, 2], var="x")
+
+
 def test_unipoly_bipoly_round_trip():
     p = 2 * LAM_P**2 - ONE
     u = UniPoly.from_bipoly(p, LAM)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencilspace import polymatrix
 from pencilspace.bipoly import BiPoly
@@ -383,3 +385,23 @@ def test_ratio_zero_denominator_rejected():
 def test_ratio_requires_full_support_match():
     assert poly_div_constant_ratio(LAM + MU, LAM) is None
     assert poly_div_constant_ratio(2 * LAM + MU, LAM + MU) is None
+
+
+fraction_st = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+nonzero_st = st.builds(GaussianRational, fraction_st, fraction_st).filter(bool)
+exponent_st = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.dictionaries(exponent_st, nonzero_st, min_size=2, max_size=5),
+    nonzero_st,
+    exponent_st,
+    nonzero_st,
+)
+def test_ratio_recovers_any_nonzero_gaussian_factor(q_terms, gamma, mono, delta):
+    q = BiPoly(q_terms)
+    p = q * gamma
+    assert poly_div_constant_ratio(p, q) == gamma
+    # q has two terms or more, so no multiple of q differs from p in one term.
+    assert poly_div_constant_ratio(p + BiPoly({mono: delta}), q) is None

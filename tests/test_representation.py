@@ -281,10 +281,8 @@ def test_integer_kernels_run_no_fraction_or_gaussian_rational_arithmetic():
         lam_a @ lam_a
 
     boundary = {
-        # building the scalar argument of scale and the det result
+        # reading the scalar argument of scale and building the det result
         ("scalars.py", "coerce"),
-        ("scalars.py", "clear_denominators"),
-        ("scalars.py", "<listcomp>"),
         ("scalars.py", "__init__"),
         ("fractions.py", "__new__"),
         ("fractions.py", "numerator"),
