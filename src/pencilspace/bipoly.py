@@ -96,10 +96,8 @@ class BiPoly:
 
     def degree_in(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        idx = _VARS.index(var)
-        return max(e[idx] for e in self._terms)
+        idx = _axis(var)
+        return max((e[idx] for e in self._terms), default=-1)
 
     def total_degree(self) -> int:
         """Maximum i + j over stored monomials; -1 for the zero polynomial."""
@@ -170,10 +168,8 @@ class BiPoly:
         lam = GaussianRational.coerce(lam)
         mu = GaussianRational.coerce(mu)
         total = GaussianRational(0)
-        lam_pows = _power_table(lam, self.degree_in(LAM))
-        mu_pows = _power_table(mu, self.degree_in(MU))
         for (i, j), coeff in self.terms():
-            total = total + coeff * lam_pows[i] * mu_pows[j]
+            total = total + coeff * lam**i * mu**j
         return total
 
     def eval_complex(self, lam: complex, mu: complex) -> complex:
@@ -195,16 +191,10 @@ class BiPoly:
         Entry k is the (polynomial) coefficient of var^k; it involves only
         the other variable.  The zero polynomial yields [].
         """
-        degree = self.degree_in(var)
-        if degree < 0:
-            return []
-        idx = _VARS.index(var)
-        buckets: list[Dict[Exponent, Pair]] = [{} for _ in range(degree + 1)]
-        for (i, j), pair in self._terms.items():
-            if idx == 0:
-                buckets[i][(0, j)] = pair
-            else:
-                buckets[j][(i, 0)] = pair
+        idx = _axis(var)
+        buckets: list[Dict[Exponent, Pair]] = [{} for _ in range(self.degree_in(var) + 1)]
+        for e, pair in self._terms.items():
+            buckets[e[idx]][(0, e[1]) if idx == 0 else (e[0], 0)] = pair
         return [_reduced(b, self._den) for b in buckets]
 
     # -- comparisons ---------------------------------------------------------------------
@@ -276,11 +266,11 @@ def _combine(a: BiPoly, b: BiPoly, sign: int) -> BiPoly:
     return _reduced(out, den)
 
 
-def _power_table(base: GaussianRational, degree: int) -> list[GaussianRational]:
-    powers = [GaussianRational(1)]
-    for _ in range(max(degree, 0)):
-        powers.append(powers[-1] * base)
-    return powers
+def _axis(var: str) -> int:
+    """The exponent position of a variable name: 0 for lam, 1 for mu."""
+    if var not in _VARS:
+        raise ValueError(f"var must be {LAM!r} or {MU!r}, not {var!r}")
+    return _VARS.index(var)
 
 
 _ZERO = _wrap({}, 1)
@@ -301,8 +291,7 @@ class UniPoly:
     __slots__ = ("_den", "_nums", "var")
 
     def __init__(self, coeffs: Iterable[ScalarLike], var: str = LAM):
-        if var not in _VARS:
-            raise ValueError(f"var must be {LAM!r} or {MU!r}, not {var!r}")
+        _axis(var)
         den, nums = gaussint.from_scalars(GaussianRational.coerce(c) for c in coeffs)
         _init_uni(self, _stripped(nums), den, var)
 
@@ -312,10 +301,10 @@ class UniPoly:
     @staticmethod
     def from_bipoly(poly: BiPoly, var: str) -> "UniPoly":
         """Convert a BiPoly involving only ``var`` into a UniPoly."""
-        other = MU if var == LAM else LAM
+        idx = _axis(var)
+        other = _VARS[1 - idx]
         if poly.degree_in(other) > 0:
             raise DegreeError(f"polynomial involves {other}, not univariate in {var}")
-        idx = _VARS.index(var)
         den, terms = poly.integer_form()
         nums = [(0, 0)] * (poly.degree_in(var) + 1)
         for exponent, pair in terms.items():
@@ -323,7 +312,7 @@ class UniPoly:
         return _new_uni(nums, den, var)
 
     def to_bipoly(self) -> BiPoly:
-        idx = _VARS.index(self.var)
+        idx = _axis(self.var)
         return BiPoly.from_integer_form(
             self._den, {((k, 0) if idx == 0 else (0, k)): c for k, c in enumerate(self._nums)}
         )

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import serialization as ser
-from .construct import _random_block, best_certificate, procedure_linearize
+from .construct import _random_block, best_certificate, condition_det_check, procedure_linearize
 from .errors import (
     ConditionUnsatisfiableError,
     ConvergenceError,
@@ -46,7 +46,6 @@ from .space import (
     FreeBlocks,
     generate_member,
     kernel_member,
-    lower_z_block,
     membership,
     space_dimension,
     standard_linearization,
@@ -135,7 +134,7 @@ def _random_component_blocks(rng: random.Random, n: int) -> FreeBlocks:
         y11 = _random_block(rng, n, n)
         z1 = _random_block(rng, 3 * n, n)
         z2 = _random_block(rng, 3 * n, n)
-        if lower_z_block(z1, z2).det():
+        if condition_det_check(Matrix.identity(3), z1, z2):
             return FreeBlocks(n, Matrix.vstack([y11, zero]), z1, z2)
     raise ConditionUnsatisfiableError("could not draw admissible blocks")
 

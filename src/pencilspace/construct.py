@@ -235,10 +235,10 @@ def _unimodular_pair(
     top, lower, left = range(n), range(n, m), range(2 * n)
     if any(not c.submatrix(lower, left).is_zero() for c in (pencil.lam_coeff, pencil.mu_coeff)):
         raise HypothesisViolatedError("certificate requires Y21 = Y31 = 0")
-    z_block = pencil.const.submatrix(lower, left)
-    if not z_block.det():
-        raise HypothesisViolatedError("lower Z block is singular")
-    z_inv = PolyMatrix.from_scalar(z_block.inverse())
+    try:
+        z_inv = PolyMatrix.from_scalar(pencil.const.submatrix(lower, left).inverse())
+    except ShapeError:  # the square Z block has no pivot in some column
+        raise HypothesisViolatedError("lower Z block is singular") from None
 
     inv_alpha = ONE / alpha
     eye = Matrix.identity(n)

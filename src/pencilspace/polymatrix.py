@@ -10,8 +10,10 @@ Determinants are evaluated by Bareiss at the integer nodes of a lower set
 that bounds their support, and interpolated on integers (exact_det_poly).
 The bound on each degree is a maximum-weight assignment of the entry
 degrees (Jacobi's bound, by Kuhn's Hungarian method): the largest degree
-any Leibniz term can reach.  Block-triangular and block-permutation
-factors, whose every term is constant, need one node.
+any Leibniz term can reach.  It runs only on patterns with a perfect
+matching: without one, ``structural_rank``, the test ``Matrix.det`` makes
+too, has already given the zero determinant.  Block-triangular and
+block-permutation factors, whose every term is constant, need one node.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from . import gaussint
 from .bipoly import BiPoly, Exponent
 from .errors import ShapeError
-from .matrices import Matrix, bareiss_det_int
+from .matrices import Matrix, bareiss_det_int, structural_rank
 from .scalars import GaussianRational, ScalarLike
 
 
@@ -253,12 +255,12 @@ def _degree_bounds(m: PolyMatrix) -> tuple[int, int, int] | None:
 
     Every Leibniz term of the determinant is the product of the entries
     (i, p(i)) of a permutation p, and its degree is at most the sum of
-    their entry degrees; it is zero unless all of them are nonzero.  Each
-    bound is the largest such sum over the permutations that use nonzero
-    entries only (a maximum-weight assignment), so no term can exceed it,
-    and it is never above the row or column sums of the largest entry
-    degrees.  Without any such permutation (no perfect matching on the
-    nonzero pattern) every term vanishes.
+    their entry degrees; it is zero unless all of them are nonzero.  Without
+    such a permutation (``structural_rank`` of the nonzero pattern below
+    the size, the test ``Matrix.det`` makes too) every term vanishes.
+    Otherwise each bound is the largest such sum (a maximum-weight
+    assignment), so no term can exceed it, and it is never above the row or
+    column sums of the largest entry degrees.
     """
     degrees: list[list] = [[None] * m.cols for _ in range(m.rows)]
     for (a, b), coeff in m._coeffs.items():
@@ -267,23 +269,20 @@ def _degree_bounds(m: PolyMatrix) -> tuple[int, int, int] | None:
                 if entry != (0, 0):
                     d_lam, d_mu, d = degrees[i][j] or (0, 0, 0)
                     degrees[i][j] = (max(d_lam, a), max(d_mu, b), max(d, a + b))
-    weights = lambda axis: [[e and e[axis] for e in row] for row in degrees]
-    d_lam = _max_assignment(weights(0))
-    if d_lam is None:
+    pattern = [[j for j, e in enumerate(row) if e] for row in degrees]
+    if structural_rank(pattern, m.cols) < m.rows:
         return None
-    return d_lam, _max_assignment(weights(1)), _max_assignment(weights(2))
+    return tuple(_max_assignment([[e and e[k] for e in row] for row in degrees]) for k in range(3))
 
 
-def _max_assignment(weights: list[list[int | None]]) -> int | None:
+def _max_assignment(weights: list[list[int | None]]) -> int:
     """The largest sum of weights[i][p(i)] over the permutations p that
-    avoid the None entries, or None if every permutation meets one.
+    avoid the None entries, of which there must be one.
 
     Kuhn's Hungarian method in its O(n^3) shortest-augmenting-path form,
     minimizing the cost -weight: rows join one at a time, and the dual
     potentials u (rows) and v (columns) keep every reduced cost
-    -w[i][j] - u[i] - v[j] nonnegative, zero on the matching.  A row that
-    reaches no free column through finite costs has no augmenting path, so
-    the rows so far have no perfect matching (Berge), nor has the whole.
+    -w[i][j] - u[i] - v[j] nonnegative, zero on the matching.
     """
     n = len(weights)
     inf = float("inf")
@@ -310,8 +309,6 @@ def _max_assignment(weights: list[list[int | None]]) -> int | None:
                     prev[j] = j0
                 if slack[j] < delta:
                     delta, j1 = slack[j], j
-            if delta == inf:
-                return None
             for j in range(n + 1):
                 if done[j]:
                     u[owner[j]] += delta
@@ -368,8 +365,8 @@ def exact_det_poly(m: PolyMatrix) -> BiPoly:
     scaled integer determinant at the nodes of S by Bareiss, interpolates
     on integers, and divides each coefficient once by
     d_lam! * d_mu! * scale^size; identical to the symbolic expansion.  A
-    structurally singular m (no perfect matching on its nonzero entries)
-    gives the zero polynomial without any evaluation.
+    structurally singular m (``structural_rank`` of its nonzero pattern
+    below its size) gives the zero polynomial without any evaluation.
     """
     if m.rows != m.cols:
         raise ShapeError("determinant requires a square matrix")

@@ -358,6 +358,7 @@ def verify_eigenpair(
     w2 = Matrix.vstack([x2.scale(lam), x2.scale(mu), x2])
     z = kron(w1, w2)
     delta = delta_operators(lin)
+    delta0_z = delta.delta0 @ z
     checks = (
         _residual("Q1(lam,mu) x1", system.q1.eval(lam, mu), x1, tol),
         _residual("Q2(lam,mu) x2", system.q2.eval(lam, mu), x2, tol),
@@ -368,14 +369,14 @@ def verify_eigenpair(
             delta.delta1,
             z,
             tol,
-            expected=(delta.delta0 @ z).scale(lam),
+            expected=delta0_z.scale(lam),
         ),
         _residual(
             "Delta2 z - mu Delta0 z",
             delta.delta2,
             z,
             tol,
-            expected=(delta.delta0 @ z).scale(mu),
+            expected=delta0_z.scale(mu),
         ),
     )
     return EigenpairReport(checks=checks, passed=all(c.passed for c in checks))

@@ -84,7 +84,6 @@ def unipoly_roots(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[complex]:
-    """Roots of an exact univariate polynomial, sorted lexicographically."""
-    if p.degree() < 1:
-        raise DegreeError("root finding requires degree >= 1")
+    """Roots of an exact univariate polynomial, sorted lexicographically;
+    DegreeError (from durand_kerner) for a constant or zero polynomial."""
     return durand_kerner(p.to_complex_coeffs(), tol=tol, max_iter=max_iter)

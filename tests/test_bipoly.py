@@ -111,6 +111,21 @@ def test_unipoly_variable_is_lam_or_mu():
         UniPoly([1, 2], var="x")
 
 
+def test_every_variable_lookup_names_lam_and_mu():
+    p = LAM_P * MU_P + ONE
+    calls = [
+        lambda: BiPoly.zero().degree_in("x"),
+        lambda: p.degree_in("x"),
+        lambda: p.coeffs_in("x"),
+        lambda: UniPoly.from_bipoly(LAM_P, "x"),
+        lambda: UniPoly([1, 2], var="x"),
+        lambda: sylvester_resultant(LAM_P - MU_P, LAM_P + MU_P, "x"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^var must be 'lam' or 'mu', not 'x'$"):
+            call()
+
+
 def test_unipoly_bipoly_round_trip():
     p = 2 * LAM_P**2 - ONE
     u = UniPoly.from_bipoly(p, LAM)

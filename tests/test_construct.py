@@ -192,6 +192,29 @@ def test_certify_scaled_e1_rejects_singular_z(rng):
         certify_scaled_e1(pencil, q, 1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certificate_eliminates_the_z_block_once(n, bareiss_calls):
+    # One elimination inverts the lower Z block; E and F take one each.
+    q = rand_quad(random.Random(n), n)
+    bareiss_calls.clear()
+    assert certify_standard(q).verified
+    assert len(bareiss_calls) == 3
+
+
+def test_singular_z_block_with_a_perfect_matching_is_rejected(rng):
+    # Unlike the zero blocks above, this lower Z block [Z1 | Z2] (rows n to
+    # 3n) has no zero entry: only the elimination in Matrix.inverse finds
+    # its second column block, twice the first, dependent.
+    n = 2
+    q = rand_quad(rng, n)
+    lower = Matrix([[rng.randint(1, 9) for _ in range(n)] for _ in range(2 * n)])
+    z1 = Matrix.vstack([q.a10, lower])
+    z2 = Matrix.vstack([q.a01, lower.scale(2)])
+    pencil = generate_member(q, (1, 0, 0), FreeBlocks(n, Matrix.zeros(3 * n, n), z1, z2))
+    with pytest.raises(HypothesisViolatedError, match="^lower Z block is singular$"):
+        certify_scaled_e1(pencil, q, 1)
+
+
 def test_certify_scaled_e1_rejects_wrong_ansatz(rng):
     q = rand_quad(rng, 1)
     pencil = generate_member(q, (1, 1, 0), rand_blocks(rng, 1))

@@ -10,7 +10,7 @@ from pencilspace import polymatrix
 from pencilspace.bipoly import BiPoly
 from pencilspace.construct import certify_standard
 from pencilspace.errors import ShapeError
-from pencilspace.matrices import Matrix
+from pencilspace.matrices import Matrix, structural_rank
 from pencilspace.pencil import Pencil2P
 from pencilspace.polymatrix import (
     PolyMatrix,
@@ -329,6 +329,29 @@ def test_det_support_lies_inside_the_assignment_bound():
         d_lam, d_mu, d = bounds
         for a, b in sympy.Poly(det, lam, mu).monoms():
             assert a <= d_lam and b <= d_mu and a + b <= d
+
+
+def test_structural_zero_is_decided_by_the_matching_alone(monkeypatch):
+    def no_assignment(weights):
+        raise AssertionError("_max_assignment ran on a structurally singular pattern")
+
+    monkeypatch.setattr(polymatrix, "_max_assignment", no_assignment)
+    # Rows 0 and 1 are nonzero in column 0 only: no perfect matching, though
+    # no row or column is zero.
+    z = BiPoly.zero()
+    m = PolyMatrix([[LAM, z, z], [MU + ONE, z, z], [ONE, LAM * MU, MU]])
+    assert polymatrix._degree_bounds(m) is None
+    assert exact_det_poly(m) == BiPoly.zero()
+    rng = random.Random("structural zero")
+    singular = 0
+    for _ in range(60):
+        m = _rand_sparse_polymatrix(rng, rng.randint(1, 5), 2)
+        pattern = [[j for j in range(m.cols) if not m[i, j].is_zero()] for i in range(m.rows)]
+        if structural_rank(pattern, m.cols) == m.rows:
+            continue
+        singular += 1
+        assert exact_det_poly(m) == BiPoly.zero()
+    assert singular >= 5
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -25,8 +25,10 @@ def test_pure_imaginary_pair():
 
 
 def test_degree_zero_rejected():
-    with pytest.raises(DegreeError):
-        unipoly_roots(UniPoly([5], var=LAM))
+    # A constant and the zero polynomial, both rejected by durand_kerner.
+    for p in (UniPoly([5], var=LAM), UniPoly([], var=LAM)):
+        with pytest.raises(DegreeError, match=r"^root finding requires degree >= 1$"):
+            unipoly_roots(p)
     with pytest.raises(DegreeError):
         durand_kerner([3.0])
 
