@@ -43,7 +43,7 @@ from .pencil import (
     eigenvector_correspondence,
     lambda_kron_identity,
 )
-from .polymatrix import PolyMatrix, exact_det_poly, poly_div_constant_ratio
+from .polymatrix import PolyMatrix, det_ratio, exact_det_poly, poly_div_constant_ratio
 from .qep import (
     DeltaOps,
     EigenpairReport,
@@ -51,6 +51,7 @@ from .qep import (
     QuadSystem2P,
     SpectrumPoint,
     SpectrumReport,
+    delta0_operator,
     delta_operators,
     linearize_system,
     singularity_check,
@@ -117,7 +118,9 @@ __all__ = [
     "certify_scaled_e1",
     "certify_standard",
     "condition_det_check",
+    "delta0_operator",
     "delta_operators",
+    "det_ratio",
     "durand_kerner",
     "eigenvector_correspondence",
     "exact_det_poly",

@@ -35,7 +35,7 @@ from .pencil import apply_to_lambda, box_add_pencil
 from .qep import (
     LinearSystem2P,
     QuadSystem2P,
-    delta_operators,
+    delta0_operator,
     linearize_system,
     singularity_check,
     spectrum_quadratic,
@@ -242,9 +242,9 @@ def _cmd_qep_linearize(args) -> int:
 def _cmd_delta(args) -> int:
     system = ser.parse_system(_read(args.system))
     lin = _build_linear_system(args, system)
-    delta = delta_operators(lin)
-    report = singularity_check(delta)
-    size = delta.delta0.rows
+    delta0 = delta0_operator(lin)
+    report = singularity_check(delta0)
+    size = delta0.rows
     print(f"delta operators: {size} x {size}")
     print(f"det Delta0 = {report.det0} (exact)")
     print("verdict: singular" if report.singular else "verdict: nonsingular")

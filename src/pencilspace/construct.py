@@ -8,8 +8,9 @@ Two certificate kinds are kept deliberately distinct:
   with ansatz alpha*e1 whose Y1 block is [Y11; 0; 0] and whose lower
   2n x 2n Z block is nonsingular.
 * ``det-ratio``: det L = gamma * det Q with gamma a nonzero constant --
-  the weaker eigenvalue-preservation criterion, decided by exact
-  determinants.
+  the weaker eigenvalue-preservation criterion, decided exactly at the
+  interpolation nodes of both determinants, stopping at the first node
+  where they disagree.
 
 General ansatz vectors are handled by the alignment procedure: pick a
 nonsingular 3 x 3 matrix M with M v = alpha*e1 from a fixed case table
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .matrices import Matrix, kron
 from .pencil import Pencil2P, QuadPoly2P
-from .polymatrix import PolyMatrix, exact_det_poly, poly_div_constant_ratio
+from .polymatrix import PolyMatrix, det_ratio, exact_det_poly
 from .scalars import ONE, ZERO, GaussianRational
 from .space import (
     FreeBlocks,
@@ -274,18 +275,21 @@ def certify_det_ratio(pencil: Pencil2P, q: QuadPoly2P) -> LinearizationCertifica
     """Determinant-proportionality certificate: det L = gamma * det Q, gamma != 0.
 
     Weaker than a unimodular pair; it certifies eigenvalue preservation
-    only.  Returns verified=False (never raises) when the determinants are
-    not proportional, gamma = 0, or det Q vanishes identically.
+    only.  Returns verified=False (never raises) when det Q vanishes
+    identically, the determinants are not proportional, or gamma = 0.
+    Decided by ``det_ratio`` at the interpolation nodes of both
+    determinants, without interpolating either: a non-proportional pair
+    stops at the first node where det L and gamma * det Q disagree, while
+    a verified one evaluates every node.
     """
     if pencil.m != 3 * q.n:
         raise ShapeError(f"pencil size {pencil.m} does not match 3n = {3 * q.n}")
-    det_l = exact_det_poly(pencil.as_polymatrix())
-    det_q = exact_det_poly(q.as_polymatrix())
-    if det_q.is_zero():
+    try:
+        gamma = det_ratio(pencil.as_polymatrix(), q.as_polymatrix())
+    except ZeroDivisionError:
         return LinearizationCertificate(
             kind="det-ratio", verified=False, detail="det Q is identically zero"
         )
-    gamma = poly_div_constant_ratio(det_l, det_q)
     if gamma is None:
         return LinearizationCertificate(
             kind="det-ratio", verified=False, detail="determinants not proportional"

@@ -8,6 +8,9 @@ product at a time.
 
 Determinants are evaluated by Bareiss at the integer nodes of a lower set
 that bounds their support, and interpolated on integers (exact_det_poly).
+Whether two determinants are proportional is decided at those nodes
+without interpolating either (det_ratio), up to the first node that
+disagrees.
 The bound on each degree is a maximum-weight assignment of the entry
 degrees (Jacobi's bound, by Kuhn's Hungarian method): the largest degree
 any Leibniz term can reach.  It runs only on patterns with a perfect
@@ -356,14 +359,20 @@ def _integer_grid_det(m: PolyMatrix):
     return scale, value
 
 
+def _lower_set(bounds: tuple[int, int, int]) -> list[list[Exponent]]:
+    """The nodes of S = {(a, b) : b <= d_mu, a <= min(d_lam, d - b)} for
+    the degree bounds (d_lam, d_mu, d), one row per b, a increasing."""
+    d_lam, d_mu, d = bounds
+    return [[(a, b) for a in range(min(d_lam, d - b) + 1)] for b in range(d_mu + 1)]
+
+
 def exact_det_poly(m: PolyMatrix) -> BiPoly:
     """Exact determinant of a polynomial matrix.
 
     With (d_lam, d_mu, d) the assignment degree bounds of _degree_bounds,
-    the determinant's support lies in the lower set
-    S = {(a, b) : b <= d_mu, a <= min(d_lam, d - b)}.  Evaluates the
-    scaled integer determinant at the nodes of S by Bareiss, interpolates
-    on integers, and divides each coefficient once by
+    the determinant's support lies in their lower set S (_lower_set).
+    Evaluates the scaled integer determinant at the nodes of S by Bareiss,
+    interpolates on integers, and divides each coefficient once by
     d_lam! * d_mu! * scale^size; identical to the symbolic expansion.  A
     structurally singular m (``structural_rank`` of its nonzero pattern
     below its size) gives the zero polynomial without any evaluation.
@@ -373,15 +382,61 @@ def exact_det_poly(m: PolyMatrix) -> BiPoly:
     bounds = _degree_bounds(m)
     if bounds is None:
         return BiPoly.zero()
-    d_lam, d_mu, d = bounds
+    d_lam, d_mu, _ = bounds
     scale, det_at = _integer_grid_det(m)
-    grid = [[det_at(a, b) for a in range(min(d_lam, d - b) + 1)] for b in range(d_mu + 1)]
+    grid = [[det_at(a, b) for a, b in row] for row in _lower_set(bounds)]
     re = _lower_set_coeffs([[v[0] for v in row] for row in grid])
     im = _lower_set_coeffs([[v[1] for v in row] for row in grid])
     return BiPoly.from_integer_form(
         factorial(d_lam) * factorial(d_mu) * scale**m.rows,
         {(a, b): (re[b][a], im[b][a]) for b in range(d_mu + 1) for a in range(len(re[b]))},
     )
+
+
+def det_ratio(p: PolyMatrix, q: PolyMatrix) -> GaussianRational | None:
+    """Return gamma with det p = gamma * det q exactly, or None if not
+    proportional: poly_div_constant_ratio(exact_det_poly(p),
+    exact_det_poly(q)), decided without interpolating either determinant.
+
+    Raises ZeroDivisionError when det q vanishes identically.  Both supports
+    lie in the lower set S of the componentwise larger degree bounds (det p
+    takes q's bounds when it is structurally zero), and a polynomial with
+    support in S that vanishes at the nodes of S is zero.  x0 is the first
+    node where det q is nonzero; without one, det q = 0.  Then det p =
+    gamma * det q forces gamma = det p(x0) / det q(x0), and holds iff
+    det p(x) det q(x0) = det q(x) det p(x0) at every node x, compared on
+    the scaled integer values, whose scales cancel.  The first node that
+    fails ends the test.
+    """
+    for m in (p, q):
+        if m.rows != m.cols:
+            raise ShapeError("determinant requires a square matrix")
+    q_bounds = _degree_bounds(q)
+    if q_bounds is None:
+        raise ZeroDivisionError("proportionality against the zero determinant")
+    p_bounds = _degree_bounds(p)
+    bounds = q_bounds if p_bounds is None else tuple(map(max, p_bounds, q_bounds))
+    nodes = [node for row in _lower_set(bounds) for node in row]
+    q_scale, q_at = _integer_grid_det(q)
+    for k, x0 in enumerate(nodes):
+        y = q_at(*x0)
+        if y != (0, 0):
+            break
+    else:
+        raise ZeroDivisionError("proportionality against the zero determinant")
+    if p_bounds is None:
+        return GaussianRational(0)
+    p_scale, p_at = _integer_grid_det(p)
+    x = p_at(*x0)
+    # det q vanishes at the nodes before x0, so det p must too.
+    if any(p_at(*node) != (0, 0) for node in nodes[:k]):
+        return None
+    for node in nodes[k + 1 :]:
+        if gaussint.mul(p_at(*node), y) != gaussint.mul(q_at(*node), x):
+            return None
+    # gamma = (x / p_scale^p.rows) / (y / q_scale^q.rows)
+    norm, s = gaussint.reciprocal(y, q_scale**q.rows)
+    return gaussint.to_scalar(norm * p_scale**p.rows, gaussint.mul(x, s))
 
 
 def poly_div_constant_ratio(p: BiPoly, q: BiPoly) -> GaussianRational | None:

@@ -143,15 +143,23 @@ def delta_operators(lin: LinearSystem2P) -> DeltaOps:
     a1, b1, c1 = lin.l1.const, lin.l1.lam_coeff, lin.l1.mu_coeff
     a2, b2, c2 = lin.l2.const, lin.l2.lam_coeff, lin.l2.mu_coeff
     return DeltaOps(
-        delta0=kron(b1, c2) - kron(c1, b2),
+        delta0=delta0_operator(lin),
         delta1=kron(c1, a2) - kron(a1, c2),
         delta2=kron(a1, b2) - kron(b1, a2),
     )
 
 
-def singularity_check(delta: DeltaOps) -> SingularityReport:
-    """Exact singularity verdict on Delta0 (fraction-free determinant)."""
-    det0 = delta.delta0.det()
+def delta0_operator(lin: LinearSystem2P) -> Matrix:
+    """Delta0 = B1 kron C2 - C1 kron B2 alone, all the singularity verdict
+    reads."""
+    return kron(lin.l1.lam_coeff, lin.l2.mu_coeff) - kron(lin.l1.mu_coeff, lin.l2.lam_coeff)
+
+
+def singularity_check(delta: DeltaOps | Matrix) -> SingularityReport:
+    """Exact singularity verdict on Delta0, given alone or as part of its
+    DeltaOps (fraction-free determinant)."""
+    delta0 = delta.delta0 if isinstance(delta, DeltaOps) else delta
+    det0 = delta0.det()
     return SingularityReport(det0=det0, singular=not det0)
 
 

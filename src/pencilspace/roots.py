@@ -10,6 +10,7 @@ drops below the tolerance.  Output order is lexicographic by
 from __future__ import annotations
 
 import cmath
+import math
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +32,7 @@ def durand_kerner(
     coeffs is ascending with a nonzero leading coefficient and degree >= 1.
     Raises ConvergenceError (carrying the best iterate and the sweep count)
     if the maximum relative correction max |dz| / max(1, |z|) stays above
-    tol for max_iter sweeps.
+    tol for max_iter sweeps, or at the first sweep where it is not finite.
     """
     if len(coeffs) < 2:
         raise DegreeError("root finding requires degree >= 1")
@@ -52,31 +53,45 @@ def durand_kerner(
     powers = np.arange(degree + 1)
     # Stays None while no sweep has computed a correction (max_iter = 0, or
     # every sweep so far nudged colliding iterates apart).
-    rel = None
-    for _ in range(max_iter):
-        values = (z[:, None] ** powers[None, :]) @ monic
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        denom = diff.prod(axis=1)
-        # A collision of iterates would produce a zero denominator; nudge.
-        collided = denom == 0
-        if collided.any():
-            z = z + np.where(collided, 1e-6 * (1 + 1j), 0)
-            continue
-        correction = values / denom
-        z = z - correction
-        rel = np.abs(correction) / np.maximum(1.0, np.abs(z))
-        if rel.max() < tol:
-            return sorted(map(complex, z), key=lambda w: (w.real, w.imag))
-    if rel is None:
+    worst = None
+    # Overflow and inf - inf end the iteration below, through the
+    # correction; numpy's warnings about them would only add noise.
+    with np.errstate(all="ignore"):
+        for sweep in range(1, max_iter + 1):
+            values = (z[:, None] ** powers[None, :]) @ monic
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, 1.0)
+            denom = diff.prod(axis=1)
+            # A collision of iterates would produce a zero denominator; nudge.
+            collided = denom == 0
+            if collided.any():
+                z = z + np.where(collided, 1e-6 * (1 + 1j), 0)
+                continue
+            correction = values / denom
+            z = z - correction
+            worst = (np.abs(correction) / np.maximum(1.0, np.abs(z))).max()
+            if worst < tol:
+                return _sorted_roots(z)
+            if not math.isfinite(worst):
+                raise ConvergenceError(
+                    f"Durand-Kerner iterate became non-finite in sweep {sweep} "
+                    f"(max relative correction {worst})",
+                    _sorted_roots(z),
+                    sweeps=sweep,
+                )
+    if worst is None:
         last = "no correction computed"
     else:
-        last = f"last max relative correction {rel.max():.3e}"
+        last = f"last max relative correction {worst:.3e}"
     raise ConvergenceError(
         f"Durand-Kerner did not converge in {max_iter} iterations ({last})",
-        sorted(map(complex, z), key=lambda w: (w.real, w.imag)),
+        _sorted_roots(z),
         sweeps=max_iter,
     )
+
+
+def _sorted_roots(z) -> list[complex]:
+    return sorted(map(complex, z), key=lambda w: (w.real, w.imag))
 
 
 def unipoly_roots(

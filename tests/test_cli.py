@@ -12,6 +12,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 Q_CIRCLE = str(CORPUS / "q_circle.json")
 Q_WORKED = str(CORPUS / "q_worked.json")
 L_WORKED = str(CORPUS / "l_worked.json")
+L_SOURCE = str(CORPUS / "l_source_worked.json")
 BLOCKS_WORKED = str(CORPUS / "blocks_worked.json")
 BLOCKS_STANDARD = str(CORPUS / "blocks_standard_circle.json")
 SYS_CIRCLE_LINE = str(CORPUS / "sys_circle_line.json")
@@ -124,6 +125,48 @@ def test_certify_worked_pencil_det_ratio(capsys):
     code, out, _ = run(capsys, "certify", "-q", Q_WORKED, "-l", L_WORKED)
     assert "det-ratio" in out
     assert code in (0, 1)
+
+
+# The det-ratio line, byte for byte, for a verified ratio, a degenerate one
+# and det Q = 0.
+def test_certify_det_ratio_verified_prints_gamma(capsys):
+    from pencilspace import procedure_linearize
+    from pencilspace import serialization as ser
+
+    # The source pencil of the procedure, (M kron I)^-1 times the aligned
+    # member it certifies: a general ansatz, so only the ratio applies.
+    q = ser.parse_problem(Path(Q_WORKED).read_text())
+    blocks = ser.parse_blocks(Path(BLOCKS_WORKED).read_text())
+    source = procedure_linearize(q, (1, 1, 2), blocks=blocks).source
+    assert ser.parse_pencil(Path(L_SOURCE).read_text()) == source
+    code, out, _ = run(capsys, "certify", "-q", Q_WORKED, "-l", L_SOURCE)
+    assert (code, out) == (0, "certificate: det-ratio certificate verified, gamma = 12\n")
+
+
+def test_certify_det_ratio_degenerate(capsys, tmp_path):
+    kernel = str(tmp_path / "kernel.json")
+    run(capsys, "kernel", "--blocks", BLOCKS_WORKED, "-o", kernel)
+    code, out, _ = run(capsys, "certify", "-q", Q_WORKED, "-l", kernel)
+    assert (code, out) == (
+        1,
+        "certificate: det-ratio certificate FAILED "
+        "(det L is identically zero (degenerate ratio)), gamma = 0\n",
+    )
+
+
+def test_certify_det_ratio_singular_q(capsys, tmp_path):
+    import json
+
+    doc = json.loads(Path(Q_WORKED).read_text())
+    for coeff in doc["coefficients"].values():
+        coeff[1] = ["0", "0"]
+    problem = tmp_path / "q_zero_row.json"
+    problem.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "certify", "-q", str(problem), "-l", L_WORKED)
+    assert (code, out) == (
+        1,
+        "certificate: det-ratio certificate FAILED (det Q is identically zero)\n",
+    )
 
 
 def test_qep_linearize(capsys, tmp_path):
@@ -266,6 +309,28 @@ def test_float_overflow_is_numeric_exit_without_traceback(tmp_path, command):
     assert result.returncode == 3
     assert "numeric overflow" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_non_finite_root_iterate_is_numeric_exit_without_warnings(tmp_path):
+    import json
+    import subprocess
+    import sys
+
+    # A tiny leading coefficient puts the first iterates near 1e200, whose
+    # powers overflow in the first sweep.
+    doc = json.loads(Path(SYS_RATIONAL).read_text())
+    doc["Q1"]["coefficients"]["A20"] = [["1e-200"]]
+    system = tmp_path / "tiny.json"
+    system.write_text(json.dumps(doc))
+    result = subprocess.run(
+        [sys.executable, "-m", "pencilspace", "spectrum", "-s", str(system)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 3
+    assert "non-finite" in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert result.stderr.count("\n") == 1
 
 
 def test_missing_file_is_input_error(capsys):

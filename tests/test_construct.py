@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencilspace import (
     FreeBlocks,
     Matrix,
+    Pencil2P,
     QuadPoly2P,
     ansatz_transform,
     best_certificate,
@@ -23,7 +26,7 @@ from pencilspace import (
 from pencilspace.bipoly import BiPoly
 from pencilspace.construct import ALL_CASES
 from pencilspace.errors import HypothesisViolatedError, ZeroAnsatzError
-from pencilspace.polymatrix import PolyMatrix, exact_det_poly
+from pencilspace.polymatrix import PolyMatrix, exact_det_poly, poly_div_constant_ratio
 from pencilspace.scalars import GaussianRational
 from pencilspace.space import lower_z_block
 
@@ -377,3 +380,106 @@ def test_certify_scaled_e1_factors_match_docstring_construction(rng):
             e, f = docstring_pair(pencil, q, alpha)
             assert cert.e == e
             assert cert.f == f
+
+
+def full_det_ratio(pencil, q):
+    """Oracle: (verified, detail, gamma) from both determinants in full,
+    the route certify_det_ratio took before it decided at the nodes."""
+    det_l = exact_det_poly(pencil.as_polymatrix())
+    det_q = exact_det_poly(q.as_polymatrix())
+    if det_q.is_zero():
+        return False, "det Q is identically zero", None
+    gamma = poly_div_constant_ratio(det_l, det_q)
+    if gamma is None:
+        return False, "determinants not proportional", None
+    if not gamma:
+        return False, "det L is identically zero (degenerate ratio)", gamma
+    return True, "", gamma
+
+
+def _zero_row(m, row):
+    return Matrix([[0 if i == row else m[i, j] for j in range(m.cols)] for i in range(m.rows)])
+
+
+def det_ratio_input(kind, n, rng):
+    """A (pencil, q) pair of one kind: a member with ansatz alpha*e1 and
+    Y1 = [Y11; 0; 0] (verified unless its Z block is singular), the same
+    with one perturbed entry, a member with a general ansatz and random
+    blocks, the procedure's source pencil ((M kron I)^-1 times a certified
+    member, so a verified ratio with gamma != 1), a kernel member (det L = 0
+    or not proportional), or a Q with a zero row (det Q = 0)."""
+    q = rand_quad(rng, n)
+    blocks = rand_blocks(rng, n)
+    v = random_vector_for(CASE_PATTERNS[rng.choice(ALL_CASES)], rng)
+    y1 = Matrix.vstack([blocks.sub("y1", 0), Matrix.zeros(2 * n, n)])
+    e1_member = generate_member(q, (rand_nonzero_gr(rng), 0, 0), FreeBlocks(n, y1, blocks.z1, blocks.z2))
+    if kind == "e1":
+        return e1_member, q
+    if kind == "general":
+        return generate_member(q, v, blocks), q
+    if kind == "perturbed":
+        pencil = e1_member
+        i, j = rng.randrange(3 * n), rng.randrange(3 * n)
+        bump = Matrix(
+            [[rand_nonzero_gr(rng) if (r, c) == (i, j) else 0 for c in range(3 * n)]
+             for r in range(3 * n)]
+        )
+        return Pencil2P(3 * n, pencil.lam_coeff, pencil.mu_coeff, pencil.const + bump), q
+    if kind == "source":
+        return procedure_linearize(q, v, blocks=blocks, rng=rng).source, q
+    if kind == "kernel":
+        return kernel_member(n, blocks), q
+    row = rng.randrange(n)
+    singular = QuadPoly2P(
+        n, *(_zero_row(m, row) for m in (q.a20, q.a11, q.a02, q.a10, q.a01, q.a00))
+    )
+    return generate_member(singular, v, blocks), singular
+
+
+DET_RATIO_KINDS = ("e1", "general", "perturbed", "source", "kernel", "zero-row")
+
+
+def assert_det_ratio_matches_full_route(pencil, q):
+    cert = certify_det_ratio(pencil, q)
+    verified, detail, gamma = full_det_ratio(pencil, q)
+    assert (cert.verified, cert.detail) == (verified, detail)
+    assert cert.gamma == gamma
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(DET_RATIO_KINDS), st.sampled_from((1, 2)), st.integers(0, 2**32))
+def test_det_ratio_matches_full_determinants(kind, n, seed):
+    assert_det_ratio_matches_full_route(*det_ratio_input(kind, n, random.Random(seed)))
+
+
+@pytest.mark.parametrize("kind", DET_RATIO_KINDS)
+def test_det_ratio_matches_full_determinants_at_n3(kind):
+    assert_det_ratio_matches_full_route(*det_ratio_input(kind, 3, random.Random(30)))
+
+
+def test_det_ratio_source_pencil_has_gamma_det_m_power():
+    # det (M kron I_n) = det M^n, and the aligned pencil's ratio is
+    # 1 / (det E det F) by its unimodular pair.
+    rng = random.Random(8)
+    q = rand_quad(rng, 2)
+    result = procedure_linearize(q, (1, 1, 2), rng=rng)
+    cert = certify_det_ratio(result.source, q)
+    pair = result.certificate
+    assert cert.verified
+    assert cert.gamma == GaussianRational(1) / (
+        result.transform.matrix.det() ** 2 * pair.det_e * pair.det_f
+    )
+    assert cert.gamma != GaussianRational(1)
+
+
+def test_det_ratio_stops_at_the_first_disagreeing_node(bareiss_calls):
+    # The full route interpolates det L at 55 nodes (9 x 9 eliminations)
+    # and det Q at 28; two nodes of each already disagree here.
+    rng = random.Random(13)
+    q = rand_quad(rng, 3)
+    pencil = generate_member(q, (1, 1, 2), rand_blocks(rng, 3))
+    bareiss_calls.clear()
+    cert = certify_det_ratio(pencil, q)
+    assert cert.detail == "determinants not proportional"
+    assert sum(1 for rows, _ in bareiss_calls if rows == 9) <= 3
+    assert sum(1 for rows, _ in bareiss_calls if rows == 3) <= 3

@@ -428,3 +428,55 @@ def test_ratio_recovers_any_nonzero_gaussian_factor(q_terms, gamma, mono, delta)
     assert poly_div_constant_ratio(p, q) == gamma
     # q has two terms or more, so no multiple of q differs from p in one term.
     assert poly_div_constant_ratio(p + BiPoly({mono: delta}), q) is None
+
+
+def _det_ratio_pair(rng, kind, q_size, extra):
+    """(p, q) with q random (zero entries and missing constant terms make
+    det q vanish at (0, 0) now and then, or everywhere); p random, or q
+    bordered by a constant block C and mixed by a constant U, so that
+    det p = det C det U det q, or that product with one entry bumped."""
+    q = PolyMatrix(_rand_entries(rng, q_size, ("lam", "mu"), 2))
+    if kind == "random":
+        return PolyMatrix(_rand_entries(rng, q_size + extra, ("lam", "mu"), 2)), q
+    c = PolyMatrix.from_scalar(rand_matrix(rng, extra, extra))
+    u = PolyMatrix.from_scalar(rand_matrix(rng, q_size + extra, q_size + extra))
+    p = PolyMatrix.from_blocks(
+        [[q, PolyMatrix.zeros(q_size, extra)], [PolyMatrix.zeros(extra, q_size), c]]
+    ) @ u
+    if kind == "bumped":
+        i, j = rng.randrange(p.rows), rng.randrange(p.cols)
+        bump = [[BiPoly.zero()] * p.cols for _ in range(p.rows)]
+        bump[i][j] = _rand_entry(rng, ("lam", "mu"), 2, zero_prob=0)
+        p = p + PolyMatrix(bump)
+    return p, q
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(("random", "proportional", "bumped")),
+    st.integers(1, 2),
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+)
+def test_det_ratio_matches_poly_div_constant_ratio(kind, q_size, extra, seed):
+    p, q = _det_ratio_pair(random.Random(seed), kind, q_size, extra)
+    det_q = exact_det_poly(q)
+    if det_q.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            polymatrix.det_ratio(p, q)
+    else:
+        assert polymatrix.det_ratio(p, q) == poly_div_constant_ratio(exact_det_poly(p), det_q)
+
+
+def test_det_ratio_checks_the_nodes_before_the_first_nonzero_one():
+    # det q = lam vanishes at (0, 0), so x0 = (1, 0); det p must vanish
+    # wherever det q does.
+    q = PolyMatrix([[LAM]])
+    assert polymatrix.det_ratio(PolyMatrix([[LAM * 3]]), q) == GaussianRational(3)
+    assert polymatrix.det_ratio(PolyMatrix([[LAM + ONE]]), q) is None
+    assert polymatrix.det_ratio(PolyMatrix([[LAM + MU]]), q) is None
+    assert polymatrix.det_ratio(PolyMatrix([[BiPoly.zero()]]), q) == GaussianRational(0)
+    with pytest.raises(ZeroDivisionError):
+        polymatrix.det_ratio(q, PolyMatrix([[LAM, MU], [LAM, MU]]))
+    with pytest.raises(ShapeError):
+        polymatrix.det_ratio(PolyMatrix([[LAM, MU]]), q)
