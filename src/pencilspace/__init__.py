@@ -6,7 +6,8 @@ linearizations (explicit unimodular transformations or exact determinant
 ratios), and linearizes pairs of quadratics into two-parameter eigenvalue
 problems whose spectra and operator determinants it verifies at desk
 scale.  All structural checks run over the Gaussian rationals; floating
-point appears only in the polynomial root iteration.
+point appears only in the polynomial root iteration, which imports numpy at
+its first call, so importing the package does not load numpy.
 """
 
 from .bipoly import BiPoly, UniPoly

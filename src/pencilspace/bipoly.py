@@ -317,6 +317,11 @@ class UniPoly:
             self._den, {((k, 0) if idx == 0 else (0, k)): c for k, c in enumerate(self._nums)}
         )
 
+    def integer_form(self) -> tuple[int, tuple[Pair, ...]]:
+        """The common denominator and the ascending (re, im) numerator pairs,
+        the leading one nonzero."""
+        return self._den, self._nums
+
     @property
     def coeffs(self) -> tuple[GaussianRational, ...]:
         """The coefficients, ascending, as GaussianRational values."""

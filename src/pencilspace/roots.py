@@ -5,6 +5,9 @@ complex-coefficient polynomial are iterated together from perturbed-circle
 initial points; the iteration stops when the largest relative correction
 drops below the tolerance.  Output order is lexicographic by
 (real, imaginary) so downstream reports are deterministic.
+
+numpy is imported inside ``durand_kerner``, at its first call, and by no
+other module: the exact commands never load it.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ import cmath
 import math
 from typing import Sequence
 
-import numpy as np
-
+from . import gaussint
 from .bipoly import UniPoly
 from .errors import ConvergenceError, DegreeError
 
@@ -34,6 +36,8 @@ def durand_kerner(
     if the maximum relative correction max |dz| / max(1, |z|) stays above
     tol for max_iter sweeps, or at the first sweep where it is not finite.
     """
+    import numpy as np
+
     if len(coeffs) < 2:
         raise DegreeError("root finding requires degree >= 1")
     lead = complex(coeffs[-1])
@@ -100,5 +104,20 @@ def unipoly_roots(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[complex]:
     """Roots of an exact univariate polynomial, sorted lexicographically;
-    DegreeError (from durand_kerner) for a constant or zero polynomial."""
-    return durand_kerner(p.to_complex_coeffs(), tol=tol, max_iter=max_iter)
+    DegreeError (from durand_kerner) for a constant or zero polynomial.
+
+    The coefficients go to the float iteration scaled by a power of two
+    that brings the leading one near 1, so a leading coefficient below the
+    float range does not read as zero.  Scaling by 2^k is exact and the
+    iteration divides by the leading coefficient, so the monic coefficients
+    are those of the unscaled ones wherever neither under- nor overflows.
+    """
+    den, nums = p.integer_form()
+    if nums:
+        lead_re, lead_im = nums[-1]
+        shift = den.bit_length() - max(abs(lead_re), abs(lead_im)).bit_length()
+        if shift >= 0:
+            nums = [(re << shift, im << shift) for re, im in nums]
+        else:
+            den <<= -shift
+    return durand_kerner(gaussint.to_complex(den, nums), tol=tol, max_iter=max_iter)

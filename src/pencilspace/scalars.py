@@ -8,7 +8,8 @@ and exact evaluation at a point runs on them.  The exact kernels
 (``Matrix``, ``BiPoly``, ``UniPoly``) run on ints instead, in the integer
 form of ``gaussint``, which also converts to and from this class; the
 floats handed to the root finder come from ``BiPoly._complex_terms`` and
-``UniPoly.to_complex_coeffs``, not from this module.
+``roots.unipoly_roots`` (through ``gaussint.to_complex``), not from this
+module.
 """
 
 from __future__ import annotations

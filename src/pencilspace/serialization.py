@@ -47,6 +47,8 @@ MAX_DIGITS = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 _TOO_LONG = 10**MAX_DIGITS
 _NESTED_PARTS = re.compile(r"(?:\.re|\.im)+$")
 _EXPONENT_FORM = re.compile(r"\s*([-+]?(?:\d+\.?\d*|\.\d+))[eE]([-+]?\d+)\s*")
+# A PEP 515 digit separator: an underscore between two digits.
+_SEPARATOR = re.compile(r"(?<=\d)_(?=\d)")
 _SCALAR_KEYS = frozenset(("re", "im"))
 # The deepest {"re": ...} nesting read: the limit problem files have long
 # had from the CLI, stated so that it does not move with the caller's stack
@@ -60,23 +62,30 @@ def parse_rational(text: str, location: str) -> tuple[int, int]:
     integer, p/q or decimal, with an optional exponent, bounded by
     MAX_DIGITS; a ParseError at location otherwise.
 
+    Underscores are read as Fraction reads them from Python 3.11 on, on
+    every supported Python: when each one sits between two digits they are
+    dropped before anything else looks at the literal, so the exponent
+    bound sees the digits they separate; otherwise the literal is rejected.
+    Messages quote the literal as written.
+
     Plain ASCII integers and p/q are read with int() and one gcd; every
-    other form (decimals, exponents, underscores, whitespace, a + sign,
-    Unicode digits, and every rejected literal) goes through Fraction.
+    other form (decimals, exponents, whitespace, a + sign, Unicode digits,
+    and every rejected literal) goes through Fraction.
     """
-    num, slash, den = text.partition("/")
+    literal = _without_separators(text)
+    num, slash, den = literal.partition("/")
     # No int of at most MAX_DIGITS digits raises, and each is below _TOO_LONG.
-    if text.isascii() and len(text) <= MAX_DIGITS and num.removeprefix("-").isdigit():
+    if literal.isascii() and len(literal) <= MAX_DIGITS and num.removeprefix("-").isdigit():
         if not slash:
             return int(num), 1
         if den.isdigit() and int(den):
             num, den = int(num), int(den)
             g = gcd(num, den)
             return num // g, den // g
-    exponent_form = _EXPONENT_FORM.fullmatch(text)
+    exponent_form = _EXPONENT_FORM.fullmatch(literal)
     try:
         huge = exponent_form is not None and abs(int(exponent_form[2])) > 2 * MAX_DIGITS
-        value = Fraction(exponent_form[1] if huge else text)
+        value = Fraction(exponent_form[1] if huge else literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not an exact rational: {text!r} ({exc})", location)
     if (huge and value) or max(abs(value.numerator), value.denominator) >= _TOO_LONG:
@@ -84,6 +93,15 @@ def parse_rational(text: str, location: str) -> tuple[int, int]:
             f"{text!r} has a numerator or denominator of more than {MAX_DIGITS} digits", location
         )
     return value.numerator, value.denominator
+
+
+def _without_separators(text: str) -> str:
+    """text without its digit separators if every underscore in it is one,
+    else text unchanged."""
+    if "_" not in text:
+        return text
+    literal = _SEPARATOR.sub("", text)
+    return text if "_" in literal else literal
 
 
 def parse_fraction(text: str, location: str) -> Fraction:

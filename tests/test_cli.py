@@ -333,6 +333,85 @@ def test_non_finite_root_iterate_is_numeric_exit_without_warnings(tmp_path):
     assert result.stderr.count("\n") == 1
 
 
+def test_underflowing_leading_coefficient_is_not_read_as_zero(tmp_path):
+    import json
+    import subprocess
+    import sys
+
+    # The exact resultant is generic, but its leading coefficient (about
+    # 1e-8000) is below the float range; the spectrum's roots lie beyond it.
+    def problem(**coeffs):
+        return {"n": 1, "coefficients": {key: [[value]] for key, value in coeffs.items()}}
+
+    doc = {
+        "Q1": problem(A20="0", A11="-3e-4000", A02="0", A10="-2", A01="-1", A00="2"),
+        "Q2": problem(A20="2", A11="1", A02="0", A10="-3", A01="1", A00="-3"),
+    }
+    system = tmp_path / "underflow.json"
+    system.write_text(json.dumps(doc))
+    result = subprocess.run(
+        [sys.executable, "-m", "pencilspace", "spectrum", "-s", str(system)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 3
+    assert result.stderr.startswith("numeric overflow")
+    assert "non-generic" not in result.stderr
+
+
+# One run of every subcommand that never reaches the root iteration.
+EXACT_COMMANDS = [
+    ["standard", "-q", Q_CIRCLE],
+    ["member", "-q", Q_WORKED, "-l", L_WORKED],
+    ["generate", "-q", Q_WORKED, "-v", "1,1,2", "--blocks", BLOCKS_WORKED],
+    ["kernel", "--blocks", BLOCKS_WORKED],
+    ["dimension", "-q", Q_CIRCLE],
+    ["procedure", "-q", Q_CIRCLE, "-v", "1,1,2", "--seed", "7"],
+    ["certify", "-q", Q_WORKED, "-l", str(CORPUS / "l_aligned_worked.json")],
+    ["qep-linearize", "-s", SYS_CIRCLE_LINE],
+    ["delta", "-s", SYS_CIRCLE_LINE],
+    ["verify-pair", "-s", SYS_RATIONAL, "--pair", PAIR_RATIONAL],
+]
+
+_COLD_START = """
+import contextlib, io, json, sys
+from pencilspace import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+exact = "numpy" in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["spectrum", "-s", sys.argv[2]])
+json.dump([codes, exact, code, "numpy" in sys.modules, out.getvalue()], sys.stdout)
+"""
+
+
+def test_exact_commands_never_load_numpy(capsys):
+    # This process has numpy loaded already, so the check runs in a fresh
+    # interpreter.
+    import json
+    import os
+    import subprocess
+    import sys
+
+    src = str(CORPUS.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _COLD_START, json.dumps(EXACT_COMMANDS), SYS_CIRCLE_LINE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    codes, exact_loaded, code, spectrum_loaded, stdout = json.loads(result.stdout)
+    assert codes == [0] * len(EXACT_COMMANDS)
+    assert not exact_loaded
+    assert code == 0 and spectrum_loaded
+    assert (code, stdout) == run(capsys, "spectrum", "-s", SYS_CIRCLE_LINE)[:2]
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "member", "-q", "/nonexistent.json", "-l", L_WORKED)
     assert code == 2

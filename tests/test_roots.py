@@ -2,11 +2,14 @@ import math
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pencilspace import roots
 from pencilspace.bipoly import LAM, UniPoly
 from pencilspace.errors import ConvergenceError, DegreeError
 from pencilspace.roots import durand_kerner, unipoly_roots
+from pencilspace.scalars import GaussianRational
 
 
 def test_sqrt_half_roots():
@@ -96,3 +99,26 @@ def test_multiplicities_are_reported():
     assert len(roots) == 2
     for r in roots:
         assert abs(r - 1) < 1e-6
+
+
+_parts = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(GaussianRational, _parts, _parts), min_size=2, max_size=8))
+def test_scaled_coefficients_give_the_unscaled_monic_coefficients(coeffs):
+    # unipoly_roots hands the iteration coefficients scaled by a power of
+    # two; the monic ones it divides out are the unscaled ones, bit for bit.
+    p = UniPoly(coeffs, var=LAM)
+    assume(p.degree() >= 1)
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roots, "durand_kerner", lambda c, **_: seen.append(c))
+        unipoly_roots(p)
+
+    def monic(values):
+        return [(z.real.hex(), z.imag.hex()) for z in (c / values[-1] for c in values)]
+
+    assert monic(seen[0]) == monic(p.to_complex_coeffs())
+    lead = abs(seen[0][-1])
+    assert 0.5 <= lead <= 3

@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -176,6 +177,24 @@ def test_literal_too_long_to_print_exits_2_at_parse(tmp_path, capsys, literal, f
         assert "more than" in err
 
 
+@pytest.mark.parametrize("literal", ["1e1_000_000_000", "-1.5e-1_000_000_000"])
+def test_huge_exponent_with_digit_separators_is_bounded(literal):
+    # A regression would build a 10**1_000_000_000 (about 415 MB) before
+    # failing, so the check runs in a child process with a timeout.
+    script = (
+        "import sys\n"
+        "from pencilspace import serialization as ser\n"
+        "ser.parse_rational(sys.argv[1], 't')"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, literal], capture_output=True, text=True, timeout=30
+    )
+    assert result.returncode == 1
+    assert result.stderr.rstrip().endswith(
+        f"t: {literal!r} has a numerator or denominator of more than {ser.MAX_DIGITS} digits"
+    )
+
+
 def test_zero_mantissa_with_huge_exponent_is_zero():
     assert ser.parse_scalar("0e10000000", "t") == GaussianRational(0)
     assert ser.parse_scalar("-0.0E-99999999", "t") == GaussianRational(0)
@@ -231,7 +250,7 @@ def test_matrix_codec_matches_the_per_entry_reference(data):
 _LIMIT = ser.MAX_DIGITS
 ACCEPTED_LITERALS = [
     "0", "-0", "7", "-12", "007", "2/4", "-4/6", "0/5", "1_000", " 1/2 ", "+3",
-    "1.5", "-0.25", "1e-3", "2.5E1", "١٢", "١/٢", "１２",
+    "1.5", "-0.25", "1e-3", "2.5E1", "١٢", "١/٢", "１２", "1_2/3_4", "1_0.2_5e-1_0",
     "9" * _LIMIT, "-" + "9" * _LIMIT, "1/" + "9" * _LIMIT,
 ]
 
@@ -240,7 +259,8 @@ ACCEPTED_LITERALS = [
     "text", ACCEPTED_LITERALS, ids=lambda text: text if len(text) < 20 else f"{len(text)} chars"
 )
 def test_literal_reads_as_fraction_does(text):
-    value = Fraction(text)
+    # Fraction reads underscores between digits only from Python 3.11 on.
+    value = Fraction(text.replace("_", ""))
     assert ser.parse_rational(text, "t") == (value.numerator, value.denominator)
     assert ser.parse_fraction(text, "t") == value
     assert ser.parse_scalar(text, "t") == GaussianRational(value)
@@ -266,6 +286,11 @@ REJECTED_SCALARS = [
     ("²", "", "not an exact rational: '²' (Invalid literal for Fraction: '²')"),
     ("١/٠", "", _fraction_error("١/٠")),
     ("9" * (_LIMIT + 1), "", _fraction_error("9" * (_LIMIT + 1))),
+    ("1__0", "", "not an exact rational: '1__0' (Invalid literal for Fraction: '1__0')"),
+    ("_1", "", "not an exact rational: '_1' (Invalid literal for Fraction: '_1')"),
+    ("1_", "", "not an exact rational: '1_' (Invalid literal for Fraction: '1_')"),
+    ("1_.5", "", "not an exact rational: '1_.5' (Invalid literal for Fraction: '1_.5')"),
+    ("1_/2", "", "not an exact rational: '1_/2' (Invalid literal for Fraction: '1_/2')"),
     (
         f"1e{_LIMIT}",
         "",
