@@ -412,7 +412,9 @@ class UniPoly:
             return self
         # p / monic(c) = lc(c) p / c, in Z[i][x] by Gauss's lemma.
         lead = common[-1]
-        quotient = _exact_quotient([gaussint.mul(x, lead) for x in nums], common)
+        quotient, remainder = _divide([gaussint.mul(x, lead) for x in nums], common)
+        if remainder:
+            raise DegreeError("square-free reduction failed (inexact division)")
         return _reduced_uni(quotient, self._den, self.var)
 
     def to_complex_coeffs(self) -> list[complex]:
@@ -491,7 +493,10 @@ def _subresultant_gcd(a: Iterable[Pair], b: Iterable[Pair]) -> list[Pair]:
     g = h = (1, 0)
     while len(b) > 1:
         delta = len(a) - len(b)
-        r = _pseudo_remainder(a, b)
+        # The pseudo-remainder: b divides lc(b)^(delta+1) a with every
+        # quotient coefficient exact (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).
+        s_re, s_im = gaussint.power(b[-1], delta + 1)
+        _, r = _divide([(re * s_re - im * s_im, re * s_im + im * s_re) for re, im in a], b)
         if not r:
             break
         divisor = gaussint.mul(g, gaussint.power(h, delta))
@@ -503,39 +508,12 @@ def _subresultant_gcd(a: Iterable[Pair], b: Iterable[Pair]) -> list[Pair]:
     return b
 
 
-def _pseudo_remainder(a: list[Pair], b: list[Pair]) -> list[Pair]:
-    """lc(b)^(deg a - deg b + 1) * a mod b over Z[i], coefficients ascending.
+def _divide(a: list[Pair], b: list[Pair]) -> tuple[list[Pair], list[Pair]]:
+    """(q, r) with a = q b + r and deg r < deg b, by long division in
+    Z[i][x]; r is stripped of trailing zeros, so the zero remainder is [].
 
-    Each of the deg a - deg b + 1 reduction steps multiplies the running
-    remainder by lc(b) and subtracts its leading coefficient times the
-    shifted b, so no division occurs.  Trailing zeros are stripped; the
-    zero remainder is [].
-    """
-    r = list(a)
-    l_re, l_im = b[-1]
-    deg_b = len(b) - 1
-    for top in range(len(r) - 1, deg_b - 1, -1):
-        c_re, c_im = r.pop()
-        shift = top - deg_b
-        for k in range(top):
-            x_re, x_im = r[k]
-            t_re = x_re * l_re - x_im * l_im
-            t_im = x_re * l_im + x_im * l_re
-            if k >= shift:
-                y_re, y_im = b[k - shift]
-                t_re -= c_re * y_re - c_im * y_im
-                t_im -= c_re * y_im + c_im * y_re
-            r[k] = (t_re, t_im)
-    return _stripped(r)
-
-
-def _exact_quotient(a: list[Pair], b: list[Pair]) -> list[Pair]:
-    """a / b in Z[i][x] by long division, for a b that divides a there.
-
-    Every leading coefficient must divide exactly by lc(b) and the
-    remainder must vanish; DegreeError otherwise.  Unlike a
-    pseudo-division, nothing is scaled by powers of lc(b), whose size the
-    PRS has already inflated.
+    Every leading coefficient on the way must divide exactly by lc(b);
+    DegreeError otherwise.  The caller scales a so that it does.
     """
     r = list(a)
     l_re, l_im = b[-1]
@@ -553,9 +531,7 @@ def _exact_quotient(a: list[Pair], b: list[Pair]) -> list[Pair]:
             y_re, y_im = b[k]
             x_re, x_im = r[shift + k]
             r[shift + k] = (x_re - (q_re * y_re - q_im * y_im), x_im - (q_re * y_im + q_im * y_re))
-    if any(x != (0, 0) for x in r):
-        raise DegreeError("square-free reduction failed (inexact division)")
-    return quotient
+    return quotient, _stripped(r)
 
 
 # -- the mod-p proof of square-freeness ----------------------------------------------

@@ -33,6 +33,7 @@ from .errors import (
 from .matrices import Matrix
 from .pencil import apply_to_lambda, box_add_pencil
 from .qep import (
+    DEFAULT_SPECTRUM_TOL,
     LinearSystem2P,
     QuadSystem2P,
     delta0_operator,
@@ -228,14 +229,8 @@ def _cmd_qep_linearize(args) -> int:
     lin = _build_linear_system(args, system)
     _print_certificate("L1", lin.cert1)
     _print_certificate("L2", lin.cert2)
-    if args.out:
-        for tag, pencil in (("L1", lin.l1), ("L2", lin.l2)):
-            path = f"{args.out}_{tag}.json"
-            Path(path).write_text(ser.serialize_pencil(pencil), encoding="utf-8")
-            print(f"wrote {path}")
-    else:
-        sys.stdout.write(ser.serialize_pencil(lin.l1))
-        sys.stdout.write(ser.serialize_pencil(lin.l2))
+    for tag, pencil in (("L1", lin.l1), ("L2", lin.l2)):
+        _emit_pencil(pencil, args.out and f"{args.out}_{tag}.json")
     return EXIT_OK
 
 
@@ -356,13 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "qep-linearize":
             p.add_argument("-o", "--out", help="prefix for the two pencil files")
         if name in ("compare", "verify-pair"):
-            p.add_argument("--tol", type=_tolerance, default=1e-9)
+            p.add_argument("--tol", type=_tolerance, default=DEFAULT_SPECTRUM_TOL)
         if name == "verify-pair":
             p.add_argument("--pair", required=True)
 
     p = add("spectrum", _cmd_spectrum, "finite spectrum of a system")
     p.add_argument("-s", "--system", required=True)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_SPECTRUM_TOL)
 
     return parser
 

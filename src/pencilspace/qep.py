@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .bipoly import BiPoly, UniPoly
 from .construct import LinearizationCertificate, certify_scaled_e1
 from .errors import (
     ConvergenceError,
@@ -155,10 +156,8 @@ def delta0_operator(lin: LinearSystem2P) -> Matrix:
     return kron(lin.l1.lam_coeff, lin.l2.mu_coeff) - kron(lin.l1.mu_coeff, lin.l2.lam_coeff)
 
 
-def singularity_check(delta: DeltaOps | Matrix) -> SingularityReport:
-    """Exact singularity verdict on Delta0, given alone or as part of its
-    DeltaOps (fraction-free determinant)."""
-    delta0 = delta.delta0 if isinstance(delta, DeltaOps) else delta
+def singularity_check(delta0: Matrix) -> SingularityReport:
+    """Exact singularity verdict on Delta0 (fraction-free determinant)."""
     det0 = delta0.det()
     return SingularityReport(det0=det0, singular=not det0)
 
@@ -177,8 +176,15 @@ def _common_zeros(
     g = exact_det_poly(b)
     if f.is_zero() or g.is_zero():
         raise NonGenericSystemError("a determinant polynomial is identically zero")
-    if f.is_constant() or g.is_constant():
-        # A nonzero constant determinant has no zeros at all.
+    # f and g have finitely many common zeros iff they share no factor: the
+    # resultant below sees factors involving mu, the lam-contents the rest.
+    f_mu = f.coeffs_in("mu")
+    g_mu = g.coeffs_in("mu")
+    common = _lam_gcd(f_mu + g_mu)
+    if common.degree() >= 1:
+        raise NonGenericSystemError(f"determinants share the factor {common}, free of mu")
+    if len(f_mu) == 1 and len(g_mu) == 1:
+        # Coprime and both free of mu: no common zero.
         return SpectrumReport(points=(), bezout_bound=bound, generic=True)
     resultant = sylvester_resultant(f, g, "mu")
     if resultant.is_zero():
@@ -195,8 +201,6 @@ def _common_zeros(
 
     scale_f = 1.0 + f.max_abs_coeff()
     scale_g = 1.0 + g.max_abs_coeff()
-    f_mu = f.coeffs_in("mu")
-    g_mu = g.coeffs_in("mu")
 
     def mu_candidates(lam0: complex) -> list[complex]:
         for coeffs, scale in ((f_mu, scale_f), (g_mu, scale_g)):
@@ -236,6 +240,16 @@ def _common_zeros(
         bezout_bound=bound,
         generic=len(deduped) <= bound,
     )
+
+
+def _lam_gcd(coeffs: list[BiPoly]) -> UniPoly:
+    """The monic gcd of lam-polynomials, not all zero (1 at once for a nonzero constant)."""
+    if any(c.is_constant() and not c.is_zero() for c in coeffs):
+        return UniPoly([1], var="lam")
+    common = UniPoly([], var="lam")
+    for c in coeffs:
+        common = common.gcd(UniPoly.from_bipoly(c, "lam"))
+    return common
 
 
 def _first_near(points: list[SpectrumPoint], point: SpectrumPoint, tol: float) -> int | None:

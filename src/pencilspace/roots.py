@@ -98,11 +98,7 @@ def _sorted_roots(z) -> list[complex]:
     return sorted(map(complex, z), key=lambda w: (w.real, w.imag))
 
 
-def unipoly_roots(
-    p: UniPoly,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> list[complex]:
+def unipoly_roots(p: UniPoly, tol: float = DEFAULT_TOL) -> list[complex]:
     """Roots of an exact univariate polynomial, sorted lexicographically;
     DegreeError (from durand_kerner) for a constant or zero polynomial.
 
@@ -120,4 +116,4 @@ def unipoly_roots(
             nums = [(re << shift, im << shift) for re, im in nums]
         else:
             den <<= -shift
-    return durand_kerner(gaussint.to_complex(den, nums), tol=tol, max_iter=max_iter)
+    return durand_kerner(gaussint.to_complex(den, nums), tol=tol)

@@ -50,10 +50,7 @@ class FreeBlocks:
 
     def sub(self, name: str, block_row: int) -> Matrix:
         """The n x n sub-block of one free block (block_row in 0..2)."""
-        full = getattr(self, name)
-        return full.submatrix(
-            range(block_row * self.n, (block_row + 1) * self.n), range(self.n)
-        )
+        return getattr(self, name).block(block_row, 0, self.n)
 
 
 def coerce_vector3(v: Sequence) -> Vector3:

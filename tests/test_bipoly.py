@@ -409,6 +409,64 @@ def test_square_free_part_matches_sympy_on_random_polynomials(seed):
         assert p.square_free_part() == p
 
 
+# -- the one Z[i][x] long division ------------------------------------------------------
+
+from pencilspace import gaussint  # noqa: E402
+
+gi_st = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+nonzero_gi_st = gi_st.filter(lambda x: x != (0, 0))
+UNITS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+
+def gi_poly(lead):
+    """Ascending Gaussian-integer coefficient lists, degree 0..6, whose
+    leading coefficient is drawn from ``lead``."""
+    return st.builds(lambda low, top: low + [top], st.lists(gi_st, max_size=6), lead)
+
+
+def gi_product(a, b):
+    out = [(0, 0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            p = gaussint.mul(x, y)
+            out[i + j] = (out[i + j][0] + p[0], out[i + j][1] + p[1])
+    return out
+
+
+def assert_division(a, b, q, r):
+    """a = q b + r with deg r < deg b, r stripped of trailing zeros."""
+    qb = gi_product(q, b)
+    total = [(0, 0)] * max(len(a), len(qb), len(r))
+    for part in (qb, r):
+        for k, (re, im) in enumerate(part):
+            total[k] = (total[k][0] + re, total[k][1] + im)
+    assert bipoly._stripped(total) == bipoly._stripped(list(a))
+    assert len(r) < len(b) and (not r or r[-1] != (0, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gi_poly(gi_st), gi_poly(st.sampled_from(UNITS)), gi_poly(nonzero_gi_st))
+def test_divide_is_euclidean_division_in_z_i(a, unit_b, b):
+    # A unit leading coefficient divides every coefficient.
+    assert_division(a, unit_b, *bipoly._divide(a, unit_b))
+    # lc(b)^(delta + 1) a, the pseudo-remainder's multiple, divides exactly
+    # at every step for any b.
+    scale = gaussint.power(b[-1], max(len(a) - len(b) + 1, 0))
+    scaled = [gaussint.mul(x, scale) for x in a]
+    assert_division(scaled, b, *bipoly._divide(scaled, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(gi_st, max_size=6), gi_st, gi_poly(nonzero_gi_st.filter(lambda x: x not in UNITS)))
+def test_divide_rejects_a_leading_coefficient_lc_b_does_not_divide(low, k, b):
+    # lc(b) k + 1 is a multiple of lc(b) only if lc(b) divides 1, a unit.
+    lead = gaussint.mul(b[-1], k)
+    a = low + [(0, 0)] * (len(b) - 1 - len(low)) + [(lead[0] + 1, lead[1])]
+    with pytest.raises(DegreeError) as failure:
+        bipoly._divide(a, b)
+    assert str(failure.value) == "square-free reduction failed (inexact division)"
+
+
 # -- integer-form BiPoly against the GaussianRational definitions ----------------------
 
 gr_st = st.builds(GaussianRational, coeff_st, st.one_of(st.just(0), coeff_st))

@@ -178,6 +178,21 @@ def test_qep_linearize(capsys, tmp_path):
     assert Path(prefix + "_L2.json").exists()
 
 
+@pytest.mark.parametrize("seed", [(), ("--seed", "3")], ids=["standard", "seeded"])
+def test_qep_linearize_file_mode_writes_the_stdout_pencils(capsys, tmp_path, seed):
+    args = ("qep-linearize", "-s", SYS_CIRCLE_LINE, *seed)
+    code, printed, _ = run(capsys, *args)
+    assert code == 0
+    certificates = "".join(printed.splitlines(keepends=True)[:2])
+    assert certificates.startswith("L1: ") and "\nL2: " in certificates
+    prefix = str(tmp_path / "sys")
+    code, out, _ = run(capsys, *args, "-o", prefix)
+    assert code == 0
+    assert out == certificates + f"wrote {prefix}_L1.json\nwrote {prefix}_L2.json\n"
+    written = Path(prefix + "_L1.json").read_text() + Path(prefix + "_L2.json").read_text()
+    assert written == printed[len(certificates):]
+
+
 def test_qep_linearize_seeded_reproducible(capsys):
     args = ("qep-linearize", "-s", SYS_CIRCLE_LINE, "--seed", "3")
     code1, out1, _ = run(capsys, *args)
@@ -249,6 +264,47 @@ def test_determinant_free_of_mu_still_has_a_finite_spectrum(capsys, tmp_path, co
     assert "lam = (1, 0)  mu = (-1," in out and "lam = (1, 0)  mu = (1," in out
     if command == "compare":
         assert "spectra agree" in out
+
+
+# det Q1 and det Q2 share a factor in lam alone, so every (lam, mu) on it is
+# a common zero although the resultant in mu is nonzero.
+SHARED_LAM_FACTOR = [
+    # lam (mu - 1) and lam (lam + mu)
+    (dict(A11=1, A10=-1), dict(A20=1, A11=1), "lam"),
+    # lam (mu - 1) and lam (mu + 1)
+    (dict(A11=1, A10=-1), dict(A11=1, A10=1), "lam"),
+    # lam^2 - 1 and lam - 1, both free of mu
+    (dict(A20=1, A00=-1), dict(A10=1, A00=-1), "-1 + lam"),
+]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "compare"])
+@pytest.mark.parametrize(
+    "q1, q2, factor", SHARED_LAM_FACTOR, ids=["lam+mu", "mu+1", "free-of-mu"]
+)
+def test_shared_factor_in_lam_is_non_generic(capsys, tmp_path, command, q1, q2, factor):
+    import json
+
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({"Q1": _scalar_quadratic(**q1), "Q2": _scalar_quadratic(**q2)}))
+    code, out, err = run(capsys, command, "-s", str(system))
+    assert (code, out) == (4, "")
+    assert err == f"non-generic system: determinants share the factor {factor}, free of mu\n"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "compare"])
+def test_coprime_determinants_free_of_mu_have_no_common_zero(capsys, tmp_path, command):
+    import json
+
+    # lam^2 - 1 and lam - 3 share no zero.
+    pair = {"Q1": _scalar_quadratic(A20=1, A00=-1), "Q2": _scalar_quadratic(A10=1, A00=-3)}
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps(pair))
+    code, out, err = run(capsys, command, "-s", str(system))
+    assert (code, err) == (0, "")
+    assert out.startswith("sigma_Q: 0 point(s), bound 4\n")
+    if command == "compare":
+        assert out.endswith("spectra agree\n")
 
 
 def test_verify_pair(capsys):

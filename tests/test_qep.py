@@ -22,7 +22,7 @@ from pencilspace import (
 )
 from pencilspace.errors import HypothesisViolatedError, NonGenericSystemError
 from pencilspace.matrices import structural_rank
-from pencilspace.qep import DeltaOps, LinearSystem2P
+from pencilspace.qep import LinearSystem2P
 from pencilspace.scalars import GaussianRational
 
 from conftest import rand_matrix, rand_quad
@@ -133,7 +133,7 @@ def test_delta0_singular_for_constructed_class(rng):
     for _ in range(6):
         n1, n2 = rng.choice(((1, 1), (1, 2), (2, 2)))
         system = QuadSystem2P(rand_quad(rng, n1), rand_quad(rng, n2))
-        report = singularity_check(delta_operators(linearize_system(system)))
+        report = singularity_check(delta_operators(linearize_system(system)).delta0)
         assert report.singular
         assert report.det0 == GaussianRational(0)
 
@@ -152,14 +152,14 @@ def test_delta0_at_n3_is_structurally_singular(rng, bareiss_calls):
     assert delta0.shape == (81, 81) and sum(map(len, pattern)) > 1500
     assert structural_rank(pattern, 81) == 54
     bareiss_calls.clear()
-    report = singularity_check(DeltaOps(delta0, delta0, delta0))
+    report = singularity_check(delta0)
     assert report.det0 == GaussianRational(0) and report.singular
     assert bareiss_calls == []
 
 
 def test_identity_delta0_nonsingular():
     eye = Matrix.identity(9)
-    report = singularity_check(DeltaOps(eye, eye, eye))
+    report = singularity_check(eye)
     assert not report.singular
     assert report.det0 == GaussianRational(1)
 
@@ -183,6 +183,29 @@ def test_spectrum_zero_determinant_is_non_generic():
     zero_q = QuadPoly2P(1, *(Matrix.zeros(1, 1) for _ in range(6)))
     with pytest.raises(NonGenericSystemError):
         spectrum_quadratic(QuadSystem2P(zero_q, LINE))
+
+
+@pytest.mark.parametrize(
+    "q2",
+    [QuadPoly2P.scalar(a20=1, a11=1), QuadPoly2P.scalar(a11=1, a10=1)],
+    ids=["lam(lam+mu)", "lam(mu+1)"],
+)
+def test_spectrum_factor_in_lam_alone_is_non_generic(q2):
+    # lam (mu - 1) shares lam with q2: every (0, mu) is a common zero,
+    # although the resultant in mu does not vanish.
+    q1 = QuadPoly2P.scalar(a11=1, a10=-1)
+    with pytest.raises(NonGenericSystemError, match="share the factor lam, free of mu"):
+        spectrum_quadratic(QuadSystem2P(q1, q2))
+
+
+def test_spectrum_of_determinants_free_of_mu():
+    # lam^2 - 1 against lam - 3: coprime, so no common zero at all; against
+    # lam - 1: the whole line lam = 1.
+    q1 = QuadPoly2P.scalar(a20=1, a00=-1)
+    report = spectrum_quadratic(QuadSystem2P(q1, QuadPoly2P.scalar(a10=1, a00=-3)))
+    assert report.points == () and report.bezout_bound == 4 and report.generic
+    with pytest.raises(NonGenericSystemError, match=r"share the factor -1 \+ lam, free of mu"):
+        spectrum_quadratic(QuadSystem2P(q1, QuadPoly2P.scalar(a10=1, a00=-1)))
 
 
 def test_spectrum_with_shared_lambda_values():
