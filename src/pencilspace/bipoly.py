@@ -353,33 +353,6 @@ class UniPoly:
             return self
         return _monic(self._nums, self.var)
 
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Exact polynomial division over the field: self = q*other + r.
-
-        Long division on GaussianRational coefficients, kept as the
-        textbook reference: the gcd and the square-free part divide on
-        Gaussian integers instead.
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        remainder = list(self.coeffs)
-        divisor = other.coeffs
-        lead = divisor[-1]
-        deg_d = len(divisor) - 1
-        quotient = [GaussianRational(0)] * max(len(remainder) - deg_d, 0)
-        while len(remainder) - 1 >= deg_d and any(remainder):
-            while remainder and not remainder[-1]:
-                remainder.pop()
-            if len(remainder) - 1 < deg_d:
-                break
-            shift = len(remainder) - 1 - deg_d
-            factor = remainder[-1] / lead
-            quotient[shift] = factor
-            for k, c in enumerate(divisor):
-                remainder[shift + k] = remainder[shift + k] - factor * c
-            remainder.pop()
-        return UniPoly(quotient, var=self.var), UniPoly(remainder, var=self.var)
-
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic greatest common divisor, by a subresultant PRS over Z[i].
 

@@ -6,7 +6,11 @@ Two certificate kinds are kept deliberately distinct:
   nonzero determinants satisfying F * L * E = diag(Q, I_2n) exactly -- a
   linearization in the strict equivalence sense.  Available for members
   with ansatz alpha*e1 whose Y1 block is [Y11; 0; 0] and whose lower
-  2n x 2n Z block is nonsingular.
+  2n x 2n Z block is nonsingular.  The identity is checked block by block
+  from the n-sized blocks E and F are built from (L * E is a shift and a
+  scale of L's block columns, F * X one n x 2n and one 2n x 2n product per
+  block column X), never as a 3n x 3n product; det E and det F are proved
+  constant separately, by exact_det_poly.
 * ``det-ratio``: det L = gamma * det Q with gamma a nonzero constant --
   the weaker eigenvalue-preservation criterion, decided exactly at the
   interpolation nodes of both determinants, stopping at the first node
@@ -160,16 +164,6 @@ class LinearizationCertificate:
     detail: str = ""
 
 
-def _diag_q_identity(q: QuadPoly2P) -> PolyMatrix:
-    n = q.n
-    return PolyMatrix.from_blocks(
-        [
-            [q.as_polymatrix(), PolyMatrix.zeros(n, 2 * n)],
-            [PolyMatrix.zeros(2 * n, n), PolyMatrix.identity(2 * n)],
-        ]
-    )
-
-
 def _constant_nonzero_det(m: PolyMatrix) -> GaussianRational:
     """The determinant of a certificate factor, checked to be a nonzero constant.
 
@@ -230,7 +224,15 @@ def _unimodular_pair(
     """certify_scaled_e1 for a pencil whose ansatz is known to be alpha*e1,
     read off its block form L = [[W(lam, mu), *], [Z, *]]: W is the top-left
     n x 2n block of L, Z the lower-left 2n x 2n block of A3, and Y21 = Y31 = 0
-    iff the lower-left 2n x 2n blocks of A1 and A2 vanish."""
+    iff the lower-left 2n x 2n blocks of A1 and A2 vanish.
+
+    F * L * E is checked block by block, never as a 3n x 3n product.  With
+    L1, L2, L3 the block columns of L, L * E = [(lam L1 + mu L2 + L3)/alpha |
+    L1 | L2] (monomial shifts and one scale), and with G = W Z^-1 the block
+    column X = [X_top; X_bot] of L * E maps to F * X = [X_top - G X_bot;
+    Z^-1 X_bot].  The six blocks must equal those of diag(Q, I_2n): Q, 0, 0
+    on top, 0, [I; 0], [0; I] below.
+    """
     n = q.n
     m = 3 * n
     top, lower, left = range(n), range(n, m), range(2 * n)
@@ -253,14 +255,32 @@ def _unimodular_pair(
             (0, 0): kron(Matrix([[0, 1, 0], [0, 0, 1], [inv_alpha, 0, 0]]), eye),
         },
     )
-    # F = [[I, -W Z^-1], [0, Z^-1]]
+    # F = [[I, -G], [0, Z^-1]], G = W Z^-1
     l = pencil.as_polymatrix()
-    w = PolyMatrix.from_coefficients(n, 2 * n, {x: c.submatrix(top, left) for x, c in l.terms()})
+    g = _block(l, top, left) @ z_inv
     f = PolyMatrix.from_blocks(
-        [[PolyMatrix.identity(n), -(w @ z_inv)], [PolyMatrix.zeros(2 * n, n), z_inv]]
+        [[PolyMatrix.identity(n), -g], [PolyMatrix.zeros(2 * n, n), z_inv]]
     )
-    if f @ l @ e != _diag_q_identity(q):
-        raise AssertionError("certificate product failed; construction is wrong")
+
+    def first(parts: list[PolyMatrix]) -> PolyMatrix:
+        """(lam P1 + mu P2 + P3) / alpha."""
+        s = _shifted(parts[0], 1, 0) + _shifted(parts[1], 0, 1) + parts[2]
+        return PolyMatrix.from_coefficients(
+            s.rows, s.cols, {x: c.scale(inv_alpha) for x, c in s.terms()}
+        )
+
+    # tops[k], bots[k]: the top n and the lower 2n rows of block column k + 1
+    cols = [range(k * n, (k + 1) * n) for k in range(3)]
+    tops, bots = ([_block(l, rows, c) for c in cols] for rows in (top, lower))
+    zero, eye2 = PolyMatrix.zeros(n, n), Matrix.identity(2 * n)
+    blocks = (
+        (first(tops), first(bots), q.as_polymatrix(), PolyMatrix.zeros(2 * n, n)),
+        (tops[0], bots[0], zero, PolyMatrix.from_scalar(eye2.submatrix(left, cols[0]))),
+        (tops[1], bots[1], zero, PolyMatrix.from_scalar(eye2.submatrix(left, cols[1]))),
+    )
+    for x_top, x_bot, want_top, want_bot in blocks:
+        if x_top - g @ x_bot != want_top or z_inv @ x_bot != want_bot:
+            raise AssertionError("certificate product failed; construction is wrong")
     return LinearizationCertificate(
         kind="unimodular-pair",
         verified=True,
@@ -268,6 +288,20 @@ def _unimodular_pair(
         f=f,
         det_e=_constant_nonzero_det(e),
         det_f=_constant_nonzero_det(f),
+    )
+
+
+def _block(p: PolyMatrix, rows: range, cols: range) -> PolyMatrix:
+    """The rows x cols block of a polynomial matrix, coefficient by coefficient."""
+    return PolyMatrix.from_coefficients(
+        len(rows), len(cols), {x: c.submatrix(rows, cols) for x, c in p.terms()}
+    )
+
+
+def _shifted(p: PolyMatrix, da: int, db: int) -> PolyMatrix:
+    """lam^da * mu^db * p."""
+    return PolyMatrix.from_coefficients(
+        p.rows, p.cols, {(a + da, b + db): c for (a, b), c in p.terms()}
     )
 
 

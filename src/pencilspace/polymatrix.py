@@ -2,12 +2,14 @@
 
 A polynomial matrix is the sum of lam^a * mu^b * M_ab over monomials
 (a, b), stored as a map from (a, b) to its nonzero coefficient ``Matrix``:
-the paper's own form lam*A1 + mu*A2 + A3.  Certificates multiply
-polynomial matrices (F * L * E) and compare them exactly, one coefficient
-product at a time.
+the paper's own form lam*A1 + mu*A2 + A3.  Products, sums and exact
+comparisons run one coefficient matrix at a time; the unimodular-pair
+certificate uses them on the n-sized blocks of F * L * E only.
 
 Determinants are evaluated by Bareiss at the integer nodes of a lower set
 that bounds their support, and interpolated on integers (exact_det_poly).
+Each row is cleared of denominators by its own factor, so one entry with
+a huge denominator enlarges its row only.
 Whether two determinants are proportional is decided at those nodes
 without interpolating either (det_ratio), up to the first node that
 disagrees.
@@ -21,7 +23,7 @@ block-permutation factors, whose every term is constant, need one node.
 
 from __future__ import annotations
 
-from math import factorial, lcm
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import gaussint
@@ -329,22 +331,32 @@ def _max_assignment(weights: list[list[int | None]]) -> int:
 def _integer_grid_det(m: PolyMatrix):
     """Determinant evaluator at integer nodes, and its scale.
 
-    Every coefficient matrix is brought to the common denominator ``scale``
-    of all of them, so each node's value sum lam^a mu^b M_ab, summed over
-    the nonzero entries only, is a Gaussian-integer matrix and its
-    determinant a pure Z[i] Bareiss run, returned as the (re, im) pair of
-    scale^size * det m(lam, mu).
+    Row i of every coefficient matrix is brought to its own denominator
+    s_i, the lcm of the reduced denominators of its nonzero entries over
+    all the coefficient matrices, so each node's value
+    sum lam^a mu^b M_ab, summed over the nonzero entries only, is a
+    Gaussian-integer matrix and its determinant a pure Z[i] Bareiss run,
+    returned as the (re, im) pair of scale * det m(lam, mu), where the
+    scale is s_1 * ... * s_size.  An extreme denominator in one row thus
+    inflates that row only.
     """
     size = m.rows
     forms = [(mono, coeff.integer_form()) for mono, coeff in m._coeffs.items()]
-    scale = lcm(*(den for _, (den, _) in forms))
-    # (a, b, i, j, re, im): the numerator of scale * M_ab[i, j], nonzero only
-    terms = [
-        (a, b, i, j, re * (scale // den), im * (scale // den))
+    # (a, b, i, j, re, im, den): M_ab[i, j] = (re + im i) / den, nonzero only
+    entries = [
+        (a, b, i, j, re, im, den)
         for (a, b), (den, data) in forms
         for i, row in enumerate(data)
         for j, (re, im) in enumerate(row)
         if re or im
+    ]
+    row_scales = [1] * size
+    for _, _, i, _, re, im, den in entries:
+        row_scales[i] = lcm(row_scales[i], den // gcd(den, re, im))
+    # the numerators of s_i * M_ab[i, j]; each division is exact
+    terms = [
+        (a, b, i, j, re * row_scales[i] // den, im * row_scales[i] // den)
+        for a, b, i, j, re, im, den in entries
     ]
 
     def value(lam: int, mu: int) -> tuple[int, int]:
@@ -356,7 +368,7 @@ def _integer_grid_det(m: PolyMatrix):
             im[i][j] += c_im * w
         return bareiss_det_int([list(zip(r, s)) for r, s in zip(re, im)])
 
-    return scale, value
+    return prod(row_scales), value
 
 
 def _lower_set(bounds: tuple[int, int, int]) -> list[list[Exponent]]:
@@ -373,7 +385,8 @@ def exact_det_poly(m: PolyMatrix) -> BiPoly:
     the determinant's support lies in their lower set S (_lower_set).
     Evaluates the scaled integer determinant at the nodes of S by Bareiss,
     interpolates on integers, and divides each coefficient once by
-    d_lam! * d_mu! * scale^size; identical to the symbolic expansion.  A
+    d_lam! * d_mu! * scale (the product of the row scales of
+    _integer_grid_det); identical to the symbolic expansion.  A
     structurally singular m (``structural_rank`` of its nonzero pattern
     below its size) gives the zero polynomial without any evaluation.
     """
@@ -388,7 +401,7 @@ def exact_det_poly(m: PolyMatrix) -> BiPoly:
     re = _lower_set_coeffs([[v[0] for v in row] for row in grid])
     im = _lower_set_coeffs([[v[1] for v in row] for row in grid])
     return BiPoly.from_integer_form(
-        factorial(d_lam) * factorial(d_mu) * scale**m.rows,
+        factorial(d_lam) * factorial(d_mu) * scale,
         {(a, b): (re[b][a], im[b][a]) for b in range(d_mu + 1) for a in range(len(re[b]))},
     )
 
@@ -434,9 +447,9 @@ def det_ratio(p: PolyMatrix, q: PolyMatrix) -> GaussianRational | None:
     for node in nodes[k + 1 :]:
         if gaussint.mul(p_at(*node), y) != gaussint.mul(q_at(*node), x):
             return None
-    # gamma = (x / p_scale^p.rows) / (y / q_scale^q.rows)
-    norm, s = gaussint.reciprocal(y, q_scale**q.rows)
-    return gaussint.to_scalar(norm * p_scale**p.rows, gaussint.mul(x, s))
+    # gamma = (x / p_scale) / (y / q_scale)
+    norm, s = gaussint.reciprocal(y, q_scale)
+    return gaussint.to_scalar(norm * p_scale, gaussint.mul(x, s))
 
 
 def poly_div_constant_ratio(p: BiPoly, q: BiPoly) -> GaussianRational | None:

@@ -23,6 +23,7 @@ from pencilspace import (
     standard_blocks,
     standard_linearization,
 )
+from pencilspace import construct
 from pencilspace.bipoly import BiPoly
 from pencilspace.construct import ALL_CASES
 from pencilspace.errors import HypothesisViolatedError, ZeroAnsatzError
@@ -380,6 +381,68 @@ def test_certify_scaled_e1_factors_match_docstring_construction(rng):
             e, f = docstring_pair(pencil, q, alpha)
             assert cert.e == e
             assert cert.f == f
+
+
+def diag_q_identity(q):
+    """diag(Q, I_2n), the right-hand side of F * L * E = diag(Q, I_2n)."""
+    n = q.n
+    return PolyMatrix.from_blocks(
+        [
+            [q.as_polymatrix(), PolyMatrix.zeros(n, 2 * n)],
+            [PolyMatrix.zeros(2 * n, n), PolyMatrix.identity(2 * n)],
+        ]
+    )
+
+
+def complex_alpha(rng):
+    return GaussianRational(Fraction(rng.randint(1, 4), rng.choice((1, 2, 3))), rng.randint(-3, 3))
+
+
+def certified_pair(kind, n, rng):
+    """(pencil, q, certificate) of one unimodular-pair route."""
+    q = rand_quad(rng, n, complex_prob=0.5)
+    if kind == "standard":
+        return standard_linearization(q), q, certify_standard(q)
+    alpha = complex_alpha(rng)
+    if kind == "procedure":
+        v = [0, 0, 0]
+        while not any(v):
+            v = [rng.choice((0, 0, 1, -2, Fraction(1, 3))) for _ in range(3)]
+        result = procedure_linearize(q, v, alpha, rng=rng)
+        return result.pencil, q, result.certificate
+    zero = Matrix.zeros(2 * n, n)
+    while True:
+        y11 = rand_matrix(rng, n, n, complex_prob=0.5)
+        z1 = rand_matrix(rng, 3 * n, n, complex_prob=0.5)
+        z2 = rand_matrix(rng, 3 * n, n, complex_prob=0.5)
+        if lower_z_block(z1, z2).det():
+            break
+    pencil = generate_member(q, (alpha, 0, 0), FreeBlocks(n, Matrix.vstack([y11, zero]), z1, z2))
+    return pencil, q, certify_scaled_e1(pencil, q, alpha)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(("scaled-e1", "procedure", "standard")),
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+)
+def test_block_check_agrees_with_the_generic_product(kind, n, seed):
+    pencil, q, cert = certified_pair(kind, n, random.Random(seed))
+    assert cert.verified and cert.kind == "unimodular-pair"
+    assert cert.f @ pencil.as_polymatrix() @ cert.e == diag_q_identity(q)
+
+
+@pytest.mark.parametrize("kind", ["scaled-e1", "procedure", "standard"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wrong_z_inverse_fails_the_block_check(monkeypatch, kind, n):
+    # Twice the true inverse: nonsingular, but F * L * E != diag(Q, I_2n).
+    pencil, q, _ = certified_pair(kind, n, random.Random(f"{kind}/{n}"))
+    alpha = membership(pencil, q).v[0]
+    real = Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda m: real(m).scale(2))
+    with pytest.raises(AssertionError, match="^certificate product failed; construction is wrong$"):
+        construct._unimodular_pair(pencil, q, alpha)
 
 
 def full_det_ratio(pencil, q):

@@ -480,3 +480,66 @@ def test_det_ratio_checks_the_nodes_before_the_first_nonzero_one():
         polymatrix.det_ratio(q, PolyMatrix([[LAM, MU], [LAM, MU]]))
     with pytest.raises(ShapeError):
         polymatrix.det_ratio(PolyMatrix([[LAM, MU]]), q)
+
+
+def _bareiss_bits(monkeypatch):
+    """The bit length of the largest Gaussian-integer component that each
+    run of polymatrix's Bareiss determinant takes in or hands back."""
+    real = polymatrix.bareiss_det_int
+    bits = []
+
+    def recording(a):
+        det = real(a)
+        values = [v for row in a for pair in row for v in pair] + list(det)
+        bits.append(max(abs(v).bit_length() for v in values))
+        return det
+
+    monkeypatch.setattr(polymatrix, "bareiss_det_int", recording)
+    return bits
+
+
+EXTREME = GaussianRational(Fraction(-3, 10**1000))  # 3322-bit denominator
+
+
+def _dense(rng, size) -> PolyMatrix:
+    entry = lambda: _rand_entry(rng, ("lam", "mu"), 1, zero_prob=0)
+    return PolyMatrix([[entry() for _ in range(size)] for _ in range(size)])
+
+
+def _with_extreme_entry(m: PolyMatrix) -> PolyMatrix:
+    """m with an extreme-denominator lam term added to its (0, 0) entry."""
+    bump = [[BiPoly.zero()] * m.cols for _ in range(m.rows)]
+    bump[0][0] = BiPoly({(1, 0): EXTREME})
+    return m + PolyMatrix(bump)
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_det_with_one_extreme_denominator_scales_its_own_row(monkeypatch, size):
+    m = _with_extreme_entry(_dense(random.Random(size), size))
+    bits = _bareiss_bits(monkeypatch)
+    assert exact_det_poly(m) == cofactor_det(m)
+    # Only row 0 carries the 10^1000, and the determinant is linear in that
+    # row, so no operand holds two factors of it; with every row at one
+    # common scale the operands reach size * 3322 bits.
+    assert 3322 < max(bits) < 2 * 3322
+
+
+@pytest.mark.parametrize("kind", ["proportional", "bumped", "random"])
+def test_det_ratio_with_one_extreme_denominator(monkeypatch, kind):
+    # proportional: det p = EXTREME det U det q; bumped: that block form
+    # with 1 for EXTREME and an extreme lam term added to p[0, 0].
+    rng = random.Random(f"extreme/{kind}")
+    q = PolyMatrix([[LAM, ONE + MU], [MU * 2, LAM - ONE]])  # det q = lam^2 - lam - 2 mu - 2 mu^2
+    if kind == "random":
+        p = _with_extreme_entry(_dense(rng, 3))
+    else:
+        c = PolyMatrix.from_scalar(Matrix([[EXTREME if kind == "proportional" else 1]]))
+        p = PolyMatrix.from_blocks([[q, PolyMatrix.zeros(2, 1)], [PolyMatrix.zeros(1, 2), c]])
+        p = p @ PolyMatrix.from_scalar(rand_matrix(rng, 3, 3))
+        if kind == "bumped":
+            p = _with_extreme_entry(p)
+    bits = _bareiss_bits(monkeypatch)
+    expected = poly_div_constant_ratio(cofactor_det(p), cofactor_det(q))
+    assert polymatrix.det_ratio(p, q) == expected
+    assert (expected is not None) == (kind == "proportional")
+    assert max(bits) < 2 * 3322
