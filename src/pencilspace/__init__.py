@@ -44,7 +44,7 @@ from .pencil import (
     eigenvector_correspondence,
     lambda_kron_identity,
 )
-from .polymatrix import PolyMatrix, det_ratio, exact_det_poly, poly_div_constant_ratio
+from .polymatrix import PolyMatrix, det_ratio, exact_det_poly
 from .qep import (
     DeltaOps,
     EigenpairReport,
@@ -131,7 +131,6 @@ __all__ = [
     "lambda_kron_identity",
     "linearize_system",
     "membership",
-    "poly_div_constant_ratio",
     "procedure_linearize",
     "reduce_mu_zero",
     "singularity_check",

@@ -9,8 +9,10 @@ Two certificate kinds are kept deliberately distinct:
   2n x 2n Z block is nonsingular.  The identity is checked block by block
   from the n-sized blocks E and F are built from (L * E is a shift and a
   scale of L's block columns, F * X one n x 2n and one 2n x 2n product per
-  block column X), never as a 3n x 3n product; det E and det F are proved
-  constant separately, by exact_det_poly.
+  block column X), never as a 3n x 3n product.  det E and det F are read
+  off their diagonal blocks: with its block columns reordered, each factor
+  is block upper triangular with constant diagonal blocks (I, I, I/alpha
+  for E, I and Z^-1 for F), which is checked exactly.
 * ``det-ratio``: det L = gamma * det Q with gamma a nonzero constant --
   the weaker eigenvalue-preservation criterion, decided exactly at the
   interpolation nodes of both determinants, stopping at the first node
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import (
@@ -34,9 +37,9 @@ from .errors import (
     ShapeError,
     ZeroAnsatzError,
 )
-from .matrices import Matrix, kron
+from .matrices import Matrix, kron, permutation_sign
 from .pencil import Pencil2P, QuadPoly2P
-from .polymatrix import PolyMatrix, det_ratio, exact_det_poly
+from .polymatrix import PolyMatrix, det_ratio
 from .scalars import ONE, ZERO, GaussianRational
 from .space import (
     FreeBlocks,
@@ -164,20 +167,30 @@ class LinearizationCertificate:
     detail: str = ""
 
 
-def _constant_nonzero_det(m: PolyMatrix) -> GaussianRational:
-    """The determinant of a certificate factor, checked to be a nonzero constant.
+def _block_triangular_det(m: PolyMatrix, order: Sequence[range]) -> GaussianRational:
+    """The determinant of a certificate factor, proved a nonzero constant.
 
-    Constancy is proved, not assumed: the assignment degree bound of
-    ``exact_det_poly`` is (0, 0, 0) for E (a block permutation) and F
-    (block upper triangular with constant diagonal blocks), since every
-    nonzero Leibniz term of either uses constant entries only, so the
-    exact determinant comes from one Bareiss run; a factor whose bound
-    were positive would be interpolated in full and rejected here.
+    ``order`` lists ranges of m's columns, together a permutation of them.
+    Taken in that order, with the rows cut into consecutive blocks of the
+    same sizes, the factor must be block upper triangular in every
+    coefficient matrix, and its diagonal blocks must be constant (zero in
+    every coefficient but lam^0 mu^0); otherwise the constancy is not
+    proved.  det m is then the sign of the column permutation times the
+    product of the determinants of the constant diagonal blocks.
     """
-    det = exact_det_poly(m)
-    if not det.is_constant():
-        raise AssertionError("certificate factor has non-constant determinant")
-    value = det.constant_value()
+    starts = list(accumulate(map(len, order), initial=0))
+    rows = [range(a, b) for a, b in zip(starts, starts[1:])]
+    for mono, coeff in m.terms():
+        data = coeff.integer_form()[1]
+        for i, r in enumerate(rows):
+            # below the diagonal, and on it too for a non-constant coefficient
+            banned = [y for c in order[: i if mono == (0, 0) else i + 1] for y in c]
+            if any(data[x][y] != (0, 0) for x in r for y in banned):
+                raise AssertionError("certificate factor has non-constant determinant")
+    const = m.coefficient((0, 0))
+    value = GaussianRational(permutation_sign([y for c in order for y in c]))
+    for r, c in zip(rows, order):
+        value *= const.submatrix(r, c).det()
     if not value:
         raise AssertionError("certificate factor is singular")
     return value
@@ -232,6 +245,11 @@ def _unimodular_pair(
     column X = [X_top; X_bot] of L * E maps to F * X = [X_top - G X_bot;
     Z^-1 X_bot].  The six blocks must equal those of diag(Q, I_2n): Q, 0, 0
     on top, 0, [I; 0], [0; I] below.
+
+    det E and det F come from _block_triangular_det.  With its block
+    columns in the order (2, 3, 1), an even permutation, E is
+    [[I, 0, (lam/alpha) I], [0, I, (mu/alpha) I], [0, 0, (1/alpha) I]];
+    F = [[I, -G], [0, Z^-1]] is block upper triangular as it stands.
     """
     n = q.n
     m = 3 * n
@@ -245,6 +263,7 @@ def _unimodular_pair(
 
     inv_alpha = ONE / alpha
     eye = Matrix.identity(n)
+    cols = [range(k * n, (k + 1) * n) for k in range(3)]
     # E = [[(lam/alpha) I, I, 0], [(mu/alpha) I, 0, I], [(1/alpha) I, 0, 0]]
     e = PolyMatrix.from_coefficients(
         m,
@@ -270,7 +289,6 @@ def _unimodular_pair(
         )
 
     # tops[k], bots[k]: the top n and the lower 2n rows of block column k + 1
-    cols = [range(k * n, (k + 1) * n) for k in range(3)]
     tops, bots = ([_block(l, rows, c) for c in cols] for rows in (top, lower))
     zero, eye2 = PolyMatrix.zeros(n, n), Matrix.identity(2 * n)
     blocks = (
@@ -286,8 +304,8 @@ def _unimodular_pair(
         verified=True,
         e=e,
         f=f,
-        det_e=_constant_nonzero_det(e),
-        det_f=_constant_nonzero_det(f),
+        det_e=_block_triangular_det(e, (cols[1], cols[2], cols[0])),
+        det_f=_block_triangular_det(f, (top, lower)),
     )
 
 

@@ -457,6 +457,12 @@ def bareiss_det_int(a: list[list[tuple[int, int]]]) -> tuple[int, int]:
     return (sign * d_re, sign * d_im)
 
 
+def permutation_sign(p: Sequence[int]) -> int:
+    """The sign (+1 or -1) of a permutation p of range(len(p)), by the
+    parity of its inversions."""
+    return -1 if sum(a > b for k, a in enumerate(p) for b in p[k + 1 :]) % 2 else 1
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Module-level alias for the Kronecker product."""
     return a.kron(b)

@@ -9,7 +9,8 @@ certificate uses them on the n-sized blocks of F * L * E only.
 Determinants are evaluated by Bareiss at the integer nodes of a lower set
 that bounds their support, and interpolated on integers (exact_det_poly).
 Each row is cleared of denominators by its own factor, so one entry with
-a huge denominator enlarges its row only.
+a huge denominator enlarges its row only, and Bareiss takes the rows in
+ascending order of that factor, the largest last.
 Whether two determinants are proportional is decided at those nodes
 without interpolating either (det_ratio), up to the first node that
 disagrees.
@@ -17,8 +18,10 @@ The bound on each degree is a maximum-weight assignment of the entry
 degrees (Jacobi's bound, by Kuhn's Hungarian method): the largest degree
 any Leibniz term can reach.  It runs only on patterns with a perfect
 matching: without one, ``structural_rank``, the test ``Matrix.det`` makes
-too, has already given the zero determinant.  Block-triangular and
-block-permutation factors, whose every term is constant, need one node.
+too, has already given the zero determinant.  A matrix whose every
+Leibniz term is constant needs one node; the unimodular-pair certificate
+does not come here for its factors E and F, whose constant determinants
+it reads off their diagonal blocks (construct).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from . import gaussint
 from .bipoly import BiPoly, Exponent
 from .errors import ShapeError
-from .matrices import Matrix, bareiss_det_int, structural_rank
+from .matrices import Matrix, bareiss_det_int, permutation_sign, structural_rank
 from .scalars import GaussianRational, ScalarLike
 
 
@@ -338,7 +341,10 @@ def _integer_grid_det(m: PolyMatrix):
     Gaussian-integer matrix and its determinant a pure Z[i] Bareiss run,
     returned as the (re, im) pair of scale * det m(lam, mu), where the
     scale is s_1 * ... * s_size.  An extreme denominator in one row thus
-    inflates that row only.
+    inflates that row only, and Bareiss takes the rows in ascending order
+    of their scale (a stable sort, its sign applied to each value), so
+    that row is eliminated last and every leading minor before it stays
+    small.
     """
     size = m.rows
     forms = [(mono, coeff.integer_form()) for mono, coeff in m._coeffs.items()]
@@ -353,9 +359,13 @@ def _integer_grid_det(m: PolyMatrix):
     row_scales = [1] * size
     for _, _, i, _, re, im, den in entries:
         row_scales[i] = lcm(row_scales[i], den // gcd(den, re, im))
-    # the numerators of s_i * M_ab[i, j]; each division is exact
+    order = sorted(range(size), key=row_scales.__getitem__)
+    position = {i: k for k, i in enumerate(order)}
+    sign = permutation_sign(order)
+    # the numerators of s_i * M_ab[i, j], row i moved to its position; each
+    # division is exact
     terms = [
-        (a, b, i, j, re * row_scales[i] // den, im * row_scales[i] // den)
+        (a, b, position[i], j, re * row_scales[i] // den, im * row_scales[i] // den)
         for a, b, i, j, re, im, den in entries
     ]
 
@@ -366,7 +376,8 @@ def _integer_grid_det(m: PolyMatrix):
             w = lam**a * mu**b
             re[i][j] += c_re * w
             im[i][j] += c_im * w
-        return bareiss_det_int([list(zip(r, s)) for r, s in zip(re, im)])
+        d_re, d_im = bareiss_det_int([list(zip(r, s)) for r, s in zip(re, im)])
+        return (sign * d_re, sign * d_im)
 
     return prod(row_scales), value
 
@@ -408,10 +419,11 @@ def exact_det_poly(m: PolyMatrix) -> BiPoly:
 
 def det_ratio(p: PolyMatrix, q: PolyMatrix) -> GaussianRational | None:
     """Return gamma with det p = gamma * det q exactly, or None if not
-    proportional: poly_div_constant_ratio(exact_det_poly(p),
-    exact_det_poly(q)), decided without interpolating either determinant.
+    proportional, decided without interpolating either determinant.
 
-    Raises ZeroDivisionError when det q vanishes identically.  Both supports
+    Raises ZeroDivisionError when det q vanishes identically.  When det p
+    vanishes identically and det q does not, gamma is 0, so a caller that
+    needs a nonzero ratio must treat 0 as failure.  Both supports
     lie in the lower set S of the componentwise larger degree bounds (det p
     takes q's bounds when it is structurally zero), and a polynomial with
     support in S that vanishes at the nodes of S is zero.  x0 is the first
@@ -450,28 +462,3 @@ def det_ratio(p: PolyMatrix, q: PolyMatrix) -> GaussianRational | None:
     # gamma = (x / p_scale) / (y / q_scale)
     norm, s = gaussint.reciprocal(y, q_scale)
     return gaussint.to_scalar(norm * p_scale, gaussint.mul(x, s))
-
-
-def poly_div_constant_ratio(p: BiPoly, q: BiPoly) -> GaussianRational | None:
-    """Return gamma with p = gamma * q exactly, or None if not proportional.
-
-    q must be nonzero.  A zero p yields gamma = 0; callers that need a
-    nonzero ratio must treat that as failure.
-    """
-    if q.is_zero():
-        raise ZeroDivisionError("proportionality against the zero polynomial")
-    if p.is_zero():
-        return GaussianRational(0)
-    p_den, p_terms = p.integer_form()
-    q_den, q_terms = q.integer_form()
-    if p_terms.keys() != q_terms.keys():
-        return None
-    # p = gamma q iff p_e * y = q_e * x at every monomial e, for the
-    # numerators x of p and y of q at one monomial (cross-multiplied in Z[i]).
-    first = min(q_terms)
-    x, y = p_terms[first], q_terms[first]
-    if any(gaussint.mul(p_terms[e], y) != gaussint.mul(c, x) for e, c in q_terms.items()):
-        return None
-    # gamma = (x / p_den) / (y / q_den)
-    norm, s = gaussint.reciprocal(y, q_den)
-    return gaussint.to_scalar(norm * p_den, gaussint.mul(x, s))

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from pencilspace import FreeBlocks, Matrix, QuadPoly2P
+from pencilspace import FreeBlocks, Matrix, QuadPoly2P, gaussint
+from pencilspace.bipoly import BiPoly
 from pencilspace.scalars import GaussianRational
 
 
@@ -42,6 +43,30 @@ def rand_nonzero_gr(rng: random.Random) -> GaussianRational:
         if value:
             return value
 
+
+def poly_div_constant_ratio(p: BiPoly, q: BiPoly) -> GaussianRational | None:
+    """Return gamma with p = gamma * q exactly, or None if not proportional:
+    the oracle of ``polymatrix.det_ratio`` on interpolated determinants.
+
+    q must be nonzero.  A zero p yields gamma = 0.
+    """
+    if q.is_zero():
+        raise ZeroDivisionError("proportionality against the zero polynomial")
+    if p.is_zero():
+        return GaussianRational(0)
+    p_den, p_terms = p.integer_form()
+    q_den, q_terms = q.integer_form()
+    if p_terms.keys() != q_terms.keys():
+        return None
+    # p = gamma q iff p_e * y = q_e * x at every monomial e, for the
+    # numerators x of p and y of q at one monomial (cross-multiplied in Z[i]).
+    first = min(q_terms)
+    x, y = p_terms[first], q_terms[first]
+    if any(gaussint.mul(p_terms[e], y) != gaussint.mul(c, x) for e, c in q_terms.items()):
+        return None
+    # gamma = (x / p_den) / (y / q_den)
+    norm, s = gaussint.reciprocal(y, q_den)
+    return gaussint.to_scalar(norm * p_den, gaussint.mul(x, s))
 
 def example_quad(n: int = 2) -> QuadPoly2P:
     """A fixed concrete quadratic used for the worked-example tests."""

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,15 +24,22 @@ from pencilspace import (
     standard_blocks,
     standard_linearization,
 )
-from pencilspace import construct
+from pencilspace import construct, polymatrix
 from pencilspace.bipoly import BiPoly
 from pencilspace.construct import ALL_CASES
 from pencilspace.errors import HypothesisViolatedError, ZeroAnsatzError
-from pencilspace.polymatrix import PolyMatrix, exact_det_poly, poly_div_constant_ratio
+from pencilspace.polymatrix import PolyMatrix, exact_det_poly
 from pencilspace.scalars import GaussianRational
 from pencilspace.space import lower_z_block
 
-from conftest import example_quad, rand_blocks, rand_matrix, rand_nonzero_gr, rand_quad
+from conftest import (
+    example_quad,
+    poly_div_constant_ratio,
+    rand_blocks,
+    rand_matrix,
+    rand_nonzero_gr,
+    rand_quad,
+)
 
 CASE_PATTERNS = {
     "abc": (True, True, True),
@@ -197,12 +205,18 @@ def test_certify_scaled_e1_rejects_singular_z(rng):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_certificate_eliminates_the_z_block_once(n, bareiss_calls):
-    # One elimination inverts the lower Z block; E and F take one each.
+def test_certificate_eliminates_the_z_block_once(n, bareiss_calls, monkeypatch):
+    # Matrix.inverse eliminates the 2n-row lower Z block; det E and det F
+    # eliminate only their n- and 2n-row diagonal blocks, and no 3n x 3n
+    # factor goes through the interpolated determinant.
+    def no_grid_det(m):
+        raise AssertionError(f"interpolated determinant of a {m.rows} x {m.cols} factor")
+
+    monkeypatch.setattr(polymatrix, "_integer_grid_det", no_grid_det)
     q = rand_quad(random.Random(n), n)
     bareiss_calls.clear()
     assert certify_standard(q).verified
-    assert len(bareiss_calls) == 3
+    assert bareiss_calls and max(rows for rows, _ in bareiss_calls) <= 2 * n
 
 
 def test_singular_z_block_with_a_perfect_matching_is_rejected(rng):
@@ -546,3 +560,74 @@ def test_det_ratio_stops_at_the_first_disagreeing_node(bareiss_calls):
     assert cert.detail == "determinants not proportional"
     assert sum(1 for rows, _ in bareiss_calls if rows == 9) <= 3
     assert sum(1 for rows, _ in bareiss_calls if rows == 3) <= 3
+
+
+FACTOR_KINDS = ("scaled-e1", "standard", "zero-q") + tuple(f"procedure/{case}" for case in ALL_CASES)
+
+
+def factor_certificate(kind, n, rng):
+    """A unimodular-pair certificate of one route: an alpha*e1 member with
+    complex alpha, the standard linearization of a random Q or of Q = 0,
+    or the procedure forced to one case tag."""
+    if kind == "zero-q":
+        return certify_standard(QuadPoly2P(n, *(Matrix.zeros(n, n) for _ in range(6))))
+    if kind.startswith("procedure/"):
+        case = kind.split("/")[1]
+        q = rand_quad(rng, n, complex_prob=0.5)
+        v = random_vector_for(CASE_PATTERNS[case], rng)
+        return procedure_linearize(q, v, complex_alpha(rng), rng=rng, case=case).certificate
+    return certified_pair(kind, n, rng)[2]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(FACTOR_KINDS), st.integers(1, 3), st.integers(0, 2**32))
+def test_factor_determinants_match_exact_det_poly(kind, n, seed):
+    cert = factor_certificate(kind, n, random.Random(seed))
+    assert cert.det_e == exact_det_poly(cert.e).constant_value()
+    assert cert.det_f == exact_det_poly(cert.f).constant_value()
+
+
+def _poly(*coeffs):
+    """sum lam^a mu^b M for the given ((a, b), rows) pairs."""
+    return PolyMatrix.from_coefficients(
+        len(coeffs[0][1]), len(coeffs[0][1]), {mono: Matrix(rows) for mono, rows in coeffs}
+    )
+
+
+def test_block_triangular_det_rejects_a_block_below_the_diagonal():
+    # E = [[lam I, I, 0], [mu I, 0, I], [I, 0, 0]] in its own column order:
+    # the constant I sits below the diagonal (its det is a constant all the same).
+    e = certify_standard(rand_quad(random.Random(1), 1)).e
+    with pytest.raises(AssertionError, match="^certificate factor has non-constant determinant$"):
+        construct._block_triangular_det(e, (range(0, 1), range(1, 2), range(2, 3)))
+    assert construct._block_triangular_det(e, (range(1, 2), range(2, 3), range(0, 1))) == 1
+
+
+def test_block_triangular_det_rejects_a_non_constant_diagonal_block():
+    m = _poly(((0, 0), [[1, 2, 0], [0, 1, 0], [0, 0, 1]]), ((0, 1), [[0, 0, 0], [0, 0, 0], [0, 0, 3]]))
+    with pytest.raises(AssertionError, match="^certificate factor has non-constant determinant$"):
+        construct._block_triangular_det(m, (range(0, 2), range(2, 3)))
+    # above the diagonal, a non-constant block is allowed
+    m = _poly(((0, 0), [[1, 2, 0], [0, 1, 0], [0, 0, 1]]), ((0, 1), [[0, 0, 3], [0, 0, 0], [0, 0, 0]]))
+    assert construct._block_triangular_det(m, (range(0, 2), range(2, 3))) == 1
+
+
+def test_block_triangular_det_rejects_a_singular_diagonal_block():
+    m = _poly(((0, 0), [[1, 0, 0], [0, 1, 2], [0, 2, 4]]), ((1, 0), [[0, 5, 1], [0, 0, 0], [0, 0, 0]]))
+    with pytest.raises(AssertionError, match="^certificate factor is singular$"):
+        construct._block_triangular_det(m, (range(0, 1), range(1, 3)))
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_block_triangular_det_takes_the_sign_of_the_column_order(order):
+    # T, upper triangular with column blocks of widths 1, 2 and 1, has its
+    # block k moved to place order[k] of m; read block by block in that
+    # order, m is T again, and its determinant is +-det T.
+    rng = random.Random(f"sign/{order}")
+    t = [[rng.randint(1, 5) if j >= i else 0 for j in range(4)] for i in range(4)]
+    blocks = (range(0, 1), range(1, 3), range(3, 4))
+    placed = sorted(range(3), key=order.__getitem__)  # the block at each place of m
+    m = Matrix([[row[j] for k in placed for j in blocks[k]] for row in t])
+    start = [sum(len(blocks[x]) for x in placed[: placed.index(k)]) for k in range(3)]
+    ranges = [range(start[k], start[k] + len(blocks[k])) for k in range(3)]
+    assert construct._block_triangular_det(PolyMatrix.from_scalar(m), ranges) == m.det()

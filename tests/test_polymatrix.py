@@ -12,15 +12,11 @@ from pencilspace.construct import certify_standard
 from pencilspace.errors import ShapeError
 from pencilspace.matrices import Matrix, structural_rank
 from pencilspace.pencil import Pencil2P
-from pencilspace.polymatrix import (
-    PolyMatrix,
-    exact_det_poly,
-    poly_div_constant_ratio,
-)
+from pencilspace.polymatrix import PolyMatrix, exact_det_poly
 from pencilspace.resultants import sylvester_matrix
 from pencilspace.scalars import GaussianRational
 
-from conftest import rand_gr, rand_matrix, rand_nonzero_gr, rand_quad
+from conftest import poly_div_constant_ratio, rand_gr, rand_matrix, rand_nonzero_gr, rand_quad
 
 LAM = BiPoly.lam()
 MU = BiPoly.mu()
@@ -522,6 +518,25 @@ def test_det_with_one_extreme_denominator_scales_its_own_row(monkeypatch, size):
     # row, so no operand holds two factors of it; with every row at one
     # common scale the operands reach size * 3322 bits.
     assert 3322 < max(bits) < 2 * 3322
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_bareiss_takes_the_inflated_row_last(monkeypatch, size):
+    # Row 0 carries the 10^1000; handed over last, it enters only the final
+    # minor, and the row permutation's sign is applied to every value.
+    m = _with_extreme_entry(_dense(random.Random(size), size))
+    real = polymatrix.bareiss_det_int
+    row_bits = []
+
+    def recording(a):
+        row_bits.append([max(abs(v).bit_length() for pair in row for v in pair) for row in a])
+        return real(a)
+
+    monkeypatch.setattr(polymatrix, "bareiss_det_int", recording)
+    assert exact_det_poly(m) == cofactor_det(m)
+    # (the last row is zero at a node where row 0 of m vanishes)
+    assert all(max(bits[:-1]) < 3322 for bits in row_bits)
+    assert any(bits[-1] > 3322 for bits in row_bits)
 
 
 @pytest.mark.parametrize("kind", ["proportional", "bumped", "random"])
