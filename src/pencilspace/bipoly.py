@@ -367,6 +367,11 @@ class UniPoly:
             return other.monic()
         return _monic(_subresultant_gcd(self._nums, other._nums), self.var)
 
+    def is_coprime(self, other: "UniPoly") -> bool:
+        """Whether gcd(self, other) = 1 exactly: by a proof mod p
+        (``_coprime_mod_p``) when it succeeds, by the PRS otherwise."""
+        return _coprime_mod_p(self._nums, other._nums) or self.gcd(other).degree() == 0
+
     def square_free_part(self) -> "UniPoly":
         """The product of distinct irreducible factors (each to power one).
 
@@ -453,16 +458,30 @@ def _derivative(nums: Iterable[Pair]) -> list[Pair]:
 
 
 def _subresultant_gcd(a: Iterable[Pair], b: Iterable[Pair]) -> list[Pair]:
-    """The last nonzero remainder of the subresultant PRS of two nonzero
-    Gaussian-integer polynomials (ascending): a Q(i)-multiple of their gcd.
-
-    Each pseudo-remainder is divided exactly in Z[i] by g * h^delta
-    (Collins, J. ACM 14, 1967; Brown & Traub, J. ACM 18, 1971), which
-    keeps coefficient growth polynomial where Euclid over Q(i) does not.
-    """
+    """The last nonzero remainder of the signed subresultant PRS of two
+    nonzero Gaussian-integer polynomials (ascending): a Q(i)-multiple of
+    their gcd."""
     a, b = list(a), list(b)
     if len(a) < len(b):
         a, b = b, a
+    return _signed_prs(a, b)[-1]
+
+
+def _signed_prs(a: list[Pair], b: list[Pair]) -> list[list[Pair]]:
+    """The signed subresultant PRS [a, b, r_1, r_2, ...] of two nonzero
+    Gaussian-integer polynomials (ascending, deg a >= deg b), up to the
+    last nonzero remainder or one of degree 0.
+
+    Each pseudo-remainder is divided exactly in Z[i] by (-1)^(delta+1) g
+    h^delta (Collins, J. ACM 14, 1967; Brown & Traub, J. ACM 18, 1971),
+    which keeps coefficient growth polynomial where Euclid over Q(i) does
+    not.  With that sign, in a chain whose every remainder is one degree
+    below the one before, the remainder of degree j is exactly the j-th
+    subresultant S_j of a and b: the determinant polynomial of the rows
+    x^(n-j-1) a, ..., a, x^(m-j-1) b, ..., b (m = deg a, n = deg b), whose
+    constant for j = 0 is the resultant (``resultants``).
+    """
+    chain = [a, b]
     g = h = (1, 0)
     while len(b) > 1:
         delta = len(a) - len(b)
@@ -472,13 +491,16 @@ def _subresultant_gcd(a: Iterable[Pair], b: Iterable[Pair]) -> list[Pair]:
         _, r = _divide([(re * s_re - im * s_im, re * s_im + im * s_re) for re, im in a], b)
         if not r:
             break
-        divisor = gaussint.mul(g, gaussint.power(h, delta))
-        a, b = b, gaussint.exact_div(r, divisor)
+        d_re, d_im = gaussint.mul(g, gaussint.power(h, delta))
+        if delta % 2 == 0:
+            d_re, d_im = -d_re, -d_im
+        a, b = b, gaussint.exact_div(r, (d_re, d_im))
+        chain.append(b)
         g = a[-1]
         # h <- g^delta h^(1 - delta); delta >= 1 after the first step.
         if delta:
             h = gaussint.exact_div([gaussint.power(g, delta)], gaussint.power(h, delta - 1))[0]
-    return b
+    return chain
 
 
 def _divide(a: list[Pair], b: list[Pair]) -> tuple[list[Pair], list[Pair]]:
@@ -507,7 +529,7 @@ def _divide(a: list[Pair], b: list[Pair]) -> tuple[list[Pair], list[Pair]]:
     return quotient, _stripped(r)
 
 
-# -- the mod-p proof of square-freeness ----------------------------------------------
+# -- the mod-p proofs of coprimality and square-freeness ---------------------------
 
 # A prime p = 1 (mod 4), so -1 has a square root s mod p and i -> s, with
 # re + im*i -> re + im*s, is a ring map from Z[i] onto F_p (its kernel is
@@ -517,27 +539,38 @@ _SQRT_MINUS_ONE = pow(11, (SQUARE_FREE_PRIME - 1) // 4, SQUARE_FREE_PRIME)
 
 
 def _square_free_mod_p(nums: list[Pair]) -> bool:
-    """True when the image r~ of r = sum nums[k] x^k in F_p[x] keeps its
-    degree and gcd(r~, r~') = 1 over F_p: then r is square-free over Q(i).
+    """True when ``_coprime_mod_p`` proves r = sum nums[k] x^k coprime to
+    its derivative: then r is square-free over Q(i).  No bound on deg r
+    relative to p is needed.  A False answer proves nothing (p may divide
+    the discriminant); callers fall back to the subresultant PRS."""
+    return _coprime_mod_p(nums, _derivative(nums))
 
-    Proof: if r = u^2 v over Q(i) with deg u >= 1, Gauss's lemma gives
-    r = c u*^2 v* with c in Z[i] and u*, v* primitive in Z[i][x].  The map
-    keeps lc(r) = c lc(u*)^2 lc(v*), hence lc(u*), so the image u~ of u*
-    has degree >= 1 and divides both r~ and r~' = 2 u~ u~' v~ + u~^2 v~',
-    against gcd = 1.  No bound on deg r relative to p is needed.  A False answer
-    proves nothing (p may divide the discriminant); callers fall back to
-    the subresultant PRS.
+
+def _coprime_mod_p(r: list[Pair], s: list[Pair]) -> bool:
+    """True when the image r~ of r in F_p[x] keeps its degree and
+    gcd(r~, s~) = 1 over F_p: then gcd(r, s) = 1 over Q(i).
+
+    Proof: a common factor h of positive degree gives, by Gauss's lemma,
+    r = c h* v* and s = c' h* w* with c, c' in Z[i] and h*, v*, w*
+    primitive in Z[i][x].  The map keeps lc(r) = c lc(h*) lc(v*), hence
+    lc(h*), so the image of h* has degree >= 1 and divides both r~ and s~
+    (s~ may be 0), against gcd = 1.  A False answer proves nothing.
     """
-    p, s = SQUARE_FREE_PRIME, _SQRT_MINUS_ONE
-    a = [(re + im * s) % p for re, im in nums]
-    if not a[-1]:
+    a = _image_mod_p(r)
+    if not a or not a[-1]:
         return False
-    b = [k * c % p for k, c in enumerate(a)][1:]
+    b = _image_mod_p(s)
     while b and not b[-1]:
         b.pop()
     while b:
         a, b = b, _remainder_mod_p(a, b)
     return len(a) == 1
+
+
+def _image_mod_p(nums: list[Pair]) -> list[int]:
+    """The image in F_p[x] of sum nums[k] x^k under i -> s."""
+    p, s = SQUARE_FREE_PRIME, _SQRT_MINUS_ONE
+    return [(re + im * s) % p for re, im in nums]
 
 
 def _remainder_mod_p(a: list[int], b: list[int]) -> list[int]:

@@ -26,6 +26,7 @@ it reads off their diagonal blocks (construct).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -202,19 +203,20 @@ def _differences(line: list[int]) -> list[int]:
     return line
 
 
-def _newton_weights(d: int) -> list[list[int]]:
+@lru_cache(maxsize=32)
+def _newton_weights(d: int) -> tuple[tuple[int, ...], ...]:
     """w[k][i] = s(k, i) * d!/k! for k <= d, s the signed Stirling numbers
     of the first kind, so that (d!/k!) * x(x-1)...(x-k+1) = sum_i w[k][i] x^i."""
     stirling = [[1]]
     for k in range(d):
         prev = stirling[-1] + [0]
         stirling.append([(prev[i - 1] if i else 0) - k * prev[i] for i in range(k + 2)])
-    return [
-        [s * (factorial(d) // factorial(k)) for s in row] for k, row in enumerate(stirling)
-    ]
+    return tuple(
+        tuple(s * (factorial(d) // factorial(k)) for s in row) for k, row in enumerate(stirling)
+    )
 
 
-def _to_monomial(line: list[int], weights: list[list[int]]) -> list[int]:
+def _to_monomial(line: list[int], weights: Sequence[Sequence[int]]) -> list[int]:
     """Newton-to-monomial map on one line of forward differences."""
     return [
         sum(line[k] * weights[k][i] for k in range(i, len(line))) for i in range(len(line))
@@ -250,6 +252,9 @@ def _lower_set_coeffs(values: list[list[int]]) -> list[list[int]]:
     Expanding N_k by Stirling numbers then gives the monomial coefficients.
     """
     w_lam = _newton_weights(len(values[0]) - 1)
+    if len(values) == 1:
+        # d_mu = 0: both column maps are the identity on one value.
+        return [_to_monomial(_differences(values[0]), w_lam)]
     w_mu = _newton_weights(len(values) - 1)
     newton = _rows_then_columns(values, _differences, _differences)
     return _rows_then_columns(
@@ -277,10 +282,21 @@ def _degree_bounds(m: PolyMatrix) -> tuple[int, int, int] | None:
                 if entry != (0, 0):
                     d_lam, d_mu, d = degrees[i][j] or (0, 0, 0)
                     degrees[i][j] = (max(d_lam, a), max(d_mu, b), max(d, a + b))
+    return _assignment_bounds(degrees)
+
+
+def _assignment_bounds(degrees: list[list]) -> tuple[int, ...] | None:
+    """For each component k of the entries' degree tuples, the largest sum
+    of degrees[i][p(i)][k] over the permutations p that avoid the None
+    entries; None when no permutation does (``structural_rank``)."""
+    size = len(degrees)
     pattern = [[j for j, e in enumerate(row) if e] for row in degrees]
-    if structural_rank(pattern, m.cols) < m.rows:
+    if structural_rank(pattern, size) < size:
         return None
-    return tuple(_max_assignment([[e and e[k] for e in row] for row in degrees]) for k in range(3))
+    width = len(next(e for e in degrees[0] if e))
+    return tuple(
+        _max_assignment([[e and e[k] for e in row] for row in degrees]) for k in range(width)
+    )
 
 
 def _max_assignment(weights: list[list[int | None]]) -> int:

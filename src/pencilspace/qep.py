@@ -10,6 +10,13 @@ but Delta0 is always exactly singular for this class, so spectra here are
 computed by resultants plus root iteration and the Delta equations are
 verified on known eigenpairs instead of solved.
 
+A spectrum runs one root iteration, on the square-free resultant R in mu,
+wherever it can.  The resultant comes with the first subresultant
+S1 = s1(lam)*mu + s0(lam); when gcd(s1, R) = 1 is proved exactly, each
+lam root carries exactly one common mu, -s0(lam)/s1(lam), which two Newton
+steps polish.  Where S1 does not exist or the proof fails, Durand-Kerner
+runs in mu at each lam root instead.
+
 Why Delta0 = B1 kron C2 - C1 kron B2 is singular: in an alpha*e1 member
 with Y21 = Y31 = 0, the lower 2n block rows of the lam and mu
 coefficients (A1 and A2 in the member layout) are nonzero only in block
@@ -25,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import gaussint
 from .bipoly import BiPoly, UniPoly
 from .construct import LinearizationCertificate, certify_scaled_e1
 from .errors import (
@@ -36,8 +44,8 @@ from .errors import (
 from .matrices import Matrix, kron
 from .pencil import Pencil2P, QuadPoly2P
 from .polymatrix import PolyMatrix, exact_det_poly
-from .roots import durand_kerner, unipoly_roots
-from .resultants import sylvester_resultant
+from .roots import durand_kerner, newton_steps, unipoly_roots
+from .resultants import first_subresultant
 from .scalars import GaussianRational, ScalarLike
 from .space import FreeBlocks, generate_member, standard_blocks
 
@@ -167,10 +175,15 @@ def _common_zeros(
 ) -> SpectrumReport:
     """Finite common zeros of det a and det b.
 
-    lam candidates are the roots of the Sylvester resultant eliminating mu;
-    mu candidates at each lam come from the mu-coefficients of f = det a
-    (falling back to g = det b when f collapses there), accepted when both
-    residuals pass and deduplicated within 10*tol in the max metric.
+    lam candidates are the roots of the Sylvester resultant R eliminating
+    mu.  When the first subresultant S1 = s1·mu + s0 exists and gcd(s1, R*)
+    = 1 is proved for the square-free part R* (mod p, else by the PRS),
+    each lam root has exactly one common mu, -s0(lam)/s1(lam), polished by
+    two Newton steps on f = det a (on g = det b where f collapses to a
+    constant in mu).  Otherwise Durand-Kerner runs on the mu-coefficients
+    of f (falling back to g) at each lam root.  Either way a candidate is
+    accepted when both residuals pass, and candidates are deduplicated
+    within 10*tol in the max metric.
     """
     f = exact_det_poly(a)
     g = exact_det_poly(b)
@@ -186,18 +199,21 @@ def _common_zeros(
     if len(f_mu) == 1 and len(g_mu) == 1:
         # Coprime and both free of mu: no common zero.
         return SpectrumReport(points=(), bezout_bound=bound, generic=True)
-    resultant = sylvester_resultant(f, g, "mu")
+    resultant, s1, s0 = first_subresultant(f, g, "mu")
     if resultant.is_zero():
         raise NonGenericSystemError(
             "resultant vanishes identically (common factor: infinitely many zeros)"
         )
     root_tol = min(tol, 1e-12)
-    if resultant.degree() < 1:
-        lam_candidates: list[complex] = []
-    else:
+    lam_candidates: list[complex] = []
+    paired_mu = None
+    if resultant.degree() >= 1:
         # The square-free part has the same roots without multiplicity, so
         # the simultaneous iteration never stalls on repeated-root clusters.
-        lam_candidates = unipoly_roots(resultant.square_free_part(), tol=root_tol)
+        square_free = resultant.square_free_part()
+        lam_candidates = unipoly_roots(square_free, tol=root_tol)
+        if s1 is not None and square_free.is_coprime(s1):
+            paired_mu = _mu_from_subresultant(s1, s0)
 
     scale_f = 1.0 + f.max_abs_coeff()
     scale_g = 1.0 + g.max_abs_coeff()
@@ -208,6 +224,9 @@ def _common_zeros(
             while values and abs(values[-1]) <= 1e-12 * scale:
                 values.pop()
             if len(values) >= 2:
+                start = paired_mu(lam0) if paired_mu else None
+                if start is not None:
+                    return [newton_steps(values, start, 2)]
                 try:
                     return durand_kerner(values, tol=root_tol)
                 except ConvergenceError as stalled:
@@ -240,6 +259,31 @@ def _common_zeros(
         bezout_bound=bound,
         generic=len(deduped) <= bound,
     )
+
+
+def _mu_from_subresultant(s1: UniPoly, s0: UniPoly):
+    """The float map lam -> -s0(lam)/s1(lam), None where s1(lam) reads 0.
+
+    Both numerators are brought over one denominator and scaled by one
+    power of two, so that the largest coefficient is near 1 and none
+    overflows; the scale cancels in the ratio.
+    """
+    d1, n1 = s1.integer_form()
+    d0, n0 = s0.integer_form()
+    n1 = [(re * d0, im * d0) for re, im in n1]
+    n0 = [(-re * d1, -im * d1) for re, im in n0]
+    bits = max(max(abs(re), abs(im)).bit_length() for re, im in n1 + n0)
+    c1, c0 = (gaussint.to_complex(1 << bits, nums) for nums in (n1, n0))
+
+    def at(lam: complex) -> complex | None:
+        den = num = 0j
+        for c in reversed(c1):
+            den = den * lam + c
+        for c in reversed(c0):
+            num = num * lam + c
+        return num / den if den else None
+
+    return at
 
 
 def _lam_gcd(coeffs: list[BiPoly]) -> UniPoly:

@@ -1,16 +1,67 @@
-"""Sylvester resultants of bivariate polynomials.
+"""Sylvester resultants and first subresultants of bivariate polynomials.
 
-The resultant with respect to the eliminated variable is the determinant
+The resultant with respect to the eliminated variable x is the determinant
 of the Sylvester matrix built from the two coefficient sequences; its
-roots in the kept variable locate all candidates for common zeros.  The
-determinant is exact (interpolation determinant over the kept variable).
+roots in the kept variable y locate all candidates for common zeros.  The
+first subresultant S1 = s1(y)·x + s0(y) has as coefficients the two
+j = 1 minors of that matrix.  Where gcd(s1, R) = 1, the common zero over
+each root y0 of R is unique, x0 = -s0(y0)/s1(y0) (the shape-lemma form of a
+rational univariate representation; Rouillier, AAECC 9, 1999); ``qep``
+pairs mu with lam that way, and iterates mu per lam root otherwise.
+
+All three come from one pass over the integer nodes y = 0..D, D the largest
+assignment degree bound of the three matrices.  At a node where both
+leading x-coefficients are nonzero and the signed subresultant PRS of the
+specialized numerators drops one degree a step down to degree 0, that
+chain holds Res, s1 and s0 exactly (Brown & Traub, J. ACM 18, 1971); at
+any other node Bareiss takes the three determinants of the specialized
+integer matrices.  The values are interpolated on integers; the result is
+identical to the determinants' symbolic expansion.
 """
 
 from __future__ import annotations
 
-from .bipoly import LAM, MU, BiPoly, UniPoly
+from math import factorial
+
+from . import gaussint
+from .bipoly import LAM, MU, BiPoly, UniPoly, _axis, _signed_prs
 from .errors import DegreeError
-from .polymatrix import PolyMatrix, exact_det_poly
+from .matrices import bareiss_det_int
+from .polymatrix import PolyMatrix, _assignment_bounds, _lower_set_coeffs
+
+
+def _sylvester_rows(f_desc: list, g_desc: list, zero) -> list[list]:
+    """The Sylvester rows of two descending coefficient sequences: deg(g)
+    shifted copies of f's, then deg(f) shifted copies of g's."""
+    m, n = len(f_desc) - 1, len(g_desc) - 1
+    size = m + n
+    return [[zero] * s + f_desc + [zero] * (size - s - m - 1) for s in range(n)] + [
+        [zero] * s + g_desc + [zero] * (size - s - n - 1) for s in range(m)
+    ]
+
+
+def _first_minors(rows: list[list], n: int) -> tuple[list[list], list[list]]:
+    """The j = 1 minors of a Sylvester matrix with n rows of f, whose
+    determinants are s1 and s0: without the first row of f, the first row
+    of g and the first column, and without the x^0 column (s1) or the x^1
+    column (s0)."""
+    kept = rows[1:n] + rows[n + 1 :]
+    size = len(rows)
+    return (
+        [row[1 : size - 1] for row in kept],
+        [row[1 : size - 2] + row[size - 1 :] for row in kept],
+    )
+
+
+def _checked_degrees(f: BiPoly, g: BiPoly, eliminate: str) -> tuple[int, int]:
+    m = f.degree_in(eliminate)
+    n = g.degree_in(eliminate)
+    if min(m, n) < 0 or max(m, n) < 1:
+        raise DegreeError(
+            f"at least one input must have positive degree in {eliminate}, "
+            f"and neither may be zero (got {m} and {n})"
+        )
+    return m, n
 
 
 def sylvester_matrix(f: BiPoly, g: BiPoly, eliminate: str) -> PolyMatrix:
@@ -21,23 +72,10 @@ def sylvester_matrix(f: BiPoly, g: BiPoly, eliminate: str) -> PolyMatrix:
     input may have degree 0: the matrix is then that input times the
     identity, so the resultant is f^deg(g) (or g^deg(f)).
     """
-    m = f.degree_in(eliminate)
-    n = g.degree_in(eliminate)
-    if min(m, n) < 0 or max(m, n) < 1:
-        raise DegreeError(
-            f"at least one input must have positive degree in {eliminate}, "
-            f"and neither may be zero (got {m} and {n})"
-        )
+    _checked_degrees(f, g, eliminate)
     f_desc = list(reversed(f.coeffs_in(eliminate)))
     g_desc = list(reversed(g.coeffs_in(eliminate)))
-    size = m + n
-    zero = BiPoly.zero()
-    rows = []
-    for shift in range(n):
-        rows.append([zero] * shift + f_desc + [zero] * (size - shift - m - 1))
-    for shift in range(m):
-        rows.append([zero] * shift + g_desc + [zero] * (size - shift - n - 1))
-    return PolyMatrix(rows)
+    return PolyMatrix(_sylvester_rows(f_desc, g_desc, BiPoly.zero()))
 
 
 def sylvester_resultant(f: BiPoly, g: BiPoly, eliminate: str) -> UniPoly:
@@ -48,8 +86,103 @@ def sylvester_resultant(f: BiPoly, g: BiPoly, eliminate: str) -> UniPoly:
     (DegreeError otherwise).  An identically zero result signals a common
     factor; callers decide how to report it.
     """
+    return first_subresultant(f, g, eliminate)[0]
+
+
+def first_subresultant(
+    f: BiPoly, g: BiPoly, eliminate: str
+) -> tuple[UniPoly, UniPoly | None, UniPoly | None]:
+    """(Res, s1, s0): the resultant of f and g eliminating one variable x
+    and the coefficients of their first subresultant S1 = s1·x + s0, all
+    exact and univariate in the other variable.
+
+    s1 and s0 are the determinants of the two j = 1 minors of the Sylvester
+    matrix; they are None unless S1 exists (both degrees in x at least 1,
+    their sum at least 3).  Preconditions and errors as in
+    ``sylvester_resultant``.
+    """
     if f.is_zero() or g.is_zero():
         raise DegreeError("resultant of a zero polynomial")
+    m, n = _checked_degrees(f, g, eliminate)
+    with_s1 = min(m, n) >= 1 and m + n >= 3
     kept = MU if eliminate == LAM else LAM
-    det = exact_det_poly(sylvester_matrix(f, g, eliminate))
-    return UniPoly.from_bipoly(det, kept)
+    # Each entry's degree in the kept variable, None for a zero entry.
+    f_deg, g_deg = (
+        [None if c.is_zero() else (c.degree_in(kept),) for c in reversed(p.coeffs_in(eliminate))]
+        for p in (f, g)
+    )
+    rows = _sylvester_rows(f_deg, g_deg, None)
+    shapes = [rows, *_first_minors(rows, n)] if with_s1 else [rows]
+    bounds = [_assignment_bounds(s) for s in shapes]
+    degree = max((b[0] for b in bounds if b is not None), default=0)
+
+    den_f, f_at = _specializer(f, eliminate)
+    den_g, g_at = _specializer(g, eliminate)
+    values = [_node_values(f_at(t), g_at(t), with_s1) for t in range(degree + 1)]
+    # Res has n rows of f and m of g, each minor one fewer of each.
+    dens = [den_f**n * den_g**m] + [den_f ** (n - 1) * den_g ** (m - 1)] * (len(shapes) - 1)
+    polys: list = []
+    for k, den in enumerate(dens):
+        re = _lower_set_coeffs([[v[k][0] for v in values]])[0]
+        im = _lower_set_coeffs([[v[k][1] for v in values]])[0]
+        terms = {((a, 0) if kept == LAM else (0, a)): (re[a], im[a]) for a in range(degree + 1)}
+        poly = BiPoly.from_integer_form(factorial(degree) * den, terms)
+        polys.append(UniPoly.from_bipoly(poly, kept))
+    if not with_s1:
+        polys += [None, None]
+    return tuple(polys)
+
+
+def _specializer(p: BiPoly, eliminate: str):
+    """(den, at): p's denominator, and the map from an integer node t of the
+    kept variable to the ascending x-coefficients of p's numerator there,
+    as Gaussian integers (a vanishing leading one kept)."""
+    den, terms = p.integer_form()
+    x = _axis(eliminate)
+    coeffs: list[list[tuple[int, int, int]]] = [[] for _ in range(p.degree_in(eliminate) + 1)]
+    for e, (re, im) in terms.items():
+        coeffs[e[x]].append((e[1 - x], re, im))
+
+    def at(t: int) -> list[tuple[int, int]]:
+        out = []
+        for c in coeffs:
+            s_re = s_im = 0
+            for power, re, im in c:
+                w = t**power
+                s_re += re * w
+                s_im += im * w
+            out.append((s_re, s_im))
+        return out
+
+    return den, at
+
+
+def _node_values(a: list, b: list, with_s1: bool) -> list[tuple[int, int]]:
+    """[Res] or [Res, s1, s0] of the Gaussian-integer polynomials a and b
+    (ascending, of the full degrees m and n): from the signed PRS when the
+    node is normal, by Bareiss otherwise."""
+    m, n = len(a) - 1, len(b) - 1
+    if a[-1] != (0, 0) and b[-1] != (0, 0):
+        swapped = m < n
+        big, small = (b, a) if swapped else (a, b)
+        chain = _signed_prs(big, small)
+        low = len(small) - 1
+        if [len(p) - 1 for p in chain[1:]] == list(range(low, -1, -1)):
+            # The chain holds S_j for j < deg small; S_deg(small) is
+            # lc(small)^(delta - 1) small when delta = deg big - deg small > 0.
+            delta = len(big) - len(small)
+            if delta:
+                lead = gaussint.power(small[-1], delta - 1)
+                chain[1] = [gaussint.mul(lead, c) for c in small]
+            res = chain[-1][0]
+            if swapped and m * n % 2:
+                res = (-res[0], -res[1])
+            if not with_s1:
+                return [res]
+            s0, s1 = chain[-2]
+            if swapped and (m - 1) * (n - 1) % 2:
+                s0, s1 = (-s0[0], -s0[1]), (-s1[0], -s1[1])
+            return [res, s1, s0]
+    rows = _sylvester_rows(a[::-1], b[::-1], (0, 0))
+    matrices = [rows, *_first_minors(rows, n)] if with_s1 else [rows]
+    return [bareiss_det_int([list(r) for r in mat]) for mat in matrices]

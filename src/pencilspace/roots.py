@@ -4,7 +4,8 @@ This is the one floating-point kernel in the package.  All roots of a
 complex-coefficient polynomial are iterated together from perturbed-circle
 initial points; the iteration stops when the largest relative correction
 drops below the tolerance.  Output order is lexicographic by
-(real, imaginary) so downstream reports are deterministic.
+(real, imaginary) so downstream reports are deterministic.  A single root
+with a good start is polished by Newton steps instead (``newton_steps``).
 
 numpy is imported inside ``durand_kerner``, at its first call, and by no
 other module: the exact commands never load it.
@@ -92,6 +93,21 @@ def durand_kerner(
         _sorted_roots(z),
         sweeps=max_iter,
     )
+
+
+def newton_steps(coeffs: Sequence[complex], z: complex, steps: int) -> complex:
+    """z after ``steps`` Newton steps on sum_k coeffs[k] * x^k (ascending),
+    each evaluating the value and the derivative by one Horner pass; a zero
+    derivative ends them early."""
+    for _ in range(steps):
+        value = slope = 0j
+        for c in reversed(coeffs):
+            slope = slope * z + value
+            value = value * z + c
+        if not slope:
+            break
+        z -= value / slope
+    return z
 
 
 def _sorted_roots(z) -> list[complex]:

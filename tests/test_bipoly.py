@@ -568,3 +568,61 @@ def test_integer_form_is_canonical():
         {(0, 0): GaussianRational(Fraction(1, 3), Fraction(2, 3))}
     )
     assert (half - half).integer_form() == (1, {})
+
+
+# -- the mod-p proof of coprimality and its PRS fallback -----------------------------
+
+
+def coprime_calls(monkeypatch):
+    """Spy on the mod-p coprimality proof and on the PRS, as in
+    square_free_calls."""
+    events = []
+    proof, prs = bipoly._coprime_mod_p, bipoly._subresultant_gcd
+
+    def spy_proof(r, s):
+        verdict = proof(r, s)
+        events.append(("proof", verdict))
+        return verdict
+
+    def spy_prs(a, b):
+        events.append(("prs",))
+        return prs(a, b)
+
+    monkeypatch.setattr(bipoly, "_coprime_mod_p", spy_proof)
+    monkeypatch.setattr(bipoly, "_subresultant_gcd", spy_prs)
+    return events
+
+
+def test_is_coprime_proved_mod_p(monkeypatch):
+    r = UniPoly([-1, 0, 1], var=LAM)  # (lam - 1)(lam + 1)
+    events = coprime_calls(monkeypatch)
+    assert r.is_coprime(UniPoly([2, GaussianRational(0, 1)], var=LAM))
+    assert events == [("proof", True)]
+
+
+SQUARES_MOD_P = UniPoly([-bipoly.SQUARE_FREE_PRIME, 0, 1], var=LAM)  # lam^2 - p
+
+
+@pytest.mark.parametrize(
+    "r, other, coprime",
+    [
+        (UniPoly([-1, 0, 1], var=LAM), UniPoly([1, 1], var=LAM), False),  # lam + 1 divides both
+        (UniPoly([-1, 0, 1], var=LAM), UniPoly([], var=LAM), False),  # gcd(r, 0) = r
+        # lam^2 - p is lam^2 mod p, which shares lam with lam, yet it is
+        # coprime to lam over Q(i).
+        (SQUARES_MOD_P, UniPoly([0, 1], var=LAM), True),
+    ],
+)
+def test_is_coprime_falls_back_to_the_prs(monkeypatch, r, other, coprime):
+    events = coprime_calls(monkeypatch)
+    assert r.is_coprime(other) is coprime
+    # gcd(r, 0) is r made monic, without the PRS.
+    assert events == [("proof", False)] + ([] if other.is_zero() else [("prs",)])
+
+
+def test_is_coprime_needs_lc_nonzero_mod_p(monkeypatch):
+    # p lam + 1 drops to 1 mod p: the map proves nothing, the PRS decides.
+    r = UniPoly([1, bipoly.SQUARE_FREE_PRIME], var=LAM)
+    events = coprime_calls(monkeypatch)
+    assert r.is_coprime(UniPoly([0, 1], var=LAM))
+    assert events == [("proof", False), ("prs",)]

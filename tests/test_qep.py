@@ -22,7 +22,9 @@ from pencilspace import (
 )
 from pencilspace.errors import HypothesisViolatedError, NonGenericSystemError
 from pencilspace.matrices import structural_rank
-from pencilspace.qep import LinearSystem2P
+from pencilspace.bipoly import UniPoly
+from pencilspace.qep import LinearSystem2P, _mu_from_subresultant
+from pencilspace.resultants import first_subresultant
 from pencilspace.scalars import GaussianRational
 
 from conftest import rand_matrix, rand_quad
@@ -224,6 +226,64 @@ def test_spectrum_with_shared_lambda_values():
             assert abs(abs(p.mu.real) - math.sqrt(golden)) < 1e-8
         else:
             assert abs(abs(p.mu.imag) - math.sqrt(golden + 1)) < 1e-8
+
+
+def durand_kerner_calls(monkeypatch):
+    """Spy on every Durand-Kerner run: the degree of each, in call order."""
+    from pencilspace import qep, roots
+
+    degrees = []
+    original = roots.durand_kerner
+
+    def spy(coeffs, **kwargs):
+        degrees.append(len(coeffs) - 1)
+        return original(coeffs, **kwargs)
+
+    monkeypatch.setattr(roots, "durand_kerner", spy)
+    monkeypatch.setattr(qep, "durand_kerner", spy)
+    return degrees
+
+
+def test_generic_2x2_spectrum_pairs_mu_from_the_first_subresultant(monkeypatch):
+    rng = random.Random(5)
+    system = QuadSystem2P(rand_quad(rng, 2), rand_quad(rng, 2))
+    calls = durand_kerner_calls(monkeypatch)
+    paired = spectrum_quadratic(system)
+    # One root iteration, on the degree-16 square-free resultant.
+    assert calls == [16]
+    # Without the coprimality proof each lam root runs its own iteration in
+    # mu, and the points agree.
+    monkeypatch.setattr(UniPoly, "is_coprime", lambda self, other: False)
+    calls.clear()
+    per_root = spectrum_quadratic(system)
+    assert calls == [16] + [4] * 16
+    assert len(paired.points) == len(per_root.points) == 16
+    for p, q in zip(paired.points, per_root.points):
+        assert p.lam == q.lam
+        assert abs(p.mu - q.mu) <= 1e-9 * max(1.0, abs(q.mu))
+
+
+def test_vanishing_s1_takes_the_per_root_path(monkeypatch):
+    # det Q2 = lam - det Q1, so s1 = 0, and over lam = 0 lie two common
+    # zeros, mu = -1 and mu = 1.
+    q1 = QuadPoly2P.scalar(a02=1, a00=-1)
+    q2 = QuadPoly2P.scalar(a10=1, a02=-1, a00=1)
+    f, g = (q.as_polymatrix()[0, 0] for q in (q1, q2))
+    assert first_subresultant(f, g, "mu")[1].is_zero()
+    calls = durand_kerner_calls(monkeypatch)
+    report = spectrum_quadratic(QuadSystem2P(q1, q2))
+    assert calls == [1, 2]
+    assert len(report.points) == 2
+    for point, mu in zip(report.points, (-1, 1)):
+        assert abs(point.lam) < 1e-12 and abs(point.mu - mu) < 1e-12
+
+
+def test_mu_from_subresultant_scales_and_reports_a_zero_s1():
+    mu_at = _mu_from_subresultant(UniPoly([2, 1], var="lam"), UniPoly([3], var="lam"))
+    assert mu_at(1.0) == -1.0
+    # Beside s0 = 2^2000, s1 = 1 scales to 2^-2000, which reads 0.
+    huge = _mu_from_subresultant(UniPoly([1], var="lam"), UniPoly([2**2000], var="lam"))
+    assert huge(0.5) is None
 
 
 def test_spectrum_respects_bezout_bound(rng):

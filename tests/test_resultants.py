@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -172,3 +173,145 @@ def test_resultant_matches_sympy_over_gaussian_rationals(seed, eliminate):
         expected = (-1) ** (m * n) * sympy.resultant(g_sym, f_sym).as_expr()
     ours = sylvester_resultant(f, g, eliminate).to_bipoly()
     assert sympy.expand(to_sympy(ours) - expected) == 0
+
+
+# -- the node pass: Res, s1 and s0 from one signed PRS per node --------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from pencilspace import resultants  # noqa: E402
+from pencilspace.matrices import bareiss_det_int  # noqa: E402
+from pencilspace.resultants import first_subresultant  # noqa: E402
+from pencilspace.scalars import GaussianRational  # noqa: E402
+
+fraction_st = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
+gr_st = st.builds(GaussianRational, fraction_st, st.one_of(st.just(0), fraction_st))
+
+
+@st.composite
+def mu_polys(draw, degree):
+    """A complex-rational f with deg_mu f = degree and deg_lam f <= 2."""
+    terms = {(i, j): draw(gr_st) for j in range(degree + 1) for i in range(3)}
+    terms[(draw(st.integers(0, 2)), degree)] = draw(gr_st.filter(bool))
+    return BiPoly(terms)
+
+
+def to_sympy(sympy, p):
+    lam, mu = sympy.symbols("lam mu")
+    return sum(
+        (
+            (sympy.Rational(c.re.numerator, c.re.denominator)
+             + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+            * lam**i * mu**j
+            for (i, j), c in p.terms()
+        ),
+        sympy.Integer(0),
+    )
+
+
+def sympy_first_minors(sympy, f, g):
+    """det of the two j = 1 minors of the Sylvester matrix in mu, built here
+    from sympy's coefficient lists: without the first row of f's and of g's
+    copies and the first column, and without the mu^0 column (s1) or the
+    mu^1 column (s0)."""
+    mu = sympy.Symbol("mu")
+    f_desc = sympy.Poly(to_sympy(sympy, f), mu).all_coeffs()
+    g_desc = sympy.Poly(to_sympy(sympy, g), mu).all_coeffs()
+    m, n = len(f_desc) - 1, len(g_desc) - 1
+    size = m + n
+    rows = [[0] * s + f_desc + [0] * (size - s - m - 1) for s in range(1, n)]
+    rows += [[0] * s + g_desc + [0] * (size - s - n - 1) for s in range(1, m)]
+    cols1 = list(range(1, size - 1))
+    cols0 = list(range(1, size - 2)) + [size - 1]
+    dets = []
+    for cols in (cols1, cols0):
+        # Matrix.det over the domain QQ_I[lam] (sympy's expression-level
+        # Bareiss takes seconds on 6 x 6).
+        minor = sympy.Matrix([[row[c] for c in cols] for row in rows]).to_DM()
+        dets.append(minor.domain.to_sympy(minor.det()))
+    return dets
+
+
+def assert_matches_sympy(f, g):
+    sympy = pytest.importorskip("sympy")
+    lam, mu = sympy.symbols("lam mu")
+    res, s1, s0 = first_subresultant(f, g, MU)
+    m, n = f.degree_in(MU), g.degree_in(MU)
+    f_sym, g_sym = (sympy.Poly(to_sympy(sympy, p), mu, lam, domain="QQ_I") for p in (f, g))
+    # sympy gives res(g, f) when deg f < deg g (see the test above).
+    if m >= n:
+        expected = sympy.resultant(f_sym, g_sym).as_expr()
+    else:
+        expected = (-1) ** (m * n) * sympy.resultant(g_sym, f_sym).as_expr()
+    assert sympy.expand(to_sympy(sympy, res.to_bipoly()) - expected) == 0
+    want1, want0 = sympy_first_minors(sympy, f, g)
+    assert sympy.expand(to_sympy(sympy, s1.to_bipoly()) - want1) == 0
+    assert sympy.expand(to_sympy(sympy, s0.to_bipoly()) - want0) == 0
+
+
+@pytest.mark.parametrize("order", ["m<n", "m=n", "m>n"])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_first_subresultant_matches_sympy(order, data):
+    # mu-degrees 1..4; S1 needs m + n >= 3.
+    if order == "m<n":
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(m + 1, 4))
+    elif order == "m=n":
+        m = n = data.draw(st.integers(2, 4))
+    else:
+        n = data.draw(st.integers(1, 3))
+        m = data.draw(st.integers(n + 1, 4))
+    f, g = data.draw(mu_polys(m)), data.draw(mu_polys(n))
+    assert_matches_sympy(f, g)
+
+
+def bareiss_nodes(monkeypatch):
+    """Spy on the Bareiss fallback of the node pass: the sizes of the
+    matrices it eliminates, in call order."""
+    sizes = []
+
+    def spy(a):
+        sizes.append(len(a))
+        return bareiss_det_int(a)
+
+    monkeypatch.setattr(resultants, "bareiss_det_int", spy)
+    return sizes
+
+
+def test_leading_coefficient_vanishing_at_nodes_falls_back_to_bareiss(monkeypatch):
+    # lc_mu(f) = lam (lam - 2) vanishes at the nodes 0 and 2 only.
+    f = LAM_P * (LAM_P - 2 * ONE) * MU_P**2 + (LAM_P + ONE) * MU_P + 3 * ONE
+    g = MU_P**2 + LAM_P * MU_P - ONE
+    sizes = bareiss_nodes(monkeypatch)
+    assert_matches_sympy(f, g)
+    # Res (4 x 4), s1 and s0 (2 x 2) at each of the two nodes.
+    assert sizes == [4, 2, 2, 4, 2, 2]
+
+
+def test_remainder_degree_gap_falls_back_to_bareiss(monkeypatch):
+    # f mod g = (lam - 1) mu + 1 drops from degree 2 to 0 at lam = 1 alone.
+    f = MU_P**3 + (LAM_P - ONE) * MU_P + ONE
+    g = MU_P**2
+    sizes = bareiss_nodes(monkeypatch)
+    assert_matches_sympy(f, g)
+    assert sizes == [5, 3, 3]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_prs_values_at_normal_nodes_match_bareiss(seed):
+    # Every node of a seeded pair, normal or not, gives the determinants of
+    # the specialized integer Sylvester matrix and its two j = 1 minors.
+    rng = random.Random(f"nodes/{seed}")
+    f, g = (_random_bipoly(rng, rng.randint(2, 4)) for _ in range(2))
+    m, n = f.degree_in(MU), g.degree_in(MU)
+    _, f_at = resultants._specializer(f, MU)
+    _, g_at = resultants._specializer(g, MU)
+    for t in range(8):
+        a, b = f_at(t), g_at(t)
+        rows = resultants._sylvester_rows(a[::-1], b[::-1], (0, 0))
+        with_s1 = min(m, n) >= 1 and m + n >= 3
+        matrices = [rows, *resultants._first_minors(rows, n)] if with_s1 else [rows]
+        want = [bareiss_det_int([list(r) for r in mat]) for mat in matrices]
+        assert resultants._node_values(a, b, with_s1) == want
