@@ -53,6 +53,7 @@ from .qep import (
     SpectrumPoint,
     SpectrumReport,
     delta0_operator,
+    delta0_singularity,
     delta_operators,
     linearize_system,
     singularity_check,
@@ -120,6 +121,7 @@ __all__ = [
     "certify_standard",
     "condition_det_check",
     "delta0_operator",
+    "delta0_singularity",
     "delta_operators",
     "det_ratio",
     "durand_kerner",

@@ -36,9 +36,8 @@ from .qep import (
     DEFAULT_SPECTRUM_TOL,
     LinearSystem2P,
     QuadSystem2P,
-    delta0_operator,
+    delta0_singularity,
     linearize_system,
-    singularity_check,
     spectrum_quadratic,
     verify_eigenpair,
     verify_spectral_equality,
@@ -237,9 +236,8 @@ def _cmd_qep_linearize(args) -> int:
 def _cmd_delta(args) -> int:
     system = ser.parse_system(_read(args.system))
     lin = _build_linear_system(args, system)
-    delta0 = delta0_operator(lin)
-    report = singularity_check(delta0)
-    size = delta0.rows
+    report = delta0_singularity(lin)
+    size = lin.l1.m * lin.l2.m
     print(f"delta operators: {size} x {size}")
     print(f"det Delta0 = {report.det0} (exact)")
     print("verdict: singular" if report.singular else "verdict: nonsingular")

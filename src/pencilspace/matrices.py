@@ -192,8 +192,7 @@ class Matrix:
         """
         if self.rows != self.cols:
             raise ShapeError("determinant requires a square matrix")
-        pattern = [[j for j, x in enumerate(row) if x != (0, 0)] for row in self._data]
-        if structural_rank(pattern, self.cols) < self.rows:
+        if structural_rank(self.pattern(), self.cols) < self.rows:
             return GaussianRational(0)
         det = bareiss_det_int([list(row) for row in self._data])
         return gaussint.to_scalar(self._den**self.rows, det)
@@ -254,6 +253,10 @@ class Matrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
+
+    def pattern(self) -> list[list[int]]:
+        """The nonzero pattern: the columns of the nonzero entries, row by row."""
+        return [[j for j, x in enumerate(row) if x != (0, 0)] for row in self._data]
 
     def is_zero(self) -> bool:
         return not any(re or im for row in self._data for re, im in row)
@@ -437,6 +440,16 @@ def structural_rank(pattern: Sequence[Sequence[int]], cols: int) -> int:
             stack.append((owner[c], 0))
             path.append(c)
     return size
+
+
+def kron_pattern(
+    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], b_cols: int
+) -> list[list[int]]:
+    """The nonzero pattern of a kron b from the patterns of a and b (b with
+    b_cols columns): entry (i*rows_b + k, j*b_cols + l) is a[i, j]*b[k, l],
+    nonzero exactly when both factors are, so no product is formed.
+    """
+    return [[j * b_cols + l for j in row_a for l in row_b] for row_a in a for row_b in b]
 
 
 def bareiss_det_int(a: list[list[tuple[int, int]]]) -> tuple[int, int]:

@@ -23,14 +23,20 @@ coefficients (A1 and A2 in the member layout) are nonzero only in block
 column 3.  So the 4*n1*n2 rows of Delta0 that are lower in both factors
 are nonzero only in the n1*n2 columns that are block column 3 in both,
 and its structural rank is at most 9*n1*n2 - 4*n1*n2 + n1*n2 = 6*n1*n2
-(54 of 81 at n1 = n2 = 3).  ``Matrix.det`` finds that by a maximum
-matching and returns 0 without eliminating.
+(54 of 81 at n1 = n2 = 3).  The argument reads only the patterns of the
+factors, and so does the verdict: ``delta0_singularity`` joins the
+patterns of B1 kron C2 and C1 kron B2, built from those of the 3n x 3n
+factors by ``kron_pattern``, and a maximum matching on that union (which
+holds the pattern of Delta0) finds no perfect matching, so det Delta0 = 0
+with no 9*n1*n2 operator formed.  Only a union with a perfect matching,
+which no certified alpha*e1 member has, forms Delta0 and eliminates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cache
+from typing import Callable, Optional
 
 from . import gaussint
 from .bipoly import BiPoly, UniPoly
@@ -41,7 +47,7 @@ from .errors import (
     NonGenericSystemError,
     ShapeError,
 )
-from .matrices import Matrix, kron
+from .matrices import Matrix, kron, kron_pattern, structural_rank
 from .pencil import Pencil2P, QuadPoly2P
 from .polymatrix import PolyMatrix, exact_det_poly
 from .roots import durand_kerner, newton_steps, unipoly_roots
@@ -168,6 +174,28 @@ def singularity_check(delta0: Matrix) -> SingularityReport:
     """Exact singularity verdict on Delta0 (fraction-free determinant)."""
     det0 = delta0.det()
     return SingularityReport(det0=det0, singular=not det0)
+
+
+def delta0_singularity(lin: LinearSystem2P) -> SingularityReport:
+    """``singularity_check(delta0_operator(lin))``, read off the factors
+    where their patterns decide it.
+
+    Every nonzero entry of Delta0 = B1 kron C2 - C1 kron B2 is nonzero in
+    one of the two products, so the union of their patterns holds the
+    pattern of Delta0.  Without a perfect matching in the union, every
+    Leibniz term of Delta0 has a zero factor and det Delta0 = 0 exactly;
+    otherwise Delta0 is formed and decided as before.
+    """
+    b1, c1 = lin.l1.lam_coeff.pattern(), lin.l1.mu_coeff.pattern()
+    b2, c2 = lin.l2.lam_coeff.pattern(), lin.l2.mu_coeff.pattern()
+    size = lin.l1.m * lin.l2.m
+    union = [
+        sorted(set(p).union(q))
+        for p, q in zip(kron_pattern(b1, c2, lin.l2.m), kron_pattern(c1, b2, lin.l2.m))
+    ]
+    if structural_rank(union, size) < size:
+        return SingularityReport(det0=GaussianRational(0), singular=True)
+    return singularity_check(delta0_operator(lin))
 
 
 def _common_zeros(
@@ -387,15 +415,37 @@ class EigenpairReport:
     passed: bool
 
 
-def _residual(name: str, operator: Matrix, vector: Matrix, tol: float,
-              expected: Optional[Matrix] = None) -> ResidualCheck:
-    value = operator @ vector
-    if expected is not None:
-        value = value - expected
-    exact = value.is_zero()
-    norm = 0.0 if exact else value.max_abs()
-    scale = (1.0 + operator.max_abs()) * max(1.0, vector.max_abs())
-    return ResidualCheck(name=name, norm=norm, exact_zero=exact, passed=norm < tol * scale)
+def _scale(operator: Matrix, vector: Matrix) -> float:
+    return (1.0 + operator.max_abs()) * max(1.0, vector.max_abs())
+
+
+def _residual(name: str, value: Matrix, scale: Callable[[], float], tol: float) -> ResidualCheck:
+    """The check of a residual vector; scale() is called only when value
+    is not exactly zero.  An exact zero passes against every scale, since
+    a scale is at least 1: 0 < tol * scale exactly when 0 < tol."""
+    if value.is_zero():
+        return ResidualCheck(name=name, norm=0.0, exact_zero=True, passed=0.0 < tol)
+    norm = value.max_abs()
+    return ResidualCheck(name=name, norm=norm, exact_zero=False, passed=norm < tol * scale())
+
+
+def _coefficient_products(pencil: Pencil2P, w: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """(A w, B w, C w) for the constant, lam and mu coefficients of pencil."""
+    return pencil.const @ w, pencil.lam_coeff @ w, pencil.mu_coeff @ w
+
+
+def _delta_times(
+    p1: tuple[Matrix, Matrix, Matrix], p2: tuple[Matrix, Matrix, Matrix]
+) -> tuple[Matrix, Matrix, Matrix]:
+    """(Delta0 z, Delta1 z, Delta2 z) for z = w1 kron w2, from the products
+    p_i = (A_i w_i, B_i w_i, C_i w_i), by the mixed-product rule
+    (X kron Y)(w1 kron w2) = (X w1) kron (Y w2)."""
+    (a1, b1, c1), (a2, b2, c2) = p1, p2
+    return (
+        kron(b1, c2) - kron(c1, b2),
+        kron(c1, a2) - kron(a1, c2),
+        kron(a1, b2) - kron(b1, a2),
+    )
 
 
 def verify_eigenpair(
@@ -412,6 +462,14 @@ def verify_eigenpair(
     Verifies Q_i(lam,mu) x_i = 0, L_i(lam,mu) w_i = 0 for w_i the stacked
     (lam x_i, mu x_i, x_i), and the coupled equations
     Delta1 z = lam Delta0 z, Delta2 z = mu Delta0 z for z = w1 kron w2.
+
+    No Kronecker operator is formed for the residuals.  With A_i, B_i, C_i
+    the constant, lam and mu coefficients of L_i, six 3n x 3n products
+    give them all: L_i(lam,mu) w_i = lam B_i w_i + mu C_i w_i + A_i w_i,
+    and by the mixed-product rule (X kron Y)(w1 kron w2) = (X w1) kron
+    (Y w2), e.g. Delta0 z = (B1 w1) kron (C2 w2) - (C1 w1) kron (B2 w2).
+    A check's scale needs the operator itself (L_i(lam,mu), Delta1 or
+    Delta2), so it is formed only for a residual that is not exactly zero.
     """
     lam = GaussianRational.coerce(lam)
     mu = GaussianRational.coerce(mu)
@@ -422,27 +480,37 @@ def verify_eigenpair(
             raise ValueError(f"{label} must be nonzero")
     w1 = Matrix.vstack([x1.scale(lam), x1.scale(mu), x1])
     w2 = Matrix.vstack([x2.scale(lam), x2.scale(mu), x2])
-    z = kron(w1, w2)
-    delta = delta_operators(lin)
-    delta0_z = delta.delta0 @ z
+    p1 = _coefficient_products(lin.l1, w1)
+    p2 = _coefficient_products(lin.l2, w2)
+    delta0_z, delta1_z, delta2_z = _delta_times(p1, p2)
+    q1 = system.q1.eval(lam, mu)
+    q2 = system.q2.eval(lam, mu)
+    delta = cache(lambda: delta_operators(lin))
+
+    def pencil_residual(p: tuple[Matrix, Matrix, Matrix]) -> Matrix:
+        a_w, b_w, c_w = p
+        return b_w.scale(lam) + c_w.scale(mu) + a_w
+
     checks = (
-        _residual("Q1(lam,mu) x1", system.q1.eval(lam, mu), x1, tol),
-        _residual("Q2(lam,mu) x2", system.q2.eval(lam, mu), x2, tol),
-        _residual("L1(lam,mu) w1", lin.l1.eval(lam, mu), w1, tol),
-        _residual("L2(lam,mu) w2", lin.l2.eval(lam, mu), w2, tol),
+        _residual("Q1(lam,mu) x1", q1 @ x1, lambda: _scale(q1, x1), tol),
+        _residual("Q2(lam,mu) x2", q2 @ x2, lambda: _scale(q2, x2), tol),
+        _residual(
+            "L1(lam,mu) w1", pencil_residual(p1), lambda: _scale(lin.l1.eval(lam, mu), w1), tol
+        ),
+        _residual(
+            "L2(lam,mu) w2", pencil_residual(p2), lambda: _scale(lin.l2.eval(lam, mu), w2), tol
+        ),
         _residual(
             "Delta1 z - lam Delta0 z",
-            delta.delta1,
-            z,
+            delta1_z - delta0_z.scale(lam),
+            lambda: _scale(delta().delta1, kron(w1, w2)),
             tol,
-            expected=delta0_z.scale(lam),
         ),
         _residual(
             "Delta2 z - mu Delta0 z",
-            delta.delta2,
-            z,
+            delta2_z - delta0_z.scale(mu),
+            lambda: _scale(delta().delta2, kron(w1, w2)),
             tol,
-            expected=delta0_z.scale(mu),
         ),
     )
     return EigenpairReport(checks=checks, passed=all(c.passed for c in checks))

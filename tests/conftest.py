@@ -27,6 +27,13 @@ def rand_matrix(rng: random.Random, rows: int, cols: int, complex_prob: float = 
     )
 
 
+def rand_sparse_matrix(rng: random.Random, rows: int, cols: int, density: float) -> Matrix:
+    """Each entry a random scalar with probability density, else 0."""
+    return Matrix(
+        [[rand_gr(rng) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+    )
+
+
 def rand_quad(rng: random.Random, n: int, complex_prob: float = 0.25) -> QuadPoly2P:
     return QuadPoly2P(n, *(rand_matrix(rng, n, n, complex_prob) for _ in range(6)))
 
@@ -42,6 +49,21 @@ def rand_nonzero_gr(rng: random.Random) -> GaussianRational:
         value = rand_gr(rng)
         if value:
             return value
+
+
+def plant_eigenvector(
+    rng: random.Random, q: QuadPoly2P, lam: GaussianRational, mu: GaussianRational
+) -> tuple[QuadPoly2P, Matrix]:
+    """q with A00 changed so that Q(lam, mu) x = 0 exactly, and x: a random
+    column with x[0] != 0, whose residual r moves A00 by r [1/x0, 0, ...]."""
+    while True:
+        x = rand_matrix(rng, q.n, 1)
+        if x[0, 0]:
+            break
+    residual = q.eval(lam, mu) @ x
+    row = Matrix([[GaussianRational(1) / x[0, 0]] + [0] * (q.n - 1)])
+    a00 = q.a00 - residual @ row
+    return QuadPoly2P(q.n, q.a20, q.a11, q.a02, q.a10, q.a01, a00), x
 
 
 def poly_div_constant_ratio(p: BiPoly, q: BiPoly) -> GaussianRational | None:

@@ -316,6 +316,58 @@ def test_verify_pair(capsys):
     assert "eigenpair verified" in out
 
 
+def test_delta_and_verify_pair_form_no_kronecker_operator(capsys, tmp_path, monkeypatch):
+    import json
+    import random
+
+    from pencilspace import QuadSystem2P, qep
+    from pencilspace import serialization as ser
+
+    from conftest import plant_eigenvector, rand_gr, rand_quad
+
+    rng = random.Random(20)
+    system33 = tmp_path / "system33.json"
+    system33.write_text(
+        ser.serialize_system(QuadSystem2P(rand_quad(rng, 3), rand_quad(rng, 3)))
+    )
+    lam, mu = rand_gr(rng), rand_gr(rng)
+    q1, x1 = plant_eigenvector(rng, rand_quad(rng, 2), lam, mu)
+    q2, x2 = plant_eigenvector(rng, rand_quad(rng, 2), lam, mu)
+    system22 = tmp_path / "system22.json"
+    system22.write_text(ser.serialize_system(QuadSystem2P(q1, q2)))
+    pair = tmp_path / "pair.json"
+    pair.write_text(
+        json.dumps(
+            {
+                "lambda": ser.format_scalar(lam),
+                "mu": ser.format_scalar(mu),
+                "x1": [ser.format_scalar(x1[i, 0]) for i in range(2)],
+                "x2": [ser.format_scalar(x2[i, 0]) for i in range(2)],
+            }
+        )
+    )
+
+    def forbidden(*args):
+        raise AssertionError("a 9 n1 n2 x 9 n1 n2 operator was formed")
+
+    monkeypatch.setattr(qep, "delta0_operator", forbidden)
+    monkeypatch.setattr(qep, "delta_operators", forbidden)
+    for seed in ([], ["--seed", "5"]):
+        assert run(capsys, "delta", "-s", str(system33), *seed) == (
+            0,
+            "delta operators: 81 x 81\ndet Delta0 = 0 (exact)\nverdict: singular\n",
+            "",
+        )
+    names = ("Q1(lam,mu) x1", "Q2(lam,mu) x2", "L1(lam,mu) w1", "L2(lam,mu) w2",
+             "Delta1 z - lam Delta0 z", "Delta2 z - mu Delta0 z")
+    for seed in ([], ["--seed", "5"]):
+        assert run(capsys, "verify-pair", "-s", str(system22), "--pair", str(pair), *seed) == (
+            0,
+            "".join(f"{name}: exact zero [ok]\n" for name in names) + "eigenpair verified\n",
+            "",
+        )
+
+
 def test_verify_pair_rejects_bad_point(capsys, tmp_path):
     bad = tmp_path / "pair.json"
     bad.write_text('{"lambda": "2", "mu": "7", "x1": ["1"], "x2": ["1"]}')
@@ -365,6 +417,27 @@ def test_float_overflow_is_numeric_exit_without_traceback(tmp_path, command):
     assert result.returncode == 3
     assert "numeric overflow" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_exact_eigenpair_verifies_beyond_the_float_range(capsys, tmp_path):
+    import json
+
+    # Both quadratics times 10^200: the Delta operators hold entries near
+    # 10^400, beyond a float, but only a residual that is not exactly zero
+    # needs its operator's scale.  The exact pair verifies; the wrong one
+    # needs a norm and a scale, and overflows.
+    doc = json.loads(Path(SYS_RATIONAL).read_text())
+    for q in ("Q1", "Q2"):
+        for block in doc[q]["coefficients"].values():
+            block[0][0] = str(int(block[0][0]) * 10**200)
+    system = tmp_path / "huge.json"
+    system.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-pair", "-s", str(system), "--pair", PAIR_RATIONAL)
+    assert (code, err) == (0, "")
+    assert out.count("exact zero [ok]") == 6 and out.endswith("eigenpair verified\n")
+    wrong = str(CORPUS / "pair_rational_wrong.json")
+    code, out, err = run(capsys, "verify-pair", "-s", str(system), "--pair", wrong)
+    assert code == 3 and err.startswith("numeric overflow")
 
 
 def test_non_finite_root_iterate_is_numeric_exit_without_warnings(tmp_path):

@@ -50,6 +50,9 @@ B_COMPLEX = "corpus/blocks_complex.json"
 SYS_COMPLEX = "corpus/sys_complex.json"
 Q_BAD = "corpus/q_bad_literal.json"
 PAIR_RE = "corpus/pair_rational_eig.json"
+# A pair that is no eigenpair: every residual is nonzero, so each norm and
+# each scale-dependent verdict is printed.
+PAIR_WRONG = "corpus/pair_rational_wrong.json"
 
 COMMANDS = [
     ["standard", "-q", Q_CIRCLE],
@@ -112,6 +115,9 @@ COMMANDS = [
     ["compare", "-s", SYS_RE, "--seed", "4", "--alpha1", "-1/2", "--alpha2", "3"],
     ["compare", "-s", SYS_COMPLEX, "--seed", "2"],
     ["verify-pair", "-s", SYS_RE, "--pair", PAIR_RE],
+    ["verify-pair", "-s", SYS_RE, "--pair", PAIR_WRONG],
+    ["verify-pair", "-s", SYS_RE, "--pair", PAIR_WRONG, "--tol", "0.5"],
+    ["delta", "-s", SYS_COMPLEX, "--seed", "3"],
 ]
 
 

@@ -23,11 +23,20 @@ from pencilspace import (
 from pencilspace.errors import HypothesisViolatedError, NonGenericSystemError
 from pencilspace.matrices import structural_rank
 from pencilspace.bipoly import UniPoly
-from pencilspace.qep import LinearSystem2P, _mu_from_subresultant
+from pencilspace import qep
+from pencilspace.pencil import Pencil2P
+from pencilspace.qep import (
+    LinearSystem2P,
+    ResidualCheck,
+    _coefficient_products,
+    _delta_times,
+    _mu_from_subresultant,
+    delta0_singularity,
+)
 from pencilspace.resultants import first_subresultant
 from pencilspace.scalars import GaussianRational
 
-from conftest import rand_matrix, rand_quad
+from conftest import plant_eigenvector, rand_gr, rand_matrix, rand_quad, rand_sparse_matrix
 
 CIRCLE = QuadPoly2P.scalar(a20=1, a02=1, a00=-1)
 LINE = QuadPoly2P.scalar(a10=1, a01=-1)
@@ -412,3 +421,171 @@ def test_eigenvalue_forces_pencil_kernel_exactly(rng):
     x = Matrix.column([Fraction(2, 3)])
     report = verify_eigenpair(RATIONAL_EIG, lin, 1, 3, x, x)
     assert report.checks[2].exact_zero and report.checks[3].exact_zero
+
+
+# -- the factored Kronecker operators, against explicit ones -----------------------
+
+
+def _admissible_blocks(rng, n, complex_prob):
+    y1 = Matrix.vstack([rand_matrix(rng, n, n, complex_prob), Matrix.zeros(2 * n, n)])
+    return FreeBlocks(
+        n, y1, rand_matrix(rng, 3 * n, n, complex_prob), rand_matrix(rng, 3 * n, n, complex_prob)
+    )
+
+
+def _explicit_checks(system, lin, delta, lam, mu, x1, x2, tol):
+    """The eigenpair checks with every operator formed, delta holding
+    Delta0, Delta1 and Delta2 as 9 n1 n2 x 9 n1 n2 matrices: the oracle of
+    verify_eigenpair."""
+
+    def check(name, operator, vector, expected=None):
+        value = operator @ vector
+        if expected is not None:
+            value = value - expected
+        exact = value.is_zero()
+        norm = 0.0 if exact else value.max_abs()
+        scale = (1.0 + operator.max_abs()) * max(1.0, vector.max_abs())
+        return ResidualCheck(name, norm, exact, norm < tol * scale)
+
+    w1 = Matrix.vstack([x1.scale(lam), x1.scale(mu), x1])
+    w2 = Matrix.vstack([x2.scale(lam), x2.scale(mu), x2])
+    z = kron(w1, w2)
+    delta0_z = delta.delta0 @ z
+    return (
+        check("Q1(lam,mu) x1", system.q1.eval(lam, mu), x1),
+        check("Q2(lam,mu) x2", system.q2.eval(lam, mu), x2),
+        check("L1(lam,mu) w1", lin.l1.eval(lam, mu), w1),
+        check("L2(lam,mu) w2", lin.l2.eval(lam, mu), w2),
+        check("Delta1 z - lam Delta0 z", delta.delta1, z, delta0_z.scale(lam)),
+        check("Delta2 z - mu Delta0 z", delta.delta2, z, delta0_z.scale(mu)),
+    )
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("complex_prob", [0.0, 0.5], ids=["real", "complex"])
+def test_factored_residuals_equal_explicit_operators(n1, n2, complex_prob):
+    rng = random.Random(1000 * n1 + 10 * n2 + int(complex_prob * 2))
+    lam, mu = rand_gr(rng, complex_prob), rand_gr(rng, complex_prob)
+    q1, x1 = plant_eigenvector(rng, rand_quad(rng, n1, complex_prob), lam, mu)
+    q2, x2 = plant_eigenvector(rng, rand_quad(rng, n2, complex_prob), lam, mu)
+    system = QuadSystem2P(q1, q2)
+    for lin in (
+        linearize_system(system),
+        linearize_system(
+            system,
+            2,
+            GaussianRational(-1, 1),
+            _admissible_blocks(rng, n1, complex_prob),
+            _admissible_blocks(rng, n2, complex_prob),
+        ),
+    ):
+        delta = delta_operators(lin)
+        # The planted pair, then pairs off the spectrum or off the kernel.
+        pairs = [
+            (lam, mu, x1, x2),
+            (lam + GaussianRational(1, 7), mu, x1, x2),
+            (lam, mu - 2, x1, x2 + rand_matrix(rng, n2, 1, complex_prob)),
+            (rand_gr(rng, complex_prob), rand_gr(rng, complex_prob), x1.scale(3), x2),
+        ]
+        for l, m, y1, y2 in pairs:
+            if y2.is_zero():
+                continue
+            w1 = Matrix.vstack([y1.scale(l), y1.scale(m), y1])
+            w2 = Matrix.vstack([y2.scale(l), y2.scale(m), y2])
+            p1, p2 = _coefficient_products(lin.l1, w1), _coefficient_products(lin.l2, w2)
+            for (a_w, b_w, c_w), pencil, w in ((p1, lin.l1, w1), (p2, lin.l2, w2)):
+                assert b_w.scale(l) + c_w.scale(m) + a_w == pencil.eval(l, m) @ w
+            z = kron(w1, w2)
+            assert _delta_times(p1, p2) == (
+                delta.delta0 @ z,
+                delta.delta1 @ z,
+                delta.delta2 @ z,
+            )
+            for tol in (0.0, 1e-9, 0.5, 50.0):
+                report = verify_eigenpair(system, lin, l, m, y1, y2, tol)
+                expected = _explicit_checks(system, lin, delta, l, m, y1, y2, tol)
+                assert report.checks == expected
+                assert report.passed == all(c.passed for c in expected)
+        assert verify_eigenpair(system, lin, lam, mu, x1, x2).passed
+
+
+def test_exact_eigenpair_forms_no_kronecker_operator(monkeypatch):
+    rng = random.Random(7)
+    lam, mu = rand_gr(rng), rand_gr(rng)
+    q1, x1 = plant_eigenvector(rng, rand_quad(rng, 2), lam, mu)
+    q2, x2 = plant_eigenvector(rng, rand_quad(rng, 3), lam, mu)
+    system = QuadSystem2P(q1, q2)
+    lin = linearize_system(system)
+
+    def forbidden(*args):
+        raise AssertionError("a 9 n1 n2 operator was formed")
+
+    monkeypatch.setattr(qep, "delta_operators", forbidden)
+    monkeypatch.setattr(qep, "delta0_operator", forbidden)
+    report = verify_eigenpair(system, lin, lam, mu, x1, x2)
+    assert report.passed and all(c.exact_zero for c in report.checks)
+
+
+def test_delta0_singularity_of_certified_members_reads_the_factors(rng, monkeypatch):
+    # Every alpha*e1 member with admissible blocks gives a union of factor
+    # patterns without a perfect matching, so Delta0 is never formed.
+    lins = []
+    for n1, n2 in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3)):
+        system = QuadSystem2P(rand_quad(rng, n1), rand_quad(rng, n2))
+        blocks1, blocks2 = _admissible_blocks(rng, n1, 0.25), _admissible_blocks(rng, n2, 0.25)
+        lins += [linearize_system(system), linearize_system(system, 3, -1, blocks1, blocks2)]
+    expected = [singularity_check(delta_operators(lin).delta0) for lin in lins]
+
+    def forbidden(*args):
+        raise AssertionError("Delta0 was formed")
+
+    monkeypatch.setattr(qep, "delta0_operator", forbidden)
+    for lin, want in zip(lins, expected):
+        assert delta0_singularity(lin) == want
+        assert want.singular and want.det0 == GaussianRational(0)
+
+
+def test_delta0_singularity_matches_explicit_determinant(monkeypatch):
+    # Random factor quadruples, not linearizations: some unions of factor
+    # patterns have a perfect matching (the fallback forms Delta0), others
+    # have none (det Delta0 = 0 read off the patterns).
+    rng = random.Random(4242)
+    formed = []
+    original = qep.delta0_operator
+
+    def counting(lin):
+        formed.append(lin)
+        return original(lin)
+
+    monkeypatch.setattr(qep, "delta0_operator", counting)
+    cert = linearize_system(CIRCLE_LINE).cert1
+    fallback = read_off = cancelled = 0
+    for trial in range(60):
+        m1, m2 = rng.randint(1, 4), rng.randint(1, 4)
+        density = rng.choice((0.2, 0.4, 0.7, 1.0))
+        b1, c1 = (rand_sparse_matrix(rng, m1, m1, density) for _ in range(2))
+        b2, c2 = (rand_sparse_matrix(rng, m2, m2, density) for _ in range(2))
+        if trial % 10 == 0:
+            c1, c2 = b1, b2  # Delta0 = 0 exactly, whatever the patterns
+        lin = LinearSystem2P(
+            Pencil2P(m1, b1, c1, rand_sparse_matrix(rng, m1, m1, density)),
+            Pencil2P(m2, b2, c2, rand_sparse_matrix(rng, m2, m2, density)),
+            GaussianRational(1),
+            GaussianRational(1),
+            cert,
+            cert,
+        )
+        explicit = kron(b1, c2) - kron(c1, b2)
+        union = [
+            sorted(set(p) | set(q)) for p, q in zip(kron(b1, c2).pattern(), kron(c1, b2).pattern())
+        ]
+        perfect = structural_rank(union, m1 * m2) == m1 * m2
+        formed.clear()
+        report = delta0_singularity(lin)
+        assert report.det0 == explicit.det()
+        assert report.singular == (explicit.det() == 0)
+        assert len(formed) == perfect
+        fallback += perfect
+        read_off += not perfect
+        cancelled += perfect and report.singular
+    assert fallback >= 10 and read_off >= 10 and cancelled >= 1
