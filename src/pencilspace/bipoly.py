@@ -99,12 +99,6 @@ class BiPoly:
         idx = _axis(var)
         return max((e[idx] for e in self._terms), default=-1)
 
-    def total_degree(self) -> int:
-        """Maximum i + j over stored monomials; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(i + j for i, j in self._terms)
-
     def max_abs_coeff(self) -> float:
         """Largest coefficient modulus as a float (for residual scales)."""
         return max((abs(c) for _, c in self._complex_terms()), default=0.0)
@@ -394,11 +388,6 @@ class UniPoly:
         if remainder:
             raise DegreeError("square-free reduction failed (inexact division)")
         return _reduced_uni(quotient, self._den, self.var)
-
-    def to_complex_coeffs(self) -> list[complex]:
-        """The coefficients as complex floats (each the float of its exact
-        value, as in ``BiPoly._complex_terms``)."""
-        return gaussint.to_complex(self._den, self._nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniPoly):

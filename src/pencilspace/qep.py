@@ -10,12 +10,13 @@ but Delta0 is always exactly singular for this class, so spectra here are
 computed by resultants plus root iteration and the Delta equations are
 verified on known eigenpairs instead of solved.
 
-A spectrum runs one root iteration, on the square-free resultant R in mu,
-wherever it can.  The resultant comes with the first subresultant
-S1 = s1(lam)*mu + s0(lam); when gcd(s1, R) = 1 is proved exactly, each
-lam root carries exactly one common mu, -s0(lam)/s1(lam), which two Newton
-steps polish.  Where S1 does not exist or the proof fails, Durand-Kerner
-runs in mu at each lam root instead.
+A spectrum runs one root iteration, on the square-free resultant R in mu
+of the determinants sheared to x = lam + t*mu, for the first t = 0, 1, ...
+at which the first subresultant S1 = s1(x)*mu + s0(x) exists and
+gcd(s1, R) = 1 is proved exactly.  Then each x root carries exactly one
+common mu, -s0(x)/s1(x), which two Newton steps polish, and lam = x - t*mu.
+Only a common zero singular on both determinant curves defeats every t;
+``_common_zeros`` bounds the loop and proves it.
 
 Why Delta0 = B1 kron C2 - C1 kron B2 is singular: in an alpha*e1 member
 with Y21 = Y31 = 0, the lower 2n block rows of the lam and mu
@@ -41,16 +42,11 @@ from typing import Callable, Optional
 from . import gaussint
 from .bipoly import BiPoly, UniPoly
 from .construct import LinearizationCertificate, certify_scaled_e1
-from .errors import (
-    ConvergenceError,
-    HypothesisViolatedError,
-    NonGenericSystemError,
-    ShapeError,
-)
+from .errors import HypothesisViolatedError, NonGenericSystemError, ShapeError
 from .matrices import Matrix, kron, kron_pattern, structural_rank
 from .pencil import Pencil2P, QuadPoly2P
 from .polymatrix import PolyMatrix, exact_det_poly
-from .roots import durand_kerner, newton_steps, unipoly_roots
+from .roots import newton_steps, unipoly_roots
 from .resultants import first_subresultant
 from .scalars import GaussianRational, ScalarLike
 from .space import FreeBlocks, generate_member, standard_blocks
@@ -111,7 +107,6 @@ class SpectrumReport:
 
     points: tuple[SpectrumPoint, ...]
     bezout_bound: int
-    generic: bool
 
 
 def linearize_system(
@@ -201,17 +196,28 @@ def delta0_singularity(lin: LinearSystem2P) -> SingularityReport:
 def _common_zeros(
     a: PolyMatrix, b: PolyMatrix, bound: int, tol: float
 ) -> SpectrumReport:
-    """Finite common zeros of det a and det b.
+    """Finite common zeros of f = det a and g = det b.
 
-    lam candidates are the roots of the Sylvester resultant R eliminating
-    mu.  When the first subresultant S1 = s1·mu + s0 exists and gcd(s1, R*)
-    = 1 is proved for the square-free part R* (mod p, else by the PRS),
-    each lam root has exactly one common mu, -s0(lam)/s1(lam), polished by
-    two Newton steps on f = det a (on g = det b where f collapses to a
-    constant in mu).  Otherwise Durand-Kerner runs on the mu-coefficients
-    of f (falling back to g) at each lam root.  Either way a candidate is
-    accepted when both residuals pass, and candidates are deduplicated
-    within 10*tol in the max metric.
+    With f_t(x, mu) = f(x - t*mu, mu), and g_t alike, t = 0, 1, ... is
+    tried until the first subresultant S1 = s1(x)·mu + s0(x) of f_t and g_t
+    in mu exists and gcd(s1, R*) = 1 is proved, R* the square-free part of
+    their resultant (mod p, else by the PRS).  Each root x0 of R* then has
+    one common mu, -s0(x0)/s1(x0), which two Newton steps on f_t(x0, mu)
+    polish; lam = x0 - t*mu, and a point is kept when its residuals against
+    f and g pass.  So len(points) <= deg R* <= d_f·d_g <= bound, d_f and
+    d_g the total degrees.
+
+    The loop's bound.  A t >= 1 is tried only where the leading
+    mu-coefficients of f_t and g_t are constants, which fails only where a
+    top-degree form vanishes at (-t, 1): for d_f + d_g values of t at most.
+    There R has no root at infinity, its roots are the x of the
+    N <= d_f·d_g common zeros, and S1 specializes, so s1(x0) = 0 iff
+    f_t(x0, mu) and g_t(x0, mu) share a factor of degree 2 or more.  Then
+    two zeros share x0 (for N(N-1)/2 values of t at most), or the line
+    x = x0 is tangent to both curves at the zero over it, which a curve
+    smooth there allows for one t at most (N values).  If every
+    t <= T + 1, T the sum of these counts, fails, a common zero is
+    singular on both curves.
     """
     f = exact_det_poly(a)
     g = exact_det_poly(b)
@@ -226,67 +232,65 @@ def _common_zeros(
         raise NonGenericSystemError(f"determinants share the factor {common}, free of mu")
     if len(f_mu) == 1 and len(g_mu) == 1:
         # Coprime and both free of mu: no common zero.
-        return SpectrumReport(points=(), bezout_bound=bound, generic=True)
-    resultant, s1, s0 = first_subresultant(f, g, "mu")
-    if resultant.is_zero():
-        raise NonGenericSystemError(
-            "resultant vanishes identically (common factor: infinitely many zeros)"
-        )
-    root_tol = min(tol, 1e-12)
-    lam_candidates: list[complex] = []
-    paired_mu = None
-    if resultant.degree() >= 1:
+        return SpectrumReport(points=(), bezout_bound=bound)
+    d_f, d_g = (max(map(sum, p.integer_form()[1])) for p in (f, g))
+    zeros = d_f * d_g
+    last = d_f + d_g + zeros + zeros * (zeros - 1) // 2 + 1
+    for t in range(last + 1):
+        f_t, g_t = _shear(f, t), _shear(g, t)
+        if t and not all(p.coeffs_in("mu")[-1].is_constant() for p in (f_t, g_t)):
+            continue
+        resultant, s1, s0 = first_subresultant(f_t, g_t, "mu")
+        if resultant.is_zero():
+            raise NonGenericSystemError(
+                "resultant vanishes identically (common factor: infinitely many zeros)"
+            )
+        if resultant.degree() < 1:
+            return SpectrumReport(points=(), bezout_bound=bound)
         # The square-free part has the same roots without multiplicity, so
         # the simultaneous iteration never stalls on repeated-root clusters.
         square_free = resultant.square_free_part()
-        lam_candidates = unipoly_roots(square_free, tol=root_tol)
         if s1 is not None and square_free.is_coprime(s1):
-            paired_mu = _mu_from_subresultant(s1, s0)
+            break
+    else:
+        raise NonGenericSystemError(
+            f"a common zero is singular on both determinant curves "
+            f"(no x = lam + t*mu with t <= {last} separates the common zeros)"
+        )
 
-    scale_f = 1.0 + f.max_abs_coeff()
-    scale_g = 1.0 + g.max_abs_coeff()
+    mu_at = _mu_from_subresultant(s1, s0)
+    f_t_mu = f_t.coeffs_in("mu")
+    scale_t, scale_f, scale_g = (1.0 + p.max_abs_coeff() for p in (f_t, f, g))
+    points: list[SpectrumPoint] = []
+    for x0 in unipoly_roots(square_free, tol=min(tol, 1e-12)):
+        mu0 = mu_at(x0)
+        if mu0 is None:
+            raise OverflowError(f"s1 is proved nonzero at the root x = {x0}, but reads 0 in floats")
+        values = [c.eval_complex(x0, 0.0) for c in f_t_mu]
+        while values and abs(values[-1]) <= 1e-12 * scale_t:
+            values.pop()
+        if len(values) >= 2:
+            mu0 = newton_steps(values, mu0, 2)
+        lam0 = x0 - t * mu0 if t else x0
+        res = max(
+            abs(f.eval_complex(lam0, mu0)) / scale_f,
+            abs(g.eval_complex(lam0, mu0)) / scale_g,
+        )
+        if res < tol:
+            points.append(SpectrumPoint(lam0, mu0, res))
+    points.sort(key=lambda p: (p.lam.real, p.lam.imag, p.mu.real, p.mu.imag))
+    return SpectrumReport(points=tuple(points), bezout_bound=bound)
 
-    def mu_candidates(lam0: complex) -> list[complex]:
-        for coeffs, scale in ((f_mu, scale_f), (g_mu, scale_g)):
-            values = [c.eval_complex(lam0, 0.0) for c in coeffs]
-            while values and abs(values[-1]) <= 1e-12 * scale:
-                values.pop()
-            if len(values) >= 2:
-                start = paired_mu(lam0) if paired_mu else None
-                if start is not None:
-                    return [newton_steps(values, start, 2)]
-                try:
-                    return durand_kerner(values, tol=root_tol)
-                except ConvergenceError as stalled:
-                    # A tangency (double mu root) limits float accuracy; the
-                    # residual filter below decides what survives.
-                    return stalled.best
-        return []
 
-    accepted: list[SpectrumPoint] = []
-    for lam0 in lam_candidates:
-        for mu0 in mu_candidates(lam0):
-            res = max(
-                abs(f.eval_complex(lam0, mu0)) / scale_f,
-                abs(g.eval_complex(lam0, mu0)) / scale_g,
-            )
-            if res < tol:
-                accepted.append(SpectrumPoint(lam0, mu0, res))
-
-    accepted.sort(key=lambda p: (p.lam.real, p.lam.imag, p.mu.real, p.mu.imag))
-    deduped: list[SpectrumPoint] = []
-    for point in accepted:
-        match = _first_near(deduped, point, tol)
-        if match is None:
-            deduped.append(point)
-        elif point.residual < deduped[match].residual:
-            deduped[match] = point
-    deduped.sort(key=lambda p: (p.lam.real, p.lam.imag, p.mu.real, p.mu.imag))
-    return SpectrumReport(
-        points=tuple(deduped),
-        bezout_bound=bound,
-        generic=len(deduped) <= bound,
-    )
+def _shear(p: BiPoly, t: int) -> BiPoly:
+    """p(x - t*mu, mu), exactly, with x in the lam slot."""
+    if not t:
+        return p
+    x = BiPoly.lam() - t * BiPoly.mu()
+    out = BiPoly.zero()
+    for c in reversed(p.coeffs_in("lam")):
+        out = out * x + c
+    return out
 
 
 def _mu_from_subresultant(s1: UniPoly, s0: UniPoly):
@@ -322,19 +326,6 @@ def _lam_gcd(coeffs: list[BiPoly]) -> UniPoly:
     for c in coeffs:
         common = common.gcd(UniPoly.from_bipoly(c, "lam"))
     return common
-
-
-def _first_near(points: list[SpectrumPoint], point: SpectrumPoint, tol: float) -> int | None:
-    """The index of the first of points within 10*tol of point in the max
-    metric on (lam, mu), or None."""
-    return next(
-        (
-            k
-            for k, p in enumerate(points)
-            if max(abs(p.lam - point.lam), abs(p.mu - point.mu)) < 10 * tol
-        ),
-        None,
-    )
 
 
 def spectrum_quadratic(
@@ -379,7 +370,8 @@ def verify_spectral_equality(
     available = list(sigma_l.points)
     unmatched_q = []
     for point in sigma_q.points:
-        hit = _first_near(available, point, tol)
+        near = (max(abs(p.lam - point.lam), abs(p.mu - point.mu)) < 10 * tol for p in available)
+        hit = next((k for k, close in enumerate(near) if close), None)
         if hit is None:
             unmatched_q.append(point)
         else:

@@ -7,7 +7,7 @@ first subresultant S1 = s1(y)·x + s0(y) has as coefficients the two
 j = 1 minors of that matrix.  Where gcd(s1, R) = 1, the common zero over
 each root y0 of R is unique, x0 = -s0(y0)/s1(y0) (the shape-lemma form of a
 rational univariate representation; Rouillier, AAECC 9, 1999); ``qep``
-pairs mu with lam that way, and iterates mu per lam root otherwise.
+pairs mu with each root that way, after shearing lam until gcd(s1, R) = 1.
 
 All three come from one pass over the integer nodes y = 0..D, D the largest
 assignment degree bound of the three matrices.  At a node where both
@@ -27,7 +27,7 @@ from . import gaussint
 from .bipoly import LAM, MU, BiPoly, UniPoly, _axis, _signed_prs
 from .errors import DegreeError
 from .matrices import bareiss_det_int
-from .polymatrix import PolyMatrix, _assignment_bounds, _lower_set_coeffs
+from .polymatrix import _assignment_bounds, _lower_set_coeffs
 
 
 def _sylvester_rows(f_desc: list, g_desc: list, zero) -> list[list]:
@@ -44,9 +44,12 @@ def _first_minors(rows: list[list], n: int) -> tuple[list[list], list[list]]:
     """The j = 1 minors of a Sylvester matrix with n rows of f, whose
     determinants are s1 and s0: without the first row of f, the first row
     of g and the first column, and without the x^0 column (s1) or the x^1
-    column (s0)."""
-    kept = rows[1:n] + rows[n + 1 :]
+    column (s0).  For two linear inputs S1 is g itself, so the minors are
+    g's two coefficients."""
     size = len(rows)
+    if size == 2:
+        return [rows[1][:1]], [rows[1][1:]]
+    kept = rows[1:n] + rows[n + 1 :]
     return (
         [row[1 : size - 1] for row in kept],
         [row[1 : size - 2] + row[size - 1 :] for row in kept],
@@ -62,20 +65,6 @@ def _checked_degrees(f: BiPoly, g: BiPoly, eliminate: str) -> tuple[int, int]:
             f"and neither may be zero (got {m} and {n})"
         )
     return m, n
-
-
-def sylvester_matrix(f: BiPoly, g: BiPoly, eliminate: str) -> PolyMatrix:
-    """The (m+n) x (m+n) Sylvester matrix of f and g w.r.t. one variable.
-
-    Rows hold the descending coefficient sequences: deg(g) shifted copies
-    of f's coefficients followed by deg(f) shifted copies of g's.  One
-    input may have degree 0: the matrix is then that input times the
-    identity, so the resultant is f^deg(g) (or g^deg(f)).
-    """
-    _checked_degrees(f, g, eliminate)
-    f_desc = list(reversed(f.coeffs_in(eliminate)))
-    g_desc = list(reversed(g.coeffs_in(eliminate)))
-    return PolyMatrix(_sylvester_rows(f_desc, g_desc, BiPoly.zero()))
 
 
 def sylvester_resultant(f: BiPoly, g: BiPoly, eliminate: str) -> UniPoly:
@@ -97,14 +86,14 @@ def first_subresultant(
     exact and univariate in the other variable.
 
     s1 and s0 are the determinants of the two j = 1 minors of the Sylvester
-    matrix; they are None unless S1 exists (both degrees in x at least 1,
-    their sum at least 3).  Preconditions and errors as in
-    ``sylvester_resultant``.
+    matrix, and g's own coefficients when both inputs are linear in x; they
+    are None unless S1 exists (both degrees in x at least 1).
+    Preconditions and errors as in ``sylvester_resultant``.
     """
     if f.is_zero() or g.is_zero():
         raise DegreeError("resultant of a zero polynomial")
     m, n = _checked_degrees(f, g, eliminate)
-    with_s1 = min(m, n) >= 1 and m + n >= 3
+    with_s1 = min(m, n) >= 1
     kept = MU if eliminate == LAM else LAM
     # Each entry's degree in the kept variable, None for a zero entry.
     f_deg, g_deg = (
@@ -119,8 +108,10 @@ def first_subresultant(
     den_f, f_at = _specializer(f, eliminate)
     den_g, g_at = _specializer(g, eliminate)
     values = [_node_values(f_at(t), g_at(t), with_s1) for t in range(degree + 1)]
-    # Res has n rows of f and m of g, each minor one fewer of each.
-    dens = [den_f**n * den_g**m] + [den_f ** (n - 1) * den_g ** (m - 1)] * (len(shapes) - 1)
+    # Res has n rows of f and m of g, each minor one fewer of each (g's row
+    # alone when m = n = 1).
+    minor_den = den_g if m == n == 1 else den_f ** (n - 1) * den_g ** (m - 1)
+    dens = [den_f**n * den_g**m] + [minor_den] * (len(shapes) - 1)
     polys: list = []
     for k, den in enumerate(dens):
         re = _lower_set_coeffs([[v[k][0] for v in values]])[0]

@@ -122,10 +122,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        """Exact squared modulus |z|^2 = re^2 + im^2."""
-        return self.re * self.re + self.im * self.im
-
     # -- comparisons and hashing -------------------------------------------------
 
     def __eq__(self, other) -> bool:

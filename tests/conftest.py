@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from pencilspace import FreeBlocks, Matrix, QuadPoly2P, gaussint
-from pencilspace.bipoly import BiPoly
+from pencilspace.bipoly import BiPoly, UniPoly
+from pencilspace.polymatrix import PolyMatrix
+from pencilspace.resultants import _checked_degrees, _sylvester_rows
 from pencilspace.scalars import GaussianRational
 
 
@@ -89,6 +91,25 @@ def poly_div_constant_ratio(p: BiPoly, q: BiPoly) -> GaussianRational | None:
     # gamma = (x / p_den) / (y / q_den)
     norm, s = gaussint.reciprocal(y, q_den)
     return gaussint.to_scalar(norm * p_den, gaussint.mul(x, s))
+
+def sylvester_matrix(f: BiPoly, g: BiPoly, eliminate: str) -> PolyMatrix:
+    """The (m+n) x (m+n) Sylvester matrix of f and g w.r.t. one variable.
+
+    Rows hold the descending coefficient sequences: deg(g) shifted copies
+    of f's coefficients followed by deg(f) shifted copies of g's.  One
+    input may have degree 0: the matrix is then that input times the
+    identity, so the resultant is f^deg(g) (or g^deg(f)).
+    """
+    _checked_degrees(f, g, eliminate)
+    f_desc = list(reversed(f.coeffs_in(eliminate)))
+    g_desc = list(reversed(g.coeffs_in(eliminate)))
+    return PolyMatrix(_sylvester_rows(f_desc, g_desc, BiPoly.zero()))
+
+
+def complex_coeffs(p: UniPoly) -> list[complex]:
+    """The coefficients of p as complex floats, each the float of its exact value."""
+    return gaussint.to_complex(*p.integer_form())
+
 
 def example_quad(n: int = 2) -> QuadPoly2P:
     """A fixed concrete quadratic used for the worked-example tests."""

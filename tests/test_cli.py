@@ -307,6 +307,29 @@ def test_coprime_determinants_free_of_mu_have_no_common_zero(capsys, tmp_path, c
         assert out.endswith("spectra agree\n")
 
 
+def test_zero_singular_on_both_curves_exits_4(capsys, tmp_path):
+    import json
+
+    # mu^2 - lam^2 and mu^2 - 4 lam^2: (0, 0) is singular on both curves,
+    # so no shear of lam pairs it with one mu.
+    pair = {"Q1": _scalar_quadratic(A02=1, A20=-1), "Q2": _scalar_quadratic(A02=1, A20=-4)}
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps(pair))
+    code, out, err = run(capsys, "spectrum", "-s", str(system))
+    assert (code, out) == (4, "")
+    assert err.startswith("non-generic system: a common zero is singular on both")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_proved_s1_reading_zero_in_floats_exits_3(capsys, monkeypatch):
+    from pencilspace import qep
+
+    monkeypatch.setattr(qep, "_mu_from_subresultant", lambda s1, s0: lambda x: None)
+    code, out, err = run(capsys, "spectrum", "-s", SYS_CIRCLE_LINE)
+    assert (code, out) == (3, "")
+    assert err.startswith("numeric overflow: s1 is proved nonzero at the root")
+
+
 def test_verify_pair(capsys):
     code, out, _ = run(
         capsys, "verify-pair", "-s", SYS_RATIONAL, "--pair", PAIR_RATIONAL

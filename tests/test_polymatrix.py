@@ -13,10 +13,16 @@ from pencilspace.errors import ShapeError
 from pencilspace.matrices import Matrix, structural_rank
 from pencilspace.pencil import Pencil2P
 from pencilspace.polymatrix import PolyMatrix, exact_det_poly
-from pencilspace.resultants import sylvester_matrix
 from pencilspace.scalars import GaussianRational
 
-from conftest import poly_div_constant_ratio, rand_gr, rand_matrix, rand_nonzero_gr, rand_quad
+from conftest import (
+    poly_div_constant_ratio,
+    rand_gr,
+    rand_matrix,
+    rand_nonzero_gr,
+    rand_quad,
+    sylvester_matrix,
+)
 
 LAM = BiPoly.lam()
 MU = BiPoly.mu()

@@ -214,7 +214,7 @@ def test_spectrum_of_determinants_free_of_mu():
     # lam - 1: the whole line lam = 1.
     q1 = QuadPoly2P.scalar(a20=1, a00=-1)
     report = spectrum_quadratic(QuadSystem2P(q1, QuadPoly2P.scalar(a10=1, a00=-3)))
-    assert report.points == () and report.bezout_bound == 4 and report.generic
+    assert report.points == () and report.bezout_bound == 4
     with pytest.raises(NonGenericSystemError, match=r"share the factor -1 \+ lam, free of mu"):
         spectrum_quadratic(QuadSystem2P(q1, QuadPoly2P.scalar(a10=1, a00=-1)))
 
@@ -239,7 +239,7 @@ def test_spectrum_with_shared_lambda_values():
 
 def durand_kerner_calls(monkeypatch):
     """Spy on every Durand-Kerner run: the degree of each, in call order."""
-    from pencilspace import qep, roots
+    from pencilspace import roots
 
     degrees = []
     original = roots.durand_kerner
@@ -249,7 +249,6 @@ def durand_kerner_calls(monkeypatch):
         return original(coeffs, **kwargs)
 
     monkeypatch.setattr(roots, "durand_kerner", spy)
-    monkeypatch.setattr(qep, "durand_kerner", spy)
     return degrees
 
 
@@ -260,31 +259,90 @@ def test_generic_2x2_spectrum_pairs_mu_from_the_first_subresultant(monkeypatch):
     paired = spectrum_quadratic(system)
     # One root iteration, on the degree-16 square-free resultant.
     assert calls == [16]
-    # Without the coprimality proof each lam root runs its own iteration in
-    # mu, and the points agree.
-    monkeypatch.setattr(UniPoly, "is_coprime", lambda self, other: False)
+    # With the coprimality proof failing at t = 0 alone, lam is sheared to
+    # x = lam + mu: again one root iteration, and the same points.
+    original = UniPoly.is_coprime
+    proofs = []
+
+    def fails_first(self, other):
+        proofs.append(other)
+        return len(proofs) > 1 and original(self, other)
+
+    monkeypatch.setattr(UniPoly, "is_coprime", fails_first)
     calls.clear()
-    per_root = spectrum_quadratic(system)
-    assert calls == [16] + [4] * 16
-    assert len(paired.points) == len(per_root.points) == 16
-    for p, q in zip(paired.points, per_root.points):
-        assert p.lam == q.lam
-        assert abs(p.mu - q.mu) <= 1e-9 * max(1.0, abs(q.mu))
+    sheared = spectrum_quadratic(system)
+    assert calls == [16] and len(proofs) == 2
+    assert len(paired.points) == len(sheared.points) == 16
+    for p, q in zip(paired.points, sheared.points):
+        assert abs(p.lam - q.lam) <= 1e-9 * max(1.0, abs(p.lam))
+        assert abs(p.mu - q.mu) <= 1e-9 * max(1.0, abs(p.mu))
 
 
-def test_vanishing_s1_takes_the_per_root_path(monkeypatch):
+def test_vanishing_s1_shears_lam(monkeypatch):
     # det Q2 = lam - det Q1, so s1 = 0, and over lam = 0 lie two common
-    # zeros, mu = -1 and mu = 1.
+    # zeros, mu = -1 and mu = 1; x = lam + mu separates them.
     q1 = QuadPoly2P.scalar(a02=1, a00=-1)
     q2 = QuadPoly2P.scalar(a10=1, a02=-1, a00=1)
     f, g = (q.as_polymatrix()[0, 0] for q in (q1, q2))
     assert first_subresultant(f, g, "mu")[1].is_zero()
     calls = durand_kerner_calls(monkeypatch)
     report = spectrum_quadratic(QuadSystem2P(q1, q2))
-    assert calls == [1, 2]
+    assert calls == [2]
     assert len(report.points) == 2
-    for point, mu in zip(report.points, (-1, 1)):
+    for point, mu in zip(sorted(report.points, key=lambda p: p.mu.real), (-1, 1)):
         assert abs(point.lam) < 1e-12 and abs(point.mu - mu) < 1e-12
+
+
+def assert_points(report, expected, tol=1e-12):
+    """report holds exactly the points of expected, a list of (lam, mu)."""
+    assert len(report.points) == len(expected)
+    for lam, mu in expected:
+        assert any(abs(p.lam - lam) < tol and abs(p.mu - mu) < tol for p in report.points)
+
+
+def test_determinants_linear_in_mu():
+    # (lam - 1)(mu - 2) against (lam + 1)(mu - 3): S1 is det Q2 itself,
+    # whose s1 = lam + 1 vanishes at the root lam = -1, so lam is sheared.
+    assert_points(spectrum_quadratic(RATIONAL_EIG), [(1, 3), (-1, 2)])
+    # mu - lam^2 against mu: s1 = 1, and the one zero (0, 0) is a tangency.
+    q1 = QuadPoly2P.scalar(a01=1, a20=-1)
+    report = spectrum_quadratic(QuadSystem2P(q1, QuadPoly2P.scalar(a01=1)))
+    assert_points(report, [(0, 0)])
+
+
+def test_determinant_free_of_mu_against_a_circle():
+    # 4 lam^2 - 1 has no S1 with the circle at t = 0; at t = 1 it has.
+    q1 = QuadPoly2P.scalar(a20=4, a00=-1)
+    report = spectrum_quadratic(QuadSystem2P(q1, CIRCLE))
+    r = math.sqrt(3) / 2
+    assert_points(report, [(0.5, r), (0.5, -r), (-0.5, r), (-0.5, -r)])
+
+
+def test_zero_singular_on_both_curves_is_non_generic():
+    # mu^2 - lam^2 and mu^2 - 4 lam^2 are line pairs through (0, 0), which
+    # every line x = lam + t mu meets with multiplicity 2 on both curves.
+    q1 = QuadPoly2P.scalar(a02=1, a20=-1)
+    q2 = QuadPoly2P.scalar(a02=1, a20=-4)
+    with pytest.raises(NonGenericSystemError, match="singular on both determinant curves"):
+        spectrum_quadratic(QuadSystem2P(q1, q2))
+
+
+def test_proved_s1_reading_zero_in_floats_raises_overflow(monkeypatch):
+    monkeypatch.setattr(qep, "_mu_from_subresultant", lambda s1, s0: lambda x: None)
+    with pytest.raises(OverflowError, match="reads 0 in floats"):
+        spectrum_quadratic(CIRCLE_LINE)
+
+
+@pytest.mark.parametrize("complex_prob", [0.0, 0.25], ids=["real", "complex"])
+@pytest.mark.parametrize("n1, n2", [(1, 1), (1, 2), (2, 2)])
+def test_one_root_iteration_per_spectrum(monkeypatch, n1, n2, complex_prob):
+    rng = random.Random(f"one-iteration/{n1}/{n2}/{complex_prob}")
+    system = QuadSystem2P(rand_quad(rng, n1, complex_prob), rand_quad(rng, n2, complex_prob))
+    calls = durand_kerner_calls(monkeypatch)
+    spectrum_quadratic(system)
+    assert len(calls) == 1
+    spectrum_pencil(linearize_system(system))
+    assert len(calls) == 2
 
 
 def test_mu_from_subresultant_scales_and_reports_a_zero_s1():
@@ -300,7 +358,6 @@ def test_spectrum_respects_bezout_bound(rng):
     while done < 8:
         system, report = admissible_scalar_system(rng)
         assert len(report.points) <= 4
-        assert report.generic
         done += 1
 
 
@@ -349,7 +406,6 @@ def test_spectrum_at_n1_2_n2_3_reaches_bezout_bound():
     rng = random.Random(5)
     system = QuadSystem2P(rand_quad(rng, 2), rand_quad(rng, 3))
     report = spectrum_quadratic(system)
-    assert report.generic
     assert report.bezout_bound == 24
     assert len(report.points) == 24
 

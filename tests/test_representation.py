@@ -25,6 +25,8 @@ from pencilspace.polymatrix import PolyMatrix, exact_det_poly
 from pencilspace.resultants import sylvester_resultant
 from pencilspace.scalars import GaussianRational
 
+from conftest import complex_coeffs
+
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
@@ -309,7 +311,7 @@ def test_spectrum_path_runs_no_fraction_or_gaussian_rational_arithmetic():
         f, g = exact_det_poly(a), exact_det_poly(b)
         resultant = sylvester_resultant(f, g, "mu")
         out["square_free"] = resultant.square_free_part()
-        out["roots"] = out["square_free"].to_complex_coeffs()
+        out["roots"] = complex_coeffs(out["square_free"])
         out["values"] = [
             f.eval_complex(0.5 + 1j, -0.25j),
             g.max_abs_coeff(),

@@ -5,8 +5,10 @@ import pytest
 
 from pencilspace.bipoly import LAM, MU, BiPoly, UniPoly
 from pencilspace.errors import DegreeError
-from pencilspace.resultants import sylvester_matrix, sylvester_resultant
+from pencilspace.resultants import sylvester_resultant
 from pencilspace.roots import durand_kerner, unipoly_roots
+
+from conftest import sylvester_matrix
 
 LAM_P = BiPoly.lam()
 MU_P = BiPoly.mu()
@@ -299,6 +301,19 @@ def test_remainder_degree_gap_falls_back_to_bareiss(monkeypatch):
     assert sizes == [5, 3, 3]
 
 
+def test_linear_inputs_have_g_as_first_subresultant(monkeypatch):
+    # Both linear in mu: S1 = g, and Res = f1 g0 - f0 g1.  lc(f) = lam - 1
+    # vanishes at the node 1 alone, where Bareiss takes Res and g's row.
+    f = (LAM_P - ONE) * MU_P + Fraction(2, 3) * LAM_P
+    g = Fraction(1, 2) * (LAM_P + ONE) * MU_P - 3 * ONE
+    (f0, f1), (g0, g1) = f.coeffs_in(MU), g.coeffs_in(MU)
+    sizes = bareiss_nodes(monkeypatch)
+    res, s1, s0 = first_subresultant(f, g, MU)
+    assert res == UniPoly.from_bipoly(f1 * g0 - f0 * g1, LAM)
+    assert (s1, s0) == (UniPoly.from_bipoly(g1, LAM), UniPoly.from_bipoly(g0, LAM))
+    assert sizes == [2, 1, 1]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_prs_values_at_normal_nodes_match_bareiss(seed):
     # Every node of a seeded pair, normal or not, gives the determinants of
@@ -311,7 +326,7 @@ def test_prs_values_at_normal_nodes_match_bareiss(seed):
     for t in range(8):
         a, b = f_at(t), g_at(t)
         rows = resultants._sylvester_rows(a[::-1], b[::-1], (0, 0))
-        with_s1 = min(m, n) >= 1 and m + n >= 3
+        with_s1 = min(m, n) >= 1
         matrices = [rows, *resultants._first_minors(rows, n)] if with_s1 else [rows]
         want = [bareiss_det_int([list(r) for r in mat]) for mat in matrices]
         assert resultants._node_values(a, b, with_s1) == want

@@ -11,6 +11,8 @@ from pencilspace.errors import ConvergenceError, DegreeError
 from pencilspace.roots import durand_kerner, unipoly_roots
 from pencilspace.scalars import GaussianRational
 
+from conftest import complex_coeffs
+
 
 def test_sqrt_half_roots():
     roots = unipoly_roots(UniPoly([-1, 0, 2], var=LAM), tol=1e-13)
@@ -119,6 +121,6 @@ def test_scaled_coefficients_give_the_unscaled_monic_coefficients(coeffs):
     def monic(values):
         return [(z.real.hex(), z.imag.hex()) for z in (c / values[-1] for c in values)]
 
-    assert monic(seen[0]) == monic(p.to_complex_coeffs())
+    assert monic(seen[0]) == monic(complex_coeffs(p))
     lead = abs(seen[0][-1])
     assert 0.5 <= lead <= 3
