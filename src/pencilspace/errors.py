@@ -33,16 +33,7 @@ class NonGenericSystemError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Root iteration did not converge within the iteration cap.
-
-    Carries the best iterate found so far in ``best`` and the number of
-    sweeps run in ``sweeps``.
-    """
-
-    def __init__(self, message: str, best: list[complex], sweeps: int):
-        super().__init__(message)
-        self.best = best
-        self.sweeps = sweeps
+    """Root iteration did not converge within the iteration cap."""
 
 
 class ParseError(ValueError):

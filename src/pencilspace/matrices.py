@@ -4,9 +4,7 @@ A matrix is stored in the integer form of ``gaussint``: one denominator
 over the (re, im) numerators of its entries.  All arithmetic runs on ints;
 ``GaussianRational`` appears only where entries come in or go out.
 Determinant, rank and inverse share one fraction-free (Bareiss) elimination
-over Z[i]; rank first drops the rows of singleton columns (a column nonzero
-in one live row only), which adds one to the rank each, and eliminates the
-rest.  Before any elimination, det checks the nonzero pattern: without a
+over Z[i].  Before any elimination, det checks the nonzero pattern: without a
 perfect matching of rows to columns every Leibniz term has a zero factor,
 so the determinant is exactly 0 (structural rank, after Duff's maximum
 transversal).
@@ -199,15 +197,9 @@ class Matrix:
 
     def rank(self) -> int:
         """Exact rank of the numerators (the common denominator does not
-        change the rank): a singleton-column pre-pass, then fraction-free
-        (Bareiss) forward elimination of the rows it leaves.
-
-        If column c is nonzero, among the rows still live, in row r alone,
-        it is a multiple of e_r, so rank(W) = 1 + rank(W without row r).
-        The pre-pass drops such rows while any singleton column remains.
-        """
-        rows, dropped = _strip_singleton_columns(self._data)
-        return dropped + sum(1 for _ in _bareiss_pivots(rows, self.cols))
+        change the rank): the pivot count of fraction-free (Bareiss) forward
+        elimination."""
+        return sum(1 for _ in _bareiss_pivots([list(row) for row in self._data], self.cols))
 
     def inverse(self) -> "Matrix":
         """Exact inverse, fraction-free.
@@ -368,32 +360,6 @@ def _bareiss_pivots(a: list[list[tuple[int, int]]], cols: int):
         rank += 1
         if rank == rows:
             return
-
-
-def _strip_singleton_columns(data: tuple) -> tuple[list[list[Pair]], int]:
-    """While some column is nonzero in exactly one live row, drop that row;
-    return the rows left (as lists, for the Bareiss loop) and the number
-    dropped.
-
-    Keeps the count of live nonzero entries per column; dropping a row
-    decrements the counts of its columns, which can make new singletons.
-    """
-    count = [sum(x != (0, 0) for x in column) for column in zip(*data)]
-    live = [True] * len(data)
-    singles = [j for j, k in enumerate(count) if k == 1]
-    while singles:
-        col = singles.pop()
-        if count[col] != 1:  # its row was dropped through another column
-            continue
-        r = next(i for i, row in enumerate(data) if live[i] and row[col] != (0, 0))
-        live[r] = False
-        for j, x in enumerate(data[r]):
-            if x != (0, 0):
-                count[j] -= 1
-                if count[j] == 1:
-                    singles.append(j)
-    rows = [list(row) for row, keep in zip(data, live) if keep]
-    return rows, len(data) - len(rows)
 
 
 def structural_rank(pattern: Sequence[Sequence[int]], cols: int) -> int:

@@ -182,14 +182,6 @@ def apply_to_lambda(pencil: Pencil2P) -> PolyMatrix:
     return pencil.as_polymatrix() @ lambda_kron_identity(n)
 
 
-def ansatz_target(q: QuadPoly2P, v) -> PolyMatrix:
-    """The 3n x n polynomial matrix v kron Q(lam,mu)."""
-    v_col = Matrix.column(v)
-    return PolyMatrix.from_coefficients(
-        3 * q.n, q.n, {mono: kron(v_col, c) for mono, c in q.as_polymatrix().terms()}
-    )
-
-
 @dataclass(frozen=True)
 class CorrespondenceReport:
     """Both sides of the eigenvector correspondence identity at a point."""

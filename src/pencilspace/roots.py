@@ -33,9 +33,9 @@ def durand_kerner(
     """All complex roots (with multiplicity) of sum_k coeffs[k] * x^k.
 
     coeffs is ascending with a nonzero leading coefficient and degree >= 1.
-    Raises ConvergenceError (carrying the best iterate and the sweep count)
-    if the maximum relative correction max |dz| / max(1, |z|) stays above
-    tol for max_iter sweeps, or at the first sweep where it is not finite.
+    Raises ConvergenceError if the maximum relative correction
+    max |dz| / max(1, |z|) stays above tol for max_iter sweeps, or at the
+    first sweep where it is not finite.
     """
     import numpy as np
 
@@ -80,18 +80,14 @@ def durand_kerner(
             if not math.isfinite(worst):
                 raise ConvergenceError(
                     f"Durand-Kerner iterate became non-finite in sweep {sweep} "
-                    f"(max relative correction {worst})",
-                    _sorted_roots(z),
-                    sweeps=sweep,
+                    f"(max relative correction {worst})"
                 )
     if worst is None:
         last = "no correction computed"
     else:
         last = f"last max relative correction {worst:.3e}"
     raise ConvergenceError(
-        f"Durand-Kerner did not converge in {max_iter} iterations ({last})",
-        _sorted_roots(z),
-        sweeps=max_iter,
+        f"Durand-Kerner did not converge in {max_iter} iterations ({last})"
     )
 
 

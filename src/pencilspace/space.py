@@ -171,9 +171,7 @@ def kernel_member(n: int, blocks: FreeBlocks) -> Pencil2P:
     if blocks.n != n:
         raise ShapeError(f"blocks sized for n = {blocks.n}, requested n = {n}")
     zero, y1, z1, z2 = Matrix.zeros(3 * n, n), blocks.y1, blocks.z1, blocks.z2
-    # A zero block is its own negative (space_dimension passes two per call).
-    neg = lambda block: block if block == zero else -block
-    layout = ([zero, neg(y1), neg(z1)], [y1, zero, neg(z2)], [z1, z2, zero])
+    layout = ([zero, -y1, -z1], [y1, zero, -z2], [z1, z2, zero])
     return Pencil2P(3 * n, *(Matrix.hstack(coeff) for coeff in layout))
 
 
@@ -202,30 +200,26 @@ def _vectorize(pencil: Pencil2P) -> Matrix:
 def space_dimension(q: QuadPoly2P) -> DimensionSummary:
     """Certified dimension 9n^2 + 3 of the space attached to q.
 
-    The witness stacks the vectorized pencils of the canonical parameter
-    directions (the ansatz parts of e1, e2, e3 and the kernel members of the
-    unit directions of Y1, Z1, Z2) and confirms their exact rank.
-    Each unit direction has its +1 in block column 0 of A2 or in block
-    column 0 or 1 of A3, where every other row is zero, so the singleton
-    pre-pass of ``Matrix.rank`` counts those 9n^2 rows and Bareiss sees
-    only the three ansatz rows.  For the all-zero quadratic the ansatz
-    directions collapse into the kernel and the dimension degenerates to
-    9n^2.
+    The space is spanned by the ansatz parts P_1, P_2, P_3 of e1, e2, e3
+    and by the kernel members of the 9n^2 unit directions of (Y1, Z1, Z2).
+    kernel_member and free_blocks are linear, and
+    free_blocks(kernel_member(n, B)) = B for every B; each P_i is checked
+    here to have free_blocks(P_i) = 0.  If sum c_i P_i + kernel_member(n, B)
+    = 0, applying free_blocks gives B = 0, so the kernel members are a
+    direct summand of rank 9n^2 and the witness rank is 9n^2 plus the exact
+    rank of the three vectorized ansatz parts.  For the all-zero quadratic
+    the ansatz parts vanish and the dimension degenerates to 9n^2, with no
+    elimination.
     """
     n = q.n
     degenerate = q.is_zero()
-    directions = () if degenerate else ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    members = [generate_member(q, e, FreeBlocks.zero(n)) for e in directions]
-    zero = Matrix.zeros(3 * n, n)
-    for which in range(3):
-        for r in range(3 * n):
-            for c in range(n):
-                blocks = [zero, zero, zero]
-                blocks[which] = Matrix.from_integer_form(
-                    1, [[(int(i == r and j == c), 0) for j in range(n)] for i in range(3 * n)]
-                )
-                members.append(kernel_member(n, FreeBlocks(n, *blocks)))
-    witness_rank = Matrix.vstack([_vectorize(p) for p in members]).rank()
+    witness_rank = 9 * n * n
+    if not degenerate:
+        zero = FreeBlocks.zero(n)
+        members = [generate_member(q, e, zero) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        if any(free_blocks(p) != zero for p in members):
+            raise AssertionError("an ansatz part has nonzero free blocks")
+        witness_rank += Matrix.vstack([_vectorize(p) for p in members]).rank()
     dimension = 9 * n * n if degenerate else 9 * n * n + 3
     return DimensionSummary(n, dimension, witness_rank, degenerate)
 

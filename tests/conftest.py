@@ -7,7 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from pencilspace import FreeBlocks, Matrix, QuadPoly2P, gaussint
+from pencilspace import (
+    FreeBlocks,
+    Matrix,
+    Pencil2P,
+    QuadPoly2P,
+    gaussint,
+    generate_member,
+    kernel_member,
+    kron,
+)
 from pencilspace.bipoly import BiPoly, UniPoly
 from pencilspace.polymatrix import PolyMatrix
 from pencilspace.resultants import _checked_degrees, _sylvester_rows
@@ -104,6 +113,43 @@ def sylvester_matrix(f: BiPoly, g: BiPoly, eliminate: str) -> PolyMatrix:
     f_desc = list(reversed(f.coeffs_in(eliminate)))
     g_desc = list(reversed(g.coeffs_in(eliminate)))
     return PolyMatrix(_sylvester_rows(f_desc, g_desc, BiPoly.zero()))
+
+
+def reference_witness(q: QuadPoly2P) -> Matrix:
+    """The dimension witness built member by member: the three ansatz
+    directions, then one kernel_member per unit direction of Y1, Z1, Z2,
+    each pencil vectorized by submatrix and hstack, stacked by vstack."""
+    n = q.n
+    directions = () if q.is_zero() else ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    members = [generate_member(q, e, FreeBlocks.zero(n)) for e in directions]
+    zero = Matrix.zeros(3 * n, n)
+    for which in range(3):
+        for r in range(3 * n):
+            for c in range(n):
+                blocks = [zero, zero, zero]
+                blocks[which] = Matrix(
+                    [[int(i == r and j == c) for j in range(n)] for i in range(3 * n)]
+                )
+                members.append(kernel_member(n, FreeBlocks(n, *blocks)))
+
+    def vectorize(p: Pencil2P) -> Matrix:
+        return Matrix.hstack(
+            [
+                coeff.submatrix(range(i, i + 1), range(p.m))
+                for coeff in (p.lam_coeff, p.mu_coeff, p.const)
+                for i in range(p.m)
+            ]
+        )
+
+    return Matrix.vstack([vectorize(p) for p in members])
+
+
+def ansatz_target(q: QuadPoly2P, v) -> PolyMatrix:
+    """The 3n x n polynomial matrix v kron Q(lam,mu)."""
+    v_col = Matrix.column(v)
+    return PolyMatrix.from_coefficients(
+        3 * q.n, q.n, {mono: kron(v_col, c) for mono, c in q.as_polymatrix().terms()}
+    )
 
 
 def complex_coeffs(p: UniPoly) -> list[complex]:

@@ -31,12 +31,12 @@ from pencilspace import (
 )
 from pencilspace.cli import main as cli_main
 from pencilspace.errors import NonGenericSystemError
-from pencilspace.pencil import ansatz_target
 from pencilspace.polymatrix import exact_det_poly
 from pencilspace import serialization as ser
 from pencilspace.scalars import GaussianRational
 
 from conftest import (
+    ansatz_target,
     example_quad,
     rand_blocks,
     rand_quad,

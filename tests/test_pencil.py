@@ -12,10 +12,9 @@ from pencilspace import (
     standard_linearization,
 )
 from pencilspace.errors import ShapeError
-from pencilspace.pencil import ansatz_target
 from pencilspace.scalars import GaussianRational
 
-from conftest import example_quad, rand_matrix, rand_quad, worked_example_pencil
+from conftest import ansatz_target, example_quad, rand_matrix, rand_quad, worked_example_pencil
 
 CIRCLE = QuadPoly2P.scalar(a20=1, a02=1, a00=-1)
 

@@ -70,28 +70,29 @@ def test_vieta_sums_and_products(rng):
         assert abs(product - (-1) ** degree * coeffs[0] / coeffs[-1]) < 10 * tol * scale
 
 
-def test_convergence_error_carries_best_iterate():
-    with pytest.raises(ConvergenceError) as info:
+def test_convergence_error_names_the_iteration_cap():
+    with pytest.raises(
+        ConvergenceError,
+        match=r"did not converge in 2 iterations \(last max relative correction \d\.\d{3}e[+-]\d+\)",
+    ):
         durand_kerner([1.0, 0.0, 0.0, 0.0, 1.0], max_iter=2)
-    assert len(info.value.best) == 4
-    assert info.value.sweeps == 2
-    assert "last max relative correction" in str(info.value)
 
 
 def test_zero_sweeps_raise_convergence_error():
-    with pytest.raises(ConvergenceError, match="no correction computed") as info:
+    with pytest.raises(
+        ConvergenceError, match=r"did not converge in 0 iterations \(no correction computed\)"
+    ):
         durand_kerner([1.0, 0.0, 1.0], max_iter=0)
-    assert info.value.sweeps == 0
-    assert len(info.value.best) == 2
 
 
 def test_colliding_iterates_in_every_sweep_raise_convergence_error(monkeypatch):
     # Equal starting points collide in every sweep, so no correction is
     # ever computed.
     monkeypatch.setattr(roots, "cmath", SimpleNamespace(pi=math.pi, exp=lambda w: 1.0))
-    with pytest.raises(ConvergenceError, match="no correction computed") as info:
+    with pytest.raises(
+        ConvergenceError, match=r"did not converge in 3 iterations \(no correction computed\)"
+    ):
         durand_kerner([1.0, 0.0, 1.0], max_iter=3)
-    assert info.value.sweeps == 3
 
 
 def test_multiplicities_are_reported():

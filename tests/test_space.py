@@ -16,13 +16,17 @@ from pencilspace import (
     space_dimension,
     standard_linearization,
 )
+from pencilspace import space
 from pencilspace.errors import HypothesisViolatedError, ShapeError
 from pencilspace.scalars import GaussianRational
+from pencilspace.space import free_blocks
 
 from conftest import (
     example_quad,
     rand_blocks,
+    rand_gr,
     rand_quad,
+    reference_witness,
     worked_example_blocks,
     worked_example_pencil,
 )
@@ -201,8 +205,8 @@ def test_space_dimension_at_n3_leaves_bareiss_the_ansatz_rows(rng, bareiss_calls
     assert summary.dimension == 84
     assert summary.witness_rank == 84
     assert summary.verified and not summary.degenerate
-    # The 81 kernel directions are all singleton-column rows; only the three
-    # ansatz directions reach the elimination.
+    # The 81 kernel directions are counted, not eliminated; only the three
+    # ansatz rows reach the elimination.
     assert len(bareiss_calls) == 1 and bareiss_calls[0][0] <= 3
 
 
@@ -216,51 +220,46 @@ def test_space_dimension_zero_quadratic_at_n3_needs_no_pivot(bareiss_calls):
     assert sum(pivots for _, pivots in bareiss_calls) == 0
 
 
-def reference_witness(q: QuadPoly2P) -> Matrix:
-    """The dimension witness built member by member: the three ansatz
-    directions, then one kernel_member per unit direction of Y1, Z1, Z2,
-    each pencil vectorized by submatrix and hstack, stacked by vstack."""
-    n = q.n
-    directions = () if q.is_zero() else ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    members = [generate_member(q, e, FreeBlocks.zero(n)) for e in directions]
-    zero = Matrix.zeros(3 * n, n)
-    for which in range(3):
-        for r in range(3 * n):
-            for c in range(n):
-                blocks = [zero, zero, zero]
-                blocks[which] = Matrix(
-                    [[int(i == r and j == c) for j in range(n)] for i in range(3 * n)]
-                )
-                members.append(kernel_member(n, FreeBlocks(n, *blocks)))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_space_dimension_witness_equals_the_member_by_member_reference(n, rng):
+    zero_q = QuadPoly2P(n, *(Matrix.zeros(n, n) for _ in range(6)))
+    for q in (rand_quad(rng, n), rand_quad(rng, n, complex_prob=1.0), zero_q):
+        assert space_dimension(q).witness_rank == reference_witness(q).rank()
 
-    def vectorize(p: Pencil2P) -> Matrix:
-        return Matrix.hstack(
-            [
-                coeff.submatrix(range(i, i + 1), range(p.m))
-                for coeff in (p.lam_coeff, p.mu_coeff, p.const)
-                for i in range(p.m)
-            ]
-        )
 
-    return Matrix.vstack([vectorize(p) for p in members])
+def test_space_dimension_at_n3_builds_no_unit_direction(rng, monkeypatch):
+    calls = []
+    real = space.kernel_member
+
+    def counting(n, blocks):
+        calls.append(n)
+        return real(n, blocks)
+
+    monkeypatch.setattr(space, "kernel_member", counting)
+    assert space_dimension(rand_quad(rng, 3)).verified
+    assert len(calls) <= 3
+
+
+def test_space_dimension_rejects_an_ansatz_part_with_free_blocks(rng, monkeypatch):
+    real = space.generate_member
+    monkeypatch.setattr(
+        space, "generate_member", lambda q, v, blocks: real(q, v, rand_blocks(rng, q.n))
+    )
+    with pytest.raises(AssertionError, match="nonzero free blocks"):
+        space_dimension(rand_quad(rng, 2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_space_dimension_witness_equals_the_member_by_member_reference(n, rng, monkeypatch):
-    witnesses = []
-    real = Matrix.rank
-
-    def capturing(self):
-        witnesses.append(self)
-        return real(self)
-
-    monkeypatch.setattr(Matrix, "rank", capturing)
-    zero_q = QuadPoly2P(n, *(Matrix.zeros(n, n) for _ in range(6)))
-    for q in (rand_quad(rng, n), rand_quad(rng, n, complex_prob=1.0), zero_q):
-        witnesses.clear()
-        space_dimension(q)
-        (w,) = witnesses
-        assert w == reference_witness(q)
+@pytest.mark.parametrize("complex_prob", [0.0, 1.0])
+def test_free_blocks_inverts_the_layout_of_every_member(n, complex_prob, rng):
+    # The hypothesis of space_dimension's proof: free_blocks reads back the
+    # blocks that kernel_member and generate_member lay out, whatever v.
+    for _ in range(5):
+        q = rand_quad(rng, n, complex_prob)
+        blocks = rand_blocks(rng, n, complex_prob)
+        assert free_blocks(kernel_member(n, blocks)) == blocks
+        for v in ((0, 0, 0), tuple(rand_gr(rng, complex_prob) for _ in range(3))):
+            assert free_blocks(generate_member(q, v, blocks)) == blocks
 
 
 def brute_force_dimension(q: QuadPoly2P) -> int:
