@@ -6,10 +6,10 @@ Two certificate kinds are kept deliberately distinct:
   nonzero determinants satisfying F * L * E = diag(Q, I_2n) exactly -- a
   linearization in the strict equivalence sense.  Available for members
   with ansatz alpha*e1 whose Y1 block is [Y11; 0; 0] and whose lower
-  2n x 2n Z block is nonsingular.  The identity is checked block by block
-  from the n-sized blocks E and F are built from (L * E is a shift and a
-  scale of L's block columns, F * X one n x 2n and one 2n x 2n product per
-  block column X), never as a 3n x 3n product.  det E and det F are read
+  2n x 2n Z block is nonsingular.  The identity is checked as the two
+  conditions it is equivalent to, never as a product: the ansatz identity
+  box-add(L) = (alpha e1) kron [A20 A11 A02 A10 A01 A00], once per entry
+  point, and Z^-1 Z = I_2n, one constant product.  det E and det F are read
   off their diagonal blocks: with its block columns reordered, each factor
   is block upper triangular with constant diagonal blocks (I, I, I/alpha
   for E, I and Z^-1 for F), which is checked exactly.
@@ -38,7 +38,7 @@ from .errors import (
     ZeroAnsatzError,
 )
 from .matrices import Matrix, kron, permutation_sign
-from .pencil import Pencil2P, QuadPoly2P
+from .pencil import Pencil2P, QuadPoly2P, box_add_pencil
 from .polymatrix import PolyMatrix, det_ratio
 from .scalars import ONE, ZERO, GaussianRational
 from .space import (
@@ -196,24 +196,33 @@ def _block_triangular_det(m: PolyMatrix, order: Sequence[range]) -> GaussianRati
     return value
 
 
+def _has_ansatz(pencil: Pencil2P, q: QuadPoly2P, alpha: GaussianRational) -> bool:
+    """The ansatz identity box-add(L) = (alpha e1) kron [A20 A11 A02 A10 A01 A00]."""
+    return box_add_pencil(pencil) == kron(Matrix.column([alpha, ZERO, ZERO]), q.coefficient_row())
+
+
 def certify_scaled_e1(
     pencil: Pencil2P, q: QuadPoly2P, alpha=1
 ) -> LinearizationCertificate:
     """Unimodular-pair certificate for a member with ansatz alpha * e1.
 
-    Hypotheses (HypothesisViolatedError otherwise): membership returns
-    exactly (alpha, 0, 0); the Y1 block has Y21 = Y31 = 0; the constant
-    2n x 2n block Z = [[Z21, Z22], [Z31, Z32]] is nonsingular.  Builds
+    Hypotheses (HypothesisViolatedError otherwise): Q is nonzero and the
+    pencil has ansatz exactly (alpha, 0, 0), which is checked as the
+    box-add identity once; the Y1 block has Y21 = Y31 = 0; the constant
+    2n x 2n block Z = [[Z21, Z22], [Z31, Z32]] is nonsingular.  For Q = 0
+    every kernel pencil satisfies the identity and no ansatz is canonical,
+    so the zero quadratic is refused as membership refuses it.  Builds
         E = [[(lam/alpha) I, I, 0], [(mu/alpha) I, 0, I], [(1/alpha) I, 0, 0]]
         F = [[I, -W(lam,mu) Z^-1], [0, Z^-1]]
     with W = [alpha*lam*A20 + mu*Y11 + Z11 | alpha*mu*A02 + alpha*lam*A11
-    - lam*Y11 + Z12] and verifies F * L * E = diag(Q, I_2n) exactly.
+    - lam*Y11 + Z12], for which F * L * E = diag(Q, I_2n) holds exactly.
     """
     alpha = GaussianRational.coerce(alpha)
     if not alpha:
         raise ValueError("alpha must be nonzero")
-    result = membership(pencil, q)
-    if not result or result.v != (alpha, ZERO, ZERO):
+    if pencil.m != 3 * q.n:
+        raise ShapeError(f"pencil size {pencil.m} does not match 3n = {3 * q.n}")
+    if q.is_zero() or not _has_ansatz(pencil, q, alpha):
         raise HypothesisViolatedError(
             f"pencil does not have ansatz ({alpha}, 0, 0)"
         )
@@ -226,25 +235,37 @@ def certify_standard(q: QuadPoly2P) -> LinearizationCertificate:
     The alpha = 1 pair of certify_scaled_e1, here
         E = [[lam I, I, 0], [mu I, 0, I], [I, 0, 0]]
         F = [[I, mu*A02 + lam*A11 + A01, lam*A20 + A10], [0, 0, -I], [0, -I, 0]].
-    No membership test: it is ambiguous for Q = 0, whose pair holds too.
+    The ansatz identity is checked for Q = 0 too, whose pair holds as
+    well; it can fail only if the construction is wrong.
     """
-    return _unimodular_pair(standard_linearization(q), q, ONE)
+    pencil = standard_linearization(q)
+    if not _has_ansatz(pencil, q, ONE):
+        raise AssertionError("certificate product failed; construction is wrong")
+    return _unimodular_pair(pencil, q, ONE)
 
 
 def _unimodular_pair(
     pencil: Pencil2P, q: QuadPoly2P, alpha: GaussianRational
 ) -> LinearizationCertificate:
-    """certify_scaled_e1 for a pencil whose ansatz is known to be alpha*e1,
-    read off its block form L = [[W(lam, mu), *], [Z, *]]: W is the top-left
-    n x 2n block of L, Z the lower-left 2n x 2n block of A3, and Y21 = Y31 = 0
-    iff the lower-left 2n x 2n blocks of A1 and A2 vanish.
+    """certify_scaled_e1 for a pencil whose ansatz identity with alpha*e1
+    the caller has checked, read off its block form L = [[W(lam, mu), *],
+    [Z, *]]: W is the top-left n x 2n block of L, and Y21 = Y31 = 0 iff the
+    lower-left 2n x 2n blocks of A1 and A2 vanish, which leaves the
+    constant Z, the lower-left block of A3, as that block of L.
 
-    F * L * E is checked block by block, never as a 3n x 3n product.  With
-    L1, L2, L3 the block columns of L, L * E = [(lam L1 + mu L2 + L3)/alpha |
-    L1 | L2] (monomial shifts and one scale), and with G = W Z^-1 the block
-    column X = [X_top; X_bot] of L * E maps to F * X = [X_top - G X_bot;
-    Z^-1 X_bot].  The six blocks must equal those of diag(Q, I_2n): Q, 0, 0
-    on top, 0, [I; 0], [0; I] below.
+    F * L * E = diag(Q, I_2n) is checked as the two conditions it is
+    equivalent to, never as a product.  With L1, L2, L3 the block columns
+    of L, L * E = [(lam L1 + mu L2 + L3)/alpha | L1 | L2], and with
+    G = W Z^-1 the block column X = [X_top; X_bot] of L * E maps to
+    F * X = [X_top - G X_bot; Z^-1 X_bot].
+    * Block columns 2-3: [L1 | L2] = [W; Z] maps to [W (I - Z^-1 Z); Z^-1 Z],
+      which is [0; I_2n] iff Z^-1 Z = I_2n (one constant product).
+    * Block column 1: Z^-1 is then a two-sided inverse, so F * X = [Q; 0]
+      iff X_bot = 0 and X_top = Q, i.e. lam L1 + mu L2 + L3 = L (Lambda
+      kron I_n) = (alpha e1) kron Q.  Matching the coefficients of lam^2,
+      lam mu, mu^2, lam, mu and 1 gives exactly the box-add identity
+      box-add(L) = (alpha e1) kron [A20 A11 A02 A10 A01 A00], so this
+      column holds by the caller's check.
 
     det E and det F come from _block_triangular_det.  With its block
     columns in the order (2, 3, 1), an even permutation, E is
@@ -256,10 +277,13 @@ def _unimodular_pair(
     top, lower, left = range(n), range(n, m), range(2 * n)
     if any(not c.submatrix(lower, left).is_zero() for c in (pencil.lam_coeff, pencil.mu_coeff)):
         raise HypothesisViolatedError("certificate requires Y21 = Y31 = 0")
+    z = pencil.const.submatrix(lower, left)
     try:
-        z_inv = PolyMatrix.from_scalar(pencil.const.submatrix(lower, left).inverse())
+        z_inv = z.inverse()
     except ShapeError:  # the square Z block has no pivot in some column
         raise HypothesisViolatedError("lower Z block is singular") from None
+    if z_inv @ z != Matrix.identity(2 * n):
+        raise AssertionError("certificate product failed; construction is wrong")
 
     inv_alpha = ONE / alpha
     eye = Matrix.identity(n)
@@ -275,30 +299,13 @@ def _unimodular_pair(
         },
     )
     # F = [[I, -G], [0, Z^-1]], G = W Z^-1
-    l = pencil.as_polymatrix()
-    g = _block(l, top, left) @ z_inv
+    w = PolyMatrix.from_coefficients(
+        n, 2 * n, {mono: c.submatrix(top, left) for mono, c in pencil.as_polymatrix().terms()}
+    )
+    z_inv_poly = PolyMatrix.from_scalar(z_inv)
     f = PolyMatrix.from_blocks(
-        [[PolyMatrix.identity(n), -g], [PolyMatrix.zeros(2 * n, n), z_inv]]
+        [[PolyMatrix.identity(n), -(w @ z_inv_poly)], [PolyMatrix.zeros(2 * n, n), z_inv_poly]]
     )
-
-    def first(parts: list[PolyMatrix]) -> PolyMatrix:
-        """(lam P1 + mu P2 + P3) / alpha."""
-        s = _shifted(parts[0], 1, 0) + _shifted(parts[1], 0, 1) + parts[2]
-        return PolyMatrix.from_coefficients(
-            s.rows, s.cols, {x: c.scale(inv_alpha) for x, c in s.terms()}
-        )
-
-    # tops[k], bots[k]: the top n and the lower 2n rows of block column k + 1
-    tops, bots = ([_block(l, rows, c) for c in cols] for rows in (top, lower))
-    zero, eye2 = PolyMatrix.zeros(n, n), Matrix.identity(2 * n)
-    blocks = (
-        (first(tops), first(bots), q.as_polymatrix(), PolyMatrix.zeros(2 * n, n)),
-        (tops[0], bots[0], zero, PolyMatrix.from_scalar(eye2.submatrix(left, cols[0]))),
-        (tops[1], bots[1], zero, PolyMatrix.from_scalar(eye2.submatrix(left, cols[1]))),
-    )
-    for x_top, x_bot, want_top, want_bot in blocks:
-        if x_top - g @ x_bot != want_top or z_inv @ x_bot != want_bot:
-            raise AssertionError("certificate product failed; construction is wrong")
     return LinearizationCertificate(
         kind="unimodular-pair",
         verified=True,
@@ -306,20 +313,6 @@ def _unimodular_pair(
         f=f,
         det_e=_block_triangular_det(e, (cols[1], cols[2], cols[0])),
         det_f=_block_triangular_det(f, (top, lower)),
-    )
-
-
-def _block(p: PolyMatrix, rows: range, cols: range) -> PolyMatrix:
-    """The rows x cols block of a polynomial matrix, coefficient by coefficient."""
-    return PolyMatrix.from_coefficients(
-        len(rows), len(cols), {x: c.submatrix(rows, cols) for x, c in p.terms()}
-    )
-
-
-def _shifted(p: PolyMatrix, da: int, db: int) -> PolyMatrix:
-    """lam^da * mu^db * p."""
-    return PolyMatrix.from_coefficients(
-        p.rows, p.cols, {(a + da, b + db): c for (a, b), c in p.terms()}
     )
 
 

@@ -18,8 +18,9 @@ class ZeroAnsatzError(ValueError):
 class HypothesisViolatedError(ValueError):
     """The block hypotheses of a certificate construction do not hold.
 
-    Raised when Y21/Y31 are nonzero or the 2n x 2n Z block is singular;
-    callers may fall back to the determinant-ratio certificate.
+    Raised when the pencil lacks the required ansatz, Y21/Y31 are nonzero
+    or the 2n x 2n Z block is singular; callers may fall back to the
+    determinant-ratio certificate.
     """
 
 

@@ -24,7 +24,8 @@ from pencilspace import (
     standard_blocks,
     standard_linearization,
 )
-from pencilspace import construct, polymatrix
+from pencilspace import construct, polymatrix, space
+from pencilspace import pencil as pencil_module
 from pencilspace.bipoly import BiPoly
 from pencilspace.construct import ALL_CASES
 from pencilspace.errors import HypothesisViolatedError, ZeroAnsatzError
@@ -200,7 +201,7 @@ def test_certify_scaled_e1_rejects_singular_z(rng):
         Matrix.vstack([q.a01, Matrix.zeros(n, n), Matrix.zeros(n, n)]),
     )
     pencil = generate_member(q, (1, 0, 0), blocks)
-    with pytest.raises(HypothesisViolatedError):
+    with pytest.raises(HypothesisViolatedError, match="^lower Z block is singular$"):
         certify_scaled_e1(pencil, q, 1)
 
 
@@ -236,18 +237,38 @@ def test_singular_z_block_with_a_perfect_matching_is_rejected(rng):
 def test_certify_scaled_e1_rejects_wrong_ansatz(rng):
     q = rand_quad(rng, 1)
     pencil = generate_member(q, (1, 1, 0), rand_blocks(rng, 1))
-    with pytest.raises(HypothesisViolatedError):
+    with pytest.raises(HypothesisViolatedError, match=r"^pencil does not have ansatz \(1, 0, 0\)$"):
         certify_scaled_e1(pencil, q, 1)
+
+
+def nonzero_y21_member(q, v):
+    """The member of q with ansatz v, the standard Z blocks and Y1 = [0; I; 0]."""
+    n = q.n
+    blocks = standard_blocks(q)
+    y1 = Matrix.vstack([Matrix.zeros(n, n), Matrix.identity(n), Matrix.zeros(n, n)])
+    return generate_member(q, v, FreeBlocks(n, y1, blocks.z1, blocks.z2))
 
 
 def test_certify_scaled_e1_rejects_nonzero_y21(rng):
-    n = 1
-    q = rand_quad(rng, n)
-    blocks = standard_blocks(q)
-    y1 = Matrix.vstack([Matrix.zeros(n, n), Matrix.identity(n), Matrix.zeros(n, n)])
-    pencil = generate_member(q, (1, 0, 0), FreeBlocks(n, y1, blocks.z1, blocks.z2))
-    with pytest.raises(HypothesisViolatedError):
-        certify_scaled_e1(pencil, q, 1)
+    q = rand_quad(rng, 1)
+    with pytest.raises(HypothesisViolatedError, match="^certificate requires Y21 = Y31 = 0$"):
+        certify_scaled_e1(nonzero_y21_member(q, (1, 0, 0)), q, 1)
+
+
+def test_certify_scaled_e1_reports_the_ansatz_before_y21(rng):
+    # Both hypotheses fail; the ansatz is checked first.
+    q = rand_quad(rng, 2)
+    with pytest.raises(HypothesisViolatedError, match=r"^pencil does not have ansatz \(2, 0, 0\)$"):
+        certify_scaled_e1(nonzero_y21_member(q, (1, 1, 0)), q, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_certify_scaled_e1_refuses_the_zero_quadratic(n):
+    # For Q = 0 the ansatz identity holds for every kernel pencil, the
+    # standard linearization among them, so no ansatz is canonical.
+    q = QuadPoly2P(n, *(Matrix.zeros(n, n) for _ in range(6)))
+    with pytest.raises(HypothesisViolatedError, match=r"^pencil does not have ansatz \(1, 0, 0\)$"):
+        certify_scaled_e1(standard_linearization(q), q, 1)
 
 
 def test_det_ratio_of_standard(rng):
@@ -457,6 +478,49 @@ def test_wrong_z_inverse_fails_the_block_check(monkeypatch, kind, n):
     monkeypatch.setattr(Matrix, "inverse", lambda m: real(m).scale(2))
     with pytest.raises(AssertionError, match="^certificate product failed; construction is wrong$"):
         construct._unimodular_pair(pencil, q, alpha)
+
+
+def spy(monkeypatch, name, *owners):
+    """The argument tuples of every call to owners[0].name, patched on each
+    owner (a class, or each module that imports the function by name)."""
+    real = getattr(owners[0], name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+ENTRY_POINTS = {
+    "certify_scaled_e1": lambda pencil, q, alpha: certify_scaled_e1(pencil, q, alpha),
+    "certify_standard": lambda pencil, q, alpha: certify_standard(q),
+    "best_certificate": lambda pencil, q, alpha: best_certificate(pencil, q),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_entry_point_checks_the_ansatz_identity_once(monkeypatch, entry, n):
+    # The box-add identity is read once, inside membership for
+    # best_certificate (which reads v off it) and directly elsewhere; the
+    # pair then forms one polynomial product, W Z^-1 for F.
+    kind = "standard" if entry == "certify_standard" else "scaled-e1"
+    pencil, q, cert = certified_pair(kind, n, random.Random(f"{entry}/{n}"))
+    alpha = membership(pencil, q).v[0]
+    box_adds = spy(monkeypatch, "box_add_pencil", pencil_module, space, construct)
+    memberships = spy(monkeypatch, "membership", space, construct)
+    pairs = spy(monkeypatch, "_unimodular_pair", construct)
+    products = spy(monkeypatch, "__matmul__", PolyMatrix)
+    assert ENTRY_POINTS[entry](pencil, q, alpha) == cert
+    assert len(box_adds) == 1
+    assert len(memberships) == (entry == "best_certificate")
+    assert len(pairs) == len(products) == 1
+    w_block, z_inv = products[0]
+    assert (w_block.shape, z_inv.shape) == ((n, 2 * n), (2 * n, 2 * n))
 
 
 def full_det_ratio(pencil, q):
