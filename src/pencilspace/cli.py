@@ -119,12 +119,12 @@ def _build_linear_system(args, system: QuadSystem2P) -> LinearSystem2P:
     blocks (small integers, redrawn until the Z condition holds).
     """
     blocks1 = blocks2 = None
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         rng = random.Random(args.seed)
         blocks1 = _random_component_blocks(rng, system.q1.n)
         blocks2 = _random_component_blocks(rng, system.q2.n)
-    alpha1 = ser.parse_fraction(getattr(args, "alpha1", "1"), "--alpha1")
-    alpha2 = ser.parse_fraction(getattr(args, "alpha2", "1"), "--alpha2")
+    alpha1 = ser.parse_fraction(args.alpha1, "--alpha1")
+    alpha2 = ser.parse_fraction(args.alpha2, "--alpha2")
     return linearize_system(system, alpha1, alpha2, blocks1, blocks2)
 
 

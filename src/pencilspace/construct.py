@@ -394,6 +394,7 @@ def procedure_linearize(
 ) -> ProcedureResult:
     """Build a certified linearization from an arbitrary nonzero ansatz.
 
+    The caller's blocks, if any, must be sized for q's n.
     Steps: select the alignment transform M for v; force Y21 = Y31 = 0 and,
     unless M has m21 = m31 = 0, also Y11 = 0; keep the caller's Z blocks if
     they pass the transformed-Z nonsingularity condition, otherwise redraw
@@ -402,9 +403,10 @@ def procedure_linearize(
     diagnostics).  The transformed pencil (M kron I_n) L has ansatz
     alpha*e1 and is returned with its unimodular-pair certificate.
     """
-    transform = ansatz_transform(v, alpha, case=case)
     n = q.n
-    zero_col = Matrix.zeros(3 * n, n)
+    if blocks is not None and blocks.n != n:
+        raise ShapeError(f"blocks sized for n = {blocks.n}, quadratic has n = {n}")
+    transform = ansatz_transform(v, alpha, case=case)
     if blocks is None:
         blocks = FreeBlocks.zero(n)
     y11 = blocks.sub("y1", 0)

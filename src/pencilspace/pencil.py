@@ -7,8 +7,9 @@ and the constant term.  Pencils attached to a quadratic have m = 3n and
 are handled as 3 x 3 grids of n x n blocks.
 
 Box-addition is the shifted-overlap sum that turns the three pencil
-coefficients into a 3n x 6n matrix; a pencil satisfies the ansatz identity
-L(lam,mu) * (Lambda kron I_n) = v kron Q(lam,mu), Lambda = (lam, mu, 1)^T,
+coefficients into a 3n x 6n matrix: the six coefficients of
+L(lam,mu) * (Lambda kron I_n), Lambda = (lam, mu, 1)^T, side by side.
+So L satisfies the ansatz identity, that product = v kron Q(lam,mu),
 exactly when its box-addition equals v kron [A20 A11 A02 A10 A01 A00].
 """
 
@@ -148,11 +149,11 @@ def lambda_kron_identity(n: int) -> PolyMatrix:
     )
 
 
-def box_add(x: Matrix, y: Matrix, z: Matrix) -> Matrix:
-    """Shifted-overlap block sum of three 3n x 3n matrices into 3n x 6n.
-
-    With block columns X = [X1 X2 X3] etc., the six output block columns
-    are X1, X2+Y1, Y2, X3+Z1, Y3+Z2, Z3.
+def _box_blocks(x: Matrix, y: Matrix, z: Matrix) -> list[Matrix]:
+    """The six 3n x n block columns of box-addition: X1, X2+Y1, Y2, X3+Z1,
+    Y3+Z2 and Z3 for block columns X = [X1 X2 X3] etc.  For the pencil
+    lam*X + mu*Y + Z they are the coefficients of lam^2, lam*mu, mu^2, lam,
+    mu and 1 in L(lam,mu) * (Lambda kron I_n), in COEFF_MONOMIALS order.
     """
     if not (x.shape == y.shape == z.shape) or x.rows != x.cols:
         raise ShapeError("box addition requires three square matrices of equal size")
@@ -160,16 +161,19 @@ def box_add(x: Matrix, y: Matrix, z: Matrix) -> Matrix:
         raise ShapeError(f"size {x.rows} is not divisible by 3")
     n = x.rows // 3
     col = lambda m, j: m.submatrix(range(3 * n), range(j * n, (j + 1) * n))
-    return Matrix.hstack(
-        [
-            col(x, 0),
-            col(x, 1) + col(y, 0),
-            col(y, 1),
-            col(x, 2) + col(z, 0),
-            col(y, 2) + col(z, 1),
-            col(z, 2),
-        ]
-    )
+    return [
+        col(x, 0),
+        col(x, 1) + col(y, 0),
+        col(y, 1),
+        col(x, 2) + col(z, 0),
+        col(y, 2) + col(z, 1),
+        col(z, 2),
+    ]
+
+
+def box_add(x: Matrix, y: Matrix, z: Matrix) -> Matrix:
+    """Shifted-overlap block sum of three 3n x 3n matrices into 3n x 6n."""
+    return Matrix.hstack(_box_blocks(x, y, z))
 
 
 def box_add_pencil(pencil: Pencil2P) -> Matrix:
@@ -177,9 +181,11 @@ def box_add_pencil(pencil: Pencil2P) -> Matrix:
 
 
 def apply_to_lambda(pencil: Pencil2P) -> PolyMatrix:
-    """The exact 3n x n product L(lam,mu) * (Lambda kron I_n)."""
+    """The exact 3n x n product L(lam,mu) * (Lambda kron I_n), read off the
+    box-addition blocks."""
     n = pencil.block_size
-    return pencil.as_polymatrix() @ lambda_kron_identity(n)
+    blocks = _box_blocks(pencil.lam_coeff, pencil.mu_coeff, pencil.const)
+    return PolyMatrix.from_coefficients(3 * n, n, dict(zip(COEFF_MONOMIALS, blocks)))
 
 
 @dataclass(frozen=True)

@@ -245,3 +245,18 @@ def bareiss_calls(monkeypatch):
 
     monkeypatch.setattr(matrices, "_bareiss_pivots", counting)
     return calls
+
+
+@pytest.fixture
+def polymatrix_products(monkeypatch):
+    """The (left, right) operands of every PolyMatrix product formed after the
+    fixture."""
+    real = PolyMatrix.__matmul__
+    calls = []
+
+    def counting(left, right):
+        calls.append((left, right))
+        return real(left, right)
+
+    monkeypatch.setattr(PolyMatrix, "__matmul__", counting)
+    return calls

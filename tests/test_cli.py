@@ -89,6 +89,14 @@ def test_kernel(capsys):
     assert "lambda-product vanishes = True" in out
 
 
+@pytest.mark.parametrize("name", ["blocks_worked", "blocks_standard_circle", "blocks_complex"])
+def test_kernel_forms_no_polynomial_product(capsys, polymatrix_products, name):
+    code, out, _ = run(capsys, "kernel", "--blocks", str(CORPUS / f"{name}.json"))
+    assert code == 0
+    assert "lambda-product vanishes = True" in out
+    assert polymatrix_products == []
+
+
 def test_dimension_n2(capsys):
     code, out, _ = run(capsys, "dimension", "-q", Q_WORKED)
     assert code == 0
@@ -110,6 +118,23 @@ def test_procedure_seeded_and_reproducible(capsys):
     assert out1 == out2
     assert "case abc" in out1
     assert "unimodular-pair" in out1
+
+
+def test_procedure_rejects_blocks_sized_for_another_n(capsys, tmp_path):
+    import json
+
+    # Z1 = Z2 = 0 fails the Z condition, which once let the procedure redraw
+    # blocks of the right size and certify without a word.
+    zero = [["0"]] * 3
+    (tmp_path / "b.json").write_text(json.dumps({"n": 1, "Y1": zero, "Z1": zero, "Z2": zero}))
+    for q, blocks, v, sizes in (
+        (Q_WORKED, str(tmp_path / "b.json"), "1,1,2", (1, 2)),
+        (Q_WORKED, str(tmp_path / "b.json"), "1,0,0", (1, 2)),
+        (Q_CIRCLE, BLOCKS_WORKED, "1,1,2", (2, 1)),
+    ):
+        code, out, err = run(capsys, "procedure", "-q", q, "-v", v, "--blocks", blocks)
+        assert (code, out) == (2, "")
+        assert err == f"input error: blocks sized for n = {sizes[0]}, quadratic has n = {sizes[1]}\n"
 
 
 def test_certify_standard_pencil(capsys, tmp_path):

@@ -118,6 +118,8 @@ COMMANDS = [
     ["verify-pair", "-s", SYS_RE, "--pair", PAIR_WRONG],
     ["verify-pair", "-s", SYS_RE, "--pair", PAIR_WRONG, "--tol", "0.5"],
     ["delta", "-s", SYS_COMPLEX, "--seed", "3"],
+    ["procedure", "-q", Q_CIRCLE, "-v", "1,1,2", "--blocks", B_WORKED],
+    ["procedure", "-q", Q_WORKED, "-v", "1,1,2", "--blocks", B_CIRCLE],
 ]
 
 

@@ -28,7 +28,7 @@ from pencilspace import construct, polymatrix, space
 from pencilspace import pencil as pencil_module
 from pencilspace.bipoly import BiPoly
 from pencilspace.construct import ALL_CASES
-from pencilspace.errors import HypothesisViolatedError, ZeroAnsatzError
+from pencilspace.errors import HypothesisViolatedError, ShapeError, ZeroAnsatzError
 from pencilspace.polymatrix import PolyMatrix, exact_det_poly
 from pencilspace.scalars import GaussianRational
 from pencilspace.space import lower_z_block
@@ -357,6 +357,14 @@ def test_procedure_keeps_y11_when_allowed(rng):
 def test_procedure_zero_ansatz_rejected(rng):
     with pytest.raises(ZeroAnsatzError):
         procedure_linearize(rand_quad(rng, 1), (0, 0, 0))
+
+
+def test_procedure_rejects_blocks_sized_for_another_n(rng):
+    for q_n, blocks_n in ((2, 1), (1, 2)):
+        with pytest.raises(
+            ShapeError, match=f"blocks sized for n = {blocks_n}, quadratic has n = {q_n}"
+        ):
+            procedure_linearize(rand_quad(rng, q_n), (1, 1, 2), blocks=FreeBlocks.zero(blocks_n))
 
 
 def test_procedure_deterministic_given_seed(rng):

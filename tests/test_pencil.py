@@ -8,13 +8,23 @@ from pencilspace import (
     box_add,
     box_add_pencil,
     eigenvector_correspondence,
+    generate_member,
     kron,
+    lambda_kron_identity,
     standard_linearization,
 )
 from pencilspace.errors import ShapeError
 from pencilspace.scalars import GaussianRational
 
-from conftest import ansatz_target, example_quad, rand_matrix, rand_quad, worked_example_pencil
+from conftest import (
+    ansatz_target,
+    example_quad,
+    rand_blocks,
+    rand_gr,
+    rand_matrix,
+    rand_quad,
+    worked_example_pencil,
+)
 
 CIRCLE = QuadPoly2P.scalar(a20=1, a02=1, a00=-1)
 
@@ -117,12 +127,32 @@ def test_apply_to_lambda_zero_pencil():
     assert apply_to_lambda(Pencil2P(6, zero, zero, zero)).is_zero()
 
 
+def product_route(pencil):
+    """Oracle: L(lam,mu) * (Lambda kron I_n) as a polynomial product."""
+    return pencil.as_polymatrix() @ lambda_kron_identity(pencil.m // 3)
+
+
+def test_apply_to_lambda_matches_the_product_route(rng):
+    # Members with complex entries and any v, and arbitrary pencils.
+    for n in (1, 2, 3):
+        for _ in range(4):
+            q = rand_quad(rng, n, complex_prob=0.5)
+            v = [rand_gr(rng, complex_prob=0.5) for _ in range(3)]
+            member = generate_member(q, v, rand_blocks(rng, n, complex_prob=0.5))
+            arbitrary = Pencil2P(3 * n, *(rand_matrix(rng, 3 * n, 3 * n, 0.5) for _ in range(3)))
+            assert apply_to_lambda(member) == product_route(member) == ansatz_target(q, v)
+            assert apply_to_lambda(arbitrary) == product_route(arbitrary)
+
+
+def test_apply_to_lambda_forms_no_polynomial_product(rng, polymatrix_products):
+    for n in (1, 2, 3):
+        apply_to_lambda(standard_linearization(rand_quad(rng, n)))
+    assert polymatrix_products == []
+
+
 def test_lemma_routes_agree(rng):
     # The polynomial-product route and the box-add route must decide the
     # ansatz identity identically, member or not.
-    from pencilspace import generate_member
-    from conftest import rand_blocks
-
     for _ in range(6):
         n = rng.choice((1, 2))
         q = rand_quad(rng, n)
@@ -131,7 +161,7 @@ def test_lemma_routes_agree(rng):
             (standard_linearization(q), None),
             (generate_member(q, v, rand_blocks(rng, n)), True),
         ):
-            product_says = apply_to_lambda(pencil) == ansatz_target(q, v)
+            product_says = product_route(pencil) == ansatz_target(q, v)
             box_says = box_add_pencil(pencil) == kron(
                 Matrix.column(v), q.coefficient_row()
             )

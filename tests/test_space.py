@@ -11,6 +11,7 @@ from pencilspace import (
     box_add_pencil,
     generate_member,
     kernel_member,
+    kron,
     membership,
     reduce_mu_zero,
     space_dimension,
@@ -18,6 +19,7 @@ from pencilspace import (
 )
 from pencilspace import space
 from pencilspace.errors import HypothesisViolatedError, ShapeError
+from pencilspace.polymatrix import PolyMatrix
 from pencilspace.scalars import GaussianRational
 from pencilspace.space import free_blocks
 
@@ -338,17 +340,58 @@ def test_reduce_mu_zero_zero_member():
     assert reduced.lam_coeff.is_zero() and reduced.const.is_zero()
 
 
+def one_param_identity_holds(lam_coeff, const, v2, q):
+    """Oracle: (lam*X1 + X3) ((lam,1)^T kron I_n) = v' kron (lam^2 A20 + lam A10 + A00),
+    by a polynomial product."""
+    n = q.n
+    eye, zero = Matrix.identity(n), Matrix.zeros(n, n)
+    pencil = PolyMatrix.from_coefficients(2 * n, 2 * n, {(1, 0): lam_coeff, (0, 0): const})
+    stack = PolyMatrix.from_coefficients(
+        2 * n, n, {(1, 0): Matrix.vstack([eye, zero]), (0, 0): Matrix.vstack([zero, eye])}
+    )
+    v_col = Matrix.column(v2)
+    terms = {(2, 0): q.a20, (1, 0): q.a10, (0, 0): q.a00}
+    target = PolyMatrix.from_coefficients(
+        2 * n, n, {mono: kron(v_col, c) for mono, c in terms.items()}
+    )
+    return pencil @ stack == target
+
+
 def test_reduce_mu_zero_random_identity(rng):
-    # The one-parameter ansatz identity is verified inside reduce_mu_zero;
-    # here we only need it not to raise for random admissible members.
-    n = 2
-    for _ in range(4):
+    for n in (1, 2, 3):
+        for _ in range(3):
+            q = rand_quad(rng, n)
+            blocks = rand_blocks(rng, n)
+            blocks = FreeBlocks(n, Matrix.zeros(3 * n, n), blocks.z1, blocks.z2)
+            v = tuple(rand_gr(rng) for _ in range(3))
+            reduced = reduce_mu_zero(generate_member(q, v, blocks), q)
+            assert reduced.v == v[:2]
+            assert one_param_identity_holds(reduced.lam_coeff, reduced.const, reduced.v, q)
+
+
+def test_mu_zero_carve_satisfies_the_identity_whatever_y1(rng):
+    # The identity follows from membership alone: Y1 sits in the mu
+    # coefficient, which mu = 0 drops, so reduce_mu_zero need not check it.
+    for n in (1, 2, 3):
         q = rand_quad(rng, n)
         blocks = rand_blocks(rng, n)
-        blocks = FreeBlocks(n, Matrix.zeros(3 * n, n), blocks.z1, blocks.z2)
-        v = (rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
-        reduced = reduce_mu_zero(generate_member(q, v, blocks), q)
-        assert reduced.v == grs(v[0], v[1])
+        assert not blocks.y1.is_zero()
+        v = tuple(rand_gr(rng) for _ in range(3))
+        pencil = generate_member(q, v, blocks)
+        rows = range(2 * n)
+        cols = list(range(n)) + list(range(2 * n, 3 * n))
+        x1 = pencil.lam_coeff.submatrix(rows, cols)
+        x3 = pencil.const.submatrix(rows, cols)
+        assert one_param_identity_holds(x1, x3, v[:2], q)
+
+
+def test_reduce_mu_zero_forms_no_polynomial_product(rng, polymatrix_products):
+    n = 2
+    q = rand_quad(rng, n)
+    blocks = rand_blocks(rng, n)
+    blocks = FreeBlocks(n, Matrix.zeros(3 * n, n), blocks.z1, blocks.z2)
+    reduce_mu_zero(generate_member(q, (1, 2, 3), blocks), q)
+    assert polymatrix_products == []
 
 
 def test_reduce_mu_zero_requires_zero_y1(rng):
