@@ -97,6 +97,23 @@ def test_kernel_forms_no_polynomial_product(capsys, polymatrix_products, name):
     assert polymatrix_products == []
 
 
+@pytest.mark.parametrize("name", ["blocks_worked", "blocks_standard_circle", "blocks_complex"])
+def test_kernel_forms_the_box_blocks_once(capsys, monkeypatch, name):
+    from pencilspace import pencil
+
+    real, calls = pencil._box_blocks, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pencil, "_box_blocks", counting)
+    code, out, _ = run(capsys, "kernel", "--blocks", str(CORPUS / f"{name}.json"))
+    assert code == 0
+    assert "box-add vanishes = True, lambda-product vanishes = True" in out
+    assert len(calls) == 1
+
+
 def test_dimension_n2(capsys):
     code, out, _ = run(capsys, "dimension", "-q", Q_WORKED)
     assert code == 0
@@ -587,6 +604,47 @@ def test_exact_commands_never_load_numpy(capsys):
     assert not exact_loaded
     assert code == 0 and spectrum_loaded
     assert (code, stdout) == run(capsys, "spectrum", "-s", SYS_CIRCLE_LINE)[:2]
+
+
+# Counts every ArgumentParser built: at import, then over three commands.
+_PARSERS_BUILT = """
+import argparse, contextlib, io, json, sys
+built = 0
+init = argparse.ArgumentParser.__init__
+
+def counting(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting
+from pencilspace import cli
+at_import = built
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+json.dump([at_import, built, codes], sys.stdout)
+"""
+
+
+def test_parser_is_built_once_per_process():
+    import json
+    import os
+    import subprocess
+    import sys
+
+    src = str(CORPUS.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _PARSERS_BUILT, json.dumps(EXACT_COMMANDS[:3])],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    at_import, built, codes = json.loads(result.stdout)
+    assert codes == [0, 0, 0]
+    # The top-level parser and one subparser for each of the 12 commands.
+    assert (at_import, built) == (0, 13)
 
 
 def test_missing_file_is_input_error(capsys):

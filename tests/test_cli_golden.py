@@ -158,13 +158,7 @@ def test_transcript_covers_the_command_list():
     assert [entry["argv"] for entry in _entries()] == COMMANDS
 
 
-@pytest.mark.parametrize(
-    "index", range(len(COMMANDS)), ids=[" ".join(a).replace("corpus/", "") for a in COMMANDS]
-)
-def test_cli_output_is_byte_identical(index, monkeypatch):
-    monkeypatch.chdir(ROOT)
-    expected = _entries()[index]
-    actual = _run(expected["argv"])
+def _assert_matches(actual: dict, expected: dict) -> None:
     if expected["argv"][0] not in FLOAT_COMMANDS:
         assert actual == expected
         return
@@ -175,6 +169,51 @@ def test_cli_output_is_byte_identical(index, monkeypatch):
     assert len(coords) == len(want_coords)
     for got, want in zip(coords, want_coords):
         assert abs(got - want) <= COORD_TOL * max(1.0, abs(want)), (got, want)
+
+
+@pytest.mark.parametrize(
+    "index", range(len(COMMANDS)), ids=[" ".join(a).replace("corpus/", "") for a in COMMANDS]
+)
+def test_cli_output_is_byte_identical(index, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    expected = _entries()[index]
+    _assert_matches(_run(expected["argv"]), expected)
+
+
+def _argparse_exit(argv: list[str]) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+def test_no_state_crosses_calls(monkeypatch):
+    """Argparse exits interleaved with the whole transcript, in reverse
+    order, in one process: every entry still matches, and every exit
+    prints what it printed the first time."""
+    monkeypatch.chdir(ROOT)
+    entries = _entries()[::-1]
+    # Reversed, the seeded compare runs before the unseeded one on the same
+    # system, whose --seed must be back at its default None.
+    argvs = [entry["argv"] for entry in entries]
+    assert argvs.index(["compare", "-s", SYS_CL, "--seed", "3"]) < argvs.index(["compare", "-s", SYS_CL])
+    probes = [
+        ["spectrum", "-s", SYS_CL, "--tol", "nan"],
+        ["certify", "-h"],
+        ["standard"],
+        [],
+    ]
+    first = {}
+    for i, entry in enumerate(entries):
+        result = _argparse_exit(probes[i % len(probes)])
+        assert first.setdefault(i % len(probes), result) == result
+        _assert_matches(_run(entry["argv"]), entry)
+    tol, help_text, no_problem, empty = (first[k] for k in range(len(probes)))
+    assert tol[0] == 2 and "argument --tol: must be a finite positive number, not 'nan'" in tol[2]
+    assert help_text[0] == 0 and help_text[1].startswith("usage: pencilspace certify") and not help_text[2]
+    assert no_problem[0] == 2 and "required: -q/--problem" in no_problem[2]
+    assert empty[0] == 2 and "required: command" in empty[2]
 
 
 if __name__ == "__main__":
