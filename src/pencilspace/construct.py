@@ -9,10 +9,9 @@ Two certificate kinds are kept deliberately distinct:
   2n x 2n Z block is nonsingular.  The identity is checked as the two
   conditions it is equivalent to, never as a product: the ansatz identity
   box-add(L) = (alpha e1) kron [A20 A11 A02 A10 A01 A00], once per entry
-  point, and Z^-1 Z = I_2n, one constant product.  det E and det F are read
-  off their diagonal blocks: with its block columns reordered, each factor
-  is block upper triangular with constant diagonal blocks (I, I, I/alpha
-  for E, I and Z^-1 for F), which is checked exactly.
+  point, and Z^-1 Z = I_2n, one constant product.  det E and det F are
+  read off how the factors are built: det E = alpha^-n, and det F =
+  1 / det Z, where det Z also decides that Z is nonsingular.
 * ``det-ratio``: det L = gamma * det Q with gamma a nonzero constant --
   the weaker eigenvalue-preservation criterion, decided exactly at the
   interpolation nodes of both determinants, stopping at the first node
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import (
@@ -37,7 +35,7 @@ from .errors import (
     ShapeError,
     ZeroAnsatzError,
 )
-from .matrices import Matrix, kron, permutation_sign
+from .matrices import Matrix, kron
 from .pencil import Pencil2P, QuadPoly2P, box_add_pencil
 from .polymatrix import PolyMatrix, det_ratio
 from .scalars import ONE, ZERO, GaussianRational
@@ -167,35 +165,6 @@ class LinearizationCertificate:
     detail: str = ""
 
 
-def _block_triangular_det(m: PolyMatrix, order: Sequence[range]) -> GaussianRational:
-    """The determinant of a certificate factor, proved a nonzero constant.
-
-    ``order`` lists ranges of m's columns, together a permutation of them.
-    Taken in that order, with the rows cut into consecutive blocks of the
-    same sizes, the factor must be block upper triangular in every
-    coefficient matrix, and its diagonal blocks must be constant (zero in
-    every coefficient but lam^0 mu^0); otherwise the constancy is not
-    proved.  det m is then the sign of the column permutation times the
-    product of the determinants of the constant diagonal blocks.
-    """
-    starts = list(accumulate(map(len, order), initial=0))
-    rows = [range(a, b) for a, b in zip(starts, starts[1:])]
-    for mono, coeff in m.terms():
-        data = coeff.integer_form()[1]
-        for i, r in enumerate(rows):
-            # below the diagonal, and on it too for a non-constant coefficient
-            banned = [y for c in order[: i if mono == (0, 0) else i + 1] for y in c]
-            if any(data[x][y] != (0, 0) for x in r for y in banned):
-                raise AssertionError("certificate factor has non-constant determinant")
-    const = m.coefficient((0, 0))
-    value = GaussianRational(permutation_sign([y for c in order for y in c]))
-    for r, c in zip(rows, order):
-        value *= const.submatrix(r, c).det()
-    if not value:
-        raise AssertionError("certificate factor is singular")
-    return value
-
-
 def _has_ansatz(pencil: Pencil2P, q: QuadPoly2P, alpha: GaussianRational) -> bool:
     """The ansatz identity box-add(L) = (alpha e1) kron [A20 A11 A02 A10 A01 A00]."""
     return box_add_pencil(pencil) == kron(Matrix.column([alpha, ZERO, ZERO]), q.coefficient_row())
@@ -235,13 +204,10 @@ def certify_standard(q: QuadPoly2P) -> LinearizationCertificate:
     The alpha = 1 pair of certify_scaled_e1, here
         E = [[lam I, I, 0], [mu I, 0, I], [I, 0, 0]]
         F = [[I, mu*A02 + lam*A11 + A01, lam*A20 + A10], [0, 0, -I], [0, -I, 0]].
-    The ansatz identity is checked for Q = 0 too, whose pair holds as
-    well; it can fail only if the construction is wrong.
+    Its hypotheses are those of certify_scaled_e1, so Q = 0, which has no
+    canonical ansatz, is refused there.
     """
-    pencil = standard_linearization(q)
-    if not _has_ansatz(pencil, q, ONE):
-        raise AssertionError("certificate product failed; construction is wrong")
-    return _unimodular_pair(pencil, q, ONE)
+    return certify_scaled_e1(standard_linearization(q), q)
 
 
 def _unimodular_pair(
@@ -267,10 +233,16 @@ def _unimodular_pair(
       box-add(L) = (alpha e1) kron [A20 A11 A02 A10 A01 A00], so this
       column holds by the caller's check.
 
-    det E and det F come from _block_triangular_det.  With its block
-    columns in the order (2, 3, 1), an even permutation, E is
-    [[I, 0, (lam/alpha) I], [0, I, (mu/alpha) I], [0, 0, (1/alpha) I]];
-    F = [[I, -G], [0, Z^-1]] is block upper triangular as it stands.
+    det E and det F are read off how the factors are built, each a
+    nonzero constant:
+    * With its block columns taken in the order (2, 3, 1), E becomes
+      [[I, 0, (lam/alpha) I], [0, I, (mu/alpha) I], [0, 0, (1/alpha) I]],
+      block upper triangular with constant diagonal blocks.  That order
+      moves n columns past 2n, so its sign is (-1)^(2 n^2) = +1, and
+      det E = alpha^-n.
+    * F = [[I_n, -G], [0, Z^-1]] is block upper triangular as built, so
+      det F = det Z^-1 = 1 / det Z.  det Z is the one determinant taken: 0
+      refuses the pencil, and otherwise Z^-1 exists.
     """
     n = q.n
     m = 3 * n
@@ -278,16 +250,15 @@ def _unimodular_pair(
     if any(not c.submatrix(lower, left).is_zero() for c in (pencil.lam_coeff, pencil.mu_coeff)):
         raise HypothesisViolatedError("certificate requires Y21 = Y31 = 0")
     z = pencil.const.submatrix(lower, left)
-    try:
-        z_inv = z.inverse()
-    except ShapeError:  # the square Z block has no pivot in some column
-        raise HypothesisViolatedError("lower Z block is singular") from None
+    det_z = z.det()
+    if not det_z:
+        raise HypothesisViolatedError("lower Z block is singular")
+    z_inv = z.inverse()
     if z_inv @ z != Matrix.identity(2 * n):
         raise AssertionError("certificate product failed; construction is wrong")
 
     inv_alpha = ONE / alpha
     eye = Matrix.identity(n)
-    cols = [range(k * n, (k + 1) * n) for k in range(3)]
     # E = [[(lam/alpha) I, I, 0], [(mu/alpha) I, 0, I], [(1/alpha) I, 0, 0]]
     e = PolyMatrix.from_coefficients(
         m,
@@ -311,8 +282,8 @@ def _unimodular_pair(
         verified=True,
         e=e,
         f=f,
-        det_e=_block_triangular_det(e, (cols[1], cols[2], cols[0])),
-        det_f=_block_triangular_det(f, (top, lower)),
+        det_e=inv_alpha**n,
+        det_f=ONE / det_z,
     )
 
 

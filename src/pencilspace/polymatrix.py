@@ -21,7 +21,7 @@ matching: without one, ``structural_rank``, the test ``Matrix.det`` makes
 too, has already given the zero determinant.  A matrix whose every
 Leibniz term is constant needs one node; the unimodular-pair certificate
 does not come here for its factors E and F, whose constant determinants
-it reads off their diagonal blocks (construct).
+it reads off how they are built (construct).
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ from .bipoly import BiPoly, UniPoly
 from .construct import LinearizationCertificate, certify_scaled_e1
 from .errors import HypothesisViolatedError, NonGenericSystemError, ShapeError
 from .matrices import Matrix, kron, kron_pattern, structural_rank
-from .pencil import Pencil2P, QuadPoly2P
+from .pencil import COEFF_MONOMIALS, Pencil2P, QuadPoly2P
 from .polymatrix import PolyMatrix, exact_det_poly
 from .roots import newton_steps, unipoly_roots
 from .resultants import first_subresultant
@@ -150,13 +150,7 @@ def delta_operators(lin: LinearSystem2P) -> DeltaOps:
       Delta2 = A1 kron B2 - B1 kron A2
     Each is square of size 3n1 * 3n2.
     """
-    a1, b1, c1 = lin.l1.const, lin.l1.lam_coeff, lin.l1.mu_coeff
-    a2, b2, c2 = lin.l2.const, lin.l2.lam_coeff, lin.l2.mu_coeff
-    return DeltaOps(
-        delta0=delta0_operator(lin),
-        delta1=kron(c1, a2) - kron(a1, c2),
-        delta2=kron(a1, b2) - kron(b1, a2),
-    )
+    return DeltaOps(*_delta_times(_coefficients(lin.l1), _coefficients(lin.l2)))
 
 
 def delta0_operator(lin: LinearSystem2P) -> Matrix:
@@ -421,17 +415,24 @@ def _residual(name: str, value: Matrix, scale: Callable[[], float], tol: float) 
     return ResidualCheck(name=name, norm=norm, exact_zero=False, passed=norm < tol * scale())
 
 
+def _coefficients(pencil: Pencil2P) -> tuple[Matrix, Matrix, Matrix]:
+    """(A, B, C): the constant, lam and mu coefficients of pencil."""
+    return pencil.const, pencil.lam_coeff, pencil.mu_coeff
+
+
 def _coefficient_products(pencil: Pencil2P, w: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """(A w, B w, C w) for the constant, lam and mu coefficients of pencil."""
-    return pencil.const @ w, pencil.lam_coeff @ w, pencil.mu_coeff @ w
+    return tuple(coeff @ w for coeff in _coefficients(pencil))
 
 
 def _delta_times(
     p1: tuple[Matrix, Matrix, Matrix], p2: tuple[Matrix, Matrix, Matrix]
 ) -> tuple[Matrix, Matrix, Matrix]:
-    """(Delta0 z, Delta1 z, Delta2 z) for z = w1 kron w2, from the products
-    p_i = (A_i w_i, B_i w_i, C_i w_i), by the mixed-product rule
-    (X kron Y)(w1 kron w2) = (X w1) kron (Y w2)."""
+    """The Kronecker combinations of two triples: (Delta0, Delta1, Delta2)
+    of the coefficient triples p_i = (A_i, B_i, C_i), and (Delta0 z,
+    Delta1 z, Delta2 z) for z = w1 kron w2 of the products p_i = (A_i w_i,
+    B_i w_i, C_i w_i), by the mixed-product rule (X kron Y)(w1 kron w2) =
+    (X w1) kron (Y w2)."""
     (a1, b1, c1), (a2, b2, c2) = p1, p2
     return (
         kron(b1, c2) - kron(c1, b2),
@@ -455,13 +456,15 @@ def verify_eigenpair(
     (lam x_i, mu x_i, x_i), and the coupled equations
     Delta1 z = lam Delta0 z, Delta2 z = mu Delta0 z for z = w1 kron w2.
 
-    No Kronecker operator is formed for the residuals.  With A_i, B_i, C_i
-    the constant, lam and mu coefficients of L_i, six 3n x 3n products
-    give them all: L_i(lam,mu) w_i = lam B_i w_i + mu C_i w_i + A_i w_i,
-    and by the mixed-product rule (X kron Y)(w1 kron w2) = (X w1) kron
-    (Y w2), e.g. Delta0 z = (B1 w1) kron (C2 w2) - (C1 w1) kron (B2 w2).
-    A check's scale needs the operator itself (L_i(lam,mu), Delta1 or
-    Delta2), so it is formed only for a residual that is not exactly zero.
+    No operator is formed for the residuals.  Q_i(lam,mu) x_i is the sum
+    of lam^a mu^b (A_ab x_i) over the six n x n coefficients of Q_i.  With
+    A_i, B_i, C_i the constant, lam and mu coefficients of L_i, six
+    3n x 3n products give the rest: L_i(lam,mu) w_i = lam B_i w_i +
+    mu C_i w_i + A_i w_i, and by the mixed-product rule (X kron Y)(w1 kron
+    w2) = (X w1) kron (Y w2), e.g. Delta0 z = (B1 w1) kron (C2 w2) -
+    (C1 w1) kron (B2 w2).  A check's scale needs the operator itself
+    (Q_i(lam,mu), L_i(lam,mu), Delta1 or Delta2), so it is formed only for
+    a residual that is not exactly zero.
     """
     lam = GaussianRational.coerce(lam)
     mu = GaussianRational.coerce(mu)
@@ -475,17 +478,26 @@ def verify_eigenpair(
     p1 = _coefficient_products(lin.l1, w1)
     p2 = _coefficient_products(lin.l2, w2)
     delta0_z, delta1_z, delta2_z = _delta_times(p1, p2)
-    q1 = system.q1.eval(lam, mu)
-    q2 = system.q2.eval(lam, mu)
+    q1, q2 = system.q1, system.q2
     delta = cache(lambda: delta_operators(lin))
+
+    def quadratic_residual(q: QuadPoly2P, x: Matrix) -> Matrix:
+        out = Matrix.zeros(q.n, 1)
+        for (a, b), coeff in zip(COEFF_MONOMIALS, q.coefficients()):
+            out = out + (coeff @ x).scale(lam**a * mu**b)
+        return out
 
     def pencil_residual(p: tuple[Matrix, Matrix, Matrix]) -> Matrix:
         a_w, b_w, c_w = p
         return b_w.scale(lam) + c_w.scale(mu) + a_w
 
     checks = (
-        _residual("Q1(lam,mu) x1", q1 @ x1, lambda: _scale(q1, x1), tol),
-        _residual("Q2(lam,mu) x2", q2 @ x2, lambda: _scale(q2, x2), tol),
+        _residual(
+            "Q1(lam,mu) x1", quadratic_residual(q1, x1), lambda: _scale(q1.eval(lam, mu), x1), tol
+        ),
+        _residual(
+            "Q2(lam,mu) x2", quadratic_residual(q2, x2), lambda: _scale(q2.eval(lam, mu), x2), tol
+        ),
         _residual(
             "L1(lam,mu) w1", pencil_residual(p1), lambda: _scale(lin.l1.eval(lam, mu), w1), tol
         ),

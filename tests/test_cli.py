@@ -381,6 +381,24 @@ def test_verify_pair(capsys):
     assert "eigenpair verified" in out
 
 
+def test_verify_pair_evaluates_no_quadratic_at_an_exact_pair(capsys, monkeypatch):
+    # Q_i(lam, mu) x_i comes from six n x n products; Q_i(lam, mu) itself
+    # would only scale a residual that is not exactly zero.
+    from pencilspace.polymatrix import PolyMatrix
+
+    real = PolyMatrix.eval
+    calls = []
+
+    def counting(m, lam, mu):
+        calls.append(m.shape)
+        return real(m, lam, mu)
+
+    monkeypatch.setattr(PolyMatrix, "eval", counting)
+    code, out, _ = run(capsys, "verify-pair", "-s", SYS_RATIONAL, "--pair", PAIR_RATIONAL)
+    assert code == 0 and out.count("exact zero") == 6
+    assert calls == []
+
+
 def test_delta_and_verify_pair_form_no_kronecker_operator(capsys, tmp_path, monkeypatch):
     import json
     import random

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from pencilspace import (
     standard_blocks,
     standard_linearization,
 )
-from pencilspace import construct, polymatrix, space
+from pencilspace import construct, space
 from pencilspace import pencil as pencil_module
 from pencilspace.bipoly import BiPoly
 from pencilspace.construct import ALL_CASES
@@ -132,14 +131,13 @@ def test_certify_standard_random(rng):
         assert cert.det_e == GaussianRational(1)
 
 
-@pytest.mark.parametrize("n, det_f", [(1, -1), (2, 1), (3, -1)])
-def test_certify_standard_zero_quadratic(n, det_f):
-    # Membership is ambiguous for Q = 0, yet the standard pair still holds.
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certify_standard_zero_quadratic(n):
+    # Membership is ambiguous for Q = 0, so the standard route refuses it
+    # as certify_scaled_e1 does.
     zero = Matrix.zeros(n, n)
-    cert = certify_standard(QuadPoly2P(n, *([zero] * 6)))
-    assert cert.verified and cert.kind == "unimodular-pair"
-    assert cert.det_e == GaussianRational(1)
-    assert cert.det_f == GaussianRational(det_f)
+    with pytest.raises(HypothesisViolatedError, match=r"^pencil does not have ansatz \(1, 0, 0\)$"):
+        certify_standard(QuadPoly2P(n, *([zero] * 6)))
 
 
 def test_certify_standard_scalar_product_by_hand():
@@ -205,25 +203,26 @@ def test_certify_scaled_e1_rejects_singular_z(rng):
         certify_scaled_e1(pencil, q, 1)
 
 
+@pytest.mark.parametrize("entry", ["certify_scaled_e1", "certify_standard", "best_certificate"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_certificate_eliminates_the_z_block_once(n, bareiss_calls, monkeypatch):
-    # Matrix.inverse eliminates the 2n-row lower Z block; det E and det F
-    # eliminate only their n- and 2n-row diagonal blocks, and no 3n x 3n
-    # factor goes through the interpolated determinant.
-    def no_grid_det(m):
-        raise AssertionError(f"interpolated determinant of a {m.rows} x {m.cols} factor")
-
-    monkeypatch.setattr(polymatrix, "_integer_grid_det", no_grid_det)
-    q = rand_quad(random.Random(n), n)
+def test_certificate_eliminates_only_the_z_block_twice(n, entry, bareiss_calls):
+    # Matrix.det and Matrix.inverse each eliminate the 2n-row lower Z block
+    # once; det E = alpha^-n and det F = 1 / det Z are read off the build.
+    kind = "standard" if entry == "certify_standard" else "scaled-e1"
+    pencil, q, _ = certified_pair(kind, n, random.Random(f"z/{entry}/{n}"))
+    alpha = membership(pencil, q).v[0]
     bareiss_calls.clear()
-    assert certify_standard(q).verified
-    assert bareiss_calls and max(rows for rows, _ in bareiss_calls) <= 2 * n
+    cert = ENTRY_POINTS[entry](pencil, q, alpha)
+    assert [rows for rows, _ in bareiss_calls] == [2 * n, 2 * n]
+    assert cert.verified and cert.kind == "unimodular-pair"
+    assert cert.det_e == GaussianRational(1) / alpha**n
+    assert cert.det_f * pencil.const.submatrix(range(n, 3 * n), range(2 * n)).det() == 1
 
 
 def test_singular_z_block_with_a_perfect_matching_is_rejected(rng):
     # Unlike the zero blocks above, this lower Z block [Z1 | Z2] (rows n to
-    # 3n) has no zero entry: only the elimination in Matrix.inverse finds
-    # its second column block, twice the first, dependent.
+    # 3n) has no zero entry: only the elimination in Matrix.det finds its
+    # second column block, twice the first, dependent.
     n = 2
     q = rand_quad(rng, n)
     lower = Matrix([[rng.randint(1, 9) for _ in range(n)] for _ in range(2 * n)])
@@ -634,15 +633,13 @@ def test_det_ratio_stops_at_the_first_disagreeing_node(bareiss_calls):
     assert sum(1 for rows, _ in bareiss_calls if rows == 3) <= 3
 
 
-FACTOR_KINDS = ("scaled-e1", "standard", "zero-q") + tuple(f"procedure/{case}" for case in ALL_CASES)
+FACTOR_KINDS = ("scaled-e1", "standard") + tuple(f"procedure/{case}" for case in ALL_CASES)
 
 
 def factor_certificate(kind, n, rng):
     """A unimodular-pair certificate of one route: an alpha*e1 member with
-    complex alpha, the standard linearization of a random Q or of Q = 0,
-    or the procedure forced to one case tag."""
-    if kind == "zero-q":
-        return certify_standard(QuadPoly2P(n, *(Matrix.zeros(n, n) for _ in range(6))))
+    complex alpha, the standard linearization of a random Q, or the
+    procedure forced to one case tag."""
     if kind.startswith("procedure/"):
         case = kind.split("/")[1]
         q = rand_quad(rng, n, complex_prob=0.5)
@@ -657,49 +654,3 @@ def test_factor_determinants_match_exact_det_poly(kind, n, seed):
     cert = factor_certificate(kind, n, random.Random(seed))
     assert cert.det_e == exact_det_poly(cert.e).constant_value()
     assert cert.det_f == exact_det_poly(cert.f).constant_value()
-
-
-def _poly(*coeffs):
-    """sum lam^a mu^b M for the given ((a, b), rows) pairs."""
-    return PolyMatrix.from_coefficients(
-        len(coeffs[0][1]), len(coeffs[0][1]), {mono: Matrix(rows) for mono, rows in coeffs}
-    )
-
-
-def test_block_triangular_det_rejects_a_block_below_the_diagonal():
-    # E = [[lam I, I, 0], [mu I, 0, I], [I, 0, 0]] in its own column order:
-    # the constant I sits below the diagonal (its det is a constant all the same).
-    e = certify_standard(rand_quad(random.Random(1), 1)).e
-    with pytest.raises(AssertionError, match="^certificate factor has non-constant determinant$"):
-        construct._block_triangular_det(e, (range(0, 1), range(1, 2), range(2, 3)))
-    assert construct._block_triangular_det(e, (range(1, 2), range(2, 3), range(0, 1))) == 1
-
-
-def test_block_triangular_det_rejects_a_non_constant_diagonal_block():
-    m = _poly(((0, 0), [[1, 2, 0], [0, 1, 0], [0, 0, 1]]), ((0, 1), [[0, 0, 0], [0, 0, 0], [0, 0, 3]]))
-    with pytest.raises(AssertionError, match="^certificate factor has non-constant determinant$"):
-        construct._block_triangular_det(m, (range(0, 2), range(2, 3)))
-    # above the diagonal, a non-constant block is allowed
-    m = _poly(((0, 0), [[1, 2, 0], [0, 1, 0], [0, 0, 1]]), ((0, 1), [[0, 0, 3], [0, 0, 0], [0, 0, 0]]))
-    assert construct._block_triangular_det(m, (range(0, 2), range(2, 3))) == 1
-
-
-def test_block_triangular_det_rejects_a_singular_diagonal_block():
-    m = _poly(((0, 0), [[1, 0, 0], [0, 1, 2], [0, 2, 4]]), ((1, 0), [[0, 5, 1], [0, 0, 0], [0, 0, 0]]))
-    with pytest.raises(AssertionError, match="^certificate factor is singular$"):
-        construct._block_triangular_det(m, (range(0, 1), range(1, 3)))
-
-
-@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
-def test_block_triangular_det_takes_the_sign_of_the_column_order(order):
-    # T, upper triangular with column blocks of widths 1, 2 and 1, has its
-    # block k moved to place order[k] of m; read block by block in that
-    # order, m is T again, and its determinant is +-det T.
-    rng = random.Random(f"sign/{order}")
-    t = [[rng.randint(1, 5) if j >= i else 0 for j in range(4)] for i in range(4)]
-    blocks = (range(0, 1), range(1, 3), range(3, 4))
-    placed = sorted(range(3), key=order.__getitem__)  # the block at each place of m
-    m = Matrix([[row[j] for k in placed for j in blocks[k]] for row in t])
-    start = [sum(len(blocks[x]) for x in placed[: placed.index(k)]) for k in range(3)]
-    ranges = [range(start[k], start[k] + len(blocks[k])) for k in range(3)]
-    assert construct._block_triangular_det(PolyMatrix.from_scalar(m), ranges) == m.det()
