@@ -11,7 +11,9 @@ Two certificate kinds are kept deliberately distinct:
   box-add(L) = (alpha e1) kron [A20 A11 A02 A10 A01 A00], once per entry
   point, and Z^-1 Z = I_2n, one constant product.  det E and det F are
   read off how the factors are built: det E = alpha^-n, and det F =
-  1 / det Z, where det Z also decides that Z is nonsingular.
+  1 / det Z, where det Z also decides that Z is nonsingular.  No check
+  reads E or F, so the certificate builds each when it is first read:
+  W * Z^-1 is formed only when F is read.
 * ``det-ratio``: det L = gamma * det Q with gamma a nonzero constant --
   the weaker eigenvalue-preservation criterion, decided exactly at the
   interpolation nodes of both determinants, stopping at the first node
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -150,19 +153,56 @@ def condition_det_check(m3: Matrix, z1: Matrix, z2: Matrix) -> bool:
 class LinearizationCertificate:
     """Evidence that a pencil linearizes a quadratic.
 
-    kind "unimodular-pair" carries E, F with F*L*E = diag(Q, I_2n) checked
-    exactly and constant nonzero det E, det F; kind "det-ratio" carries the
-    constant gamma with det L = gamma * det Q.
+    kind "unimodular-pair" carries the constant nonzero det E and det F of
+    factors with F*L*E = diag(Q, I_2n) checked exactly, and the data the
+    factors are built from: alpha, the certified pencil and Z^-1.  E and F
+    themselves are built when first read, once per certificate; only then
+    is W * Z^-1 formed.  kind "det-ratio" carries the constant gamma with
+    det L = gamma * det Q, and its e and f are None.
     """
 
     kind: str
     verified: bool
-    e: Optional[PolyMatrix] = None
-    f: Optional[PolyMatrix] = None
     det_e: Optional[GaussianRational] = None
     det_f: Optional[GaussianRational] = None
     gamma: Optional[GaussianRational] = None
     detail: str = ""
+    alpha: Optional[GaussianRational] = None
+    pencil: Optional[Pencil2P] = None
+    z_inv: Optional[Matrix] = None
+
+    @cached_property
+    def e(self) -> Optional[PolyMatrix]:
+        """E = [[(lam/alpha) I, I, 0], [(mu/alpha) I, 0, I], [(1/alpha) I, 0, 0]]."""
+        if self.z_inv is None:
+            return None
+        n = self.z_inv.rows // 2
+        inv_alpha = ONE / self.alpha
+        eye = Matrix.identity(n)
+        return PolyMatrix.from_coefficients(
+            3 * n,
+            3 * n,
+            {
+                (1, 0): kron(Matrix([[inv_alpha, 0, 0], [0, 0, 0], [0, 0, 0]]), eye),
+                (0, 1): kron(Matrix([[0, 0, 0], [inv_alpha, 0, 0], [0, 0, 0]]), eye),
+                (0, 0): kron(Matrix([[0, 1, 0], [0, 0, 1], [inv_alpha, 0, 0]]), eye),
+            },
+        )
+
+    @cached_property
+    def f(self) -> Optional[PolyMatrix]:
+        """F = [[I, -W Z^-1], [0, Z^-1]], W the top-left n x 2n block of L."""
+        if self.z_inv is None:
+            return None
+        n = self.z_inv.rows // 2
+        top, left = range(n), range(2 * n)
+        w = PolyMatrix.from_coefficients(
+            n, 2 * n, {mono: c.submatrix(top, left) for mono, c in self.pencil.as_polymatrix().terms()}
+        )
+        z_inv = PolyMatrix.from_scalar(self.z_inv)
+        return PolyMatrix.from_blocks(
+            [[PolyMatrix.identity(n), -(w @ z_inv)], [PolyMatrix.zeros(2 * n, n), z_inv]]
+        )
 
 
 def _has_ansatz(pencil: Pencil2P, q: QuadPoly2P, alpha: GaussianRational) -> bool:
@@ -180,11 +220,13 @@ def certify_scaled_e1(
     box-add identity once; the Y1 block has Y21 = Y31 = 0; the constant
     2n x 2n block Z = [[Z21, Z22], [Z31, Z32]] is nonsingular.  For Q = 0
     every kernel pencil satisfies the identity and no ansatz is canonical,
-    so the zero quadratic is refused as membership refuses it.  Builds
+    so the zero quadratic is refused as membership refuses it.  Builds,
+    when cert.e and cert.f are first read,
         E = [[(lam/alpha) I, I, 0], [(mu/alpha) I, 0, I], [(1/alpha) I, 0, 0]]
         F = [[I, -W(lam,mu) Z^-1], [0, Z^-1]]
     with W = [alpha*lam*A20 + mu*Y11 + Z11 | alpha*mu*A02 + alpha*lam*A11
-    - lam*Y11 + Z12], for which F * L * E = diag(Q, I_2n) holds exactly.
+    - lam*Y11 + Z12], for which F * L * E = diag(Q, I_2n) holds exactly;
+    the product W Z^-1 is formed only when F is read.
     """
     alpha = GaussianRational.coerce(alpha)
     if not alpha:
@@ -243,10 +285,12 @@ def _unimodular_pair(
     * F = [[I_n, -G], [0, Z^-1]] is block upper triangular as built, so
       det F = det Z^-1 = 1 / det Z.  det Z is the one determinant taken: 0
       refuses the pencil, and otherwise Z^-1 exists.
+
+    No check reads E or F, so the certificate keeps alpha, the pencil and
+    Z^-1, and builds E and F from them when they are first read.
     """
     n = q.n
-    m = 3 * n
-    top, lower, left = range(n), range(n, m), range(2 * n)
+    lower, left = range(n, 3 * n), range(2 * n)
     if any(not c.submatrix(lower, left).is_zero() for c in (pencil.lam_coeff, pencil.mu_coeff)):
         raise HypothesisViolatedError("certificate requires Y21 = Y31 = 0")
     z = pencil.const.submatrix(lower, left)
@@ -256,34 +300,14 @@ def _unimodular_pair(
     z_inv = z.inverse()
     if z_inv @ z != Matrix.identity(2 * n):
         raise AssertionError("certificate product failed; construction is wrong")
-
-    inv_alpha = ONE / alpha
-    eye = Matrix.identity(n)
-    # E = [[(lam/alpha) I, I, 0], [(mu/alpha) I, 0, I], [(1/alpha) I, 0, 0]]
-    e = PolyMatrix.from_coefficients(
-        m,
-        m,
-        {
-            (1, 0): kron(Matrix([[inv_alpha, 0, 0], [0, 0, 0], [0, 0, 0]]), eye),
-            (0, 1): kron(Matrix([[0, 0, 0], [inv_alpha, 0, 0], [0, 0, 0]]), eye),
-            (0, 0): kron(Matrix([[0, 1, 0], [0, 0, 1], [inv_alpha, 0, 0]]), eye),
-        },
-    )
-    # F = [[I, -G], [0, Z^-1]], G = W Z^-1
-    w = PolyMatrix.from_coefficients(
-        n, 2 * n, {mono: c.submatrix(top, left) for mono, c in pencil.as_polymatrix().terms()}
-    )
-    z_inv_poly = PolyMatrix.from_scalar(z_inv)
-    f = PolyMatrix.from_blocks(
-        [[PolyMatrix.identity(n), -(w @ z_inv_poly)], [PolyMatrix.zeros(2 * n, n), z_inv_poly]]
-    )
     return LinearizationCertificate(
         kind="unimodular-pair",
         verified=True,
-        e=e,
-        f=f,
-        det_e=inv_alpha**n,
+        det_e=(ONE / alpha) ** n,
         det_f=ONE / det_z,
+        alpha=alpha,
+        pencil=pencil,
+        z_inv=z_inv,
     )
 
 
@@ -350,8 +374,8 @@ class ProcedureResult:
 
 
 def _random_block(rng: random.Random, rows: int, cols: int) -> Matrix:
-    return Matrix(
-        [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+    return Matrix.from_integer_form(
+        1, [[(rng.randint(-3, 3), 0) for _ in range(cols)] for _ in range(rows)]
     )
 
 

@@ -4,7 +4,8 @@ A polynomial matrix is the sum of lam^a * mu^b * M_ab over monomials
 (a, b), stored as a map from (a, b) to its nonzero coefficient ``Matrix``:
 the paper's own form lam*A1 + mu*A2 + A3.  Products, sums and exact
 comparisons run one coefficient matrix at a time; the one product the
-library forms is W * Z^-1, which builds the unimodular-pair factor F.
+library forms is W * Z^-1, for the unimodular-pair factor F, and only
+when a certificate's F is first read.
 
 Determinants are evaluated by Bareiss at the integer nodes of a lower set
 that bounds their support, and interpolated on integers (exact_det_poly).

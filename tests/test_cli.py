@@ -451,6 +451,26 @@ def test_delta_and_verify_pair_form_no_kronecker_operator(capsys, tmp_path, monk
         )
 
 
+def test_certifying_commands_form_no_polynomial_product(capsys, monkeypatch, polymatrix_products):
+    # Every certificate these commands build is a unimodular pair whose E
+    # and F nobody reads, so W Z^-1 is never formed.
+    import json
+
+    from pencilspace import construct
+
+    real = construct._unimodular_pair
+    pairs = []
+    monkeypatch.setattr(construct, "_unimodular_pair", lambda *args: pairs.append(args) or real(*args))
+    monkeypatch.chdir(CORPUS.parent)
+    transcript = json.loads((Path(__file__).parent / "golden" / "cli_transcript.json").read_text())
+    commands = {"certify", "procedure", "qep-linearize", "delta", "verify-pair"}
+    entries = [entry for entry in transcript if entry["argv"][0] in commands]
+    assert {entry["argv"][0] for entry in entries} == commands
+    for entry in entries:
+        assert run(capsys, *entry["argv"]) == (entry["exit"], entry["stdout"], entry["stderr"])
+    assert len(pairs) >= len(entries) and polymatrix_products == []
+
+
 def test_verify_pair_rejects_bad_point(capsys, tmp_path):
     bad = tmp_path / "pair.json"
     bad.write_text('{"lambda": "2", "mu": "7", "x1": ["1"], "x2": ["1"]}')

@@ -158,12 +158,45 @@ def test_certify_standard_scalar_product_by_hand():
     assert cert.f @ pencil.as_polymatrix() @ cert.e == target
 
 
-def test_certify_standard_agrees_with_general_builder(rng):
-    q = rand_quad(rng, 2)
-    direct = certify_standard(q)
-    general = certify_scaled_e1(standard_linearization(q), q, 1)
-    assert direct.e == general.e
-    assert direct.f == general.f
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certify_standard_factors_match_docstring_closed_forms(n):
+    # E = [[lam I, I, 0], [mu I, 0, I], [I, 0, 0]] and
+    # F = [[I, mu A02 + lam A11 + A01, lam A20 + A10], [0, 0, -I], [0, -I, 0]].
+    q = rand_quad(random.Random(f"standard-closed-form/{n}"), n, complex_prob=0.5)
+    cert = certify_standard(q)
+    poly = lambda coeffs: PolyMatrix.from_coefficients(n, n, coeffs)
+    eye, zero = PolyMatrix.identity(n), PolyMatrix.zeros(n, n)
+    e = PolyMatrix.from_blocks(
+        [
+            [poly({(1, 0): Matrix.identity(n)}), eye, zero],
+            [poly({(0, 1): Matrix.identity(n)}), zero, eye],
+            [eye, zero, zero],
+        ]
+    )
+    f = PolyMatrix.from_blocks(
+        [
+            [eye, poly({(0, 1): q.a02, (1, 0): q.a11, (0, 0): q.a01}), poly({(1, 0): q.a20, (0, 0): q.a10})],
+            [zero, zero, -eye],
+            [zero, -eye, zero],
+        ]
+    )
+    assert cert.e == e
+    assert cert.f == f
+
+
+def test_certificate_equality_tells_factors_apart():
+    # The factors are built from fields the certificate compares and
+    # hashes, and reading them changes neither.
+    q = rand_quad(random.Random("equality"), 2)
+    first, again = certify_standard(q), certify_standard(q)
+    assert first == again and hash(first) == hash(again)
+    assert first.e is not None and first.f is not None
+    assert first == again and hash(first) == hash(again)
+    pencil, q, other = certified_pair("scaled-e1", 2, random.Random("equality/other"))
+    assert other.f != certify_standard(q).f
+    assert other != certify_standard(q)
+    ratio = certify_det_ratio(pencil, q)
+    assert ratio.verified and ratio.e is None and ratio.f is None
 
 
 def test_certify_scaled_e1_random_blocks(rng):
@@ -513,8 +546,9 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_each_entry_point_checks_the_ansatz_identity_once(monkeypatch, entry, n):
     # The box-add identity is read once, inside membership for
-    # best_certificate (which reads v off it) and directly elsewhere; the
-    # pair then forms one polynomial product, W Z^-1 for F.
+    # best_certificate (which reads v off it) and directly elsewhere, and
+    # the pair forms no polynomial product.  Reading F forms one, W Z^-1,
+    # and each factor is built once.
     kind = "standard" if entry == "certify_standard" else "scaled-e1"
     pencil, q, cert = certified_pair(kind, n, random.Random(f"{entry}/{n}"))
     alpha = membership(pencil, q).v[0]
@@ -522,12 +556,17 @@ def test_each_entry_point_checks_the_ansatz_identity_once(monkeypatch, entry, n)
     memberships = spy(monkeypatch, "membership", space, construct)
     pairs = spy(monkeypatch, "_unimodular_pair", construct)
     products = spy(monkeypatch, "__matmul__", PolyMatrix)
-    assert ENTRY_POINTS[entry](pencil, q, alpha) == cert
+    result = ENTRY_POINTS[entry](pencil, q, alpha)
+    assert result == cert
     assert len(box_adds) == 1
     assert len(memberships) == (entry == "best_certificate")
-    assert len(pairs) == len(products) == 1
-    w_block, z_inv = products[0]
+    assert len(pairs) == 1 and not products
+    f = result.f
+    ((w_block, z_inv),) = products
     assert (w_block.shape, z_inv.shape) == ((n, 2 * n), (2 * n, 2 * n))
+    e = result.e
+    assert result.e is e and result.f is f
+    assert len(products) == 1
 
 
 def full_det_ratio(pencil, q):
