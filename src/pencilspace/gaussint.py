@@ -4,21 +4,23 @@
 values as one positive common denominator over Gaussian-integer numerators,
 each an (re, im) int pair.  The form is canonical when the denominator and
 every numerator component have no common factor, so equal values have
-equal forms.  This module alone holds its rules: the way in, canonical
-reduction, Z[i] product, power and division, and the way back to a
-``GaussianRational`` or a ``complex``.  It runs on ints; the containers keep
-their own storage and the inline arithmetic of their per-entry hot loops.
+equal forms.  This module alone holds its rules: the way in, alignment to a
+common denominator, canonical reduction, Z[i] product, power and division,
+and the way back to a ``GaussianRational`` or a ``complex``.  It runs on
+ints; the containers keep their own storage and the inline arithmetic of
+their per-entry hot loops.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .scalars import GaussianRational
 
 Pair = tuple[int, int]
+Rows = Sequence[Sequence[Pair]]
 # The lowest-terms parts (re numerator, re denominator, im numerator, im
 # denominator) of one value.
 Parts = tuple[int, int, int, int]
@@ -37,6 +39,22 @@ def from_scalars(values: Iterable[GaussianRational]) -> tuple[int, list[Pair]]:
     return from_parts(
         [(v.re.numerator, v.re.denominator, v.im.numerator, v.im.denominator) for v in values]
     )
+
+
+def aligned(forms: Sequence[tuple[int, Rows]]) -> tuple[int, list[Rows]]:
+    """Forms (den, rows of numerator pairs) over the lcm of their
+    denominators: the lcm, and each form's rows times lcm // den.  Canonical
+    forms side by side over the lcm stay canonical: each prime of the lcm
+    has its full power in some form's den, and that form's factor and one
+    of its numerator components are prime to it."""
+    den = lcm(*(d for d, _ in forms))
+    out = []
+    for d, rows in forms:
+        f = den // d
+        if f != 1:
+            rows = tuple(tuple([(re * f, im * f) for re, im in row]) for row in rows)
+        out.append(rows)
+    return den, out
 
 
 def content(den: int, pairs: Iterable[Pair]) -> int:

@@ -13,7 +13,6 @@ transversal).
 from __future__ import annotations
 
 from itertools import chain
-from math import lcm
 from typing import Iterable, Sequence
 
 from . import gaussint
@@ -68,15 +67,16 @@ class Matrix:
         """Assemble a matrix from a 2-D grid of conformal blocks."""
         if not grid or not grid[0]:
             raise ShapeError("empty block grid")
-        # Over the lcm of canonical denominators the result is canonical.
-        den = lcm(*(block._den for block_row in grid for block in block_row))
+        # Over the common denominator of canonical forms the result is canonical.
+        den, scaled = gaussint.aligned([(b._den, b._data) for block_row in grid for b in block_row])
+        blocks = iter(scaled)
         rows: list[tuple[Pair, ...]] = []
         width = None
         for block_row in grid:
             height = block_row[0].rows
             if any(b.rows != height for b in block_row):
                 raise ShapeError("blocks in a row must have equal height")
-            parts = [_times(b._data, (den // b._den, 0)) for b in block_row]
+            parts = [next(blocks) for _ in block_row]
             for i in range(height):
                 rows.append(tuple(chain.from_iterable(part[i] for part in parts)))
             if width is None:
@@ -277,12 +277,13 @@ class Matrix:
             raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
 
     def _aligned(self, other: "Matrix") -> tuple[tuple, tuple, int]:
-        """Both numerator grids over the lcm of the two denominators, and
-        that lcm."""
+        """Both numerator grids over their common denominator, and that
+        denominator."""
         self._require_same_shape(other)
-        den = lcm(self._den, other._den)
-        a = _times(self._data, (den // self._den, 0))
-        return a, _times(other._data, (den // other._den, 0)), den
+        if self._den == other._den:
+            return self._data, other._data, self._den
+        den, (a, b) = gaussint.aligned(((self._den, self._data), (other._den, other._data)))
+        return a, b, den
 
 
 def _init(m: Matrix, data: tuple, den: int) -> None:

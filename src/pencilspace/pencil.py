@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import gaussint
 from .errors import ShapeError
+from .gaussint import Pair
 from .matrices import Matrix, kron
 from .polymatrix import PolyMatrix
 from .scalars import GaussianRational, ScalarLike
@@ -149,31 +151,33 @@ def lambda_kron_identity(n: int) -> PolyMatrix:
     )
 
 
-def _box_blocks(x: Matrix, y: Matrix, z: Matrix) -> list[Matrix]:
+def _box_blocks(x: Matrix, y: Matrix, z: Matrix) -> tuple[int, list[tuple[Pair, ...]]]:
     """The six 3n x n block columns of box-addition: X1, X2+Y1, Y2, X3+Z1,
     Y3+Z2 and Z3 for block columns X = [X1 X2 X3] etc.  For the pencil
     lam*X + mu*Y + Z they are the coefficients of lam^2, lam*mu, mu^2, lam,
     mu and 1 in L(lam,mu) * (Lambda kron I_n), in COEFF_MONOMIALS order.
+    They come side by side as one integer form, not reduced: the common
+    denominator of x, y and z, and the 3n rows, each written once.
     """
     if not (x.shape == y.shape == z.shape) or x.rows != x.cols:
         raise ShapeError("box addition requires three square matrices of equal size")
     if x.rows % 3:
         raise ShapeError(f"size {x.rows} is not divisible by 3")
     n = x.rows // 3
-    col = lambda m, j: m.submatrix(range(3 * n), range(j * n, (j + 1) * n))
-    return [
-        col(x, 0),
-        col(x, 1) + col(y, 0),
-        col(y, 1),
-        col(x, 2) + col(z, 0),
-        col(y, 2) + col(z, 1),
-        col(z, 2),
-    ]
+    den, (xs, ys, zs) = gaussint.aligned((x.integer_form(), y.integer_form(), z.integer_form()))
+    add = lambda a, b: tuple([(p + r, q + s) for (p, q), (r, s) in zip(a, b)])
+    rows = []
+    for xr, yr, zr in zip(xs, ys, zs):
+        x1, x2, x3 = xr[:n], xr[n : 2 * n], xr[2 * n :]
+        y1, y2, y3 = yr[:n], yr[n : 2 * n], yr[2 * n :]
+        z1, z2, z3 = zr[:n], zr[n : 2 * n], zr[2 * n :]
+        rows.append(x1 + add(x2, y1) + y2 + add(x3, z1) + add(y3, z2) + z3)
+    return den, rows
 
 
 def box_add(x: Matrix, y: Matrix, z: Matrix) -> Matrix:
     """Shifted-overlap block sum of three 3n x 3n matrices into 3n x 6n."""
-    return Matrix.hstack(_box_blocks(x, y, z))
+    return Matrix.from_integer_form(*_box_blocks(x, y, z))
 
 
 def box_add_pencil(pencil: Pencil2P) -> Matrix:
@@ -184,7 +188,10 @@ def apply_to_lambda(pencil: Pencil2P) -> PolyMatrix:
     """The exact 3n x n product L(lam,mu) * (Lambda kron I_n), read off the
     box-addition blocks."""
     n = pencil.block_size
-    blocks = _box_blocks(pencil.lam_coeff, pencil.mu_coeff, pencil.const)
+    den, rows = _box_blocks(pencil.lam_coeff, pencil.mu_coeff, pencil.const)
+    blocks = (
+        Matrix.from_integer_form(den, [row[k * n : (k + 1) * n] for row in rows]) for k in range(6)
+    )
     return PolyMatrix.from_coefficients(3 * n, n, dict(zip(COEFF_MONOMIALS, blocks)))
 
 

@@ -156,7 +156,7 @@ def delta_operators(lin: LinearSystem2P) -> DeltaOps:
 def delta0_operator(lin: LinearSystem2P) -> Matrix:
     """Delta0 = B1 kron C2 - C1 kron B2 alone, all the singularity verdict
     reads."""
-    return kron(lin.l1.lam_coeff, lin.l2.mu_coeff) - kron(lin.l1.mu_coeff, lin.l2.lam_coeff)
+    return _kron_difference(lin.l1.lam_coeff, lin.l1.mu_coeff, lin.l2.lam_coeff, lin.l2.mu_coeff)
 
 
 def singularity_check(delta0: Matrix) -> SingularityReport:
@@ -435,10 +435,16 @@ def _delta_times(
     (X w1) kron (Y w2)."""
     (a1, b1, c1), (a2, b2, c2) = p1, p2
     return (
-        kron(b1, c2) - kron(c1, b2),
-        kron(c1, a2) - kron(a1, c2),
-        kron(a1, b2) - kron(b1, a2),
+        _kron_difference(b1, c1, b2, c2),
+        _kron_difference(c1, a1, c2, a2),
+        _kron_difference(a1, b1, a2, b2),
     )
+
+
+def _kron_difference(x1: Matrix, y1: Matrix, x2: Matrix, y2: Matrix) -> Matrix:
+    """x1 kron y2 - y1 kron x2: Delta0, Delta1 and Delta2 for (x, y) = (B, C),
+    (C, A) and (A, B)."""
+    return kron(x1, y2) - kron(y1, x2)
 
 
 def verify_eigenpair(

@@ -4,10 +4,11 @@ Membership of a pencil is decided through box-addition: the pencil belongs
 to the space iff its box-add equals v kron [A20 A11 A02 A10 A01 A00] for
 some ansatz vector v in C^3.  Every member is an ansatz part (v kron the
 top block row of the e1 member) plus a kernel member (v = 0) laid out from
-three free 3n x n blocks (Y1, Z1, Z2); the standard linearization is the
-e1 member with fixed blocks.  The space has dimension 9n^2 + 3 whenever
-the coefficient row is nonzero, certified here by an exact rank witness
-rather than asserted.
+three free 3n x n blocks (Y1, Z1, Z2); one routine, _lay_out, writes both
+parts of each coefficient in one pass over their integer forms.  The
+standard linearization is the e1 member with fixed blocks.  The space has
+dimension 9n^2 + 3 whenever the coefficient row is nonzero, certified here
+by an exact rank witness rather than asserted.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
+from . import gaussint
 from .errors import HypothesisViolatedError, ShapeError
+from .gaussint import Rows
 from .matrices import Matrix, kron
 from .pencil import Pencil2P, QuadPoly2P, box_add_pencil
 from .scalars import GaussianRational
@@ -112,16 +115,26 @@ def generate_member(q: QuadPoly2P, v: Sequence, blocks: FreeBlocks) -> Pencil2P:
     It is the ansatz part, one Kronecker product per coefficient,
       A1 = v kron [A20 A11 A10], A2 = v kron [0 A02 A01], A3 = v kron [0 0 A00],
     plus kernel_member(n, blocks); membership of the result returns v (for
-    nonzero Q).
+    nonzero Q).  The six blocks v kron A_ab are formed here on the integer
+    forms of v and Q, and _lay_out writes them beside the free blocks.
     """
     n = q.n
     if blocks.n != n:
         raise ShapeError(f"blocks sized for n = {blocks.n}, quadratic has n = {n}")
-    v_col = Matrix.column(coerce_vector3(v))
-    zero = Matrix.zeros(n, n)
-    rows = ([q.a20, q.a11, q.a10], [zero, q.a02, q.a01], [zero, zero, q.a00])
-    ansatz = Pencil2P(3 * n, *(kron(v_col, Matrix.hstack(row)) for row in rows))
-    return ansatz + kernel_member(n, blocks)
+    v_den, v_num = gaussint.from_scalars(coerce_vector3(v))
+    zero_row = ((0, 0),) * n
+    ansatz = []
+    for den, data in (c.integer_form() for c in q.coefficients()):
+        # v kron A_ab over v_den * den: block row i is v_i times A_ab
+        rows = [
+            tuple([(w_re * re - w_im * im, w_re * im + w_im * re) for re, im in row])
+            if w_re or w_im
+            else zero_row
+            for w_re, w_im in v_num
+            for row in data
+        ]
+        ansatz.append((v_den * den, rows))
+    return _lay_out(ansatz, blocks)
 
 
 def free_blocks(pencil: Pencil2P) -> FreeBlocks:
@@ -162,16 +175,35 @@ def standard_linearization(q: QuadPoly2P) -> Pencil2P:
 
 
 def kernel_member(n: int, blocks: FreeBlocks) -> Pencil2P:
-    """A member of the kernel of the ansatz map, the one place the free
-    blocks are laid out (free_blocks reads them back):
-      A1 = [0 | -Y1 | -Z1], A2 = [Y1 | 0 | -Z2], A3 = [Z1 | Z2 | 0];
-    both the box-add and the Lambda-product of the result vanish identically.
+    """A member of the kernel of the ansatz map, the member with v = 0:
+      A1 = [0 | -Y1 | -Z1], A2 = [Y1 | 0 | -Z2], A3 = [Z1 | Z2 | 0],
+    laid out by _lay_out with no ansatz part; both the box-add and the
+    Lambda-product of the result vanish identically.
     """
     if blocks.n != n:
         raise ShapeError(f"blocks sized for n = {blocks.n}, requested n = {n}")
-    zero, y1, z1, z2 = Matrix.zeros(3 * n, n), blocks.y1, blocks.z1, blocks.z2
-    layout = ([zero, -y1, -z1], [y1, zero, -z2], [z1, z2, zero])
-    return Pencil2P(3 * n, *(Matrix.hstack(coeff) for coeff in layout))
+    return _lay_out([], blocks)
+
+
+def _lay_out(ansatz: list[tuple[int, Rows]], blocks: FreeBlocks) -> Pencil2P:
+    """The member with ansatz part P and free blocks (Y1, Z1, Z2), the one
+    place the free blocks are laid out (free_blocks reads them back):
+      A1 = [P20 | P11 - Y1 | P10 - Z1], A2 = [Y1 | P02 | P01 - Z2], A3 = [Z1 | Z2 | P00],
+    for ansatz the integer forms of the six P_ab = v kron A_ab in COEFF_ORDER,
+    or [] for P = 0.  Over one common denominator, each row is written once.
+    """
+    n = blocks.n
+    free = [m.integer_form() for m in (blocks.y1, blocks.z1, blocks.z2)]
+    den, parts = gaussint.aligned(ansatz + free)
+    if not ansatz:
+        parts[:0] = [(((0, 0),) * n,) * (3 * n)] * 6
+    sub = lambda a, b: tuple([(p - r, q - s) for (p, q), (r, s) in zip(a, b)])
+    a1, a2, a3 = [], [], []
+    for p20, p11, p02, p10, p01, p00, y1, z1, z2 in zip(*parts):
+        a1.append(p20 + sub(p11, y1) + sub(p10, z1))
+        a2.append(y1 + p02 + sub(p01, z2))
+        a3.append(z1 + z2 + p00)
+    return Pencil2P(3 * n, *(Matrix.from_integer_form(den, c) for c in (a1, a2, a3)))
 
 
 @dataclass(frozen=True)
@@ -186,14 +218,6 @@ class DimensionSummary:
     @property
     def verified(self) -> bool:
         return self.witness_rank == self.dimension
-
-
-def _vectorize(pencil: Pencil2P) -> Matrix:
-    """The three coefficients of a pencil, row after row, as one row."""
-    forms = (coeff.integer_form() for coeff in (pencil.lam_coeff, pencil.mu_coeff, pencil.const))
-    return Matrix.hstack(
-        [Matrix.from_integer_form(den, [list(chain.from_iterable(data))]) for den, data in forms]
-    )
 
 
 def space_dimension(q: QuadPoly2P) -> DimensionSummary:
@@ -218,7 +242,11 @@ def space_dimension(q: QuadPoly2P) -> DimensionSummary:
         members = [generate_member(q, e, zero) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         if any(free_blocks(p) != zero for p in members):
             raise AssertionError("an ansatz part has nonzero free blocks")
-        witness_rank += Matrix.vstack([_vectorize(p) for p in members]).rank()
+        # Each ansatz part vectorized: its three coefficients, row after row.
+        forms = [c.integer_form() for p in members for c in (p.lam_coeff, p.mu_coeff, p.const)]
+        den, parts = gaussint.aligned(forms)
+        rows = [list(chain.from_iterable(chain(*parts[k : k + 3]))) for k in (0, 3, 6)]
+        witness_rank += Matrix.from_integer_form(den, rows).rank()
     dimension = 9 * n * n if degenerate else 9 * n * n + 3
     return DimensionSummary(n, dimension, witness_rank, degenerate)
 

@@ -144,6 +144,61 @@ def reference_witness(q: QuadPoly2P) -> Matrix:
     return Matrix.vstack([vectorize(p) for p in members])
 
 
+# The first primes above 10^6: denominators that share no factor, so every
+# alignment to a common denominator scales every input.
+BIG_PRIMES = (
+    1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117,
+    1000121, 1000133, 1000151, 1000159, 1000171, 1000183,
+)
+
+
+def rand_over(rng: random.Random, rows: int, cols: int, den: int, complex_prob: float = 0.5):
+    """A matrix whose entries have numerators below 10^9 over den, about
+    complex_prob of them complex, and about one in five zero."""
+
+    def entry():
+        if rng.random() < 0.2:
+            return 0
+        im = Fraction(rng.randint(-10**9, 10**9), den) if rng.random() < complex_prob else 0
+        return GaussianRational(Fraction(rng.randint(-10**9, 10**9), den), im)
+
+    return Matrix([[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def reference_member(q: QuadPoly2P, v, blocks: FreeBlocks) -> Pencil2P:
+    """generate_member by composition of matrices and pencils: per
+    coefficient, v kron hstack(its block row of the e1 member), plus the
+    pencil of the kernel layout A1 = [0 | -Y1 | -Z1], A2 = [Y1 | 0 | -Z2],
+    A3 = [Z1 | Z2 | 0], each an hstack of negated blocks.  With v = 0 it is
+    kernel_member, whatever q."""
+    n = q.n
+    v_col = Matrix.column(v)
+    zero = Matrix.zeros(n, n)
+    rows = ([q.a20, q.a11, q.a10], [zero, q.a02, q.a01], [zero, zero, q.a00])
+    ansatz = Pencil2P(3 * n, *(kron(v_col, Matrix.hstack(row)) for row in rows))
+    zero, y1, z1, z2 = Matrix.zeros(3 * n, n), blocks.y1, blocks.z1, blocks.z2
+    layout = ([zero, -y1, -z1], [y1, zero, -z2], [z1, z2, zero])
+    return ansatz + Pencil2P(3 * n, *(Matrix.hstack(coeff) for coeff in layout))
+
+
+def reference_box_add(pencil: Pencil2P) -> Matrix:
+    """box_add_pencil by composition: the hstack of the six block columns
+    X1, X2+Y1, Y2, X3+Z1, Y3+Z2, Z3, each a submatrix or a sum of two."""
+    x, y, z = pencil.lam_coeff, pencil.mu_coeff, pencil.const
+    n = pencil.m // 3
+    col = lambda m, j: m.submatrix(range(3 * n), range(j * n, (j + 1) * n))
+    return Matrix.hstack(
+        [
+            col(x, 0),
+            col(x, 1) + col(y, 0),
+            col(y, 1),
+            col(x, 2) + col(z, 0),
+            col(y, 2) + col(z, 1),
+            col(z, 2),
+        ]
+    )
+
+
 def ansatz_target(q: QuadPoly2P, v) -> PolyMatrix:
     """The 3n x n polynomial matrix v kron Q(lam,mu)."""
     v_col = Matrix.column(v)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,10 +25,15 @@ from pencilspace.scalars import GaussianRational
 from pencilspace.space import free_blocks
 
 from conftest import (
+    BIG_PRIMES,
     example_quad,
     rand_blocks,
     rand_gr,
+    rand_matrix,
+    rand_over,
     rand_quad,
+    reference_box_add,
+    reference_member,
     reference_witness,
     worked_example_blocks,
     worked_example_pencil,
@@ -249,6 +255,75 @@ def test_space_dimension_rejects_an_ansatz_part_with_free_blocks(rng, monkeypatc
     )
     with pytest.raises(AssertionError, match="nonzero free blocks"):
         space_dimension(rand_quad(rng, 2))
+
+
+ORACLE_CASES = ("real", "complex", "zero-q", "zero-blocks", "coprime")
+
+
+def oracle_inputs(case, n, rng):
+    """A quadratic, free blocks, ansatz vectors and a pencil outside the
+    space for one oracle case.  Every case has v = 0, v with zero entries
+    and a complex v; "coprime" gives Q's six coefficients, the blocks, v
+    and the pencil each their own prime denominator above 10^6."""
+    vectors = [(0, 0, 0), (1, 0, 0), (0, Fraction(-5, 7), 0), (GaussianRational(2, -1), 0, 3)]
+    if case == "coprime":
+        dens = iter(BIG_PRIMES)
+        q = QuadPoly2P(n, *(rand_over(rng, n, n, next(dens)) for _ in range(6)))
+        blocks = FreeBlocks(n, *(rand_over(rng, 3 * n, n, next(dens)) for _ in range(3)))
+        v = rand_over(rng, 3, 1, next(dens))
+        vectors.append(tuple(v[i, 0] for i in range(3)))
+        other = Pencil2P(3 * n, *(rand_over(rng, 3 * n, 3 * n, next(dens)) for _ in range(3)))
+        return q, blocks, vectors, other
+    complex_prob = 0.0 if case == "real" else 0.75
+    q = rand_quad(rng, n, complex_prob)
+    if case == "zero-q":
+        q = QuadPoly2P(n, *[Matrix.zeros(n, n)] * 6)
+    blocks = FreeBlocks.zero(n) if case == "zero-blocks" else rand_blocks(rng, n, complex_prob)
+    vectors.append(tuple(rand_gr(rng, complex_prob) for _ in range(3)))
+    other = Pencil2P(3 * n, *(rand_matrix(rng, 3 * n, 3 * n, complex_prob) for _ in range(3)))
+    return q, blocks, vectors, other
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_pass_layouts_equal_the_composition_oracles(n, case):
+    # The members and box-adds laid out on integer forms equal, as
+    # canonical forms, the ones composed from kron, hstack, submatrix and
+    # sums of Matrix objects.
+    q, blocks, vectors, other = oracle_inputs(case, n, random.Random(f"{case}/{n}"))
+    kernel = kernel_member(n, blocks)
+    assert kernel == reference_member(q, (0, 0, 0), blocks)
+    assert box_add_pencil(kernel) == reference_box_add(kernel)
+    for v in vectors:
+        member = generate_member(q, v, blocks)
+        assert member == reference_member(q, v, blocks)
+        assert box_add_pencil(member) == reference_box_add(member)
+    assert box_add_pencil(other) == reference_box_add(other)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_layouts_compose_no_matrix_objects(n, monkeypatch):
+    # generate_member, kernel_member and box_add_pencil write each result
+    # from the integer forms of their inputs: no Kronecker product, block
+    # assembly, submatrix or sum of matrices or pencils.
+    q, blocks, vectors, other = oracle_inputs("coprime", n, random.Random(f"spy/{n}"))
+    calls = []
+    for owner, name in (
+        (Matrix, "kron"),
+        (Matrix, "from_blocks"),
+        (Matrix, "submatrix"),
+        (Matrix, "__add__"),
+        (Pencil2P, "__add__"),
+    ):
+
+        def recording(*args, real=getattr(owner, name), label=f"{owner.__name__}.{name}"):
+            calls.append(label)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, recording)
+    for pencil in [kernel_member(n, blocks), other] + [generate_member(q, v, blocks) for v in vectors]:
+        box_add_pencil(pencil)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
