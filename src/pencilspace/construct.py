@@ -154,11 +154,14 @@ class LinearizationCertificate:
     """Evidence that a pencil linearizes a quadratic.
 
     kind "unimodular-pair" carries the constant nonzero det E and det F of
-    factors with F*L*E = diag(Q, I_2n) checked exactly, and the data the
-    factors are built from: alpha, the certified pencil and Z^-1.  E and F
-    themselves are built when first read, once per certificate; only then
-    is W * Z^-1 formed.  kind "det-ratio" carries the constant gamma with
-    det L = gamma * det Q, and its e and f are None.
+    factors with F*L*E = diag(Q, I_2n) checked exactly, the quadratic Q
+    whose ansatz identity was checked, and the data the factors are built
+    from: alpha, the certified pencil and Z^-1.  E and F themselves are
+    built when first read, once per certificate; only then is W * Z^-1
+    formed.  The identity also gives det L = det Q / (det E * det F), which
+    ``qep.spectrum_pencil`` reads instead of expanding det L.  kind
+    "det-ratio" carries the constant gamma with det L = gamma * det Q, and
+    its e, f and quadratic are None.
     """
 
     kind: str
@@ -169,6 +172,7 @@ class LinearizationCertificate:
     detail: str = ""
     alpha: Optional[GaussianRational] = None
     pencil: Optional[Pencil2P] = None
+    quadratic: Optional[QuadPoly2P] = None
     z_inv: Optional[Matrix] = None
 
     @cached_property
@@ -287,7 +291,8 @@ def _unimodular_pair(
       refuses the pencil, and otherwise Z^-1 exists.
 
     No check reads E or F, so the certificate keeps alpha, the pencil and
-    Z^-1, and builds E and F from them when they are first read.
+    Z^-1, and builds E and F from them when they are first read.  It also
+    keeps q, whose determinant gives det L = det q / (det E * det F).
     """
     n = q.n
     lower, left = range(n, 3 * n), range(2 * n)
@@ -307,6 +312,7 @@ def _unimodular_pair(
         det_f=ONE / det_z,
         alpha=alpha,
         pencil=pencil,
+        quadratic=q,
         z_inv=z_inv,
     )
 

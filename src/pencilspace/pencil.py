@@ -16,12 +16,14 @@ exactly when its box-addition equals v kron [A20 A11 A02 A10 A01 A00].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import gaussint
+from .bipoly import BiPoly
 from .errors import ShapeError
 from .gaussint import Pair
 from .matrices import Matrix, kron
-from .polymatrix import PolyMatrix
+from .polymatrix import PolyMatrix, exact_det_poly
 from .scalars import GaussianRational, ScalarLike
 
 # Canonical ordering of the six coefficient blocks in the target row, and
@@ -32,7 +34,12 @@ COEFF_MONOMIALS = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))
 
 @dataclass(frozen=True)
 class QuadPoly2P:
-    """A quadratic two-parameter matrix polynomial with exact coefficients."""
+    """A quadratic two-parameter matrix polynomial with exact coefficients.
+
+    Its determinant, ``det_poly``, is computed when first read and kept, so
+    the quadratic spectrum and the certificate-read pencil spectrum of one
+    quadratic share it.
+    """
 
     n: int
     a20: Matrix
@@ -71,6 +78,11 @@ class QuadPoly2P:
         return PolyMatrix.from_coefficients(
             self.n, self.n, dict(zip(COEFF_MONOMIALS, self.coefficients()))
         )
+
+    @cached_property
+    def det_poly(self) -> BiPoly:
+        """det Q(lam, mu), exactly: exact_det_poly(self.as_polymatrix())."""
+        return exact_det_poly(self.as_polymatrix())
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.coefficients())

@@ -45,10 +45,10 @@ from .construct import LinearizationCertificate, certify_scaled_e1
 from .errors import HypothesisViolatedError, NonGenericSystemError, ShapeError
 from .matrices import Matrix, kron, kron_pattern, structural_rank
 from .pencil import COEFF_MONOMIALS, Pencil2P, QuadPoly2P
-from .polymatrix import PolyMatrix, exact_det_poly
+from .polymatrix import exact_det_poly
 from .roots import newton_steps, unipoly_roots
 from .resultants import first_subresultant
-from .scalars import GaussianRational, ScalarLike
+from .scalars import ONE, GaussianRational, ScalarLike
 from .space import FreeBlocks, generate_member, standard_blocks
 
 DEFAULT_SPECTRUM_TOL = 1e-9
@@ -187,10 +187,8 @@ def delta0_singularity(lin: LinearSystem2P) -> SingularityReport:
     return singularity_check(delta0_operator(lin))
 
 
-def _common_zeros(
-    a: PolyMatrix, b: PolyMatrix, bound: int, tol: float
-) -> SpectrumReport:
-    """Finite common zeros of f = det a and g = det b.
+def _common_zeros(f: BiPoly, g: BiPoly, bound: int, tol: float) -> SpectrumReport:
+    """Finite common zeros of two determinant polynomials f and g.
 
     With f_t(x, mu) = f(x - t*mu, mu), and g_t alike, t = 0, 1, ... is
     tried until the first subresultant S1 = s1(x)·mu + s0(x) of f_t and g_t
@@ -213,8 +211,6 @@ def _common_zeros(
     t <= T + 1, T the sum of these counts, fails, a common zero is
     singular on both curves.
     """
-    f = exact_det_poly(a)
-    g = exact_det_poly(b)
     if f.is_zero() or g.is_zero():
         raise NonGenericSystemError("a determinant polynomial is identically zero")
     # f and g have finitely many common zeros iff they share no factor: the
@@ -325,19 +321,38 @@ def _lam_gcd(coeffs: list[BiPoly]) -> UniPoly:
 def spectrum_quadratic(
     system: QuadSystem2P, tol: float = DEFAULT_SPECTRUM_TOL
 ) -> SpectrumReport:
-    """The spectrum {(lam, mu) : det Q1 = det Q2 = 0} with bound 4*n1*n2."""
-    return _common_zeros(
-        system.q1.as_polymatrix(), system.q2.as_polymatrix(), system.bezout_bound, tol
-    )
+    """The spectrum {(lam, mu) : det Q1 = det Q2 = 0} with bound 4*n1*n2.
+
+    Each det Q_i is the quadratic's ``det_poly``, computed once per
+    quadratic.
+    """
+    return _common_zeros(system.q1.det_poly, system.q2.det_poly, system.bezout_bound, tol)
 
 
 def spectrum_pencil(
     lin: LinearSystem2P, tol: float = DEFAULT_SPECTRUM_TOL
 ) -> SpectrumReport:
-    """The spectrum {(lam, mu) : det L1 = det L2 = 0} with bound m1*m2."""
+    """The spectrum {(lam, mu) : det L1 = det L2 = 0} with bound m1*m2.
+
+    Each det L_i is read off its certificate where that certificate is a
+    verified unimodular pair for L_i itself: F_i L_i E_i = diag(Q_i, I_2n)
+    gives det L_i = det Q_i / (det E_i * det F_i), one scaling of the
+    n x n determinant of the certificate's own Q_i.  Any other component
+    (a pencil paired with a certificate for another pencil, or a det-ratio
+    certificate) has its 3n x 3n determinant expanded by exact_det_poly.
+    Both routes give the one canonical det L_i.
+    """
     return _common_zeros(
-        lin.l1.as_polymatrix(), lin.l2.as_polymatrix(), lin.l1.m * lin.l2.m, tol
+        _pencil_det(lin.l1, lin.cert1), _pencil_det(lin.l2, lin.cert2), lin.l1.m * lin.l2.m, tol
     )
+
+
+def _pencil_det(pencil: Pencil2P, cert: LinearizationCertificate) -> BiPoly:
+    """det L for the pencil L, read off cert when it certifies L as a
+    unimodular pair, else expanded."""
+    if cert.kind == "unimodular-pair" and cert.verified and cert.pencil == pencil:
+        return cert.quadratic.det_poly * (ONE / (cert.det_e * cert.det_f))
+    return exact_det_poly(pencil.as_polymatrix())
 
 
 @dataclass(frozen=True)
@@ -356,7 +371,12 @@ def verify_spectral_equality(
 ) -> SpectralMatchReport:
     """Match the two finite spectra within tolerance 10*tol per coordinate.
 
-    Certified linearizations must leave both unmatched lists empty.
+    sigma_Q comes from det Q_i of the system's quadratics, sigma_L from
+    det L_i of lin's pencils (``spectrum_pencil``); for lin built by
+    ``linearize_system`` from this system, each det L_i is det Q_i scaled
+    by the constant 1 / (det E_i * det F_i) of its certificate, so no
+    determinant larger than n_i x n_i is expanded.  Certified
+    linearizations must leave both unmatched lists empty.
     """
     sigma_q = spectrum_quadratic(system, tol)
     sigma_l = spectrum_pencil(lin, tol)

@@ -157,16 +157,18 @@ def lower_z_block(z1: Matrix, z2: Matrix) -> Matrix:
 
 def standard_blocks(q: QuadPoly2P) -> FreeBlocks:
     """The free blocks of the standard linearization at ansatz e1:
-    Y1 = 0, Z1 = [A10; 0; -I], Z2 = [A01; -I; 0]."""
+    Y1 = 0, Z1 = [A10; 0; -I], Z2 = [A01; -I; 0], each Z block written as
+    one integer form over the denominator of its coefficient."""
     n = q.n
-    eye = Matrix.identity(n)
-    zero = Matrix.zeros(n, n)
-    return FreeBlocks(
-        n,
-        Matrix.zeros(3 * n, n),
-        Matrix.vstack([q.a10, zero, -eye]),
-        Matrix.vstack([q.a01, -eye, zero]),
-    )
+    zero = (((0, 0),) * n,) * n
+
+    def stacked(coeff: Matrix, eye_in_middle: bool) -> Matrix:
+        den, rows = coeff.integer_form()
+        minus_eye = tuple(tuple((-den, 0) if i == j else (0, 0) for j in range(n)) for i in range(n))
+        lower = minus_eye + zero if eye_in_middle else zero + minus_eye
+        return Matrix.from_integer_form(den, rows + lower)
+
+    return FreeBlocks(n, Matrix.zeros(3 * n, n), stacked(q.a10, False), stacked(q.a01, True))
 
 
 def standard_linearization(q: QuadPoly2P) -> Pencil2P:

@@ -199,6 +199,19 @@ def reference_box_add(pencil: Pencil2P) -> Matrix:
     )
 
 
+def reference_standard_blocks(q: QuadPoly2P) -> FreeBlocks:
+    """standard_blocks by composition: Y1 = 0, Z1 = [A10; 0; -I] and
+    Z2 = [A01; -I; 0], each a vstack with a negated identity."""
+    n = q.n
+    eye, zero = Matrix.identity(n), Matrix.zeros(n, n)
+    return FreeBlocks(
+        n,
+        Matrix.zeros(3 * n, n),
+        Matrix.vstack([q.a10, zero, -eye]),
+        Matrix.vstack([q.a01, -eye, zero]),
+    )
+
+
 def ansatz_target(q: QuadPoly2P, v) -> PolyMatrix:
     """The 3n x n polynomial matrix v kron Q(lam,mu)."""
     v_col = Matrix.column(v)

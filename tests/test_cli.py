@@ -283,6 +283,41 @@ def test_compare_seeded(capsys):
     assert "spectra agree" in out
 
 
+def test_compare_expands_no_pencil_determinant(capsys, tmp_path, monkeypatch):
+    # compare expands one n_i x n_i determinant per quadratic and reads each
+    # det L_i off its unimodular-pair certificate: exact_det_poly never sees
+    # a 3n x 3n pencil, with the standard blocks or with seeded ones.
+    import random
+    import sys
+
+    from pencilspace import QuadSystem2P, polymatrix
+    from pencilspace import serialization as ser
+
+    from conftest import rand_quad
+
+    rng = random.Random(29)
+    system12 = tmp_path / "system12.json"
+    system12.write_text(ser.serialize_system(QuadSystem2P(rand_quad(rng, 1), rand_quad(rng, 2))))
+    real = polymatrix.exact_det_poly
+    sizes = []
+
+    def recording(a):
+        sizes.append((a.rows, a.cols))
+        return real(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pencilspace" and getattr(module, "exact_det_poly", None) is real:
+            monkeypatch.setattr(module, "exact_det_poly", recording)
+    systems = {SYS_CIRCLE_LINE: (1, 1), str(CORPUS / "sys_complex.json"): (1, 1), SYS_RATIONAL: (1, 1)}
+    systems[str(system12)] = (1, 2)
+    for path, (n1, n2) in systems.items():
+        for seed in ([], ["--seed", "5"]):
+            sizes.clear()
+            code, out, _ = run(capsys, "compare", "-s", path, *seed)
+            assert code == 0 and "spectra agree" in out
+            assert sorted(sizes) == [(n1, n1), (n2, n2)]
+
+
 def _scalar_quadratic(**coefficients):
     names = ("A20", "A11", "A02", "A10", "A01", "A00")
     return {"n": 1, "coefficients": {k: [[str(coefficients.get(k, 0))]] for k in names}}

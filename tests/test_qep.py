@@ -22,6 +22,8 @@ from pencilspace import (
 )
 from pencilspace.errors import HypothesisViolatedError, NonGenericSystemError
 from pencilspace.matrices import structural_rank
+from pencilspace.polymatrix import exact_det_poly
+from pencilspace.space import lower_z_block
 from pencilspace.bipoly import UniPoly
 from pencilspace import qep
 from pencilspace.pencil import Pencil2P
@@ -384,6 +386,43 @@ def test_spectrum_pencil_matches_quadratic(rng):
     assert len(report.points) == len(quad.points)
     for a, b in zip(report.points, quad.points):
         assert abs(a.lam - b.lam) < 1e-8 and abs(a.mu - b.mu) < 1e-8
+
+
+def certifiable_blocks(rng, n, complex_prob):
+    """Random blocks with Y21 = Y31 = 0 and a nonsingular lower Z block."""
+    while True:
+        y1 = Matrix.vstack([rand_matrix(rng, n, n, complex_prob), Matrix.zeros(2 * n, n)])
+        z1, z2 = (rand_matrix(rng, 3 * n, n, complex_prob) for _ in range(2))
+        if lower_z_block(z1, z2).det():
+            return FreeBlocks(n, y1, z1, z2)
+
+
+@pytest.mark.parametrize("blocks", ["standard", "random"])
+@pytest.mark.parametrize(
+    "alpha", [1, Fraction(-3, 2), GaussianRational(2, -1)], ids=["1", "-3/2", "2-i"]
+)
+@pytest.mark.parametrize("complex_prob", [0.0, 0.25], ids=["real", "complex"])
+@pytest.mark.parametrize("n1, n2", [(1, 1), (1, 2), (2, 2), (1, 3)])
+def test_pencil_determinant_read_off_the_certificate(n1, n2, complex_prob, alpha, blocks):
+    # F L E = diag(Q, I_2n) gives det L = det Q / (det E det F): the scaled
+    # det Q is the expanded det L, so the spectrum read off the certificates
+    # is the one of the expanded determinants, float for float.
+    rng = random.Random(f"det-route/{n1}/{n2}/{complex_prob}/{alpha}/{blocks}")
+    system = QuadSystem2P(rand_quad(rng, n1, complex_prob), rand_quad(rng, n2, complex_prob))
+    chosen = {}
+    if blocks == "random":
+        chosen = {
+            "blocks1": certifiable_blocks(rng, n1, complex_prob),
+            "blocks2": certifiable_blocks(rng, n2, complex_prob),
+        }
+    lin = linearize_system(system, alpha, alpha, **chosen)
+    expanded = []
+    for pencil, cert in ((lin.l1, lin.cert1), (lin.l2, lin.cert2)):
+        det_l = exact_det_poly(pencil.as_polymatrix())
+        assert cert.quadratic.det_poly * (1 / (cert.det_e * cert.det_f)) == det_l
+        expanded.append(det_l)
+    bound = lin.l1.m * lin.l2.m
+    assert spectrum_pencil(lin) == qep._common_zeros(*expanded, bound, qep.DEFAULT_SPECTRUM_TOL)
 
 
 def test_spectral_equality_certified(rng):

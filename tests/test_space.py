@@ -22,7 +22,7 @@ from pencilspace import space
 from pencilspace.errors import HypothesisViolatedError, ShapeError
 from pencilspace.polymatrix import PolyMatrix
 from pencilspace.scalars import GaussianRational
-from pencilspace.space import free_blocks
+from pencilspace.space import free_blocks, standard_blocks
 
 from conftest import (
     BIG_PRIMES,
@@ -34,6 +34,7 @@ from conftest import (
     rand_quad,
     reference_box_add,
     reference_member,
+    reference_standard_blocks,
     reference_witness,
     worked_example_blocks,
     worked_example_pencil,
@@ -287,10 +288,11 @@ def oracle_inputs(case, n, rng):
 @pytest.mark.parametrize("case", ORACLE_CASES)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_one_pass_layouts_equal_the_composition_oracles(n, case):
-    # The members and box-adds laid out on integer forms equal, as
-    # canonical forms, the ones composed from kron, hstack, submatrix and
-    # sums of Matrix objects.
+    # The members, box-adds and standard blocks laid out on integer forms
+    # equal, as canonical forms, the ones composed from kron, hstack,
+    # vstack, submatrix, negations and sums of Matrix objects.
     q, blocks, vectors, other = oracle_inputs(case, n, random.Random(f"{case}/{n}"))
+    assert standard_blocks(q) == reference_standard_blocks(q)
     kernel = kernel_member(n, blocks)
     assert kernel == reference_member(q, (0, 0, 0), blocks)
     assert box_add_pencil(kernel) == reference_box_add(kernel)
@@ -303,9 +305,10 @@ def test_one_pass_layouts_equal_the_composition_oracles(n, case):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_layouts_compose_no_matrix_objects(n, monkeypatch):
-    # generate_member, kernel_member and box_add_pencil write each result
-    # from the integer forms of their inputs: no Kronecker product, block
-    # assembly, submatrix or sum of matrices or pencils.
+    # generate_member, kernel_member, box_add_pencil and standard_blocks
+    # write each result from the integer forms of their inputs: no
+    # Kronecker product, block assembly, submatrix, negation or sum of
+    # matrices or pencils.
     q, blocks, vectors, other = oracle_inputs("coprime", n, random.Random(f"spy/{n}"))
     calls = []
     for owner, name in (
@@ -313,6 +316,7 @@ def test_layouts_compose_no_matrix_objects(n, monkeypatch):
         (Matrix, "from_blocks"),
         (Matrix, "submatrix"),
         (Matrix, "__add__"),
+        (Matrix, "__neg__"),
         (Pencil2P, "__add__"),
     ):
 
@@ -323,6 +327,7 @@ def test_layouts_compose_no_matrix_objects(n, monkeypatch):
         monkeypatch.setattr(owner, name, recording)
     for pencil in [kernel_member(n, blocks), other] + [generate_member(q, v, blocks) for v in vectors]:
         box_add_pencil(pencil)
+    standard_blocks(q)
     assert calls == []
 
 
