@@ -44,6 +44,7 @@ from .polymatrix import PolyMatrix, det_ratio
 from .scalars import ONE, ZERO, GaussianRational
 from .space import (
     FreeBlocks,
+    ansatz_row,
     coerce_vector3,
     generate_member,
     lower_z_block,
@@ -211,7 +212,7 @@ class LinearizationCertificate:
 
 def _has_ansatz(pencil: Pencil2P, q: QuadPoly2P, alpha: GaussianRational) -> bool:
     """The ansatz identity box-add(L) = (alpha e1) kron [A20 A11 A02 A10 A01 A00]."""
-    return box_add_pencil(pencil) == kron(Matrix.column([alpha, ZERO, ZERO]), q.coefficient_row())
+    return box_add_pencil(pencil) == ansatz_row((alpha, ZERO, ZERO), q.coefficient_row())
 
 
 def certify_scaled_e1(

@@ -4,7 +4,9 @@
 values as one positive common denominator over Gaussian-integer numerators,
 each an (re, im) int pair.  The form is canonical when the denominator and
 every numerator component have no common factor, so equal values have
-equal forms.  This module alone holds its rules: the way in, alignment to a
+equal forms.  A ``GaussianRational`` is the one-entry case, so the way in
+from scalars and the way back to one read and write its three fields.
+This module alone holds the rules of the form: the way in, alignment to a
 common denominator, canonical reduction, Z[i] product, power and division,
 and the way back to a ``GaussianRational`` or a ``complex``.  It runs on
 ints; the containers keep their own storage and the inline arithmetic of
@@ -13,7 +15,6 @@ their per-entry hot loops.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -35,10 +36,12 @@ def from_parts(parts: Iterable[Parts]) -> tuple[int, list[Pair]]:
 
 
 def from_scalars(values: Iterable[GaussianRational]) -> tuple[int, list[Pair]]:
-    """The integer form of GaussianRational values."""
-    return from_parts(
-        [(v.re.numerator, v.re.denominator, v.im.numerator, v.im.denominator) for v in values]
-    )
+    """The integer form of GaussianRational values: the lcm of their
+    denominators and each value's numerators times lcm // its denominator
+    (canonical, as in ``aligned``)."""
+    values = list(values)
+    den = lcm(*{v._den for v in values})
+    return den, [(v._re * (den // v._den), v._im * (den // v._den)) for v in values]
 
 
 def aligned(forms: Sequence[tuple[int, Rows]]) -> tuple[int, list[Rows]]:
@@ -94,8 +97,8 @@ def exact_div(xs: Iterable[Pair], y: Pair) -> list[Pair]:
 
 
 def to_scalar(den: int, pair: Pair) -> GaussianRational:
-    """The value pair / den."""
-    return GaussianRational(Fraction(pair[0], den), Fraction(pair[1], den))
+    """The value pair / den, for den > 0."""
+    return GaussianRational._from_form(pair[0], pair[1], den)
 
 
 def to_complex(den: int, pairs: Iterable[Pair]) -> list[complex]:

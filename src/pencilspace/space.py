@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 from . import gaussint
 from .errors import HypothesisViolatedError, ShapeError
-from .gaussint import Rows
-from .matrices import Matrix, kron
+from .gaussint import Pair, Rows
+from .matrices import Matrix
 from .pencil import Pencil2P, QuadPoly2P, box_add_pencil
 from .scalars import GaussianRational
 
@@ -94,7 +94,8 @@ def membership(pencil: Pencil2P, q: QuadPoly2P) -> MembershipResult:
         raise ShapeError(f"pencil size {pencil.m} does not match 3n = {3 * n}")
     b = box_add_pencil(pencil)
     row = q.coefficient_row()
-    pivot = next(((r, c) for r in range(n) for c in range(6 * n) if row[r, c]), None)
+    den, data = row.integer_form()
+    pivot = next(((r, c) for r in range(n) for c in range(6 * n) if data[r][c] != (0, 0)), None)
     if pivot is None:
         # Zero coefficient row: the identity degenerates; any v works when
         # the box-add vanishes, no v works otherwise.
@@ -103,10 +104,32 @@ def membership(pencil: Pencil2P, q: QuadPoly2P) -> MembershipResult:
             return MembershipResult(True, (zero, zero, zero), ambiguous=True)
         return MembershipResult(False, None, ambiguous=True)
     r0, c0 = pivot
-    v = tuple(b[i * n + r0, c0] / row[r0, c0] for i in range(3))
-    if b != kron(Matrix.column(v), row):
+    entry = gaussint.to_scalar(den, data[r0][c0])
+    v = tuple(b[i * n + r0, c0] / entry for i in range(3))
+    if b != ansatz_row(v, row):
         return NOT_MEMBER
     return MembershipResult(True, v)
+
+
+def ansatz_row(v: Vector3, row: Matrix) -> Matrix:
+    """v kron [A20 A11 A02 A10 A01 A00] for row the coefficient row of Q,
+    the box-add of a member with ansatz v: block row i is v_i times row,
+    written as one integer form."""
+    v_den, v_num = gaussint.from_scalars(v)
+    den, data = row.integer_form()
+    return Matrix.from_integer_form(v_den * den, _kron_rows(v_num, data))
+
+
+def _kron_rows(v_num: list[Pair], data: Rows) -> list[tuple[Pair, ...]]:
+    """The rows of v kron A from the numerators of v and of A."""
+    zero_row = ((0, 0),) * len(data[0])
+    return [
+        tuple([(w_re * re - w_im * im, w_re * im + w_im * re) for re, im in row])
+        if w_re or w_im
+        else zero_row
+        for w_re, w_im in v_num
+        for row in data
+    ]
 
 
 def generate_member(q: QuadPoly2P, v: Sequence, blocks: FreeBlocks) -> Pencil2P:
@@ -122,18 +145,9 @@ def generate_member(q: QuadPoly2P, v: Sequence, blocks: FreeBlocks) -> Pencil2P:
     if blocks.n != n:
         raise ShapeError(f"blocks sized for n = {blocks.n}, quadratic has n = {n}")
     v_den, v_num = gaussint.from_scalars(coerce_vector3(v))
-    zero_row = ((0, 0),) * n
-    ansatz = []
-    for den, data in (c.integer_form() for c in q.coefficients()):
-        # v kron A_ab over v_den * den: block row i is v_i times A_ab
-        rows = [
-            tuple([(w_re * re - w_im * im, w_re * im + w_im * re) for re, im in row])
-            if w_re or w_im
-            else zero_row
-            for w_re, w_im in v_num
-            for row in data
-        ]
-        ansatz.append((v_den * den, rows))
+    # v kron A_ab over v_den * den: block row i is v_i times A_ab
+    forms = (c.integer_form() for c in q.coefficients())
+    ansatz = [(v_den * den, _kron_rows(v_num, data)) for den, data in forms]
     return _lay_out(ansatz, blocks)
 
 

@@ -23,6 +23,150 @@ from pencilspace.resultants import _checked_degrees, _sylvester_rows
 from pencilspace.scalars import GaussianRational
 
 
+class ReferenceGaussian:
+    """An element of Q(i) as a pair of Fractions: the reference that
+    ``scalars.GaussianRational``, on one integer form, is checked against.
+    Its arithmetic is the textbook formulas on ``Fraction`` parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ReferenceGaussian is immutable")
+
+    # -- construction helpers -------------------------------------------------
+
+    @staticmethod
+    def coerce(value) -> "ReferenceGaussian":
+        """Coerce an int, str, or Fraction into a ReferenceGaussian."""
+        if isinstance(value, ReferenceGaussian):
+            return value
+        return ReferenceGaussian(Fraction(value))
+
+    # -- predicates ------------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.re and not self.im
+
+    def is_real(self) -> bool:
+        return not self.im
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    # -- field arithmetic -------------------------------------------------------
+
+    def __add__(self, other) -> "ReferenceGaussian":
+        other = _as_reference(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return ReferenceGaussian(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "ReferenceGaussian":
+        other = _as_reference(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return ReferenceGaussian(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other) -> "ReferenceGaussian":
+        other = _as_reference(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other) -> "ReferenceGaussian":
+        other = _as_reference(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return ReferenceGaussian(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "ReferenceGaussian":
+        other = _as_reference(other)
+        if other is NotImplemented:
+            return NotImplemented
+        denom = other.re * other.re + other.im * other.im
+        if not denom:
+            raise ZeroDivisionError("division by zero GaussianRational")
+        return ReferenceGaussian(
+            (self.re * other.re + self.im * other.im) / denom,
+            (self.im * other.re - self.re * other.im) / denom,
+        )
+
+    def __rtruediv__(self, other) -> "ReferenceGaussian":
+        other = _as_reference(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
+
+    def __neg__(self) -> "ReferenceGaussian":
+        return ReferenceGaussian(-self.re, -self.im)
+
+    def __pow__(self, exponent: int) -> "ReferenceGaussian":
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("only non-negative integer powers are supported")
+        result = ReferenceGaussian(1)
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            base = base * base
+            exponent >>= 1
+        return result
+
+    def conjugate(self) -> "ReferenceGaussian":
+        return ReferenceGaussian(self.re, -self.im)
+
+    # -- comparisons and hashing -------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        other = _as_reference(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    # -- conversions -------------------------------------------------------------
+
+    def to_complex(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+    def __complex__(self) -> complex:
+        return self.to_complex()
+
+    def __str__(self) -> str:
+        if not self.im:
+            return str(self.re)
+        im = f"{self.im}i" if abs(self.im) != 1 else ("i" if self.im > 0 else "-i")
+        if not self.re:
+            return im
+        sign = "+" if self.im > 0 else ""
+        return f"{self.re}{sign}{im}"
+
+    def __repr__(self) -> str:
+        # The repr of GaussianRational, which the integer-form class reproduces.
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+def _as_reference(value) -> "ReferenceGaussian":
+    if isinstance(value, ReferenceGaussian):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return ReferenceGaussian(value)
+    return NotImplemented
+
+
 def rand_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 1, 2, 3)))
 

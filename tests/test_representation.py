@@ -18,14 +18,17 @@ from fractions import Fraction
 
 import pytest
 
+from pencilspace import qep
 from pencilspace.bipoly import BiPoly
+from pencilspace.construct import ALL_CASES, ansatz_transform, certify_scaled_e1
 from pencilspace.errors import ShapeError
 from pencilspace.matrices import Matrix
 from pencilspace.polymatrix import PolyMatrix, exact_det_poly
+from pencilspace.qep import QuadSystem2P, linearize_system, verify_eigenpair
 from pencilspace.resultants import sylvester_resultant
 from pencilspace.scalars import GaussianRational
 
-from conftest import complex_coeffs
+from conftest import complex_coeffs, plant_eigenvector, rand_gr, rand_quad
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -286,6 +289,8 @@ def test_integer_kernels_run_no_fraction_or_gaussian_rational_arithmetic():
         # reading the scalar argument of scale and building the det result
         ("scalars.py", "coerce"),
         ("scalars.py", "__init__"),
+        # building a GaussianRational from an integer form
+        ("scalars.py", "_from_form"),
         ("fractions.py", "__new__"),
         ("fractions.py", "numerator"),
         ("fractions.py", "denominator"),
@@ -320,3 +325,40 @@ def test_spectrum_path_runs_no_fraction_or_gaussian_rational_arithmetic():
 
     assert _calls_into_scalars(run) == set()
     assert out["square_free"].degree() == 16
+
+
+# Fraction arithmetic: the operators and the monomorphic kernels they call.
+FRACTION_ARITHMETIC = {
+    ("fractions.py", name)
+    for name in ("_add", "_sub", "_mul", "_div", "forward", "reverse", "__neg__", "__pow__")
+}
+
+
+def test_scalar_certificates_run_no_fraction_arithmetic():
+    # alpha, det E = alpha^-n, det F = 1/det Z, the lam^a mu^b of the
+    # eigenpair residuals, the case table and det L's constant all run on
+    # the integer form of GaussianRational.
+    rng = random.Random(30)
+    lam, mu = rand_gr(rng, 1.0), rand_gr(rng, 1.0)
+    q1, x1 = plant_eigenvector(rng, rand_quad(rng, 2), lam, mu)
+    q2, x2 = plant_eigenvector(rng, rand_quad(rng, 3), lam, mu)
+    system = QuadSystem2P(q1, q2)
+    alpha = GaussianRational(Fraction(-3, 2), Fraction(1, 3))
+    lin = linearize_system(system, alpha, alpha)
+    a, b, c = GaussianRational(Fraction(2, 3), -1), GaussianRational(Fraction(-5, 7), 2), Fraction(3, 4)
+    vectors = [(a, b, c), (0, b, c), (0, 0, c), (a, 0, c), (a, 0, 0), (a, b, 0), (0, b, 0)]
+    out = {}
+
+    def run():
+        out["cert"] = certify_scaled_e1(lin.l1, q1, alpha)
+        out["pair"] = verify_eigenpair(system, lin, lam, mu, x1, x2)
+        out["cases"] = {ansatz_transform(v, alpha).case for v in vectors}
+        out["alt"] = ansatz_transform(vectors[3], alpha, "ac-alt")
+        out["det"] = [qep._pencil_det(p, cert) for p, cert in ((lin.l1, lin.cert1), (lin.l2, lin.cert2))]
+
+    seen = _calls_into_scalars(run)
+    assert not seen & FRACTION_ARITHMETIC, sorted(seen & FRACTION_ARITHMETIC)
+    assert out["cert"].verified and out["cert"].det_e == (1 / alpha) ** 2
+    assert out["pair"].passed and all(check.exact_zero for check in out["pair"].checks)
+    assert out["cases"] | {"ac-alt"} == set(ALL_CASES)
+    assert out["det"][1] == exact_det_poly(lin.l2.as_polymatrix())

@@ -498,3 +498,40 @@ def test_space_dimension_forms_one_kron_per_ansatz_coefficient(monkeypatch, rng)
     summary = space_dimension(rand_quad(rng, 3))
     assert summary.verified and summary.dimension == 84
     assert len(calls) <= 9, len(calls)
+
+
+def kron_membership(pencil: Pencil2P, q: QuadPoly2P):
+    """membership through Matrix.column and kron: v from the first nonzero
+    entry of the coefficient row, then box-add == kron(column(v), row)."""
+    n, b, row = q.n, box_add_pencil(pencil), q.coefficient_row()
+    pivot = next(((r, c) for r in range(n) for c in range(6 * n) if row[r, c]), None)
+    if pivot is None:
+        return b.is_zero(), None
+    r0, c0 = pivot
+    v = tuple(b[i * n + r0, c0] / row[r0, c0] for i in range(3))
+    return b == kron(Matrix.column(v), row), v
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ansatz_row_and_membership_match_the_kron_route(n, rng):
+    for k in range(4):
+        q = rand_quad(rng, n, 0.5)
+        if k % 2:
+            # A leading zero coefficient moves the pivot past A20.
+            q = QuadPoly2P(n, Matrix.zeros(n, n), *q.coefficients()[1:])
+        v = tuple(rand_gr(rng, 0.5) if rng.random() < 0.7 else GaussianRational(0) for _ in range(3))
+        row = q.coefficient_row()
+        assert space.ansatz_row(v, row) == kron(Matrix.column(v), row)
+        member = generate_member(q, v, rand_blocks(rng, n))
+        bumped = member.const + Matrix.from_blocks(
+            [[rand_matrix(rng, n, n) if (i, j) == (2, 2) else Matrix.zeros(n, n) for j in range(3)]
+             for i in range(3)]
+        )
+        for pencil in (member, Pencil2P(3 * n, member.lam_coeff, member.mu_coeff, bumped)):
+            result = membership(pencil, q)
+            verdict, expected_v = kron_membership(pencil, q)
+            assert result.is_member == verdict
+            assert result.v == (expected_v if verdict else None)
+    zero = QuadPoly2P(n, *(Matrix.zeros(n, n) for _ in range(6)))
+    kernel = kernel_member(n, rand_blocks(rng, n))
+    assert membership(kernel, zero).is_member and kron_membership(kernel, zero)[0]
