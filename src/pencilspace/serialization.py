@@ -7,10 +7,16 @@ NaN and infinities are rejected.  Serialization is canonical -- keys in a
 fixed order, every scalar a lowest-terms string, two-space indentation --
 so serialize(parse(file)) is byte-identical for canonically written files.
 
-Matrices are read and written on their integer form (``gaussint``): each
-entry becomes lowest-terms (numerator, denominator) parts of re and im, the
-matrix one lcm of those denominators, and printing takes one gcd per
-numerator component, so no GaussianRational is built per entry.
+Matrices are read and written on their integer form (``gaussint``), one
+pass per row.  A canonical entry -- a JSON int, an ASCII "p" or "p/q"
+string, or an {"re", "im"} pair of those -- is read with int() and one gcd,
+the same test parse_rational makes first; any other entry goes through the
+full literal grammar, and only then is its location named.  The entries'
+numerators over the lcm of their denominators give the matrix.  Each
+serialize_* writes the text of json.dumps(<its *_to_dict>, indent=2)
+straight from the integer forms, one gcd per distinct numerator component,
+with no dict of strings between.  No Fraction or GaussianRational is built
+for a canonical entry either way.
 """
 
 from __future__ import annotations
@@ -20,9 +26,8 @@ import re
 import sys
 from fractions import Fraction
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd
-from typing import Any
+from typing import Any, Callable
 
 from . import gaussint
 from .errors import ParseError
@@ -73,15 +78,9 @@ def parse_rational(text: str, location: str) -> tuple[int, int]:
     and every rejected literal) goes through Fraction.
     """
     literal = _without_separators(text)
-    num, slash, den = literal.partition("/")
-    # No int of at most MAX_DIGITS digits raises, and each is below _TOO_LONG.
-    if literal.isascii() and len(literal) <= MAX_DIGITS and num.removeprefix("-").isdigit():
-        if not slash:
-            return int(num), 1
-        if den.isdigit() and int(den):
-            num, den = int(num), int(den)
-            g = gcd(num, den)
-            return num // g, den // g
+    plain = _plain_rational(literal)
+    if plain is not None:
+        return plain
     exponent_form = _EXPONENT_FORM.fullmatch(literal)
     try:
         huge = exponent_form is not None and abs(int(exponent_form[2])) > 2 * MAX_DIGITS
@@ -93,6 +92,24 @@ def parse_rational(text: str, location: str) -> tuple[int, int]:
             f"{text!r} has a numerator or denominator of more than {MAX_DIGITS} digits", location
         )
     return value.numerator, value.denominator
+
+
+def _plain_rational(text: str) -> tuple[int, int] | None:
+    """The lowest-terms (numerator, denominator) of an ASCII integer or p/q
+    with q > 0, of at most MAX_DIGITS characters, read with int() and one
+    gcd; None for every other literal, which parse_rational reads through
+    Fraction."""
+    # No int of at most MAX_DIGITS digits raises, and each is below _TOO_LONG.
+    if len(text) <= MAX_DIGITS and text.isascii():
+        if text.removeprefix("-").isdigit():
+            return int(text), 1
+        num, slash, den = text.partition("/")
+        if slash and num.removeprefix("-").isdigit() and den.isdigit():
+            num, den = int(num), int(den)
+            if den:
+                g = gcd(num, den)
+                return num // g, den // g
+    return None
 
 
 def _without_separators(text: str) -> str:
@@ -165,21 +182,40 @@ def parse_matrix(value: Any, rows: int, cols: int, location: str) -> Matrix:
         raise ParseError("expected a non-empty list of rows", location)
     if len(value) != rows:
         raise ParseError(f"expected {rows} rows, found {len(value)}", location)
-    suffixes = [f"[{j}]" for j in range(cols)]
-    entries = []
+    parts = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"row {i} must be a list of {cols} scalars", location)
-        row_location = f"{location}[{i}]"
-        entries.append([_scalar_parts(v, row_location + s) for v, s in zip(row, suffixes)])
-    return _matrix_from_parts(entries)
+        parts += [
+            _canonical_parts(v) or _scalar_parts(v, f"{location}[{i}][{j}]")
+            for j, v in enumerate(row)
+        ]
+    return _matrix_from_parts(parts, cols)
 
 
-def _matrix_from_parts(entries: list[list[gaussint.Parts]]) -> Matrix:
-    """The matrix of rows of lowest-terms scalar parts."""
-    den, pairs = gaussint.from_parts(chain.from_iterable(entries))
-    cols = len(entries[0])
+def _matrix_from_parts(parts: list[gaussint.Parts], cols: int) -> Matrix:
+    """The matrix of cols columns of the row-major lowest-terms parts."""
+    den, pairs = gaussint.from_parts(parts)
     return Matrix.from_integer_form(den, [pairs[k : k + cols] for k in range(0, len(pairs), cols)])
+
+
+def _canonical_parts(value: Any) -> gaussint.Parts | None:
+    """The parts of a canonical entry -- a JSON int, an ASCII "p" or "p/q"
+    string, or an {"re", "im"} pair of those -- read with int() and one gcd
+    per string; None for any other entry, which _scalar_parts reads."""
+    kind = type(value)
+    if kind is str:
+        re = _plain_rational(value)
+        return None if re is None else (*re, 0, 1)
+    if kind is int:
+        return value, 1, 0, 1
+    if kind is dict and len(value) == 2:
+        re, im = value.get("re"), value.get("im")
+        re = (re, 1) if type(re) is int else _plain_rational(re) if type(re) is str else None
+        im = (im, 1) if type(im) is int else _plain_rational(im) if type(im) is str else None
+        if re is not None and im is not None:
+            return re + im
+    return None
 
 
 def format_matrix(m: Matrix) -> list:
@@ -211,6 +247,15 @@ def _loads(text: str, location: str) -> Any:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except RecursionError:
         raise ParseError("invalid JSON: arrays or objects nested too deeply", location) from None
+    except ParseError:
+        raise
+    except ValueError as exc:
+        # int() refuses a JSON integer of more digits than the interpreter
+        # allows; any other ValueError (bytes that are not UTF-8) is raised
+        # as it is.
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ParseError(f"a JSON integer has more than {MAX_DIGITS} digits", location) from None
 
 
 def _require_keys(doc: dict, keys: tuple[str, ...], location: str) -> None:
@@ -246,11 +291,12 @@ def parse_problem(text: str) -> QuadPoly2P:
     return parse_problem_dict(_loads(text, "problem"))
 
 
-def problem_to_dict(q: QuadPoly2P) -> dict:
+def problem_to_dict(q: QuadPoly2P, matrix: Callable[[Matrix], Any] = format_matrix) -> dict:
+    """The problem document, each coefficient as matrix(coefficient)."""
     return {
         "n": q.n,
         "coefficients": {
-            key: format_matrix(getattr(q, key.lower())) for key in COEFF_KEYS
+            key: matrix(getattr(q, key.lower())) for key in COEFF_KEYS
         },
     }
 
@@ -267,12 +313,12 @@ def parse_pencil(text: str) -> Pencil2P:
     )
 
 
-def pencil_to_dict(pencil: Pencil2P) -> dict:
+def pencil_to_dict(pencil: Pencil2P, matrix: Callable[[Matrix], Any] = format_matrix) -> dict:
     return {
         "m": pencil.m,
-        "A1hat": format_matrix(pencil.lam_coeff),
-        "A2hat": format_matrix(pencil.mu_coeff),
-        "A3hat": format_matrix(pencil.const),
+        "A1hat": matrix(pencil.lam_coeff),
+        "A2hat": matrix(pencil.mu_coeff),
+        "A3hat": matrix(pencil.const),
     }
 
 
@@ -285,10 +331,10 @@ def parse_system(text: str) -> QuadSystem2P:
     )
 
 
-def system_to_dict(system: QuadSystem2P) -> dict:
+def system_to_dict(system: QuadSystem2P, matrix: Callable[[Matrix], Any] = format_matrix) -> dict:
     return {
-        "Q1": problem_to_dict(system.q1),
-        "Q2": problem_to_dict(system.q2),
+        "Q1": problem_to_dict(system.q1, matrix),
+        "Q2": problem_to_dict(system.q2, matrix),
     }
 
 
@@ -304,12 +350,12 @@ def parse_blocks(text: str) -> FreeBlocks:
     )
 
 
-def blocks_to_dict(blocks: FreeBlocks) -> dict:
+def blocks_to_dict(blocks: FreeBlocks, matrix: Callable[[Matrix], Any] = format_matrix) -> dict:
     return {
         "n": blocks.n,
-        "Y1": format_matrix(blocks.y1),
-        "Z1": format_matrix(blocks.z1),
-        "Z2": format_matrix(blocks.z2),
+        "Y1": matrix(blocks.y1),
+        "Z1": matrix(blocks.z1),
+        "Z2": matrix(blocks.z2),
     }
 
 
@@ -329,59 +375,72 @@ def parse_eigenpair(text: str) -> dict:
         vec = doc[key]
         if not isinstance(vec, list) or not vec:
             raise ParseError("expected a non-empty list of scalars", f"pair.{key}")
-        out[key] = _matrix_from_parts(
-            [[_scalar_parts(v, f"pair.{key}[{i}]")] for i, v in enumerate(vec)]
-        )
+        parts = [
+            _canonical_parts(v) or _scalar_parts(v, f"pair.{key}[{i}]") for i, v in enumerate(vec)
+        ]
+        out[key] = _matrix_from_parts(parts, 1)
     return out
 
 
 # -- canonical text form ---------------------------------------------------------
+#
+# *_to_dict lays each document out once.  serialize_* writes the text of
+# json.dumps(<its *_to_dict>, indent=2) plus a newline from that layout,
+# each Matrix kept as it is (_same) and printed off its integer form.
+# Every key is an ASCII name and every scalar string ASCII digits, "-" and
+# "/", so nothing needs escaping.
 
 
-def dumps(doc: dict) -> str:
-    """The text of json.dumps(doc, indent=2) plus a newline, for a document
-    of dicts with str keys, lists and JSON leaves.
-
-    The layout is written here and every leaf by the C encoder: json.dumps
-    with an indent runs its pure-Python encoder throughout.
-    """
-    return _dump(doc, "\n") + "\n"
+def _same(m: Matrix) -> Matrix:
+    return m
 
 
-_encode_leaf = json.JSONEncoder().encode
-
-
-def _dump(value: Any, newline: str) -> str:
-    """value in json.dumps's indent=2 layout; newline is "\n" plus the
-    current indentation."""
-    inner = newline + "  "
+def _text(value: Any, newline: str) -> str:
+    """The json.dumps(..., indent=2) text of a document of dicts, ints and
+    matrices, each matrix printed as format_matrix lays it out, for a value
+    starting on a line of indentation newline[1:]."""
+    if isinstance(value, Matrix):
+        return _matrix_text(value, newline)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [
-            _encode_str(k) + ": " + (_encode_str(v) if type(v) is str else _dump(v, inner))
-            for k, v in value.items()
+        inner = newline + "  "
+        fields = ("," + inner).join(f'"{key}": {_text(v, inner)}' for key, v in value.items())
+        return "{" + inner + fields + newline + "}"
+    return str(value)
+
+
+def _matrix_text(m: Matrix, newline: str) -> str:
+    """format_matrix(m) as json.dumps prints it, read off the integer form:
+    one gcd per distinct numerator component."""
+    den, data = m.integer_form()
+    row_break = newline + "  "
+    entry_break = row_break + "  "
+    part_break = entry_break + "  "
+    re_head = "{" + part_break + '"re": "'
+    im_head = '",' + part_break + '"im": "'
+    im_tail = '"' + entry_break + "}"
+    components = set(chain.from_iterable(chain.from_iterable(data)))
+    text = {c: _format_rational(c, den) for c in components}
+    rows = []
+    for row in data:
+        entries = [
+            f"{re_head}{text[re]}{im_head}{text[im]}{im_tail}" if im else f'"{text[re]}"'
+            for re, im in row
         ]
-        return "{" + inner + ("," + inner).join(parts) + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        parts = [_encode_str(v) if type(v) is str else _dump(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
-    return _encode_leaf(value)
+        rows.append("[" + entry_break + ("," + entry_break).join(entries) + row_break + "]")
+    return "[" + row_break + ("," + row_break).join(rows) + newline + "]"
 
 
 def serialize_problem(q: QuadPoly2P) -> str:
-    return dumps(problem_to_dict(q))
+    return _text(problem_to_dict(q, _same), "\n") + "\n"
 
 
 def serialize_pencil(pencil: Pencil2P) -> str:
-    return dumps(pencil_to_dict(pencil))
+    return _text(pencil_to_dict(pencil, _same), "\n") + "\n"
 
 
 def serialize_system(system: QuadSystem2P) -> str:
-    return dumps(system_to_dict(system))
+    return _text(system_to_dict(system, _same), "\n") + "\n"
 
 
 def serialize_blocks(blocks: FreeBlocks) -> str:
-    return dumps(blocks_to_dict(blocks))
+    return _text(blocks_to_dict(blocks, _same), "\n") + "\n"

@@ -271,6 +271,45 @@ def test_spectrum_non_generic_exit_code(capsys, tmp_path):
     assert "non-generic" in err
 
 
+CODEC_FUNCTIONS = (
+    "parse_problem",
+    "parse_pencil",
+    "parse_system",
+    "parse_blocks",
+    "parse_eigenpair",
+    "serialize_pencil",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["certify", "-q", Q_WORKED, "-l", L_SOURCE], ["parse_problem", "parse_pencil"]),
+        (["standard", "-q", Q_CIRCLE], ["parse_problem", "serialize_pencil"]),
+        (["compare", "-s", SYS_CIRCLE_LINE], ["parse_system"]),
+    ],
+    ids=["certify", "standard", "compare"],
+)
+def test_commands_read_and_write_through_the_codec_functions(capsys, monkeypatch, argv, calls):
+    # The benchmark's serialization spans wrap these names in
+    # pencilspace.serialization, and the CLI reaches them through that
+    # module; a command that renamed or bypassed one would leave its span
+    # reading 0.
+    from pencilspace import serialization as ser
+
+    seen = []
+    for name in CODEC_FUNCTIONS:
+
+        def spy(*args, _name=name, _call=getattr(ser, name)):
+            seen.append(_name)
+            return _call(*args)
+
+        monkeypatch.setattr(ser, name, spy)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert seen == calls
+
+
 def test_compare(capsys):
     code, out, _ = run(capsys, "compare", "-s", SYS_CIRCLE_LINE)
     assert code == 0
