@@ -10,13 +10,16 @@ but Delta0 is always exactly singular for this class, so spectra here are
 computed by resultants plus root iteration and the Delta equations are
 verified on known eigenpairs instead of solved.
 
-A spectrum runs one root iteration, on the square-free resultant R in mu
-of the determinants sheared to x = lam + t*mu, for the first t = 0, 1, ...
-at which the first subresultant S1 = s1(x)*mu + s0(x) exists and
-gcd(s1, R) = 1 is proved exactly.  Then each x root carries exactly one
-common mu, -s0(x)/s1(x), which two Newton steps polish, and lam = x - t*mu.
-Only a common zero singular on both determinant curves defeats every t;
-``_common_zeros`` bounds the loop and proves it.
+A spectrum runs in two stages.  The exact stage, ``_exact_stage``, shears
+lam to x = lam + t*mu for the first t = 0, 1, ... at which the first
+subresultant S1 = s1(x)*mu + s0(x) of the determinants in mu exists and
+gcd(s1, R) = 1 is proved, R the square-free part of their resultant; only
+a common zero singular on both determinant curves defeats every t, and its
+docstring bounds the loop and proves it.  It runs no float code.  The float
+stage, ``_float_stage``, runs one root iteration on R: each x root carries
+exactly one common mu, -s0(x)/s1(x), which two Newton steps polish, and
+lam = x - t*mu; a residual filter and a sort give the points.  It calls
+no code of the exact stage, so either stage can change alone.
 
 Why Delta0 = B1 kron C2 - C1 kron B2 is singular: in an alpha*e1 member
 with Y21 = Y31 = 0, the lower 2n block rows of the lam and mu
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional
 
-from . import gaussint
+from . import gaussint, roots
 from .bipoly import BiPoly, UniPoly
 from .construct import LinearizationCertificate, certify_scaled_e1
 from .errors import HypothesisViolatedError, NonGenericSystemError, ShapeError
@@ -188,16 +191,31 @@ def delta0_singularity(lin: LinearSystem2P) -> SingularityReport:
 
 
 def _common_zeros(f: BiPoly, g: BiPoly, bound: int, tol: float) -> SpectrumReport:
-    """Finite common zeros of two determinant polynomials f and g.
+    """Finite common zeros of two determinant polynomials f and g: the
+    float stage on what the exact stage proves."""
+    return SpectrumReport(points=_float_stage(_exact_stage(f, g), f, g, tol), bezout_bound=bound)
 
-    With f_t(x, mu) = f(x - t*mu, mu), and g_t alike, t = 0, 1, ... is
-    tried until the first subresultant S1 = s1(x)·mu + s0(x) of f_t and g_t
-    in mu exists and gcd(s1, R*) = 1 is proved, R* the square-free part of
-    their resultant (mod p, else by the PRS).  Each root x0 of R* then has
-    one common mu, -s0(x0)/s1(x0), which two Newton steps on f_t(x0, mu)
-    polish; lam = x0 - t*mu, and a point is kept when its residuals against
-    f and g pass.  So len(points) <= deg R* <= d_f·d_g <= bound, d_f and
-    d_g the total degrees.
+
+@dataclass(frozen=True)
+class _ExactStage:
+    """What ``_exact_stage`` proves of f and g: the shear t, the square-free
+    part R* of the resultant in mu of f_t and g_t, and their first
+    subresultant S1 = s1(x)·mu + s0(x) with gcd(s1, R*) = 1.  square_free,
+    s1 and s0 are None when f and g have no finite common zero."""
+
+    t: int
+    square_free: Optional[UniPoly]
+    s1: Optional[UniPoly]
+    s0: Optional[UniPoly]
+
+
+def _exact_stage(f: BiPoly, g: BiPoly) -> _ExactStage:
+    """The first t = 0, 1, ... at which, with f_t(x, mu) = f(x - t*mu, mu)
+    and g_t alike, the first subresultant S1 = s1(x)·mu + s0(x) of f_t and
+    g_t in mu exists and gcd(s1, R*) = 1 is proved, R* the square-free part
+    of their resultant (mod p, else by the PRS).  Each root x0 of R* then
+    has exactly one common mu, -s0(x0)/s1(x0), so f and g have at most
+    deg R* <= d_f·d_g finite common zeros, d_f and d_g the total degrees.
 
     The loop's bound.  A t >= 1 is tried only where the leading
     mu-coefficients of f_t and g_t are constants, which fails only where a
@@ -222,7 +240,7 @@ def _common_zeros(f: BiPoly, g: BiPoly, bound: int, tol: float) -> SpectrumRepor
         raise NonGenericSystemError(f"determinants share the factor {common}, free of mu")
     if len(f_mu) == 1 and len(g_mu) == 1:
         # Coprime and both free of mu: no common zero.
-        return SpectrumReport(points=(), bezout_bound=bound)
+        return _ExactStage(0, None, None, None)
     d_f, d_g = (max(map(sum, p.integer_form()[1])) for p in (f, g))
     zeros = d_f * d_g
     last = d_f + d_g + zeros + zeros * (zeros - 1) // 2 + 1
@@ -236,23 +254,34 @@ def _common_zeros(f: BiPoly, g: BiPoly, bound: int, tol: float) -> SpectrumRepor
                 "resultant vanishes identically (common factor: infinitely many zeros)"
             )
         if resultant.degree() < 1:
-            return SpectrumReport(points=(), bezout_bound=bound)
+            return _ExactStage(t, None, None, None)
         # The square-free part has the same roots without multiplicity, so
         # the simultaneous iteration never stalls on repeated-root clusters.
         square_free = resultant.square_free_part()
         if s1 is not None and square_free.is_coprime(s1):
-            break
-    else:
-        raise NonGenericSystemError(
-            f"a common zero is singular on both determinant curves "
-            f"(no x = lam + t*mu with t <= {last} separates the common zeros)"
-        )
+            return _ExactStage(t, square_free, s1, s0)
+    raise NonGenericSystemError(
+        f"a common zero is singular on both determinant curves "
+        f"(no x = lam + t*mu with t <= {last} separates the common zeros)"
+    )
 
-    mu_at = _mu_from_subresultant(s1, s0)
+
+def _float_stage(
+    stage: _ExactStage, f: BiPoly, g: BiPoly, tol: float
+) -> tuple[SpectrumPoint, ...]:
+    """The common zeros of f and g that stage proves, in floats, sorted
+    lexicographically: each root x0 of R* with mu0 = -s0(x0)/s1(x0) after
+    two Newton steps on f_t(x0, mu) (f itself at t = 0) and lam0 =
+    x0 - t*mu0, kept when its residuals against f and g pass."""
+    if stage.square_free is None:
+        return ()
+    t = stage.t
+    f_t = _shear(f, t)
+    mu_at = _mu_from_subresultant(stage.s1, stage.s0)
     f_t_mu = f_t.coeffs_in("mu")
     scale_t, scale_f, scale_g = (1.0 + p.max_abs_coeff() for p in (f_t, f, g))
     points: list[SpectrumPoint] = []
-    for x0 in unipoly_roots(square_free, tol=min(tol, 1e-12)):
+    for x0 in unipoly_roots(stage.square_free, tol=min(tol, roots.DEFAULT_TOL)):
         mu0 = mu_at(x0)
         if mu0 is None:
             raise OverflowError(f"s1 is proved nonzero at the root x = {x0}, but reads 0 in floats")
@@ -269,7 +298,7 @@ def _common_zeros(f: BiPoly, g: BiPoly, bound: int, tol: float) -> SpectrumRepor
         if res < tol:
             points.append(SpectrumPoint(lam0, mu0, res))
     points.sort(key=lambda p: (p.lam.real, p.lam.imag, p.mu.real, p.mu.imag))
-    return SpectrumReport(points=tuple(points), bezout_bound=bound)
+    return tuple(points)
 
 
 def _shear(p: BiPoly, t: int) -> BiPoly:

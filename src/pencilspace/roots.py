@@ -1,6 +1,7 @@
 """Simultaneous polynomial root finding (Durand-Kerner iteration).
 
-This is the one floating-point kernel in the package.  All roots of a
+The kernel of the float stage of a spectrum, ``qep._float_stage``, which
+with this module holds all of a spectrum's floating point.  All roots of a
 complex-coefficient polynomial are iterated together from perturbed-circle
 initial points; the iteration stops when the largest relative correction
 drops below the tolerance.  Output order is lexicographic by

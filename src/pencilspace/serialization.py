@@ -13,10 +13,11 @@ string, or an {"re", "im"} pair of those -- is read with int() and one gcd,
 the same test parse_rational makes first; any other entry goes through the
 full literal grammar, and only then is its location named.  The entries'
 numerators over the lcm of their denominators give the matrix.  Each
-serialize_* writes the text of json.dumps(<its *_to_dict>, indent=2)
-straight from the integer forms, one gcd per distinct numerator component,
-with no dict of strings between.  No Fraction or GaussianRational is built
-for a canonical entry either way.
+*_to_dict keeps its matrices as Matrix values, and each serialize_* writes
+the text of json.dumps(<its *_to_dict>, indent=2, default=format_matrix)
+straight from the integer forms, one gcd per distinct numerator
+component, with no dict of strings between.  No Fraction or
+GaussianRational is built for a canonical entry either way.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import sys
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from typing import Any, Callable
+from typing import Any
 
 from . import gaussint
 from .errors import ParseError
@@ -291,13 +292,11 @@ def parse_problem(text: str) -> QuadPoly2P:
     return parse_problem_dict(_loads(text, "problem"))
 
 
-def problem_to_dict(q: QuadPoly2P, matrix: Callable[[Matrix], Any] = format_matrix) -> dict:
-    """The problem document, each coefficient as matrix(coefficient)."""
+def problem_to_dict(q: QuadPoly2P) -> dict:
+    """The problem document, each coefficient kept as its Matrix."""
     return {
         "n": q.n,
-        "coefficients": {
-            key: matrix(getattr(q, key.lower())) for key in COEFF_KEYS
-        },
+        "coefficients": {key: getattr(q, key.lower()) for key in COEFF_KEYS},
     }
 
 
@@ -313,12 +312,12 @@ def parse_pencil(text: str) -> Pencil2P:
     )
 
 
-def pencil_to_dict(pencil: Pencil2P, matrix: Callable[[Matrix], Any] = format_matrix) -> dict:
+def pencil_to_dict(pencil: Pencil2P) -> dict:
     return {
         "m": pencil.m,
-        "A1hat": matrix(pencil.lam_coeff),
-        "A2hat": matrix(pencil.mu_coeff),
-        "A3hat": matrix(pencil.const),
+        "A1hat": pencil.lam_coeff,
+        "A2hat": pencil.mu_coeff,
+        "A3hat": pencil.const,
     }
 
 
@@ -331,10 +330,10 @@ def parse_system(text: str) -> QuadSystem2P:
     )
 
 
-def system_to_dict(system: QuadSystem2P, matrix: Callable[[Matrix], Any] = format_matrix) -> dict:
+def system_to_dict(system: QuadSystem2P) -> dict:
     return {
-        "Q1": problem_to_dict(system.q1, matrix),
-        "Q2": problem_to_dict(system.q2, matrix),
+        "Q1": problem_to_dict(system.q1),
+        "Q2": problem_to_dict(system.q2),
     }
 
 
@@ -350,12 +349,12 @@ def parse_blocks(text: str) -> FreeBlocks:
     )
 
 
-def blocks_to_dict(blocks: FreeBlocks, matrix: Callable[[Matrix], Any] = format_matrix) -> dict:
+def blocks_to_dict(blocks: FreeBlocks) -> dict:
     return {
         "n": blocks.n,
-        "Y1": matrix(blocks.y1),
-        "Z1": matrix(blocks.z1),
-        "Z2": matrix(blocks.z2),
+        "Y1": blocks.y1,
+        "Z1": blocks.z1,
+        "Z2": blocks.z2,
     }
 
 
@@ -384,15 +383,12 @@ def parse_eigenpair(text: str) -> dict:
 
 # -- canonical text form ---------------------------------------------------------
 #
-# *_to_dict lays each document out once.  serialize_* writes the text of
-# json.dumps(<its *_to_dict>, indent=2) plus a newline from that layout,
-# each Matrix kept as it is (_same) and printed off its integer form.
+# *_to_dict lays each document out once, each Matrix kept as it is.
+# serialize_* writes the text of json.dumps(<its *_to_dict>, indent=2,
+# default=format_matrix) plus a newline from that layout, each Matrix
+# printed off its integer form.
 # Every key is an ASCII name and every scalar string ASCII digits, "-" and
 # "/", so nothing needs escaping.
-
-
-def _same(m: Matrix) -> Matrix:
-    return m
 
 
 def _text(value: Any, newline: str) -> str:
@@ -431,16 +427,16 @@ def _matrix_text(m: Matrix, newline: str) -> str:
 
 
 def serialize_problem(q: QuadPoly2P) -> str:
-    return _text(problem_to_dict(q, _same), "\n") + "\n"
+    return _text(problem_to_dict(q), "\n") + "\n"
 
 
 def serialize_pencil(pencil: Pencil2P) -> str:
-    return _text(pencil_to_dict(pencil, _same), "\n") + "\n"
+    return _text(pencil_to_dict(pencil), "\n") + "\n"
 
 
 def serialize_system(system: QuadSystem2P) -> str:
-    return _text(system_to_dict(system, _same), "\n") + "\n"
+    return _text(system_to_dict(system), "\n") + "\n"
 
 
 def serialize_blocks(blocks: FreeBlocks) -> str:
-    return _text(blocks_to_dict(blocks, _same), "\n") + "\n"
+    return _text(blocks_to_dict(blocks), "\n") + "\n"

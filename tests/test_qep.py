@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,7 @@ from pencilspace.errors import HypothesisViolatedError, NonGenericSystemError
 from pencilspace.matrices import structural_rank
 from pencilspace.polymatrix import exact_det_poly
 from pencilspace.space import lower_z_block
-from pencilspace.bipoly import UniPoly
+from pencilspace.bipoly import BiPoly, UniPoly
 from pencilspace import qep
 from pencilspace.pencil import Pencil2P
 from pencilspace.qep import (
@@ -32,17 +33,27 @@ from pencilspace.qep import (
     ResidualCheck,
     _coefficient_products,
     _delta_times,
+    _ExactStage,
+    _exact_stage,
+    _float_stage,
     _mu_from_subresultant,
     delta0_singularity,
 )
 from pencilspace.resultants import first_subresultant
 from pencilspace.scalars import GaussianRational
+from pencilspace.serialization import parse_system
 
 from conftest import plant_eigenvector, rand_gr, rand_matrix, rand_quad, rand_sparse_matrix
 
 CIRCLE = QuadPoly2P.scalar(a20=1, a02=1, a00=-1)
 LINE = QuadPoly2P.scalar(a10=1, a01=-1)
 CIRCLE_LINE = QuadSystem2P(CIRCLE, LINE)
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+# det Q2 = lam - det Q1, so s1 = 0, and over lam = 0 lie two common zeros,
+# mu = -1 and mu = 1; x = lam + mu separates them.
+VANISHING_S1 = QuadSystem2P(
+    QuadPoly2P.scalar(a02=1, a00=-1), QuadPoly2P.scalar(a10=1, a02=-1, a00=1)
+)
 
 # Bilinear system with the exact rational eigenpair (lam, mu) = (1, 3):
 # q1 = (lam - 1)(mu - 2), q2 = (lam + 1)(mu - 3).
@@ -257,6 +268,8 @@ def durand_kerner_calls(monkeypatch):
 def test_generic_2x2_spectrum_pairs_mu_from_the_first_subresultant(monkeypatch):
     rng = random.Random(5)
     system = QuadSystem2P(rand_quad(rng, 2), rand_quad(rng, 2))
+    dets = (system.q1.det_poly, system.q2.det_poly)
+    assert _exact_stage(*dets).t == 0
     calls = durand_kerner_calls(monkeypatch)
     paired = spectrum_quadratic(system)
     # One root iteration, on the degree-16 square-free resultant.
@@ -274,6 +287,8 @@ def test_generic_2x2_spectrum_pairs_mu_from_the_first_subresultant(monkeypatch):
     calls.clear()
     sheared = spectrum_quadratic(system)
     assert calls == [16] and len(proofs) == 2
+    proofs.clear()
+    assert _exact_stage(*dets).t == 1
     assert len(paired.points) == len(sheared.points) == 16
     for p, q in zip(paired.points, sheared.points):
         assert abs(p.lam - q.lam) <= 1e-9 * max(1.0, abs(p.lam))
@@ -281,18 +296,103 @@ def test_generic_2x2_spectrum_pairs_mu_from_the_first_subresultant(monkeypatch):
 
 
 def test_vanishing_s1_shears_lam(monkeypatch):
-    # det Q2 = lam - det Q1, so s1 = 0, and over lam = 0 lie two common
-    # zeros, mu = -1 and mu = 1; x = lam + mu separates them.
-    q1 = QuadPoly2P.scalar(a02=1, a00=-1)
-    q2 = QuadPoly2P.scalar(a10=1, a02=-1, a00=1)
-    f, g = (q.as_polymatrix()[0, 0] for q in (q1, q2))
+    f, g = (q.as_polymatrix()[0, 0] for q in (VANISHING_S1.q1, VANISHING_S1.q2))
     assert first_subresultant(f, g, "mu")[1].is_zero()
+    assert _exact_stage(f, g).t == 1
     calls = durand_kerner_calls(monkeypatch)
-    report = spectrum_quadratic(QuadSystem2P(q1, q2))
+    report = spectrum_quadratic(VANISHING_S1)
     assert calls == [2]
     assert len(report.points) == 2
     for point, mu in zip(sorted(report.points, key=lambda p: p.mu.real), (-1, 1)):
         assert abs(point.lam) < 1e-12 and abs(point.mu - mu) < 1e-12
+
+
+def stage_system(name):
+    """A corpus system by file stem, or the vanishing-s1 system."""
+    if name == "vanishing_s1":
+        return VANISHING_S1
+    return parse_system((CORPUS / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def call_counts(monkeypatch, targets):
+    """Count the calls of each (owner, name) of targets, which still run."""
+    counts = {}
+    for owner, name in targets:
+        original = getattr(owner, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        counts[name] = 0
+        monkeypatch.setattr(owner, name, spy)
+    return counts
+
+
+FLOAT_CODE = ("unipoly_roots", "newton_steps", "_complex_terms")
+EXACT_CODE = ("first_subresultant", "square_free_part", "is_coprime")
+
+
+@pytest.mark.parametrize(
+    "name", ["sys_circle_line", "sys_complex", "sys_rational_eig", "vanishing_s1"]
+)
+def test_exact_stage_runs_no_float_code_and_float_stage_no_exact_code(monkeypatch, name):
+    system = stage_system(name)
+    f, g = system.q1.det_poly, system.q2.det_poly
+    counts = call_counts(
+        monkeypatch,
+        [
+            (qep, "unipoly_roots"),
+            (qep, "newton_steps"),
+            (BiPoly, "_complex_terms"),
+            (qep, "first_subresultant"),
+            (UniPoly, "square_free_part"),
+            (UniPoly, "is_coprime"),
+        ],
+    )
+    stage = _exact_stage(f, g)
+    assert [counts[k] for k in FLOAT_CODE] == [0, 0, 0]
+    assert all(counts[k] for k in EXACT_CODE)
+    counts.update(dict.fromkeys(counts, 0))
+    points = _float_stage(stage, f, g, qep.DEFAULT_SPECTRUM_TOL)
+    assert [counts[k] for k in EXACT_CODE] == [0, 0, 0]
+    assert counts["unipoly_roots"] == 1 and counts["_complex_terms"]
+    assert points and points == spectrum_quadratic(system).points
+
+
+@pytest.mark.parametrize(
+    "name, t, square_free",
+    [
+        ("sys_circle_line", 0, (1, ((-1, 0), (0, 0), (2, 0)))),
+        (
+            "sys_complex",
+            0,
+            (200, ((1128, -360), (-791, 210), (-92, 705), (230, -60), (-250, -50))),
+        ),
+        # (lam - 1)(mu - 2) against (lam + 1)(mu - 3): s1 = lam + 1 vanishes
+        # at the root lam = -1 of R, so t = 0 fails.
+        ("sys_rational_eig", 1, (1, ((-8, 0), (10, 0), (-2, 0)))),
+    ],
+)
+def test_exact_stage_of_the_corpus_systems(name, t, square_free):
+    system = stage_system(name)
+    stage = _exact_stage(system.q1.det_poly, system.q2.det_poly)
+    assert (stage.t, stage.square_free.integer_form()) == (t, square_free)
+
+
+@pytest.mark.parametrize(
+    "q1, q2",
+    [
+        (QuadPoly2P.scalar(a20=1, a00=-1), QuadPoly2P.scalar(a10=1, a00=-3)),
+        (QuadPoly2P.scalar(a01=1), QuadPoly2P.scalar(a01=1, a00=-1)),
+    ],
+    ids=["free-of-mu", "constant-resultant"],
+)
+def test_exact_stage_without_finite_common_zeros(q1, q2):
+    # lam^2 - 1 against lam - 3 are both free of mu; mu against mu - 1 have
+    # the resultant -1.
+    assert _exact_stage(q1.det_poly, q2.det_poly) == _ExactStage(0, None, None, None)
+    assert spectrum_quadratic(QuadSystem2P(q1, q2)).points == ()
 
 
 def assert_points(report, expected, tol=1e-12):

@@ -650,4 +650,4 @@ def test_serializers_print_what_json_dumps_indent_2_prints(data):
         (QuadSystem2P(q1, q2), ser.system_to_dict, ser.serialize_system),
         (blocks, ser.blocks_to_dict, ser.serialize_blocks),
     ):
-        assert serialize(value) == json.dumps(to_dict(value), indent=2) + "\n"
+        assert serialize(value) == json.dumps(to_dict(value), indent=2, default=ser.format_matrix) + "\n"
