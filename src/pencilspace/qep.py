@@ -19,7 +19,11 @@ docstring bounds the loop and proves it.  It runs no float code.  The float
 stage, ``_float_stage``, runs one root iteration on R: each x root carries
 exactly one common mu, -s0(x)/s1(x), which two Newton steps polish, and
 lam = x - t*mu; a residual filter and a sort give the points.  It calls
-no code of the exact stage, so either stage can change alone.
+no code of the exact stage, so either stage can change alone.  A certified
+``compare`` (``verify_spectral_equality``) runs the exact stage once per
+system: det L_i = c_i*det Q_i for constants c_i, so sigma_L's stage is
+sigma_Q's scaled by homogeneity (``_scaled_stage``), and only the float
+stage runs twice.
 
 Why Delta0 = B1 kron C2 - C1 kron B2 is singular: in an alpha*e1 member
 with Y21 = Y31 = 0, the lower 2n block rows of the lam and mu
@@ -369,7 +373,8 @@ def spectrum_pencil(
     n x n determinant of the certificate's own Q_i.  Any other component
     (a pencil paired with a certificate for another pencil, or a det-ratio
     certificate) has its 3n x 3n determinant expanded by exact_det_poly.
-    Both routes give the one canonical det L_i.
+    Both routes give the one canonical det L_i.  A certified
+    ``verify_spectral_equality`` gets the same report without this call.
     """
     return _common_zeros(
         _pencil_det(lin.l1, lin.cert1), _pencil_det(lin.l2, lin.cert2), lin.l1.m * lin.l2.m, tol
@@ -379,9 +384,56 @@ def spectrum_pencil(
 def _pencil_det(pencil: Pencil2P, cert: LinearizationCertificate) -> BiPoly:
     """det L for the pencil L, read off cert when it certifies L as a
     unimodular pair, else expanded."""
+    c = _certified_scale(pencil, cert)
+    if c is None:
+        return exact_det_poly(pencil.as_polymatrix())
+    return cert.quadratic.det_poly * c
+
+
+def _certified_scale(
+    pencil: Pencil2P, cert: LinearizationCertificate
+) -> Optional[GaussianRational]:
+    """c = 1 / (det E * det F), so that det L = c * det Q for cert's
+    quadratic Q, when cert is a verified unimodular pair for the pencil L;
+    None otherwise."""
     if cert.kind == "unimodular-pair" and cert.verified and cert.pencil == pencil:
-        return cert.quadratic.det_poly * (ONE / (cert.det_e * cert.det_f))
-    return exact_det_poly(pencil.as_polymatrix())
+        return ONE / (cert.det_e * cert.det_f)
+    return None
+
+
+def _scaled_stage(
+    stage: _ExactStage, f: BiPoly, g: BiPoly, c1: GaussianRational, c2: GaussianRational
+) -> _ExactStage:
+    """``_exact_stage(c1*f, c2*g)`` read off stage = ``_exact_stage(f, g)``
+    for nonzero constants c1 and c2, with no node pass.
+
+    Every test of the exact stage is unchanged by nonzero constant factors:
+    the monic lam-gcd, constant leading mu-coefficients (the shear of c*f is
+    c times the shear of f), Res != 0, deg Res >= 1 and gcd(s1, R*) = 1.  So
+    the t is the same.  With m = deg_mu f_t and n = deg_mu g_t, the
+    Sylvester matrix has n rows of f and m rows of g, so Res scales by
+    c1^n * c2^m; each j = 1 minor has one row fewer of each, so s1 and s0
+    scale by c1^(n-1) * c2^(m-1), and by c2 when m = n = 1, where they are
+    g's own coefficients.  Either route of ``square_free_part`` gives
+    p / monic(gcd(p, p')) (p itself when p is square-free), which is
+    homogeneous in p, so R* scales as Res.  A stage without finite common
+    zeros is the same stage.
+    """
+    if stage.square_free is None:
+        return stage
+    m, n = (_shear(p, stage.t).degree_in("mu") for p in (f, g))
+    minor = c2 if m == n == 1 else c1 ** (n - 1) * c2 ** (m - 1)
+    return _ExactStage(
+        stage.t,
+        _scaled(stage.square_free, c1**n * c2**m),
+        _scaled(stage.s1, minor),
+        _scaled(stage.s0, minor),
+    )
+
+
+def _scaled(p: UniPoly, c: GaussianRational) -> UniPoly:
+    """c * p, exactly."""
+    return UniPoly.from_bipoly(p.to_bipoly() * c, p.var)
 
 
 @dataclass(frozen=True)
@@ -400,15 +452,33 @@ def verify_spectral_equality(
 ) -> SpectralMatchReport:
     """Match the two finite spectra within tolerance 10*tol per coordinate.
 
-    sigma_Q comes from det Q_i of the system's quadratics, sigma_L from
-    det L_i of lin's pencils (``spectrum_pencil``); for lin built by
-    ``linearize_system`` from this system, each det L_i is det Q_i scaled
-    by the constant 1 / (det E_i * det F_i) of its certificate, so no
-    determinant larger than n_i x n_i is expanded.  Certified
-    linearizations must leave both unmatched lists empty.
+    sigma_Q comes from f = det Q1 and g = det Q2 of the system's
+    quadratics, sigma_L from det L_i of lin's pencils.  The exact stage
+    runs once, on f and g.  Where both certificates are verified unimodular
+    pairs for lin's own pencils and certify the system's own quadratics
+    (lin built by ``linearize_system`` from this system), F_i L_i E_i =
+    diag(Q_i, I) gives det L1 = c1*f and det L2 = c2*g with the constants
+    c_i = 1 / (det E_i * det F_i).  sigma_L's stage is then sigma_Q's,
+    scaled by homogeneity (``_scaled_stage`` derives it): the t, R* and
+    (s1, s0) that ``_exact_stage(c1*f, c2*g)`` proves, so sigma_L is
+    ``spectrum_pencil(lin, tol)`` point for point.  Any other lin takes
+    ``spectrum_pencil`` and its own exact stage.  The root iteration runs
+    once per spectrum either way.  Certified linearizations must leave both
+    unmatched lists empty.
     """
-    sigma_q = spectrum_quadratic(system, tol)
-    sigma_l = spectrum_pencil(lin, tol)
+    f, g = system.q1.det_poly, system.q2.det_poly
+    stage = _exact_stage(f, g)
+    sigma_q = SpectrumReport(_float_stage(stage, f, g, tol), system.bezout_bound)
+    c1, c2 = _certified_scale(lin.l1, lin.cert1), _certified_scale(lin.l2, lin.cert2)
+    if (
+        c1 is not None
+        and c2 is not None
+        and (lin.cert1.quadratic, lin.cert2.quadratic) == (system.q1, system.q2)
+    ):
+        points = _float_stage(_scaled_stage(stage, f, g, c1, c2), f * c1, g * c2, tol)
+        sigma_l = SpectrumReport(points, lin.l1.m * lin.l2.m)
+    else:
+        sigma_l = spectrum_pencil(lin, tol)
 
     available = list(sigma_l.points)
     unmatched_q = []

@@ -236,14 +236,26 @@ def format_matrix(m: Matrix) -> list:
 # -- documents --------------------------------------------------------------------
 
 
-def _loads(text: str, location: str) -> Any:
-    def reject_constant(name: str):
-        raise ParseError(f"non-finite number {name} is not allowed")
+def _reject_constant(name: str):
+    raise ParseError(f"non-finite number {name} is not allowed")
 
+
+# One decoder for every document (json.loads with keyword arguments builds a
+# new decoder and scanner per call).  parse_float=str keeps the raw digits so
+# 0.25 becomes Fraction("0.25") exactly instead of round-tripping through a
+# binary float.
+_DECODER = json.JSONDecoder(parse_float=str, parse_constant=_reject_constant)
+
+
+def _loads(text: str, location: str) -> Any:
     try:
-        # parse_float=str keeps the raw digits so 0.25 becomes Fraction("0.25")
-        # exactly instead of round-tripping through a binary float.
-        return json.loads(text, parse_float=str, parse_constant=reject_constant)
+        # json.loads's own input checks: bytes are decoded, a leading
+        # byte-order mark in text is refused.
+        if isinstance(text, (bytes, bytearray)):
+            text = text.decode(json.detect_encoding(text), "surrogatepass")
+        elif text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except RecursionError:

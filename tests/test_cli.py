@@ -773,6 +773,18 @@ def test_malformed_file_is_input_error(capsys, tmp_path):
     assert "input error" in err
 
 
+def test_byte_order_mark_is_located_input_error(capsys, tmp_path):
+    # The one reused decoder keeps json.loads's refusal of a leading BOM.
+    bom = tmp_path / "bom.json"
+    bom.write_text("\ufeff" + Path(Q_CIRCLE).read_text(encoding="utf-8"), encoding="utf-8")
+    assert run(capsys, "standard", "-q", str(bom)) == (
+        2,
+        "",
+        "input error: invalid JSON at line 1, column 1: "
+        "Unexpected UTF-8 BOM (decode using utf-8-sig)\n",
+    )
+
+
 def test_zero_ansatz_is_input_error(capsys):
     code, _, err = run(capsys, "procedure", "-q", Q_CIRCLE, "-v", "0,0,0")
     assert code == 2

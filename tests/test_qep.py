@@ -37,6 +37,7 @@ from pencilspace.qep import (
     _exact_stage,
     _float_stage,
     _mu_from_subresultant,
+    _scaled_stage,
     delta0_singularity,
 )
 from pencilspace.resultants import first_subresultant
@@ -523,6 +524,115 @@ def test_pencil_determinant_read_off_the_certificate(n1, n2, complex_prob, alpha
         expanded.append(det_l)
     bound = lin.l1.m * lin.l2.m
     assert spectrum_pencil(lin) == qep._common_zeros(*expanded, bound, qep.DEFAULT_SPECTRUM_TOL)
+
+
+# Sizes (n1, n2), each real and complex, with standard and seeded blocks;
+# the ansatz scalar alpha cycles through the five values.
+_SHARED_STAGE_ALPHAS = (1, 2, -1, Fraction(1, 2), Fraction(-3, 2))
+_SHARED_STAGE_CASES = [
+    (n1, n2, complex_prob, blocks)
+    for n1, n2 in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3))
+    for complex_prob in (0.0, 0.25)
+    for blocks in ("standard", "seeded")
+]
+
+
+@pytest.mark.parametrize(
+    "k, n1, n2, complex_prob, blocks",
+    [(k, *case) for k, case in enumerate(_SHARED_STAGE_CASES)],
+    ids=[f"{n1}x{n2}-{c}-{b}" for n1, n2, c, b in _SHARED_STAGE_CASES],
+)
+def test_certified_sigma_l_is_the_pencil_spectrum_point_for_point(
+    monkeypatch, k, n1, n2, complex_prob, blocks
+):
+    # sigma_L reuses sigma_Q's exact stage, scaled by the certificates'
+    # constants: the same points, residuals and bound as spectrum_pencil,
+    # which proves its own stage.
+    rng = random.Random(f"shared-stage/{n1}/{n2}/{complex_prob}/{blocks}")
+    system = QuadSystem2P(rand_quad(rng, n1, complex_prob), rand_quad(rng, n2, complex_prob))
+    chosen = {}
+    if blocks == "seeded":
+        chosen = {
+            "blocks1": certifiable_blocks(rng, n1, complex_prob),
+            "blocks2": certifiable_blocks(rng, n2, complex_prob),
+        }
+    alpha = _SHARED_STAGE_ALPHAS[k % len(_SHARED_STAGE_ALPHAS)]
+    lin = linearize_system(system, alpha, alpha, **chosen)
+    counts = call_counts(monkeypatch, [(qep, "_exact_stage")])
+    report = verify_spectral_equality(system, lin)
+    assert counts["_exact_stage"] == 1
+    assert report.sigma_q == spectrum_quadratic(system)
+    assert report.sigma_l == spectrum_pencil(lin)
+    assert report.equal
+
+
+# 2mu + 1 against -lam^2: g is free of mu, so t = 0 has no S1; at t = 1 the
+# resultant is -(2x + 1)^2, whose square-free part the PRS takes (a
+# resultant with a repeated factor has no square-free proof mod p).
+PRS_ROUTE = QuadSystem2P(QuadPoly2P.scalar(a01=2, a00=1), QuadPoly2P.scalar(a20=-1))
+
+
+@pytest.mark.parametrize(
+    "system, t, degrees",
+    [
+        # lam*mu - 1 against mu - lam: S1 is g itself.
+        (QuadSystem2P(QuadPoly2P.scalar(a11=1, a00=-1), LINE), 0, (1, 1)),
+        (QuadSystem2P(LINE, CIRCLE), 0, (1, 2)),
+        (VANISHING_S1, 1, (2, 2)),
+        (PRS_ROUTE, 1, (1, 2)),
+        (QuadSystem2P(rand_quad(random.Random(5), 2), rand_quad(random.Random(6), 2)), 0, (4, 3)),
+    ],
+    ids=["m=n=1", "m=1<n", "vanishing-s1", "prs-route", "generic"],
+)
+@pytest.mark.parametrize(
+    "c1, c2",
+    [(2, Fraction(-3, 2)), (GaussianRational(2, -1), Fraction(1, 3))],
+    ids=["2,-3/2", "2-i,1/3"],
+)
+def test_scaled_stage_is_the_exact_stage_of_the_scaled_determinants(system, t, degrees, c1, c2):
+    f, g = system.q1.det_poly, system.q2.det_poly
+    stage = _exact_stage(f, g)
+    assert stage.t == t
+    assert tuple(qep._shear(p, t).degree_in("mu") for p in (f, g)) == degrees
+    if system is PRS_ROUTE:
+        resultant = first_subresultant(qep._shear(f, t), qep._shear(g, t), "mu")[0]
+        assert resultant.degree() == 2 and stage.square_free.degree() == 1
+    c1, c2 = GaussianRational.coerce(c1), GaussianRational.coerce(c2)
+    assert _scaled_stage(stage, f, g, c1, c2) == _exact_stage(f * c1, g * c2)
+
+
+@pytest.mark.parametrize(
+    "name, passes", [("sys_circle_line", 1), ("sys_complex", 1), ("sys_rational_eig", 2)]
+)
+def test_certified_compare_runs_one_exact_stage(monkeypatch, capsys, name, passes):
+    from pencilspace.cli import main
+
+    counts = call_counts(monkeypatch, [(qep, "first_subresultant"), (qep, "unipoly_roots")])
+    assert main(["compare", "-s", str(CORPUS / f"{name}.json")]) == 0
+    assert capsys.readouterr().out.endswith("spectra agree\n")
+    # One node pass per shear tried (t = 0, and t = 1 for sys_rational_eig)
+    # for both spectra; the root iteration still runs once per spectrum.
+    assert counts == {"first_subresultant": passes, "unipoly_roots": 2}
+
+
+def test_certificates_for_other_quadratics_take_their_own_exact_stage(monkeypatch):
+    # lin linearizes (CIRCLE, RATIONAL_EIG.q2): its first certificate is for
+    # the system's own quadratic, its second for another, so sigma_L is the
+    # spectrum of lin's own determinants, proved by a second exact stage.
+    system = CIRCLE_LINE
+    other = QuadSystem2P(CIRCLE, RATIONAL_EIG.q2)
+    lin = linearize_system(other)
+    counts = call_counts(monkeypatch, [(qep, "_exact_stage"), (qep, "first_subresultant")])
+    report = verify_spectral_equality(system, lin)
+    # sigma_Q's stage takes t = 0, sigma_L's t = 1: three node passes.
+    assert counts == {"_exact_stage": 2, "first_subresultant": 3}
+    assert report.sigma_q == spectrum_quadratic(system)
+    assert report.sigma_l == spectrum_pencil(lin)
+    expected = spectrum_quadratic(other).points
+    assert len(report.sigma_l.points) == len(expected) == 3
+    for p, q in zip(report.sigma_l.points, expected):
+        assert abs(p.lam - q.lam) < 1e-8 and abs(p.mu - q.mu) < 1e-8
+    assert not report.equal
 
 
 def test_spectral_equality_certified(rng):
