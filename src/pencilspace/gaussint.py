@@ -8,7 +8,9 @@ equal forms.  A ``GaussianRational`` is the one-entry case, so the way in
 from scalars and the way back to one read and write its three fields.
 This module alone holds the rules of the form: the way in, alignment to a
 common denominator, canonical reduction, Z[i] product, power and division,
-and the way back to a ``GaussianRational`` or a ``complex``.  It runs on
+the way back to a ``GaussianRational`` or a ``complex``, and the signed
+base-2^k digits that read integer coefficients off one value at 2^k (the
+exact determinants of ``polymatrix`` and ``resultants``).  It runs on
 ints; the containers keep their own storage and the inline arithmetic of
 their per-entry hot loops.
 """
@@ -94,6 +96,25 @@ def exact_div(xs: Iterable[Pair], y: Pair) -> list[Pair]:
     """Each x / y, for a y that divides every x in Z[i]."""
     norm, (c_re, c_im) = reciprocal(y)
     return [((re * c_re - im * c_im) // norm, (re * c_im + im * c_re) // norm) for re, im in xs]
+
+
+def signed_digits(value: int, k: int) -> list[int]:
+    """The signed base-2^k digits of value, least significant first: the
+    d_p with value = sum d_p 2^(k p) and -2^(k-1) <= d_p < 2^(k-1), up to
+    the last nonzero one (none for 0).  They are unique, so the integer
+    coefficients c_p of a polynomial, each |c_p| < 2^(k-1), are the digits
+    of its value at 2^k (Kronecker substitution).
+    """
+    base, half = 1 << k, 1 << (k - 1)
+    mask = base - 1
+    digits = []
+    while value:
+        d = value & mask
+        if d >= half:
+            d -= base
+        digits.append(d)
+        value = (value - d) >> k
+    return digits
 
 
 def to_scalar(den: int, pair: Pair) -> GaussianRational:

@@ -7,28 +7,30 @@ comparisons run one coefficient matrix at a time; the one product the
 library forms is W * Z^-1, for the unimodular-pair factor F, and only
 when a certificate's F is first read.
 
-Determinants are evaluated by Bareiss at the integer nodes of a lower set
-that bounds their support, and interpolated on integers (exact_det_poly).
+Determinants are evaluated by one Bareiss run at the Kronecker point
+lam = 2^k, mu = 2^(k (d_lam + 1)), with k large enough that no coefficient
+reaches 2^(k - 1) (a Hadamard-type bound), and read off the signed
+base-2^k digits of the value (exact_det_poly): no node grid and no
+interpolation.
 Each row is cleared of denominators by its own factor, so one entry with
 a huge denominator enlarges its row only, and Bareiss takes the rows in
 ascending order of that factor, the largest last.
-Whether two determinants are proportional is decided at those nodes
-without interpolating either (det_ratio), up to the first node that
-disagrees.
+Whether two determinants are proportional is decided at the integer nodes
+of a lower set that bounds both supports, without expanding either
+(det_ratio), up to the first node that disagrees.
 The bound on each degree is a maximum-weight assignment of the entry
 degrees (Jacobi's bound, by Kuhn's Hungarian method): the largest degree
 any Leibniz term can reach.  It runs only on patterns with a perfect
 matching: without one, ``structural_rank``, the test ``Matrix.det`` makes
-too, has already given the zero determinant.  A matrix whose every
-Leibniz term is constant needs one node; the unimodular-pair certificate
-does not come here for its factors E and F, whose constant determinants
-it reads off how they are built (construct).
+too, has already given the zero determinant.  The unimodular-pair
+certificate does not come here for its factors E and F, whose constant
+determinants it reads off how they are built (construct).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import factorial, gcd, lcm, prod
+from itertools import zip_longest
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import gaussint
@@ -194,75 +196,6 @@ def _init(p: PolyMatrix, rows: int, cols: int, coeffs: dict) -> None:
     object.__setattr__(p, "_coeffs", coeffs)
 
 
-def _differences(line: list[int]) -> list[int]:
-    """Forward differences at 0: entry k of the result is (Delta^k f)(0),
-    given the values f(0), ..., f(len - 1)."""
-    line = list(line)
-    for level in range(1, len(line)):
-        for i in range(len(line) - 1, level - 1, -1):
-            line[i] -= line[i - 1]
-    return line
-
-
-@lru_cache(maxsize=32)
-def _newton_weights(d: int) -> tuple[tuple[int, ...], ...]:
-    """w[k][i] = s(k, i) * d!/k! for k <= d, s the signed Stirling numbers
-    of the first kind, so that (d!/k!) * x(x-1)...(x-k+1) = sum_i w[k][i] x^i."""
-    stirling = [[1]]
-    for k in range(d):
-        prev = stirling[-1] + [0]
-        stirling.append([(prev[i - 1] if i else 0) - k * prev[i] for i in range(k + 2)])
-    return tuple(
-        tuple(s * (factorial(d) // factorial(k)) for s in row) for k, row in enumerate(stirling)
-    )
-
-
-def _to_monomial(line: list[int], weights: Sequence[Sequence[int]]) -> list[int]:
-    """Newton-to-monomial map on one line of forward differences."""
-    return [
-        sum(line[k] * weights[k][i] for k in range(i, len(line))) for i in range(len(line))
-    ]
-
-
-def _rows_then_columns(table: list[list[int]], row_op, col_op) -> list[list[int]]:
-    """Apply row_op to every row of a staircase table, then col_op to every
-    column (rows are non-increasing in length, so column a is the prefix of
-    rows longer than a)."""
-    table = [row_op(row) for row in table]
-    for a in range(len(table[0])):
-        height = sum(1 for row in table if len(row) > a)
-        col = col_op([table[b][a] for b in range(height)])
-        for b in range(height):
-            table[b][a] = col[b]
-    return table
-
-
-def _lower_set_coeffs(values: list[list[int]]) -> list[list[int]]:
-    """Integer interpolation on a staircase lower set of integer nodes.
-
-    values[b][a] = p(a, b) for the nodes S = {(a, b) : a < len(values[b])},
-    with row lengths non-increasing in b, for a polynomial p whose support
-    lies in S.  Returns, in the same shape, the coefficient of lam^a mu^b
-    in p times d_lam! * d_mu!, where d_lam = len(values[0]) - 1 and
-    d_mu = len(values) - 1; for integer values these are integers.
-
-    The Newton coefficient of N_k(lam) N_l(mu), with
-    N_k(x) = x(x-1)...(x-k+1), is the tensor forward difference over
-    [0..k] x [0..l] divided by k! l!; S is downward closed, so that box
-    lies in S and differencing each row and then each column is exact.
-    Expanding N_k by Stirling numbers then gives the monomial coefficients.
-    """
-    w_lam = _newton_weights(len(values[0]) - 1)
-    if len(values) == 1:
-        # d_mu = 0: both column maps are the identity on one value.
-        return [_to_monomial(_differences(values[0]), w_lam)]
-    w_mu = _newton_weights(len(values) - 1)
-    newton = _rows_then_columns(values, _differences, _differences)
-    return _rows_then_columns(
-        newton, lambda row: _to_monomial(row, w_lam), lambda col: _to_monomial(col, w_mu)
-    )
-
-
 def _degree_bounds(m: PolyMatrix) -> tuple[int, int, int] | None:
     """Bounds (d_lam, d_mu, d) on the lam-, mu- and total degree of det m,
     or None when det m is structurally zero.
@@ -349,19 +282,25 @@ def _max_assignment(weights: list[list[int | None]]) -> int:
 
 
 def _integer_grid_det(m: PolyMatrix):
-    """Determinant evaluator at integer nodes, and its scale.
+    """Determinant evaluator at integer points, its scale, and a bound on
+    its coefficients.
 
     Row i of every coefficient matrix is brought to its own denominator
     s_i, the lcm of the reduced denominators of its nonzero entries over
-    all the coefficient matrices, so each node's value
+    all the coefficient matrices, so the value at a point,
     sum lam^a mu^b M_ab, summed over the nonzero entries only, is a
-    Gaussian-integer matrix and its determinant a pure Z[i] Bareiss run,
-    returned as the (re, im) pair of scale * det m(lam, mu), where the
-    scale is s_1 * ... * s_size.  An extreme denominator in one row thus
-    inflates that row only, and Bareiss takes the rows in ascending order
-    of their scale (a stable sort, its sign applied to each value), so
-    that row is eliminated last and every leading minor before it stays
-    small.
+    Gaussian-integer matrix N(lam, mu) and its determinant a pure Z[i]
+    Bareiss run, returned as the (re, im) pair of scale * det m(lam, mu),
+    where the scale is s_1 * ... * s_size.  An extreme denominator in one
+    row thus inflates that row only, and Bareiss takes the rows in
+    ascending order of their scale (a stable sort, its sign applied to each
+    value), so that row is eliminated last and every leading minor before
+    it stays small.
+
+    The bound is P = prod_i sum_j w_ij^2, w_ij the sum of |re| + |im| over
+    the terms of N_ij: on the torus |lam| = |mu| = 1 each |N_ij| <= w_ij, so
+    |det N| <= sqrt(P) there (Hadamard), and so is every coefficient of
+    det N (Cauchy's estimate; Goldstein & Graham, SIAM Rev. 16, 1974).
     """
     size = m.rows
     forms = [(mono, coeff.integer_form()) for mono, coeff in m._coeffs.items()]
@@ -385,6 +324,9 @@ def _integer_grid_det(m: PolyMatrix):
         (a, b, position[i], j, re * row_scales[i] // den, im * row_scales[i] // den)
         for a, b, i, j, re, im, den in entries
     ]
+    weights = [[0] * size for _ in range(size)]
+    for _, _, i, j, c_re, c_im in terms:
+        weights[i][j] += abs(c_re) + abs(c_im)
 
     def value(lam: int, mu: int) -> tuple[int, int]:
         re = [[0] * size for _ in range(size)]
@@ -396,7 +338,23 @@ def _integer_grid_det(m: PolyMatrix):
         d_re, d_im = bareiss_det_int([list(zip(r, s)) for r, s in zip(re, im)])
         return (sign * d_re, sign * d_im)
 
-    return prod(row_scales), value
+    return prod(row_scales), prod(sum(w * w for w in row) for row in weights), value
+
+
+def _digit_width(bound: int) -> int:
+    """k = bits(bound) // 2 rounded up, plus 1, so that sqrt(bound) <
+    2^(k - 1): the base 2^k in which the Gaussian-integer coefficients of a
+    polynomial bounded in modulus by sqrt(bound) are its value's signed
+    digits, real and imaginary parts apart."""
+    return (bound.bit_length() + 1) // 2 + 1
+
+
+def _coefficients_at(value: tuple[int, int], k: int) -> list[tuple[int, int]]:
+    """The ascending Gaussian-integer coefficients of a polynomial in one
+    variable from its value at 2^k, given every coefficient's parts below
+    2^(k - 1) in absolute value; the last one is nonzero."""
+    re, im = (gaussint.signed_digits(v, k) for v in value)
+    return list(zip_longest(re, im, fillvalue=0))
 
 
 def _lower_set(bounds: tuple[int, int, int]) -> list[list[Exponent]]:
@@ -409,12 +367,13 @@ def _lower_set(bounds: tuple[int, int, int]) -> list[list[Exponent]]:
 def exact_det_poly(m: PolyMatrix) -> BiPoly:
     """Exact determinant of a polynomial matrix.
 
-    With (d_lam, d_mu, d) the assignment degree bounds of _degree_bounds,
-    the determinant's support lies in their lower set S (_lower_set).
-    Evaluates the scaled integer determinant at the nodes of S by Bareiss,
-    interpolates on integers, and divides each coefficient once by
-    d_lam! * d_mu! * scale (the product of the row scales of
-    _integer_grid_det); identical to the symbolic expansion.  A
+    With d_lam the assignment bound on the lam-degree (_degree_bounds) and
+    P the coefficient bound of _integer_grid_det, one Bareiss run at
+    lam = 2^k, mu = 2^(k (d_lam + 1)), k = _digit_width(P), gives
+    scale * det m there, and the coefficient of lam^a mu^b is its signed
+    base-2^k digit a + b (d_lam + 1), the real and imaginary parts apart;
+    each is divided once by the scale (the product of the row scales of
+    _integer_grid_det).  Identical to the symbolic expansion.  A
     structurally singular m (``structural_rank`` of its nonzero pattern
     below its size) gives the zero polynomial without any evaluation.
     """
@@ -423,14 +382,12 @@ def exact_det_poly(m: PolyMatrix) -> BiPoly:
     bounds = _degree_bounds(m)
     if bounds is None:
         return BiPoly.zero()
-    d_lam, d_mu, _ = bounds
-    scale, det_at = _integer_grid_det(m)
-    grid = [[det_at(a, b) for a, b in row] for row in _lower_set(bounds)]
-    re = _lower_set_coeffs([[v[0] for v in row] for row in grid])
-    im = _lower_set_coeffs([[v[1] for v in row] for row in grid])
+    width = bounds[0] + 1
+    scale, bound, det_at = _integer_grid_det(m)
+    k = _digit_width(bound)
+    coeffs = _coefficients_at(det_at(1 << k, 1 << (k * width)), k)
     return BiPoly.from_integer_form(
-        factorial(d_lam) * factorial(d_mu) * scale,
-        {(a, b): (re[b][a], im[b][a]) for b in range(d_mu + 1) for a in range(len(re[b]))},
+        scale, {(p % width, p // width): c for p, c in enumerate(coeffs)}
     )
 
 
@@ -459,7 +416,7 @@ def det_ratio(p: PolyMatrix, q: PolyMatrix) -> GaussianRational | None:
     p_bounds = _degree_bounds(p)
     bounds = q_bounds if p_bounds is None else tuple(map(max, p_bounds, q_bounds))
     nodes = [node for row in _lower_set(bounds) for node in row]
-    q_scale, q_at = _integer_grid_det(q)
+    q_scale, _, q_at = _integer_grid_det(q)
     for k, x0 in enumerate(nodes):
         y = q_at(*x0)
         if y != (0, 0):
@@ -468,7 +425,7 @@ def det_ratio(p: PolyMatrix, q: PolyMatrix) -> GaussianRational | None:
         raise ZeroDivisionError("proportionality against the zero determinant")
     if p_bounds is None:
         return GaussianRational(0)
-    p_scale, p_at = _integer_grid_det(p)
+    p_scale, _, p_at = _integer_grid_det(p)
     x = p_at(*x0)
     # det q vanishes at the nodes before x0, so det p must too.
     if any(p_at(*node) != (0, 0) for node in nodes[:k]):

@@ -405,7 +405,7 @@ def _scaled_stage(
     stage: _ExactStage, f: BiPoly, g: BiPoly, c1: GaussianRational, c2: GaussianRational
 ) -> _ExactStage:
     """``_exact_stage(c1*f, c2*g)`` read off stage = ``_exact_stage(f, g)``
-    for nonzero constants c1 and c2, with no node pass.
+    for nonzero constants c1 and c2, with no ``first_subresultant`` call.
 
     Every test of the exact stage is unchanged by nonzero constant factors:
     the monic lam-gcd, constant leading mu-coefficients (the shear of c*f is

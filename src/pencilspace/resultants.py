@@ -9,25 +9,25 @@ each root y0 of R is unique, x0 = -s0(y0)/s1(y0) (the shape-lemma form of a
 rational univariate representation; Rouillier, AAECC 9, 1999); ``qep``
 pairs mu with each root that way, after shearing lam until gcd(s1, R) = 1.
 
-All three come from one pass over the integer nodes y = 0..D, D the largest
-assignment degree bound of the three matrices.  At a node where both
-leading x-coefficients are nonzero and the signed subresultant PRS of the
+All three come from one evaluation of the kept variable y at 2^k, with k
+large enough that no coefficient of the three reaches 2^(k - 1) (a
+Hadamard-type bound on the Sylvester matrix).  Where both leading
+x-coefficients stay nonzero there and the signed subresultant PRS of the
 specialized numerators drops one degree a step down to degree 0, that
-chain holds Res, s1 and s0 exactly (Brown & Traub, J. ACM 18, 1971); at
-any other node Bareiss takes the three determinants of the specialized
-integer matrices.  The values are interpolated on integers; the result is
-identical to the determinants' symbolic expansion.
+chain holds Res, s1 and s0 exactly (Brown & Traub, J. ACM 18, 1971);
+otherwise Bareiss takes the three determinants of the specialized integer
+matrices.  Each polynomial is read off the signed base-2^k digits of its
+value, as in ``polymatrix.exact_det_poly``; the result is identical to the
+determinants' symbolic expansion.
 """
 
 from __future__ import annotations
 
-from math import factorial
-
 from . import gaussint
-from .bipoly import LAM, MU, BiPoly, UniPoly, _axis, _signed_prs
+from .bipoly import LAM, MU, BiPoly, UniPoly, _axis, _reduced_uni, _signed_prs
 from .errors import DegreeError
 from .matrices import bareiss_det_int
-from .polymatrix import _assignment_bounds, _lower_set_coeffs
+from .polymatrix import _coefficients_at, _digit_width
 
 
 def _sylvester_rows(f_desc: list, g_desc: list, zero) -> list[list]:
@@ -95,44 +95,44 @@ def first_subresultant(
     m, n = _checked_degrees(f, g, eliminate)
     with_s1 = min(m, n) >= 1
     kept = MU if eliminate == LAM else LAM
-    # Each entry's degree in the kept variable, None for a zero entry.
-    f_deg, g_deg = (
-        [None if c.is_zero() else (c.degree_in(kept),) for c in reversed(p.coeffs_in(eliminate))]
-        for p in (f, g)
-    )
-    rows = _sylvester_rows(f_deg, g_deg, None)
-    shapes = [rows, *_first_minors(rows, n)] if with_s1 else [rows]
-    bounds = [_assignment_bounds(s) for s in shapes]
-    degree = max((b[0] for b in bounds if b is not None), default=0)
-
-    den_f, f_at = _specializer(f, eliminate)
-    den_g, g_at = _specializer(g, eliminate)
-    values = [_node_values(f_at(t), g_at(t), with_s1) for t in range(degree + 1)]
-    # Res has n rows of f and m of g, each minor one fewer of each (g's row
-    # alone when m = n = 1).
-    minor_den = den_g if m == n == 1 else den_f ** (n - 1) * den_g ** (m - 1)
-    dens = [den_f**n * den_g**m] + [minor_den] * (len(shapes) - 1)
-    polys: list = []
-    for k, den in enumerate(dens):
-        re = _lower_set_coeffs([[v[k][0] for v in values]])[0]
-        im = _lower_set_coeffs([[v[k][1] for v in values]])[0]
-        terms = {((a, 0) if kept == LAM else (0, a)): (re[a], im[a]) for a in range(degree + 1)}
-        poly = BiPoly.from_integer_form(factorial(degree) * den, terms)
-        polys.append(UniPoly.from_bipoly(poly, kept))
+    den_f, norm_f, f_at = _specializer(f, eliminate)
+    den_g, norm_g, g_at = _specializer(g, eliminate)
+    # Res has n rows of f and m of g, each of squared norm at most norm_f or
+    # norm_g on |y| = 1 (_specializer); each j = 1 minor keeps some of those
+    # rows, shortened, and every norm is at least 1, so the one bound holds
+    # for all three.
+    k = _digit_width(norm_f**n * norm_g**m)
+    t = 1 << k
+    values = _node_values(f_at(t), g_at(t), with_s1)
+    dens = [den_f**n * den_g**m]
+    if with_s1:
+        # Each minor has one row fewer of f and of g (g's row alone when
+        # m = n = 1).
+        dens += [den_g if m == n == 1 else den_f ** (n - 1) * den_g ** (m - 1)] * 2
+    polys: list = [_reduced_uni(_coefficients_at(v, k), den, kept) for v, den in zip(values, dens)]
     if not with_s1:
         polys += [None, None]
     return tuple(polys)
 
 
 def _specializer(p: BiPoly, eliminate: str):
-    """(den, at): p's denominator, and the map from an integer node t of the
-    kept variable to the ascending x-coefficients of p's numerator there,
-    as Gaussian integers (a vanishing leading one kept)."""
+    """(den, norm, at): p's denominator; the sum over p's x-coefficients
+    p_j of w_j^2, w_j the sum of |re| + |im| over the numerator terms of
+    p_j; and the map from an integer t of the kept variable to the
+    ascending x-coefficients of p's numerator there, as Gaussian integers
+    (a vanishing leading one kept).
+
+    On |y| = 1 each |p_j| <= w_j, so a Sylvester row of p has squared norm
+    at most norm there; by Hadamard's bound and Cauchy's estimate, no
+    coefficient of a determinant of such rows exceeds the square root of
+    the product of their norms.
+    """
     den, terms = p.integer_form()
     x = _axis(eliminate)
     coeffs: list[list[tuple[int, int, int]]] = [[] for _ in range(p.degree_in(eliminate) + 1)]
     for e, (re, im) in terms.items():
         coeffs[e[x]].append((e[1 - x], re, im))
+    norm = sum(sum(abs(re) + abs(im) for _, re, im in c) ** 2 for c in coeffs)
 
     def at(t: int) -> list[tuple[int, int]]:
         out = []
@@ -145,7 +145,7 @@ def _specializer(p: BiPoly, eliminate: str):
             out.append((s_re, s_im))
         return out
 
-    return den, at
+    return den, norm, at
 
 
 def _node_values(a: list, b: list, with_s1: bool) -> list[tuple[int, int]]:

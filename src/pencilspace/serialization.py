@@ -32,7 +32,7 @@ from typing import Any
 
 from . import gaussint
 from .errors import ParseError
-from .matrices import Matrix
+from .matrices import Matrix, _new
 from .pencil import Pencil2P, QuadPoly2P
 from .qep import QuadSystem2P
 from .scalars import GaussianRational
@@ -195,9 +195,11 @@ def parse_matrix(value: Any, rows: int, cols: int, location: str) -> Matrix:
 
 
 def _matrix_from_parts(parts: list[gaussint.Parts], cols: int) -> Matrix:
-    """The matrix of cols columns of the row-major lowest-terms parts."""
+    """The matrix of cols columns of the row-major lowest-terms parts,
+    wrapped as it is: the form ``gaussint.from_parts`` builds is canonical
+    already, so its content is not scanned again."""
     den, pairs = gaussint.from_parts(parts)
-    return Matrix.from_integer_form(den, [pairs[k : k + cols] for k in range(0, len(pairs), cols)])
+    return _new(tuple(tuple(pairs[k : k + cols]) for k in range(0, len(pairs), cols)), den)
 
 
 def _canonical_parts(value: Any) -> gaussint.Parts | None:

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencilspace import polymatrix
-from pencilspace.bipoly import BiPoly
+from pencilspace import gaussint, polymatrix
+from pencilspace.bipoly import BiPoly, UniPoly
 from pencilspace.construct import certify_standard
 from pencilspace.errors import ShapeError
 from pencilspace.matrices import Matrix, structural_rank
 from pencilspace.pencil import Pencil2P
 from pencilspace.polymatrix import PolyMatrix, exact_det_poly
+from pencilspace.resultants import sylvester_resultant
 from pencilspace.scalars import GaussianRational
 
 from conftest import (
@@ -240,6 +241,8 @@ def test_det_zero_row_and_zero_polynomial(size):
 
 
 def test_det_evaluates_only_on_the_lower_set(monkeypatch):
+    # Every determinant, of whatever degree bound, is one Bareiss run at
+    # one Kronecker point: no node grid.
     rng = random.Random(3)
     q = rand_quad(rng, 3)
     cert = certify_standard(q)
@@ -259,12 +262,12 @@ def test_det_evaluates_only_on_the_lower_set(monkeypatch):
         exact_det_poly(m)
         return len(calls)
 
-    # E and F: degree bound 3 from columns / rows, 10 nodes of a + b <= 3.
-    assert nodes(cert.e) <= 10
-    assert nodes(cert.f) <= 10
-    # Q (3 x 3 quadratic): bound 6, 28 nodes; L: bound 9, 55 nodes.
-    assert nodes(q.as_polymatrix()) <= 28
-    assert nodes(pencil) <= 55
+    # E and F: degree bound 3 from columns / rows; Q (3 x 3 quadratic):
+    # bound 6; L: bound 9.
+    assert nodes(cert.e) == 1
+    assert nodes(cert.f) == 1
+    assert nodes(q.as_polymatrix()) == 1
+    assert nodes(pencil) == 1
 
 
 def _rand_sparse_polymatrix(rng, size, max_degree):
@@ -376,15 +379,97 @@ def test_generic_sylvester_bound_is_the_bezout_degree(n1, n2, bareiss_calls):
     assert polymatrix._degree_bounds(s) == (bezout, 0, bezout)
     bareiss_calls.clear()
     resultant = exact_det_poly(s)
-    assert len(bareiss_calls) == bezout + 1
+    assert len(bareiss_calls) == 1
     assert resultant.degree_in("lam") == bezout
+    # The subresultant PRS at one point gives the same resultant.
+    assert UniPoly.from_bipoly(resultant, "lam") == sylvester_resultant(f, g, "mu")
 
 
 def test_lower_set_interpolation_exactness_in_one_variable():
-    # 3 p(x) = 2x^3 - x + 5 sampled on 0..3; the kernel returns the
-    # coefficients times 3! on integers.
-    values = [2 * x**3 - x + 5 for x in range(4)]
-    assert polymatrix._lower_set_coeffs([values]) == [[6 * 5, 6 * -1, 0, 6 * 2]]
+    # 2x^3 - x + 5 at x = 2^4 has the signed base-16 digits 5, -1, 0, 2;
+    # with 3 i x^2 - 7 i as the imaginary part, its Gaussian-integer
+    # coefficients are read back pairwise, the last one nonzero.
+    x = 1 << 4
+    assert gaussint.signed_digits(2 * x**3 - x + 5, 4) == [5, -1, 0, 2]
+    assert gaussint.signed_digits(-(2 * x**3 - x + 5), 4) == [-5, 1, 0, -2]
+    assert gaussint.signed_digits(0, 4) == []
+    value = (2 * x**3 - x + 5, 3 * x**2 - 7)
+    assert polymatrix._coefficients_at(value, 4) == [(5, -7), (-1, 0), (0, 3), (2, 0)]
+    assert polymatrix._coefficients_at((0, -(x**2)), 4) == [(0, 0), (0, 0), (0, -1)]
+    # The width separates every coefficient bounded by sqrt(bound).
+    for bound in (1, 2, 3, 4, 15, 16, 17, 10**40):
+        k = polymatrix._digit_width(bound)
+        assert (2 ** (k - 1)) ** 2 > bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 70).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(
+                st.one_of(
+                    st.sampled_from((0, 2 ** (k - 1) - 1, -(2 ** (k - 1) - 1))),
+                    st.integers(-(2 ** (k - 1)) + 1, 2 ** (k - 1) - 1),
+                ),
+                max_size=12,
+            ),
+        )
+    )
+)
+def test_signed_digits_round_trip(k_digits):
+    # Digits strictly inside +-2^(k-1), zero digits inside and at the top
+    # included, come back from their value at 2^k up to the last nonzero.
+    k, digits = k_digits
+    value = sum(d << (k * p) for p, d in enumerate(digits))
+    top = max((p + 1 for p, d in enumerate(digits) if d), default=0)
+    assert gaussint.signed_digits(value, k) == digits[:top]
+    assert gaussint.signed_digits(-value, k) == [-d for d in digits[:top]]
+
+
+def _cofactor_cases():
+    """The entries of inputs at the edges of the one-point determinant, by
+    name."""
+    z, i = BiPoly.zero(), BiPoly.constant(GaussianRational(0, 1))
+    # Rank-deficient but structurally nonsingular: row 2 = lam * row 0 +
+    # row 1, every entry nonzero.
+    r0 = [LAM + ONE, MU * 2, LAM * MU - ONE]
+    r1 = [MU - ONE * 3, LAM * Fraction(1, 2), ONE]
+    deficient = [r0, r1, [LAM * a + b for a, b in zip(r0, r1)]]
+    constant = [[ONE * 2, ONE * -3], [ONE * Fraction(5, 7), ONE]]
+    imaginary = [[i * LAM * -4, ONE * -1 + MU * -2], [i * -3, i * (LAM * MU) - LAM * 5]]
+    # The bound is met: every entry has one term, so det N is one monomial
+    # whose coefficient has modulus sqrt(P), here 7 * 7 * 31 on the
+    # imaginary part; for the 1 x 1 entry it is -(2^10 - 1), the extreme
+    # digit -(2^(k-1) - 1) of k = 11.
+    diagonal = [[z] * 3 for _ in range(3)]
+    diagonal[0][0] = LAM * -7
+    diagonal[1][1] = i * MU * 7
+    diagonal[2][2] = LAM * MU * -31
+    single = [[BiPoly({(2, 1): GaussianRational(-1023)})]]
+    return {
+        "deficient": deficient,
+        "constant": constant,
+        "imaginary": imaginary,
+        "diagonal": diagonal,
+        "single": single,
+    }
+
+
+@pytest.mark.parametrize("name", ["deficient", "constant", "imaginary", "diagonal", "single"])
+def test_det_matches_cofactor_on_edge_inputs(name):
+    m = PolyMatrix(_cofactor_cases()[name])
+    det = exact_det_poly(m)
+    assert det == cofactor_det(m)
+    if name == "deficient":
+        assert polymatrix._degree_bounds(m) is not None
+        assert det.is_zero()
+    if name == "constant":
+        assert det == BiPoly.constant(GaussianRational(2 + Fraction(15, 7)))
+    if name == "diagonal":
+        assert det == BiPoly({(2, 2): GaussianRational(0, 1519)})
+    if name == "single":
+        assert polymatrix._digit_width(1023**2) == 11
 
 
 def test_ratio_scalar_multiple():
@@ -518,11 +603,13 @@ def _with_extreme_entry(m: PolyMatrix) -> PolyMatrix:
 @pytest.mark.parametrize("size", [2, 3, 4])
 def test_det_with_one_extreme_denominator_scales_its_own_row(monkeypatch, size):
     m = _with_extreme_entry(_dense(random.Random(size), size))
-    bits = _bareiss_bits(monkeypatch)
     assert exact_det_poly(m) == cofactor_det(m)
-    # Only row 0 carries the 10^1000, and the determinant is linear in that
-    # row, so no operand holds two factors of it; with every row at one
-    # common scale the operands reach size * 3322 bits.
+    # det_ratio runs Bareiss at small integer nodes.  Only row 0 carries the
+    # 10^1000, and the determinant is linear in that row, so no operand
+    # holds two factors of it; with every row at one common scale the
+    # operands reach size * 3322 bits.
+    bits = _bareiss_bits(monkeypatch)
+    assert polymatrix.det_ratio(m, m) == GaussianRational(1)
     assert 3322 < max(bits) < 2 * 3322
 
 
@@ -531,6 +618,7 @@ def test_bareiss_takes_the_inflated_row_last(monkeypatch, size):
     # Row 0 carries the 10^1000; handed over last, it enters only the final
     # minor, and the row permutation's sign is applied to every value.
     m = _with_extreme_entry(_dense(random.Random(size), size))
+    assert exact_det_poly(m) == cofactor_det(m)
     real = polymatrix.bareiss_det_int
     row_bits = []
 
@@ -539,7 +627,10 @@ def test_bareiss_takes_the_inflated_row_last(monkeypatch, size):
         return real(a)
 
     monkeypatch.setattr(polymatrix, "bareiss_det_int", recording)
-    assert exact_det_poly(m) == cofactor_det(m)
+    # det m = gamma det m' for m' with rows 0 and 1 swapped, gamma = -1, at
+    # det_ratio's small integer nodes.
+    swapped = PolyMatrix([[m[r, c] for c in range(size)] for r in (1, 0, *range(2, size))])
+    assert polymatrix.det_ratio(m, swapped) == GaussianRational(-1)
     # (the last row is zero at a node where row 0 of m vanishes)
     assert all(max(bits[:-1]) < 3322 for bits in row_bits)
     assert any(bits[-1] > 3322 for bits in row_bits)

@@ -610,7 +610,7 @@ def test_certified_compare_runs_one_exact_stage(monkeypatch, capsys, name, passe
     counts = call_counts(monkeypatch, [(qep, "first_subresultant"), (qep, "unipoly_roots")])
     assert main(["compare", "-s", str(CORPUS / f"{name}.json")]) == 0
     assert capsys.readouterr().out.endswith("spectra agree\n")
-    # One node pass per shear tried (t = 0, and t = 1 for sys_rational_eig)
+    # One first_subresultant per shear tried (t = 0, and t = 1 for sys_rational_eig)
     # for both spectra; the root iteration still runs once per spectrum.
     assert counts == {"first_subresultant": passes, "unipoly_roots": 2}
 
@@ -624,7 +624,7 @@ def test_certificates_for_other_quadratics_take_their_own_exact_stage(monkeypatc
     lin = linearize_system(other)
     counts = call_counts(monkeypatch, [(qep, "_exact_stage"), (qep, "first_subresultant")])
     report = verify_spectral_equality(system, lin)
-    # sigma_Q's stage takes t = 0, sigma_L's t = 1: three node passes.
+    # sigma_Q's stage takes t = 0, sigma_L's t = 1: three first_subresultant calls.
     assert counts == {"_exact_stage": 2, "first_subresultant": 3}
     assert report.sigma_q == spectrum_quadratic(system)
     assert report.sigma_l == spectrum_pencil(lin)

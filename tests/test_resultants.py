@@ -177,7 +177,7 @@ def test_resultant_matches_sympy_over_gaussian_rationals(seed, eliminate):
     assert sympy.expand(to_sympy(ours) - expected) == 0
 
 
-# -- the node pass: Res, s1 and s0 from one signed PRS per node --------------------------
+# -- Res, s1 and s0 from one signed PRS at one point ------------------------------------
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
@@ -270,7 +270,7 @@ def test_first_subresultant_matches_sympy(order, data):
 
 
 def bareiss_nodes(monkeypatch):
-    """Spy on the Bareiss fallback of the node pass: the sizes of the
+    """Spy on the Bareiss fallback of the PRS: the sizes of the
     matrices it eliminates, in call order."""
     sizes = []
 
@@ -283,27 +283,44 @@ def bareiss_nodes(monkeypatch):
 
 
 def test_leading_coefficient_vanishing_at_nodes_falls_back_to_bareiss(monkeypatch):
-    # lc_mu(f) = lam (lam - 2) vanishes at the nodes 0 and 2 only.
+    # lc_mu(f) = lam (lam - 2) vanishes at the nodes 0 and 2 only; its
+    # coefficients are below 2^(k-1), so not at the one point 2^k either.
     f = LAM_P * (LAM_P - 2 * ONE) * MU_P**2 + (LAM_P + ONE) * MU_P + 3 * ONE
     g = MU_P**2 + LAM_P * MU_P - ONE
     sizes = bareiss_nodes(monkeypatch)
     assert_matches_sympy(f, g)
-    # Res (4 x 4), s1 and s0 (2 x 2) at each of the two nodes.
+    assert sizes == []
+    # At the nodes 0 and 2 Bareiss takes Res (4 x 4), s1 and s0 (2 x 2).
+    _, _, f_at = resultants._specializer(f, MU)
+    _, _, g_at = resultants._specializer(g, MU)
+    for t in (0, 1, 2):
+        resultants._node_values(f_at(t), g_at(t), True)
     assert sizes == [4, 2, 2, 4, 2, 2]
 
 
 def test_remainder_degree_gap_falls_back_to_bareiss(monkeypatch):
-    # f mod g = (lam - 1) mu + 1 drops from degree 2 to 0 at lam = 1 alone.
+    # f mod g = (lam - 1) mu + 1 drops from degree 2 to 0 at lam = 1 alone,
+    # not at the one point.
     f = MU_P**3 + (LAM_P - ONE) * MU_P + ONE
     g = MU_P**2
     sizes = bareiss_nodes(monkeypatch)
+    assert_matches_sympy(f, g)
+    assert sizes == []
+    _, _, f_at = resultants._specializer(f, MU)
+    _, _, g_at = resultants._specializer(g, MU)
+    resultants._node_values(f_at(1), g_at(1), True)
+    assert sizes == [5, 3, 3]
+    # f mod g = lam + 1 has degree 0 at every lam: the one point falls back.
+    sizes.clear()
+    f = MU_P**3 + (LAM_P - ONE) * MU_P**2 + LAM_P + ONE
     assert_matches_sympy(f, g)
     assert sizes == [5, 3, 3]
 
 
 def test_linear_inputs_have_g_as_first_subresultant(monkeypatch):
     # Both linear in mu: S1 = g, and Res = f1 g0 - f0 g1.  lc(f) = lam - 1
-    # vanishes at the node 1 alone, where Bareiss takes Res and g's row.
+    # vanishes at the node 1 alone, where Bareiss takes Res and g's row; at
+    # the one point the PRS gives all three.
     f = (LAM_P - ONE) * MU_P + Fraction(2, 3) * LAM_P
     g = Fraction(1, 2) * (LAM_P + ONE) * MU_P - 3 * ONE
     (f0, f1), (g0, g1) = f.coeffs_in(MU), g.coeffs_in(MU)
@@ -311,7 +328,48 @@ def test_linear_inputs_have_g_as_first_subresultant(monkeypatch):
     res, s1, s0 = first_subresultant(f, g, MU)
     assert res == UniPoly.from_bipoly(f1 * g0 - f0 * g1, LAM)
     assert (s1, s0) == (UniPoly.from_bipoly(g1, LAM), UniPoly.from_bipoly(g0, LAM))
+    assert sizes == []
+    _, _, f_at = resultants._specializer(f, MU)
+    _, _, g_at = resultants._specializer(g, MU)
+    resultants._node_values(f_at(1), g_at(1), True)
     assert sizes == [2, 1, 1]
+
+
+I_P = BiPoly.constant(GaussianRational(0, 1))
+
+
+def test_identically_vanishing_resultant():
+    # A common factor mu - lam: Res is the zero polynomial, and S1, the
+    # last nonzero subresultant, is that factor up to a scalar.
+    h = MU_P - LAM_P
+    f = h * (MU_P + 2 * ONE)
+    g = h * (Fraction(1, 3) * MU_P - LAM_P * LAM_P + I_P)
+    assert_matches_sympy(f, g)
+    res, s1, s0 = first_subresultant(f, g, MU)
+    assert res.is_zero() and res.var == LAM
+    assert not s1.is_zero()
+    assert s1.to_bipoly() * LAM_P == -s0.to_bipoly()
+
+
+def test_constant_input_with_a_huge_denominator():
+    # deg_mu g = 0: Res = g^m, and no minor's denominator is formed (den_f
+    # to the power n - 1 = -1 would overflow a float).
+    f = MU_P + LAM_P * Fraction(1, 10**400)
+    g = LAM_P + ONE
+    res, s1, s0 = first_subresultant(f, g, MU)
+    assert res == UniPoly.from_bipoly(g, LAM)
+    assert (s1, s0) == (None, None)
+
+
+def test_linear_pair_subresultant_is_g():
+    # m = n = 1 with complex and rational coefficients: Res = f1 g0 - f0 g1
+    # and (s1, s0) = (g1, g0), at the one point.
+    f = Fraction(-5, 2) * MU_P + (LAM_P * LAM_P - I_P * LAM_P)
+    g = (3 * I_P * LAM_P + ONE) * MU_P + Fraction(7, 4) * ONE
+    (f0, f1), (g0, g1) = f.coeffs_in(MU), g.coeffs_in(MU)
+    res, s1, s0 = first_subresultant(f, g, MU)
+    assert res == UniPoly.from_bipoly(f1 * g0 - f0 * g1, LAM)
+    assert (s1, s0) == (UniPoly.from_bipoly(g1, LAM), UniPoly.from_bipoly(g0, LAM))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -321,9 +379,9 @@ def test_prs_values_at_normal_nodes_match_bareiss(seed):
     rng = random.Random(f"nodes/{seed}")
     f, g = (_random_bipoly(rng, rng.randint(2, 4)) for _ in range(2))
     m, n = f.degree_in(MU), g.degree_in(MU)
-    _, f_at = resultants._specializer(f, MU)
-    _, g_at = resultants._specializer(g, MU)
-    for t in range(8):
+    _, _, f_at = resultants._specializer(f, MU)
+    _, _, g_at = resultants._specializer(g, MU)
+    for t in [*range(8), 1 << 40]:
         a, b = f_at(t), g_at(t)
         rows = resultants._sylvester_rows(a[::-1], b[::-1], (0, 0))
         with_s1 = min(m, n) >= 1
