@@ -18,11 +18,12 @@ ascending order of that factor, the largest last.
 Whether two determinants are proportional is decided at the integer nodes
 of a lower set that bounds both supports, without expanding either
 (det_ratio), up to the first node that disagrees.
-The bound on each degree is a maximum-weight assignment of the entry
-degrees (Jacobi's bound, by Kuhn's Hungarian method): the largest degree
-any Leibniz term can reach.  It runs only on patterns with a perfect
-matching: without one, ``structural_rank``, the test ``Matrix.det`` makes
-too, has already given the zero determinant.  The unimodular-pair
+The bound on each degree is the smaller of the row and the column sums
+of the largest entry degrees, since every Leibniz term takes one entry
+from each row and one from each column; it comes from the walk over the
+entries that clears the denominators, and only for a pattern with a
+perfect matching: without one, ``structural_rank``, the test
+``Matrix.det`` makes too, gives the zero determinant.  The unimodular-pair
 certificate does not come here for its factors E and F, whose constant
 determinants it reads off how they are built (construct).
 """
@@ -196,94 +197,19 @@ def _init(p: PolyMatrix, rows: int, cols: int, coeffs: dict) -> None:
     object.__setattr__(p, "_coeffs", coeffs)
 
 
-def _degree_bounds(m: PolyMatrix) -> tuple[int, int, int] | None:
-    """Bounds (d_lam, d_mu, d) on the lam-, mu- and total degree of det m,
-    or None when det m is structurally zero.
-
-    Every Leibniz term of the determinant is the product of the entries
-    (i, p(i)) of a permutation p, and its degree is at most the sum of
-    their entry degrees; it is zero unless all of them are nonzero.  Without
-    such a permutation (``structural_rank`` of the nonzero pattern below
-    the size, the test ``Matrix.det`` makes too) every term vanishes.
-    Otherwise each bound is the largest such sum (a maximum-weight
-    assignment), so no term can exceed it, and it is never above the row or
-    column sums of the largest entry degrees.
-    """
-    degrees: list[list] = [[None] * m.cols for _ in range(m.rows)]
-    for (a, b), coeff in m._coeffs.items():
-        for i, row in enumerate(coeff.integer_form()[1]):
-            for j, entry in enumerate(row):
-                if entry != (0, 0):
-                    d_lam, d_mu, d = degrees[i][j] or (0, 0, 0)
-                    degrees[i][j] = (max(d_lam, a), max(d_mu, b), max(d, a + b))
-    return _assignment_bounds(degrees)
-
-
-def _assignment_bounds(degrees: list[list]) -> tuple[int, ...] | None:
-    """For each component k of the entries' degree tuples, the largest sum
-    of degrees[i][p(i)][k] over the permutations p that avoid the None
-    entries; None when no permutation does (``structural_rank``)."""
-    size = len(degrees)
-    pattern = [[j for j, e in enumerate(row) if e] for row in degrees]
-    if structural_rank(pattern, size) < size:
-        return None
-    width = len(next(e for e in degrees[0] if e))
-    return tuple(
-        _max_assignment([[e and e[k] for e in row] for row in degrees]) for k in range(width)
-    )
-
-
-def _max_assignment(weights: list[list[int | None]]) -> int:
-    """The largest sum of weights[i][p(i)] over the permutations p that
-    avoid the None entries, of which there must be one.
-
-    Kuhn's Hungarian method in its O(n^3) shortest-augmenting-path form,
-    minimizing the cost -weight: rows join one at a time, and the dual
-    potentials u (rows) and v (columns) keep every reduced cost
-    -w[i][j] - u[i] - v[j] nonnegative, zero on the matching.
-    """
-    n = len(weights)
-    inf = float("inf")
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    owner = [0] * (n + 1)  # 1-based row matched to each 1-based column; 0 free
-    for i in range(1, n + 1):
-        owner[0] = i
-        j0 = 0
-        slack = [inf] * (n + 1)
-        prev = [0] * (n + 1)
-        done = [False] * (n + 1)
-        while owner[j0]:
-            done[j0] = True
-            i0 = owner[j0]
-            row = weights[i0 - 1]
-            delta, j1 = inf, 0
-            for j in range(1, n + 1):
-                if done[j]:
-                    continue
-                w = row[j - 1]
-                if w is not None and -w - u[i0] - v[j] < slack[j]:
-                    slack[j] = -w - u[i0] - v[j]
-                    prev[j] = j0
-                if slack[j] < delta:
-                    delta, j1 = slack[j], j
-            for j in range(n + 1):
-                if done[j]:
-                    u[owner[j]] += delta
-                    v[j] -= delta
-                else:
-                    slack[j] -= delta
-            j0 = j1
-        while j0:
-            j1 = prev[j0]
-            owner[j0] = owner[j1]
-            j0 = j1
-    return sum(weights[owner[j] - 1][j - 1] for j in range(1, n + 1))
-
-
 def _integer_grid_det(m: PolyMatrix):
-    """Determinant evaluator at integer points, its scale, and a bound on
-    its coefficients.
+    """None when det m is structurally zero; otherwise the bounds
+    (d_lam, d_mu, d) on its degrees, and the scale, the coefficient bound
+    and the evaluator of its determinant at integer points, all from one
+    walk over the entries of m.
+
+    Without a perfect matching in the nonzero pattern (``structural_rank``,
+    the test ``Matrix.det`` makes too) every Leibniz term holds a zero
+    entry.  Otherwise every term takes one entry from each row and one from
+    each column, so its lam-degree is at most the sum over the rows of the
+    largest lam-degree in each, and at most the same sum over the columns:
+    d_lam is the smaller sum, and d_mu and the total-degree bound d are
+    found the same way.
 
     Row i of every coefficient matrix is brought to its own denominator
     s_i, the lcm of the reduced denominators of its nonzero entries over
@@ -303,18 +229,24 @@ def _integer_grid_det(m: PolyMatrix):
     det N (Cauchy's estimate; Goldstein & Graham, SIAM Rev. 16, 1974).
     """
     size = m.rows
-    forms = [(mono, coeff.integer_form()) for mono, coeff in m._coeffs.items()]
-    # (a, b, i, j, re, im, den): M_ab[i, j] = (re + im i) / den, nonzero only
+    forms = [((a, b, a + b), coeff.integer_form()) for (a, b), coeff in m._coeffs.items()]
+    # ((a, b, a + b), i, j, re, im, den): M_ab[i, j] = (re + im i) / den,
+    # nonzero only
     entries = [
-        (a, b, i, j, re, im, den)
-        for (a, b), (den, data) in forms
+        (degrees, i, j, re, im, den)
+        for degrees, (den, data) in forms
         for i, row in enumerate(data)
         for j, (re, im) in enumerate(row)
         if re or im
     ]
     row_scales = [1] * size
-    for _, _, i, _, re, im, den in entries:
+    # the degrees of the monomials met in each row and in each column
+    row_degrees = [set() for _ in range(size)]
+    col_degrees = [set() for _ in range(size)]
+    for degrees, i, j, re, im, den in entries:
         row_scales[i] = lcm(row_scales[i], den // gcd(den, re, im))
+        row_degrees[i].add(degrees)
+        col_degrees[j].add(degrees)
     order = sorted(range(size), key=row_scales.__getitem__)
     position = {i: k for k, i in enumerate(order)}
     sign = permutation_sign(order)
@@ -322,11 +254,18 @@ def _integer_grid_det(m: PolyMatrix):
     # division is exact
     terms = [
         (a, b, position[i], j, re * row_scales[i] // den, im * row_scales[i] // den)
-        for a, b, i, j, re, im, den in entries
+        for (a, b, _), i, j, re, im, den in entries
     ]
     weights = [[0] * size for _ in range(size)]
     for _, _, i, j, c_re, c_im in terms:
         weights[i][j] += abs(c_re) + abs(c_im)
+    # the nonzero pattern, rows permuted
+    if structural_rank([[j for j, w in enumerate(row) if w] for row in weights], size) < size:
+        return None
+    # the largest lam-, mu- and total degree in each row, and in each column
+    row_tops = [map(max, zip(*line)) for line in row_degrees]
+    col_tops = [map(max, zip(*line)) for line in col_degrees]
+    bounds = tuple(map(min, map(sum, zip(*row_tops)), map(sum, zip(*col_tops))))
 
     def value(lam: int, mu: int) -> tuple[int, int]:
         re = [[0] * size for _ in range(size)]
@@ -338,7 +277,7 @@ def _integer_grid_det(m: PolyMatrix):
         d_re, d_im = bareiss_det_int([list(zip(r, s)) for r, s in zip(re, im)])
         return (sign * d_re, sign * d_im)
 
-    return prod(row_scales), prod(sum(w * w for w in row) for row in weights), value
+    return bounds, prod(row_scales), prod(sum(w * w for w in row) for row in weights), value
 
 
 def _digit_width(bound: int) -> int:
@@ -367,8 +306,8 @@ def _lower_set(bounds: tuple[int, int, int]) -> list[list[Exponent]]:
 def exact_det_poly(m: PolyMatrix) -> BiPoly:
     """Exact determinant of a polynomial matrix.
 
-    With d_lam the assignment bound on the lam-degree (_degree_bounds) and
-    P the coefficient bound of _integer_grid_det, one Bareiss run at
+    With d_lam the row/column bound on the lam-degree and P the
+    coefficient bound, both of _integer_grid_det, one Bareiss run at
     lam = 2^k, mu = 2^(k (d_lam + 1)), k = _digit_width(P), gives
     scale * det m there, and the coefficient of lam^a mu^b is its signed
     base-2^k digit a + b (d_lam + 1), the real and imaginary parts apart;
@@ -379,11 +318,11 @@ def exact_det_poly(m: PolyMatrix) -> BiPoly:
     """
     if m.rows != m.cols:
         raise ShapeError("determinant requires a square matrix")
-    bounds = _degree_bounds(m)
-    if bounds is None:
+    grid = _integer_grid_det(m)
+    if grid is None:
         return BiPoly.zero()
-    width = bounds[0] + 1
-    scale, bound, det_at = _integer_grid_det(m)
+    (d_lam, _, _), scale, bound, det_at = grid
+    width = d_lam + 1
     k = _digit_width(bound)
     coeffs = _coefficients_at(det_at(1 << k, 1 << (k * width)), k)
     return BiPoly.from_integer_form(
@@ -410,22 +349,22 @@ def det_ratio(p: PolyMatrix, q: PolyMatrix) -> GaussianRational | None:
     for m in (p, q):
         if m.rows != m.cols:
             raise ShapeError("determinant requires a square matrix")
-    q_bounds = _degree_bounds(q)
-    if q_bounds is None:
+    q_grid = _integer_grid_det(q)
+    if q_grid is None:
         raise ZeroDivisionError("proportionality against the zero determinant")
-    p_bounds = _degree_bounds(p)
-    bounds = q_bounds if p_bounds is None else tuple(map(max, p_bounds, q_bounds))
+    q_bounds, q_scale, _, q_at = q_grid
+    p_grid = _integer_grid_det(p)
+    bounds = q_bounds if p_grid is None else tuple(map(max, p_grid[0], q_bounds))
     nodes = [node for row in _lower_set(bounds) for node in row]
-    q_scale, _, q_at = _integer_grid_det(q)
     for k, x0 in enumerate(nodes):
         y = q_at(*x0)
         if y != (0, 0):
             break
     else:
         raise ZeroDivisionError("proportionality against the zero determinant")
-    if p_bounds is None:
+    if p_grid is None:
         return GaussianRational(0)
-    p_scale, _, p_at = _integer_grid_det(p)
+    _, p_scale, _, p_at = p_grid
     x = p_at(*x0)
     # det q vanishes at the nodes before x0, so det p must too.
     if any(p_at(*node) != (0, 0) for node in nodes[:k]):

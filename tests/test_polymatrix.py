@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 
 from pencilspace import gaussint, polymatrix
 from pencilspace.bipoly import BiPoly, UniPoly
-from pencilspace.construct import certify_standard
+from pencilspace.construct import certify_standard, procedure_linearize
 from pencilspace.errors import ShapeError
 from pencilspace.matrices import Matrix, structural_rank
 from pencilspace.pencil import Pencil2P
 from pencilspace.polymatrix import PolyMatrix, exact_det_poly
 from pencilspace.resultants import sylvester_resultant
 from pencilspace.scalars import GaussianRational
+from pencilspace.space import generate_member
 
 from conftest import (
     poly_div_constant_ratio,
+    rand_blocks,
     rand_gr,
     rand_matrix,
     rand_nonzero_gr,
@@ -129,7 +131,8 @@ def test_det_multiplicative(rng):
 
 
 def test_det_single_variable_path(rng):
-    # Entries in lam only: the lower set of nodes is a single row.
+    # Entries in lam only: d_mu = 0, so the Kronecker point's mu multiplies
+    # no term.
     m = PolyMatrix([[LAM**2 + ONE, LAM], [3 * LAM, LAM**2 - ONE]])
     assert exact_det_poly(m) == cofactor_det(m)
 
@@ -203,8 +206,8 @@ def test_det_matches_sympy_on_random_matrices(variables, size):
 @pytest.mark.parametrize("size", [2, 4, 6])
 def test_det_matches_sympy_on_one_sided_degree_bounds(size):
     # E-shaped: only the first column is non-constant, so every Leibniz term
-    # has degree at most 1 in lam, in mu and in total, against the row sum
-    # (size); F-shaped is its transpose.  The assignment bound is (1, 1, 1),
+    # has degree at most 1 in lam, in mu and in total: the column sum, against
+    # the row sum (size); F-shaped is its transpose.  The bound is (1, 1, 1),
     # or None (structurally zero) where the constant entries leave no
     # perfect matching: the size-2 draw has a zero second column.
     rng = random.Random(size)
@@ -216,8 +219,8 @@ def test_det_matches_sympy_on_one_sided_degree_bounds(size):
     e_shaped = PolyMatrix(entries)
     f_shaped = PolyMatrix([[entries[j][i] for j in range(size)] for i in range(size)])
     expected = None if size == 2 else (1, 1, 1)
-    assert polymatrix._degree_bounds(e_shaped) == expected
-    assert polymatrix._degree_bounds(f_shaped) == expected
+    assert degree_bounds(e_shaped) == expected
+    assert degree_bounds(f_shaped) == expected
     _assert_matches_sympy(e_shaped)
     _assert_matches_sympy(f_shaped)
 
@@ -240,7 +243,7 @@ def test_det_zero_row_and_zero_polynomial(size):
     _assert_matches_sympy(PolyMatrix(dependent))
 
 
-def test_det_evaluates_only_on_the_lower_set(monkeypatch):
+def test_det_takes_one_bareiss_run_at_any_degree(monkeypatch):
     # Every determinant, of whatever degree bound, is one Bareiss run at
     # one Kronecker point: no node grid.
     rng = random.Random(3)
@@ -257,17 +260,17 @@ def test_det_evaluates_only_on_the_lower_set(monkeypatch):
 
     monkeypatch.setattr(polymatrix, "bareiss_det_int", counting)
 
-    def nodes(m):
+    def runs(m):
         calls.clear()
         exact_det_poly(m)
         return len(calls)
 
-    # E and F: degree bound 3 from columns / rows; Q (3 x 3 quadratic):
-    # bound 6; L: bound 9.
-    assert nodes(cert.e) == 1
-    assert nodes(cert.f) == 1
-    assert nodes(q.as_polymatrix()) == 1
-    assert nodes(pencil) == 1
+    # E and F: 9 x 9 with constant determinants; Q: 3 x 3 quadratic, of
+    # degree 6; L: a random 9 x 9 pencil, of degree 9.
+    assert runs(cert.e) == 1
+    assert runs(cert.f) == 1
+    assert runs(q.as_polymatrix()) == 1
+    assert runs(pencil) == 1
 
 
 def _rand_sparse_polymatrix(rng, size, max_degree):
@@ -283,6 +286,13 @@ def _rand_sparse_polymatrix(rng, size, max_degree):
 
 
 AXES = (lambda mono: mono[0], lambda mono: mono[1], sum)  # lam-, mu-, total degree
+
+
+def degree_bounds(m):
+    """The (d_lam, d_mu, d) that the determinant kernels read off m, or None
+    when det m is structurally zero."""
+    grid = polymatrix._integer_grid_det(m)
+    return grid and grid[0]
 
 
 def brute_force_bounds(m):
@@ -307,26 +317,29 @@ def brute_force_bounds(m):
     return best
 
 
-def test_assignment_bound_matches_brute_force_permutations():
+def test_degree_bound_is_at_least_the_brute_force_permutation_maximum():
     rng = random.Random("assignment")
     singular = 0
     for _ in range(120):
         m = _rand_sparse_polymatrix(rng, rng.randint(1, 6), 3)
         expected = brute_force_bounds(m)
-        assert polymatrix._degree_bounds(m) == expected
+        bounds = degree_bounds(m)
+        assert (bounds is None) == (expected is None)
+        if bounds is not None:
+            assert all(b >= e for b, e in zip(bounds, expected))
         singular += expected is None
     # The draws include patterns without a perfect matching.
     assert 10 <= singular <= 100
 
 
-def test_det_support_lies_inside_the_assignment_bound():
+def test_det_support_lies_inside_the_degree_bound():
     sympy = pytest.importorskip("sympy")
     lam, mu = sympy.symbols("lam mu")
     rng = random.Random("support")
     for _ in range(30):
         m = _rand_sparse_polymatrix(rng, rng.randint(1, 4), 2)
         det, _ = _sympy_det(m)
-        bounds = polymatrix._degree_bounds(m)
+        bounds = degree_bounds(m)
         if bounds is None:
             assert sympy.expand(det) == 0
             assert exact_det_poly(m).is_zero()
@@ -336,16 +349,12 @@ def test_det_support_lies_inside_the_assignment_bound():
             assert a <= d_lam and b <= d_mu and a + b <= d
 
 
-def test_structural_zero_is_decided_by_the_matching_alone(monkeypatch):
-    def no_assignment(weights):
-        raise AssertionError("_max_assignment ran on a structurally singular pattern")
-
-    monkeypatch.setattr(polymatrix, "_max_assignment", no_assignment)
+def test_structural_zero_is_decided_by_the_matching_alone(bareiss_calls):
     # Rows 0 and 1 are nonzero in column 0 only: no perfect matching, though
     # no row or column is zero.
     z = BiPoly.zero()
     m = PolyMatrix([[LAM, z, z], [MU + ONE, z, z], [ONE, LAM * MU, MU]])
-    assert polymatrix._degree_bounds(m) is None
+    assert degree_bounds(m) is None
     assert exact_det_poly(m) == BiPoly.zero()
     rng = random.Random("structural zero")
     singular = 0
@@ -357,16 +366,35 @@ def test_structural_zero_is_decided_by_the_matching_alone(monkeypatch):
         singular += 1
         assert exact_det_poly(m) == BiPoly.zero()
     assert singular >= 5
+    assert bareiss_calls == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_certificate_factors_take_one_bareiss_run(n, bareiss_calls):
     cert = certify_standard(rand_quad(random.Random(n), n))
     for factor in (cert.e, cert.f):
-        assert polymatrix._degree_bounds(factor) == (0, 0, 0)
         bareiss_calls.clear()
         assert exact_det_poly(factor).is_constant()
         assert len(bareiss_calls) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_degree_bound_is_the_permutation_maximum_on_cli_inputs(n):
+    # The Kronecker width of det_poly and the node lists of the det-ratio
+    # certificate are set by these bounds: on det Q, on members of a general
+    # ansatz and on the procedure's source pencils (3n x 3n, n <= 2) the row
+    # and column sums meet the largest degree of a Leibniz term.
+    rng = random.Random(f"cli bounds/{n}")
+    for _ in range(10):
+        q = rand_quad(rng, n)
+        matrices = [q.as_polymatrix()]
+        if n <= 2:
+            v = tuple(rand_nonzero_gr(rng) for _ in range(3))
+            matrices.append(generate_member(q, v, rand_blocks(rng, n)).as_polymatrix())
+            result = procedure_linearize(q, v, blocks=rand_blocks(rng, n), rng=rng)
+            matrices.append(result.source.as_polymatrix())
+        for m in matrices:
+            assert degree_bounds(m) == brute_force_bounds(m)
 
 
 @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)])
@@ -376,7 +404,6 @@ def test_generic_sylvester_bound_is_the_bezout_degree(n1, n2, bareiss_calls):
     g = exact_det_poly(rand_quad(rng, n2).as_polymatrix())
     s = sylvester_matrix(f, g, "mu")
     bezout = 4 * n1 * n2
-    assert polymatrix._degree_bounds(s) == (bezout, 0, bezout)
     bareiss_calls.clear()
     resultant = exact_det_poly(s)
     assert len(bareiss_calls) == 1
@@ -385,7 +412,7 @@ def test_generic_sylvester_bound_is_the_bezout_degree(n1, n2, bareiss_calls):
     assert UniPoly.from_bipoly(resultant, "lam") == sylvester_resultant(f, g, "mu")
 
 
-def test_lower_set_interpolation_exactness_in_one_variable():
+def test_signed_digits_read_back_coefficients_in_one_variable():
     # 2x^3 - x + 5 at x = 2^4 has the signed base-16 digits 5, -1, 0, 2;
     # with 3 i x^2 - 7 i as the imaginary part, its Gaussian-integer
     # coefficients are read back pairwise, the last one nonzero.
@@ -462,7 +489,7 @@ def test_det_matches_cofactor_on_edge_inputs(name):
     det = exact_det_poly(m)
     assert det == cofactor_det(m)
     if name == "deficient":
-        assert polymatrix._degree_bounds(m) is not None
+        assert degree_bounds(m) is not None
         assert det.is_zero()
     if name == "constant":
         assert det == BiPoly.constant(GaussianRational(2 + Fraction(15, 7)))
