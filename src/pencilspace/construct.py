@@ -15,9 +15,9 @@ Two certificate kinds are kept deliberately distinct:
   reads E or F, so the certificate builds each when it is first read:
   W * Z^-1 is formed only when F is read.
 * ``det-ratio``: det L = gamma * det Q with gamma a nonzero constant --
-  the weaker eigenvalue-preservation criterion, decided exactly at the
-  integer nodes of a lower set that bounds both determinants' supports,
-  stopping at the first node where they disagree.
+  the weaker eigenvalue-preservation criterion, decided exactly: a screen
+  at two integer points rejects almost every pair that is not
+  proportional, and the rest compare both determinants' expansions.
 
 General ansatz vectors are handled by the alignment procedure: pick a
 nonsingular 3 x 3 matrix M with M v = alpha*e1 from a fixed case table
@@ -324,10 +324,10 @@ def certify_det_ratio(pencil: Pencil2P, q: QuadPoly2P) -> LinearizationCertifica
     Weaker than a unimodular pair; it certifies eigenvalue preservation
     only.  Returns verified=False (never raises) when det Q vanishes
     identically, the determinants are not proportional, or gamma = 0.
-    Decided by ``det_ratio`` at the integer nodes of a lower set that
-    bounds both determinants' supports, expanding neither: a
-    non-proportional pair stops at the first node where det L and
-    gamma * det Q disagree, while a verified one evaluates every node.
+    Decided by ``det_ratio``: a non-proportional pair is almost always
+    rejected at the two screen points, (1, 2) and (2, 1), with no
+    expansion, while a verified one also expands det L and det Q, one
+    Bareiss run each at a Kronecker point.
     """
     if pencil.m != 3 * q.n:
         raise ShapeError(f"pencil size {pencil.m} does not match 3n = {3 * q.n}")

@@ -15,12 +15,13 @@ interpolation.
 Each row is cleared of denominators by its own factor, so one entry with
 a huge denominator enlarges its row only, and Bareiss takes the rows in
 ascending order of that factor, the largest last.
-Whether two determinants are proportional is decided at the integer nodes
-of a lower set that bounds both supports, without expanding either
-(det_ratio), up to the first node that disagrees.
-The bound on each degree is the smaller of the row and the column sums
-of the largest entry degrees, since every Leibniz term takes one entry
-from each row and one from each column; it comes from the walk over the
+Whether two determinants are proportional (det_ratio) is first screened
+at the two integer points (1, 2) and (2, 1), which reject almost every
+pair that is not, and otherwise decided on both expansions, each read off
+the same one Kronecker point.
+The lam-degree bound is the smaller of the row and the column sums of the
+largest entry lam-degrees, since every Leibniz term takes one entry from
+each row and one from each column; it comes from the walk over the
 entries that clears the denominators, and only for a pattern with a
 perfect matching: without one, ``structural_rank``, the test
 ``Matrix.det`` makes too, gives the zero determinant.  The unimodular-pair
@@ -198,18 +199,17 @@ def _init(p: PolyMatrix, rows: int, cols: int, coeffs: dict) -> None:
 
 
 def _integer_grid_det(m: PolyMatrix):
-    """None when det m is structurally zero; otherwise the bounds
-    (d_lam, d_mu, d) on its degrees, and the scale, the coefficient bound
-    and the evaluator of its determinant at integer points, all from one
-    walk over the entries of m.
+    """None when det m is structurally zero (ShapeError unless m is
+    square); otherwise the bound d_lam on its lam-degree, and the scale,
+    the coefficient bound and the evaluator of its determinant at integer
+    points, all from one walk over the entries of m.
 
     Without a perfect matching in the nonzero pattern (``structural_rank``,
     the test ``Matrix.det`` makes too) every Leibniz term holds a zero
     entry.  Otherwise every term takes one entry from each row and one from
     each column, so its lam-degree is at most the sum over the rows of the
     largest lam-degree in each, and at most the same sum over the columns:
-    d_lam is the smaller sum, and d_mu and the total-degree bound d are
-    found the same way.
+    d_lam is the smaller sum.
 
     Row i of every coefficient matrix is brought to its own denominator
     s_i, the lcm of the reduced denominators of its nonzero entries over
@@ -228,25 +228,26 @@ def _integer_grid_det(m: PolyMatrix):
     |det N| <= sqrt(P) there (Hadamard), and so is every coefficient of
     det N (Cauchy's estimate; Goldstein & Graham, SIAM Rev. 16, 1974).
     """
+    if m.rows != m.cols:
+        raise ShapeError("determinant requires a square matrix")
     size = m.rows
-    forms = [((a, b, a + b), coeff.integer_form()) for (a, b), coeff in m._coeffs.items()]
-    # ((a, b, a + b), i, j, re, im, den): M_ab[i, j] = (re + im i) / den,
-    # nonzero only
+    forms = [(mono, coeff.integer_form()) for mono, coeff in m._coeffs.items()]
+    # ((a, b), i, j, re, im, den): M_ab[i, j] = (re + im i) / den, nonzero only
     entries = [
-        (degrees, i, j, re, im, den)
-        for degrees, (den, data) in forms
+        (mono, i, j, re, im, den)
+        for mono, (den, data) in forms
         for i, row in enumerate(data)
         for j, (re, im) in enumerate(row)
         if re or im
     ]
     row_scales = [1] * size
-    # the degrees of the monomials met in each row and in each column
-    row_degrees = [set() for _ in range(size)]
-    col_degrees = [set() for _ in range(size)]
-    for degrees, i, j, re, im, den in entries:
+    # the largest lam-degree in each row and in each column
+    row_tops = [0] * size
+    col_tops = [0] * size
+    for (a, _), i, j, re, im, den in entries:
         row_scales[i] = lcm(row_scales[i], den // gcd(den, re, im))
-        row_degrees[i].add(degrees)
-        col_degrees[j].add(degrees)
+        row_tops[i] = max(row_tops[i], a)
+        col_tops[j] = max(col_tops[j], a)
     order = sorted(range(size), key=row_scales.__getitem__)
     position = {i: k for k, i in enumerate(order)}
     sign = permutation_sign(order)
@@ -254,7 +255,7 @@ def _integer_grid_det(m: PolyMatrix):
     # division is exact
     terms = [
         (a, b, position[i], j, re * row_scales[i] // den, im * row_scales[i] // den)
-        for (a, b, _), i, j, re, im, den in entries
+        for (a, b), i, j, re, im, den in entries
     ]
     weights = [[0] * size for _ in range(size)]
     for _, _, i, j, c_re, c_im in terms:
@@ -262,10 +263,6 @@ def _integer_grid_det(m: PolyMatrix):
     # the nonzero pattern, rows permuted
     if structural_rank([[j for j, w in enumerate(row) if w] for row in weights], size) < size:
         return None
-    # the largest lam-, mu- and total degree in each row, and in each column
-    row_tops = [map(max, zip(*line)) for line in row_degrees]
-    col_tops = [map(max, zip(*line)) for line in col_degrees]
-    bounds = tuple(map(min, map(sum, zip(*row_tops)), map(sum, zip(*col_tops))))
 
     def value(lam: int, mu: int) -> tuple[int, int]:
         re = [[0] * size for _ in range(size)]
@@ -277,7 +274,8 @@ def _integer_grid_det(m: PolyMatrix):
         d_re, d_im = bareiss_det_int([list(zip(r, s)) for r, s in zip(re, im)])
         return (sign * d_re, sign * d_im)
 
-    return bounds, prod(row_scales), prod(sum(w * w for w in row) for row in weights), value
+    d_lam = min(sum(row_tops), sum(col_tops))
+    return d_lam, prod(row_scales), prod(sum(w * w for w in row) for row in weights), value
 
 
 def _digit_width(bound: int) -> int:
@@ -296,82 +294,77 @@ def _coefficients_at(value: tuple[int, int], k: int) -> list[tuple[int, int]]:
     return list(zip_longest(re, im, fillvalue=0))
 
 
-def _lower_set(bounds: tuple[int, int, int]) -> list[list[Exponent]]:
-    """The nodes of S = {(a, b) : b <= d_mu, a <= min(d_lam, d - b)} for
-    the degree bounds (d_lam, d_mu, d), one row per b, a increasing."""
-    d_lam, d_mu, d = bounds
-    return [[(a, b) for a in range(min(d_lam, d - b) + 1)] for b in range(d_mu + 1)]
+def _kronecker_read(grid) -> tuple[int, dict[Exponent, tuple[int, int]]]:
+    """The scale and the nonzero (re, im) coefficients of scale * det m,
+    from the _integer_grid_det of m.
+
+    With d_lam the bound on the lam-degree and P the coefficient bound, one
+    Bareiss run at lam = 2^k, mu = 2^(k (d_lam + 1)), k = _digit_width(P),
+    gives scale * det m there, and the coefficient of lam^a mu^b is its
+    signed base-2^k digit a + b (d_lam + 1), the real and imaginary parts
+    apart.
+    """
+    d_lam, scale, bound, det_at = grid
+    width = d_lam + 1
+    k = _digit_width(bound)
+    coeffs = _coefficients_at(det_at(1 << k, 1 << (k * width)), k)
+    return scale, {(p % width, p // width): c for p, c in enumerate(coeffs) if c != (0, 0)}
 
 
 def exact_det_poly(m: PolyMatrix) -> BiPoly:
     """Exact determinant of a polynomial matrix.
 
-    With d_lam the row/column bound on the lam-degree and P the
-    coefficient bound, both of _integer_grid_det, one Bareiss run at
-    lam = 2^k, mu = 2^(k (d_lam + 1)), k = _digit_width(P), gives
-    scale * det m there, and the coefficient of lam^a mu^b is its signed
-    base-2^k digit a + b (d_lam + 1), the real and imaginary parts apart;
-    each is divided once by the scale (the product of the row scales of
-    _integer_grid_det).  Identical to the symbolic expansion.  A
-    structurally singular m (``structural_rank`` of its nonzero pattern
-    below its size) gives the zero polynomial without any evaluation.
+    One Bareiss run at a Kronecker point (_kronecker_read) gives every
+    coefficient of scale * det m, each divided once by the scale (the
+    product of the row scales of _integer_grid_det).  Identical to the
+    symbolic expansion.  A structurally singular m (``structural_rank`` of
+    its nonzero pattern below its size) gives the zero polynomial without
+    any evaluation.
     """
-    if m.rows != m.cols:
-        raise ShapeError("determinant requires a square matrix")
     grid = _integer_grid_det(m)
     if grid is None:
         return BiPoly.zero()
-    (d_lam, _, _), scale, bound, det_at = grid
-    width = d_lam + 1
-    k = _digit_width(bound)
-    coeffs = _coefficients_at(det_at(1 << k, 1 << (k * width)), k)
-    return BiPoly.from_integer_form(
-        scale, {(p % width, p // width): c for p, c in enumerate(coeffs)}
-    )
+    return BiPoly.from_integer_form(*_kronecker_read(grid))
 
 
 def det_ratio(p: PolyMatrix, q: PolyMatrix) -> GaussianRational | None:
     """Return gamma with det p = gamma * det q exactly, or None if not
-    proportional, decided without interpolating either determinant.
+    proportional.
 
-    Raises ZeroDivisionError when det q vanishes identically.  When det p
-    vanishes identically and det q does not, gamma is 0, so a caller that
-    needs a nonzero ratio must treat 0 as failure.  Both supports
-    lie in the lower set S of the componentwise larger degree bounds (det p
-    takes q's bounds when it is structurally zero), and a polynomial with
-    support in S that vanishes at the nodes of S is zero.  x0 is the first
-    node where det q is nonzero; without one, det q = 0.  Then det p =
-    gamma * det q forces gamma = det p(x0) / det q(x0), and holds iff
-    det p(x) det q(x0) = det q(x) det p(x0) at every node x, compared on
-    the scaled integer values, whose scales cancel.  The first node that
-    fails ends the test.
+    Raises ShapeError unless both are square, and ZeroDivisionError when
+    det q vanishes identically.  When det p vanishes identically and det q
+    does not, gamma is 0, so a caller that needs a nonzero ratio must treat
+    0 as failure.  Two steps, both on the scaled integer values of
+    _integer_grid_det, whose scales cancel:
+
+    * a screen: det p = gamma * det q forces
+      det p(1, 2) det q(2, 1) = det p(2, 1) det q(1, 2), so a pair that
+      fails this is not proportional (and det q is not zero there);
+    * otherwise both determinants are expanded (_kronecker_read), and
+      det p = gamma * det q iff they have the same support and
+      p_e * y = q_e * x at every monomial e, for the coefficients x of
+      det p and y of det q at one monomial; then gamma = x / y.
     """
-    for m in (p, q):
-        if m.rows != m.cols:
-            raise ShapeError("determinant requires a square matrix")
+    p_grid = _integer_grid_det(p)
     q_grid = _integer_grid_det(q)
     if q_grid is None:
         raise ZeroDivisionError("proportionality against the zero determinant")
-    q_bounds, q_scale, _, q_at = q_grid
-    p_grid = _integer_grid_det(p)
-    bounds = q_bounds if p_grid is None else tuple(map(max, p_grid[0], q_bounds))
-    nodes = [node for row in _lower_set(bounds) for node in row]
-    for k, x0 in enumerate(nodes):
-        y = q_at(*x0)
-        if y != (0, 0):
-            break
-    else:
-        raise ZeroDivisionError("proportionality against the zero determinant")
-    if p_grid is None:
-        return GaussianRational(0)
-    _, p_scale, _, p_at = p_grid
-    x = p_at(*x0)
-    # det q vanishes at the nodes before x0, so det p must too.
-    if any(p_at(*node) != (0, 0) for node in nodes[:k]):
-        return None
-    for node in nodes[k + 1 :]:
-        if gaussint.mul(p_at(*node), y) != gaussint.mul(q_at(*node), x):
+    if p_grid is not None:
+        p_at, q_at = p_grid[3], q_grid[3]
+        if gaussint.mul(p_at(1, 2), q_at(2, 1)) != gaussint.mul(p_at(2, 1), q_at(1, 2)):
             return None
+    q_scale, q_terms = _kronecker_read(q_grid)
+    if not q_terms:
+        raise ZeroDivisionError("proportionality against the zero determinant")
+    p_scale, p_terms = (1, {}) if p_grid is None else _kronecker_read(p_grid)
+    if not p_terms:
+        return GaussianRational(0)
+    if p_terms.keys() != q_terms.keys():
+        return None
+    first = min(q_terms)
+    x, y = p_terms[first], q_terms[first]
+    if any(gaussint.mul(p_terms[e], y) != gaussint.mul(c, x) for e, c in q_terms.items()):
+        return None
     # gamma = (x / p_scale) / (y / q_scale)
     norm, s = gaussint.reciprocal(y, q_scale)
     return gaussint.to_scalar(norm * p_scale, gaussint.mul(x, s))

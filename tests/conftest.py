@@ -223,7 +223,7 @@ def plant_eigenvector(
 
 def poly_div_constant_ratio(p: BiPoly, q: BiPoly) -> GaussianRational | None:
     """Return gamma with p = gamma * q exactly, or None if not proportional:
-    the oracle of ``polymatrix.det_ratio`` on interpolated determinants.
+    the oracle of ``polymatrix.det_ratio`` on expanded determinants.
 
     q must be nonzero.  A zero p yields gamma = 0.
     """

@@ -571,7 +571,7 @@ def test_each_entry_point_checks_the_ansatz_identity_once(monkeypatch, entry, n)
 
 def full_det_ratio(pencil, q):
     """Oracle: (verified, detail, gamma) from both determinants in full,
-    the route certify_det_ratio took before it decided at the nodes."""
+    through exact_det_poly and the BiPoly ratio, with no screen."""
     det_l = exact_det_poly(pencil.as_polymatrix())
     det_q = exact_det_poly(q.as_polymatrix())
     if det_q.is_zero():
@@ -659,17 +659,20 @@ def test_det_ratio_source_pencil_has_gamma_det_m_power():
     assert cert.gamma != GaussianRational(1)
 
 
-def test_det_ratio_stops_at_the_first_disagreeing_node(bareiss_calls):
-    # The full route interpolates det L at 55 nodes (9 x 9 eliminations)
-    # and det Q at 28; two nodes of each already disagree here.
+def test_det_ratio_screens_two_points_before_any_expansion(bareiss_calls):
+    # A member that is not a linearization is rejected at the two screen
+    # points: two 9 x 9 and two 3 x 3 eliminations, no expansion.  A
+    # verified ratio adds one expansion of each determinant.
     rng = random.Random(13)
     q = rand_quad(rng, 3)
     pencil = generate_member(q, (1, 1, 2), rand_blocks(rng, 3))
     bareiss_calls.clear()
     cert = certify_det_ratio(pencil, q)
     assert cert.detail == "determinants not proportional"
-    assert sum(1 for rows, _ in bareiss_calls if rows == 9) <= 3
-    assert sum(1 for rows, _ in bareiss_calls if rows == 3) <= 3
+    assert sorted(rows for rows, _ in bareiss_calls) == [3, 3, 9, 9]
+    bareiss_calls.clear()
+    assert certify_det_ratio(standard_linearization(q), q).verified
+    assert sorted(rows for rows, _ in bareiss_calls) == [3, 3, 3, 9, 9, 9]
 
 
 FACTOR_KINDS = ("scaled-e1", "standard") + tuple(f"procedure/{case}" for case in ALL_CASES)

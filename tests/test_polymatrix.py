@@ -131,8 +131,7 @@ def test_det_multiplicative(rng):
 
 
 def test_det_single_variable_path(rng):
-    # Entries in lam only: d_mu = 0, so the Kronecker point's mu multiplies
-    # no term.
+    # Entries in lam only: the Kronecker point's mu multiplies no term.
     m = PolyMatrix([[LAM**2 + ONE, LAM], [3 * LAM, LAM**2 - ONE]])
     assert exact_det_poly(m) == cofactor_det(m)
 
@@ -206,10 +205,10 @@ def test_det_matches_sympy_on_random_matrices(variables, size):
 @pytest.mark.parametrize("size", [2, 4, 6])
 def test_det_matches_sympy_on_one_sided_degree_bounds(size):
     # E-shaped: only the first column is non-constant, so every Leibniz term
-    # has degree at most 1 in lam, in mu and in total: the column sum, against
-    # the row sum (size); F-shaped is its transpose.  The bound is (1, 1, 1),
-    # or None (structurally zero) where the constant entries leave no
-    # perfect matching: the size-2 draw has a zero second column.
+    # has lam-degree at most 1: the column sum, against the row sum (size);
+    # F-shaped is its transpose.  The bound is 1, or None (structurally
+    # zero) where the constant entries leave no perfect matching: the
+    # size-2 draw has a zero second column.
     rng = random.Random(size)
     entries = _rand_entries(rng, size, (), 0)
     for i in range(size):
@@ -218,9 +217,9 @@ def test_det_matches_sympy_on_one_sided_degree_bounds(size):
         )
     e_shaped = PolyMatrix(entries)
     f_shaped = PolyMatrix([[entries[j][i] for j in range(size)] for i in range(size)])
-    expected = None if size == 2 else (1, 1, 1)
-    assert degree_bounds(e_shaped) == expected
-    assert degree_bounds(f_shaped) == expected
+    expected = None if size == 2 else 1
+    assert lam_bound(e_shaped) == expected
+    assert lam_bound(f_shaped) == expected
     _assert_matches_sympy(e_shaped)
     _assert_matches_sympy(f_shaped)
 
@@ -285,25 +284,20 @@ def _rand_sparse_polymatrix(rng, size, max_degree):
     )
 
 
-AXES = (lambda mono: mono[0], lambda mono: mono[1], sum)  # lam-, mu-, total degree
-
-
-def degree_bounds(m):
-    """The (d_lam, d_mu, d) that the determinant kernels read off m, or None
-    when det m is structurally zero."""
+def lam_bound(m):
+    """The d_lam that the determinant kernels read off m, or None when
+    det m is structurally zero."""
     grid = polymatrix._integer_grid_det(m)
     return grid and grid[0]
 
 
-def brute_force_bounds(m):
-    """Oracle: the largest lam-, mu- and total-degree sum of the entries
-    (i, p(i)) over every permutation p whose entries are all nonzero, or
-    None when there is none."""
+def brute_force_lam_bound(m):
+    """Oracle: the largest lam-degree sum of the entries (i, p(i)) over
+    every permutation p whose entries are all nonzero, or None when there
+    is none."""
     degrees = [
         [
-            None
-            if m[i, j].is_zero()
-            else tuple(max(key(mono) for mono, _ in m[i, j].terms()) for key in AXES)
+            None if m[i, j].is_zero() else max(a for (a, _), _ in m[i, j].terms())
             for j in range(m.cols)
         ]
         for i in range(m.rows)
@@ -311,9 +305,8 @@ def brute_force_bounds(m):
     best = None
     for p in itertools.permutations(range(m.rows)):
         entries = [degrees[i][p[i]] for i in range(m.rows)]
-        if None not in entries:
-            sums = tuple(map(sum, zip(*entries)))
-            best = sums if best is None else tuple(map(max, best, sums))
+        if None not in entries and (best is None or sum(entries) > best):
+            best = sum(entries)
     return best
 
 
@@ -322,11 +315,11 @@ def test_degree_bound_is_at_least_the_brute_force_permutation_maximum():
     singular = 0
     for _ in range(120):
         m = _rand_sparse_polymatrix(rng, rng.randint(1, 6), 3)
-        expected = brute_force_bounds(m)
-        bounds = degree_bounds(m)
-        assert (bounds is None) == (expected is None)
-        if bounds is not None:
-            assert all(b >= e for b, e in zip(bounds, expected))
+        expected = brute_force_lam_bound(m)
+        bound = lam_bound(m)
+        assert (bound is None) == (expected is None)
+        if bound is not None:
+            assert bound >= expected
         singular += expected is None
     # The draws include patterns without a perfect matching.
     assert 10 <= singular <= 100
@@ -339,14 +332,13 @@ def test_det_support_lies_inside_the_degree_bound():
     for _ in range(30):
         m = _rand_sparse_polymatrix(rng, rng.randint(1, 4), 2)
         det, _ = _sympy_det(m)
-        bounds = degree_bounds(m)
-        if bounds is None:
+        bound = lam_bound(m)
+        if bound is None:
             assert sympy.expand(det) == 0
             assert exact_det_poly(m).is_zero()
             continue
-        d_lam, d_mu, d = bounds
-        for a, b in sympy.Poly(det, lam, mu).monoms():
-            assert a <= d_lam and b <= d_mu and a + b <= d
+        for a, _ in sympy.Poly(det, lam, mu).monoms():
+            assert a <= bound
 
 
 def test_structural_zero_is_decided_by_the_matching_alone(bareiss_calls):
@@ -354,7 +346,7 @@ def test_structural_zero_is_decided_by_the_matching_alone(bareiss_calls):
     # no row or column is zero.
     z = BiPoly.zero()
     m = PolyMatrix([[LAM, z, z], [MU + ONE, z, z], [ONE, LAM * MU, MU]])
-    assert degree_bounds(m) is None
+    assert lam_bound(m) is None
     assert exact_det_poly(m) == BiPoly.zero()
     rng = random.Random("structural zero")
     singular = 0
@@ -380,10 +372,10 @@ def test_certificate_factors_take_one_bareiss_run(n, bareiss_calls):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_degree_bound_is_the_permutation_maximum_on_cli_inputs(n):
-    # The Kronecker width of det_poly and the node lists of the det-ratio
-    # certificate are set by these bounds: on det Q, on members of a general
-    # ansatz and on the procedure's source pencils (3n x 3n, n <= 2) the row
-    # and column sums meet the largest degree of a Leibniz term.
+    # The Kronecker width of det_poly and of the det-ratio expansions is set
+    # by this bound: on det Q, on members of a general ansatz and on the
+    # procedure's source pencils (3n x 3n, n <= 2) the row and column sums
+    # meet the largest lam-degree of a Leibniz term.
     rng = random.Random(f"cli bounds/{n}")
     for _ in range(10):
         q = rand_quad(rng, n)
@@ -394,7 +386,7 @@ def test_degree_bound_is_the_permutation_maximum_on_cli_inputs(n):
             result = procedure_linearize(q, v, blocks=rand_blocks(rng, n), rng=rng)
             matrices.append(result.source.as_polymatrix())
         for m in matrices:
-            assert degree_bounds(m) == brute_force_bounds(m)
+            assert lam_bound(m) == brute_force_lam_bound(m)
 
 
 @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)])
@@ -489,7 +481,7 @@ def test_det_matches_cofactor_on_edge_inputs(name):
     det = exact_det_poly(m)
     assert det == cofactor_det(m)
     if name == "deficient":
-        assert degree_bounds(m) is not None
+        assert lam_bound(m) is not None
         assert det.is_zero()
     if name == "constant":
         assert det == BiPoly.constant(GaussianRational(2 + Fraction(15, 7)))
@@ -582,16 +574,26 @@ def test_det_ratio_matches_poly_div_constant_ratio(kind, q_size, extra, seed):
         assert polymatrix.det_ratio(p, q) == poly_div_constant_ratio(exact_det_poly(p), det_q)
 
 
-def test_det_ratio_checks_the_nodes_before_the_first_nonzero_one():
-    # det q = lam vanishes at (0, 0), so x0 = (1, 0); det p must vanish
-    # wherever det q does.
+def test_det_ratio_screens_two_points_then_compares_expansions(bareiss_calls):
+    # The screen compares det p(1, 2) det q(2, 1) with det p(2, 1) det q(1, 2).
     q = PolyMatrix([[LAM]])
     assert polymatrix.det_ratio(PolyMatrix([[LAM * 3]]), q) == GaussianRational(3)
     assert polymatrix.det_ratio(PolyMatrix([[LAM + ONE]]), q) is None
     assert polymatrix.det_ratio(PolyMatrix([[LAM + MU]]), q) is None
     assert polymatrix.det_ratio(PolyMatrix([[BiPoly.zero()]]), q) == GaussianRational(0)
+    # Both pass the screen (2 * 1 = 2 * 1, and 0 * 1 = 0 * 1) and are told
+    # apart by their expansions: four screen runs and two expansions.
+    for p in ([[LAM * MU]], [[(LAM - ONE) * (LAM - ONE * 2)]]):
+        bareiss_calls.clear()
+        assert polymatrix.det_ratio(PolyMatrix(p), PolyMatrix([[ONE]])) is None
+        assert len(bareiss_calls) == 6
+    # det q vanishes identically, though not structurally: the screen passes
+    # and the expansion of det q decides, before a zero det p gives 0.
+    singular = PolyMatrix([[LAM, MU], [LAM, MU]])
     with pytest.raises(ZeroDivisionError):
-        polymatrix.det_ratio(q, PolyMatrix([[LAM, MU], [LAM, MU]]))
+        polymatrix.det_ratio(q, singular)
+    with pytest.raises(ZeroDivisionError):
+        polymatrix.det_ratio(PolyMatrix([[BiPoly.zero()]]), singular)
     with pytest.raises(ShapeError):
         polymatrix.det_ratio(PolyMatrix([[LAM, MU]]), q)
 
@@ -627,17 +629,37 @@ def _with_extreme_entry(m: PolyMatrix) -> PolyMatrix:
     return m + PolyMatrix(bump)
 
 
+def _kronecker_row_bits(monkeypatch, m: PolyMatrix) -> list[int]:
+    """The bit length of the widest Gaussian-integer component of each row
+    that the one Bareiss run of exact_det_poly(m) takes in, checking that
+    run against the cofactor expansion."""
+    real = polymatrix.bareiss_det_int
+    runs = []
+
+    def recording(a):
+        runs.append([max(abs(v).bit_length() for pair in row for v in pair) for row in a])
+        return real(a)
+
+    monkeypatch.setattr(polymatrix, "bareiss_det_int", recording)
+    assert exact_det_poly(m) == cofactor_det(m)
+    monkeypatch.setattr(polymatrix, "bareiss_det_int", real)
+    (row_bits,) = runs
+    return row_bits
+
+
 @pytest.mark.parametrize("size", [2, 3, 4])
 def test_det_with_one_extreme_denominator_scales_its_own_row(monkeypatch, size):
+    # Only row 0 carries the 10^1000, so the product of the row scales holds
+    # one factor of it; with every row at one common scale it would hold
+    # size of them.  In the one Kronecker run that row is wider than every
+    # other by its 3322 bits (up to the few dozen bits of the entries), or
+    # by more where the others lack its largest monomial.
     m = _with_extreme_entry(_dense(random.Random(size), size))
-    assert exact_det_poly(m) == cofactor_det(m)
-    # det_ratio runs Bareiss at small integer nodes.  Only row 0 carries the
-    # 10^1000, and the determinant is linear in that row, so no operand
-    # holds two factors of it; with every row at one common scale the
-    # operands reach size * 3322 bits.
-    bits = _bareiss_bits(monkeypatch)
+    _, scale, _, _ = polymatrix._integer_grid_det(m)
+    assert 3322 < scale.bit_length() < 3322 + 64
+    row_bits = _kronecker_row_bits(monkeypatch, m)
+    assert row_bits[-1] - max(row_bits[:-1]) > 3322 - 64
     assert polymatrix.det_ratio(m, m) == GaussianRational(1)
-    assert 3322 < max(bits) < 2 * 3322
 
 
 @pytest.mark.parametrize("size", [2, 3, 4])
@@ -645,22 +667,12 @@ def test_bareiss_takes_the_inflated_row_last(monkeypatch, size):
     # Row 0 carries the 10^1000; handed over last, it enters only the final
     # minor, and the row permutation's sign is applied to every value.
     m = _with_extreme_entry(_dense(random.Random(size), size))
-    assert exact_det_poly(m) == cofactor_det(m)
-    real = polymatrix.bareiss_det_int
-    row_bits = []
-
-    def recording(a):
-        row_bits.append([max(abs(v).bit_length() for pair in row for v in pair) for row in a])
-        return real(a)
-
-    monkeypatch.setattr(polymatrix, "bareiss_det_int", recording)
-    # det m = gamma det m' for m' with rows 0 and 1 swapped, gamma = -1, at
-    # det_ratio's small integer nodes.
+    row_bits = _kronecker_row_bits(monkeypatch, m)
+    assert row_bits[-1] > max(row_bits[:-1])
+    # det m = gamma det m' for m' with rows 0 and 1 swapped, gamma = -1: the
+    # screen passes and both expansions agree up to that sign.
     swapped = PolyMatrix([[m[r, c] for c in range(size)] for r in (1, 0, *range(2, size))])
     assert polymatrix.det_ratio(m, swapped) == GaussianRational(-1)
-    # (the last row is zero at a node where row 0 of m vanishes)
-    assert all(max(bits[:-1]) < 3322 for bits in row_bits)
-    assert any(bits[-1] > 3322 for bits in row_bits)
 
 
 @pytest.mark.parametrize("kind", ["proportional", "bumped", "random"])
