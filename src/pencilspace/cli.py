@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import serialization as ser
-from .construct import _random_block, best_certificate, condition_det_check, procedure_linearize
+from .construct import _random_block, best_certificate, procedure_linearize
 from .errors import (
     ConditionUnsatisfiableError,
     ConvergenceError,
@@ -47,6 +47,7 @@ from .space import (
     FreeBlocks,
     generate_member,
     kernel_member,
+    lower_z_block,
     membership,
     space_dimension,
     standard_linearization,
@@ -135,7 +136,7 @@ def _random_component_blocks(rng: random.Random, n: int) -> FreeBlocks:
         y11 = _random_block(rng, n, n)
         z1 = _random_block(rng, 3 * n, n)
         z2 = _random_block(rng, 3 * n, n)
-        if condition_det_check(Matrix.identity(3), z1, z2):
+        if lower_z_block(z1, z2).det():
             return FreeBlocks(n, Matrix.vstack([y11, zero]), z1, z2)
     raise ConditionUnsatisfiableError("could not draw admissible blocks")
 

@@ -11,9 +11,9 @@ Two certificate kinds are kept deliberately distinct:
   box-add(L) = (alpha e1) kron [A20 A11 A02 A10 A01 A00], once per entry
   point, and Z^-1 Z = I_2n, one constant product.  det E and det F are
   read off how the factors are built: det E = alpha^-n, and det F =
-  1 / det Z, where det Z also decides that Z is nonsingular.  No check
-  reads E or F, so the certificate builds each when it is first read:
-  W * Z^-1 is formed only when F is read.
+  1 / det Z, where det Z, the certificate's one elimination, also decides
+  that Z is nonsingular.  The certificate builds E and F when each is
+  first read: F forms Z^-1, checks Z^-1 Z = I_2n, then forms W * Z^-1.
 * ``det-ratio``: det L = gamma * det Q with gamma a nonzero constant --
   the weaker eigenvalue-preservation criterion, decided exactly: a screen
   at two integer points rejects almost every pair that is not
@@ -155,14 +155,13 @@ class LinearizationCertificate:
     """Evidence that a pencil linearizes a quadratic.
 
     kind "unimodular-pair" carries the constant nonzero det E and det F of
-    factors with F*L*E = diag(Q, I_2n) checked exactly, the quadratic Q
-    whose ansatz identity was checked, and the data the factors are built
-    from: alpha, the certified pencil and Z^-1.  E and F themselves are
-    built when first read, once per certificate; only then is W * Z^-1
-    formed.  The identity also gives det L = det Q / (det E * det F), which
-    ``qep.spectrum_pencil`` reads instead of expanding det L.  kind
-    "det-ratio" carries the constant gamma with det L = gamma * det Q, and
-    its e, f and quadratic are None.
+    factors with F*L*E = diag(Q, I_2n), the quadratic Q whose ansatz
+    identity was checked, alpha and the certified pencil.  E and F are
+    built from these when first read, once per certificate; reading F forms
+    Z^-1, checks Z^-1 Z = I_2n and forms W * Z^-1.  The identity also gives
+    det L = det Q / (det E * det F), read by ``qep.spectrum_pencil`` instead
+    of expanding det L.  kind "det-ratio" carries the constant gamma with
+    det L = gamma * det Q, and its e, f and quadratic are None.
     """
 
     kind: str
@@ -174,14 +173,13 @@ class LinearizationCertificate:
     alpha: Optional[GaussianRational] = None
     pencil: Optional[Pencil2P] = None
     quadratic: Optional[QuadPoly2P] = None
-    z_inv: Optional[Matrix] = None
 
     @cached_property
     def e(self) -> Optional[PolyMatrix]:
         """E = [[(lam/alpha) I, I, 0], [(mu/alpha) I, 0, I], [(1/alpha) I, 0, 0]]."""
-        if self.z_inv is None:
+        if self.pencil is None:
             return None
-        n = self.z_inv.rows // 2
+        n = self.pencil.m // 3
         inv_alpha = ONE / self.alpha
         eye = Matrix.identity(n)
         return PolyMatrix.from_coefficients(
@@ -196,15 +194,19 @@ class LinearizationCertificate:
 
     @cached_property
     def f(self) -> Optional[PolyMatrix]:
-        """F = [[I, -W Z^-1], [0, Z^-1]], W the top-left n x 2n block of L."""
-        if self.z_inv is None:
+        """F = [[I, -W Z^-1], [0, Z^-1]] for L = [[W, *], [Z, *]], Z^-1 Z = I checked."""
+        if self.pencil is None:
             return None
-        n = self.z_inv.rows // 2
+        n = self.pencil.m // 3
         top, left = range(n), range(2 * n)
+        z = self.pencil.const.submatrix(range(n, 3 * n), left)
+        z_inv = z.inverse()
+        if z_inv @ z != Matrix.identity(2 * n):
+            raise AssertionError("certificate product failed; construction is wrong")
         w = PolyMatrix.from_coefficients(
             n, 2 * n, {mono: c.submatrix(top, left) for mono, c in self.pencil.as_polymatrix().terms()}
         )
-        z_inv = PolyMatrix.from_scalar(self.z_inv)
+        z_inv = PolyMatrix.from_scalar(z_inv)
         return PolyMatrix.from_blocks(
             [[PolyMatrix.identity(n), -(w @ z_inv)], [PolyMatrix.zeros(2 * n, n), z_inv]]
         )
@@ -231,7 +233,7 @@ def certify_scaled_e1(
         F = [[I, -W(lam,mu) Z^-1], [0, Z^-1]]
     with W = [alpha*lam*A20 + mu*Y11 + Z11 | alpha*mu*A02 + alpha*lam*A11
     - lam*Y11 + Z12], for which F * L * E = diag(Q, I_2n) holds exactly;
-    the product W Z^-1 is formed only when F is read.
+    Z^-1 and the product W Z^-1 are formed only when F is read.
     """
     alpha = GaussianRational.coerce(alpha)
     if not alpha:
@@ -272,7 +274,8 @@ def _unimodular_pair(
     G = W Z^-1 the block column X = [X_top; X_bot] of L * E maps to
     F * X = [X_top - G X_bot; Z^-1 X_bot].
     * Block columns 2-3: [L1 | L2] = [W; Z] maps to [W (I - Z^-1 Z); Z^-1 Z],
-      which is [0; I_2n] iff Z^-1 Z = I_2n (one constant product).
+      which is [0; I_2n] iff Z^-1 Z = I_2n.  That holds for the Z^-1 that
+      F is built from, and F checks it, one constant product, when built.
     * Block column 1: Z^-1 is then a two-sided inverse, so F * X = [Q; 0]
       iff X_bot = 0 and X_top = Q, i.e. lam L1 + mu L2 + L3 = L (Lambda
       kron I_n) = (alpha e1) kron Q.  Matching the coefficients of lam^2,
@@ -288,12 +291,12 @@ def _unimodular_pair(
       moves n columns past 2n, so its sign is (-1)^(2 n^2) = +1, and
       det E = alpha^-n.
     * F = [[I_n, -G], [0, Z^-1]] is block upper triangular as built, so
-      det F = det Z^-1 = 1 / det Z.  det Z is the one determinant taken: 0
-      refuses the pencil, and otherwise Z^-1 exists.
+      det F = det Z^-1 = 1 / det Z.  det Z is the certificate's one
+      elimination: 0 refuses the pencil, and otherwise Z^-1 exists.
 
-    No check reads E or F, so the certificate keeps alpha, the pencil and
-    Z^-1, and builds E and F from them when they are first read.  It also
-    keeps q, whose determinant gives det L = det q / (det E * det F).
+    No check here reads E or F, so the certificate keeps alpha and the
+    pencil, and builds E and F from them when they are first read.  It
+    also keeps q, whose determinant gives det L = det q / (det E * det F).
     """
     n = q.n
     lower, left = range(n, 3 * n), range(2 * n)
@@ -303,9 +306,6 @@ def _unimodular_pair(
     det_z = z.det()
     if not det_z:
         raise HypothesisViolatedError("lower Z block is singular")
-    z_inv = z.inverse()
-    if z_inv @ z != Matrix.identity(2 * n):
-        raise AssertionError("certificate product failed; construction is wrong")
     return LinearizationCertificate(
         kind="unimodular-pair",
         verified=True,
@@ -314,7 +314,6 @@ def _unimodular_pair(
         alpha=alpha,
         pencil=pencil,
         quadratic=q,
-        z_inv=z_inv,
     )
 
 

@@ -238,18 +238,24 @@ def test_certify_scaled_e1_rejects_singular_z(rng):
 
 @pytest.mark.parametrize("entry", ["certify_scaled_e1", "certify_standard", "best_certificate"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_certificate_eliminates_only_the_z_block_twice(n, entry, bareiss_calls):
-    # Matrix.det and Matrix.inverse each eliminate the 2n-row lower Z block
-    # once; det E = alpha^-n and det F = 1 / det Z are read off the build.
+def test_certificate_eliminates_only_the_z_block_once(n, entry, bareiss_calls):
+    # Matrix.det eliminates the 2n-row lower Z block once; det E = alpha^-n
+    # and det F = 1 / det Z are read off the build.  The first read of F
+    # eliminates Z once more, for Z^-1, and a second read none.
     kind = "standard" if entry == "certify_standard" else "scaled-e1"
     pencil, q, _ = certified_pair(kind, n, random.Random(f"z/{entry}/{n}"))
     alpha = membership(pencil, q).v[0]
     bareiss_calls.clear()
     cert = ENTRY_POINTS[entry](pencil, q, alpha)
-    assert [rows for rows, _ in bareiss_calls] == [2 * n, 2 * n]
+    assert [rows for rows, _ in bareiss_calls] == [2 * n]
     assert cert.verified and cert.kind == "unimodular-pair"
     assert cert.det_e == GaussianRational(1) / alpha**n
     assert cert.det_f * pencil.const.submatrix(range(n, 3 * n), range(2 * n)).det() == 1
+    bareiss_calls.clear()
+    f = cert.f
+    assert [rows for rows, _ in bareiss_calls] == [2 * n]
+    bareiss_calls.clear()
+    assert cert.f is f and not bareiss_calls
 
 
 def test_singular_z_block_with_a_perfect_matching_is_rejected(rng):
@@ -512,12 +518,15 @@ def test_block_check_agrees_with_the_generic_product(kind, n, seed):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_wrong_z_inverse_fails_the_block_check(monkeypatch, kind, n):
     # Twice the true inverse: nonsingular, but F * L * E != diag(Q, I_2n).
-    pencil, q, _ = certified_pair(kind, n, random.Random(f"{kind}/{n}"))
-    alpha = membership(pencil, q).v[0]
+    # Certification never forms Z^-1; the first read of F does, and checks it.
     real = Matrix.inverse
-    monkeypatch.setattr(Matrix, "inverse", lambda m: real(m).scale(2))
+    inverses = []
+    monkeypatch.setattr(Matrix, "inverse", lambda m: inverses.append(m) or real(m).scale(2))
+    pencil, q, cert = certified_pair(kind, n, random.Random(f"{kind}/{n}"))
+    assert cert.verified and cert.kind == "unimodular-pair" and not inverses
     with pytest.raises(AssertionError, match="^certificate product failed; construction is wrong$"):
-        construct._unimodular_pair(pencil, q, alpha)
+        cert.f
+    assert len(inverses) == 1
 
 
 def spy(monkeypatch, name, *owners):

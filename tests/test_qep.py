@@ -94,6 +94,15 @@ def test_linearize_system_certifies_both(rng):
     assert lin.alpha1 == GaussianRational(2)
 
 
+def test_linearize_system_eliminates_each_z_block_once(rng, bareiss_calls, monkeypatch):
+    monkeypatch.setattr(Matrix, "inverse", None)
+    system = QuadSystem2P(rand_quad(rng, 1), rand_quad(rng, 2))
+    bareiss_calls.clear()
+    lin = linearize_system(system, alpha1=2, alpha2=Fraction(1, 3))
+    assert lin.cert1.verified and lin.cert2.verified
+    assert [rows for rows, _ in bareiss_calls] == [2, 4]
+
+
 def test_linearize_system_rejects_singular_z(rng):
     q2 = rand_quad(rng, 2)
     bad = FreeBlocks(
