@@ -7,8 +7,9 @@ ratios), and linearizes pairs of quadratics into two-parameter eigenvalue
 problems whose spectra and operator determinants it verifies at desk
 scale.  All structural checks run over the Gaussian rationals; floating
 point appears only in the float stage of a spectrum (its root iteration
-imports numpy at its first call, so importing the package does not load
-numpy) and in the size of a residual that is not exactly zero.
+imports numpy at its first call) and in the size of a residual that is not
+exactly zero.  Importing the package loads neither numpy nor dataclasses:
+its records are NamedTuples.
 """
 
 from .bipoly import BiPoly, UniPoly

@@ -28,9 +28,8 @@ choose Z blocks until the transformed lower Z block is nonsingular.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     ConditionUnsatisfiableError,
@@ -55,8 +54,7 @@ from .space import (
 _MAX_DRAWS = 32  # redraws of the Z blocks before procedure_linearize gives up
 
 
-@dataclass(frozen=True)
-class AnsatzTransform:
+class AnsatzTransform(NamedTuple):
     """A nonsingular 3 x 3 matrix M with M v = alpha * e1, plus its case tag."""
 
     matrix: Matrix
@@ -150,8 +148,19 @@ def condition_det_check(m3: Matrix, z1: Matrix, z2: Matrix) -> bool:
     return bool(lower_z_block(op @ z1, op @ z2).det())
 
 
-@dataclass(frozen=True)
-class LinearizationCertificate:
+class _CertificateFields(NamedTuple):
+    kind: str
+    verified: bool
+    det_e: Optional[GaussianRational] = None
+    det_f: Optional[GaussianRational] = None
+    gamma: Optional[GaussianRational] = None
+    detail: str = ""
+    alpha: Optional[GaussianRational] = None
+    pencil: Optional[Pencil2P] = None
+    quadratic: Optional[QuadPoly2P] = None
+
+
+class LinearizationCertificate(_CertificateFields):
     """Evidence that a pencil linearizes a quadratic.
 
     kind "unimodular-pair" carries the constant nonzero det E and det F of
@@ -163,16 +172,6 @@ class LinearizationCertificate:
     of expanding det L.  kind "det-ratio" carries the constant gamma with
     det L = gamma * det Q, and its e, f and quadratic are None.
     """
-
-    kind: str
-    verified: bool
-    det_e: Optional[GaussianRational] = None
-    det_f: Optional[GaussianRational] = None
-    gamma: Optional[GaussianRational] = None
-    detail: str = ""
-    alpha: Optional[GaussianRational] = None
-    pencil: Optional[Pencil2P] = None
-    quadratic: Optional[QuadPoly2P] = None
 
     @cached_property
     def e(self) -> Optional[PolyMatrix]:
@@ -367,8 +366,7 @@ def best_certificate(pencil: Pencil2P, q: QuadPoly2P) -> LinearizationCertificat
     return certify_det_ratio(pencil, q)
 
 
-@dataclass(frozen=True)
-class ProcedureResult:
+class ProcedureResult(NamedTuple):
     """Outcome of the ansatz-alignment procedure."""
 
     pencil: Pencil2P

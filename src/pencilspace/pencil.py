@@ -15,8 +15,8 @@ exactly when its box-addition equals v kron [A20 A11 A02 A10 A01 A00].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import gaussint
 from .bipoly import BiPoly
@@ -26,21 +26,27 @@ from .matrices import Matrix, kron
 from .polymatrix import PolyMatrix, exact_det_poly
 from .scalars import GaussianRational, ScalarLike
 
-# Canonical ordering of the six coefficient blocks in the target row, and
-# the monomial lam^a mu^b, as (a, b), that each one multiplies.
-COEFF_ORDER = ("a20", "a11", "a02", "a10", "a01", "a00")
+# The monomial lam^a mu^b, as (a, b), that each coefficient of a quadratic
+# multiplies, in field order, which is also their order in the target row.
 COEFF_MONOMIALS = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))
 
 
-@dataclass(frozen=True)
-class QuadPoly2P:
-    """A quadratic two-parameter matrix polynomial with exact coefficients.
+class Checked:
+    """Base of a record that checks its own fields.  ``__new__`` calls
+    ``_check`` on each new instance; NamedTuple's ``_make``, which
+    ``_replace`` calls, would skip ``__new__``, so it calls the constructor."""
 
-    Its determinant, ``det_poly``, is computed when first read and kept, so
-    the quadratic spectrum and the certificate-read pencil spectrum of one
-    quadratic share it.
-    """
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
 
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class _QuadFields(NamedTuple):
     n: int
     a20: Matrix
     a11: Matrix
@@ -49,9 +55,17 @@ class QuadPoly2P:
     a01: Matrix
     a00: Matrix
 
-    def __post_init__(self):
-        for name in COEFF_ORDER:
-            m = getattr(self, name)
+
+class QuadPoly2P(Checked, _QuadFields):
+    """A quadratic two-parameter matrix polynomial with exact coefficients.
+
+    Its determinant, ``det_poly``, is computed when first read and kept, so
+    the quadratic spectrum and the certificate-read pencil spectrum of one
+    quadratic share it.
+    """
+
+    def _check(self):
+        for name, m in zip(self._fields[1:], self[1:]):
             if m.shape != (self.n, self.n):
                 raise ShapeError(
                     f"coefficient {name} has shape {m.shape}, expected {(self.n, self.n)}"
@@ -65,7 +79,7 @@ class QuadPoly2P:
         )
 
     def coefficients(self) -> tuple[Matrix, ...]:
-        return tuple(getattr(self, name) for name in COEFF_ORDER)
+        return self[1:]
 
     def coefficient_row(self) -> Matrix:
         """The n x 6n row [A20 A11 A02 A10 A01 A00]."""
@@ -88,18 +102,18 @@ class QuadPoly2P:
         return all(m.is_zero() for m in self.coefficients())
 
 
-@dataclass(frozen=True)
-class Pencil2P:
-    """A linear two-parameter pencil lam*A1 + mu*A2 + A3 of size m x m."""
-
+class _PencilFields(NamedTuple):
     m: int
     lam_coeff: Matrix
     mu_coeff: Matrix
     const: Matrix
 
-    def __post_init__(self):
-        for name in ("lam_coeff", "mu_coeff", "const"):
-            mat = getattr(self, name)
+
+class Pencil2P(Checked, _PencilFields):
+    """A linear two-parameter pencil lam*A1 + mu*A2 + A3 of size m x m."""
+
+    def _check(self):
+        for name, mat in zip(self._fields[1:], self[1:]):
             if mat.shape != (self.m, self.m):
                 raise ShapeError(
                     f"pencil coefficient {name} has shape {mat.shape}, "
@@ -207,8 +221,7 @@ def apply_to_lambda(pencil: Pencil2P) -> PolyMatrix:
     return PolyMatrix.from_coefficients(3 * n, n, dict(zip(COEFF_MONOMIALS, blocks)))
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(NamedTuple):
     """Both sides of the eigenvector correspondence identity at a point."""
 
     left: Matrix

@@ -42,9 +42,8 @@ which no certified alpha*e1 member has, forms Delta0 and eliminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import gaussint, roots
 from .bipoly import BiPoly, UniPoly
@@ -61,8 +60,7 @@ from .space import FreeBlocks, generate_member, standard_blocks
 DEFAULT_SPECTRUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class QuadSystem2P:
+class QuadSystem2P(NamedTuple):
     """A pair of quadratic two-parameter matrix polynomials."""
 
     q1: QuadPoly2P
@@ -73,8 +71,7 @@ class QuadSystem2P:
         return 4 * self.q1.n * self.q2.n
 
 
-@dataclass(frozen=True)
-class LinearSystem2P:
+class LinearSystem2P(NamedTuple):
     """A pair of certified pencils linearizing a system, with their ansatz
     scalars alpha1, alpha2 (ansatz vectors alpha_i * e1)."""
 
@@ -86,8 +83,7 @@ class LinearSystem2P:
     cert2: LinearizationCertificate
 
 
-@dataclass(frozen=True)
-class DeltaOps:
+class DeltaOps(NamedTuple):
     """The operator-determinant triple of a linearized system."""
 
     delta0: Matrix
@@ -95,21 +91,18 @@ class DeltaOps:
     delta2: Matrix
 
 
-@dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(NamedTuple):
     det0: GaussianRational
     singular: bool
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
+class SpectrumPoint(NamedTuple):
     lam: complex
     mu: complex
     residual: float
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Finite common zeros of a determinant pair, sorted lexicographically."""
 
     points: tuple[SpectrumPoint, ...]
@@ -200,8 +193,7 @@ def _common_zeros(f: BiPoly, g: BiPoly, bound: int, tol: float) -> SpectrumRepor
     return SpectrumReport(points=_float_stage(_exact_stage(f, g), f, g, tol), bezout_bound=bound)
 
 
-@dataclass(frozen=True)
-class _ExactStage:
+class _ExactStage(NamedTuple):
     """What ``_exact_stage`` proves of f and g: the shear t, the square-free
     part R* of the resultant in mu of f_t and g_t, and their first
     subresultant S1 = s1(x)·mu + s0(x) with gcd(s1, R*) = 1.  square_free,
@@ -436,8 +428,7 @@ def _scaled(p: UniPoly, c: GaussianRational) -> UniPoly:
     return UniPoly.from_bipoly(p.to_bipoly() * c, p.var)
 
 
-@dataclass(frozen=True)
-class SpectralMatchReport:
+class SpectralMatchReport(NamedTuple):
     """Bidirectional matching of the quadratic and pencil spectra."""
 
     sigma_q: SpectrumReport
@@ -498,8 +489,7 @@ def verify_spectral_equality(
     )
 
 
-@dataclass(frozen=True)
-class ResidualCheck:
+class ResidualCheck(NamedTuple):
     """One residual of the eigenpair verification.
 
     For exact rational inputs the computation is exact, so ``exact_zero``
@@ -514,8 +504,7 @@ class ResidualCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class EigenpairReport:
+class EigenpairReport(NamedTuple):
     checks: tuple[ResidualCheck, ...]
     passed: bool
 

@@ -13,37 +13,34 @@ by an exact rank witness rather than asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import gaussint
 from .errors import HypothesisViolatedError, ShapeError
 from .gaussint import Pair, Rows
 from .matrices import Matrix
-from .pencil import Pencil2P, QuadPoly2P, box_add_pencil
+from .pencil import Checked, Pencil2P, QuadPoly2P, box_add_pencil
 from .scalars import GaussianRational
 
 Vector3 = tuple[GaussianRational, GaussianRational, GaussianRational]
 
 
-@dataclass(frozen=True)
-class FreeBlocks:
-    """The free parameters (Y1, Z1, Z2) of a member, each 3n x n."""
-
+class _BlockFields(NamedTuple):
     n: int
     y1: Matrix
     z1: Matrix
     z2: Matrix
 
-    def __post_init__(self):
+
+class FreeBlocks(Checked, _BlockFields):
+    """The free parameters (Y1, Z1, Z2) of a member, each 3n x n."""
+
+    def _check(self):
         expected = (3 * self.n, self.n)
-        for name in ("y1", "z1", "z2"):
-            if getattr(self, name).shape != expected:
-                raise ShapeError(
-                    f"block {name} has shape {getattr(self, name).shape}, "
-                    f"expected {expected}"
-                )
+        for name, block in zip(self._fields[1:], self[1:]):
+            if block.shape != expected:
+                raise ShapeError(f"block {name} has shape {block.shape}, expected {expected}")
 
     @staticmethod
     def zero(n: int) -> "FreeBlocks":
@@ -62,8 +59,7 @@ def coerce_vector3(v: Sequence) -> Vector3:
     return values
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     """Outcome of the membership test.
 
     ``ambiguous`` flags the degenerate Q = 0 case, where the identity holds
@@ -205,8 +201,9 @@ def _lay_out(ansatz: list[tuple[int, Rows]], blocks: FreeBlocks) -> Pencil2P:
     """The member with ansatz part P and free blocks (Y1, Z1, Z2), the one
     place the free blocks are laid out (free_blocks reads them back):
       A1 = [P20 | P11 - Y1 | P10 - Z1], A2 = [Y1 | P02 | P01 - Z2], A3 = [Z1 | Z2 | P00],
-    for ansatz the integer forms of the six P_ab = v kron A_ab in COEFF_ORDER,
-    or [] for P = 0.  Over one common denominator, each row is written once.
+    for ansatz the integer forms of the six P_ab = v kron A_ab in the order
+    of QuadPoly2P's fields, or [] for P = 0.  Over one common denominator,
+    each row is written once.
     """
     n = blocks.n
     free = [m.integer_form() for m in (blocks.y1, blocks.z1, blocks.z2)]
@@ -222,8 +219,7 @@ def _lay_out(ansatz: list[tuple[int, Rows]], blocks: FreeBlocks) -> Pencil2P:
     return Pencil2P(3 * n, *(Matrix.from_integer_form(den, c) for c in (a1, a2, a3)))
 
 
-@dataclass(frozen=True)
-class DimensionSummary:
+class DimensionSummary(NamedTuple):
     """Dimension of the space plus the exact rank witness that certifies it."""
 
     n: int
@@ -267,8 +263,7 @@ def space_dimension(q: QuadPoly2P) -> DimensionSummary:
     return DimensionSummary(n, dimension, witness_rank, degenerate)
 
 
-@dataclass(frozen=True)
-class SingleParamPencil:
+class SingleParamPencil(NamedTuple):
     """A 2n x 2n one-parameter pencil lam*X1 + X3 (the mu = 0 reduction)."""
 
     n: int

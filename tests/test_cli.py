@@ -679,18 +679,21 @@ EXACT_COMMANDS = [
     ["verify-pair", "-s", SYS_RATIONAL, "--pair", PAIR_RATIONAL],
 ]
 
+# After the import and after each exact command: which of numpy,
+# dataclasses and inspect are loaded.
 _COLD_START = """
 import contextlib, io, json, sys
 from pencilspace import cli
-codes = []
+heavy = lambda: [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+codes, loaded = [], [heavy()]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
-exact = "numpy" in sys.modules
+    loaded.append(heavy())
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(["spectrum", "-s", sys.argv[2]])
-json.dump([codes, exact, code, "numpy" in sys.modules, out.getvalue()], sys.stdout)
+json.dump([codes, loaded, code, "numpy" in sys.modules, out.getvalue()], sys.stdout)
 """
 
 
@@ -711,9 +714,9 @@ def test_exact_commands_never_load_numpy(capsys):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
-    codes, exact_loaded, code, spectrum_loaded, stdout = json.loads(result.stdout)
+    codes, loaded, code, spectrum_loaded, stdout = json.loads(result.stdout)
     assert codes == [0] * len(EXACT_COMMANDS)
-    assert not exact_loaded
+    assert loaded == [[]] * (len(EXACT_COMMANDS) + 1)
     assert code == 0 and spectrum_loaded
     assert (code, stdout) == run(capsys, "spectrum", "-s", SYS_CIRCLE_LINE)[:2]
 
