@@ -140,12 +140,16 @@ def condition_det_check(m3: Matrix, z1: Matrix, z2: Matrix) -> bool:
     Tests det != 0 for the lower Z block of the transformed blocks
     (M kron I_n) Z1 and (M kron I_n) Z2.
     """
+    return bool(_transformed_z_det(m3, z1, z2))
+
+
+def _transformed_z_det(m3: Matrix, z1: Matrix, z2: Matrix) -> GaussianRational:
     if m3.shape != (3, 3):
         raise ShapeError("block transformation must be 3 x 3")
     if z1.shape != z2.shape or z1.rows != 3 * z1.cols:
         raise ShapeError("Z blocks must be conformal 3n x n matrices")
     op = kron(m3, Matrix.identity(z1.cols))
-    return bool(lower_z_block(op @ z1, op @ z2).det())
+    return lower_z_block(op @ z1, op @ z2).det()
 
 
 class _CertificateFields(NamedTuple):
@@ -234,6 +238,10 @@ def certify_scaled_e1(
     - lam*Y11 + Z12], for which F * L * E = diag(Q, I_2n) holds exactly;
     Z^-1 and the product W Z^-1 are formed only when F is read.
     """
+    return _scaled_e1_pair(pencil, q, alpha)
+
+
+def _scaled_e1_pair(pencil: Pencil2P, q: QuadPoly2P, alpha, det_z=None) -> LinearizationCertificate:
     alpha = GaussianRational.coerce(alpha)
     if not alpha:
         raise ValueError("alpha must be nonzero")
@@ -243,7 +251,7 @@ def certify_scaled_e1(
         raise HypothesisViolatedError(
             f"pencil does not have ansatz ({alpha}, 0, 0)"
         )
-    return _unimodular_pair(pencil, q, alpha)
+    return _unimodular_pair(pencil, q, alpha, det_z)
 
 
 def certify_standard(q: QuadPoly2P) -> LinearizationCertificate:
@@ -259,7 +267,7 @@ def certify_standard(q: QuadPoly2P) -> LinearizationCertificate:
 
 
 def _unimodular_pair(
-    pencil: Pencil2P, q: QuadPoly2P, alpha: GaussianRational
+    pencil: Pencil2P, q: QuadPoly2P, alpha: GaussianRational, det_z=None
 ) -> LinearizationCertificate:
     """certify_scaled_e1 for a pencil whose ansatz identity with alpha*e1
     the caller has checked, read off its block form L = [[W(lam, mu), *],
@@ -290,8 +298,8 @@ def _unimodular_pair(
       moves n columns past 2n, so its sign is (-1)^(2 n^2) = +1, and
       det E = alpha^-n.
     * F = [[I_n, -G], [0, Z^-1]] is block upper triangular as built, so
-      det F = det Z^-1 = 1 / det Z.  det Z is the certificate's one
-      elimination: 0 refuses the pencil, and otherwise Z^-1 exists.
+      det F = det Z^-1 = 1 / det Z.  det Z is the certificate's (or the
+      procedure's) one elimination: 0 refuses, otherwise Z^-1 exists.
 
     No check here reads E or F, so the certificate keeps alpha and the
     pencil, and builds E and F from them when they are first read.  It
@@ -301,8 +309,8 @@ def _unimodular_pair(
     lower, left = range(n, 3 * n), range(2 * n)
     if any(not c.submatrix(lower, left).is_zero() for c in (pencil.lam_coeff, pencil.mu_coeff)):
         raise HypothesisViolatedError("certificate requires Y21 = Y31 = 0")
-    z = pencil.const.submatrix(lower, left)
-    det_z = z.det()
+    if det_z is None:
+        det_z = pencil.const.submatrix(lower, left).det()
     if not det_z:
         raise HypothesisViolatedError("lower Z block is singular")
     return LinearizationCertificate(
@@ -415,7 +423,7 @@ def procedure_linearize(
 
     z1, z2 = blocks.z1, blocks.z2
     draws = 0
-    while not condition_det_check(transform.matrix, z1, z2):
+    while not (det_z := _transformed_z_det(transform.matrix, z1, z2)):
         if draws >= _MAX_DRAWS:
             raise ConditionUnsatisfiableError(
                 f"no admissible Z blocks after {_MAX_DRAWS} draws for case "
@@ -430,7 +438,7 @@ def procedure_linearize(
     used = FreeBlocks(n, y1, z1, z2)
     source = generate_member(q, transform.v, used)
     aligned = source.transform(transform.matrix)
-    certificate = certify_scaled_e1(aligned, q, transform.alpha)
+    certificate = _scaled_e1_pair(aligned, q, transform.alpha, det_z)
     return ProcedureResult(
         pencil=aligned,
         transform=transform,

@@ -4,12 +4,16 @@ The kernel of the float stage of a spectrum, ``qep._float_stage``, which
 with this module holds all of a spectrum's floating point.  All roots of a
 complex-coefficient polynomial are iterated together from perturbed-circle
 initial points; the iteration stops when the largest relative correction
-drops below the tolerance.  Output order is lexicographic by
-(real, imaginary) so downstream reports are deterministic.  A single root
-with a good start is polished by Newton steps instead (``newton_steps``).
+drops below the tolerance or, once the sweeps run out, when every root's
+residual is at the rounding floor (MPSolve's test, Bini & Fiorentino 2000).
+Output order is lexicographic by (real, imaginary) so downstream reports
+are deterministic.  A single root with a good start is polished by Newton
+steps instead (``newton_steps``).
 
 numpy is imported inside ``durand_kerner``, at its first call, and by no
-other module: the exact commands never load it.
+other module: the exact commands never load it.  A sweep calls the ufuncs
+that ``fill_diagonal``, ``prod``, ``any`` and ``max`` wrap, on complex
+exponents and a buffer made once: the same bits at less cost.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ def durand_kerner(
 
     coeffs is ascending with a nonzero leading coefficient and degree >= 1.
     Raises ConvergenceError if the maximum relative correction
-    max |dz| / max(1, |z|) stays above tol for max_iter sweeps, or at the
-    first sweep where it is not finite.
+    max |dz| / max(1, |z|) stays above tol for max_iter sweeps off the
+    rounding floor, or at the first sweep where it is not finite.
     """
     import numpy as np
 
@@ -56,33 +60,41 @@ def durand_kerner(
         dtype=complex,
     )
 
-    powers = np.arange(degree + 1)
+    powers = np.arange(degree + 1, dtype=complex)
+    diff = np.empty((degree, degree), dtype=complex)
+    diagonal = diff.reshape(-1)[:: degree + 1]
     # Stays None while no sweep has computed a correction (max_iter = 0, or
     # every sweep so far nudged colliding iterates apart).
     worst = None
-    # Overflow and inf - inf end the iteration below, through the
-    # correction; numpy's warnings about them would only add noise.
+    # Overflow, inf - inf and zero denominators end the sweep below,
+    # through the correction; numpy's warnings about them would only add noise.
     with np.errstate(all="ignore"):
         for sweep in range(1, max_iter + 1):
-            values = (z[:, None] ** powers[None, :]) @ monic
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            denom = diff.prod(axis=1)
-            # A collision of iterates would produce a zero denominator; nudge.
-            collided = denom == 0
-            if collided.any():
-                z = z + np.where(collided, 1e-6 * (1 + 1j), 0)
-                continue
+            values = (z[:, None] ** powers) @ monic
+            np.subtract(z[:, None], z, out=diff)
+            diagonal[...] = 1.0
+            denom = np.multiply.reduce(diff, axis=1)
             correction = values / denom
-            z = z - correction
-            worst = (np.abs(correction) / np.maximum(1.0, np.abs(z))).max()
-            if worst < tol:
-                return _sorted_roots(z)
-            if not math.isfinite(worst):
+            step = z - correction
+            largest = np.maximum.reduce(np.absolute(correction) / np.maximum(1.0, np.absolute(step)))
+            if largest < tol:
+                return _sorted_roots(step)
+            if not math.isfinite(largest):
+                # Colliding iterates (a zero denominator) make `largest` NaN: nudge.
+                if not np.logical_and.reduce(denom):
+                    z = z + np.where(denom == 0, 1e-6 * (1 + 1j), 0)
+                    continue
                 raise ConvergenceError(
                     f"Durand-Kerner iterate became non-finite in sweep {sweep} "
-                    f"(max relative correction {worst})"
+                    f"(max relative correction {largest})"
                 )
+            z, worst = step, largest
+        if worst is not None and np.isfinite(z).all():
+            # Rounding floor: every |p(z_i)| <= 8 d u sum_k |a_k| |z_i|^k, u = 2^-53.
+            terms = z[:, None] ** powers
+            floor = 8 * degree * 2.0**-53 * (np.absolute(terms) @ np.absolute(monic))
+            if (np.absolute(terms @ monic) <= floor).all():
+                return _sorted_roots(z)
     if worst is None:
         last = "no correction computed"
     else:

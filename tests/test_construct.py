@@ -23,7 +23,7 @@ from pencilspace import (
     standard_blocks,
     standard_linearization,
 )
-from pencilspace import construct, space
+from pencilspace import construct, matrices, space
 from pencilspace import pencil as pencil_module
 from pencilspace.bipoly import BiPoly
 from pencilspace.construct import ALL_CASES
@@ -363,6 +363,24 @@ def test_procedure_identity_ansatz(rng):
     assert result.certificate.verified
     res = membership(result.pencil, q)
     assert res.v == (GaussianRational(3), GaussianRational(0), GaussianRational(0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_procedure_takes_det_z_once_per_accepted_draw(monkeypatch, n):
+    # The zero Z blocks are structurally singular (no elimination), the one
+    # draw passes the condition, and the certificate reuses its det Z: one
+    # elimination for M and one for Z, none repeated.
+    sizes = []
+    real = matrices.bareiss_det_int
+    monkeypatch.setattr(matrices, "bareiss_det_int", lambda a: sizes.append(len(a)) or real(a))
+    q = rand_quad(random.Random(n), n)
+    result = procedure_linearize(q, (1, 2, 3), alpha=2, rng=random.Random(n))
+    assert result.draws_used == 1
+    assert sizes == [3, 2 * n]
+    monkeypatch.undo()
+    z = result.pencil.const.submatrix(range(n, 3 * n), range(2 * n))
+    assert result.certificate.det_f == GaussianRational(1) / z.det()
+    assert result.certificate == certify_scaled_e1(result.pencil, q, 2)
 
 
 def test_procedure_worked_ansatz(rng):
