@@ -409,16 +409,6 @@ def structural_rank(pattern: Sequence[Sequence[int]], cols: int) -> int:
     return size
 
 
-def kron_pattern(
-    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], b_cols: int
-) -> list[list[int]]:
-    """The nonzero pattern of a kron b from the patterns of a and b (b with
-    b_cols columns): entry (i*rows_b + k, j*b_cols + l) is a[i, j]*b[k, l],
-    nonzero exactly when both factors are, so no product is formed.
-    """
-    return [[j * b_cols + l for j in row_a for l in row_b] for row_a in a for row_b in b]
-
-
 def bareiss_det_int(a: list[list[tuple[int, int]]]) -> tuple[int, int]:
     """Determinant of a Gaussian-integer matrix given as (re, im) int pairs.
 

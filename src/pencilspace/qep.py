@@ -28,28 +28,32 @@ stage runs twice.
 Why Delta0 = B1 kron C2 - C1 kron B2 is singular: in an alpha*e1 member
 with Y21 = Y31 = 0, the lower 2n block rows of the lam and mu
 coefficients (A1 and A2 in the member layout) are nonzero only in block
-column 3.  So the 4*n1*n2 rows of Delta0 that are lower in both factors
-are nonzero only in the n1*n2 columns that are block column 3 in both,
-and its structural rank is at most 9*n1*n2 - 4*n1*n2 + n1*n2 = 6*n1*n2
-(54 of 81 at n1 = n2 = 3).  The argument reads only the patterns of the
-factors, and so does the verdict: ``delta0_singularity`` joins the
-patterns of B1 kron C2 and C1 kron B2, built from those of the 3n x 3n
-factors by ``kron_pattern``, and a maximum matching on that union (which
-holds the pattern of Delta0) finds no perfect matching, so det Delta0 = 0
-with no 9*n1*n2 operator formed.  Only a union with a perfect matching,
-which no certified alpha*e1 member has, forms Delta0 and eliminates.
+column 3.  So the 2*n1*m2 rows of Delta0 that are lower in the first
+factor are nonzero only in the n1*m2 columns that are block column 3
+there, and are linearly dependent (the second factor alike).  The verdict
+reads exactly that: ``delta0_singularity`` returns det Delta0 = 0 when
+either pencil's lam and mu coefficients vanish on their lower-left
+2n x 2n blocks, with no 9*n1*n2 operator formed; every pencil that
+``linearize_system`` certifies has them.  Any other pair forms Delta0, and
+``Matrix.det`` decides it.
+
+``verify_eigenpair`` forms its six residuals as Gaussian-integer numerator
+vectors over one denominator each, and reads exact zeros off the
+numerators; a Matrix, and an operator for the scale, are built only for a
+residual that is not exactly zero.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import gaussint, roots
 from .bipoly import BiPoly, UniPoly
 from .construct import LinearizationCertificate, certify_scaled_e1
 from .errors import HypothesisViolatedError, NonGenericSystemError, ShapeError
-from .matrices import Matrix, kron, kron_pattern, structural_rank
+from .gaussint import Pair, mul, power
+from .matrices import Matrix, kron
 from .pencil import COEFF_MONOMIALS, Pencil2P, QuadPoly2P
 from .polymatrix import exact_det_poly
 from .roots import newton_steps, unipoly_roots
@@ -167,24 +171,30 @@ def singularity_check(delta0: Matrix) -> SingularityReport:
 
 def delta0_singularity(lin: LinearSystem2P) -> SingularityReport:
     """``singularity_check(delta0_operator(lin))``, read off the factors
-    where their patterns decide it.
+    where their zero blocks decide it.
 
-    Every nonzero entry of Delta0 = B1 kron C2 - C1 kron B2 is nonzero in
-    one of the two products, so the union of their patterns holds the
-    pattern of Delta0.  Without a perfect matching in the union, every
-    Leibniz term of Delta0 has a zero factor and det Delta0 = 0 exactly;
-    otherwise Delta0 is formed and decided as before.
+    Where the lam and mu coefficients of L1 (of size 3n1) vanish on their
+    lower-left 2n1 x 2n1 blocks, the 2n1*m2 rows of Delta0 = B1 kron C2 -
+    C1 kron B2 that are lower in the first factor are nonzero only in the
+    n1*m2 columns that are block column 3 there, so they are linearly
+    dependent and det Delta0 = 0 exactly; L2 alike.  Any other pair forms
+    Delta0 and ``Matrix.det`` decides it.
     """
-    b1, c1 = lin.l1.lam_coeff.pattern(), lin.l1.mu_coeff.pattern()
-    b2, c2 = lin.l2.lam_coeff.pattern(), lin.l2.mu_coeff.pattern()
-    size = lin.l1.m * lin.l2.m
-    union = [
-        sorted(set(p).union(q))
-        for p, q in zip(kron_pattern(b1, c2, lin.l2.m), kron_pattern(c1, b2, lin.l2.m))
-    ]
-    if structural_rank(union, size) < size:
+    if _zero_lower_left(lin.l1) or _zero_lower_left(lin.l2):
         return SingularityReport(det0=GaussianRational(0), singular=True)
     return singularity_check(delta0_operator(lin))
+
+
+def _zero_lower_left(pencil: Pencil2P) -> bool:
+    """Whether the lam and mu coefficients of a pencil of size 3n vanish on
+    their lower-left 2n x 2n blocks (Y21 = Y31 = 0 in an alpha*e1 member)."""
+    n, rest = divmod(pencil.m, 3)
+    return not rest and not any(
+        re or im
+        for coeff in (pencil.lam_coeff, pencil.mu_coeff)
+        for row in coeff.integer_form()[1][n:]
+        for re, im in row[: 2 * n]
+    )
 
 
 def _common_zeros(f: BiPoly, g: BiPoly, bound: int, tol: float) -> SpectrumReport:
@@ -513,13 +523,31 @@ def _scale(operator: Matrix, vector: Matrix) -> float:
     return (1.0 + operator.max_abs()) * max(1.0, vector.max_abs())
 
 
-def _residual(name: str, value: Matrix, scale: Callable[[], float], tol: float) -> ResidualCheck:
-    """The check of a residual vector; scale() is called only when value
-    is not exactly zero.  An exact zero passes against every scale, since
-    a scale is at least 1: 0 < tol * scale exactly when 0 < tol."""
-    if value.is_zero():
+# A column as its integer form: a positive denominator, not necessarily
+# reduced, over the (re, im) numerator pairs of its entries.
+_Column = tuple[int, list[Pair]]
+
+
+def _matrix(column: _Column) -> Matrix:
+    """The canonical Matrix of a column."""
+    den, numerators = column
+    return Matrix.from_integer_form(den, [(p,) for p in numerators])
+
+
+def _column(x: Matrix) -> _Column:
+    """The integer form of a column Matrix."""
+    den, rows = x.integer_form()
+    return den, [row[0] for row in rows]
+
+
+def _residual(name: str, value: _Column, scale: Callable[[], float], tol: float) -> ResidualCheck:
+    """The check of a residual vector, read off its numerators; its Matrix
+    is built, and scale() called, only when it is not exactly zero.  An
+    exact zero passes against every scale, since a scale is at least 1:
+    0 < tol * scale exactly when 0 < tol."""
+    if not any(re or im for re, im in value[1]):
         return ResidualCheck(name=name, norm=0.0, exact_zero=True, passed=0.0 < tol)
-    norm = value.max_abs()
+    norm = _matrix(value).max_abs()
     return ResidualCheck(name=name, norm=norm, exact_zero=False, passed=norm < tol * scale())
 
 
@@ -529,7 +557,8 @@ def _coefficients(pencil: Pencil2P) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def _coefficient_products(pencil: Pencil2P, w: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """(A w, B w, C w) for the constant, lam and mu coefficients of pencil."""
+    """(A w, B w, C w) for the constant, lam and mu coefficients of pencil:
+    as Matrix products, what ``verify_eigenpair`` forms on numerators."""
     return tuple(coeff @ w for coeff in _coefficients(pencil))
 
 
@@ -555,6 +584,52 @@ def _kron_difference(x1: Matrix, y1: Matrix, x2: Matrix, y2: Matrix) -> Matrix:
     return kron(x1, y2) - kron(y1, x2)
 
 
+def _times(rows: Sequence[Sequence[Pair]], vector: Sequence[Pair]) -> list[Pair]:
+    """The numerators of rows @ vector, both numerator grids."""
+    out = []
+    for row in rows:
+        re = im = 0
+        for (a, b), (c, d) in zip(row, vector):
+            if a or b:
+                re += a * c - b * d
+                im += a * d + b * c
+        out.append((re, im))
+    return out
+
+
+def _combination(*terms: tuple[Pair, list[Pair]]) -> list[Pair]:
+    """sum s * v over the terms (s, v): Gaussian integers s times numerator
+    vectors v of one length."""
+    out = [(0, 0)] * len(terms[0][1])
+    for (s_re, s_im), v in terms:
+        out = [
+            (re + s_re * v_re - s_im * v_im, im + s_re * v_im + s_im * v_re)
+            for (re, im), (v_re, v_im) in zip(out, v)
+        ]
+    return out
+
+
+def _kron_numerators(
+    x1: list[Pair], y1: list[Pair], x2: list[Pair], y2: list[Pair]
+) -> list[Pair]:
+    """The numerators of x1 kron y2 - y1 kron x2 for numerator vectors."""
+    out = []
+    for (a, b), (c, d) in zip(x1, y1):
+        for (e, f), (g, h) in zip(y2, x2):
+            out.append((a * e - b * f - c * g + d * h, a * f + b * e - c * h - d * g))
+    return out
+
+
+def _products(matrices: Sequence[Matrix], column: _Column) -> tuple[int, list[list[Pair]]]:
+    """The numerators of each matrix @ column over one denominator: each
+    product is formed on its matrix's own integer form, and only the
+    products are brought to the lcm of the matrices' denominators."""
+    den, products = gaussint.aligned(
+        [(m_den, (_times(rows, column[1]),)) for m_den, rows in map(Matrix.integer_form, matrices)]
+    )
+    return den * column[0], [p[0] for p in products]
+
+
 def verify_eigenpair(
     system: QuadSystem2P,
     lin: LinearSystem2P,
@@ -570,15 +645,19 @@ def verify_eigenpair(
     (lam x_i, mu x_i, x_i), and the coupled equations
     Delta1 z = lam Delta0 z, Delta2 z = mu Delta0 z for z = w1 kron w2.
 
-    No operator is formed for the residuals.  Q_i(lam,mu) x_i is the sum
-    of lam^a mu^b (A_ab x_i) over the six n x n coefficients of Q_i.  With
-    A_i, B_i, C_i the constant, lam and mu coefficients of L_i, six
-    3n x 3n products give the rest: L_i(lam,mu) w_i = lam B_i w_i +
-    mu C_i w_i + A_i w_i, and by the mixed-product rule (X kron Y)(w1 kron
-    w2) = (X w1) kron (Y w2), e.g. Delta0 z = (B1 w1) kron (C2 w2) -
-    (C1 w1) kron (B2 w2).  A check's scale needs the operator itself
-    (Q_i(lam,mu), L_i(lam,mu), Delta1 or Delta2), so it is formed only for
-    a residual that is not exactly zero.
+    No operator is formed for the residuals, and no Matrix either: each is
+    a vector of Gaussian-integer numerators over one denominator, with
+    lam = l/d and mu = m/d.  Q_i(lam,mu) x_i is the sum of lam^a mu^b
+    (A_ab x_i) over the six n x n coefficients of Q_i.  With A_i, B_i, C_i
+    the constant, lam and mu coefficients of L_i, six 3n x 3n products
+    give the rest: L_i(lam,mu) w_i = lam B_i w_i + mu C_i w_i + A_i w_i,
+    and, by the mixed-product rule (X kron Y)(w1 kron w2) = (X w1) kron
+    (Y w2), Delta1 - lam Delta0 = C1 kron (A2 + lam B2) - (A1 + lam B1)
+    kron C2 and Delta2 - mu Delta0 = (A1 + mu C1) kron B2 - B1 kron
+    (A2 + mu C2) applied to z.  The exact-zero test reads the numerators.
+    A check's norm and scale are read only for a residual that is not
+    exactly zero: its canonical Matrix, and the operator itself
+    (Q_i(lam,mu), L_i(lam,mu), Delta1 or Delta2).
     """
     lam = GaussianRational.coerce(lam)
     mu = GaussianRational.coerce(mu)
@@ -587,23 +666,31 @@ def verify_eigenpair(
             raise ShapeError(f"{label} must be a {q.n} x 1 column")
         if x.is_zero():
             raise ValueError(f"{label} must be nonzero")
-    w1 = Matrix.vstack([x1.scale(lam), x1.scale(mu), x1])
-    w2 = Matrix.vstack([x2.scale(lam), x2.scale(mu), x2])
-    p1 = _coefficient_products(lin.l1, w1)
-    p2 = _coefficient_products(lin.l2, w2)
-    delta0_z, delta1_z, delta2_z = _delta_times(p1, p2)
+    # lam = l/d and mu = m/d for Gaussian integers l and m; dd is d in Z[i].
+    d, (l, m) = gaussint.from_scalars((lam, mu))
+    dd = (d, 0)
     q1, q2 = system.q1, system.q2
     delta = cache(lambda: delta_operators(lin))
 
-    def quadratic_residual(q: QuadPoly2P, x: Matrix) -> Matrix:
-        out = Matrix.zeros(q.n, 1)
-        for (a, b), coeff in zip(COEFF_MONOMIALS, q.coefficients()):
-            out = out + (coeff @ x).scale(lam**a * mu**b)
-        return out
+    # lam^a mu^b = l^a m^b d^(2-a-b) / d^2, for the coefficients of a quadratic
+    weights = [mul(mul(power(l, a), power(m, b)), power(dd, 2 - a - b)) for a, b in COEFF_MONOMIALS]
 
-    def pencil_residual(p: tuple[Matrix, Matrix, Matrix]) -> Matrix:
-        a_w, b_w, c_w = p
-        return b_w.scale(lam) + c_w.scale(mu) + a_w
+    def stacked(x: Matrix) -> _Column:
+        """w = (lam x, mu x, x)."""
+        x_den, col = _column(x)
+        return d * x_den, [mul(s, p) for s in (l, m, dd) for p in col]
+
+    def quadratic_residual(q: QuadPoly2P, x: Matrix) -> _Column:
+        den, products = _products(q.coefficients(), _column(x))
+        return d * d * den, _combination(*zip(weights, products))
+
+    w1, w2 = stacked(x1), stacked(x2)
+    den1, (a1, b1, c1) = _products(_coefficients(lin.l1), w1)
+    den2, (a2, b2, c2) = _products(_coefficients(lin.l2), w2)
+    den_z = d * den1 * den2
+    # (A_i + lam B_i) w_i and (A_i + mu C_i) w_i, over d * den_i
+    lam_a1, lam_a2 = (_combination((dd, a), (l, b)) for a, b in ((a1, b1), (a2, b2)))
+    mu_a1, mu_a2 = (_combination((dd, a), (m, c)) for a, c in ((a1, c1), (a2, c2)))
 
     checks = (
         _residual(
@@ -613,21 +700,27 @@ def verify_eigenpair(
             "Q2(lam,mu) x2", quadratic_residual(q2, x2), lambda: _scale(q2.eval(lam, mu), x2), tol
         ),
         _residual(
-            "L1(lam,mu) w1", pencil_residual(p1), lambda: _scale(lin.l1.eval(lam, mu), w1), tol
+            "L1(lam,mu) w1",
+            (d * den1, _combination((dd, a1), (l, b1), (m, c1))),
+            lambda: _scale(lin.l1.eval(lam, mu), _matrix(w1)),
+            tol,
         ),
         _residual(
-            "L2(lam,mu) w2", pencil_residual(p2), lambda: _scale(lin.l2.eval(lam, mu), w2), tol
+            "L2(lam,mu) w2",
+            (d * den2, _combination((dd, a2), (l, b2), (m, c2))),
+            lambda: _scale(lin.l2.eval(lam, mu), _matrix(w2)),
+            tol,
         ),
         _residual(
             "Delta1 z - lam Delta0 z",
-            delta1_z - delta0_z.scale(lam),
-            lambda: _scale(delta().delta1, kron(w1, w2)),
+            (den_z, _kron_numerators(c1, lam_a1, c2, lam_a2)),
+            lambda: _scale(delta().delta1, kron(_matrix(w1), _matrix(w2))),
             tol,
         ),
         _residual(
             "Delta2 z - mu Delta0 z",
-            delta2_z - delta0_z.scale(mu),
-            lambda: _scale(delta().delta2, kron(w1, w2)),
+            (den_z, _kron_numerators(mu_a1, b1, mu_a2, b2)),
+            lambda: _scale(delta().delta2, kron(_matrix(w1), _matrix(w2))),
             tol,
         ),
     )

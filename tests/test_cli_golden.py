@@ -53,6 +53,11 @@ PAIR_RE = "corpus/pair_rational_eig.json"
 # A pair that is no eigenpair: every residual is nonzero, so each norm and
 # each scale-dependent verdict is printed.
 PAIR_WRONG = "corpus/pair_rational_wrong.json"
+# A (2,2) system with a planted complex eigenpair, so that the operators are
+# 36 x 36, and the same pair with x1[0] changed from 2 to 3.
+SYS_PLANTED = "corpus/sys_planted_2x2.json"
+PAIR_PLANTED = "corpus/pair_planted_2x2.json"
+PAIR_PLANTED_WRONG = "corpus/pair_planted_2x2_wrong.json"
 
 COMMANDS = [
     ["standard", "-q", Q_CIRCLE],
@@ -120,6 +125,10 @@ COMMANDS = [
     ["delta", "-s", SYS_COMPLEX, "--seed", "3"],
     ["procedure", "-q", Q_CIRCLE, "-v", "1,1,2", "--blocks", B_WORKED],
     ["procedure", "-q", Q_WORKED, "-v", "1,1,2", "--blocks", B_CIRCLE],
+    ["delta", "-s", SYS_PLANTED, "--seed", "3"],
+    ["verify-pair", "-s", SYS_PLANTED, "--pair", PAIR_PLANTED],
+    ["verify-pair", "-s", SYS_PLANTED, "--pair", PAIR_PLANTED, "--seed", "3"],
+    ["verify-pair", "-s", SYS_PLANTED, "--pair", PAIR_PLANTED_WRONG, "--seed", "3"],
 ]
 
 

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from pencilspace.errors import ShapeError
-from pencilspace.matrices import Matrix, kron, kron_pattern, structural_rank
+from pencilspace.matrices import Matrix, kron, structural_rank
 from pencilspace.scalars import GaussianRational
 
-from conftest import rand_matrix, rand_sparse_matrix
+from conftest import rand_matrix
 
 
 def test_det_identity():
@@ -361,15 +361,6 @@ def test_structural_rank_matches_the_textbook_matching(rng):
     # to row 0 and the free column 6.  A search that kept column 0 marked
     # after the first augmentation would stop at 3.
     assert structural_rank([[5, 6], [0, 3], [0, 5], [0]], 7) == 4
-
-
-def test_kron_pattern_is_the_pattern_of_the_product(rng):
-    for _ in range(100):
-        density = rng.choice((0.0, 0.2, 0.5, 1.0))
-        a = rand_sparse_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), density)
-        b = rand_sparse_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), density)
-        assert kron_pattern(a.pattern(), b.pattern(), b.cols) == kron(a, b).pattern()
-    assert Matrix([[0, 2], [1, 0]]).pattern() == [[1], [0]]
 
 
 def test_structural_rank_follows_a_5000_row_augmenting_chain():

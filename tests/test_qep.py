@@ -840,9 +840,34 @@ def test_exact_eigenpair_forms_no_kronecker_operator(monkeypatch):
     assert report.passed and all(c.exact_zero for c in report.checks)
 
 
+def test_exact_eigenpair_runs_no_matrix_arithmetic(monkeypatch):
+    # The residuals are numerator vectors: at (2,3), with random admissible
+    # blocks and complex entries, an exact eigenpair takes no Matrix
+    # product, Kronecker product or scaling.
+    rng = random.Random(23)
+    lam, mu = rand_gr(rng, 0.5), rand_gr(rng, 0.5)
+    q1, x1 = plant_eigenvector(rng, rand_quad(rng, 2, 0.5), lam, mu)
+    q2, x2 = plant_eigenvector(rng, rand_quad(rng, 3, 0.5), lam, mu)
+    system = QuadSystem2P(q1, q2)
+    blocks1, blocks2 = _admissible_blocks(rng, 2, 0.5), _admissible_blocks(rng, 3, 0.5)
+    lin = linearize_system(system, 2, -1, blocks1, blocks2)
+
+    def forbidden(name):
+        def call(*args):
+            raise AssertionError(f"Matrix.{name} was called")
+
+        return call
+
+    for name in ("__matmul__", "kron", "scale"):
+        monkeypatch.setattr(Matrix, name, forbidden(name))
+    report = verify_eigenpair(system, lin, lam, mu, x1, x2)
+    assert report.passed and all(c.exact_zero for c in report.checks)
+
+
 def test_delta0_singularity_of_certified_members_reads_the_factors(rng, monkeypatch):
-    # Every alpha*e1 member with admissible blocks gives a union of factor
-    # patterns without a perfect matching, so Delta0 is never formed.
+    # Every alpha*e1 member with admissible blocks has lam and mu
+    # coefficients that vanish on their lower-left 2n x 2n blocks, so
+    # Delta0 is never formed.
     lins = []
     for n1, n2 in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3)):
         system = QuadSystem2P(rand_quad(rng, n1), rand_quad(rng, n2))
@@ -859,10 +884,29 @@ def test_delta0_singularity_of_certified_members_reads_the_factors(rng, monkeypa
         assert want.singular and want.det0 == GaussianRational(0)
 
 
+def _zero_lower_left(m: Matrix) -> Matrix:
+    """m with its lower-left 2n x 2n block set to zero, for size 3n."""
+    n = m.rows // 3
+    return Matrix(
+        [[0 if i >= n and j < 2 * n else m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+    )
+
+
+def _has_zero_lower_left(pencil: Pencil2P) -> bool:
+    n = pencil.m // 3
+    return pencil.m % 3 == 0 and all(
+        coeff[i, j] == 0
+        for coeff in (pencil.lam_coeff, pencil.mu_coeff)
+        for i in range(n, 3 * n)
+        for j in range(2 * n)
+    )
+
+
 def test_delta0_singularity_matches_explicit_determinant(monkeypatch):
-    # Random factor quadruples, not linearizations: some unions of factor
-    # patterns have a perfect matching (the fallback forms Delta0), others
-    # have none (det Delta0 = 0 read off the patterns).
+    # Random factor quadruples, not linearizations: Delta0 is formed exactly
+    # when neither pencil's lam and mu coefficients vanish on their
+    # lower-left 2n x 2n blocks, which every third trial plants in one of
+    # them (det Delta0 = 0 read off the blocks).
     rng = random.Random(4242)
     formed = []
     original = qep.delta0_operator
@@ -875,12 +919,20 @@ def test_delta0_singularity_matches_explicit_determinant(monkeypatch):
     cert = linearize_system(CIRCLE_LINE).cert1
     fallback = read_off = cancelled = 0
     for trial in range(60):
-        m1, m2 = rng.randint(1, 4), rng.randint(1, 4)
+        planted = trial % 3 == 0
+        sizes = [rng.choice((1, 2, 3, 4, 6)) for _ in range(2)]
+        if planted:
+            sizes[trial % 2] = rng.choice((3, 6))
+        m1, m2 = sizes
         density = rng.choice((0.2, 0.4, 0.7, 1.0))
         b1, c1 = (rand_sparse_matrix(rng, m1, m1, density) for _ in range(2))
         b2, c2 = (rand_sparse_matrix(rng, m2, m2, density) for _ in range(2))
-        if trial % 10 == 0:
-            c1, c2 = b1, b2  # Delta0 = 0 exactly, whatever the patterns
+        if trial % 10 == 1:
+            c1, c2 = b1, b2  # Delta0 = 0 exactly, whatever the blocks
+        if planted and trial % 2:
+            b2, c2 = _zero_lower_left(b2), _zero_lower_left(c2)
+        elif planted:
+            b1, c1 = _zero_lower_left(b1), _zero_lower_left(c1)
         lin = LinearSystem2P(
             Pencil2P(m1, b1, c1, rand_sparse_matrix(rng, m1, m1, density)),
             Pencil2P(m2, b2, c2, rand_sparse_matrix(rng, m2, m2, density)),
@@ -890,16 +942,14 @@ def test_delta0_singularity_matches_explicit_determinant(monkeypatch):
             cert,
         )
         explicit = kron(b1, c2) - kron(c1, b2)
-        union = [
-            sorted(set(p) | set(q)) for p, q in zip(kron(b1, c2).pattern(), kron(c1, b2).pattern())
-        ]
-        perfect = structural_rank(union, m1 * m2) == m1 * m2
+        zero_blocks = _has_zero_lower_left(lin.l1) or _has_zero_lower_left(lin.l2)
+        assert zero_blocks or not planted
         formed.clear()
         report = delta0_singularity(lin)
         assert report.det0 == explicit.det()
         assert report.singular == (explicit.det() == 0)
-        assert len(formed) == perfect
-        fallback += perfect
-        read_off += not perfect
-        cancelled += perfect and report.singular
+        assert len(formed) == (not zero_blocks)
+        fallback += not zero_blocks
+        read_off += zero_blocks
+        cancelled += not zero_blocks and report.singular
     assert fallback >= 10 and read_off >= 10 and cancelled >= 1

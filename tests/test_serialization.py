@@ -105,9 +105,13 @@ NON_CANONICAL_CORPUS = {
     "blocks_complex.json",
     "sys_complex.json",
 }
+_I = GaussianRational(0, 1)
+_PLANTED_X2 = [GaussianRational(Fraction(-1, 3), Fraction(1, 2)), Fraction(3, 2)]
 PAIRS = {
     "pair_rational_eig.json": (1, 3, [1], [1]),
     "pair_rational_wrong.json": (2, 7, [1], [1]),
+    "pair_planted_2x2.json": (_I - 2, _I * 2 - 2, [2, 2 - _I], _PLANTED_X2),
+    "pair_planted_2x2_wrong.json": (_I - 2, _I * 2 - 2, [3, 2 - _I], _PLANTED_X2),
 }
 
 
@@ -126,8 +130,8 @@ def test_every_corpus_file_round_trips(name):
     elif name in PAIRS:
         lam, mu, x1, x2 = PAIRS[name]
         assert ser.parse_eigenpair(text) == {
-            "lam": GaussianRational(lam),
-            "mu": GaussianRational(mu),
+            "lam": GaussianRational.coerce(lam),
+            "mu": GaussianRational.coerce(mu),
             "x1": Matrix.column(x1),
             "x2": Matrix.column(x2),
         }
