@@ -49,6 +49,7 @@ from .space import (
     lower_z_block,
     membership,
     standard_linearization,
+    zero_lower_left,
 )
 
 _MAX_DRAWS = 32  # redraws of the Z blocks before procedure_linearize gives up
@@ -306,11 +307,10 @@ def _unimodular_pair(
     also keeps q, whose determinant gives det L = det q / (det E * det F).
     """
     n = q.n
-    lower, left = range(n, 3 * n), range(2 * n)
-    if any(not c.submatrix(lower, left).is_zero() for c in (pencil.lam_coeff, pencil.mu_coeff)):
+    if not zero_lower_left(pencil):
         raise HypothesisViolatedError("certificate requires Y21 = Y31 = 0")
     if det_z is None:
-        det_z = pencil.const.submatrix(lower, left).det()
+        det_z = pencil.const.submatrix(range(n, 3 * n), range(2 * n)).det()
     if not det_z:
         raise HypothesisViolatedError("lower Z block is singular")
     return LinearizationCertificate(

@@ -39,13 +39,14 @@ either pencil's lam and mu coefficients vanish on their lower-left
 
 ``verify_eigenpair`` forms its six residuals as Gaussian-integer numerator
 vectors over one denominator each, and reads exact zeros off the
-numerators; a Matrix, and an operator for the scale, are built only for a
-residual that is not exactly zero.
+numerators.  Only a residual that is not exactly zero reads its norm and
+scale, off the same integer forms: the entries of Q_i(lam,mu), L_i(lam,mu),
+Delta1 or Delta2 as numerators, with no Matrix and no operator formed.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import gaussint, roots
@@ -59,7 +60,7 @@ from .polymatrix import exact_det_poly
 from .roots import newton_steps, unipoly_roots
 from .resultants import first_subresultant
 from .scalars import ONE, GaussianRational, ScalarLike
-from .space import FreeBlocks, generate_member, standard_blocks
+from .space import FreeBlocks, generate_member, standard_blocks, zero_lower_left
 
 DEFAULT_SPECTRUM_TOL = 1e-9
 
@@ -180,21 +181,9 @@ def delta0_singularity(lin: LinearSystem2P) -> SingularityReport:
     dependent and det Delta0 = 0 exactly; L2 alike.  Any other pair forms
     Delta0 and ``Matrix.det`` decides it.
     """
-    if _zero_lower_left(lin.l1) or _zero_lower_left(lin.l2):
+    if zero_lower_left(lin.l1) or zero_lower_left(lin.l2):
         return SingularityReport(det0=GaussianRational(0), singular=True)
     return singularity_check(delta0_operator(lin))
-
-
-def _zero_lower_left(pencil: Pencil2P) -> bool:
-    """Whether the lam and mu coefficients of a pencil of size 3n vanish on
-    their lower-left 2n x 2n blocks (Y21 = Y31 = 0 in an alpha*e1 member)."""
-    n, rest = divmod(pencil.m, 3)
-    return not rest and not any(
-        re or im
-        for coeff in (pencil.lam_coeff, pencil.mu_coeff)
-        for row in coeff.integer_form()[1][n:]
-        for re, im in row[: 2 * n]
-    )
 
 
 def _common_zeros(f: BiPoly, g: BiPoly, bound: int, tol: float) -> SpectrumReport:
@@ -519,19 +508,17 @@ class EigenpairReport(NamedTuple):
     passed: bool
 
 
-def _scale(operator: Matrix, vector: Matrix) -> float:
-    return (1.0 + operator.max_abs()) * max(1.0, vector.max_abs())
-
-
 # A column as its integer form: a positive denominator, not necessarily
 # reduced, over the (re, im) numerator pairs of its entries.
 _Column = tuple[int, list[Pair]]
 
 
-def _matrix(column: _Column) -> Matrix:
-    """The canonical Matrix of a column."""
-    den, numerators = column
-    return Matrix.from_integer_form(den, [(p,) for p in numerators])
+def _max_abs(values: _Column) -> float:
+    """The largest |entry| of values, the float ``Matrix.max_abs`` gives on
+    their canonical form: ``gaussint.to_complex`` rounds each quotient
+    correctly, so every denominator of the same values gives the same float."""
+    den, numerators = values
+    return max(map(abs, gaussint.to_complex(den, numerators)))
 
 
 def _column(x: Matrix) -> _Column:
@@ -540,15 +527,26 @@ def _column(x: Matrix) -> _Column:
     return den, [row[0] for row in rows]
 
 
-def _residual(name: str, value: _Column, scale: Callable[[], float], tol: float) -> ResidualCheck:
-    """The check of a residual vector, read off its numerators; its Matrix
-    is built, and scale() called, only when it is not exactly zero.  An
-    exact zero passes against every scale, since a scale is at least 1:
-    0 < tol * scale exactly when 0 < tol."""
+def _entries(matrices: Sequence[Matrix]) -> tuple[int, list[list[Pair]]]:
+    """The entries of each matrix, row after row, as numerators over the lcm
+    of the matrices' denominators."""
+    den, forms = gaussint.aligned([m.integer_form() for m in matrices])
+    return den, [list(chain.from_iterable(rows)) for rows in forms]
+
+
+def _residual(
+    name: str, value: _Column, operands: Callable[[], tuple[_Column, _Column]], tol: float
+) -> ResidualCheck:
+    """The check of a residual vector, read off its numerators.  Only when
+    it is not exactly zero is operands() called, for the operator's entries
+    and the vector that give the scale.  An exact zero passes against every
+    scale, since a scale is at least 1: 0 < tol * scale exactly when 0 < tol."""
     if not any(re or im for re, im in value[1]):
         return ResidualCheck(name=name, norm=0.0, exact_zero=True, passed=0.0 < tol)
-    norm = _matrix(value).max_abs()
-    return ResidualCheck(name=name, norm=norm, exact_zero=False, passed=norm < tol * scale())
+    norm = _max_abs(value)
+    operator, vector = operands()
+    scale = (1.0 + _max_abs(operator)) * max(1.0, _max_abs(vector))
+    return ResidualCheck(name=name, norm=norm, exact_zero=False, passed=norm < tol * scale)
 
 
 def _coefficients(pencil: Pencil2P) -> tuple[Matrix, Matrix, Matrix]:
@@ -556,20 +554,11 @@ def _coefficients(pencil: Pencil2P) -> tuple[Matrix, Matrix, Matrix]:
     return pencil.const, pencil.lam_coeff, pencil.mu_coeff
 
 
-def _coefficient_products(pencil: Pencil2P, w: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """(A w, B w, C w) for the constant, lam and mu coefficients of pencil:
-    as Matrix products, what ``verify_eigenpair`` forms on numerators."""
-    return tuple(coeff @ w for coeff in _coefficients(pencil))
-
-
 def _delta_times(
     p1: tuple[Matrix, Matrix, Matrix], p2: tuple[Matrix, Matrix, Matrix]
 ) -> tuple[Matrix, Matrix, Matrix]:
-    """The Kronecker combinations of two triples: (Delta0, Delta1, Delta2)
-    of the coefficient triples p_i = (A_i, B_i, C_i), and (Delta0 z,
-    Delta1 z, Delta2 z) for z = w1 kron w2 of the products p_i = (A_i w_i,
-    B_i w_i, C_i w_i), by the mixed-product rule (X kron Y)(w1 kron w2) =
-    (X w1) kron (Y w2)."""
+    """(Delta0, Delta1, Delta2) of the coefficient triples p_i = (A_i, B_i,
+    C_i)."""
     (a1, b1, c1), (a2, b2, c2) = p1, p2
     return (
         _kron_difference(b1, c1, b2, c2),
@@ -582,19 +571,6 @@ def _kron_difference(x1: Matrix, y1: Matrix, x2: Matrix, y2: Matrix) -> Matrix:
     """x1 kron y2 - y1 kron x2: Delta0, Delta1 and Delta2 for (x, y) = (B, C),
     (C, A) and (A, B)."""
     return kron(x1, y2) - kron(y1, x2)
-
-
-def _times(rows: Sequence[Sequence[Pair]], vector: Sequence[Pair]) -> list[Pair]:
-    """The numerators of rows @ vector, both numerator grids."""
-    out = []
-    for row in rows:
-        re = im = 0
-        for (a, b), (c, d) in zip(row, vector):
-            if a or b:
-                re += a * c - b * d
-                im += a * d + b * c
-        out.append((re, im))
-    return out
 
 
 def _combination(*terms: tuple[Pair, list[Pair]]) -> list[Pair]:
@@ -622,11 +598,21 @@ def _kron_numerators(
 
 def _products(matrices: Sequence[Matrix], column: _Column) -> tuple[int, list[list[Pair]]]:
     """The numerators of each matrix @ column over one denominator: each
-    product is formed on its matrix's own integer form, and only the
-    products are brought to the lcm of the matrices' denominators."""
-    den, products = gaussint.aligned(
-        [(m_den, (_times(rows, column[1]),)) for m_den, rows in map(Matrix.integer_form, matrices)]
-    )
+    product is formed on its matrix's own integer form, past its zero
+    entries, and only the products are brought to the lcm of the matrices'
+    denominators."""
+    forms = []
+    for m_den, rows in map(Matrix.integer_form, matrices):
+        product = []
+        for row in rows:
+            re = im = 0
+            for (a, b), (c, e) in zip(row, column[1]):
+                if a or b:
+                    re += a * c - b * e
+                    im += a * e + b * c
+            product.append((re, im))
+        forms.append((m_den, (product,)))
+    den, products = gaussint.aligned(forms)
     return den * column[0], [p[0] for p in products]
 
 
@@ -645,19 +631,20 @@ def verify_eigenpair(
     (lam x_i, mu x_i, x_i), and the coupled equations
     Delta1 z = lam Delta0 z, Delta2 z = mu Delta0 z for z = w1 kron w2.
 
-    No operator is formed for the residuals, and no Matrix either: each is
-    a vector of Gaussian-integer numerators over one denominator, with
-    lam = l/d and mu = m/d.  Q_i(lam,mu) x_i is the sum of lam^a mu^b
-    (A_ab x_i) over the six n x n coefficients of Q_i.  With A_i, B_i, C_i
-    the constant, lam and mu coefficients of L_i, six 3n x 3n products
-    give the rest: L_i(lam,mu) w_i = lam B_i w_i + mu C_i w_i + A_i w_i,
-    and, by the mixed-product rule (X kron Y)(w1 kron w2) = (X w1) kron
-    (Y w2), Delta1 - lam Delta0 = C1 kron (A2 + lam B2) - (A1 + lam B1)
-    kron C2 and Delta2 - mu Delta0 = (A1 + mu C1) kron B2 - B1 kron
-    (A2 + mu C2) applied to z.  The exact-zero test reads the numerators.
-    A check's norm and scale are read only for a residual that is not
-    exactly zero: its canonical Matrix, and the operator itself
-    (Q_i(lam,mu), L_i(lam,mu), Delta1 or Delta2).
+    No operator is formed, and no Matrix either: each residual is a vector
+    of Gaussian-integer numerators over one denominator, with lam = l/d and
+    mu = m/d.  Q_i(lam,mu) x_i is the sum of lam^a mu^b (A_ab x_i) over the
+    six n x n coefficients of Q_i.  With A_i, B_i, C_i the constant, lam and
+    mu coefficients of L_i, six 3n x 3n products give the rest:
+    L_i(lam,mu) w_i = lam B_i w_i + mu C_i w_i + A_i w_i, and, by the
+    mixed-product rule (X kron Y)(w1 kron w2) = (X w1) kron (Y w2),
+    Delta1 - lam Delta0 = C1 kron (A2 + lam B2) - (A1 + lam B1) kron C2 and
+    Delta2 - mu Delta0 = (A1 + mu C1) kron B2 - B1 kron (A2 + mu C2)
+    applied to z.  The exact-zero test reads the numerators.  Norm and
+    scale are read, off integer forms too, only for a residual that is not
+    exactly zero: Q_i(lam,mu) and L_i(lam,mu) are the same sums over the
+    coefficients' entries, and the Kronecker differences of the flattened
+    coefficients hold exactly the entries of Delta1 and Delta2.
     """
     lam = GaussianRational.coerce(lam)
     mu = GaussianRational.coerce(mu)
@@ -669,59 +656,57 @@ def verify_eigenpair(
     # lam = l/d and mu = m/d for Gaussian integers l and m; dd is d in Z[i].
     d, (l, m) = gaussint.from_scalars((lam, mu))
     dd = (d, 0)
-    q1, q2 = system.q1, system.q2
-    delta = cache(lambda: delta_operators(lin))
 
     # lam^a mu^b = l^a m^b d^(2-a-b) / d^2, for the coefficients of a quadratic
     weights = [mul(mul(power(l, a), power(m, b)), power(dd, 2 - a - b)) for a, b in COEFF_MONOMIALS]
 
-    def stacked(x: Matrix) -> _Column:
+    def stacked(x: _Column) -> _Column:
         """w = (lam x, mu x, x)."""
-        x_den, col = _column(x)
-        return d * x_den, [mul(s, p) for s in (l, m, dd) for p in col]
+        return d * x[0], [mul(s, p) for s in (l, m, dd) for p in x[1]]
 
-    def quadratic_residual(q: QuadPoly2P, x: Matrix) -> _Column:
-        den, products = _products(q.coefficients(), _column(x))
-        return d * d * den, _combination(*zip(weights, products))
+    def quadratic(den: int, vectors: list[list[Pair]]) -> _Column:
+        """sum lam^a mu^b V_ab over the six vectors V_ab, over den."""
+        return d * d * den, _combination(*zip(weights, vectors))
 
-    w1, w2 = stacked(x1), stacked(x2)
-    den1, (a1, b1, c1) = _products(_coefficients(lin.l1), w1)
-    den2, (a2, b2, c2) = _products(_coefficients(lin.l2), w2)
-    den_z = d * den1 * den2
+    def linear(den: int, vectors: list[list[Pair]]) -> _Column:
+        """A + lam B + mu C for the vectors (A, B, C) over den."""
+        return d * den, _combination(*zip((dd, l, m), vectors))
+
+    def quadratic_check(k: int, q: QuadPoly2P, y: _Column) -> ResidualCheck:
+        """Q_k(lam,mu) x_k for y the column form of x_k."""
+        value = quadratic(*_products(q.coefficients(), y))
+        operands = lambda: (quadratic(*_entries(q.coefficients())), y)
+        return _residual(f"Q{k}(lam,mu) x{k}", value, operands, tol)
+
+    def pencil_check(k: int, pencil: Pencil2P, products, w: _Column) -> ResidualCheck:
+        """L_k(lam,mu) w_k from the products (A_k w_k, B_k w_k, C_k w_k)."""
+        value = linear(*products)
+        operands = lambda: (linear(*_entries(_coefficients(pencil))), w)
+        return _residual(f"L{k}(lam,mu) w{k}", value, operands, tol)
+
+    def delta_operands(k: int) -> tuple[_Column, _Column]:
+        """Delta1 = C1 kron A2 - A1 kron C2 (k = 1) or Delta2 = A1 kron B2 -
+        B1 kron A2 (k = 2), and z = w1 kron w2."""
+        pencils = (_entries(_coefficients(p)) for p in (lin.l1, lin.l2))
+        (e1, (a1, b1, c1)), (e2, (a2, b2, c2)) = pencils
+        delta = _kron_numerators(c1, a1, c2, a2) if k == 1 else _kron_numerators(a1, b1, a2, b2)
+        return (e1 * e2, delta), (w1[0] * w2[0], [mul(p, q) for p in w1[1] for q in w2[1]])
+
+    y1, y2 = _column(x1), _column(x2)
+    w1, w2 = stacked(y1), stacked(y2)
+    p1, p2 = _products(_coefficients(lin.l1), w1), _products(_coefficients(lin.l2), w2)
+    (den1, (a1, b1, c1)), (den2, (a2, b2, c2)) = p1, p2
     # (A_i + lam B_i) w_i and (A_i + mu C_i) w_i, over d * den_i
     lam_a1, lam_a2 = (_combination((dd, a), (l, b)) for a, b in ((a1, b1), (a2, b2)))
     mu_a1, mu_a2 = (_combination((dd, a), (m, c)) for a, c in ((a1, c1), (a2, c2)))
-
+    delta1_z = d * den1 * den2, _kron_numerators(c1, lam_a1, c2, lam_a2)
+    delta2_z = d * den1 * den2, _kron_numerators(mu_a1, b1, mu_a2, b2)
     checks = (
-        _residual(
-            "Q1(lam,mu) x1", quadratic_residual(q1, x1), lambda: _scale(q1.eval(lam, mu), x1), tol
-        ),
-        _residual(
-            "Q2(lam,mu) x2", quadratic_residual(q2, x2), lambda: _scale(q2.eval(lam, mu), x2), tol
-        ),
-        _residual(
-            "L1(lam,mu) w1",
-            (d * den1, _combination((dd, a1), (l, b1), (m, c1))),
-            lambda: _scale(lin.l1.eval(lam, mu), _matrix(w1)),
-            tol,
-        ),
-        _residual(
-            "L2(lam,mu) w2",
-            (d * den2, _combination((dd, a2), (l, b2), (m, c2))),
-            lambda: _scale(lin.l2.eval(lam, mu), _matrix(w2)),
-            tol,
-        ),
-        _residual(
-            "Delta1 z - lam Delta0 z",
-            (den_z, _kron_numerators(c1, lam_a1, c2, lam_a2)),
-            lambda: _scale(delta().delta1, kron(_matrix(w1), _matrix(w2))),
-            tol,
-        ),
-        _residual(
-            "Delta2 z - mu Delta0 z",
-            (den_z, _kron_numerators(mu_a1, b1, mu_a2, b2)),
-            lambda: _scale(delta().delta2, kron(_matrix(w1), _matrix(w2))),
-            tol,
-        ),
+        quadratic_check(1, system.q1, y1),
+        quadratic_check(2, system.q2, y2),
+        pencil_check(1, lin.l1, p1, w1),
+        pencil_check(2, lin.l2, p2, w2),
+        _residual("Delta1 z - lam Delta0 z", delta1_z, lambda: delta_operands(1), tol),
+        _residual("Delta2 z - mu Delta0 z", delta2_z, lambda: delta_operands(2), tol),
     )
     return EigenpairReport(checks=checks, passed=all(c.passed for c in checks))

@@ -165,6 +165,18 @@ def lower_z_block(z1: Matrix, z2: Matrix) -> Matrix:
     return Matrix.hstack([z1.submatrix(lower, range(n)), z2.submatrix(lower, range(n))])
 
 
+def zero_lower_left(pencil: Pencil2P) -> bool:
+    """Whether the lam and mu coefficients of a pencil of size 3n vanish on
+    their lower-left 2n x 2n blocks: Y21 = Y31 = 0 in an alpha*e1 member."""
+    n, rest = divmod(pencil.m, 3)
+    return not rest and not any(
+        re or im
+        for coeff in (pencil.lam_coeff, pencil.mu_coeff)
+        for row in coeff.integer_form()[1][n:]
+        for re, im in row[: 2 * n]
+    )
+
+
 def standard_blocks(q: QuadPoly2P) -> FreeBlocks:
     """The free blocks of the standard linearization at ansatz e1:
     Y1 = 0, Z1 = [A10; 0; -I], Z2 = [A01; -I; 0], each Z block written as

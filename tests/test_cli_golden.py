@@ -12,9 +12,13 @@ max(1, |recorded value|) -- the rule the benchmark harness applies to the
 same commands.  A refactor that changes any exact value, verdict or exit
 code fails here.
 
-To re-record after a deliberate output change (say so in CHANGES.md):
+To record the commands of COMMANDS that the transcript does not hold yet,
+keeping every recorded entry byte for byte:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+To re-record everything after a deliberate output change (say so in
+CHANGES.md), delete the transcript first.
 """
 
 from __future__ import annotations
@@ -129,6 +133,10 @@ COMMANDS = [
     ["verify-pair", "-s", SYS_PLANTED, "--pair", PAIR_PLANTED],
     ["verify-pair", "-s", SYS_PLANTED, "--pair", PAIR_PLANTED, "--seed", "3"],
     ["verify-pair", "-s", SYS_PLANTED, "--pair", PAIR_PLANTED_WRONG, "--seed", "3"],
+    # Verdicts that the (2,2) scales decide: Delta1 ok and Delta2 FAIL, then
+    # Q1 FAIL and L1 ok at equal norms.
+    ["verify-pair", "-s", SYS_PLANTED, "--pair", PAIR_PLANTED_WRONG, "--tol", "0.02"],
+    ["verify-pair", "-s", SYS_PLANTED, "--pair", PAIR_PLANTED_WRONG, "--seed", "3", "--tol", "0.1"],
 ]
 
 
@@ -153,9 +161,12 @@ def _run(argv: list[str]) -> dict:
 
 
 def record() -> None:
+    """Write the transcript in COMMANDS order: the entries it holds, as they
+    are, and a new run of each command it does not hold."""
     os.chdir(ROOT)
     TRANSCRIPT.parent.mkdir(exist_ok=True)
-    entries = [_run(argv) for argv in COMMANDS]
+    recorded = {tuple(e["argv"]): e for e in _entries()} if TRANSCRIPT.exists() else {}
+    entries = [recorded.get(tuple(argv)) or _run(argv) for argv in COMMANDS]
     TRANSCRIPT.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
 
 

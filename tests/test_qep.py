@@ -23,7 +23,7 @@ from pencilspace import (
 )
 from pencilspace.errors import HypothesisViolatedError, NonGenericSystemError
 from pencilspace.matrices import structural_rank
-from pencilspace.polymatrix import exact_det_poly
+from pencilspace.polymatrix import PolyMatrix, exact_det_poly
 from pencilspace.space import lower_z_block
 from pencilspace.bipoly import BiPoly, UniPoly
 from pencilspace import qep
@@ -31,7 +31,6 @@ from pencilspace.pencil import Pencil2P
 from pencilspace.qep import (
     LinearSystem2P,
     ResidualCheck,
-    _coefficient_products,
     _delta_times,
     _ExactStage,
     _exact_stage,
@@ -747,6 +746,12 @@ def _admissible_blocks(rng, n, complex_prob):
     )
 
 
+def _coefficient_products(pencil: Pencil2P, w: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """(A w, B w, C w) for the constant, lam and mu coefficients of pencil:
+    as Matrix products, what verify_eigenpair forms on numerators."""
+    return tuple(coeff @ w for coeff in (pencil.const, pencil.lam_coeff, pencil.mu_coeff))
+
+
 def _explicit_checks(system, lin, delta, lam, mu, x1, x2, tol):
     """The eigenpair checks with every operator formed, delta holding
     Delta0, Delta1 and Delta2 as 9 n1 n2 x 9 n1 n2 matrices: the oracle of
@@ -841,9 +846,11 @@ def test_exact_eigenpair_forms_no_kronecker_operator(monkeypatch):
 
 
 def test_exact_eigenpair_runs_no_matrix_arithmetic(monkeypatch):
-    # The residuals are numerator vectors: at (2,3), with random admissible
-    # blocks and complex entries, an exact eigenpair takes no Matrix
-    # product, Kronecker product or scaling.
+    # The residuals and their scales are read off numerator vectors: at
+    # (2,3), with random admissible blocks and complex entries, neither an
+    # exact eigenpair nor an inexact one (one changed x1 entry, a shifted
+    # lam) takes a Matrix product, sum, Kronecker product or scaling, a
+    # PolyMatrix evaluation, or a Delta operator.
     rng = random.Random(23)
     lam, mu = rand_gr(rng, 0.5), rand_gr(rng, 0.5)
     q1, x1 = plant_eigenvector(rng, rand_quad(rng, 2, 0.5), lam, mu)
@@ -851,17 +858,26 @@ def test_exact_eigenpair_runs_no_matrix_arithmetic(monkeypatch):
     system = QuadSystem2P(q1, q2)
     blocks1, blocks2 = _admissible_blocks(rng, 2, 0.5), _admissible_blocks(rng, 3, 0.5)
     lin = linearize_system(system, 2, -1, blocks1, blocks2)
+    changed = Matrix([[x1[0, 0] + GaussianRational(2, 3)], [x1[1, 0]]])
+    inexact = (lam + GaussianRational(1, 5), mu, changed, x2)
+    tol = 1e-3
+    expected = _explicit_checks(system, lin, delta_operators(lin), *inexact, tol)
+    assert not any(c.exact_zero for c in expected)
 
     def forbidden(name):
         def call(*args):
-            raise AssertionError(f"Matrix.{name} was called")
+            raise AssertionError(f"{name} was called")
 
         return call
 
-    for name in ("__matmul__", "kron", "scale"):
-        monkeypatch.setattr(Matrix, name, forbidden(name))
+    for name in ("__matmul__", "__add__", "__sub__", "kron", "scale"):
+        monkeypatch.setattr(Matrix, name, forbidden(f"Matrix.{name}"))
+    monkeypatch.setattr(PolyMatrix, "eval", forbidden("PolyMatrix.eval"))
+    for name in ("delta_operators", "delta0_operator"):
+        monkeypatch.setattr(qep, name, forbidden(f"qep.{name}"))
     report = verify_eigenpair(system, lin, lam, mu, x1, x2)
     assert report.passed and all(c.exact_zero for c in report.checks)
+    assert verify_eigenpair(system, lin, *inexact, tol).checks == expected
 
 
 def test_delta0_singularity_of_certified_members_reads_the_factors(rng, monkeypatch):
