@@ -31,19 +31,22 @@ import random
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
+from . import gaussint
 from .errors import (
     ConditionUnsatisfiableError,
     HypothesisViolatedError,
     ShapeError,
     ZeroAnsatzError,
 )
+from .gaussint import Pair
 from .matrices import Matrix, kron
-from .pencil import Pencil2P, QuadPoly2P, box_add_pencil
+from .pencil import Pencil2P, QuadPoly2P, _box_blocks
 from .polymatrix import PolyMatrix, det_ratio
 from .scalars import ONE, ZERO, GaussianRational
 from .space import (
     FreeBlocks,
-    ansatz_row,
+    _ansatz_holds,
+    _coefficient_row,
     coerce_vector3,
     generate_member,
     lower_z_block,
@@ -217,8 +220,10 @@ class LinearizationCertificate(_CertificateFields):
 
 
 def _has_ansatz(pencil: Pencil2P, q: QuadPoly2P, alpha: GaussianRational) -> bool:
-    """The ansatz identity box-add(L) = (alpha e1) kron [A20 A11 A02 A10 A01 A00]."""
-    return box_add_pencil(pencil) == ansatz_row((alpha, ZERO, ZERO), q.coefficient_row())
+    """The ansatz identity box-add(L) = (alpha e1) kron [A20 A11 A02 A10 A01 A00],
+    decided on the integer forms of both sides."""
+    box = _box_blocks(pencil.lam_coeff, pencil.mu_coeff, pencil.const)
+    return _ansatz_holds(box, gaussint.from_scalars((alpha, ZERO, ZERO)), _coefficient_row(q))
 
 
 def certify_scaled_e1(
@@ -385,10 +390,9 @@ class ProcedureResult(NamedTuple):
     draws_used: int
 
 
-def _random_block(rng: random.Random, rows: int, cols: int) -> Matrix:
-    return Matrix.from_integer_form(
-        1, [[(rng.randint(-3, 3), 0) for _ in range(cols)] for _ in range(rows)]
-    )
+def _random_rows(rng: random.Random, rows: int, cols: int) -> list[list[Pair]]:
+    """The integer numerators of a rows x cols block, each drawn from -3..3, row by row."""
+    return [[(rng.randint(-3, 3), 0) for _ in range(cols)] for _ in range(rows)]
 
 
 def procedure_linearize(
@@ -431,8 +435,8 @@ def procedure_linearize(
             )
         if rng is None:
             rng = random.Random(0)
-        z1 = _random_block(rng, 3 * n, n)
-        z2 = _random_block(rng, 3 * n, n)
+        z1 = Matrix.from_integer_form(1, _random_rows(rng, 3 * n, n))
+        z2 = Matrix.from_integer_form(1, _random_rows(rng, 3 * n, n))
         draws += 1
 
     used = FreeBlocks(n, y1, z1, z2)

@@ -57,7 +57,7 @@ def aligned(forms: Sequence[tuple[int, Rows]]) -> tuple[int, list[Rows]]:
     for d, rows in forms:
         f = den // d
         if f != 1:
-            rows = tuple(tuple([(re * f, im * f) for re, im in row]) for row in rows)
+            rows = tuple([tuple([(re * f, im * f) for re, im in row]) for row in rows])
         out.append(rows)
     return den, out
 

@@ -191,13 +191,11 @@ def _box_blocks(x: Matrix, y: Matrix, z: Matrix) -> tuple[int, list[tuple[Pair, 
         raise ShapeError(f"size {x.rows} is not divisible by 3")
     n = x.rows // 3
     den, (xs, ys, zs) = gaussint.aligned((x.integer_form(), y.integer_form(), z.integer_form()))
-    add = lambda a, b: tuple([(p + r, q + s) for (p, q), (r, s) in zip(a, b)])
     rows = []
     for xr, yr, zr in zip(xs, ys, zs):
-        x1, x2, x3 = xr[:n], xr[n : 2 * n], xr[2 * n :]
-        y1, y2, y3 = yr[:n], yr[n : 2 * n], yr[2 * n :]
-        z1, z2, z3 = zr[:n], zr[n : 2 * n], zr[2 * n :]
-        rows.append(x1 + add(x2, y1) + y2 + add(x3, z1) + add(y3, z2) + z3)
+        # X2+Y1, X3+Z1 and Y3+Z2 in one pass: [X2 X3 Y3] + [Y1 Z1 Z2].
+        sums = tuple([(p + r, q + s) for (p, q), (r, s) in zip(xr[n:] + yr[2 * n :], yr[:n] + zr[: 2 * n])])
+        rows.append(xr[:n] + sums[:n] + yr[n : 2 * n] + sums[n : 2 * n] + sums[2 * n :] + zr[2 * n :])
     return den, rows
 
 

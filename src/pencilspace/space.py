@@ -14,13 +14,14 @@ by an exact rank witness rather than asserted.
 from __future__ import annotations
 
 from itertools import chain
+from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from . import gaussint
 from .errors import HypothesisViolatedError, ShapeError
 from .gaussint import Pair, Rows
 from .matrices import Matrix
-from .pencil import Checked, Pencil2P, QuadPoly2P, box_add_pencil
+from .pencil import Checked, Pencil2P, QuadPoly2P, _box_blocks
 from .scalars import GaussianRational
 
 Vector3 = tuple[GaussianRational, GaussianRational, GaussianRational]
@@ -83,37 +84,60 @@ def membership(pencil: Pencil2P, q: QuadPoly2P) -> MembershipResult:
 
     Each block row i of the box-add must equal v_i times the coefficient
     row; v is read off the first nonzero coefficient and the whole identity
-    box-add = v kron [A20 A11 A02 A10 A01 A00] is then checked exactly.
+    box-add = v kron [A20 A11 A02 A10 A01 A00] is then checked exactly, by
+    _ansatz_holds on the integer forms of both sides.
     """
     n = q.n
     if pencil.m != 3 * n:
         raise ShapeError(f"pencil size {pencil.m} does not match 3n = {3 * n}")
-    b = box_add_pencil(pencil)
-    row = q.coefficient_row()
-    den, data = row.integer_form()
-    pivot = next(((r, c) for r in range(n) for c in range(6 * n) if data[r][c] != (0, 0)), None)
+    box = _box_blocks(pencil.lam_coeff, pencil.mu_coeff, pencil.const)
+    row = _coefficient_row(q)
+    a_den, a_rows = row
+    pivot = next(((r, c) for r in range(n) for c in range(6 * n) if a_rows[r][c] != (0, 0)), None)
     if pivot is None:
         # Zero coefficient row: the identity degenerates; any v works when
-        # the box-add vanishes, no v works otherwise.
-        if b.is_zero():
+        # the box-add vanishes, which is the identity with v = 0, and no v
+        # works otherwise.
+        if _ansatz_holds(box, (1, [(0, 0)] * 3), row):
             zero = GaussianRational(0)
             return MembershipResult(True, (zero, zero, zero), ambiguous=True)
         return MembershipResult(False, None, ambiguous=True)
     r0, c0 = pivot
-    entry = gaussint.to_scalar(den, data[r0][c0])
-    v = tuple(b[i * n + r0, c0] / entry for i in range(3))
-    if b != ansatz_row(v, row):
+    den, rows = box
+    # v_i = (b_i / den) (a_den / a) for b_i the entry of block row i and a
+    # the pivot.
+    norm, a_inv = gaussint.reciprocal(a_rows[r0][c0], a_den)
+    v = tuple(gaussint.to_scalar(den * norm, gaussint.mul(rows[i * n + r0][c0], a_inv)) for i in range(3))
+    if not _ansatz_holds(box, gaussint.from_scalars(v), row):
         return NOT_MEMBER
     return MembershipResult(True, v)
 
 
-def ansatz_row(v: Vector3, row: Matrix) -> Matrix:
-    """v kron [A20 A11 A02 A10 A01 A00] for row the coefficient row of Q,
-    the box-add of a member with ansatz v: block row i is v_i times row,
-    written as one integer form."""
-    v_den, v_num = gaussint.from_scalars(v)
-    den, data = row.integer_form()
-    return Matrix.from_integer_form(v_den * den, _kron_rows(v_num, data))
+def _coefficient_row(q: QuadPoly2P) -> tuple[int, list[tuple[Pair, ...]]]:
+    """The n x 6n row [A20 A11 A02 A10 A01 A00] as one integer form, not
+    reduced: the six coefficients' rows side by side over the lcm of their
+    denominators."""
+    den, parts = gaussint.aligned([c.integer_form() for c in q.coefficients()])
+    return den, [tuple(chain.from_iterable(row)) for row in zip(*parts)]
+
+
+def _ansatz_holds(box: tuple[int, Rows], v: tuple[int, list[Pair]], row: tuple[int, Rows]) -> bool:
+    """Whether box-add = v kron [A20 A11 A02 A10 A01 A00], decided on
+    integer forms with no Matrix, for box the rows of pencil._box_blocks
+    over den, v the numerators w_i of v over v_den and row the coefficient
+    row over a_den.  Each entry b of block row i must equal v_i times its
+    entry a of the row, b / den = w_i a / (v_den a_den), compared
+    cross-multiplied as b (v_den a_den / g) = (w_i den / g) a with
+    g = gcd(v_den a_den, den), row by row up to the first that differs.
+    """
+    den, rows = box
+    v_den, v_num = v
+    a_den, a_rows = row
+    g = gcd(v_den * a_den, den)
+    left, right = v_den * a_den // g, den // g
+    if left != 1:
+        rows = [tuple([(re * left, im * left) for re, im in b_row]) for b_row in rows]
+    return rows == _kron_rows([(w_re * right, w_im * right) for w_re, w_im in v_num], a_rows)
 
 
 def _kron_rows(v_num: list[Pair], data: Rows) -> list[tuple[Pair, ...]]:
@@ -159,10 +183,11 @@ def free_blocks(pencil: Pencil2P) -> FreeBlocks:
 
 
 def lower_z_block(z1: Matrix, z2: Matrix) -> Matrix:
-    """The 2n x 2n block [[Z21, Z22], [Z31, Z32]] of two 3n x n blocks."""
+    """The 2n x 2n block [[Z21, Z22], [Z31, Z32]] of two 3n x n blocks, each
+    of its rows written once over the common denominator of z1 and z2."""
     n = z1.cols
-    lower = range(n, 3 * n)
-    return Matrix.hstack([z1.submatrix(lower, range(n)), z2.submatrix(lower, range(n))])
+    den, (rows1, rows2) = gaussint.aligned((z1.integer_form(), z2.integer_form()))
+    return Matrix.from_integer_form(den, [r1 + r2 for r1, r2 in zip(rows1[n:], rows2[n:])])
 
 
 def zero_lower_left(pencil: Pencil2P) -> bool:

@@ -62,6 +62,9 @@ PAIR_WRONG = "corpus/pair_rational_wrong.json"
 SYS_PLANTED = "corpus/sys_planted_2x2.json"
 PAIR_PLANTED = "corpus/pair_planted_2x2.json"
 PAIR_PLANTED_WRONG = "corpus/pair_planted_2x2_wrong.json"
+# l_worked with its last A3hat entry changed from 4 to 5: the ansatz identity
+# fails at the last entry that membership and certify compare.
+L_BUMPED = "corpus/l_worked_bumped.json"
 
 COMMANDS = [
     ["standard", "-q", Q_CIRCLE],
@@ -137,6 +140,8 @@ COMMANDS = [
     # Q1 FAIL and L1 ok at equal norms.
     ["verify-pair", "-s", SYS_PLANTED, "--pair", PAIR_PLANTED_WRONG, "--tol", "0.02"],
     ["verify-pair", "-s", SYS_PLANTED, "--pair", PAIR_PLANTED_WRONG, "--seed", "3", "--tol", "0.1"],
+    ["member", "-q", Q_WORKED, "-l", L_BUMPED],
+    ["certify", "-q", Q_WORKED, "-l", L_BUMPED],
 ]
 
 

@@ -23,13 +23,16 @@ from pencilspace import (
     standard_blocks,
     standard_linearization,
 )
+import pencilspace
 from pencilspace import construct, matrices, space
 from pencilspace import pencil as pencil_module
 from pencilspace.bipoly import BiPoly
+from pencilspace.cli import main
 from pencilspace.construct import ALL_CASES
 from pencilspace.errors import HypothesisViolatedError, ShapeError, ZeroAnsatzError
 from pencilspace.polymatrix import PolyMatrix, exact_det_poly
 from pencilspace.scalars import GaussianRational
+from pencilspace.serialization import serialize_blocks
 from pencilspace.space import lower_z_block
 
 from conftest import (
@@ -572,20 +575,23 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_each_entry_point_checks_the_ansatz_identity_once(monkeypatch, entry, n):
-    # The box-add identity is read once, inside membership for
-    # best_certificate (which reads v off it) and directly elsewhere, and
+    # The ansatz identity is decided once, by space._ansatz_holds on the
+    # box-add rows, inside membership for best_certificate (which reads v
+    # off them) and directly elsewhere; no box-add Matrix is formed, and
     # the pair forms no polynomial product.  Reading F forms one, W Z^-1,
     # and each factor is built once.
     kind = "standard" if entry == "certify_standard" else "scaled-e1"
     pencil, q, cert = certified_pair(kind, n, random.Random(f"{entry}/{n}"))
     alpha = membership(pencil, q).v[0]
-    box_adds = spy(monkeypatch, "box_add_pencil", pencil_module, space, construct)
+    checks = spy(monkeypatch, "_ansatz_holds", space, construct)
+    box_adds = spy(monkeypatch, "box_add_pencil", pencil_module, pencilspace)
     memberships = spy(monkeypatch, "membership", space, construct)
     pairs = spy(monkeypatch, "_unimodular_pair", construct)
     products = spy(monkeypatch, "__matmul__", PolyMatrix)
     result = ENTRY_POINTS[entry](pencil, q, alpha)
     assert result == cert
-    assert len(box_adds) == 1
+    assert len(checks) == 1 and not box_adds
+    assert not hasattr(space, "ansatz_row")
     assert len(memberships) == (entry == "best_certificate")
     assert len(pairs) == 1 and not products
     f = result.f
@@ -594,6 +600,32 @@ def test_each_entry_point_checks_the_ansatz_identity_once(monkeypatch, entry, n)
     e = result.e
     assert result.e is e and result.f is f
     assert len(products) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ansatz_checks_form_no_box_add_matrix(monkeypatch, capsys, tmp_path, n):
+    # membership, certify_scaled_e1, procedure_linearize and the kernel
+    # command read the box-add off its integer rows: no 3n x 6n Matrix is
+    # built and box_add_pencil is not called.
+    rng = random.Random(f"no-box-add/{n}")
+    pencil, q, _ = certified_pair("scaled-e1", n, rng)
+    alpha = membership(pencil, q).v[0]
+    member = generate_member(q, (1, 0, -2), rand_blocks(rng, n))
+    blocks = tmp_path / "blocks.json"
+    blocks.write_text(serialize_blocks(rand_blocks(rng, n)), encoding="utf-8")
+    shapes = []
+    real_init = matrices._init
+    monkeypatch.setattr(
+        matrices, "_init", lambda m, data, den: shapes.append((len(data), len(data[0]))) or real_init(m, data, den)
+    )
+    box_adds = spy(monkeypatch, "box_add_pencil", pencil_module, pencilspace)
+    assert membership(member, q).v == (1, 0, -2)
+    assert certify_scaled_e1(pencil, q, alpha).verified
+    assert procedure_linearize(q, (1, 2, -1), alpha, rng=rng).certificate.verified
+    assert main(["kernel", "--blocks", str(blocks)]) == 0
+    assert "box-add vanishes = True" in capsys.readouterr().out
+    assert shapes and (3 * n, 6 * n) not in shapes
+    assert not box_adds
 
 
 def full_det_ratio(pencil, q):

@@ -828,29 +828,19 @@ def test_factored_residuals_equal_explicit_operators(n1, n2, complex_prob):
         assert verify_eigenpair(system, lin, lam, mu, x1, x2).passed
 
 
-def test_exact_eigenpair_forms_no_kronecker_operator(monkeypatch):
-    rng = random.Random(7)
-    lam, mu = rand_gr(rng), rand_gr(rng)
-    q1, x1 = plant_eigenvector(rng, rand_quad(rng, 2), lam, mu)
-    q2, x2 = plant_eigenvector(rng, rand_quad(rng, 3), lam, mu)
-    system = QuadSystem2P(q1, q2)
-    lin = linearize_system(system)
-
-    def forbidden(*args):
-        raise AssertionError("a 9 n1 n2 operator was formed")
-
-    monkeypatch.setattr(qep, "delta_operators", forbidden)
-    monkeypatch.setattr(qep, "delta0_operator", forbidden)
-    report = verify_eigenpair(system, lin, lam, mu, x1, x2)
-    assert report.passed and all(c.exact_zero for c in report.checks)
-
-
 def test_exact_eigenpair_runs_no_matrix_arithmetic(monkeypatch):
     # The residuals and their scales are read off numerator vectors: at
     # (2,3), with random admissible blocks and complex entries, neither an
     # exact eigenpair nor an inexact one (one changed x1 entry, a shifted
     # lam) takes a Matrix product, sum, Kronecker product or scaling, a
-    # PolyMatrix evaluation, or a Delta operator.
+    # PolyMatrix evaluation, or a Delta operator; nor does an exact pair of
+    # a real system linearized with the standard blocks.
+    standard_rng = random.Random(7)
+    s_lam, s_mu = rand_gr(standard_rng), rand_gr(standard_rng)
+    s_q1, s_x1 = plant_eigenvector(standard_rng, rand_quad(standard_rng, 2), s_lam, s_mu)
+    s_q2, s_x2 = plant_eigenvector(standard_rng, rand_quad(standard_rng, 3), s_lam, s_mu)
+    standard = QuadSystem2P(s_q1, s_q2)
+    standard_lin = linearize_system(standard)
     rng = random.Random(23)
     lam, mu = rand_gr(rng, 0.5), rand_gr(rng, 0.5)
     q1, x1 = plant_eigenvector(rng, rand_quad(rng, 2, 0.5), lam, mu)
@@ -875,8 +865,9 @@ def test_exact_eigenpair_runs_no_matrix_arithmetic(monkeypatch):
     monkeypatch.setattr(PolyMatrix, "eval", forbidden("PolyMatrix.eval"))
     for name in ("delta_operators", "delta0_operator"):
         monkeypatch.setattr(qep, name, forbidden(f"qep.{name}"))
-    report = verify_eigenpair(system, lin, lam, mu, x1, x2)
-    assert report.passed and all(c.exact_zero for c in report.checks)
+    for args in ((system, lin, lam, mu, x1, x2), (standard, standard_lin, s_lam, s_mu, s_x1, s_x2)):
+        report = verify_eigenpair(*args)
+        assert report.passed and all(c.exact_zero for c in report.checks)
     assert verify_eigenpair(system, lin, *inexact, tol).checks == expected
 
 

@@ -18,14 +18,17 @@ from pencilspace import (
     space_dimension,
     standard_linearization,
 )
-from pencilspace import space
+from pencilspace import gaussint, space
+from pencilspace.construct import certify_scaled_e1
 from pencilspace.errors import HypothesisViolatedError, ShapeError
+from pencilspace.pencil import _box_blocks
 from pencilspace.polymatrix import PolyMatrix
 from pencilspace.scalars import GaussianRational
 from pencilspace.space import free_blocks, standard_blocks
 
 from conftest import (
     BIG_PRIMES,
+    ansatz_row,
     example_quad,
     rand_blocks,
     rand_gr,
@@ -521,7 +524,7 @@ def test_ansatz_row_and_membership_match_the_kron_route(n, rng):
             q = QuadPoly2P(n, Matrix.zeros(n, n), *q.coefficients()[1:])
         v = tuple(rand_gr(rng, 0.5) if rng.random() < 0.7 else GaussianRational(0) for _ in range(3))
         row = q.coefficient_row()
-        assert space.ansatz_row(v, row) == kron(Matrix.column(v), row)
+        assert ansatz_row(v, row) == kron(Matrix.column(v), row)
         member = generate_member(q, v, rand_blocks(rng, n))
         bumped = member.const + Matrix.from_blocks(
             [[rand_matrix(rng, n, n) if (i, j) == (2, 2) else Matrix.zeros(n, n) for j in range(3)]
@@ -535,3 +538,92 @@ def test_ansatz_row_and_membership_match_the_kron_route(n, rng):
     zero = QuadPoly2P(n, *(Matrix.zeros(n, n) for _ in range(6)))
     kernel = kernel_member(n, rand_blocks(rng, n))
     assert membership(kernel, zero).is_member and kron_membership(kernel, zero)[0]
+
+
+def ansatz_holds(pencil: Pencil2P, q: QuadPoly2P, v) -> bool:
+    """The comparator's verdict on pencil, q and v, from their integer forms."""
+    box = _box_blocks(pencil.lam_coeff, pencil.mu_coeff, pencil.const)
+    v_form = gaussint.from_scalars(GaussianRational.coerce(c) for c in v)
+    return space._ansatz_holds(box, v_form, space._coefficient_row(q))
+
+
+def comparator_cases(n: int, rng: random.Random):
+    """(q, v, blocks): a real Q, a complex Q, a Q with A20 = 0 and the zero
+    quadratic, each with v = (alpha, 0, 0), a v with a zero entry and one
+    with none; Y1 = [Y11; 0; 0] and the lower Z block is nonsingular, so
+    each alpha*e1 member of a nonzero Q is certifiable."""
+    complex_q = rand_quad(rng, n, 0.5)
+    quads = (
+        rand_quad(rng, n, 0.0),
+        complex_q,
+        QuadPoly2P(n, Matrix.zeros(n, n), *complex_q.coefficients()[1:]),
+        QuadPoly2P(n, *(Matrix.zeros(n, n) for _ in range(6))),
+    )
+    for q in quads:
+        while True:
+            z1, z2 = rand_matrix(rng, 3 * n, n, 0.5), rand_matrix(rng, 3 * n, n, 0.5)
+            if space.lower_z_block(z1, z2).det():
+                break
+        y1 = Matrix.vstack([rand_matrix(rng, n, n, 0.5), Matrix.zeros(2 * n, n)])
+        blocks = FreeBlocks(n, y1, z1, z2)
+        nonzero = lambda: rand_gr(rng, 0.5) or GaussianRational(1)
+        for v in ((nonzero(), 0, 0), (nonzero(), 0, nonzero()), (nonzero(), nonzero(), nonzero())):
+            yield q, tuple(GaussianRational.coerce(c) for c in v), blocks
+
+
+def one_entry_bumps(pencil: Pencil2P, rng: random.Random):
+    """The pencil with one entry changed, in each coefficient and each 3 x 3
+    block position: the block's last entry (in the constant's last block,
+    the last entry the comparator reads), then a random entry."""
+    n, m = pencil.block_size, pencil.m
+    for k in range(3):
+        for bi in range(3):
+            for bj in range(3):
+                for r, c in ((n - 1, n - 1), (rng.randrange(n), rng.randrange(n))):
+                    at = (bi * n + r, bj * n + c)
+                    bump = Matrix([[GaussianRational(1, -2) if (i, j) == at else 0 for j in range(m)] for i in range(m)])
+                    coeffs = list(pencil[1:])
+                    coeffs[k] = coeffs[k] + bump
+                    yield Pencil2P(m, *coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ansatz_comparator_matches_the_kron_identity(n):
+    # The integer-form verdict equals box_add_pencil(p) == v kron row, for
+    # the pencil's own v and another; membership equals the kron route; and
+    # certify_scaled_e1 raises exactly where the (alpha, 0, 0) identity
+    # fails (and always for the zero quadratic, which it refuses).
+    rng = random.Random(f"comparator/{n}")
+    for q, v, blocks in comparator_cases(n, rng):
+        row = q.coefficient_row()
+        identity = lambda pencil, w: box_add_pencil(pencil) == kron(Matrix.column(w), row)
+        member = generate_member(q, v, blocks)
+        assert identity(member, v)
+        e1 = (v[0], GaussianRational(0), GaussianRational(0))
+        for pencil in (member, *one_entry_bumps(member, rng)):
+            for w in (v, e1, (v[0] + 1, v[1], v[2])):
+                assert ansatz_holds(pencil, q, w) == identity(pencil, w)
+            result = membership(pencil, q)
+            verdict, expected_v = kron_membership(pencil, q)
+            assert result.is_member == verdict
+            if q.is_zero():
+                assert result.ambiguous and result.v == (grs(0, 0, 0) if verdict else None)
+            else:
+                assert result.v == (expected_v if verdict else None)
+            if identity(pencil, e1) and not q.is_zero():
+                assert certify_scaled_e1(pencil, q, v[0]).verified
+            else:
+                with pytest.raises(HypothesisViolatedError, match="does not have ansatz"):
+                    certify_scaled_e1(pencil, q, v[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lower_z_block_is_the_submatrix_hstack(n, rng):
+    # Written on integer forms, the lower Z block equals the hstack of the
+    # two lower submatrices, for blocks over unrelated denominators.
+    lower, left = range(n, 3 * n), range(n)
+    for den in BIG_PRIMES[:4]:
+        z1, z2 = rand_matrix(rng, 3 * n, n, 0.5), rand_over(rng, 3 * n, n, den)
+        for a, b in ((z1, z2), (z2, z1), (z1, z1)):
+            expected = Matrix.hstack([a.submatrix(lower, left), b.submatrix(lower, left)])
+            assert space.lower_z_block(a, b) == expected
