@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 from . import gaussint
 from .errors import DegreeError
-from .gaussint import Pair
+from .gaussint import _SQRT_MINUS_ONE, SQUARE_FREE_PRIME, Pair, image_mod_p
 from .scalars import GaussianRational, ScalarLike
 
 Exponent = Tuple[int, int]
@@ -520,11 +520,8 @@ def _divide(a: list[Pair], b: list[Pair]) -> tuple[list[Pair], list[Pair]]:
 
 # -- the mod-p proofs of coprimality and square-freeness ---------------------------
 
-# A prime p = 1 (mod 4), so -1 has a square root s mod p and i -> s, with
-# re + im*i -> re + im*s, is a ring map from Z[i] onto F_p (its kernel is
-# the prime ideal (p, i - s)).  11 is the least quadratic non-residue mod p.
-SQUARE_FREE_PRIME = 1_000_000_009
-_SQRT_MINUS_ONE = pow(11, (SQUARE_FREE_PRIME - 1) // 4, SQUARE_FREE_PRIME)
+# Both run in the F_p of gaussint.image_mod_p; its prime p and root s of -1
+# (SQUARE_FREE_PRIME, _SQRT_MINUS_ONE) stay importable from this module.
 
 
 def _square_free_mod_p(nums: list[Pair]) -> bool:
@@ -545,21 +542,15 @@ def _coprime_mod_p(r: list[Pair], s: list[Pair]) -> bool:
     lc(h*), so the image of h* has degree >= 1 and divides both r~ and s~
     (s~ may be 0), against gcd = 1.  A False answer proves nothing.
     """
-    a = _image_mod_p(r)
+    a = image_mod_p(r)
     if not a or not a[-1]:
         return False
-    b = _image_mod_p(s)
+    b = image_mod_p(s)
     while b and not b[-1]:
         b.pop()
     while b:
         a, b = b, _remainder_mod_p(a, b)
     return len(a) == 1
-
-
-def _image_mod_p(nums: list[Pair]) -> list[int]:
-    """The image in F_p[x] of sum nums[k] x^k under i -> s."""
-    p, s = SQUARE_FREE_PRIME, _SQRT_MINUS_ONE
-    return [(re + im * s) % p for re, im in nums]
 
 
 def _remainder_mod_p(a: list[int], b: list[int]) -> list[int]:

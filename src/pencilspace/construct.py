@@ -16,13 +16,15 @@ Two certificate kinds are kept deliberately distinct:
   first read: F forms Z^-1, checks Z^-1 Z = I_2n, then forms W * Z^-1.
 * ``det-ratio``: det L = gamma * det Q with gamma a nonzero constant --
   the weaker eigenvalue-preservation criterion, decided exactly: a screen
-  at two integer points rejects almost every pair that is not
+  in F_p at two integer points rejects almost every pair that is not
   proportional, and the rest compare both determinants' expansions.
 
 General ansatz vectors are handled by the alignment procedure: pick a
 nonsingular 3 x 3 matrix M with M v = alpha*e1 from a fixed case table
 keyed by the zero pattern of v, transform the pencil by M kron I_n, and
-choose Z blocks until the transformed lower Z block is nonsingular.
+choose Z blocks until the transformed lower Z block is nonsingular.  M
+kron I_n is applied block row by block row (pencil.block_transform), never
+formed.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (
 )
 from .gaussint import Pair
 from .matrices import Matrix, kron
-from .pencil import Pencil2P, QuadPoly2P, _box_blocks
+from .pencil import Pencil2P, QuadPoly2P, _box_blocks, block_transform
 from .polymatrix import PolyMatrix, det_ratio
 from .scalars import ONE, ZERO, GaussianRational
 from .space import (
@@ -132,8 +134,7 @@ def ansatz_transform(
     det = m.det()
     if not det:
         raise AssertionError(f"case {case} produced a singular M")
-    image = m @ Matrix.column(v)
-    if image != Matrix.column([alpha, 0, 0]):
+    if block_transform(m, Matrix.column(v)) != Matrix.column([alpha, 0, 0]):
         raise AssertionError(f"case {case} does not map v to alpha*e1")
     return AnsatzTransform(m, case, alpha, v)
 
@@ -148,12 +149,11 @@ def condition_det_check(m3: Matrix, z1: Matrix, z2: Matrix) -> bool:
 
 
 def _transformed_z_det(m3: Matrix, z1: Matrix, z2: Matrix) -> GaussianRational:
-    if m3.shape != (3, 3):
-        raise ShapeError("block transformation must be 3 x 3")
+    """det of the lower Z block of (M kron I_n) Z1 and (M kron I_n) Z2, each
+    transformed block row by block row (block_transform)."""
     if z1.shape != z2.shape or z1.rows != 3 * z1.cols:
         raise ShapeError("Z blocks must be conformal 3n x n matrices")
-    op = kron(m3, Matrix.identity(z1.cols))
-    return lower_z_block(op @ z1, op @ z2).det()
+    return lower_z_block(block_transform(m3, z1), block_transform(m3, z2)).det()
 
 
 class _CertificateFields(NamedTuple):
@@ -336,9 +336,9 @@ def certify_det_ratio(pencil: Pencil2P, q: QuadPoly2P) -> LinearizationCertifica
     only.  Returns verified=False (never raises) when det Q vanishes
     identically, the determinants are not proportional, or gamma = 0.
     Decided by ``det_ratio``: a non-proportional pair is almost always
-    rejected at the two screen points, (1, 2) and (2, 1), with no
-    expansion, while a verified one also expands det L and det Q, one
-    Bareiss run each at a Kronecker point.
+    rejected by the F_p images of its values at the two screen points,
+    (1, 2) and (2, 1), with no Bareiss run, while a verified one also
+    expands det L and det Q, one Bareiss run each at a Kronecker point.
     """
     if pencil.m != 3 * q.n:
         raise ShapeError(f"pencil size {pencil.m} does not match 3n = {3 * q.n}")

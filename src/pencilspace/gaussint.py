@@ -8,9 +8,11 @@ equal forms.  A ``GaussianRational`` is the one-entry case, so the way in
 from scalars and the way back to one read and write its three fields.
 This module alone holds the rules of the form: the way in, alignment to a
 common denominator, canonical reduction, Z[i] product, power and division,
-the way back to a ``GaussianRational`` or a ``complex``, and the signed
+the way back to a ``GaussianRational`` or a ``complex``, the signed
 base-2^k digits that read integer coefficients off one value at 2^k (the
-exact determinants of ``polymatrix`` and ``resultants``).  It runs on
+exact determinants of ``polymatrix`` and ``resultants``), and the image
+in F_p that the mod-p proofs of ``bipoly`` and the det-ratio screen of
+``polymatrix`` read.  It runs on
 ints; the containers keep their own storage and the inline arithmetic of
 their per-entry hot loops.
 """
@@ -115,6 +117,19 @@ def signed_digits(value: int, k: int) -> list[int]:
         digits.append(d)
         value = (value - d) >> k
     return digits
+
+
+# A prime p = 1 (mod 4), so -1 has a square root s mod p and i -> s, with
+# re + im*i -> re + im*s, is a ring map from Z[i] onto F_p (its kernel is
+# the prime ideal (p, i - s)).  11 is the least quadratic non-residue mod p.
+SQUARE_FREE_PRIME = 1_000_000_009
+_SQRT_MINUS_ONE = pow(11, (SQUARE_FREE_PRIME - 1) // 4, SQUARE_FREE_PRIME)
+
+
+def image_mod_p(pairs: Iterable[Pair]) -> list[int]:
+    """The image in F_p of each Gaussian integer under i -> s, in range(p)."""
+    p, s = SQUARE_FREE_PRIME, _SQRT_MINUS_ONE
+    return [(re + im * s) % p for re, im in pairs]
 
 
 def to_scalar(den: int, pair: Pair) -> GaussianRational:

@@ -7,7 +7,8 @@ Determinant, rank and inverse share one fraction-free (Bareiss) elimination
 over Z[i].  Before any elimination, det checks the nonzero pattern: without a
 perfect matching of rows to columns every Leibniz term has a zero factor,
 so the determinant is exactly 0 (structural rank, after Duff's maximum
-transversal).
+transversal).  ``det_mod_p`` is the Gaussian elimination over F_p that
+gives the images of determinants for the det-ratio screen of ``polymatrix``.
 """
 
 from __future__ import annotations
@@ -425,6 +426,31 @@ def bareiss_det_int(a: list[list[tuple[int, int]]]) -> tuple[int, int]:
     # the elimination ended without a pivot in the last column.
     d_re, d_im = a[-1][-1]
     return (sign * d_re, sign * d_im)
+
+
+def det_mod_p(a: list[list[int]], p: int) -> int:
+    """Determinant in range(p) of a square matrix of ints over F_p, p prime,
+    by Gaussian elimination.  Each step takes the first row with a nonzero
+    leading entry as pivot (moving it up past r rows, sign (-1)^r) and
+    drops its column, so the rows shrink by one entry a step."""
+    det = 1
+    while a:
+        for r, row in enumerate(a):
+            if row[0] % p:
+                break
+        else:
+            return 0
+        pivot = a.pop(r)
+        if r % 2:
+            det = -det
+        det = det * pivot[0] % p
+        inv = pow(pivot[0], -1, p)
+        head = pivot[1:]
+        a = [
+            [(x - f * y) % p for x, y in zip(row[1:], head)] if (f := row[0] * inv % p) else row[1:]
+            for row in a
+        ]
+    return det % p
 
 
 def permutation_sign(p: Sequence[int]) -> int:

@@ -135,13 +135,9 @@ class Pencil2P(Checked, _PencilFields):
         )
 
     def transform(self, m3: Matrix) -> "Pencil2P":
-        """Left-multiply all three coefficients by m3 kron I_n."""
-        if m3.shape != (3, 3):
-            raise ShapeError("block transformation must be 3 x 3")
-        op = kron(m3, Matrix.identity(self.block_size))
-        return Pencil2P(
-            self.m, op @ self.lam_coeff, op @ self.mu_coeff, op @ self.const
-        )
+        """Left-multiply all three coefficients by m3 kron I_n, block row by
+        block row (block_transform)."""
+        return Pencil2P(self.m, *(block_transform(m3, c) for c in self[1:]))
 
     def __add__(self, other: "Pencil2P") -> "Pencil2P":
         return Pencil2P(
@@ -166,6 +162,37 @@ class Pencil2P(Checked, _PencilFields):
             self.mu_coeff.scale(scalar),
             self.const.scale(scalar),
         )
+
+
+def block_transform(m3: Matrix, x: Matrix) -> Matrix:
+    """(m3 kron I_n) x for a 3 x 3 m3 and a 3n-row x, with no Kronecker
+    product, identity or dense product formed: block row i is
+    sum_j m3[i, j] * (block row j of x), written row by row on the integer
+    forms over the product of the two denominators and reduced once."""
+    if m3.shape != (3, 3):
+        raise ShapeError("block transformation must be 3 x 3")
+    n, rest = divmod(x.rows, 3)
+    if rest:
+        raise ShapeError(f"size {x.rows} is not divisible by 3")
+    m_den, m_rows = m3.integer_form()
+    den, rows = x.integer_form()
+    blocks = (rows[:n], rows[n : 2 * n], rows[2 * n :])
+    out = []
+    for m_row in m_rows:
+        terms = [(c, block) for c, block in zip(m_row, blocks) if c != (0, 0)]
+        for r in range(n):
+            row = None
+            for (c_re, c_im), block in terms:
+                source = block[r]
+                if c_im:
+                    scaled = [(c_re * re - c_im * im, c_re * im + c_im * re) for re, im in source]
+                elif c_re == 1:
+                    scaled = source
+                else:
+                    scaled = [(c_re * re, c_re * im) for re, im in source]
+                row = scaled if row is None else [(a + c, b + d) for (a, b), (c, d) in zip(row, scaled)]
+            out.append(row or ((0, 0),) * x.cols)
+    return Matrix.from_integer_form(m_den * den, out)
 
 
 def lambda_kron_identity(n: int) -> PolyMatrix:

@@ -16,9 +16,16 @@ Each row is cleared of denominators by its own factor, so one entry with
 a huge denominator enlarges its row only, and Bareiss takes the rows in
 ascending order of that factor, the largest last.
 Whether two determinants are proportional (det_ratio) is first screened
-at the two integer points (1, 2) and (2, 1), which reject almost every
-pair that is not, and otherwise decided on both expansions, each read off
-the same one Kronecker point.
+in F_p, on the images of the values at the two integer points (1, 2) and
+(2, 1), which reject almost every pair that is not, and otherwise decided
+on both expansions, each read off the same one Kronecker point.  The
+screen is exact: with p = gaussint.SQUARE_FREE_PRIME prime to every
+denominator D of both matrices, i -> s (s^2 = -1 mod p) and 1/D -> D^-1
+mod p is a ring map from Z[i][1/D] onto F_p, and det is a polynomial in
+the entries, so the image of det m(x, y) is the F_p determinant of the
+image of m(x, y).  det p = gamma det q forces
+det p(1, 2) det q(2, 1) = det p(2, 1) det q(1, 2) in Z[i][1/D], and so
+in F_p: a pair whose images differ there is not proportional.
 The lam-degree bound is the smaller of the row and the column sums of the
 largest entry lam-degrees, since every Leibniz term takes one entry from
 each row and one from each column; it comes from the walk over the
@@ -31,14 +38,14 @@ determinants it reads off how they are built (construct).
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import gaussint
 from .bipoly import BiPoly, Exponent
 from .errors import ShapeError
-from .matrices import Matrix, bareiss_det_int, permutation_sign, structural_rank
+from .matrices import Matrix, bareiss_det_int, det_mod_p, permutation_sign, structural_rank
 from .scalars import GaussianRational, ScalarLike
 
 
@@ -327,6 +334,27 @@ def exact_det_poly(m: PolyMatrix) -> BiPoly:
     return BiPoly.from_integer_form(*_kronecker_read(grid))
 
 
+def _screen_images(m: PolyMatrix) -> tuple[list[list[int]], list[list[int]]] | None:
+    """The images in F_p of m(1, 2) and m(2, 1) under gaussint.image_mod_p,
+    each coefficient's integer form mapped once, or None when p divides a
+    denominator of m."""
+    p = gaussint.SQUARE_FREE_PRIME
+    size = m.rows
+    # row-major, entry i * size + j
+    at_12 = at_21 = [0] * (size * size)
+    for (a, b), coeff in m._coeffs.items():
+        den, data = coeff.integer_form()
+        if not den % p:
+            return None
+        inv = pow(den, -1, p)
+        # lam^a mu^b / den at (1, 2) and at (2, 1)
+        w_12, w_21 = (inv << b) % p, (inv << a) % p
+        image = gaussint.image_mod_p(chain.from_iterable(data))
+        at_12 = [x + y * w_12 for x, y in zip(at_12, image)]
+        at_21 = [x + y * w_21 for x, y in zip(at_21, image)]
+    return tuple([flat[k : k + size] for k in range(0, size * size, size)] for flat in (at_12, at_21))
+
+
 def det_ratio(p: PolyMatrix, q: PolyMatrix) -> GaussianRational | None:
     """Return gamma with det p = gamma * det q exactly, or None if not
     proportional.
@@ -334,25 +362,35 @@ def det_ratio(p: PolyMatrix, q: PolyMatrix) -> GaussianRational | None:
     Raises ShapeError unless both are square, and ZeroDivisionError when
     det q vanishes identically.  When det p vanishes identically and det q
     does not, gamma is 0, so a caller that needs a nonzero ratio must treat
-    0 as failure.  Two steps, both on the scaled integer values of
-    _integer_grid_det, whose scales cancel:
+    0 as failure.  Two steps:
 
-    * a screen: det p = gamma * det q forces
-      det p(1, 2) det q(2, 1) = det p(2, 1) det q(1, 2), so a pair that
-      fails this is not proportional (and det q is not zero there);
-    * otherwise both determinants are expanded (_kronecker_read), and
+    * a screen in F_p (_screen_images, skipped when p divides a
+      denominator): det p = gamma * det q forces
+      det p(1, 2) det q(2, 1) = det p(2, 1) det q(1, 2) in Z[i][1/D], D the
+      product of the denominators, and the map to F_p is a ring
+      homomorphism there, so a pair whose images differ is not
+      proportional; four F_p eliminations, and no Bareiss run, reject it;
+    * otherwise both determinants are expanded (_kronecker_read, on the
+      scaled integer values of _integer_grid_det, whose scales cancel), and
       det p = gamma * det q iff they have the same support and
       p_e * y = q_e * x at every monomial e, for the coefficients x of
       det p and y of det q at one monomial; then gamma = x / y.
     """
+    if p.rows != p.cols or q.rows != q.cols:
+        raise ShapeError("determinant requires a square matrix")
+    modulus = gaussint.SQUARE_FREE_PRIME
+    p_images = _screen_images(p)
+    q_images = p_images and _screen_images(q)
+    if q_images:
+        (p_12, p_21), (q_12, q_21) = (
+            [det_mod_p(a, modulus) for a in images] for images in (p_images, q_images)
+        )
+        if (p_12 * q_21 - p_21 * q_12) % modulus:
+            return None
     p_grid = _integer_grid_det(p)
     q_grid = _integer_grid_det(q)
     if q_grid is None:
         raise ZeroDivisionError("proportionality against the zero determinant")
-    if p_grid is not None:
-        p_at, q_at = p_grid[3], q_grid[3]
-        if gaussint.mul(p_at(1, 2), q_at(2, 1)) != gaussint.mul(p_at(2, 1), q_at(1, 2)):
-            return None
     q_scale, q_terms = _kronecker_read(q_grid)
     if not q_terms:
         raise ZeroDivisionError("proportionality against the zero determinant")

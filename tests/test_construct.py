@@ -24,12 +24,13 @@ from pencilspace import (
     standard_linearization,
 )
 import pencilspace
-from pencilspace import construct, matrices, space
+from pencilspace import construct, matrices, polymatrix, space
 from pencilspace import pencil as pencil_module
 from pencilspace.bipoly import BiPoly
 from pencilspace.cli import main
 from pencilspace.construct import ALL_CASES
 from pencilspace.errors import HypothesisViolatedError, ShapeError, ZeroAnsatzError
+from pencilspace.matrices import kron
 from pencilspace.polymatrix import PolyMatrix, exact_det_poly
 from pencilspace.scalars import GaussianRational
 from pencilspace.serialization import serialize_blocks
@@ -718,20 +719,81 @@ def test_det_ratio_source_pencil_has_gamma_det_m_power():
     assert cert.gamma != GaussianRational(1)
 
 
-def test_det_ratio_screens_two_points_before_any_expansion(bareiss_calls):
-    # A member that is not a linearization is rejected at the two screen
-    # points: two 9 x 9 and two 3 x 3 eliminations, no expansion.  A
-    # verified ratio adds one expansion of each determinant.
+def test_det_ratio_screens_two_points_before_any_expansion(monkeypatch, bareiss_calls):
+    # A member that is not a linearization is rejected by the F_p screen at
+    # the two points: no Bareiss elimination and no _integer_grid_det walk.
+    # A verified ratio runs exactly its two expansions, one 9 x 9 and one
+    # 3 x 3 Bareiss run.
     rng = random.Random(13)
     q = rand_quad(rng, 3)
     pencil = generate_member(q, (1, 1, 2), rand_blocks(rng, 3))
+    walks = spy(monkeypatch, "_integer_grid_det", polymatrix)
     bareiss_calls.clear()
     cert = certify_det_ratio(pencil, q)
     assert cert.detail == "determinants not proportional"
-    assert sorted(rows for rows, _ in bareiss_calls) == [3, 3, 9, 9]
-    bareiss_calls.clear()
+    assert bareiss_calls == [] and walks == []
     assert certify_det_ratio(standard_linearization(q), q).verified
-    assert sorted(rows for rows, _ in bareiss_calls) == [3, 3, 3, 9, 9, 9]
+    assert sorted(rows for rows, _ in bareiss_calls) == [3, 9]
+    assert len(walks) == 2
+
+
+def random_pencil(rng, m, complex_prob):
+    return Pencil2P(m, *(rand_matrix(rng, m, m, complex_prob) for _ in range(3)))
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("complex_prob", [0.0, 0.5])
+def test_block_rows_match_the_kron_product(case, n, complex_prob):
+    # Pencil2P.transform and _transformed_z_det apply M kron I_n block row
+    # by block row; the oracle forms kron(M, I_n) and multiplies densely.
+    rng = random.Random(f"block-rows/{case}/{n}/{complex_prob}")
+    v = random_vector_for(CASE_PATTERNS[case], rng)
+    alpha = complex_alpha(rng) if complex_prob else Fraction(rng.randint(1, 5), rng.randint(1, 3))
+    m3 = ansatz_transform(v, alpha, case=case).matrix
+    op = kron(m3, Matrix.identity(n))
+    for _ in range(3):
+        pencil = random_pencil(rng, 3 * n, complex_prob)
+        expected = [op @ coeff for coeff in (pencil.lam_coeff, pencil.mu_coeff, pencil.const)]
+        assert list(pencil.transform(m3)[1:]) == expected
+        z1, z2 = (rand_matrix(rng, 3 * n, n, complex_prob) for _ in range(2))
+        det = lower_z_block(op @ z1, op @ z2).det()
+        assert construct._transformed_z_det(m3, z1, z2) == det
+        assert condition_det_check(m3, z1, z2) == bool(det)
+    # a singular transformed Z block: Z2 = Z1 makes its columns repeat
+    assert construct._transformed_z_det(m3, z1, z1) == 0 == lower_z_block(op @ z1, op @ z1).det()
+
+
+def test_block_rows_reject_wrong_shapes():
+    m3 = Matrix.identity(3)
+    with pytest.raises(ShapeError):
+        random_pencil(random.Random(0), 3, 0).transform(Matrix.identity(2))
+    with pytest.raises(ShapeError):
+        Pencil2P(2, *(Matrix.identity(2) for _ in range(3))).transform(m3)
+    with pytest.raises(ShapeError):
+        construct._transformed_z_det(Matrix.identity(2), Matrix.zeros(3, 1), Matrix.zeros(3, 1))
+    with pytest.raises(ShapeError):
+        condition_det_check(m3, Matrix.zeros(3, 1), Matrix.zeros(6, 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_procedure_and_condition_form_no_kron_or_dense_product(monkeypatch, n):
+    # (M kron I_n) is applied by block rows: procedure_linearize (alignment,
+    # Z draws and the aligned pencil) and condition_det_check call neither
+    # kron nor Matrix.__matmul__.
+    rng = random.Random(f"no-kron/{n}")
+    q = rand_quad(rng, n, complex_prob=0.5)
+    m3 = ansatz_transform((1, 2, -1), 3).matrix
+    blocks = rand_blocks(rng, n)
+    krons = spy(monkeypatch, "kron", matrices, construct, pencil_module, pencilspace)
+    matrix_krons = spy(monkeypatch, "kron", Matrix)
+    products = spy(monkeypatch, "__matmul__", Matrix)
+    for case in ALL_CASES:
+        v = random_vector_for(CASE_PATTERNS[case], rng)
+        result = procedure_linearize(q, v, complex_alpha(rng), rng=rng, case=case)
+        assert result.certificate.verified
+    assert condition_det_check(m3, blocks.z1, blocks.z2) in (True, False)
+    assert not krons and not matrix_krons and not products
 
 
 FACTOR_KINDS = ("scaled-e1", "standard") + tuple(f"procedure/{case}" for case in ALL_CASES)

@@ -574,19 +574,47 @@ def test_det_ratio_matches_poly_div_constant_ratio(kind, q_size, extra, seed):
         assert polymatrix.det_ratio(p, q) == poly_div_constant_ratio(exact_det_poly(p), det_q)
 
 
-def test_det_ratio_screens_two_points_then_compares_expansions(bareiss_calls):
-    # The screen compares det p(1, 2) det q(2, 1) with det p(2, 1) det q(1, 2).
+def _det_ratio_work(monkeypatch):
+    """The F_p screen eliminations (det_mod_p, matrix sizes) and the
+    _integer_grid_det walks (matrix sizes) that det_ratio runs."""
+    runs = {"screen": [], "walk": []}
+    for key, name in (("screen", "det_mod_p"), ("walk", "_integer_grid_det")):
+        real = getattr(polymatrix, name)
+
+        def recording(m, *args, real=real, key=key):
+            runs[key].append(len(m) if key == "screen" else m.rows)
+            return real(m, *args)
+
+        monkeypatch.setattr(polymatrix, name, recording)
+    return runs
+
+
+def test_det_ratio_screens_two_points_then_compares_expansions(monkeypatch, bareiss_calls):
+    # The screen compares the images in F_p of det p(1, 2) det q(2, 1) and
+    # det p(2, 1) det q(1, 2): four F_p eliminations.  A rejected pair runs
+    # no Bareiss elimination and no _integer_grid_det walk; a verified ratio
+    # runs exactly its two expansions, one walk and one Bareiss run each.
+    runs = _det_ratio_work(monkeypatch)
     q = PolyMatrix([[LAM]])
     assert polymatrix.det_ratio(PolyMatrix([[LAM * 3]]), q) == GaussianRational(3)
-    assert polymatrix.det_ratio(PolyMatrix([[LAM + ONE]]), q) is None
-    assert polymatrix.det_ratio(PolyMatrix([[LAM + MU]]), q) is None
+    assert (len(runs["screen"]), runs["walk"], len(bareiss_calls)) == (4, [1, 1], 2)
+    for p in ([[LAM + ONE]], [[LAM + MU]]):
+        for log in (runs["screen"], runs["walk"], bareiss_calls):
+            log.clear()
+        assert polymatrix.det_ratio(PolyMatrix(p), q) is None
+        assert (len(runs["screen"]), runs["walk"], bareiss_calls) == (4, [], [])
+    # A structurally zero det p passes the screen (0 = 0) and gives 0 once
+    # det q is expanded: one Bareiss run, for det q.
+    bareiss_calls.clear()
     assert polymatrix.det_ratio(PolyMatrix([[BiPoly.zero()]]), q) == GaussianRational(0)
+    assert len(bareiss_calls) == 1
     # Both pass the screen (2 * 1 = 2 * 1, and 0 * 1 = 0 * 1) and are told
     # apart by their expansions: four screen runs and two expansions.
     for p in ([[LAM * MU]], [[(LAM - ONE) * (LAM - ONE * 2)]]):
-        bareiss_calls.clear()
+        for log in (runs["screen"], bareiss_calls):
+            log.clear()
         assert polymatrix.det_ratio(PolyMatrix(p), PolyMatrix([[ONE]])) is None
-        assert len(bareiss_calls) == 6
+        assert (len(runs["screen"]), len(bareiss_calls)) == (4, 2)
     # det q vanishes identically, though not structurally: the screen passes
     # and the expansion of det q decides, before a zero det p gives 0.
     singular = PolyMatrix([[LAM, MU], [LAM, MU]])
@@ -596,6 +624,59 @@ def test_det_ratio_screens_two_points_then_compares_expansions(bareiss_calls):
         polymatrix.det_ratio(PolyMatrix([[BiPoly.zero()]]), singular)
     with pytest.raises(ShapeError):
         polymatrix.det_ratio(PolyMatrix([[LAM, MU]]), q)
+
+
+P = gaussint.SQUARE_FREE_PRIME
+
+
+@pytest.mark.parametrize("which", ["p", "q"])
+def test_det_ratio_skips_the_screen_when_p_divides_a_denominator(monkeypatch, bareiss_calls, which):
+    # 1/P has no image in F_p, so no screen runs and the expansions decide,
+    # whether the ratio exists (gamma = 1/P or P) or not.
+    runs = _det_ratio_work(monkeypatch)
+    over_p = PolyMatrix([[LAM * GaussianRational(Fraction(1, P))]])
+    other = PolyMatrix([[LAM]])
+    p, q = (over_p, other) if which == "p" else (other, over_p)
+    gamma = GaussianRational(Fraction(1, P) if which == "p" else P)
+    assert polymatrix.det_ratio(p, q) == gamma
+    bumped = PolyMatrix([[p[0, 0] + ONE]])
+    assert polymatrix.det_ratio(bumped, q) is None
+    assert runs["screen"] == [] and len(bareiss_calls) == 4
+
+
+@pytest.mark.parametrize("b", [1, 2, -7, 10**6])
+def test_det_ratio_screen_passes_a_cross_difference_of_p(monkeypatch, bareiss_calls, b):
+    # det p = P + b lam, det q = lam: the cross products (P + b) * 2 and
+    # (P + 2b) * 1 differ by exactly P, so the images agree in F_p and the
+    # screen passes; the expansions, with different supports, give None.
+    runs = _det_ratio_work(monkeypatch)
+    p = PolyMatrix([[ONE * P + LAM * b]])
+    assert polymatrix.det_ratio(p, PolyMatrix([[LAM]])) is None
+    assert (len(runs["screen"]), runs["walk"], len(bareiss_calls)) == (4, [1, 1], 2)
+
+
+def test_det_ratio_against_a_det_q_that_vanishes_but_not_structurally(monkeypatch):
+    # Every image of det q is 0, so the screen passes for any p; the
+    # expansion of det q then raises, for a zero, a proportional-looking and
+    # an unrelated det p alike.
+    singular = PolyMatrix([[LAM + ONE, MU * 2], [LAM * 3 + ONE * 3, MU * 6]])
+    assert polymatrix._integer_grid_det(singular) is not None
+    assert exact_det_poly(singular).is_zero()
+    runs = _det_ratio_work(monkeypatch)
+    for p in ([[BiPoly.zero()]], [[LAM * MU]], [[ONE, LAM], [MU, ONE]]):
+        with pytest.raises(ZeroDivisionError):
+            polymatrix.det_ratio(PolyMatrix(p), singular)
+    assert len(runs["screen"]) == 12
+
+
+def test_det_ratio_rejects_non_square_input(monkeypatch):
+    # ShapeError before any screen or expansion, for either argument.
+    runs = _det_ratio_work(monkeypatch)
+    square, wide, tall = PolyMatrix([[LAM]]), PolyMatrix([[LAM, MU]]), PolyMatrix([[LAM], [MU]])
+    for p, q in ((wide, square), (square, tall), (tall, wide)):
+        with pytest.raises(ShapeError):
+            polymatrix.det_ratio(p, q)
+    assert runs == {"screen": [], "walk": []}
 
 
 def _bareiss_bits(monkeypatch):
@@ -693,4 +774,8 @@ def test_det_ratio_with_one_extreme_denominator(monkeypatch, kind):
     expected = poly_div_constant_ratio(cofactor_det(p), cofactor_det(q))
     assert polymatrix.det_ratio(p, q) == expected
     assert (expected is not None) == (kind == "proportional")
-    assert max(bits) < 2 * 3322
+    # 10^1000 is prime to p, so the F_p screen runs: it rejects the bumped
+    # and the random p with no Bareiss run, and the proportional p runs its
+    # two expansions, each within the bit bound.
+    assert len(bits) == (2 if kind == "proportional" else 0)
+    assert max(bits, default=0) < 2 * 3322
