@@ -216,7 +216,7 @@ def _cmd_procedure(args) -> int:
     print(f"case {result.transform.case}: M =")
     for i in range(3):
         print("  [" + "  ".join(str(m[i, j]) for j in range(3)) + "]")
-    print(f"det M = {m.det()}, draws used = {result.draws_used}")
+    print(f"det M = {result.transform.det}, draws used = {result.draws_used}")
     print(f"aligned ansatz = ({result.transform.alpha}, 0, 0)")
     _print_certificate("certificate", result.certificate)
     _emit_pencil(result.pencil, args.out)

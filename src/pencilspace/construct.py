@@ -21,10 +21,15 @@ Two certificate kinds are kept deliberately distinct:
 
 General ansatz vectors are handled by the alignment procedure: pick a
 nonsingular 3 x 3 matrix M with M v = alpha*e1 from a fixed case table
-keyed by the zero pattern of v, transform the pencil by M kron I_n, and
-choose Z blocks until the transformed lower Z block is nonsingular.  M
-kron I_n is applied block row by block row (pencil.block_transform), never
-formed.
+keyed by the zero pattern of v, transform the member L with ansatz v by
+M kron I_n, and choose Z blocks until the transformed lower Z block is
+nonsingular.  M kron I_n is never formed: it is applied block row by
+block row (pencil.block_rows), to the free blocks alone.  By the mixed
+product, (M kron I_n)(v kron A_ab) = (M v) kron A_ab = (alpha e1) kron A_ab,
+and M kron I_n maps each block column of the kernel layout
+[0 | -Y1 | -Z1], [Y1 | 0 | -Z2], [Z1 | Z2 | 0] on its own, so
+(M kron I_n) L is the member with ansatz alpha*e1 and free blocks
+((M kron I_n) Y1, (M kron I_n) Z1, (M kron I_n) Z2), laid out once.
 """
 
 from __future__ import annotations
@@ -40,18 +45,18 @@ from .errors import (
     ShapeError,
     ZeroAnsatzError,
 )
-from .gaussint import Pair
+from .gaussint import Pair, Rows
 from .matrices import Matrix, kron
-from .pencil import Pencil2P, QuadPoly2P, _box_blocks, block_transform
+from .pencil import Pencil2P, QuadPoly2P, _box_blocks, block_rows
 from .polymatrix import PolyMatrix, det_ratio
 from .scalars import ONE, ZERO, GaussianRational
 from .space import (
     FreeBlocks,
     _ansatz_holds,
+    _coefficient_forms,
     _coefficient_row,
+    _lay_out,
     coerce_vector3,
-    generate_member,
-    lower_z_block,
     membership,
     standard_linearization,
     zero_lower_left,
@@ -60,13 +65,20 @@ from .space import (
 _MAX_DRAWS = 32  # redraws of the Z blocks before procedure_linearize gives up
 
 
-class AnsatzTransform(NamedTuple):
-    """A nonsingular 3 x 3 matrix M with M v = alpha * e1, plus its case tag."""
-
+class _TransformFields(NamedTuple):
     matrix: Matrix
     case: str
     alpha: GaussianRational
     v: tuple[GaussianRational, GaussianRational, GaussianRational]
+
+
+class AnsatzTransform(_TransformFields):
+    """A nonsingular 3 x 3 matrix M with M v = alpha * e1, plus its case tag."""
+
+    @cached_property
+    def det(self) -> GaussianRational:
+        """det M, taken when first read and kept."""
+        return self.matrix.det()
 
     @property
     def needs_zero_y11(self) -> bool:
@@ -130,13 +142,17 @@ def ansatz_transform(
         case = next(tag for tag in ALL_CASES if tag in table and tag != "ac-alt")
     elif case not in table:
         raise ValueError(f"case {case!r} does not match the zero pattern of {v}")
-    m = Matrix(table[case])
-    det = m.det()
-    if not det:
+    transform = AnsatzTransform(Matrix(table[case]), case, alpha, v)
+    if not transform.det:
         raise AssertionError(f"case {case} produced a singular M")
-    if block_transform(m, Matrix.column(v)) != Matrix.column([alpha, 0, 0]):
+    # M v = alpha e1 on integer forms, M v / den = (a_re, a_im) / a_den e1
+    # cross-multiplied.
+    v_den, v_num = gaussint.from_scalars(v)
+    den, image = block_rows(transform.matrix, (v_den, [(w,) for w in v_num]))
+    a_den, ((a_re, a_im),) = gaussint.from_scalars((alpha,))
+    if [(re * a_den, im * a_den) for ((re, im),) in image] != [(a_re * den, a_im * den), (0, 0), (0, 0)]:
         raise AssertionError(f"case {case} does not map v to alpha*e1")
-    return AnsatzTransform(m, case, alpha, v)
+    return transform
 
 
 def condition_det_check(m3: Matrix, z1: Matrix, z2: Matrix) -> bool:
@@ -149,11 +165,24 @@ def condition_det_check(m3: Matrix, z1: Matrix, z2: Matrix) -> bool:
 
 
 def _transformed_z_det(m3: Matrix, z1: Matrix, z2: Matrix) -> GaussianRational:
-    """det of the lower Z block of (M kron I_n) Z1 and (M kron I_n) Z2, each
-    transformed block row by block row (block_transform)."""
+    """det of the lower Z block of (M kron I_n) Z1 and (M kron I_n) Z2."""
+    return _transformed_z(m3, z1, z2)[0]
+
+
+def _transformed_z(
+    m3: Matrix, z1: Matrix, z2: Matrix
+) -> tuple[GaussianRational, tuple[int, Rows], tuple[int, Rows]]:
+    """det of the lower Z block of (M kron I_n) Z1 and (M kron I_n) Z2, and
+    those two blocks as integer forms over one denominator, not reduced.
+    Z1 and Z2 are aligned once and transformed block row by block row
+    (block_rows); the det is taken on their lower 2n rows side by side."""
     if z1.shape != z2.shape or z1.rows != 3 * z1.cols:
         raise ShapeError("Z blocks must be conformal 3n x n matrices")
-    return lower_z_block(block_transform(m3, z1), block_transform(m3, z2)).det()
+    n = z1.cols
+    den, (rows1, rows2) = gaussint.aligned((z1.integer_form(), z2.integer_form()))
+    t1, t2 = block_rows(m3, (den, rows1)), block_rows(m3, (den, rows2))
+    lower = [r1 + r2 for r1, r2 in zip(t1[1][n:], t2[1][n:])]
+    return Matrix.from_integer_form(t1[0], lower).det(), t1, t2
 
 
 class _CertificateFields(NamedTuple):
@@ -380,11 +409,14 @@ def best_certificate(pencil: Pencil2P, q: QuadPoly2P) -> LinearizationCertificat
 
 
 class ProcedureResult(NamedTuple):
-    """Outcome of the ansatz-alignment procedure."""
+    """Outcome of the ansatz-alignment procedure.
+
+    The member it aligns, with ansatz v and the blocks used, is not built;
+    it is generate_member(q, result.transform.v, result.blocks).
+    """
 
     pencil: Pencil2P
     transform: AnsatzTransform
-    source: Pencil2P
     blocks: FreeBlocks
     certificate: LinearizationCertificate
     draws_used: int
@@ -411,23 +443,33 @@ def procedure_linearize(
     they pass the transformed-Z nonsingularity condition, otherwise redraw
     them with small random integers (budget ``_MAX_DRAWS``; the condition is
     generically satisfiable, so exhausting the budget is reported with
-    diagnostics).  The transformed pencil (M kron I_n) L has ansatz
-    alpha*e1 and is returned with its unimodular-pair certificate.
+    diagnostics).  The transformed pencil (M kron I_n) L of the member L
+    with ansatz v and those blocks has ansatz alpha*e1 and is returned with
+    its unimodular-pair certificate.  By the mixed product
+    (M kron I_n)(v kron A_ab) = (alpha e1) kron A_ab, and block column by
+    block column on the kernel layout, it is laid out once as the member
+    with ansatz alpha*e1 and the transformed blocks: Z1 and Z2 as the
+    accepted draw's condition transformed them, Y1 only when Y11 != 0.
     """
     n = q.n
     if blocks is not None and blocks.n != n:
         raise ShapeError(f"blocks sized for n = {blocks.n}, quadratic has n = {n}")
     transform = ansatz_transform(v, alpha, case=case)
+    m3 = transform.matrix
     if blocks is None:
         blocks = FreeBlocks.zero(n)
-    y11 = blocks.sub("y1", 0)
-    if transform.needs_zero_y11:
-        y11 = Matrix.zeros(n, n)
-    y1 = Matrix.vstack([y11, Matrix.zeros(2 * n, n)])
+    y1 = Matrix.zeros(3 * n, n)
+    y1_form = y1.integer_form()
+    if not transform.needs_zero_y11 and not (y11 := blocks.sub("y1", 0)).is_zero():
+        y1 = Matrix.vstack([y11, Matrix.zeros(2 * n, n)])
+        y1_form = block_rows(m3, y1.integer_form())
 
     z1, z2 = blocks.z1, blocks.z2
     draws = 0
-    while not (det_z := _transformed_z_det(transform.matrix, z1, z2)):
+    while True:
+        det_z, *z_forms = _transformed_z(m3, z1, z2)
+        if det_z:
+            break
         if draws >= _MAX_DRAWS:
             raise ConditionUnsatisfiableError(
                 f"no admissible Z blocks after {_MAX_DRAWS} draws for case "
@@ -439,15 +481,13 @@ def procedure_linearize(
         z2 = Matrix.from_integer_form(1, _random_rows(rng, 3 * n, n))
         draws += 1
 
-    used = FreeBlocks(n, y1, z1, z2)
-    source = generate_member(q, transform.v, used)
-    aligned = source.transform(transform.matrix)
+    e1 = gaussint.from_scalars((transform.alpha, ZERO, ZERO))
+    aligned = _lay_out(_coefficient_forms(q), e1, [y1_form, *z_forms])
     certificate = _scaled_e1_pair(aligned, q, transform.alpha, det_z)
     return ProcedureResult(
         pencil=aligned,
         transform=transform,
-        source=source,
-        blocks=used,
+        blocks=FreeBlocks(n, y1, z1, z2),
         certificate=certificate,
         draws_used=draws,
     )

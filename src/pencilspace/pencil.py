@@ -21,7 +21,7 @@ from typing import NamedTuple
 from . import gaussint
 from .bipoly import BiPoly
 from .errors import ShapeError
-from .gaussint import Pair
+from .gaussint import Pair, Rows
 from .matrices import Matrix, kron
 from .polymatrix import PolyMatrix, exact_det_poly
 from .scalars import GaussianRational, ScalarLike
@@ -166,16 +166,23 @@ class Pencil2P(Checked, _PencilFields):
 
 def block_transform(m3: Matrix, x: Matrix) -> Matrix:
     """(m3 kron I_n) x for a 3 x 3 m3 and a 3n-row x, with no Kronecker
-    product, identity or dense product formed: block row i is
-    sum_j m3[i, j] * (block row j of x), written row by row on the integer
-    forms over the product of the two denominators and reduced once."""
+    product, identity or dense product formed: the rows of block_rows,
+    reduced once."""
+    return Matrix.from_integer_form(*block_rows(m3, x.integer_form()))
+
+
+def block_rows(m3: Matrix, x: tuple[int, Rows]) -> tuple[int, list[tuple[Pair, ...]]]:
+    """(m3 kron I_n) x for a 3 x 3 m3 and the integer form (den, rows) of a
+    3n-row x, as an integer form, not reduced: block row i is
+    sum_j m3[i, j] * (block row j of x), written row by row over the
+    product of the two denominators."""
     if m3.shape != (3, 3):
         raise ShapeError("block transformation must be 3 x 3")
-    n, rest = divmod(x.rows, 3)
+    den, rows = x
+    n, rest = divmod(len(rows), 3)
     if rest:
-        raise ShapeError(f"size {x.rows} is not divisible by 3")
+        raise ShapeError(f"size {len(rows)} is not divisible by 3")
     m_den, m_rows = m3.integer_form()
-    den, rows = x.integer_form()
     blocks = (rows[:n], rows[n : 2 * n], rows[2 * n :])
     out = []
     for m_row in m_rows:
@@ -191,8 +198,8 @@ def block_transform(m3: Matrix, x: Matrix) -> Matrix:
                 else:
                     scaled = [(c_re * re, c_re * im) for re, im in source]
                 row = scaled if row is None else [(a + c, b + d) for (a, b), (c, d) in zip(row, scaled)]
-            out.append(row or ((0, 0),) * x.cols)
-    return Matrix.from_integer_form(m_den * den, out)
+            out.append(tuple(row) if row else ((0, 0),) * len(rows[0]))
+    return m_den * den, out
 
 
 def lambda_kron_identity(n: int) -> PolyMatrix:

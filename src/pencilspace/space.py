@@ -5,10 +5,10 @@ to the space iff its box-add equals v kron [A20 A11 A02 A10 A01 A00] for
 some ansatz vector v in C^3.  Every member is an ansatz part (v kron the
 top block row of the e1 member) plus a kernel member (v = 0) laid out from
 three free 3n x n blocks (Y1, Z1, Z2); one routine, _lay_out, writes both
-parts of each coefficient in one pass over their integer forms.  The
-standard linearization is the e1 member with fixed blocks.  The space has
-dimension 9n^2 + 3 whenever the coefficient row is nonzero, certified here
-by an exact rank witness rather than asserted.
+parts of each coefficient in one pass over the integer forms of Q, v and
+the blocks.  The standard linearization is the e1 member with fixed
+blocks.  The space has dimension 9n^2 + 3 whenever the coefficient row is
+nonzero, certified here by an exact rank witness rather than asserted.
 """
 
 from __future__ import annotations
@@ -113,11 +113,17 @@ def membership(pencil: Pencil2P, q: QuadPoly2P) -> MembershipResult:
     return MembershipResult(True, v)
 
 
+def _coefficient_forms(q: QuadPoly2P) -> tuple[int, list[Rows]]:
+    """The rows of A20, A11, A02, A10, A01 and A00 over the lcm of their
+    denominators, not reduced."""
+    return gaussint.aligned([c.integer_form() for c in q.coefficients()])
+
+
 def _coefficient_row(q: QuadPoly2P) -> tuple[int, list[tuple[Pair, ...]]]:
     """The n x 6n row [A20 A11 A02 A10 A01 A00] as one integer form, not
     reduced: the six coefficients' rows side by side over the lcm of their
     denominators."""
-    den, parts = gaussint.aligned([c.integer_form() for c in q.coefficients()])
+    den, parts = _coefficient_forms(q)
     return den, [tuple(chain.from_iterable(row)) for row in zip(*parts)]
 
 
@@ -158,17 +164,14 @@ def generate_member(q: QuadPoly2P, v: Sequence, blocks: FreeBlocks) -> Pencil2P:
     It is the ansatz part, one Kronecker product per coefficient,
       A1 = v kron [A20 A11 A10], A2 = v kron [0 A02 A01], A3 = v kron [0 0 A00],
     plus kernel_member(n, blocks); membership of the result returns v (for
-    nonzero Q).  The six blocks v kron A_ab are formed here on the integer
-    forms of v and Q, and _lay_out writes them beside the free blocks.
+    nonzero Q).  _lay_out writes both parts from the integer forms of Q, v
+    and the blocks.
     """
     n = q.n
     if blocks.n != n:
         raise ShapeError(f"blocks sized for n = {blocks.n}, quadratic has n = {n}")
-    v_den, v_num = gaussint.from_scalars(coerce_vector3(v))
-    # v kron A_ab over v_den * den: block row i is v_i times A_ab
-    forms = (c.integer_form() for c in q.coefficients())
-    ansatz = [(v_den * den, _kron_rows(v_num, data)) for den, data in forms]
-    return _lay_out(ansatz, blocks)
+    v = gaussint.from_scalars(coerce_vector3(v))
+    return _lay_out(_coefficient_forms(q), v, [m.integer_form() for m in blocks[1:]])
 
 
 def free_blocks(pencil: Pencil2P) -> FreeBlocks:
@@ -226,27 +229,34 @@ def standard_linearization(q: QuadPoly2P) -> Pencil2P:
 def kernel_member(n: int, blocks: FreeBlocks) -> Pencil2P:
     """A member of the kernel of the ansatz map, the member with v = 0:
       A1 = [0 | -Y1 | -Z1], A2 = [Y1 | 0 | -Z2], A3 = [Z1 | Z2 | 0],
-    laid out by _lay_out with no ansatz part; both the box-add and the
+    laid out by _lay_out with v = 0; both the box-add and the
     Lambda-product of the result vanish identically.
     """
     if blocks.n != n:
         raise ShapeError(f"blocks sized for n = {blocks.n}, requested n = {n}")
-    return _lay_out([], blocks)
+    zero = (((0, 0),) * n,) * n
+    return _lay_out((1, [zero] * 6), (1, [(0, 0)] * 3), [m.integer_form() for m in blocks[1:]])
 
 
-def _lay_out(ansatz: list[tuple[int, Rows]], blocks: FreeBlocks) -> Pencil2P:
-    """The member with ansatz part P and free blocks (Y1, Z1, Z2), the one
-    place the free blocks are laid out (free_blocks reads them back):
+def _lay_out(
+    coeffs: tuple[int, Sequence[Rows]], v: tuple[int, list[Pair]], free: Sequence[tuple[int, Rows]]
+) -> Pencil2P:
+    """The member with ansatz v and free blocks (Y1, Z1, Z2), the one place
+    a member is laid out (free_blocks reads the blocks back):
       A1 = [P20 | P11 - Y1 | P10 - Z1], A2 = [Y1 | P02 | P01 - Z2], A3 = [Z1 | Z2 | P00],
-    for ansatz the integer forms of the six P_ab = v kron A_ab in the order
-    of QuadPoly2P's fields, or [] for P = 0.  Over one common denominator,
-    each row is written once.
+    with P_ab = v kron A_ab, from the integer forms of the six A_ab over one
+    denominator (_coefficient_forms), of v and of the blocks.  The factor to
+    the common denominator is folded into v's numerators, so each P_ab and
+    each row of the result is written once.
     """
-    n = blocks.n
-    free = [m.integer_form() for m in (blocks.y1, blocks.z1, blocks.z2)]
-    den, parts = gaussint.aligned(ansatz + free)
-    if not ansatz:
-        parts[:0] = [(((0, 0),) * n,) * (3 * n)] * 6
+    a_den, a_parts = coeffs
+    v_den, v_num = v
+    n = len(a_parts[0])
+    # The ansatz's denominator joins the lcm with no rows of its own.
+    den, (_, *free_rows) = gaussint.aligned([(v_den * a_den, ()), *free])
+    f = den // (v_den * a_den)
+    w = [(re * f, im * f) for re, im in v_num]
+    parts = [_kron_rows(w, data) for data in a_parts] + free_rows
     sub = lambda a, b: tuple([(p - r, q - s) for (p, q), (r, s) in zip(a, b)])
     a1, a2, a3 = [], [], []
     for p20, p11, p02, p10, p01, p00, y1, z1, z2 in zip(*parts):

@@ -172,14 +172,15 @@ def test_certify_worked_pencil_det_ratio(capsys):
 # The det-ratio line, byte for byte, for a verified ratio, a degenerate one
 # and det Q = 0.
 def test_certify_det_ratio_verified_prints_gamma(capsys):
-    from pencilspace import procedure_linearize
+    from pencilspace import generate_member, procedure_linearize
     from pencilspace import serialization as ser
 
     # The source pencil of the procedure, (M kron I)^-1 times the aligned
     # member it certifies: a general ansatz, so only the ratio applies.
     q = ser.parse_problem(Path(Q_WORKED).read_text())
     blocks = ser.parse_blocks(Path(BLOCKS_WORKED).read_text())
-    source = procedure_linearize(q, (1, 1, 2), blocks=blocks).source
+    result = procedure_linearize(q, (1, 1, 2), blocks=blocks)
+    source = generate_member(q, result.transform.v, result.blocks)
     assert ser.parse_pencil(Path(L_SOURCE).read_text()) == source
     code, out, _ = run(capsys, "certify", "-q", Q_WORKED, "-l", L_SOURCE)
     assert (code, out) == (0, "certificate: det-ratio certificate verified, gamma = 12\n")

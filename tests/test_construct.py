@@ -24,7 +24,7 @@ from pencilspace import (
     standard_linearization,
 )
 import pencilspace
-from pencilspace import construct, matrices, polymatrix, space
+from pencilspace import construct, gaussint, matrices, polymatrix, space
 from pencilspace import pencil as pencil_module
 from pencilspace.bipoly import BiPoly
 from pencilspace.cli import main
@@ -33,7 +33,7 @@ from pencilspace.errors import HypothesisViolatedError, ShapeError, ZeroAnsatzEr
 from pencilspace.matrices import kron
 from pencilspace.polymatrix import PolyMatrix, exact_det_poly
 from pencilspace.scalars import GaussianRational
-from pencilspace.serialization import serialize_blocks
+from pencilspace.serialization import serialize_blocks, serialize_problem
 from pencilspace.space import lower_z_block
 
 from conftest import (
@@ -673,7 +673,8 @@ def det_ratio_input(kind, n, rng):
         )
         return Pencil2P(3 * n, pencil.lam_coeff, pencil.mu_coeff, pencil.const + bump), q
     if kind == "source":
-        return procedure_linearize(q, v, blocks=blocks, rng=rng).source, q
+        result = procedure_linearize(q, v, blocks=blocks, rng=rng)
+        return generate_member(q, result.transform.v, result.blocks), q
     if kind == "kernel":
         return kernel_member(n, blocks), q
     row = rng.randrange(n)
@@ -710,7 +711,7 @@ def test_det_ratio_source_pencil_has_gamma_det_m_power():
     rng = random.Random(8)
     q = rand_quad(rng, 2)
     result = procedure_linearize(q, (1, 1, 2), rng=rng)
-    cert = certify_det_ratio(result.source, q)
+    cert = certify_det_ratio(generate_member(q, result.transform.v, result.blocks), q)
     pair = result.certificate
     assert cert.verified
     assert cert.gamma == GaussianRational(1) / (
@@ -817,3 +818,75 @@ def test_factor_determinants_match_exact_det_poly(kind, n, seed):
     cert = factor_certificate(kind, n, random.Random(seed))
     assert cert.det_e == exact_det_poly(cert.e).constant_value()
     assert cert.det_f == exact_det_poly(cert.f).constant_value()
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("complex_prob", [0.0, 0.5])
+def test_procedure_pencil_is_the_transformed_source_member(case, n, complex_prob):
+    # The aligned pencil, laid out once from the transformed blocks, is the
+    # source member transformed by block rows and by the formed
+    # kron(M, I_n), and det F = 1 / det of the kron route's lower Z block.
+    # No caller blocks and zero caller Z blocks both force redraws; random
+    # caller blocks keep Y11 in case "a".
+    rng = random.Random(f"procedure-oracle/{case}/{n}/{complex_prob}")
+    q = rand_quad(rng, n, complex_prob)
+    caller = rand_blocks(rng, n, complex_prob)
+    while caller.sub("y1", 0).is_zero():
+        caller = rand_blocks(rng, n, complex_prob)
+    zero_z = FreeBlocks(n, caller.y1, Matrix.zeros(3 * n, n), Matrix.zeros(3 * n, n))
+    for blocks in (None, caller, zero_z):
+        v = random_vector_for(CASE_PATTERNS[case], rng)
+        alpha = complex_alpha(rng) if complex_prob else Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        result = procedure_linearize(q, v, alpha, blocks=blocks, rng=rng, case=case)
+        m3 = result.transform.matrix
+        op = kron(m3, Matrix.identity(n))
+        source = generate_member(q, result.transform.v, result.blocks)
+        assert result.pencil == source.transform(m3) == Pencil2P(3 * n, *(op @ c for c in source[1:]))
+        z = lower_z_block(op @ result.blocks.z1, op @ result.blocks.z2)
+        assert result.certificate.det_f == GaussianRational(1) / z.det()
+        assert (result.draws_used >= 1) == (blocks is not caller)
+        if blocks is not None:
+            kept = not result.transform.needs_zero_y11
+            assert result.blocks.y1.is_zero() != kept
+            assert kept == (case == "a")
+
+
+@pytest.mark.parametrize("case", ["abc", "a"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_procedure_lays_out_once_and_transforms_each_z_once_per_draw(monkeypatch, case, n):
+    # One layout, no source member and no transform of a whole pencil: the
+    # Z blocks of each draw are transformed once each by block_rows, Y1 =
+    # [Y11; 0; 0] once more when Y11 is kept (case "a"), and the first call
+    # is ansatz_transform's check of M v = alpha e1.
+    rng = random.Random(f"procedure-spy/{case}/{n}")
+    q = rand_quad(rng, n, complex_prob=0.5)
+    y1 = rand_blocks(rng, n).y1
+    blocks = FreeBlocks(n, y1, Matrix.zeros(3 * n, n), Matrix.zeros(3 * n, n))
+    v = random_vector_for(CASE_PATTERNS[case], rng)
+    layouts = spy(monkeypatch, "_lay_out", space, construct)
+    members = spy(monkeypatch, "generate_member", space, pencilspace)
+    transforms = spy(monkeypatch, "transform", Pencil2P)
+    rows = spy(monkeypatch, "block_rows", pencil_module, construct)
+    result = procedure_linearize(q, v, complex_alpha(rng), blocks=blocks, rng=rng, case=case)
+    assert result.certificate.verified and result.draws_used >= 1
+    assert len(layouts) == 1 and not members and not transforms
+    keeps_y11 = case == "a"
+    assert len(rows) == 1 + keeps_y11 + 2 * (result.draws_used + 1)
+    assert rows[0][1][1] == [(w,) for w in gaussint.from_scalars(result.transform.v)[1]]
+    if keeps_y11:
+        assert rows[1][1] == Matrix.vstack([y1.block(0, 0, n), Matrix.zeros(2 * n, n)]).integer_form()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_procedure_command_takes_det_m_once(capsys, tmp_path, bareiss_calls, n):
+    # det M is taken once, by ansatz_transform, and the command prints the
+    # cached value; the zero Z blocks run no elimination, so the one draw's
+    # det Z is the only other Bareiss run.
+    q = tmp_path / "q.json"
+    q.write_text(serialize_problem(rand_quad(random.Random(f"det-m/{n}"), n)), encoding="utf-8")
+    bareiss_calls.clear()
+    assert main(["procedure", "-q", str(q), "-v", "1,2,3", "--alpha", "2", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "det M = " in out and "draws used = 1" in out
+    assert [rows for rows, _ in bareiss_calls] == [3, 2 * n]

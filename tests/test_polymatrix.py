@@ -384,7 +384,8 @@ def test_degree_bound_is_the_permutation_maximum_on_cli_inputs(n):
             v = tuple(rand_nonzero_gr(rng) for _ in range(3))
             matrices.append(generate_member(q, v, rand_blocks(rng, n)).as_polymatrix())
             result = procedure_linearize(q, v, blocks=rand_blocks(rng, n), rng=rng)
-            matrices.append(result.source.as_polymatrix())
+            source = generate_member(q, result.transform.v, result.blocks)
+            matrices.append(source.as_polymatrix())
         for m in matrices:
             assert lam_bound(m) == brute_force_lam_bound(m)
 

@@ -41,7 +41,7 @@ RECORDS = [
     (CorrespondenceReport, (Matrix.column([1, 2, 3]), Matrix.column([1, 2, 3]), True, 0.0)),
     (AnsatzTransform, tuple(TRANSFORM)),
     (LinearizationCertificate, tuple(CERT)),
-    (ProcedureResult, (L, TRANSFORM, L, BLOCKS, CERT, 2)),
+    (ProcedureResult, (L, TRANSFORM, BLOCKS, CERT, 2)),
     (FreeBlocks, tuple(BLOCKS)),
     (MembershipResult, (True, (GR(1), GR(0), GR(0)), False)),
     (DimensionSummary, (1, 12, 12, False)),

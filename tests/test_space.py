@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencilspace import (
     FreeBlocks,
@@ -304,6 +306,48 @@ def test_one_pass_layouts_equal_the_composition_oracles(n, case):
         assert member == reference_member(q, v, blocks)
         assert box_add_pencil(member) == reference_box_add(member)
     assert box_add_pencil(other) == reference_box_add(other)
+
+
+def unfolded_member(q, v, blocks):
+    """generate_member with the alignment left unfolded: each v kron A_ab
+    over v_den times the denominator of A_ab by _kron_rows, then those six
+    forms and the three blocks' forms over one denominator by
+    gaussint.aligned, so every ansatz entry is scaled twice, and the
+    coefficients composed from Matrix objects."""
+    n = q.n
+    v_den, v_num = gaussint.from_scalars(GaussianRational.coerce(x) for x in v)
+    forms = [c.integer_form() for c in q.coefficients()]
+    ansatz = [(v_den * den, space._kron_rows(v_num, data)) for den, data in forms]
+    den, parts = gaussint.aligned(ansatz + [b.integer_form() for b in blocks[1:]])
+    p20, p11, p02, p10, p01, p00, y1, z1, z2 = (Matrix.from_integer_form(den, rows) for rows in parts)
+    layout = ([p20, p11 - y1, p10 - z1], [y1, p02, p01 - z2], [z1, z2, p00])
+    return Pencil2P(3 * n, *(Matrix.hstack(coeff) for coeff in layout))
+
+
+FRACTIONS = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+ANSATZ_ENTRIES = st.one_of(
+    st.just(GaussianRational(0)),
+    st.builds(GaussianRational, FRACTIONS),
+    st.builds(GaussianRational, FRACTIONS, FRACTIONS),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 3),
+    st.tuples(ANSATZ_ENTRIES, ANSATZ_ENTRIES, ANSATZ_ENTRIES),
+    st.lists(st.integers(1, 10**6), min_size=9, max_size=9),
+    st.integers(0, 2**32),
+)
+def test_folded_alignment_equals_the_unfolded_layout(n, v, dens, seed):
+    # _lay_out folds the factor to the common denominator into v's
+    # numerators: each of Q's six coefficients and the three blocks has its
+    # own denominator, and v has zero, real and complex entries.
+    rng = random.Random(seed)
+    q = QuadPoly2P(n, *(rand_over(rng, n, n, den) for den in dens[:6]))
+    blocks = FreeBlocks(n, *(rand_over(rng, 3 * n, n, den) for den in dens[6:]))
+    assert generate_member(q, v, blocks) == unfolded_member(q, v, blocks)
+    assert kernel_member(n, blocks) == unfolded_member(q, (0, 0, 0), blocks)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
