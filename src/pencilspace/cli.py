@@ -47,7 +47,6 @@ from .space import (
     FreeBlocks,
     generate_member,
     kernel_member,
-    lower_z_block,
     membership,
     space_dimension,
     standard_linearization,
@@ -133,14 +132,19 @@ def _build_linear_system(args, system: QuadSystem2P) -> LinearSystem2P:
 def _random_component_blocks(rng: random.Random, n: int) -> FreeBlocks:
     """Y1 = [Y11; 0; 0], Z1 and Z2 of small integers, drawn in that order
     until the lower Z block is nonsingular; Y1 is written as one integer
-    form."""
+    form.  The det that accepts a draw is the blocks' kept _lower_z_det,
+    which linearize_system hands to the component's certificate: the
+    constant of the member is [Z1 | Z2 | P00], P00 in block column 3, so
+    its lower-left 2n x 2n block is exactly lower_z_block(Z1, Z2), and the
+    certificate eliminates no Z block again."""
     zero = [((0, 0),) * n] * (2 * n)
     for _ in range(64):
         y11 = _random_rows(rng, n, n)
         z1 = Matrix.from_integer_form(1, _random_rows(rng, 3 * n, n))
         z2 = Matrix.from_integer_form(1, _random_rows(rng, 3 * n, n))
-        if lower_z_block(z1, z2).det():
-            return FreeBlocks(n, Matrix.from_integer_form(1, y11 + zero), z1, z2)
+        blocks = FreeBlocks(n, Matrix.from_integer_form(1, y11 + zero), z1, z2)
+        if blocks._lower_z_det:
+            return blocks
     raise ConditionUnsatisfiableError("could not draw admissible blocks")
 
 

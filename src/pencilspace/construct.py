@@ -467,9 +467,12 @@ def procedure_linearize(
     z1, z2 = blocks.z1, blocks.z2
     draws = 0
     while True:
-        det_z, *z_forms = _transformed_z(m3, z1, z2)
-        if det_z:
-            break
+        # An all-zero Z pair (the start without caller blocks) is exactly
+        # singular: a failed draw, never aligned.
+        if not (z1.is_zero() and z2.is_zero()):
+            det_z, *z_forms = _transformed_z(m3, z1, z2)
+            if det_z:
+                break
         if draws >= _MAX_DRAWS:
             raise ConditionUnsatisfiableError(
                 f"no admissible Z blocks after {_MAX_DRAWS} draws for case "

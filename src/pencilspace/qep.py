@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import gaussint, roots
 from .bipoly import BiPoly, UniPoly
-from .construct import LinearizationCertificate, certify_scaled_e1
+from .construct import LinearizationCertificate, _scaled_e1_pair
 from .errors import HypothesisViolatedError, NonGenericSystemError, ShapeError
 from .gaussint import Pair, mul, power
 from .matrices import Matrix, kron
@@ -125,7 +125,8 @@ def linearize_system(
 
     Blocks default to the standard-linearization choice per component.
     Violated certificate hypotheses (Y1 = [Y11; 0; 0], nonsingular lower
-    Z block) raise HypothesisViolatedError naming the component.
+    Z block) raise HypothesisViolatedError naming the component.  det Z
+    is the blocks' kept _lower_z_det, taken once if a draw took it.
     """
     alpha1 = GaussianRational.coerce(alpha1)
     alpha2 = GaussianRational.coerce(alpha2)
@@ -139,7 +140,7 @@ def linearize_system(
             blocks = standard_blocks(q)
         pencil = generate_member(q, (alpha, 0, 0), blocks)
         try:
-            certs.append(certify_scaled_e1(pencil, q, alpha))
+            certs.append(_scaled_e1_pair(pencil, q, alpha, blocks._lower_z_det))
         except HypothesisViolatedError as exc:
             raise HypothesisViolatedError(f"{label}: {exc}") from exc
         pencils.append(pencil)

@@ -13,7 +13,8 @@ nonzero, certified here by an exact rank witness rather than asserted.
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import cached_property
+from itertools import chain, combinations
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
@@ -51,6 +52,13 @@ class FreeBlocks(Checked, _BlockFields):
     def sub(self, name: str, block_row: int) -> Matrix:
         """The n x n sub-block of one free block (block_row in 0..2)."""
         return getattr(self, name).block(block_row, 0, self.n)
+
+    @cached_property
+    def _lower_z_det(self) -> GaussianRational:
+        """det lower_z_block(Z1, Z2), taken when first read and kept.  A3 =
+        [Z1 | Z2 | P00] in every member laid out from these blocks, so this
+        is the det of the member's constant lower-left 2n x 2n block."""
+        return lower_z_block(self.z1, self.z2).det()
 
 
 def coerce_vector3(v: Sequence) -> Vector3:
@@ -286,12 +294,16 @@ def space_dimension(q: QuadPoly2P) -> DimensionSummary:
     and by the kernel members of the 9n^2 unit directions of (Y1, Z1, Z2).
     kernel_member and free_blocks are linear, and
     free_blocks(kernel_member(n, B)) = B for every B; each P_i is checked
-    here to have free_blocks(P_i) = 0.  If sum c_i P_i + kernel_member(n, B)
+    here, on its integer forms, to vanish on its free blocks (block column 0
+    of A2, block columns 0-1 of A3).  If sum c_i P_i + kernel_member(n, B)
     = 0, applying free_blocks gives B = 0, so the kernel members are a
-    direct summand of rank 9n^2 and the witness rank is 9n^2 plus the exact
-    rank of the three vectorized ansatz parts.  For the all-zero quadratic
-    the ansatz parts vanish and the dimension degenerates to 9n^2, with no
-    elimination.
+    direct summand of rank 9n^2 and the witness rank is 9n^2 plus the rank
+    of the three vectorized ansatz parts.  That rank needs no elimination:
+    P_i = e_i kron (...) is nonzero only in block row i, so the three rows
+    have pairwise disjoint supports, checked here, and restricting
+    sum c_i P_i = 0 to the support of P_i gives c_i P_i = 0; the rank is the
+    number of nonzero P_i.  For the all-zero quadratic the ansatz parts
+    vanish and the dimension degenerates to 9n^2.
     """
     n = q.n
     degenerate = q.is_zero()
@@ -299,13 +311,17 @@ def space_dimension(q: QuadPoly2P) -> DimensionSummary:
     if not degenerate:
         zero = FreeBlocks.zero(n)
         members = [generate_member(q, e, zero) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        if any(free_blocks(p) != zero for p in members):
+        # Each ansatz part's support: (coefficient, row, column) of its nonzero entries.
+        supports = [
+            {(k, r, c) for k, coeff in enumerate(p[1:]) for r, row in enumerate(coeff.integer_form()[1])
+             for c, (re, im) in enumerate(row) if re or im}
+            for p in members
+        ]
+        if any(k == 1 and c < n or k == 2 and c < 2 * n for s in supports for k, _, c in s):
             raise AssertionError("an ansatz part has nonzero free blocks")
-        # Each ansatz part vectorized: its three coefficients, row after row.
-        forms = [c.integer_form() for p in members for c in (p.lam_coeff, p.mu_coeff, p.const)]
-        den, parts = gaussint.aligned(forms)
-        rows = [list(chain.from_iterable(chain(*parts[k : k + 3]))) for k in (0, 3, 6)]
-        witness_rank += Matrix.from_integer_form(den, rows).rank()
+        if any(a & b for a, b in combinations(supports, 2)):
+            raise AssertionError("two ansatz parts share a nonzero entry")
+        witness_rank += sum(1 for s in supports if s)
     dimension = 9 * n * n if degenerate else 9 * n * n + 3
     return DimensionSummary(n, dimension, witness_rank, degenerate)
 

@@ -248,7 +248,8 @@ def matrix_route_draw(rng, n):
     """The seeded component draw built from Matrix blocks, the oracle of
     cli._random_component_blocks: Y11, Z1 and Z2 drawn in that order, each
     a Matrix, the lower Z block as an hstack of two submatrices and Y1 as a
-    vstack with a zero block.  Also returns the number of rejected draws."""
+    vstack with a zero block.  Also returns the number of rejected draws and
+    the det that accepted the draw."""
     from pencilspace import FreeBlocks, Matrix
 
     def block(rows, cols):
@@ -257,14 +258,16 @@ def matrix_route_draw(rng, n):
     lower, left = range(n, 3 * n), range(n)
     for rejected in range(64):
         y11, z1, z2 = block(n, n), block(3 * n, n), block(3 * n, n)
-        if Matrix.hstack([z1.submatrix(lower, left), z2.submatrix(lower, left)]).det():
-            return FreeBlocks(n, Matrix.vstack([y11, Matrix.zeros(2 * n, n)]), z1, z2), rejected
+        det = Matrix.hstack([z1.submatrix(lower, left), z2.submatrix(lower, left)]).det()
+        if det:
+            return FreeBlocks(n, Matrix.vstack([y11, Matrix.zeros(2 * n, n)]), z1, z2), rejected, det
     raise AssertionError("no admissible draw")
 
 
 def test_seeded_draws_equal_the_matrix_route():
     # --seed draws integer rows: the same randint calls in the same order
-    # as the Matrix route, so the same blocks and the same rng state after.
+    # as the Matrix route, so the same blocks and the same rng state after,
+    # and the det the blocks keep for their certificate is the oracle's.
     import random
 
     from pencilspace.cli import _random_component_blocks
@@ -273,12 +276,58 @@ def test_seeded_draws_equal_the_matrix_route():
     for n in (1, 2, 3):
         for seed in range(200):
             rng, oracle_rng = random.Random(seed), random.Random(seed)
-            expected, rejected = matrix_route_draw(oracle_rng, n)
-            assert _random_component_blocks(rng, n) == expected
+            expected, rejected, det = matrix_route_draw(oracle_rng, n)
+            blocks = _random_component_blocks(rng, n)
+            assert blocks == expected
             assert rng.getstate() == oracle_rng.getstate()
+            assert blocks._lower_z_det == det
             redrawn += n == 1 and rejected > 0
     # Some seeds' first n = 1 draw is singular, so the redraw path is covered.
     assert redrawn
+
+
+def test_seeded_certificates_read_det_f_off_the_drawn_z_block():
+    # det F = 1 / det Z for Z the pencil's constant lower-left 2n x 2n block,
+    # the block the draw was accepted on.
+    import random
+
+    from pencilspace import QuadSystem2P, linearize_system
+    from pencilspace.cli import _random_component_blocks
+
+    from conftest import rand_quad
+
+    for n in (1, 2, 3):
+        system = QuadSystem2P(rand_quad(random.Random(n), n), rand_quad(random.Random(n + 10), n))
+        for seed in range(200):
+            rng = random.Random(seed)
+            blocks = [_random_component_blocks(rng, n) for _ in range(2)]
+            lin = linearize_system(system, 1, 1, *blocks)
+            for pencil, cert in ((lin.l1, lin.cert1), (lin.l2, lin.cert2)):
+                lower = pencil.const.submatrix(range(n, 3 * n), range(2 * n))
+                assert cert.det_f == 1 / lower.det()
+
+
+@pytest.mark.parametrize("n1, n2, seed", [(1, 2, 5), (3, 3, 5)])
+def test_seeded_qep_linearize_eliminates_each_z_block_once(capsys, tmp_path, bareiss_calls, n1, n2, seed):
+    # The det that accepts each draw is the certificate's: one Bareiss run
+    # of 2n_i rows per component, none in linearize_system.
+    import random
+
+    from pencilspace import QuadSystem2P
+    from pencilspace import serialization as ser
+
+    from conftest import rand_quad
+
+    rng = random.Random(n1 + n2)
+    path = tmp_path / "system.json"
+    path.write_text(ser.serialize_system(QuadSystem2P(rand_quad(rng, n1), rand_quad(rng, n2))))
+    oracle_rng = random.Random(seed)
+    # The seed's first draws are accepted, so no rejected draw adds a run.
+    assert [matrix_route_draw(oracle_rng, n)[1] for n in (n1, n2)] == [0, 0]
+    bareiss_calls.clear()
+    code, out, _ = run(capsys, "qep-linearize", "-s", str(path), "--seed", str(seed))
+    assert code == 0 and out.startswith("L1: unimodular-pair certificate")
+    assert [rows for rows, _ in bareiss_calls] == [2 * n1, 2 * n2]
 
 
 def test_delta(capsys):

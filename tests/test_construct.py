@@ -872,10 +872,34 @@ def test_procedure_lays_out_once_and_transforms_each_z_once_per_draw(monkeypatch
     assert result.certificate.verified and result.draws_used >= 1
     assert len(layouts) == 1 and not members and not transforms
     keeps_y11 = case == "a"
-    assert len(rows) == 1 + keeps_y11 + 2 * (result.draws_used + 1)
+    # The all-zero caller pair fails with no transform.
+    assert len(rows) == 1 + keeps_y11 + 2 * result.draws_used
     assert rows[0][1][1] == [(w,) for w in gaussint.from_scalars(result.transform.v)[1]]
     if keeps_y11:
         assert rows[1][1] == Matrix.vstack([y1.block(0, 0, n), Matrix.zeros(2 * n, n)]).integer_form()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_procedure_transforms_no_all_zero_z_pair(monkeypatch, n):
+    # An all-zero Z pair, with no caller blocks or zero caller Z blocks, is
+    # exactly singular and counts as a failed draw with no _transformed_z
+    # call: the calls are the accepted draw and the rejected random draws.
+    calls = spy(monkeypatch, "_transformed_z", construct)
+    rejected = 0
+    for seed in range(40):
+        rng = random.Random(f"zero-z/{n}/{seed}")
+        q = rand_quad(rng, n)
+        zero_z = FreeBlocks(n, rand_blocks(rng, n).y1, Matrix.zeros(3 * n, n), Matrix.zeros(3 * n, n))
+        for blocks in (None, zero_z):
+            case = rng.choice(ALL_CASES)
+            calls.clear()
+            v = random_vector_for(CASE_PATTERNS[case], rng)
+            result = procedure_linearize(q, v, blocks=blocks, rng=rng, case=case)
+            assert result.draws_used >= 1
+            assert len(calls) == 1 + (result.draws_used - 1)
+            rejected += result.draws_used - 1
+    # Some random draws are rejected, so the redraw path is covered.
+    assert rejected or n > 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

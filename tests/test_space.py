@@ -214,14 +214,14 @@ def test_space_dimension_zero_quadratic():
     assert summary.verified
 
 
-def test_space_dimension_at_n3_leaves_bareiss_the_ansatz_rows(rng, bareiss_calls):
+def test_space_dimension_at_n3_runs_no_elimination(rng, bareiss_calls):
     summary = space_dimension(rand_quad(rng, 3))
     assert summary.dimension == 84
     assert summary.witness_rank == 84
     assert summary.verified and not summary.degenerate
-    # The 81 kernel directions are counted, not eliminated; only the three
-    # ansatz rows reach the elimination.
-    assert len(bareiss_calls) == 1 and bareiss_calls[0][0] <= 3
+    # The 81 kernel directions are counted, and the three ansatz rows, whose
+    # supports are disjoint, are counted by their nonzero rows: no Bareiss.
+    assert bareiss_calls == []
 
 
 def test_space_dimension_zero_quadratic_at_n3_needs_no_pivot(bareiss_calls):
@@ -234,11 +234,24 @@ def test_space_dimension_zero_quadratic_at_n3_needs_no_pivot(bareiss_calls):
     assert sum(pivots for _, pivots in bareiss_calls) == 0
 
 
+def one_coefficient_quad(rng: random.Random, n: int) -> QuadPoly2P:
+    """A quadratic whose six coefficients are zero but one random one."""
+    coeffs = [Matrix.zeros(n, n)] * 6
+    coeffs[rng.randrange(6)] = rand_matrix(rng, n, n)
+    return QuadPoly2P(n, *coeffs)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_space_dimension_witness_equals_the_member_by_member_reference(n, rng):
+def test_space_dimension_witness_equals_the_member_by_member_reference(n):
+    # The Bareiss rank of the member-by-member witness is the oracle of the
+    # elimination-free count.
     zero_q = QuadPoly2P(n, *(Matrix.zeros(n, n) for _ in range(6)))
-    for q in (rand_quad(rng, n), rand_quad(rng, n, complex_prob=1.0), zero_q):
-        assert space_dimension(q).witness_rank == reference_witness(q).rank()
+    assert space_dimension(zero_q).witness_rank == reference_witness(zero_q).rank()
+    for seed in range(4):
+        rng = random.Random(seed)
+        for q in (rand_quad(rng, n), rand_quad(rng, n, complex_prob=1.0), one_coefficient_quad(rng, n)):
+            assert not q.is_zero()
+            assert space_dimension(q).witness_rank == reference_witness(q).rank() == 9 * n * n + 3
 
 
 def test_space_dimension_at_n3_builds_no_unit_direction(rng, monkeypatch):
@@ -260,6 +273,14 @@ def test_space_dimension_rejects_an_ansatz_part_with_free_blocks(rng, monkeypatc
         space, "generate_member", lambda q, v, blocks: real(q, v, rand_blocks(rng, q.n))
     )
     with pytest.raises(AssertionError, match="nonzero free blocks"):
+        space_dimension(rand_quad(rng, 2))
+
+
+def test_space_dimension_rejects_ansatz_parts_that_share_an_entry(rng, monkeypatch):
+    # Counting nonzero rows is the rank only for disjoint supports.
+    real = space.generate_member
+    monkeypatch.setattr(space, "generate_member", lambda q, v, blocks: real(q, (1, 0, 0), blocks))
+    with pytest.raises(AssertionError, match="share a nonzero entry"):
         space_dimension(rand_quad(rng, 2))
 
 
