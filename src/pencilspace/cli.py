@@ -299,6 +299,11 @@ def _cmd_verify_pair(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parser()[0]
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="pencilspace",
         description="Exact linearizations of quadratic two-parameter matrix polynomials",
@@ -369,12 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-s", "--system", required=True)
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_SPECTRUM_TOL)
 
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    return _build_parser()
 
 
 def main(argv=None) -> int:
@@ -389,8 +394,17 @@ def main(argv=None) -> int:
     ``sys.stderr`` as looked up when printed, and each help formatter is
     built when it formats.  The ``_cmd_*`` handlers are bound when the
     parser is built, so replacing one after the first call has no effect.
+
+    The top-level parser only hands argv[1:] to the command's subparser,
+    so argv[1:] goes there directly; with no argv, no command name first or
+    arguments left over, the full parser reads argv and prints its usage.
     """
-    args = _parser().parse_args(argv)
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if command is None or extra:
+        args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
+from math import prod
 from typing import NamedTuple, Optional, Sequence
 
 from . import gaussint
@@ -53,7 +54,6 @@ from .scalars import ONE, ZERO, GaussianRational
 from .space import (
     FreeBlocks,
     _ansatz_holds,
-    _coefficient_forms,
     _coefficient_row,
     _lay_out,
     coerce_vector3,
@@ -77,8 +77,10 @@ class AnsatzTransform(_TransformFields):
 
     @cached_property
     def det(self) -> GaussianRational:
-        """det M, taken when first read and kept."""
-        return self.matrix.det()
+        """det M, read off its case (ansatz_transform): alpha over the product
+        of the nonzero entries of v, negated in cases "ab" and "b"."""
+        det = self.alpha / prod(x for x in self.v if x)
+        return -det if self.case in ("ab", "b") else det
 
     @property
     def needs_zero_y11(self) -> bool:
@@ -87,37 +89,40 @@ class AnsatzTransform(_TransformFields):
         return bool(self.matrix[1, 0]) or bool(self.matrix[2, 0])
 
 
-def _case_table(a, b, c, alpha):
-    """All alignment matrices, keyed by case tag (one per zero pattern of
-    (a, b, c), plus one alternative for the a,c-nonzero pattern)."""
-    entries = {}
-    if a and b and c:
-        entries["abc"] = [
-            [alpha / a, 0, 0],
-            [ONE / a, -(ONE / b), 0],
-            [ONE / a, 0, -(ONE / c)],
-        ]
-    if (not a) and b and c:
-        entries["bc"] = [[0, alpha / b, 0], [0, -(ONE / b), ONE / c], [1, 0, 0]]
-    if (not a) and (not b) and c:
-        entries["c"] = [[1, 1, alpha / c], [1, 1, 0], [0, 1, 0]]
-    if a and (not b) and c:
-        entries["ac"] = [[alpha / a, 0, 0], [0, 1, 0], [-(ONE / a), 0, ONE / c]]
-        entries["ac-alt"] = [[alpha / a, 0, 0], [ONE / a, 0, -(ONE / c)], [0, 1, 0]]
-    if a and (not b) and (not c):
-        entries["a"] = [[alpha / a, 0, 0], [0, 1, 0], [0, 1, 1]]
-    if a and b and (not c):
-        entries["ab"] = [
-            [alpha / a, 0, 1],
-            [ONE / a, -(ONE / b), 1],
-            [-(ONE / a), ONE / b, 0],
-        ]
-    if (not a) and b and (not c):
-        entries["b"] = [[1, alpha / b, 0], [1, 0, 0], [1, 0, 1]]
-    return entries
+# The alignment matrices by case tag: the tag names the nonzero entries of
+# v = (a, b, c), and "ac-alt" is a second matrix for the pattern "ac".  An
+# entry is 0, 1, or "alpha/x", "1/x" or "-1/x" for a nonzero entry x of v.
+_CASES = {
+    "abc": (("alpha/a", 0, 0), ("1/a", "-1/b", 0), ("1/a", 0, "-1/c")),
+    "bc": ((0, "alpha/b", 0), (0, "-1/b", "1/c"), (1, 0, 0)),
+    "c": ((1, 1, "alpha/c"), (1, 1, 0), (0, 1, 0)),
+    "ac": (("alpha/a", 0, 0), (0, 1, 0), ("-1/a", 0, "1/c")),
+    "ac-alt": (("alpha/a", 0, 0), ("1/a", 0, "-1/c"), (0, 1, 0)),
+    "a": (("alpha/a", 0, 0), (0, 1, 0), (0, 1, 1)),
+    "ab": (("alpha/a", 0, 1), ("1/a", "-1/b", 1), ("-1/a", "1/b", 0)),
+    "b": ((1, "alpha/b", 0), (1, 0, 0), (1, 0, 1)),
+}
+ALL_CASES = tuple(_CASES)
 
 
-ALL_CASES = ("abc", "bc", "c", "ac", "ac-alt", "a", "ab", "b")
+def _case_matrix(case: str, v: tuple[int, list[Pair]], alpha: tuple[int, Pair]) -> Matrix:
+    """The alignment matrix of a case from the integer forms of v = (a, b, c)
+    and alpha, written over one denominator: for x = X / v_den nonzero,
+    1/x = v_den conj(X) / |X|^2, so with P the product of the |X|^2 every
+    entry is a Gaussian integer over alpha_den * P."""
+    v_den, v_num = v
+    a_den, a_num = alpha
+    norms = {x: re * re + im * im for x, (re, im) in zip("abc", v_num) if re or im}
+    den = a_den * (p := prod(norms.values()))
+    entries = {0: (0, 0), 1: (den, 0)}
+    for x, (re, im) in zip("abc", v_num):
+        if x in norms:
+            f = v_den * (p // norms[x])
+            inv = (re * f, -im * f)  # 1/x = inv / p
+            entries[f"1/{x}"] = (inv[0] * a_den, inv[1] * a_den)
+            entries[f"-1/{x}"] = (-inv[0] * a_den, -inv[1] * a_den)
+            entries[f"alpha/{x}"] = gaussint.mul(a_num, inv)
+    return Matrix.from_integer_form(den, [[entries[e] for e in row] for row in _CASES[case]])
 
 
 def ansatz_transform(
@@ -127,8 +132,17 @@ def ansatz_transform(
 
     The case is selected by the exact zero pattern of v = (a, b, c); pass
     ``case`` to force a specific (matching) table entry, e.g. the "ac-alt"
-    alternative.  Both postconditions -- det M nonzero and M v = alpha*e1 --
-    are verified exactly before returning.
+    alternative.  M is written on integer forms (_case_matrix).  det M is
+    read off the case, expanding along a row or column with one nonzero
+    entry: (alpha/a)(-1/b)(-1/c) for abc (lower triangular);
+    det [[alpha/b, 0], [-1/b, 1/c]] for bc; (alpha/c) det [[1, 1], [0, 1]]
+    for c; (alpha/a) det [[1, 0], [0, 1/c]], (alpha/a) det [[0, -1/c], [1, 0]]
+    and (alpha/a) det [[1, 0], [1, 1]] for ac, ac-alt and a;
+    (alpha/a) det [[-1/b, 1], [1/b, 0]] + det [[1/a, -1/b], [-1/a, 1/b]] for
+    ab, whose second minor is 0; det [[1, alpha/b], [1, 0]] for b.  So det M
+    is alpha over the product of the nonzero entries of v, negated for ab
+    and b, and never 0.  Both postconditions -- det M nonzero and
+    M v = alpha*e1 -- are checked exactly before returning.
     """
     v = coerce_vector3(v)
     alpha = GaussianRational.coerce(alpha)
@@ -136,20 +150,20 @@ def ansatz_transform(
         raise ZeroAnsatzError("ansatz vector must be nonzero")
     if not alpha:
         raise ValueError("alpha must be nonzero")
-    table = _case_table(*v, alpha)
+    pattern = "".join(x for x, entry in zip("abc", v) if entry)
     if case is None:
-        # Deterministic: the unique non-alternative tag for this pattern.
-        case = next(tag for tag in ALL_CASES if tag in table and tag != "ac-alt")
-    elif case not in table:
+        case = pattern
+    elif case not in _CASES or case.removesuffix("-alt") != pattern:
         raise ValueError(f"case {case!r} does not match the zero pattern of {v}")
-    transform = AnsatzTransform(Matrix(table[case]), case, alpha, v)
+    v_form = gaussint.from_scalars(v)
+    a_den, (a_num,) = gaussint.from_scalars((alpha,))
+    transform = AnsatzTransform(_case_matrix(case, v_form, (a_den, a_num)), case, alpha, v)
     if not transform.det:
         raise AssertionError(f"case {case} produced a singular M")
-    # M v = alpha e1 on integer forms, M v / den = (a_re, a_im) / a_den e1
+    # M v = alpha e1 on integer forms, M v / den = a_num / a_den e1
     # cross-multiplied.
-    v_den, v_num = gaussint.from_scalars(v)
-    den, image = block_rows(transform.matrix, (v_den, [(w,) for w in v_num]))
-    a_den, ((a_re, a_im),) = gaussint.from_scalars((alpha,))
+    den, image = block_rows(transform.matrix, (v_form[0], [(w,) for w in v_form[1]]))
+    a_re, a_im = a_num
     if [(re * a_den, im * a_den) for ((re, im),) in image] != [(a_re * den, a_im * den), (0, 0), (0, 0)]:
         raise AssertionError(f"case {case} does not map v to alpha*e1")
     return transform
@@ -485,7 +499,7 @@ def procedure_linearize(
         draws += 1
 
     e1 = gaussint.from_scalars((transform.alpha, ZERO, ZERO))
-    aligned = _lay_out(_coefficient_forms(q), e1, [y1_form, *z_forms])
+    aligned = _lay_out(q._coefficient_forms, e1, [y1_form, *z_forms])
     certificate = _scaled_e1_pair(aligned, q, transform.alpha, det_z)
     return ProcedureResult(
         pencil=aligned,

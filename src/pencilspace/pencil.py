@@ -61,7 +61,8 @@ class QuadPoly2P(Checked, _QuadFields):
 
     Its determinant, ``det_poly``, is computed when first read and kept, so
     the quadratic spectrum and the certificate-read pencil spectrum of one
-    quadratic share it.
+    quadratic share it; so are its six coefficients over one denominator
+    (``_coefficient_forms``), read by membership, certificates and members.
     """
 
     def _check(self):
@@ -97,6 +98,12 @@ class QuadPoly2P(Checked, _QuadFields):
     def det_poly(self) -> BiPoly:
         """det Q(lam, mu), exactly: exact_det_poly(self.as_polymatrix())."""
         return exact_det_poly(self.as_polymatrix())
+
+    @cached_property
+    def _coefficient_forms(self) -> tuple[int, list[Rows]]:
+        """The rows of A20, A11, A02, A10, A01 and A00 over the lcm of their
+        denominators, not reduced; aligned when first read and kept."""
+        return gaussint.aligned([c.integer_form() for c in self.coefficients()])
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.coefficients())

@@ -7,17 +7,15 @@ NaN and infinities are rejected.  Serialization is canonical -- keys in a
 fixed order, every scalar a lowest-terms string, two-space indentation --
 so serialize(parse(file)) is byte-identical for canonically written files.
 
-Matrices are read and written on their integer form (``gaussint``), one
-pass per row.  A canonical entry -- a JSON int, an ASCII "p" or "p/q"
-string, or an {"re", "im"} pair of those -- is read with int() and one gcd,
-the same test parse_rational makes first; any other entry goes through the
-full literal grammar, and only then is its location named.  The entries'
-numerators over the lcm of their denominators give the matrix.  Each
-*_to_dict keeps its matrices as Matrix values, and each serialize_* writes
-the text of json.dumps(<its *_to_dict>, indent=2, default=format_matrix)
-straight from the integer forms, one gcd per distinct numerator
-component, with no dict of strings between.  No Fraction or
-GaussianRational is built for a canonical entry either way.
+Matrices are read and written on their integer form (``gaussint``).  A
+document whose entries are all as serialize_* writes them is read in one
+pass (_canonical_matrices); any other goes to the general reader, entry
+by entry through the full literal grammar, which alone raises and names
+the first fault.  Each *_to_dict keeps its matrices as Matrix values, and
+each serialize_* writes the text of json.dumps(<its *_to_dict>, indent=2,
+default=format_matrix) straight from the integer forms, one gcd per
+distinct numerator component, with no dict of strings between.  No
+Fraction or GaussianRational is built for a canonical entry either way.
 """
 
 from __future__ import annotations
@@ -26,13 +24,14 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import chain
-from math import gcd
-from typing import Any
+from itertools import chain, islice, repeat
+from math import gcd, lcm
+from operator import mul
+from typing import Any, Optional
 
 from . import gaussint
 from .errors import ParseError
-from .matrices import Matrix, _new
+from .matrices import Matrix, _new, _reduced
 from .pencil import Pencil2P, QuadPoly2P
 from .qep import QuadSystem2P
 from .scalars import GaussianRational
@@ -56,6 +55,8 @@ _EXPONENT_FORM = re.compile(r"\s*([-+]?(?:\d+\.?\d*|\.\d+))[eE]([-+]?\d+)\s*")
 # A PEP 515 digit separator: an underscore between two digits.
 _SEPARATOR = re.compile(r"(?<=\d)_(?=\d)")
 _SCALAR_KEYS = frozenset(("re", "im"))
+# Deletes every character a canonical literal may hold (_canonical_matrices).
+_CANONICAL_CHARS = str.maketrans("", "", "0123456789-/")
 # The deepest {"re": ...} nesting read: the limit problem files have long
 # had from the CLI, stated so that it does not move with the caller's stack
 # or the reader's frames.  A caller with less stack left gets the same
@@ -179,46 +180,88 @@ def _format_rational(num: int, den: int) -> str:
 
 
 def parse_matrix(value: Any, rows: int, cols: int, location: str) -> Matrix:
+    (matrix,) = _matrices([(value, rows, cols, location)])
+    return matrix
+
+
+def _matrices(specs: list[tuple[Any, Optional[int], int, str]]) -> list[Matrix]:
+    """The matrices of one document, each spec (value, rows, cols,
+    location), rows None for a column of len(value) scalars: from the
+    document pass when it reads them all, else each from the general
+    reader in turn, which raises at the first fault and names it."""
+    return _canonical_matrices(specs) or [_read_matrix(*spec) for spec in specs]
+
+
+def _read_matrix(value: Any, rows: Optional[int], cols: int, location: str) -> Matrix:
+    """The general reader: shapes checked and every entry read by
+    _scalar_parts, each fault a ParseError at its location."""
     if not isinstance(value, list) or not value:
-        raise ParseError("expected a non-empty list of rows", location)
-    if len(value) != rows:
+        raise ParseError(f"expected a non-empty list of {'scalars' if rows is None else 'rows'}", location)
+    if rows is None:
+        parts = [_scalar_parts(v, f"{location}[{i}]") for i, v in enumerate(value)]
+    elif len(value) != rows:
         raise ParseError(f"expected {rows} rows, found {len(value)}", location)
-    parts = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ParseError(f"row {i} must be a list of {cols} scalars", location)
-        parts += [
-            _canonical_parts(v) or _scalar_parts(v, f"{location}[{i}][{j}]")
-            for j, v in enumerate(row)
-        ]
-    return _matrix_from_parts(parts, cols)
-
-
-def _matrix_from_parts(parts: list[gaussint.Parts], cols: int) -> Matrix:
-    """The matrix of cols columns of the row-major lowest-terms parts,
-    wrapped as it is: the form ``gaussint.from_parts`` builds is canonical
-    already, so its content is not scanned again."""
+    else:
+        parts = []
+        for i, row in enumerate(value):
+            if not isinstance(row, list) or len(row) != cols:
+                raise ParseError(f"row {i} must be a list of {cols} scalars", location)
+            parts += [_scalar_parts(v, f"{location}[{i}][{j}]") for j, v in enumerate(row)]
+    # gaussint.from_parts builds the canonical form: no content to scan.
     den, pairs = gaussint.from_parts(parts)
-    return _new(tuple(tuple(pairs[k : k + cols]) for k in range(0, len(pairs), cols)), den)
+    return _new(tuple(zip(*[iter(pairs)] * cols)), den)
 
 
-def _canonical_parts(value: Any) -> gaussint.Parts | None:
-    """The parts of a canonical entry -- a JSON int, an ASCII "p" or "p/q"
-    string, or an {"re", "im"} pair of those -- read with int() and one gcd
-    per string; None for any other entry, which _scalar_parts reads."""
-    kind = type(value)
-    if kind is str:
-        re = _plain_rational(value)
-        return None if re is None else (*re, 0, 1)
-    if kind is int:
-        return value, 1, 0, 1
-    if kind is dict and len(value) == 2:
-        re, im = value.get("re"), value.get("im")
-        re = (re, 1) if type(re) is int else _plain_rational(re) if type(re) is str else None
-        im = (im, 1) if type(im) is int else _plain_rational(im) if type(im) is str else None
-        if re is not None and im is not None:
-            return re + im
-    return None
+def _canonical_matrices(specs: list[tuple[Any, Optional[int], int, str]]) -> Optional[list[Matrix]]:
+    """The document pass: the matrices of specs, as _matrices reads them,
+    when each has its shape and every entry is an ASCII "p" or "p/q" string
+    (q > 0, at most MAX_DIGITS characters) or an {"re", "im"} pair of two;
+    else None, raising nothing.  The distinct literals are screened at once
+    (a translate deletes every character they may hold), read by int()
+    through C-level maps and put over the lcm of the denominators written;
+    each matrix is reduced once, so "2/4" reads as "1/2" does."""
+    entries, shapes = [], []
+    for value, rows, cols, _ in specs:
+        if type(value) is not list or not value or rows is not None and len(value) != rows:
+            return None
+        for row in [value] if rows is None else value:
+            if type(row) is not list or rows is not None and len(row) != cols:
+                return None
+            entries += row
+        shapes.append((len(value), cols))
+    res, ims = [], []
+    for entry in entries:
+        if type(entry) is str:
+            res.append(entry)
+            ims.append("0")
+        elif type(entry) is dict and len(entry) == 2:
+            re, im = entry.get("re"), entry.get("im")
+            if type(re) is not str or type(im) is not str:
+                return None
+            res.append(re)
+            ims.append(im)
+        else:
+            return None
+    literals = list(set(res).union(ims))
+    if "".join(literals).translate(_CANONICAL_CHARS) or max(map(len, literals)) > MAX_DIGITS:
+        return None
+    nums, slashes, dens = zip(*map(str.partition, literals, repeat("/")))
+    try:
+        values = list(map(int, nums))
+        written = {d: int(d) for d in set(dens) if d}
+    except ValueError:
+        return None
+    if slashes.count("/") != len(dens) - dens.count("") or min(written.values(), default=1) < 1:
+        return None
+    den = lcm(*written.values())
+    if den != 1:
+        factor = {d: den // q for d, q in written.items()}
+        factor[""] = den
+        values = map(mul, values, map(factor.__getitem__, dens))
+    value = dict(zip(literals, values)).__getitem__
+    pairs = zip(map(value, res), map(value, ims))
+    # zip(*[it] * cols) groups it into rows of cols entries.
+    return [_reduced(tuple(zip(*[islice(pairs, rows * cols)] * cols)), den) for rows, cols in shapes]
 
 
 def format_matrix(m: Matrix) -> list:
@@ -290,16 +333,18 @@ def _positive_int(value: Any, location: str) -> int:
     return value
 
 
-def parse_problem_dict(doc: Any, location: str = "problem") -> QuadPoly2P:
+def _problem_layout(doc: Any, location: str) -> tuple[int, list]:
+    """n and the coefficient specs of a problem, its keys and n checked."""
     _require_keys(doc, ("n", "coefficients"), location)
     n = _positive_int(doc["n"], f"{location}.n")
     coeffs = doc["coefficients"]
     _require_keys(coeffs, COEFF_KEYS, f"{location}.coefficients")
-    matrices = {
-        key.lower(): parse_matrix(coeffs[key], n, n, f"{location}.coefficients.{key}")
-        for key in COEFF_KEYS
-    }
-    return QuadPoly2P(n, **matrices)
+    return n, [(coeffs[key], n, n, f"{location}.coefficients.{key}") for key in COEFF_KEYS]
+
+
+def parse_problem_dict(doc: Any, location: str = "problem") -> QuadPoly2P:
+    n, specs = _problem_layout(doc, location)
+    return QuadPoly2P(n, *_matrices(specs))
 
 
 def parse_problem(text: str) -> QuadPoly2P:
@@ -318,12 +363,7 @@ def parse_pencil(text: str) -> Pencil2P:
     doc = _loads(text, "pencil")
     _require_keys(doc, ("m", "A1hat", "A2hat", "A3hat"), "pencil")
     m = _positive_int(doc["m"], "pencil.m")
-    return Pencil2P(
-        m,
-        parse_matrix(doc["A1hat"], m, m, "pencil.A1hat"),
-        parse_matrix(doc["A2hat"], m, m, "pencil.A2hat"),
-        parse_matrix(doc["A3hat"], m, m, "pencil.A3hat"),
-    )
+    return Pencil2P(m, *_matrices([(doc[key], m, m, f"pencil.{key}") for key in ("A1hat", "A2hat", "A3hat")]))
 
 
 def pencil_to_dict(pencil: Pencil2P) -> dict:
@@ -338,10 +378,14 @@ def pencil_to_dict(pencil: Pencil2P) -> dict:
 def parse_system(text: str) -> QuadSystem2P:
     doc = _loads(text, "system")
     _require_keys(doc, ("Q1", "Q2"), "system")
-    return QuadSystem2P(
-        parse_problem_dict(doc["Q1"], "system.Q1"),
-        parse_problem_dict(doc["Q2"], "system.Q2"),
-    )
+    n1, specs = _problem_layout(doc["Q1"], "system.Q1")
+    try:
+        n2, more = _problem_layout(doc["Q2"], "system.Q2")
+    except ParseError:
+        _matrices(specs)  # a fault in Q1's entries is named before Q2's layout
+        raise
+    matrices = _matrices(specs + more)
+    return QuadSystem2P(QuadPoly2P(n1, *matrices[:6]), QuadPoly2P(n2, *matrices[6:]))
 
 
 def system_to_dict(system: QuadSystem2P) -> dict:
@@ -355,12 +399,7 @@ def parse_blocks(text: str) -> FreeBlocks:
     doc = _loads(text, "blocks")
     _require_keys(doc, ("n", "Y1", "Z1", "Z2"), "blocks")
     n = _positive_int(doc["n"], "blocks.n")
-    return FreeBlocks(
-        n,
-        parse_matrix(doc["Y1"], 3 * n, n, "blocks.Y1"),
-        parse_matrix(doc["Z1"], 3 * n, n, "blocks.Z1"),
-        parse_matrix(doc["Z2"], 3 * n, n, "blocks.Z2"),
-    )
+    return FreeBlocks(n, *_matrices([(doc[key], 3 * n, n, f"blocks.{key}") for key in ("Y1", "Z1", "Z2")]))
 
 
 def blocks_to_dict(blocks: FreeBlocks) -> dict:
@@ -384,14 +423,7 @@ def parse_eigenpair(text: str) -> dict:
         "lam": parse_scalar(doc["lambda"], "pair.lambda"),
         "mu": parse_scalar(doc["mu"], "pair.mu"),
     }
-    for key in ("x1", "x2"):
-        vec = doc[key]
-        if not isinstance(vec, list) or not vec:
-            raise ParseError("expected a non-empty list of scalars", f"pair.{key}")
-        parts = [
-            _canonical_parts(v) or _scalar_parts(v, f"pair.{key}[{i}]") for i, v in enumerate(vec)
-        ]
-        out[key] = _matrix_from_parts(parts, 1)
+    out["x1"], out["x2"] = _matrices([(doc[key], None, 1, f"pair.{key}") for key in ("x1", "x2")])
     return out
 
 

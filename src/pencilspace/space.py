@@ -121,17 +121,11 @@ def membership(pencil: Pencil2P, q: QuadPoly2P) -> MembershipResult:
     return MembershipResult(True, v)
 
 
-def _coefficient_forms(q: QuadPoly2P) -> tuple[int, list[Rows]]:
-    """The rows of A20, A11, A02, A10, A01 and A00 over the lcm of their
-    denominators, not reduced."""
-    return gaussint.aligned([c.integer_form() for c in q.coefficients()])
-
-
 def _coefficient_row(q: QuadPoly2P) -> tuple[int, list[tuple[Pair, ...]]]:
     """The n x 6n row [A20 A11 A02 A10 A01 A00] as one integer form, not
     reduced: the six coefficients' rows side by side over the lcm of their
-    denominators."""
-    den, parts = _coefficient_forms(q)
+    denominators, as the quadratic keeps them."""
+    den, parts = q._coefficient_forms
     return den, [tuple(chain.from_iterable(row)) for row in zip(*parts)]
 
 
@@ -179,7 +173,7 @@ def generate_member(q: QuadPoly2P, v: Sequence, blocks: FreeBlocks) -> Pencil2P:
     if blocks.n != n:
         raise ShapeError(f"blocks sized for n = {blocks.n}, quadratic has n = {n}")
     v = gaussint.from_scalars(coerce_vector3(v))
-    return _lay_out(_coefficient_forms(q), v, [m.integer_form() for m in blocks[1:]])
+    return _lay_out(q._coefficient_forms, v, [m.integer_form() for m in blocks[1:]])
 
 
 def free_blocks(pencil: Pencil2P) -> FreeBlocks:
@@ -253,9 +247,9 @@ def _lay_out(
     a member is laid out (free_blocks reads the blocks back):
       A1 = [P20 | P11 - Y1 | P10 - Z1], A2 = [Y1 | P02 | P01 - Z2], A3 = [Z1 | Z2 | P00],
     with P_ab = v kron A_ab, from the integer forms of the six A_ab over one
-    denominator (_coefficient_forms), of v and of the blocks.  The factor to
-    the common denominator is folded into v's numerators, so each P_ab and
-    each row of the result is written once.
+    denominator (as QuadPoly2P keeps them), of v and of the blocks.  The
+    factor to the common denominator is folded into v's numerators, so each
+    P_ab and each row of the result is written once.
     """
     a_den, a_parts = coeffs
     v_den, v_num = v

@@ -849,6 +849,35 @@ def test_parser_is_built_once_per_process():
     assert (at_import, built) == (0, 13)
 
 
+@pytest.mark.parametrize(
+    "argv, quadratics",
+    [
+        (["member", "-q", Q_WORKED, "-l", L_WORKED], 1),
+        (["certify", "-q", Q_WORKED, "-l", str(CORPUS / "l_standard_worked.json")], 1),
+        (["procedure", "-q", Q_WORKED, "-v", "1,1,2", "--seed", "4"], 1),
+        (["procedure", "-q", Q_WORKED, "-v", "-1,0,0", "--blocks", BLOCKS_WORKED], 1),
+        (["qep-linearize", "-s", SYS_CIRCLE_LINE, "--seed", "3"], 2),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else str(value),
+)
+def test_each_quadratic_is_aligned_once_per_command(capsys, monkeypatch, argv, quadratics):
+    # Membership, the ansatz identity of a certificate and each member laid
+    # out read one quadratic's six coefficients over one denominator, kept on
+    # the quadratic once aligned.
+    from functools import cached_property
+
+    from pencilspace.pencil import QuadPoly2P
+
+    aligned = []
+    forms = QuadPoly2P._coefficient_forms.func
+    spy = cached_property(lambda q: aligned.append(q) or forms(q))
+    spy.__set_name__(QuadPoly2P, "_coefficient_forms")
+    monkeypatch.setattr(QuadPoly2P, "_coefficient_forms", spy)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(aligned) == len({id(q) for q in aligned}) == quadratics
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "member", "-q", "/nonexistent.json", "-l", L_WORKED)
     assert code == 2

@@ -32,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from pencilspace import cli
 from pencilspace.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -239,6 +240,63 @@ def test_no_state_crosses_calls(monkeypatch):
     assert help_text[0] == 0 and help_text[1].startswith("usage: pencilspace certify") and not help_text[2]
     assert no_problem[0] == 2 and "required: -q/--problem" in no_problem[2]
     assert empty[0] == 2 and "required: command" in empty[2]
+
+
+# Argument lists main hands straight to a subparser, and every kind it must
+# leave to the full parser: help, no command, an unknown command, left-over
+# arguments, and each error a subparser raises.
+ARGPARSE_PROBES = [
+    ["-h"],
+    ["--help"],
+    ["certify", "-h"],
+    [],
+    ["nope", "-q", Q_WORKED],
+    ["cert", "-q", Q_WORKED, "-l", L_WORKED],
+    ["-q", Q_WORKED],
+    ["certify", "-q", Q_WORKED, "-l", L_WORKED, "--extra"],
+    ["certify", "-q", Q_WORKED, "-l", L_WORKED, "extra"],
+    ["certify", "-q", Q_WORKED],
+    ["procedure", "-q", Q_WORKED, "-v", "1,1,2", "--seed", "x"],
+    ["compare", "-s", SYS_CL, "--tol", "nan"],
+    ["certify", "--prob", Q_WORKED, "-l", L_WORKED],
+    ["certify", "--", "-q", Q_WORKED],
+    ["procedure", "-q", Q_WORKED, "-v", "-1,1,2"],
+]
+
+
+def _parse_outcome(parse, argv: list[str]) -> tuple:
+    """(Namespace without its handler, or the SystemExit code), stdout and
+    stderr of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parse(list(argv)))
+            args = {key: value for key, value in args.items() if key != "handler"}
+        except SystemExit as exc:
+            args = exc.code
+    return args, out.getvalue(), err.getvalue()
+
+
+def test_main_parses_as_the_full_parser_does(monkeypatch):
+    # main hands argv[1:] to the subparser; what it passes each handler,
+    # and every usage, help and error it prints, must be the full parser's.
+    parser, commands = cli._build_parser()
+    seen = []
+    for sub in commands.values():
+        sub.set_defaults(handler=lambda args: seen.append(args) or 0)
+    monkeypatch.setattr(cli, "_parser", lambda: (parser, commands))
+
+    def through_main(argv):
+        assert main(argv) == 0
+        return seen.pop()
+
+    argvs = [entry["argv"] for entry in _entries()] + ARGPARSE_PROBES
+    for argv in argvs:
+        assert _parse_outcome(through_main, argv) == _parse_outcome(cli.build_parser().parse_args, argv), argv
+    # A command with nothing left over never reaches the top-level parser.
+    monkeypatch.setattr(parser, "parse_args", None)
+    for argv in argvs[:3]:
+        _parse_outcome(through_main, argv)
 
 
 if __name__ == "__main__":

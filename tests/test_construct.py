@@ -40,6 +40,7 @@ from conftest import (
     example_quad,
     poly_div_constant_ratio,
     rand_blocks,
+    rand_gr,
     rand_matrix,
     rand_nonzero_gr,
     rand_quad,
@@ -98,6 +99,49 @@ def test_all_eight_cases(rng):
             t = ansatz_transform(v, alpha, case=case)
             assert t.matrix.det(), case
             assert t.matrix @ Matrix.column(v) == Matrix.column([alpha, 0, 0])
+
+
+def reference_case_matrix(case, v, alpha):
+    """The alignment matrix of a case written on GaussianRational entries:
+    the oracle for the integer-form table of construct._case_matrix."""
+    a, b, c = (GaussianRational.coerce(x) for x in v)
+    one = GaussianRational(1)
+    inv = {name: one / x if x else None for name, x in zip("abc", (a, b, c))}
+    ia, ib, ic = inv["a"], inv["b"], inv["c"]
+    table = {
+        "abc": lambda: [[alpha * ia, 0, 0], [ia, -ib, 0], [ia, 0, -ic]],
+        "bc": lambda: [[0, alpha * ib, 0], [0, -ib, ic], [1, 0, 0]],
+        "c": lambda: [[1, 1, alpha * ic], [1, 1, 0], [0, 1, 0]],
+        "ac": lambda: [[alpha * ia, 0, 0], [0, 1, 0], [-ia, 0, ic]],
+        "ac-alt": lambda: [[alpha * ia, 0, 0], [ia, 0, -ic], [0, 1, 0]],
+        "a": lambda: [[alpha * ia, 0, 0], [0, 1, 0], [0, 1, 1]],
+        "ab": lambda: [[alpha * ia, 0, 1], [ia, -ib, 1], [-ia, ib, 0]],
+        "b": lambda: [[1, alpha * ib, 0], [1, 0, 0], [1, 0, 1]],
+    }
+    return Matrix(table[case]())
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+@pytest.mark.parametrize("complex_prob", [0.0, 1.0])
+def test_case_matrix_and_det_match_the_scalar_table_and_bareiss(case, complex_prob):
+    # M is written on integer forms and det M read off the case formula; the
+    # GaussianRational table, the 3x3 Bareiss det and M v = alpha e1 as a
+    # Matrix product are the oracles, over real and complex v and alpha.
+    rng = random.Random(f"case/{case}/{complex_prob}")
+
+    def nonzero():
+        value = GaussianRational(0)
+        while not value:
+            value = rand_gr(rng, complex_prob)
+        return value
+
+    for _ in range(12):
+        v = [nonzero() if entry else GaussianRational(0) for entry in CASE_PATTERNS[case]]
+        alpha = nonzero()
+        t = ansatz_transform(v, alpha, case=case)
+        assert t.matrix == reference_case_matrix(case, v, alpha)
+        assert t.det == t.matrix.det() != 0
+        assert t.matrix @ Matrix.column(v) == Matrix.column([alpha, 0, 0])
 
 
 def test_case_mismatch_rejected():
@@ -372,16 +416,17 @@ def test_procedure_identity_ansatz(rng):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_procedure_takes_det_z_once_per_accepted_draw(monkeypatch, n):
     # The zero Z blocks are structurally singular (no elimination), the one
-    # draw passes the condition, and the certificate reuses its det Z: one
-    # elimination for M and one for Z, none repeated.
+    # draw passes the condition, and the certificate reuses its det Z: det M
+    # is read off its case, so the one elimination is Z's, none repeated.
     sizes = []
     real = matrices.bareiss_det_int
     monkeypatch.setattr(matrices, "bareiss_det_int", lambda a: sizes.append(len(a)) or real(a))
     q = rand_quad(random.Random(n), n)
     result = procedure_linearize(q, (1, 2, 3), alpha=2, rng=random.Random(n))
     assert result.draws_used == 1
-    assert sizes == [3, 2 * n]
+    assert sizes == [2 * n]
     monkeypatch.undo()
+    assert result.transform.det == result.transform.matrix.det()
     z = result.pencil.const.submatrix(range(n, 3 * n), range(2 * n))
     assert result.certificate.det_f == GaussianRational(1) / z.det()
     assert result.certificate == certify_scaled_e1(result.pencil, q, 2)
@@ -904,13 +949,13 @@ def test_procedure_transforms_no_all_zero_z_pair(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_procedure_command_takes_det_m_once(capsys, tmp_path, bareiss_calls, n):
-    # det M is taken once, by ansatz_transform, and the command prints the
-    # cached value; the zero Z blocks run no elimination, so the one draw's
-    # det Z is the only other Bareiss run.
+    # det M is read once off its case, by ansatz_transform, with no
+    # elimination, and the command prints the cached value; the zero Z blocks
+    # run no elimination, so the one draw's det Z is the only Bareiss run.
     q = tmp_path / "q.json"
     q.write_text(serialize_problem(rand_quad(random.Random(f"det-m/{n}"), n)), encoding="utf-8")
     bareiss_calls.clear()
     assert main(["procedure", "-q", str(q), "-v", "1,2,3", "--alpha", "2", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "det M = " in out and "draws used = 1" in out
-    assert [rows for rows, _ in bareiss_calls] == [3, 2 * n]
+    assert [rows for rows, _ in bareiss_calls] == [2 * n]

@@ -1,10 +1,12 @@
+import functools
 import json
+import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -624,6 +626,173 @@ def test_nesting_past_the_bound_names_the_outermost_scalar(monkeypatch):
         with pytest.raises(ParseError) as info:
             ser.parse_matrix([[value]], 1, 1, "m")
         assert str(info.value) == "m[0][0]: scalar nested too deeply"
+
+
+# -- the document pass against the general reader -------------------------------------
+
+# Literals the document pass declines, each read or rejected by the general
+# reader: non-ASCII digits, a sign or separator, decimals, exponents, "p/",
+# a negative or zero denominator, over-long digit strings.
+_ODD_LITERALS = [
+    "3/", "1/-2", "1/0", "0/0", "٣", "+2", " 4", "1_0", "0.5", "-1e3", "", "-", "/3",
+    "1/2/3", "--1", "9" * (_LIMIT + 1), "-" + "9" * _LIMIT, "1/" + "0" * _LIMIT + "7",
+]
+# Canonical literals, with unreduced "p/q" among them.
+_CANONICAL_LITERALS = [str(Fraction(p, q)) for p in range(-9, 10) for q in (1, 2, 3, 7)] + ["2/4", "-6/9", "0/5", "12/12"]
+_ODD_SCALARS = [
+    *_ODD_LITERALS, 0, -3, 5, 0.25, -1.5, True, False, None, [1], {},
+    {"re": "1/0", "im": "1"}, {"re": "٣", "im": "0"}, {"re": "2/3"}, {"im": "-1"},
+    {"re": {"re": "1"}, "im": "0"}, {"re": "1", "im": "2", "x": "3"}, {"re": 1, "im": "1/2"},
+]
+
+
+def _canonical_scalar(rng) -> Any:
+    re = rng.choice(_CANONICAL_LITERALS)
+    return {"re": re, "im": rng.choice(_CANONICAL_LITERALS)} if rng.random() < 0.3 else re
+
+
+def _drawn_matrix(data, rng, odd: bool, rows: int, cols: Optional[int]) -> Any:
+    """A matrix (a vector when cols is None) of canonical entries; when odd,
+    now and then a few odd entries or a bad shape."""
+    width = 1 if cols is None else cols
+    grid = [[_canonical_scalar(rng) for _ in range(width)] for _ in range(rows)]
+    for _ in range(data.draw(st.sampled_from([0, 0, 0, 0, 0, 1, 2])) if odd else 0):
+        grid[rng.randrange(rows)][rng.randrange(width)] = data.draw(st.sampled_from(_ODD_SCALARS))
+    value = [row[0] for row in grid] if cols is None else grid
+    fault = data.draw(st.integers(0, 24)) if odd else None
+    if fault == 0:
+        value = value[:-1]
+    elif fault == 1 and cols is not None:
+        value[-1] = value[-1][:-1]
+    elif fault == 2 and cols is not None:
+        value[0] = "row"
+    elif fault == 3:
+        value = {}
+    return value
+
+
+def _drawn_document(data, rng, odd: bool, kind: str) -> dict:
+    n = data.draw(st.integers(1, 2))
+    if kind == "problem":
+        return {"n": n, "coefficients": {key: _drawn_matrix(data, rng, odd, n, n) for key in ser.COEFF_KEYS}}
+    if kind == "system":
+        return {"Q1": _drawn_document(data, rng, odd, "problem"), "Q2": _drawn_document(data, rng, odd, "problem")}
+    if kind == "pencil":
+        m = 3 * n
+        return {"m": m, **{key: _drawn_matrix(data, rng, odd, m, m) for key in ("A1hat", "A2hat", "A3hat")}}
+    if kind == "blocks":
+        return {"n": n, **{key: _drawn_matrix(data, rng, odd, 3 * n, n) for key in ("Y1", "Z1", "Z2")}}
+    return {
+        "lambda": _canonical_scalar(rng),
+        "mu": _canonical_scalar(rng),
+        "x1": _drawn_matrix(data, rng, odd, n + 1, None),
+        "x2": _drawn_matrix(data, rng, odd, n, None),
+    }
+
+
+def _read_forms(read: Callable, text: str) -> Any:
+    """The integer form of every matrix and scalar read, or the ParseError text."""
+    try:
+        value = read(text)
+    except ParseError as exc:
+        return str(exc)
+    values = value.values() if isinstance(value, dict) else value
+    forms = []
+    for v in values:
+        if isinstance(v, QuadPoly2P):
+            forms += [c.integer_form() for c in v[1:]]
+        elif isinstance(v, Matrix):
+            forms.append(v.integer_form())
+        elif isinstance(v, GaussianRational):
+            forms.append((v.re, v.im))
+        else:
+            forms.append(v)
+    return forms
+
+
+def _general_reader(monkeypatch) -> None:
+    monkeypatch.setattr(ser, "_canonical_matrices", lambda specs: None)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_document_pass_reads_as_the_general_reader_does(data):
+    # Canonical documents, and documents with odd entries or bad shapes:
+    # the document pass and the general reader give the same integer forms
+    # or the same ParseError, message and location.
+    kind = data.draw(st.sampled_from(sorted(_READERS)))
+    rng = data.draw(st.randoms(use_true_random=False))
+    text = json.dumps(_drawn_document(data, rng, data.draw(st.booleans()), kind))
+    read = _READERS[kind]
+    through_pass = _read_forms(read, text)
+    with pytest.MonkeyPatch.context() as patch:
+        _general_reader(patch)
+        assert _read_forms(read, text) == through_pass
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in CORPUS.glob("*.json")))
+def test_every_corpus_file_reads_as_the_general_reader_reads_it(name, monkeypatch):
+    read = _READERS[{"q": "problem", "l": "pencil", "sys": "system"}.get(name.split("_")[0], name.split("_")[0])]
+    text = (CORPUS / name).read_text(encoding="utf-8")
+    through_pass = _read_forms(read, text)
+    _general_reader(monkeypatch)
+    assert _read_forms(read, text) == through_pass
+
+
+
+@functools.cache
+def _canonical_documents() -> dict:
+    """One document of each kind as serialize_* writes it (a pair as JSON of
+    canonical strings), and where one of its entries sits."""
+    from pencilspace import FreeBlocks, QuadSystem2P
+
+    rng = random.Random(48)
+    q = rand_quad(rng, 2)
+    blocks = FreeBlocks(2, *(Matrix([[GaussianRational(i - j, k) for j in range(2)] for i in range(6)]) for k in range(3)))
+    pair = {"lambda": "1/2", "mu": {"re": "0", "im": "-3"}, "x1": ["1", {"re": "2/3", "im": "1"}], "x2": ["-4", "5/7"]}
+    return {
+        "problem": (ser.serialize_problem(q), ("coefficients", "A01", 1, 0)),
+        "pencil": (ser.serialize_pencil(standard_linearization(q)), ("A2hat", 2, 1)),
+        "system": (ser.serialize_system(QuadSystem2P(q, rand_quad(rng, 1))), ("Q2", "coefficients", "A00", 0, 0)),
+        "blocks": (ser.serialize_blocks(blocks), ("Z1", 3, 1)),
+        "pair": (json.dumps(pair), ("x2", 1)),
+    }
+
+
+# The general reader takes about 0.2 s on each over-long literal, so those
+# go into one kind of document only.
+_KIND_ODD_SCALARS = [
+    (kind, value)
+    for kind in sorted(_READERS)
+    for value in _ODD_SCALARS
+    if kind == "problem" or not isinstance(value, str) or len(value) <= _LIMIT
+]
+
+
+@pytest.mark.parametrize(
+    "kind, value", _KIND_ODD_SCALARS, ids=[f"{k}-{v!r}" if len(repr(v)) < 20 else f"{k}-long" for k, v in _KIND_ODD_SCALARS]
+)
+def test_one_odd_entry_in_a_canonical_document_reads_as_the_general_reader_reads_it(kind, value, monkeypatch):
+    text, path = _canonical_documents()[kind]
+    doc = json.loads(text)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    text = json.dumps(doc)
+    through_pass = _read_forms(_READERS[kind], text)
+    _general_reader(monkeypatch)
+    assert _read_forms(_READERS[kind], text) == through_pass
+
+def test_a_canonical_document_makes_no_scalar_parts_call(monkeypatch):
+    # Every entry of a document serialize_* writes is read by the document
+    # pass; only a pair's lambda and mu are read as scalars.
+    calls = []
+    scalar_parts = ser._scalar_parts
+    monkeypatch.setattr(ser, "_scalar_parts", lambda value, location, depth=0: calls.append(location) or scalar_parts(value, location, depth))
+    for kind, (text, _) in _canonical_documents().items():
+        _READERS[kind](text)
+    assert {location.split(".")[1] for location in calls} == {"lambda", "mu"}
 
 
 # -- the indented printer --------------------------------------------------------------
