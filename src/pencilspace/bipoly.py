@@ -492,8 +492,7 @@ def _signed_prs(a: list[Pair], b: list[Pair]) -> list[list[Pair]]:
         delta = len(a) - len(b)
         # The pseudo-remainder: b divides lc(b)^(delta+1) a with every
         # quotient coefficient exact (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).
-        s_re, s_im = gaussint.power(b[-1], delta + 1)
-        _, r = _divide([(re * s_re - im * s_im, re * s_im + im * s_re) for re, im in a], b)
+        _, r = _divide(gaussint.times([a], gaussint.power(b[-1], delta + 1))[0], b)
         if not r:
             break
         d_re, d_im = gaussint.mul(g, gaussint.power(h, delta))

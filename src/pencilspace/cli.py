@@ -8,13 +8,17 @@ are bit-reproducible.
 
 Exit codes: 0 success/verified, 1 negative verdict, 2 input error,
 3 numeric non-convergence or overflow (an exact value too large for a
-float in the root iteration), 4 non-generic system.
+float in the root iteration, or with too many digits to print), 4
+non-generic system.  A command's report is written to stdout only when
+the command completes, so a failure leaves none of it there.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import random
 import re
 import sys
@@ -405,8 +409,10 @@ def main(argv=None) -> int:
         args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if command is None or extra:
         args = parser.parse_args(argv)
+    report = io.StringIO()
     try:
-        return args.handler(args)
+        with contextlib.redirect_stdout(report):
+            code = args.handler(args)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -426,9 +432,16 @@ def main(argv=None) -> int:
         print(f"non-generic system: {exc}", file=sys.stderr)
         return EXIT_NONGENERIC
     except ValueError as exc:
+        if "integer string conversion" in str(exc):
+            # A derived exact value, such as det E = alpha^-n, too long to print.
+            message = f"a value to print has more than {ser.MAX_DIGITS} digits"
+            print(f"numeric overflow: {message}", file=sys.stderr)
+            return EXIT_NUMERIC
         # ShapeError, ZeroAnsatzError, zero eigenvectors, bad scalars.
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    sys.stdout.write(report.getvalue())
+    return code
 
 
 def run() -> None:

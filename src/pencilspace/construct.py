@@ -56,6 +56,7 @@ from .space import (
     _ansatz_holds,
     _coefficient_row,
     _lay_out,
+    _lower_z,
     coerce_vector3,
     membership,
     standard_linearization,
@@ -163,8 +164,7 @@ def ansatz_transform(
     # M v = alpha e1 on integer forms, M v / den = a_num / a_den e1
     # cross-multiplied.
     den, image = block_rows(transform.matrix, (v_form[0], [(w,) for w in v_form[1]]))
-    a_re, a_im = a_num
-    if [(re * a_den, im * a_den) for ((re, im),) in image] != [(a_re * den, a_im * den), (0, 0), (0, 0)]:
+    if gaussint.times(image, (a_den, 0)) != gaussint.times([(a_num,), ((0, 0),), ((0, 0),)], (den, 0)):
         raise AssertionError(f"case {case} does not map v to alpha*e1")
     return transform
 
@@ -175,12 +175,7 @@ def condition_det_check(m3: Matrix, z1: Matrix, z2: Matrix) -> bool:
     Tests det != 0 for the lower Z block of the transformed blocks
     (M kron I_n) Z1 and (M kron I_n) Z2.
     """
-    return bool(_transformed_z_det(m3, z1, z2))
-
-
-def _transformed_z_det(m3: Matrix, z1: Matrix, z2: Matrix) -> GaussianRational:
-    """det of the lower Z block of (M kron I_n) Z1 and (M kron I_n) Z2."""
-    return _transformed_z(m3, z1, z2)[0]
+    return bool(_transformed_z(m3, z1, z2)[0])
 
 
 def _transformed_z(
@@ -189,14 +184,12 @@ def _transformed_z(
     """det of the lower Z block of (M kron I_n) Z1 and (M kron I_n) Z2, and
     those two blocks as integer forms over one denominator, not reduced.
     Z1 and Z2 are aligned once and transformed block row by block row
-    (block_rows); the det is taken on their lower 2n rows side by side."""
+    (block_rows); the det is taken on their rows side by side."""
     if z1.shape != z2.shape or z1.rows != 3 * z1.cols:
         raise ShapeError("Z blocks must be conformal 3n x n matrices")
-    n = z1.cols
     den, (rows1, rows2) = gaussint.aligned((z1.integer_form(), z2.integer_form()))
     t1, t2 = block_rows(m3, (den, rows1)), block_rows(m3, (den, rows2))
-    lower = [r1 + r2 for r1, r2 in zip(t1[1][n:], t2[1][n:])]
-    return Matrix.from_integer_form(t1[0], lower).det(), t1, t2
+    return _lower_z((t1[0], [r1 + r2 for r1, r2 in zip(t1[1], t2[1])])).det(), t1, t2
 
 
 class _CertificateFields(NamedTuple):
@@ -249,7 +242,7 @@ class LinearizationCertificate(_CertificateFields):
             return None
         n = self.pencil.m // 3
         top, left = range(n), range(2 * n)
-        z = self.pencil.const.submatrix(range(n, 3 * n), left)
+        z = _lower_z(self.pencil.const.integer_form())
         z_inv = z.inverse()
         if z_inv @ z != Matrix.identity(2 * n):
             raise AssertionError("certificate product failed; construction is wrong")
@@ -358,7 +351,7 @@ def _unimodular_pair(
     if not zero_lower_left(pencil):
         raise HypothesisViolatedError("certificate requires Y21 = Y31 = 0")
     if det_z is None:
-        det_z = pencil.const.submatrix(range(n, 3 * n), range(2 * n)).det()
+        det_z = _lower_z(pencil.const.integer_form()).det()
     if not det_z:
         raise HypothesisViolatedError("lower Z block is singular")
     return LinearizationCertificate(

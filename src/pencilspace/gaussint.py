@@ -12,13 +12,18 @@ the way back to a ``GaussianRational`` or a ``complex``, the signed
 base-2^k digits that read integer coefficients off one value at 2^k (the
 exact determinants of ``polymatrix`` and ``resultants``), and the image
 in F_p that the mod-p proofs of ``bipoly`` and the det-ratio screen of
-``polymatrix`` read.  It runs on
-ints; the containers keep their own storage and the inline arithmetic of
-their per-entry hot loops.
+``polymatrix`` read.  Four primitives carry the linear algebra of numerator
+rows that members, transforms and residuals are built from: ``times`` (rows
+times a Gaussian integer), ``kron`` (the rows of a Kronecker product),
+``combine`` (a sum of Gaussian integers times rows) and ``matvec`` (rows
+times a column).  Each skips zero entries and takes no product for a unit
+coefficient.  It runs on ints; the containers keep their own storage and
+the inline arithmetic of their per-entry hot loops.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -55,13 +60,7 @@ def aligned(forms: Sequence[tuple[int, Rows]]) -> tuple[int, list[Rows]]:
     has its full power in some form's den, and that form's factor and one
     of its numerator components are prime to it."""
     den = lcm(*(d for d, _ in forms))
-    out = []
-    for d, rows in forms:
-        f = den // d
-        if f != 1:
-            rows = tuple([tuple([(re * f, im * f) for re, im in row]) for row in rows])
-        out.append(rows)
-    return den, out
+    return den, [times(rows, (den // d, 0)) for d, rows in forms]
 
 
 def content(den: int, pairs: Iterable[Pair]) -> int:
@@ -100,6 +99,55 @@ def exact_div(xs: Iterable[Pair], y: Pair) -> list[Pair]:
     return [((re * c_re - im * c_im) // norm, (re * c_im + im * c_re) // norm) for re, im in xs]
 
 
+def times(rows: Rows, s: Pair) -> Rows:
+    """Every entry of rows times the Gaussian integer s: rows itself for
+    s = 1, zero rows for s = 0."""
+    s_re, s_im = s
+    if s_im:
+        return [tuple([(s_re * re - s_im * im, s_re * im + s_im * re) for re, im in row]) for row in rows]
+    if s_re == 1:
+        return rows
+    if not s_re:
+        return [((0, 0),) * len(rows[0])] * len(rows) if rows else []
+    return [tuple([(s_re * re, s_re * im) for re, im in row]) for row in rows]
+
+
+def kron(a: Rows, b: Rows) -> list[Sequence[Pair]]:
+    """The rows of the Kronecker product a kron b: row (i, k) holds
+    a[i][j] * b[k] for j = 0, 1, ... side by side."""
+    if len(a[0]) == 1:
+        return [row for (x,) in a for row in times(b, x)]
+    return [tuple(chain.from_iterable(p)) for row_a in a for p in zip(*[times(b, x) for x in row_a])]
+
+
+def combine(terms: Iterable[tuple[Pair, Sequence[Pair]]]) -> tuple[Pair, ...]:
+    """sum c * x over the terms (c, x): Gaussian integers c times rows x of
+    one length, past the zero coefficients, each term after the first
+    added in one pass."""
+    total = None
+    for (c_re, c_im), x in terms:
+        width = len(x)
+        if total is None:
+            total = times((x,), (c_re, c_im))[0] if c_re or c_im else None
+        elif c_re or c_im:
+            total = [(p + c_re * re - c_im * im, q + c_re * im + c_im * re) for (p, q), (re, im) in zip(total, x)]
+    return ((0, 0),) * width if total is None else tuple(total)
+
+
+def matvec(rows: Rows, column: Sequence[Pair]) -> list[Pair]:
+    """Each row times the column, sum row[k] * column[k], past the row's
+    zero entries."""
+    out = []
+    for row in rows:
+        re = im = 0
+        for (a, b), (c, d) in zip(row, column):
+            if a or b:
+                re += a * c - b * d
+                im += a * d + b * c
+        out.append((re, im))
+    return out
+
+
 def signed_digits(value: int, k: int) -> list[int]:
     """The signed base-2^k digits of value, least significant first: the
     d_p with value = sum d_p 2^(k p) and -2^(k-1) <= d_p < 2^(k-1), up to
@@ -135,6 +183,12 @@ def image_mod_p(pairs: Iterable[Pair]) -> list[int]:
 def to_scalar(den: int, pair: Pair) -> GaussianRational:
     """The value pair / den, for den > 0."""
     return GaussianRational._from_form(pair[0], pair[1], den)
+
+
+def max_abs(den: int, pairs: Iterable[Pair]) -> float:
+    """The largest |pair / den|, from to_complex: each quotient is rounded
+    correctly, so every denominator of the same values gives the same float."""
+    return max(map(abs, to_complex(den, pairs)))
 
 
 def to_complex(den: int, pairs: Iterable[Pair]) -> list[complex]:

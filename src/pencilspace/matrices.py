@@ -143,11 +143,11 @@ class Matrix:
         )
 
     def __neg__(self) -> "Matrix":
-        return _new(_times(self._data, (-1, 0)), self._den)
+        return _new(tuple(gaussint.times(self._data, (-1, 0))), self._den)
 
     def scale(self, scalar: ScalarLike) -> "Matrix":
         s_den, (s,) = gaussint.from_scalars([GaussianRational.coerce(scalar)])
-        return _reduced(_times(self._data, s), self._den * s_den)
+        return _reduced(tuple(gaussint.times(self._data, s)), self._den * s_den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -169,14 +169,7 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product: block (i, j) equals self[i, j] * other."""
-        return _reduced(
-            tuple(
-                tuple((a * c - b * d, a * d + b * c) for a, b in row_s for c, d in row_o)
-                for row_s in self._data
-                for row_o in other._data
-            ),
-            self._den * other._den,
-        )
+        return _reduced(tuple(gaussint.kron(self._data, other._data)), self._den * other._den)
 
     # -- exact linear algebra -------------------------------------------------------
 
@@ -221,25 +214,15 @@ class Matrix:
         for k, (col, _) in enumerate(_bareiss_pivots(a, 2 * n)):
             if col != k:
                 raise ShapeError("matrix is singular")
-        d_re, d_im = a[n - 1][n - 1]
+        det = a[n - 1][n - 1]
         x: list = [None] * n
         for i in range(n - 1, -1, -1):
             row = a[i]
-            t_row = []
-            for j in range(n):
-                # d_i * (D x_ij) = D * R_ij - sum_{k > i} U_ik * (D x_kj)
-                r_re, r_im = row[n + j]
-                t_re = r_re * d_re - r_im * d_im
-                t_im = r_re * d_im + r_im * d_re
-                for k in range(i + 1, n):
-                    u_re, u_im = row[k]
-                    y_re, y_im = x[k][j]
-                    t_re -= u_re * y_re - u_im * y_im
-                    t_im -= u_re * y_im + u_im * y_re
-                t_row.append((t_re, t_im))
-            x[i] = tuple(gaussint.exact_div(t_row, row[i]))
-        norm, s = gaussint.reciprocal((d_re, d_im), self._den)
-        return _reduced(_times(tuple(x), s), norm)
+            # d_i * (D x_i) = D * R_i - sum_{k > i} U_ik * (D x_k), row by row
+            terms = [((-re, -im), x[k]) for k, (re, im) in enumerate(row[i + 1 : n], i + 1)]
+            x[i] = tuple(gaussint.exact_div(gaussint.combine([(det, row[n:]), *terms]), row[i]))
+        norm, s = gaussint.reciprocal(det, self._den)
+        return _reduced(tuple(gaussint.times(x, s)), norm)
 
     # -- predicates and conversions -----------------------------------------------------
 
@@ -255,7 +238,7 @@ class Matrix:
         return not any(re or im for row in self._data for re, im in row)
 
     def max_abs(self) -> float:
-        return max(map(abs, gaussint.to_complex(self._den, chain.from_iterable(self._data))))
+        return gaussint.max_abs(self._den, chain.from_iterable(self._data))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -308,16 +291,6 @@ def _reduced(data: tuple, den: int) -> Matrix:
         data = tuple(tuple((re // g, im // g) for re, im in row) for row in data)
         den //= g
     return _new(data, den)
-
-
-def _times(data: tuple, s: Pair) -> tuple:
-    """Numerator rows multiplied by the Gaussian integer s = (re, im)."""
-    if s == (1, 0):
-        return data
-    s_re, s_im = s
-    return tuple(
-        tuple((re * s_re - im * s_im, re * s_im + im * s_re) for re, im in row) for row in data
-    )
 
 
 def _bareiss_pivots(a: list[list[tuple[int, int]]], cols: int):

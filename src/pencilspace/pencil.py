@@ -109,6 +109,17 @@ class QuadPoly2P(Checked, _QuadFields):
         return all(m.is_zero() for m in self.coefficients())
 
 
+class QuadSystem2P(NamedTuple):
+    """A pair of quadratic two-parameter matrix polynomials."""
+
+    q1: QuadPoly2P
+    q2: QuadPoly2P
+
+    @property
+    def bezout_bound(self) -> int:
+        return 4 * self.q1.n * self.q2.n
+
+
 class _PencilFields(NamedTuple):
     m: int
     lam_coeff: Matrix
@@ -181,8 +192,9 @@ def block_transform(m3: Matrix, x: Matrix) -> Matrix:
 def block_rows(m3: Matrix, x: tuple[int, Rows]) -> tuple[int, list[tuple[Pair, ...]]]:
     """(m3 kron I_n) x for a 3 x 3 m3 and the integer form (den, rows) of a
     3n-row x, as an integer form, not reduced: block row i is
-    sum_j m3[i, j] * (block row j of x), written row by row over the
-    product of the two denominators."""
+    sum_j m3[i, j] * (block row j of x), one gaussint.combine over the
+    block rows read as flat rows, over the product of the two
+    denominators."""
     if m3.shape != (3, 3):
         raise ShapeError("block transformation must be 3 x 3")
     den, rows = x
@@ -190,22 +202,12 @@ def block_rows(m3: Matrix, x: tuple[int, Rows]) -> tuple[int, list[tuple[Pair, .
     if rest:
         raise ShapeError(f"size {len(rows)} is not divisible by 3")
     m_den, m_rows = m3.integer_form()
-    blocks = (rows[:n], rows[n : 2 * n], rows[2 * n :])
+    width = len(rows[0])
+    blocks = [sum(rows[j * n : (j + 1) * n], ()) for j in range(3)]
     out = []
     for m_row in m_rows:
-        terms = [(c, block) for c, block in zip(m_row, blocks) if c != (0, 0)]
-        for r in range(n):
-            row = None
-            for (c_re, c_im), block in terms:
-                source = block[r]
-                if c_im:
-                    scaled = [(c_re * re - c_im * im, c_re * im + c_im * re) for re, im in source]
-                elif c_re == 1:
-                    scaled = source
-                else:
-                    scaled = [(c_re * re, c_re * im) for re, im in source]
-                row = scaled if row is None else [(a + c, b + d) for (a, b), (c, d) in zip(row, scaled)]
-            out.append(tuple(row) if row else ((0, 0),) * len(rows[0]))
+        total = gaussint.combine(zip(m_row, blocks))
+        out += [total[k : k + width] for k in range(0, n * width, width)]
     return m_den * den, out
 
 

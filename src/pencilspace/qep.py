@@ -53,9 +53,9 @@ from . import gaussint, roots
 from .bipoly import BiPoly, UniPoly
 from .construct import LinearizationCertificate, _scaled_e1_pair
 from .errors import HypothesisViolatedError, NonGenericSystemError, ShapeError
-from .gaussint import Pair, mul, power
+from .gaussint import Pair, combine, matvec, mul, power
 from .matrices import Matrix, kron
-from .pencil import COEFF_MONOMIALS, Pencil2P, QuadPoly2P
+from .pencil import COEFF_MONOMIALS, Pencil2P, QuadPoly2P, QuadSystem2P
 from .polymatrix import exact_det_poly
 from .roots import newton_steps, unipoly_roots
 from .resultants import first_subresultant
@@ -63,17 +63,6 @@ from .scalars import ONE, GaussianRational, ScalarLike
 from .space import FreeBlocks, generate_member, standard_blocks, zero_lower_left
 
 DEFAULT_SPECTRUM_TOL = 1e-9
-
-
-class QuadSystem2P(NamedTuple):
-    """A pair of quadratic two-parameter matrix polynomials."""
-
-    q1: QuadPoly2P
-    q2: QuadPoly2P
-
-    @property
-    def bezout_bound(self) -> int:
-        return 4 * self.q1.n * self.q2.n
 
 
 class LinearSystem2P(NamedTuple):
@@ -156,13 +145,16 @@ def delta_operators(lin: LinearSystem2P) -> DeltaOps:
       Delta2 = A1 kron B2 - B1 kron A2
     Each is square of size 3n1 * 3n2.
     """
-    return DeltaOps(*_delta_times(_coefficients(lin.l1), _coefficients(lin.l2)))
+    (a1, b1, c1), (a2, b2, c2) = _coefficients(lin.l1), _coefficients(lin.l2)
+    return DeltaOps(
+        kron(b1, c2) - kron(c1, b2), kron(c1, a2) - kron(a1, c2), kron(a1, b2) - kron(b1, a2)
+    )
 
 
 def delta0_operator(lin: LinearSystem2P) -> Matrix:
     """Delta0 = B1 kron C2 - C1 kron B2 alone, all the singularity verdict
     reads."""
-    return _kron_difference(lin.l1.lam_coeff, lin.l1.mu_coeff, lin.l2.lam_coeff, lin.l2.mu_coeff)
+    return kron(lin.l1.lam_coeff, lin.l2.mu_coeff) - kron(lin.l1.mu_coeff, lin.l2.lam_coeff)
 
 
 def singularity_check(delta0: Matrix) -> SingularityReport:
@@ -514,20 +506,6 @@ class EigenpairReport(NamedTuple):
 _Column = tuple[int, list[Pair]]
 
 
-def _max_abs(values: _Column) -> float:
-    """The largest |entry| of values, the float ``Matrix.max_abs`` gives on
-    their canonical form: ``gaussint.to_complex`` rounds each quotient
-    correctly, so every denominator of the same values gives the same float."""
-    den, numerators = values
-    return max(map(abs, gaussint.to_complex(den, numerators)))
-
-
-def _column(x: Matrix) -> _Column:
-    """The integer form of a column Matrix."""
-    den, rows = x.integer_form()
-    return den, [row[0] for row in rows]
-
-
 def _entries(matrices: Sequence[Matrix]) -> tuple[int, list[list[Pair]]]:
     """The entries of each matrix, row after row, as numerators over the lcm
     of the matrices' denominators."""
@@ -544,46 +522,15 @@ def _residual(
     scale, since a scale is at least 1: 0 < tol * scale exactly when 0 < tol."""
     if not any(re or im for re, im in value[1]):
         return ResidualCheck(name=name, norm=0.0, exact_zero=True, passed=0.0 < tol)
-    norm = _max_abs(value)
+    norm = gaussint.max_abs(*value)
     operator, vector = operands()
-    scale = (1.0 + _max_abs(operator)) * max(1.0, _max_abs(vector))
+    scale = (1.0 + gaussint.max_abs(*operator)) * max(1.0, gaussint.max_abs(*vector))
     return ResidualCheck(name=name, norm=norm, exact_zero=False, passed=norm < tol * scale)
 
 
 def _coefficients(pencil: Pencil2P) -> tuple[Matrix, Matrix, Matrix]:
     """(A, B, C): the constant, lam and mu coefficients of pencil."""
     return pencil.const, pencil.lam_coeff, pencil.mu_coeff
-
-
-def _delta_times(
-    p1: tuple[Matrix, Matrix, Matrix], p2: tuple[Matrix, Matrix, Matrix]
-) -> tuple[Matrix, Matrix, Matrix]:
-    """(Delta0, Delta1, Delta2) of the coefficient triples p_i = (A_i, B_i,
-    C_i)."""
-    (a1, b1, c1), (a2, b2, c2) = p1, p2
-    return (
-        _kron_difference(b1, c1, b2, c2),
-        _kron_difference(c1, a1, c2, a2),
-        _kron_difference(a1, b1, a2, b2),
-    )
-
-
-def _kron_difference(x1: Matrix, y1: Matrix, x2: Matrix, y2: Matrix) -> Matrix:
-    """x1 kron y2 - y1 kron x2: Delta0, Delta1 and Delta2 for (x, y) = (B, C),
-    (C, A) and (A, B)."""
-    return kron(x1, y2) - kron(y1, x2)
-
-
-def _combination(*terms: tuple[Pair, list[Pair]]) -> list[Pair]:
-    """sum s * v over the terms (s, v): Gaussian integers s times numerator
-    vectors v of one length."""
-    out = [(0, 0)] * len(terms[0][1])
-    for (s_re, s_im), v in terms:
-        out = [
-            (re + s_re * v_re - s_im * v_im, im + s_re * v_im + s_im * v_re)
-            for (re, im), (v_re, v_im) in zip(out, v)
-        ]
-    return out
 
 
 def _kron_numerators(
@@ -602,18 +549,9 @@ def _products(matrices: Sequence[Matrix], column: _Column) -> tuple[int, list[li
     product is formed on its matrix's own integer form, past its zero
     entries, and only the products are brought to the lcm of the matrices'
     denominators."""
-    forms = []
-    for m_den, rows in map(Matrix.integer_form, matrices):
-        product = []
-        for row in rows:
-            re = im = 0
-            for (a, b), (c, e) in zip(row, column[1]):
-                if a or b:
-                    re += a * c - b * e
-                    im += a * e + b * c
-            product.append((re, im))
-        forms.append((m_den, (product,)))
-    den, products = gaussint.aligned(forms)
+    den, products = gaussint.aligned(
+        [(m_den, (matvec(rows, column[1]),)) for m_den, rows in map(Matrix.integer_form, matrices)]
+    )
     return den * column[0], [p[0] for p in products]
 
 
@@ -661,17 +599,13 @@ def verify_eigenpair(
     # lam^a mu^b = l^a m^b d^(2-a-b) / d^2, for the coefficients of a quadratic
     weights = [mul(mul(power(l, a), power(m, b)), power(dd, 2 - a - b)) for a, b in COEFF_MONOMIALS]
 
-    def stacked(x: _Column) -> _Column:
-        """w = (lam x, mu x, x)."""
-        return d * x[0], [mul(s, p) for s in (l, m, dd) for p in x[1]]
-
     def quadratic(den: int, vectors: list[list[Pair]]) -> _Column:
         """sum lam^a mu^b V_ab over the six vectors V_ab, over den."""
-        return d * d * den, _combination(*zip(weights, vectors))
+        return d * d * den, combine(zip(weights, vectors))
 
     def linear(den: int, vectors: list[list[Pair]]) -> _Column:
         """A + lam B + mu C for the vectors (A, B, C) over den."""
-        return d * den, _combination(*zip((dd, l, m), vectors))
+        return d * den, combine(zip((dd, l, m), vectors))
 
     def quadratic_check(k: int, q: QuadPoly2P, y: _Column) -> ResidualCheck:
         """Q_k(lam,mu) x_k for y the column form of x_k."""
@@ -691,15 +625,16 @@ def verify_eigenpair(
         pencils = (_entries(_coefficients(p)) for p in (lin.l1, lin.l2))
         (e1, (a1, b1, c1)), (e2, (a2, b2, c2)) = pencils
         delta = _kron_numerators(c1, a1, c2, a2) if k == 1 else _kron_numerators(a1, b1, a2, b2)
-        return (e1 * e2, delta), (w1[0] * w2[0], [mul(p, q) for p in w1[1] for q in w2[1]])
+        return (e1 * e2, delta), (w1[0] * w2[0], gaussint.kron([w1[1]], [w2[1]])[0])
 
-    y1, y2 = _column(x1), _column(x2)
-    w1, w2 = stacked(y1), stacked(y2)
+    y1, y2 = ((den, [p for (p,) in rows]) for den, rows in (x1.integer_form(), x2.integer_form()))
+    # w_i = (lam x_i, mu x_i, x_i) = (l, m, d) kron x_i over d
+    w1, w2 = ((d * y[0], gaussint.kron([(l, m, dd)], [y[1]])[0]) for y in (y1, y2))
     p1, p2 = _products(_coefficients(lin.l1), w1), _products(_coefficients(lin.l2), w2)
     (den1, (a1, b1, c1)), (den2, (a2, b2, c2)) = p1, p2
     # (A_i + lam B_i) w_i and (A_i + mu C_i) w_i, over d * den_i
-    lam_a1, lam_a2 = (_combination((dd, a), (l, b)) for a, b in ((a1, b1), (a2, b2)))
-    mu_a1, mu_a2 = (_combination((dd, a), (m, c)) for a, c in ((a1, c1), (a2, c2)))
+    lam_a1, lam_a2 = (combine(((dd, a), (l, b))) for a, b in ((a1, b1), (a2, b2)))
+    mu_a1, mu_a2 = (combine(((dd, a), (m, c))) for a, c in ((a1, c1), (a2, c2)))
     delta1_z = d * den1 * den2, _kron_numerators(c1, lam_a1, c2, lam_a2)
     delta2_z = d * den1 * den2, _kron_numerators(mu_a1, b1, mu_a2, b2)
     checks = (

@@ -32,8 +32,7 @@ from typing import Any, Optional
 from . import gaussint
 from .errors import ParseError
 from .matrices import Matrix, _new, _reduced
-from .pencil import Pencil2P, QuadPoly2P
-from .qep import QuadSystem2P
+from .pencil import Pencil2P, QuadPoly2P, QuadSystem2P
 from .scalars import GaussianRational
 from .space import FreeBlocks
 
@@ -51,7 +50,7 @@ COEFF_KEYS = ("A20", "A11", "A02", "A10", "A01", "A00")
 MAX_DIGITS = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 _TOO_LONG = 10**MAX_DIGITS
 _NESTED_PARTS = re.compile(r"(?:\.re|\.im)+$")
-_EXPONENT_FORM = re.compile(r"\s*([-+]?(?:\d+\.?\d*|\.\d+))[eE]([-+]?\d+)\s*")
+_EXPONENT_FORM = re.compile(r"\s*([-+]?(?:\d+(?:\.\d*)?|\.\d+))[eE]([-+]?\d+)\s*")
 # A PEP 515 digit separator: an underscore between two digits.
 _SEPARATOR = re.compile(r"(?<=\d)_(?=\d)")
 _SCALAR_KEYS = frozenset(("re", "im"))

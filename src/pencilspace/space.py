@@ -143,21 +143,8 @@ def _ansatz_holds(box: tuple[int, Rows], v: tuple[int, list[Pair]], row: tuple[i
     a_den, a_rows = row
     g = gcd(v_den * a_den, den)
     left, right = v_den * a_den // g, den // g
-    if left != 1:
-        rows = [tuple([(re * left, im * left) for re, im in b_row]) for b_row in rows]
-    return rows == _kron_rows([(w_re * right, w_im * right) for w_re, w_im in v_num], a_rows)
-
-
-def _kron_rows(v_num: list[Pair], data: Rows) -> list[tuple[Pair, ...]]:
-    """The rows of v kron A from the numerators of v and of A."""
-    zero_row = ((0, 0),) * len(data[0])
-    return [
-        tuple([(w_re * re - w_im * im, w_re * im + w_im * re) for re, im in row])
-        if w_re or w_im
-        else zero_row
-        for w_re, w_im in v_num
-        for row in data
-    ]
+    w = gaussint.times([(w,) for w in v_num], (right, 0))
+    return gaussint.times(rows, (left, 0)) == gaussint.kron(w, a_rows)
 
 
 def generate_member(q: QuadPoly2P, v: Sequence, blocks: FreeBlocks) -> Pencil2P:
@@ -188,11 +175,19 @@ def free_blocks(pencil: Pencil2P) -> FreeBlocks:
 
 
 def lower_z_block(z1: Matrix, z2: Matrix) -> Matrix:
-    """The 2n x 2n block [[Z21, Z22], [Z31, Z32]] of two 3n x n blocks, each
-    of its rows written once over the common denominator of z1 and z2."""
-    n = z1.cols
+    """The 2n x 2n block [[Z21, Z22], [Z31, Z32]] of two 3n x n blocks: the
+    lower Z block of [Z1 | Z2] over the common denominator of z1 and z2."""
     den, (rows1, rows2) = gaussint.aligned((z1.integer_form(), z2.integer_form()))
-    return Matrix.from_integer_form(den, [r1 + r2 for r1, r2 in zip(rows1[n:], rows2[n:])])
+    return _lower_z((den, [r1 + r2 for r1, r2 in zip(rows1, rows2)]))
+
+
+def _lower_z(form: tuple[int, Rows]) -> Matrix:
+    """The lower-left 2n x 2n block of 3n rows over one denominator, the one
+    place the lower Z block is read: [[Z21, Z22], [Z31, Z32]] for rows that
+    begin [Z1 | Z2], as a member's constant [Z1 | Z2 | P00] does."""
+    den, rows = form
+    n = len(rows) // 3
+    return Matrix.from_integer_form(den, [row[: 2 * n] for row in rows[n:]])
 
 
 def zero_lower_left(pencil: Pencil2P) -> bool:
@@ -248,23 +243,23 @@ def _lay_out(
       A1 = [P20 | P11 - Y1 | P10 - Z1], A2 = [Y1 | P02 | P01 - Z2], A3 = [Z1 | Z2 | P00],
     with P_ab = v kron A_ab, from the integer forms of the six A_ab over one
     denominator (as QuadPoly2P keeps them), of v and of the blocks.  The
-    factor to the common denominator is folded into v's numerators, so each
-    P_ab and each row of the result is written once.
+    factor to the common denominator is folded into v's numerators, and the
+    six P_ab come from one kron of v by the coefficient row, so each P_ab
+    and each row of the result is written once.
     """
     a_den, a_parts = coeffs
     v_den, v_num = v
     n = len(a_parts[0])
-    # The ansatz's denominator joins the lcm with no rows of its own.
-    den, (_, *free_rows) = gaussint.aligned([(v_den * a_den, ()), *free])
-    f = den // (v_den * a_den)
-    w = [(re * f, im * f) for re, im in v_num]
-    parts = [_kron_rows(w, data) for data in a_parts] + free_rows
+    # v's column over v_den * a_den, so that each v kron A_ab is over the lcm.
+    den, (w, *free_rows) = gaussint.aligned([(v_den * a_den, [(w,) for w in v_num]), *free])
+    # v kron [A20 A11 A02 A10 A01 A00]: the six P_ab side by side, row by row
+    ansatz = gaussint.kron(w, [sum(row, ()) for row in zip(*a_parts)])
     sub = lambda a, b: tuple([(p - r, q - s) for (p, q), (r, s) in zip(a, b)])
     a1, a2, a3 = [], [], []
-    for p20, p11, p02, p10, p01, p00, y1, z1, z2 in zip(*parts):
-        a1.append(p20 + sub(p11, y1) + sub(p10, z1))
-        a2.append(y1 + p02 + sub(p01, z2))
-        a3.append(z1 + z2 + p00)
+    for p, y1, z1, z2 in zip(ansatz, *free_rows):
+        a1.append(p[:n] + sub(p[n : 2 * n], y1) + sub(p[3 * n : 4 * n], z1))
+        a2.append(y1 + p[2 * n : 3 * n] + sub(p[4 * n : 5 * n], z2))
+        a3.append(z1 + z2 + p[5 * n :])
     return Pencil2P(3 * n, *(Matrix.from_integer_form(den, c) for c in (a1, a2, a3)))
 
 

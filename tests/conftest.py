@@ -17,7 +17,6 @@ from pencilspace import (
     kernel_member,
     kron,
 )
-from pencilspace import space
 from pencilspace.bipoly import BiPoly, UniPoly
 from pencilspace.polymatrix import PolyMatrix
 from pencilspace.resultants import _checked_degrees, _sylvester_rows
@@ -347,11 +346,11 @@ def reference_box_add(pencil: Pencil2P) -> Matrix:
 def ansatz_row(v, row: Matrix) -> Matrix:
     """v kron [A20 A11 A02 A10 A01 A00] for row the coefficient row of Q,
     the box-add of a member with ansatz v: block row i is v_i times row,
-    written as one integer form by space._kron_rows, the rows that
+    written as one integer form by gaussint.kron, the rows that
     generate_member writes its ansatz part with."""
     v_den, v_num = gaussint.from_scalars(GaussianRational.coerce(c) for c in v)
     den, data = row.integer_form()
-    return Matrix.from_integer_form(v_den * den, space._kron_rows(v_num, data))
+    return Matrix.from_integer_form(v_den * den, gaussint.kron([(w,) for w in v_num], data))
 
 
 def reference_standard_blocks(q: QuadPoly2P) -> FreeBlocks:

@@ -683,6 +683,24 @@ def test_float_overflow_is_numeric_exit_without_traceback(tmp_path, command):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["procedure", "-q", Q_WORKED, "-v", "1,0,0", "--alpha", "1e2500"],
+        ["qep-linearize", "-s", str(CORPUS / "sys_planted_2x2.json"), "--alpha1", "1e2500"],
+    ],
+    ids=["procedure", "qep-linearize"],
+)
+def test_value_too_long_to_print_is_a_numeric_overflow(capsys, argv):
+    # alpha = 10^2500 parses, but det E = alpha^-2 has 5001 digits: the
+    # command exits 3 on one line, with none of its report on stdout.
+    from pencilspace import serialization as ser
+
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"numeric overflow: a value to print has more than {ser.MAX_DIGITS} digits\n"
+
+
 def test_exact_eigenpair_verifies_beyond_the_float_range(capsys, tmp_path):
     import json
 

@@ -791,7 +791,7 @@ def random_pencil(rng, m, complex_prob):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("complex_prob", [0.0, 0.5])
 def test_block_rows_match_the_kron_product(case, n, complex_prob):
-    # Pencil2P.transform and _transformed_z_det apply M kron I_n block row
+    # Pencil2P.transform and _transformed_z apply M kron I_n block row
     # by block row; the oracle forms kron(M, I_n) and multiplies densely.
     rng = random.Random(f"block-rows/{case}/{n}/{complex_prob}")
     v = random_vector_for(CASE_PATTERNS[case], rng)
@@ -804,10 +804,10 @@ def test_block_rows_match_the_kron_product(case, n, complex_prob):
         assert list(pencil.transform(m3)[1:]) == expected
         z1, z2 = (rand_matrix(rng, 3 * n, n, complex_prob) for _ in range(2))
         det = lower_z_block(op @ z1, op @ z2).det()
-        assert construct._transformed_z_det(m3, z1, z2) == det
+        assert construct._transformed_z(m3, z1, z2)[0] == det
         assert condition_det_check(m3, z1, z2) == bool(det)
     # a singular transformed Z block: Z2 = Z1 makes its columns repeat
-    assert construct._transformed_z_det(m3, z1, z1) == 0 == lower_z_block(op @ z1, op @ z1).det()
+    assert construct._transformed_z(m3, z1, z1)[0] == 0 == lower_z_block(op @ z1, op @ z1).det()
 
 
 def test_block_rows_reject_wrong_shapes():
@@ -817,7 +817,7 @@ def test_block_rows_reject_wrong_shapes():
     with pytest.raises(ShapeError):
         Pencil2P(2, *(Matrix.identity(2) for _ in range(3))).transform(m3)
     with pytest.raises(ShapeError):
-        construct._transformed_z_det(Matrix.identity(2), Matrix.zeros(3, 1), Matrix.zeros(3, 1))
+        construct._transformed_z(Matrix.identity(2), Matrix.zeros(3, 1), Matrix.zeros(3, 1))
     with pytest.raises(ShapeError):
         condition_det_check(m3, Matrix.zeros(3, 1), Matrix.zeros(6, 2))
 

@@ -12,13 +12,15 @@ GaussianRational arithmetic.
 
 from __future__ import annotations
 
+import ast
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from pencilspace import qep
+from pencilspace import gaussint, qep
 from pencilspace.bipoly import BiPoly
 from pencilspace.construct import ALL_CASES, ansatz_transform, certify_scaled_e1
 from pencilspace.errors import ShapeError
@@ -204,6 +206,73 @@ def test_equal_values_built_differently_compare_and_hash_equal():
     assert product == Matrix.identity(2) and hash(product) == hash(Matrix.identity(2))
     assert product.integer_form() == (1, (((1, 0), (0, 0)), ((0, 0), (1, 0))))
     assert (m - m) == Matrix.zeros(2, 2) and (m - m).integer_form()[0] == 1
+
+
+# -- gaussint primitives ------------------------------------------------------------
+
+# Gaussian integers with zeros, units and real entries drawn often, and rows
+# that are all zero.
+gaussian_ints = st.one_of(
+    st.sampled_from([(0, 0), (1, 0)]),
+    st.tuples(st.integers(-9, 9), st.just(0)),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+)
+
+
+def int_rows(rows, cols):
+    row = st.one_of(st.just([(0, 0)] * cols), st.lists(gaussian_ints, min_size=cols, max_size=cols))
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+def values(rows):
+    return [[GaussianRational(re, im) for re, im in row] for row in rows]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_gaussint_primitives_match_entrywise_oracle(data):
+    r, k, c = data.draw(sizes), data.draw(sizes), data.draw(sizes)
+    a, b = data.draw(int_rows(r, k)), data.draw(int_rows(k, c))
+    s = data.draw(gaussian_ints)
+    coefficients = data.draw(st.lists(gaussian_ints, min_size=k, max_size=k))
+    column = data.draw(int_rows(k, 1))
+    a_values, b_values = values(a), values(b)
+    assert values(gaussint.times(a, s)) == o_scale(a_values, GaussianRational(*s))
+    assert gaussint.times(a, (1, 0)) is a
+    assert values(gaussint.kron(a, b)) == o_kron(a_values, b_values)
+    # sum c_j * (row j of b) is the row vector of the c_j times b
+    combined = gaussint.combine(zip(coefficients, b))
+    assert values([combined]) == o_matmul(values([coefficients]), b_values)
+    product = gaussint.matvec(a, [x for (x,) in column])
+    assert values([[p] for p in product]) == o_matmul(a_values, values(column))
+
+
+# -- module graph ---------------------------------------------------------------------
+
+# Each module imports only from the layers before its own.
+LAYERS = (
+    ("scalars", "errors"),
+    ("gaussint",),
+    ("matrices", "bipoly"),
+    ("polymatrix", "roots"),
+    ("resultants", "pencil"),
+    ("space",),
+    ("construct", "serialization"),
+    ("qep",),
+    ("cli",),
+)
+
+
+def test_modules_import_only_from_lower_layers():
+    package = Path(gaussint.__file__).parent
+    layer = {name: k for k, names in enumerate(LAYERS) for name in names}
+    assert set(layer) == {p.stem for p in package.glob("*.py")} - {"__init__", "__main__"}
+    for name, k in layer.items():
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for imported in [node.module] if node.module else [a.name for a in node.names]:
+                    assert layer[imported] < k, f"{name} imports {imported}"
 
 
 # -- PolyMatrix ---------------------------------------------------------------------

@@ -249,6 +249,20 @@ def test_huge_exponent_with_digit_separators_is_bounded(literal):
     )
 
 
+@pytest.mark.parametrize("count", [8601, 20_000])
+def test_long_digit_run_is_rejected_without_backtracking(count):
+    # A mantissa pattern that can split a digit run at every position takes
+    # seconds on 20,000 nines before Fraction rejects the literal.
+    literal = "9" * count
+    with pytest.raises(ValueError) as reason:
+        Fraction(literal)
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        ser.parse_rational(literal, "t")
+    assert time.perf_counter() - start < 0.2
+    assert str(info.value) == f"t: not an exact rational: {literal!r} ({reason.value})"
+
+
 def test_zero_mantissa_with_huge_exponent_is_zero():
     assert ser.parse_scalar("0e10000000", "t") == GaussianRational(0)
     assert ser.parse_scalar("-0.0E-99999999", "t") == GaussianRational(0)

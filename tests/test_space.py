@@ -331,14 +331,14 @@ def test_one_pass_layouts_equal_the_composition_oracles(n, case):
 
 def unfolded_member(q, v, blocks):
     """generate_member with the alignment left unfolded: each v kron A_ab
-    over v_den times the denominator of A_ab by _kron_rows, then those six
+    over v_den times the denominator of A_ab by gaussint.kron, then those six
     forms and the three blocks' forms over one denominator by
     gaussint.aligned, so every ansatz entry is scaled twice, and the
     coefficients composed from Matrix objects."""
     n = q.n
     v_den, v_num = gaussint.from_scalars(GaussianRational.coerce(x) for x in v)
     forms = [c.integer_form() for c in q.coefficients()]
-    ansatz = [(v_den * den, space._kron_rows(v_num, data)) for den, data in forms]
+    ansatz = [(v_den * den, gaussint.kron([(w,) for w in v_num], data)) for den, data in forms]
     den, parts = gaussint.aligned(ansatz + [b.integer_form() for b in blocks[1:]])
     p20, p11, p02, p10, p01, p00, y1, z1, z2 = (Matrix.from_integer_form(den, rows) for rows in parts)
     layout = ([p20, p11 - y1, p10 - z1], [y1, p02, p01 - z2], [z1, z2, p00])
