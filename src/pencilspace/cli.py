@@ -66,7 +66,20 @@ _NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The text of Path(path).read_text(encoding="utf-8"): the bytes decoded
+    as strict UTF-8 in one call, with universal newlines applied only when a
+    carriage return occurs."""
+    try:
+        with open(path, "rb") as file:
+            data = file.read()
+    except OSError:
+        # Through pathlib, which opens "x.json/" as x.json and names the
+        # path its own way in every error.
+        data = Path(path).read_bytes()
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _emit_pencil(pencil, out: Optional[str]) -> None:

@@ -187,7 +187,7 @@ def _transformed_z(
     (block_rows); the det is taken on their rows side by side."""
     if z1.shape != z2.shape or z1.rows != 3 * z1.cols:
         raise ShapeError("Z blocks must be conformal 3n x n matrices")
-    den, (rows1, rows2) = gaussint.aligned((z1.integer_form(), z2.integer_form()))
+    den, (rows1, rows2) = gaussint.aligned((z1._stored_form(), z2._stored_form()))
     t1, t2 = block_rows(m3, (den, rows1)), block_rows(m3, (den, rows2))
     return _lower_z((t1[0], [r1 + r2 for r1, r2 in zip(t1[1], t2[1])])).det(), t1, t2
 
@@ -242,7 +242,7 @@ class LinearizationCertificate(_CertificateFields):
             return None
         n = self.pencil.m // 3
         top, left = range(n), range(2 * n)
-        z = _lower_z(self.pencil.const.integer_form())
+        z = _lower_z(self.pencil.const._stored_form())
         z_inv = z.inverse()
         if z_inv @ z != Matrix.identity(2 * n):
             raise AssertionError("certificate product failed; construction is wrong")
@@ -351,7 +351,7 @@ def _unimodular_pair(
     if not zero_lower_left(pencil):
         raise HypothesisViolatedError("certificate requires Y21 = Y31 = 0")
     if det_z is None:
-        det_z = _lower_z(pencil.const.integer_form()).det()
+        det_z = _lower_z(pencil.const._stored_form()).det()
     if not det_z:
         raise HypothesisViolatedError("lower Z block is singular")
     return LinearizationCertificate(

@@ -4,8 +4,12 @@
 values as one positive common denominator over Gaussian-integer numerators,
 each an (re, im) int pair.  The form is canonical when the denominator and
 every numerator component have no common factor, so equal values have
-equal forms.  A ``GaussianRational`` is the one-entry case, so the way in
-from scalars and the way back to one read and write its three fields.
+equal forms.  A ``Matrix`` may hold any integer form of its values over a
+positive denominator, as it was built (a parsed document over its one
+lcm, a laid-out member), and is canonical when read: ``integer_form``,
+``==`` and ``hash`` reduce it once.  A ``GaussianRational`` is the
+one-entry case, so the way in from scalars and the way back to one read
+and write its three fields.
 This module alone holds the rules of the form: the way in, alignment to a
 common denominator, canonical reduction, Z[i] product, power and division,
 the way back to a ``GaussianRational`` or a ``complex``, the signed

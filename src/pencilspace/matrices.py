@@ -1,7 +1,16 @@
 """Dense matrices over the Gaussian rationals, stored on integers.
 
-A matrix is stored in the integer form of ``gaussint``: one denominator
-over the (re, im) numerators of its entries.  All arithmetic runs on ints;
+A matrix is stored in the integer form of ``gaussint``: one positive
+denominator over the (re, im) numerators of its entries.  The stored form
+need not be canonical: a matrix built from an integer form (a parsed
+document over its common denominator, a laid-out member) keeps it as
+given, and readers that need only the values read it as it is
+(``_stored_form``).  The canonical form is computed at its first read, by
+``integer_form``, ``==`` or ``hash``, and kept.  Every elimination and
+every matrix or Kronecker product reads it, so one long denominator
+elsewhere in a document does not inflate their operands, and every
+product, sum, scaling and inverse is reduced, so no chain of operations
+grows its numerators.  All arithmetic runs on ints;
 ``GaussianRational`` appears only where entries come in or go out.
 Determinant, rank and inverse share one fraction-free (Bareiss) elimination
 over Z[i].  Before any elimination, det checks the nonzero pattern: without a
@@ -24,9 +33,10 @@ from .scalars import GaussianRational, ScalarLike
 
 class Matrix:
     """An immutable rows x cols matrix over Q(i), stored as Gaussian-integer
-    numerators over one common denominator."""
+    numerators over one positive common denominator, in any integer form of
+    its values; its canonical form is computed when first read and kept."""
 
-    __slots__ = ("rows", "cols", "_den", "_data")
+    __slots__ = ("rows", "cols", "_den", "_data", "_canonical")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]]):
         values = [[GaussianRational.coerce(v) for v in row] for row in entries]
@@ -35,8 +45,11 @@ class Matrix:
         width = len(values[0])
         if any(len(row) != width for row in values):
             raise ShapeError("ragged rows in matrix literal")
+        # from_scalars gives the canonical form.
         den, pairs = gaussint.from_scalars(chain.from_iterable(values))
-        _init(self, tuple(tuple(pairs[k : k + width]) for k in range(0, len(pairs), width)), den)
+        data = tuple(tuple(pairs[k : k + width]) for k in range(0, len(pairs), width))
+        _init(self, data, den)
+        object.__setattr__(self, "_canonical", (den, data))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -56,8 +69,8 @@ class Matrix:
     @staticmethod
     def from_integer_form(den: int, data: Iterable[Iterable[Pair]]) -> "Matrix":
         """The matrix data / den from rows of (re, im) numerator pairs over a
-        positive denominator; the inverse of ``integer_form``."""
-        return _reduced(tuple(map(tuple, data)), den)
+        positive denominator, kept as given; the inverse of ``integer_form``."""
+        return _stored(tuple(map(tuple, data)), den)
 
     @staticmethod
     def column(values: Iterable[ScalarLike]) -> "Matrix":
@@ -68,8 +81,7 @@ class Matrix:
         """Assemble a matrix from a 2-D grid of conformal blocks."""
         if not grid or not grid[0]:
             raise ShapeError("empty block grid")
-        # Over the common denominator of canonical forms the result is canonical.
-        den, scaled = gaussint.aligned([(b._den, b._data) for block_row in grid for b in block_row])
+        den, scaled = gaussint.aligned([b._stored_form() for block_row in grid for b in block_row])
         blocks = iter(scaled)
         rows: list[tuple[Pair, ...]] = []
         width = None
@@ -84,7 +96,7 @@ class Matrix:
                 width = len(rows[-1])
             elif len(rows[-1]) != width:
                 raise ShapeError("block rows must have equal total width")
-        return _new(tuple(rows), den)
+        return _stored(tuple(rows), den)
 
     @staticmethod
     def hstack(blocks: Sequence["Matrix"]) -> "Matrix":
@@ -98,20 +110,32 @@ class Matrix:
 
     def __getitem__(self, key: tuple[int, int]) -> GaussianRational:
         i, j = key
-        return gaussint.to_scalar(self._den, self._data[i][j])
+        den, data = self._stored_form()
+        return gaussint.to_scalar(den, data[i][j])
 
     def row_entries(self, i: int) -> tuple[GaussianRational, ...]:
         return tuple(self[i, j] for j in range(self.cols))
 
     def integer_form(self) -> tuple[int, tuple[tuple[Pair, ...], ...]]:
-        """The common denominator and the rows of (re, im) numerator pairs."""
-        return self._den, self._data
+        """The canonical common denominator and the rows of (re, im)
+        numerator pairs: the stored form reduced when first read, and kept."""
+        form = self._canonical
+        if form is None:
+            form = _canonical_form(self._data, self._den)
+            object.__setattr__(self, "_canonical", form)
+        return form
+
+    def _stored_form(self) -> tuple[int, tuple[tuple[Pair, ...], ...]]:
+        """A denominator and the rows of numerator pairs over it, for readers
+        of values alone: the canonical form once it is known, else the form
+        the matrix was built from, not reduced."""
+        return self._canonical or (self._den, self._data)
 
     def submatrix(self, row_range: Sequence[int], col_range: Sequence[int]) -> "Matrix":
         if not row_range or not col_range:
             raise ShapeError("matrix must have at least one row and one column")
-        data = tuple(tuple(self._data[i][j] for j in col_range) for i in row_range)
-        return _reduced(data, self._den)
+        den, rows = self._stored_form()
+        return _stored(tuple(tuple(rows[i][j] for j in col_range) for i in row_range), den)
 
     def block(self, block_row: int, block_col: int, size: int) -> "Matrix":
         """Extract the (block_row, block_col) block of an n-blocked matrix."""
@@ -143,18 +167,23 @@ class Matrix:
         )
 
     def __neg__(self) -> "Matrix":
-        return _new(tuple(gaussint.times(self._data, (-1, 0))), self._den)
+        den, rows = self._stored_form()
+        # The negation of a canonical form is canonical.
+        return (_new if self._canonical else _stored)(tuple(gaussint.times(rows, (-1, 0))), den)
 
     def scale(self, scalar: ScalarLike) -> "Matrix":
         s_den, (s,) = gaussint.from_scalars([GaussianRational.coerce(scalar)])
-        return _reduced(tuple(gaussint.times(self._data, s)), self._den * s_den)
+        den, rows = self._stored_form()
+        return _reduced(tuple(gaussint.times(rows, s)), den * s_den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        cols = tuple(zip(*other._data))
+        a_den, a_rows = self.integer_form()
+        b_den, b_rows = other.integer_form()
+        cols = tuple(zip(*b_rows))
         out = []
-        for row in self._data:
+        for row in a_rows:
             nonzero = [(k, a, b) for k, (a, b) in enumerate(row) if a or b]
             out_row = []
             for col in cols:
@@ -165,11 +194,13 @@ class Matrix:
                     im += a * d + b * c
                 out_row.append((re, im))
             out.append(tuple(out_row))
-        return _reduced(tuple(out), self._den * other._den)
+        return _reduced(tuple(out), a_den * b_den)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product: block (i, j) equals self[i, j] * other."""
-        return _reduced(tuple(gaussint.kron(self._data, other._data)), self._den * other._den)
+        a_den, a_rows = self.integer_form()
+        b_den, b_rows = other.integer_form()
+        return _reduced(tuple(gaussint.kron(a_rows, b_rows)), a_den * b_den)
 
     # -- exact linear algebra -------------------------------------------------------
 
@@ -186,14 +217,15 @@ class Matrix:
             raise ShapeError("determinant requires a square matrix")
         if structural_rank(self.pattern(), self.cols) < self.rows:
             return GaussianRational(0)
-        det = bareiss_det_int([list(row) for row in self._data])
-        return gaussint.to_scalar(self._den**self.rows, det)
+        den, rows = self.integer_form()
+        det = bareiss_det_int([list(row) for row in rows])
+        return gaussint.to_scalar(den**self.rows, det)
 
     def rank(self) -> int:
         """Exact rank of the numerators (the common denominator does not
         change the rank): the pivot count of fraction-free (Bareiss) forward
         elimination."""
-        return sum(1 for _ in _bareiss_pivots([list(row) for row in self._data], self.cols))
+        return sum(1 for _ in _bareiss_pivots([list(row) for row in self.integer_form()[1]], self.cols))
 
     def inverse(self) -> "Matrix":
         """Exact inverse, fraction-free.
@@ -207,9 +239,10 @@ class Matrix:
         if self.rows != self.cols:
             raise ShapeError("inverse requires a square matrix")
         n = self.rows
+        den, rows = self.integer_form()
         a = [
             list(row) + [(1, 0) if j == i else (0, 0) for j in range(n)]
-            for i, row in enumerate(self._data)
+            for i, row in enumerate(rows)
         ]
         for k, (col, _) in enumerate(_bareiss_pivots(a, 2 * n)):
             if col != k:
@@ -221,7 +254,7 @@ class Matrix:
             # d_i * (D x_i) = D * R_i - sum_{k > i} U_ik * (D x_k), row by row
             terms = [((-re, -im), x[k]) for k, (re, im) in enumerate(row[i + 1 : n], i + 1)]
             x[i] = tuple(gaussint.exact_div(gaussint.combine([(det, row[n:]), *terms]), row[i]))
-        norm, s = gaussint.reciprocal(det, self._den)
+        norm, s = gaussint.reciprocal(det, den)
         return _reduced(tuple(gaussint.times(x, s)), norm)
 
     # -- predicates and conversions -----------------------------------------------------
@@ -232,21 +265,22 @@ class Matrix:
 
     def pattern(self) -> list[list[int]]:
         """The nonzero pattern: the columns of the nonzero entries, row by row."""
-        return [[j for j, x in enumerate(row) if x != (0, 0)] for row in self._data]
+        return [[j for j, x in enumerate(row) if x != (0, 0)] for row in self._stored_form()[1]]
 
     def is_zero(self) -> bool:
-        return not any(re or im for row in self._data for re, im in row)
+        return not any(re or im for row in self._stored_form()[1] for re, im in row)
 
     def max_abs(self) -> float:
-        return gaussint.max_abs(self._den, chain.from_iterable(self._data))
+        den, rows = self._stored_form()
+        return gaussint.max_abs(den, chain.from_iterable(rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self._den == other._den and self._data == other._data
+        return self.integer_form() == other.integer_form()
 
     def __hash__(self) -> int:
-        return hash((self._den, self._data))
+        return hash(self.integer_form())
 
     def __str__(self) -> str:
         return "\n".join(
@@ -264,32 +298,48 @@ class Matrix:
         """Both numerator grids over their common denominator, and that
         denominator."""
         self._require_same_shape(other)
-        if self._den == other._den:
-            return self._data, other._data, self._den
-        den, (a, b) = gaussint.aligned(((self._den, self._data), (other._den, other._data)))
+        (a_den, a), (b_den, b) = self._stored_form(), other._stored_form()
+        if a_den == b_den:
+            return a, b, a_den
+        den, (a, b) = gaussint.aligned(((a_den, a), (b_den, b)))
         return a, b, den
 
 
 def _init(m: Matrix, data: tuple, den: int) -> None:
+    """Store data / den in m, its canonical form not yet known."""
     object.__setattr__(m, "rows", len(data))
     object.__setattr__(m, "cols", len(data[0]))
     object.__setattr__(m, "_den", den)
     object.__setattr__(m, "_data", data)
+    object.__setattr__(m, "_canonical", None)
 
 
 def _new(data: tuple, den: int) -> Matrix:
     """Wrap numerator rows already in canonical form over den."""
+    m = _stored(data, den)
+    object.__setattr__(m, "_canonical", (den, data))
+    return m
+
+
+def _stored(data: tuple, den: int) -> Matrix:
+    """Wrap numerator rows over den > 0 as they are, canonical or not."""
     m = Matrix.__new__(Matrix)
     _init(m, data, den)
     return m
 
 
-def _reduced(data: tuple, den: int) -> Matrix:
-    """The canonical matrix data / den (den > 0)."""
+def _canonical_form(data: tuple, den: int) -> tuple[int, tuple]:
+    """The canonical form of data / den (den > 0)."""
     g = gaussint.content(den, chain.from_iterable(data))
     if g != 1:
         data = tuple(tuple((re // g, im // g) for re, im in row) for row in data)
         den //= g
+    return den, data
+
+
+def _reduced(data: tuple, den: int) -> Matrix:
+    """The canonical matrix data / den (den > 0)."""
+    den, data = _canonical_form(data, den)
     return _new(data, den)
 
 

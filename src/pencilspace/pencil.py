@@ -102,8 +102,9 @@ class QuadPoly2P(Checked, _QuadFields):
     @cached_property
     def _coefficient_forms(self) -> tuple[int, list[Rows]]:
         """The rows of A20, A11, A02, A10, A01 and A00 over the lcm of their
-        denominators, not reduced; aligned when first read and kept."""
-        return gaussint.aligned([c.integer_form() for c in self.coefficients()])
+        stored denominators, not reduced; aligned when first read and kept.
+        A parsed quadratic stores all six over one denominator already."""
+        return gaussint.aligned([c._stored_form() for c in self.coefficients()])
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.coefficients())
@@ -184,9 +185,9 @@ class Pencil2P(Checked, _PencilFields):
 
 def block_transform(m3: Matrix, x: Matrix) -> Matrix:
     """(m3 kron I_n) x for a 3 x 3 m3 and a 3n-row x, with no Kronecker
-    product, identity or dense product formed: the rows of block_rows,
-    reduced once."""
-    return Matrix.from_integer_form(*block_rows(m3, x.integer_form()))
+    product, identity or dense product formed: the rows of block_rows, as
+    they are."""
+    return Matrix.from_integer_form(*block_rows(m3, x._stored_form()))
 
 
 def block_rows(m3: Matrix, x: tuple[int, Rows]) -> tuple[int, list[tuple[Pair, ...]]]:
@@ -201,7 +202,7 @@ def block_rows(m3: Matrix, x: tuple[int, Rows]) -> tuple[int, list[tuple[Pair, .
     n, rest = divmod(len(rows), 3)
     if rest:
         raise ShapeError(f"size {len(rows)} is not divisible by 3")
-    m_den, m_rows = m3.integer_form()
+    m_den, m_rows = m3._stored_form()
     width = len(rows[0])
     blocks = [sum(rows[j * n : (j + 1) * n], ()) for j in range(3)]
     out = []
@@ -233,7 +234,7 @@ def _box_blocks(x: Matrix, y: Matrix, z: Matrix) -> tuple[int, list[tuple[Pair, 
     if x.rows % 3:
         raise ShapeError(f"size {x.rows} is not divisible by 3")
     n = x.rows // 3
-    den, (xs, ys, zs) = gaussint.aligned((x.integer_form(), y.integer_form(), z.integer_form()))
+    den, (xs, ys, zs) = gaussint.aligned((x._stored_form(), y._stored_form(), z._stored_form()))
     rows = []
     for xr, yr, zr in zip(xs, ys, zs):
         # X2+Y1, X3+Z1 and Y3+Z2 in one pass: [X2 X3 Y3] + [Y1 Z1 Z2].

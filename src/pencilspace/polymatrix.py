@@ -336,14 +336,14 @@ def exact_det_poly(m: PolyMatrix) -> BiPoly:
 
 def _screen_images(m: PolyMatrix) -> tuple[list[list[int]], list[list[int]]] | None:
     """The images in F_p of m(1, 2) and m(2, 1) under gaussint.image_mod_p,
-    each coefficient's integer form mapped once, or None when p divides a
-    denominator of m."""
+    each coefficient's stored form mapped once (values alone count here), or
+    None when p divides one of the stored denominators."""
     p = gaussint.SQUARE_FREE_PRIME
     size = m.rows
     # row-major, entry i * size + j
     at_12 = at_21 = [0] * (size * size)
     for (a, b), coeff in m._coeffs.items():
-        den, data = coeff.integer_form()
+        den, data = coeff._stored_form()
         if not den % p:
             return None
         inv = pow(den, -1, p)

@@ -546,11 +546,11 @@ def _kron_numerators(
 
 def _products(matrices: Sequence[Matrix], column: _Column) -> tuple[int, list[list[Pair]]]:
     """The numerators of each matrix @ column over one denominator: each
-    product is formed on its matrix's own integer form, past its zero
+    product is formed on its matrix's stored form, past its zero
     entries, and only the products are brought to the lcm of the matrices'
     denominators."""
     den, products = gaussint.aligned(
-        [(m_den, (matvec(rows, column[1]),)) for m_den, rows in map(Matrix.integer_form, matrices)]
+        [(m_den, (matvec(rows, column[1]),)) for m_den, rows in map(Matrix._stored_form, matrices)]
     )
     return den * column[0], [p[0] for p in products]
 

@@ -31,7 +31,7 @@ from typing import Any, Optional
 
 from . import gaussint
 from .errors import ParseError
-from .matrices import Matrix, _new, _reduced
+from .matrices import Matrix, _new, _stored
 from .pencil import Pencil2P, QuadPoly2P, QuadSystem2P
 from .scalars import GaussianRational
 from .space import FreeBlocks
@@ -217,8 +217,9 @@ def _canonical_matrices(specs: list[tuple[Any, Optional[int], int, str]]) -> Opt
     (q > 0, at most MAX_DIGITS characters) or an {"re", "im"} pair of two;
     else None, raising nothing.  The distinct literals are screened at once
     (a translate deletes every character they may hold), read by int()
-    through C-level maps and put over the lcm of the denominators written;
-    each matrix is reduced once, so "2/4" reads as "1/2" does."""
+    through C-level maps and put over the lcm of the denominators written,
+    and every matrix keeps that lcm, not reduced: "2/4" reads as "1/2"
+    does once a matrix is compared or its canonical form read."""
     entries, shapes = [], []
     for value, rows, cols, _ in specs:
         if type(value) is not list or not value or rows is not None and len(value) != rows:
@@ -260,12 +261,12 @@ def _canonical_matrices(specs: list[tuple[Any, Optional[int], int, str]]) -> Opt
     value = dict(zip(literals, values)).__getitem__
     pairs = zip(map(value, res), map(value, ims))
     # zip(*[it] * cols) groups it into rows of cols entries.
-    return [_reduced(tuple(zip(*[islice(pairs, rows * cols)] * cols)), den) for rows, cols in shapes]
+    return [_stored(tuple(zip(*[islice(pairs, rows * cols)] * cols)), den) for rows, cols in shapes]
 
 
 def format_matrix(m: Matrix) -> list:
-    """Each entry as format_scalar prints it, read off the integer form."""
-    den, data = m.integer_form()
+    """Each entry as format_scalar prints it, read off the stored form."""
+    den, data = m._stored_form()
     return [
         [
             {"re": _format_rational(re, den), "im": _format_rational(im, den)}
@@ -450,9 +451,9 @@ def _text(value: Any, newline: str) -> str:
 
 
 def _matrix_text(m: Matrix, newline: str) -> str:
-    """format_matrix(m) as json.dumps prints it, read off the integer form:
+    """format_matrix(m) as json.dumps prints it, read off the stored form:
     one gcd per distinct numerator component."""
-    den, data = m.integer_form()
+    den, data = m._stored_form()
     row_break = newline + "  "
     entry_break = row_break + "  "
     part_break = entry_break + "  "

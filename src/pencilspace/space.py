@@ -160,7 +160,7 @@ def generate_member(q: QuadPoly2P, v: Sequence, blocks: FreeBlocks) -> Pencil2P:
     if blocks.n != n:
         raise ShapeError(f"blocks sized for n = {blocks.n}, quadratic has n = {n}")
     v = gaussint.from_scalars(coerce_vector3(v))
-    return _lay_out(q._coefficient_forms, v, [m.integer_form() for m in blocks[1:]])
+    return _lay_out(q._coefficient_forms, v, [m._stored_form() for m in blocks[1:]])
 
 
 def free_blocks(pencil: Pencil2P) -> FreeBlocks:
@@ -177,7 +177,7 @@ def free_blocks(pencil: Pencil2P) -> FreeBlocks:
 def lower_z_block(z1: Matrix, z2: Matrix) -> Matrix:
     """The 2n x 2n block [[Z21, Z22], [Z31, Z32]] of two 3n x n blocks: the
     lower Z block of [Z1 | Z2] over the common denominator of z1 and z2."""
-    den, (rows1, rows2) = gaussint.aligned((z1.integer_form(), z2.integer_form()))
+    den, (rows1, rows2) = gaussint.aligned((z1._stored_form(), z2._stored_form()))
     return _lower_z((den, [r1 + r2 for r1, r2 in zip(rows1, rows2)]))
 
 
@@ -197,7 +197,7 @@ def zero_lower_left(pencil: Pencil2P) -> bool:
     return not rest and not any(
         re or im
         for coeff in (pencil.lam_coeff, pencil.mu_coeff)
-        for row in coeff.integer_form()[1][n:]
+        for row in coeff._stored_form()[1][n:]
         for re, im in row[: 2 * n]
     )
 
@@ -210,7 +210,7 @@ def standard_blocks(q: QuadPoly2P) -> FreeBlocks:
     zero = (((0, 0),) * n,) * n
 
     def stacked(coeff: Matrix, eye_in_middle: bool) -> Matrix:
-        den, rows = coeff.integer_form()
+        den, rows = coeff._stored_form()
         minus_eye = tuple(tuple((-den, 0) if i == j else (0, 0) for j in range(n)) for i in range(n))
         lower = minus_eye + zero if eye_in_middle else zero + minus_eye
         return Matrix.from_integer_form(den, rows + lower)
@@ -232,7 +232,7 @@ def kernel_member(n: int, blocks: FreeBlocks) -> Pencil2P:
     if blocks.n != n:
         raise ShapeError(f"blocks sized for n = {blocks.n}, requested n = {n}")
     zero = (((0, 0),) * n,) * n
-    return _lay_out((1, [zero] * 6), (1, [(0, 0)] * 3), [m.integer_form() for m in blocks[1:]])
+    return _lay_out((1, [zero] * 6), (1, [(0, 0)] * 3), [m._stored_form() for m in blocks[1:]])
 
 
 def _lay_out(
@@ -245,7 +245,8 @@ def _lay_out(
     denominator (as QuadPoly2P keeps them), of v and of the blocks.  The
     factor to the common denominator is folded into v's numerators, and the
     six P_ab come from one kron of v by the coefficient row, so each P_ab
-    and each row of the result is written once.
+    and each row of the result is written once, and kept over that
+    denominator, not reduced.
     """
     a_den, a_parts = coeffs
     v_den, v_num = v
@@ -302,7 +303,7 @@ def space_dimension(q: QuadPoly2P) -> DimensionSummary:
         members = [generate_member(q, e, zero) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         # Each ansatz part's support: (coefficient, row, column) of its nonzero entries.
         supports = [
-            {(k, r, c) for k, coeff in enumerate(p[1:]) for r, row in enumerate(coeff.integer_form()[1])
+            {(k, r, c) for k, coeff in enumerate(p[1:]) for r, row in enumerate(coeff._stored_form()[1])
              for c, (re, im) in enumerate(row) if re or im}
             for p in members
         ]

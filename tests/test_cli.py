@@ -896,6 +896,133 @@ def test_each_quadratic_is_aligned_once_per_command(capsys, monkeypatch, argv, q
     assert len(aligned) == len({id(q) for q in aligned}) == quadratics
 
 
+@pytest.mark.parametrize(
+    "argv, documents, layouts",
+    [
+        (["qep-linearize", "-s", SYS_CIRCLE_LINE, "--seed", "3"], 1, 2),
+        (["certify", "-q", Q_WORKED, "-l", str(CORPUS / "l_standard_worked.json")], 2, 0),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else str(value),
+)
+def test_parsed_documents_and_laid_out_members_are_not_reduced(capsys, monkeypatch, argv, documents, layouts):
+    # The spy on gaussint.content, the one reduction primitive: the document
+    # pass and _lay_out keep the forms they build as they are, and each
+    # parsed quadratic's six coefficients, stored over its document's one
+    # denominator, align with factor 1 (their own rows, not copies).
+    from functools import cached_property
+
+    from pencilspace import construct, gaussint, space
+    from pencilspace import serialization as ser
+    from pencilspace.pencil import QuadPoly2P
+
+    inside, reductions, calls = [], [], []
+
+    def watch(module, name):
+        real = getattr(module, name)
+
+        def watched(*args):
+            calls.append(name)
+            inside.append(name)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(module, name, watched)
+
+    watch(ser, "_canonical_matrices")
+    for module in (space, construct):
+        watch(module, "_lay_out")
+    content = gaussint.content
+    monkeypatch.setattr(gaussint, "content", lambda den, pairs: reductions.append(tuple(inside)) or content(den, pairs))
+    unaligned = []
+    forms = QuadPoly2P._coefficient_forms.func
+
+    def aligned_once(q):
+        den, rows = forms(q)
+        stored = [c._stored_form() for c in q.coefficients()]
+        unaligned.extend(d != den or r is not s for (d, s), r in zip(stored, rows))
+        return den, rows
+
+    spy = cached_property(aligned_once)
+    spy.__set_name__(QuadPoly2P, "_coefficient_forms")
+    monkeypatch.setattr(QuadPoly2P, "_coefficient_forms", spy)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls.count("_canonical_matrices") == documents and calls.count("_lay_out") == layouts
+    assert not [r for r in reductions if r]
+    assert unaligned and not any(unaligned)
+
+
+# A denominator of 1000 decimal digits.
+LONG_DEN = 10**999 + 7
+
+
+@pytest.mark.parametrize("kind", ["standard", "source", "perturbed"])
+def test_one_long_denominator_reads_as_each_matrix_read_alone(capsys, tmp_path, kind):
+    # A canonical pencil document with a 1000-digit denominator in one entry
+    # (in three for the (1, 1, 2) member): the document pass puts every
+    # matrix over it, yet member and certify print what they print when the
+    # general reader reads each matrix on its own, and no Bareiss run takes
+    # a larger operand, since every elimination reads the canonical form.
+    from fractions import Fraction
+
+    from pencilspace import Matrix, generate_member, matrices, polymatrix, standard_linearization
+    from pencilspace import serialization as ser
+    from pencilspace.space import free_blocks
+
+    q = ser.parse_problem(Path(Q_WORKED).read_text(encoding="utf-8"))
+    tiny = Matrix([[Fraction(1, LONG_DEN), 0], [0, 0]])
+    if kind == "perturbed":
+        problem = Q_WORKED
+        pencil = ser.parse_pencil(Path(L_WORKED).read_text(encoding="utf-8"))
+        corner = Matrix.from_blocks([[tiny, Matrix.zeros(2, 4)], [Matrix.zeros(4, 2), Matrix.zeros(4, 4)]])
+        pencil = pencil._replace(lam_coeff=pencil.lam_coeff + corner)
+    else:
+        q = q._replace(a00=q.a00 + tiny)
+        problem = str(tmp_path / "q.json")
+        Path(problem).write_text(ser.serialize_problem(q), encoding="utf-8")
+        if kind == "standard":
+            pencil = standard_linearization(q)
+        else:
+            source = ser.parse_pencil(Path(L_SOURCE).read_text(encoding="utf-8"))
+            pencil = generate_member(q, (1, 1, 2), free_blocks(source))
+    path = tmp_path / "l.json"
+    path.write_text(ser.serialize_pencil(pencil), encoding="utf-8")
+    assert str(LONG_DEN) in path.read_text(encoding="utf-8")
+
+    def printed(patch) -> tuple:
+        """member's and certify's output, and the largest operand bits of
+        each Bareiss determinant they run."""
+        bits = []
+        for module in (matrices, polymatrix):
+
+            def recording(a, real=module.bareiss_det_int):
+                before = max(abs(v).bit_length() for row in a for pair in row for v in pair)
+                det = real(a)
+                after = max(abs(v).bit_length() for row in a for pair in row for v in pair)
+                bits.append(max(before, after, *(abs(v).bit_length() for v in det)))
+                return det
+
+            patch.setattr(module, "bareiss_det_int", recording)
+        outputs = [run(capsys, command, "-q", problem, "-l", str(path)) for command in ("member", "certify")]
+        return outputs, bits
+
+    passes = []
+    with pytest.MonkeyPatch.context() as patch:
+        read = ser._canonical_matrices
+        patch.setattr(ser, "_canonical_matrices", lambda specs: passes.append(read(specs)) or passes[-1])
+        through_pass, pass_bits = printed(patch)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ser, "_canonical_matrices", lambda specs: None)
+        alone, alone_bits = printed(patch)
+    assert passes and all(p is not None for p in passes)
+    assert through_pass == alone
+    assert [code for code, _, _ in alone] == ([1, 1] if kind == "perturbed" else [0, 0])
+    assert (kind != "perturbed") == bool(alone_bits)
+    assert max(pass_bits, default=0) <= max(alone_bits, default=0)
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "member", "-q", "/nonexistent.json", "-l", L_WORKED)
     assert code == 2
@@ -908,6 +1035,57 @@ def test_malformed_file_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "standard", "-q", str(bad))
     assert code == 2
     assert "input error" in err
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_lone_cr_files_print_what_the_lf_file_prints(capsys, tmp_path, newline):
+    problem, pencil = tmp_path / "q.json", tmp_path / "l.json"
+    for path, source in ((problem, Q_WORKED), (pencil, L_WORKED)):
+        path.write_bytes(Path(source).read_bytes().replace(b"\n", newline.encode()))
+    assert newline.encode() in problem.read_bytes()
+    expected = run(capsys, "certify", "-q", Q_WORKED, "-l", L_WORKED)
+    assert expected[1]
+    assert run(capsys, "certify", "-q", str(problem), "-l", str(pencil)) == expected
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"", b"a\nb", b"a\r\nb\r", b"\r\r\n\n\r", b"x\r" * 5000 + b"\r\n", "\ufeff\u00e9\r\n".encode("utf-8")],
+)
+def test_read_returns_the_text_read_text_returns(tmp_path, data):
+    from pencilspace import cli
+
+    path = tmp_path / "file.json"
+    path.write_bytes(data)
+    expected = path.read_text(encoding="utf-8")
+    assert cli._read(str(path)) == expected
+    # pathlib drops a trailing separator, so the file is read through it too.
+    assert cli._read(f"{path}/") == expected
+
+
+def _read_text_error(path: str) -> str:
+    """What the CLI prints for a file that Path.read_text cannot read."""
+    try:
+        Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        return f"input error: {exc}\n"
+    raise AssertionError(f"{path} reads")
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "invalid utf-8", "relative", "empty"])
+def test_unreadable_file_exits_2_with_the_read_text_message(capsys, tmp_path, monkeypatch, kind):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "bad.json"
+    # The invalid byte lies past the first 8 KiB that a buffered read takes.
+    bad.write_bytes(b" " * 9000 + b"\xff" + b"{}")
+    path = {
+        "missing": str(tmp_path / "missing.json"),
+        "directory": str(tmp_path),
+        "invalid utf-8": str(bad),
+        "relative": ".//missing.json",
+        "empty": "",
+    }[kind]
+    assert run(capsys, "standard", "-q", path) == (2, "", _read_text_error(path))
 
 
 def test_byte_order_mark_is_located_input_error(capsys, tmp_path):

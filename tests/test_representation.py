@@ -22,15 +22,18 @@ import pytest
 
 from pencilspace import gaussint, qep
 from pencilspace.bipoly import BiPoly
-from pencilspace.construct import ALL_CASES, ansatz_transform, certify_scaled_e1
+from pencilspace.construct import ALL_CASES, _has_ansatz, ansatz_transform, certify_scaled_e1
 from pencilspace.errors import ShapeError
 from pencilspace.matrices import Matrix
-from pencilspace.polymatrix import PolyMatrix, exact_det_poly
+from pencilspace.pencil import Pencil2P, QuadPoly2P
+from pencilspace.polymatrix import PolyMatrix, det_ratio, exact_det_poly
 from pencilspace.qep import QuadSystem2P, linearize_system, verify_eigenpair
 from pencilspace.resultants import sylvester_resultant
 from pencilspace.scalars import GaussianRational
+from pencilspace.serialization import serialize_pencil, serialize_problem
+from pencilspace.space import generate_member, membership
 
-from conftest import complex_coeffs, plant_eigenvector, rand_gr, rand_quad
+from conftest import complex_coeffs, plant_eigenvector, rand_blocks, rand_gr, rand_quad
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -206,6 +209,72 @@ def test_equal_values_built_differently_compare_and_hash_equal():
     assert product == Matrix.identity(2) and hash(product) == hash(Matrix.identity(2))
     assert product.integer_form() == (1, (((1, 0), (0, 0)), ((0, 0), (1, 0))))
     assert (m - m) == Matrix.zeros(2, 2) and (m - m).integer_form()[0] == 1
+
+
+# A Matrix built from an integer form keeps it as given, canonical or not.
+# Factors k: small ones, and two that no numerator of the drawn values shares.
+factors = st.one_of(st.integers(1, 12), st.sampled_from([10**40, 3 * 2**64]))
+
+
+def stored_as(m: Matrix, k: int) -> Matrix:
+    """A new matrix of m's values, stored over k times its canonical
+    denominator, each numerator times k."""
+    den, rows = m.integer_form()
+    return Matrix.from_integer_form(k * den, gaussint.times(rows, (k, 0)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_stored_form_reads_as_its_canonical_matrix(data):
+    # Each read on a new copy, so that it starts from the stored form.
+    n = data.draw(sizes)
+    m = Matrix(data.draw(entries(n, n)))
+    k = data.draw(factors)
+    assert stored_as(m, k)._stored_form()[0] == k * m.integer_form()[0]
+    assert stored_as(m, k) == m and hash(stored_as(m, k)) == hash(m)
+    assert stored_as(m, k).integer_form() == m.integer_form()
+    assert stored_as(m, k).det() == m.det()
+    assert stored_as(m, k).rank() == m.rank()
+    if m.det():
+        assert stored_as(m, k).inverse().integer_form() == m.inverse().integer_form()
+    assert grid(stored_as(m, k)) == grid(m)
+
+
+def _verdict(decide):
+    """decide()'s value, or the type of what it raised."""
+    try:
+        return decide()
+    except Exception as exc:  # noqa: BLE001 - compared, never hidden
+        return type(exc)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.data())
+def test_stored_coefficients_give_the_canonical_verdicts_and_text(data):
+    # A quadratic and a pencil whose coefficients are each stored over their
+    # own multiple of the canonical denominator: the written text and the
+    # membership, ansatz-identity and det-ratio verdicts are the canonical
+    # ones.
+    rng = data.draw(st.randoms(use_true_random=False))
+    n = data.draw(st.integers(1, 2))
+    q = rand_quad(rng, n)
+    v = data.draw(st.sampled_from([(1, 0, 0), (Fraction(-3, 2), 0, 0), (1, 1, 2), (0, -1, Fraction(1, 3))]))
+    pencil = generate_member(q, v, rand_blocks(rng, n))
+    if data.draw(st.booleans()):
+        bump = [[0] * (3 * n) for _ in range(3 * n)]
+        bump[rng.randrange(3 * n)][rng.randrange(3 * n)] = 1
+        pencil = pencil._replace(const=pencil.const + Matrix(bump))
+    ks = data.draw(st.lists(factors, min_size=9, max_size=9))
+    q_stored = QuadPoly2P(n, *map(stored_as, q.coefficients(), ks))
+    pencil_stored = Pencil2P(3 * n, *map(stored_as, pencil[1:], ks[6:]))
+    assert serialize_pencil(pencil_stored) == serialize_pencil(pencil)
+    assert serialize_problem(q_stored) == serialize_problem(q)
+    for decide in (
+        lambda l, q: membership(l, q),
+        lambda l, q: _has_ansatz(l, q, v[0] or 1),
+        lambda l, q: det_ratio(l.as_polymatrix(), q.as_polymatrix()),
+    ):
+        assert _verdict(lambda: decide(pencil_stored, q_stored)) == _verdict(lambda: decide(pencil, q))
 
 
 # -- gaussint primitives ------------------------------------------------------------

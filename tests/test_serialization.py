@@ -773,6 +773,36 @@ def _canonical_documents() -> dict:
     }
 
 
+_UNREDUCED = ["2/4", "-0/3", "6/3"]
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+@pytest.mark.parametrize("literal", _UNREDUCED)
+def test_unreduced_literals_read_as_the_general_reader_reads_them(kind, literal, monkeypatch):
+    # The document pass keeps each matrix over the document's denominator,
+    # not reduced; an entry written "2/4", "-0/3" or "6/3", alone or as a
+    # complex part, still reads as the general reader reads it: the same
+    # canonical integer forms, and values that compare equal.
+    text, path = _canonical_documents()[kind]
+    doc = json.loads(text)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = literal
+    target[path[-1] - 1] = {"re": "1/3", "im": literal}
+    text = json.dumps(doc)
+    read = ser._canonical_matrices
+    passes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ser, "_canonical_matrices", lambda specs: passes.append(read(specs)) or passes[-1])
+        through_pass = _read_forms(_READERS[kind], text)
+        value = _READERS[kind](text)
+    assert passes and all(p is not None for p in passes)
+    _general_reader(monkeypatch)
+    assert _read_forms(_READERS[kind], text) == through_pass
+    assert _READERS[kind](text) == value
+
+
 # The general reader takes about 0.2 s on each over-long literal, so those
 # go into one kind of document only.
 _KIND_ODD_SCALARS = [
