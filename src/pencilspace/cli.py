@@ -70,6 +70,8 @@ def _read(path: str) -> str:
     as strict UTF-8 in one call, with universal newlines applied only when a
     carriage return occurs."""
     try:
+        # open() itself: reading through a Path made the median certify
+        # task about 4% slower over ten alternating benchmark pairs.
         with open(path, "rb") as file:
             data = file.read()
     except OSError:

@@ -469,7 +469,7 @@ def procedure_linearize(
     y1_form = y1.integer_form()
     if not transform.needs_zero_y11 and not (y11 := blocks.sub("y1", 0)).is_zero():
         y1 = Matrix.vstack([y11, Matrix.zeros(2 * n, n)])
-        y1_form = block_rows(m3, y1.integer_form())
+        y1_form = block_rows(m3, y1._stored_form())
 
     z1, z2 = blocks.z1, blocks.z2
     draws = 0

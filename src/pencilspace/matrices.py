@@ -1,16 +1,11 @@
 """Dense matrices over the Gaussian rationals, stored on integers.
 
-A matrix is stored in the integer form of ``gaussint``: one positive
-denominator over the (re, im) numerators of its entries.  The stored form
-need not be canonical: a matrix built from an integer form (a parsed
-document over its common denominator, a laid-out member) keeps it as
-given, and readers that need only the values read it as it is
-(``_stored_form``).  The canonical form is computed at its first read, by
-``integer_form``, ``==`` or ``hash``, and kept.  Every elimination and
-every matrix or Kronecker product reads it, so one long denominator
-elsewhere in a document does not inflate their operands, and every
-product, sum, scaling and inverse is reduced, so no chain of operations
-grows its numerators.  All arithmetic runs on ints;
+A matrix holds any integer form of ``gaussint``: one positive denominator
+over the (re, im) numerators of its entries, as built.  Readers of values
+alone read it as stored (``_stored_form``); ``integer_form``, ``==``, ``hash``,
+eliminations and products read the canonical form, computed once and
+kept, and products, sums, scalings and inverses are reduced.  All
+arithmetic runs on ints;
 ``GaussianRational`` appears only where entries come in or go out.
 Determinant, rank and inverse share one fraction-free (Bareiss) elimination
 over Z[i].  Before any elimination, det checks the nonzero pattern: without a
@@ -33,8 +28,7 @@ from .scalars import GaussianRational, ScalarLike
 
 class Matrix:
     """An immutable rows x cols matrix over Q(i), stored as Gaussian-integer
-    numerators over one positive common denominator, in any integer form of
-    its values; its canonical form is computed when first read and kept."""
+    numerators over one positive common denominator."""
 
     __slots__ = ("rows", "cols", "_den", "_data", "_canonical")
 
@@ -47,9 +41,8 @@ class Matrix:
             raise ShapeError("ragged rows in matrix literal")
         # from_scalars gives the canonical form.
         den, pairs = gaussint.from_scalars(chain.from_iterable(values))
-        data = tuple(tuple(pairs[k : k + width]) for k in range(0, len(pairs), width))
-        _init(self, data, den)
-        object.__setattr__(self, "_canonical", (den, data))
+        _init(self, tuple(tuple(pairs[k : k + width]) for k in range(0, len(pairs), width)), den)
+        object.__setattr__(self, "_canonical", True)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -81,7 +74,7 @@ class Matrix:
         """Assemble a matrix from a 2-D grid of conformal blocks."""
         if not grid or not grid[0]:
             raise ShapeError("empty block grid")
-        den, scaled = gaussint.aligned([b._stored_form() for block_row in grid for b in block_row])
+        den, scaled = gaussint.aligned([(b._den, b._data) for block_row in grid for b in block_row])
         blocks = iter(scaled)
         rows: list[tuple[Pair, ...]] = []
         width = None
@@ -96,7 +89,11 @@ class Matrix:
                 width = len(rows[-1])
             elif len(rows[-1]) != width:
                 raise ShapeError("block rows must have equal total width")
-        return _stored(tuple(rows), den)
+        # Canonical blocks stay canonical over the lcm of their denominators:
+        # each prime of the lcm divides some block's denominator as often, so
+        # it leaves one of that block's numerators unscaled and not divisible.
+        canonical = all(b._canonical for block_row in grid for b in block_row)
+        return (_new if canonical else _stored)(tuple(rows), den)
 
     @staticmethod
     def hstack(blocks: Sequence["Matrix"]) -> "Matrix":
@@ -110,32 +107,30 @@ class Matrix:
 
     def __getitem__(self, key: tuple[int, int]) -> GaussianRational:
         i, j = key
-        den, data = self._stored_form()
-        return gaussint.to_scalar(den, data[i][j])
+        return gaussint.to_scalar(self._den, self._data[i][j])
 
     def row_entries(self, i: int) -> tuple[GaussianRational, ...]:
         return tuple(self[i, j] for j in range(self.cols))
 
     def integer_form(self) -> tuple[int, tuple[tuple[Pair, ...], ...]]:
         """The canonical common denominator and the rows of (re, im)
-        numerator pairs: the stored form reduced when first read, and kept."""
-        form = self._canonical
-        if form is None:
-            form = _canonical_form(self._data, self._den)
-            object.__setattr__(self, "_canonical", form)
-        return form
+        numerator pairs: the stored form, reduced in place when first read."""
+        if not self._canonical:
+            den, data = _canonical_form(self._data, self._den)
+            object.__setattr__(self, "_den", den)
+            object.__setattr__(self, "_data", data)
+            object.__setattr__(self, "_canonical", True)
+        return self._den, self._data
 
     def _stored_form(self) -> tuple[int, tuple[tuple[Pair, ...], ...]]:
-        """A denominator and the rows of numerator pairs over it, for readers
-        of values alone: the canonical form once it is known, else the form
-        the matrix was built from, not reduced."""
-        return self._canonical or (self._den, self._data)
+        """The form as built, or the canonical form once it has been read."""
+        return self._den, self._data
 
     def submatrix(self, row_range: Sequence[int], col_range: Sequence[int]) -> "Matrix":
         if not row_range or not col_range:
             raise ShapeError("matrix must have at least one row and one column")
-        den, rows = self._stored_form()
-        return _stored(tuple(tuple(rows[i][j] for j in col_range) for i in row_range), den)
+        data = tuple(tuple(self._data[i][j] for j in col_range) for i in row_range)
+        return _stored(data, self._den)
 
     def block(self, block_row: int, block_col: int, size: int) -> "Matrix":
         """Extract the (block_row, block_col) block of an n-blocked matrix."""
@@ -167,14 +162,13 @@ class Matrix:
         )
 
     def __neg__(self) -> "Matrix":
-        den, rows = self._stored_form()
         # The negation of a canonical form is canonical.
-        return (_new if self._canonical else _stored)(tuple(gaussint.times(rows, (-1, 0))), den)
+        data = tuple(gaussint.times(self._data, (-1, 0)))
+        return (_new if self._canonical else _stored)(data, self._den)
 
     def scale(self, scalar: ScalarLike) -> "Matrix":
         s_den, (s,) = gaussint.from_scalars([GaussianRational.coerce(scalar)])
-        den, rows = self._stored_form()
-        return _reduced(tuple(gaussint.times(rows, s)), den * s_den)
+        return _reduced(tuple(gaussint.times(self._data, s)), self._den * s_den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -225,7 +219,8 @@ class Matrix:
         """Exact rank of the numerators (the common denominator does not
         change the rank): the pivot count of fraction-free (Bareiss) forward
         elimination."""
-        return sum(1 for _ in _bareiss_pivots([list(row) for row in self.integer_form()[1]], self.cols))
+        rows = [list(row) for row in self.integer_form()[1]]
+        return sum(1 for _ in _bareiss_pivots(rows, self.cols))
 
     def inverse(self) -> "Matrix":
         """Exact inverse, fraction-free.
@@ -265,14 +260,13 @@ class Matrix:
 
     def pattern(self) -> list[list[int]]:
         """The nonzero pattern: the columns of the nonzero entries, row by row."""
-        return [[j for j, x in enumerate(row) if x != (0, 0)] for row in self._stored_form()[1]]
+        return [[j for j, x in enumerate(row) if x != (0, 0)] for row in self._data]
 
     def is_zero(self) -> bool:
-        return not any(re or im for row in self._stored_form()[1] for re, im in row)
+        return not any(re or im for row in self._data for re, im in row)
 
     def max_abs(self) -> float:
-        den, rows = self._stored_form()
-        return gaussint.max_abs(den, chain.from_iterable(rows))
+        return gaussint.max_abs(self._den, chain.from_iterable(self._data))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -298,26 +292,25 @@ class Matrix:
         """Both numerator grids over their common denominator, and that
         denominator."""
         self._require_same_shape(other)
-        (a_den, a), (b_den, b) = self._stored_form(), other._stored_form()
-        if a_den == b_den:
-            return a, b, a_den
-        den, (a, b) = gaussint.aligned(((a_den, a), (b_den, b)))
+        if self._den == other._den:
+            return self._data, other._data, self._den
+        den, (a, b) = gaussint.aligned(((self._den, self._data), (other._den, other._data)))
         return a, b, den
 
 
 def _init(m: Matrix, data: tuple, den: int) -> None:
-    """Store data / den in m, its canonical form not yet known."""
+    """Store data / den in m, not known to be canonical."""
     object.__setattr__(m, "rows", len(data))
     object.__setattr__(m, "cols", len(data[0]))
     object.__setattr__(m, "_den", den)
     object.__setattr__(m, "_data", data)
-    object.__setattr__(m, "_canonical", None)
+    object.__setattr__(m, "_canonical", False)
 
 
 def _new(data: tuple, den: int) -> Matrix:
     """Wrap numerator rows already in canonical form over den."""
     m = _stored(data, den)
-    object.__setattr__(m, "_canonical", (den, data))
+    object.__setattr__(m, "_canonical", True)
     return m
 
 

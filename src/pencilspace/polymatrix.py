@@ -224,11 +224,12 @@ def _integer_grid_det(m: PolyMatrix):
     sum lam^a mu^b M_ab, summed over the nonzero entries only, is a
     Gaussian-integer matrix N(lam, mu) and its determinant a pure Z[i]
     Bareiss run, returned as the (re, im) pair of scale * det m(lam, mu),
-    where the scale is s_1 * ... * s_size.  An extreme denominator in one
-    row thus inflates that row only, and Bareiss takes the rows in
-    ascending order of their scale (a stable sort, its sign applied to each
-    value), so that row is eliminated last and every leading minor before
-    it stays small.
+    where the scale is s_1 * ... * s_size.  The s_i and the numerators
+    depend on the values alone, so each coefficient is read in its stored
+    form, not reduced.  An extreme denominator in one row thus inflates
+    that row only, and Bareiss takes the rows in ascending order of their
+    scale (a stable sort, its sign applied to each value), so that row is
+    eliminated last and every leading minor before it stays small.
 
     The bound is P = prod_i sum_j w_ij^2, w_ij the sum of |re| + |im| over
     the terms of N_ij: on the torus |lam| = |mu| = 1 each |N_ij| <= w_ij, so
@@ -238,7 +239,7 @@ def _integer_grid_det(m: PolyMatrix):
     if m.rows != m.cols:
         raise ShapeError("determinant requires a square matrix")
     size = m.rows
-    forms = [(mono, coeff.integer_form()) for mono, coeff in m._coeffs.items()]
+    forms = [(mono, coeff._stored_form()) for mono, coeff in m._coeffs.items()]
     # ((a, b), i, j, re, im, den): M_ab[i, j] = (re + im i) / den, nonzero only
     entries = [
         (mono, i, j, re, im, den)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -780,3 +781,31 @@ def test_det_ratio_with_one_extreme_denominator(monkeypatch, kind):
     # two expansions, each within the bit bound.
     assert len(bits) == (2 if kind == "proportional" else 0)
     assert max(bits, default=0) < 2 * 3322
+
+
+def test_grid_det_takes_the_canonical_operands_from_a_long_common_denominator(monkeypatch):
+    # A document pass stores every matrix of a document over one lcm, so one
+    # extreme entry, alone in its lam^2 coefficient, leaves every coefficient
+    # over its 3322-bit denominator, not reduced.  The per-entry row scales
+    # hand every Bareiss run the very operands of the canonical coefficients,
+    # in which only row 0 carries that denominator, and no coefficient is
+    # reduced.
+    bump = [[BiPoly.zero()] * 3 for _ in range(3)]
+    bump[0][0] = BiPoly({(2, 0): EXTREME})
+    p = _dense(random.Random("long common denominator"), 3) + PolyMatrix(bump)
+    forms = {mono: m.integer_form() for mono, m in p.terms()}
+    big = math.lcm(*(den for den, _ in forms.values()))
+    stored = PolyMatrix.from_coefficients(3, 3, {
+        mono: Matrix.from_integer_form(big, gaussint.times(rows, (big // den, 0)))
+        for mono, (den, rows) in forms.items()
+    })
+    assert any(den != big for den, _ in forms.values())
+    real = polymatrix.bareiss_det_int
+    operands = []
+    record = lambda a: operands.append([list(row) for row in a]) or real(a)
+    monkeypatch.setattr(polymatrix, "bareiss_det_int", record)
+    assert exact_det_poly(stored) == exact_det_poly(p)
+    runs = len(operands) // 2
+    assert runs and operands[:runs] == operands[runs:]
+    assert not any(m._canonical for _, m in stored.terms())
+    assert stored == p

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from pencilspace import gaussint, qep
+from pencilspace import gaussint, matrices, qep
 from pencilspace.bipoly import BiPoly
 from pencilspace.construct import ALL_CASES, _has_ansatz, ansatz_transform, certify_scaled_e1
 from pencilspace.errors import ShapeError
@@ -171,6 +171,13 @@ def test_matrix_blocks_and_submatrix_match_entrywise_oracle(data):
     whole = Matrix.from_blocks([[Matrix(b) for b in row] for row in blocks])
     oracle = o_from_blocks(blocks)
     assert same(whole, oracle)
+    # Canonical blocks give a whole matrix known to be canonical; one block
+    # stored over twice its denominator gives one whose form is not claimed.
+    assert whole._canonical
+    assert matrices._canonical_form(whole._data, whole._den) == whole._stored_form()
+    mixed = [[Matrix(b) for b in row] for row in blocks]
+    mixed[-1][-1] = stored_as(mixed[-1][-1], 2)
+    assert not Matrix.from_blocks(mixed)._canonical
     rows = range(data.draw(st.integers(0, whole.rows - 1)), whole.rows)
     cols = range(0, data.draw(st.integers(1, whole.cols)))
     assert same(whole.submatrix(rows, cols), [[oracle[i][j] for j in cols] for i in rows])
