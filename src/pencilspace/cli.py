@@ -401,6 +401,77 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     return _build_parser()
 
 
+def _convert(command: argparse.ArgumentParser, action: argparse.Action, text: str):
+    """text through the action's type, as argparse looks the type up."""
+    return command._registry_get("type", action.type, action.type)(text)
+
+
+def _plain_args(command: argparse.ArgumentParser, argv: list) -> Optional[argparse.Namespace]:
+    """What command.parse_known_args(argv[1:]) gives, read off the subparser's
+    own tables, when argv[1:] is plain: each token an option the subparser
+    declares, given once, as "-x value", "--name value" or "--name=value",
+    every value nonempty and read by argparse as a value, not as an option.
+    None for any other command line, or when an option is missing, is not
+    one that stores one value, or a value does not convert."""
+    table = command._option_string_actions
+    given = {}
+    k, end = 1, len(argv)
+    while k < end:
+        token = argv[k]
+        action = table.get(token)
+        if action is not None:
+            value = argv[k + 1] if k + 1 < end else ""
+            k += 2
+        elif token.startswith("--"):
+            token, _, value = token.partition("=")
+            action = table.get(token)
+            k += 1
+        else:
+            return None
+        # argparse reads a dash-led token after an option as its value only
+        # where the subparser's matcher calls it a negative number and no
+        # option can claim it; every other dash-led value goes to argparse,
+        # "--" among them, which Python 3.10-3.11 drop even after "=".
+        if (
+            action is None
+            or not value
+            or value[0] == "-"
+            and not (
+                command._negative_number_matcher.match(value)
+                and not command._has_negative_number_optionals
+                and value[:2] not in table
+            )
+            or action in given
+            or type(action) is not argparse._StoreAction
+            or action.nargs is not None
+            or action.choices is not None
+        ):
+            return None
+        given[action] = value
+    # argparse's own order: the defaults, then the values given, then each
+    # string default still in place converted by its action's type.
+    args = argparse.Namespace(command=argv[0])
+    values = vars(args)
+    for action in command._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            values.setdefault(action.dest, action.default)
+    for dest, value in command._defaults.items():
+        values.setdefault(dest, value)
+    try:
+        for action, text in given.items():
+            values[action.dest] = _convert(command, action, text)
+        for action in command._actions:
+            if action in given:
+                continue
+            if action.required or not action.option_strings:
+                return None
+            if isinstance(action.default, str) and values.get(action.dest) is action.default:
+                values[action.dest] = _convert(command, action, action.default)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return args
+
+
 def main(argv=None) -> int:
     """Run one command; return its exit code (argparse exits 0 or 2 itself).
 
@@ -414,15 +485,25 @@ def main(argv=None) -> int:
     built when it formats.  The ``_cmd_*`` handlers are bound when the
     parser is built, so replacing one after the first call has no effect.
 
-    The top-level parser only hands argv[1:] to the command's subparser,
-    so argv[1:] goes there directly; with no argv, no command name first or
-    arguments left over, the full parser reads argv and prints its usage.
+    A plain command line, each token after the command name an option its
+    subparser declares, given once, with a value argparse reads as a value
+    (``_plain_args``), is read straight off that subparser's option table,
+    actions and defaults as they are at the call, with no argparse parse.
+    Any other goes to argparse.  The top-level parser only hands argv[1:]
+    to the command's subparser, so argv[1:] goes there directly; with no
+    argv, no command name first or arguments left over, the full parser
+    reads argv and prints its usage, help and errors.
     """
     parser, commands = _parser()
     command = commands.get(argv[0]) if argv else None
+    args = None
     if command is not None:
-        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if command is None or extra:
+        args = _plain_args(command, argv)
+        if args is None:
+            args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extra:
+                args = None
+    if args is None:
         args = parser.parse_args(argv)
     report = io.StringIO()
     try:

@@ -42,7 +42,7 @@ class Matrix:
         # from_scalars gives the canonical form.
         den, pairs = gaussint.from_scalars(chain.from_iterable(values))
         _init(self, tuple(tuple(pairs[k : k + width]) for k in range(0, len(pairs), width)), den)
-        object.__setattr__(self, "_canonical", True)
+        _set_canonical(self, True)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -117,9 +117,9 @@ class Matrix:
         numerator pairs: the stored form, reduced in place when first read."""
         if not self._canonical:
             den, data = _canonical_form(self._data, self._den)
-            object.__setattr__(self, "_den", den)
-            object.__setattr__(self, "_data", data)
-            object.__setattr__(self, "_canonical", True)
+            _set_den(self, den)
+            _set_data(self, data)
+            _set_canonical(self, True)
         return self._den, self._data
 
     def _stored_form(self) -> tuple[int, tuple[tuple[Pair, ...], ...]]:
@@ -298,19 +298,27 @@ class Matrix:
         return a, b, den
 
 
+# The slot descriptors' own setters, past Matrix.__setattr__, which refuses.
+_set_rows = Matrix.rows.__set__
+_set_cols = Matrix.cols.__set__
+_set_den = Matrix._den.__set__
+_set_data = Matrix._data.__set__
+_set_canonical = Matrix._canonical.__set__
+
+
 def _init(m: Matrix, data: tuple, den: int) -> None:
     """Store data / den in m, not known to be canonical."""
-    object.__setattr__(m, "rows", len(data))
-    object.__setattr__(m, "cols", len(data[0]))
-    object.__setattr__(m, "_den", den)
-    object.__setattr__(m, "_data", data)
-    object.__setattr__(m, "_canonical", False)
+    _set_rows(m, len(data))
+    _set_cols(m, len(data[0]))
+    _set_den(m, den)
+    _set_data(m, data)
+    _set_canonical(m, False)
 
 
 def _new(data: tuple, den: int) -> Matrix:
     """Wrap numerator rows already in canonical form over den."""
     m = _stored(data, den)
-    object.__setattr__(m, "_canonical", True)
+    _set_canonical(m, True)
     return m
 
 

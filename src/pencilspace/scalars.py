@@ -25,6 +25,14 @@ RationalLike = Union[int, str, Fraction]
 ScalarLike = Union["GaussianRational", int, str, Fraction]
 
 
+def _format_rational(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0: "n" or "n/d" in lowest terms."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
+
+
 def _parts(value) -> tuple[int, int]:
     """The lowest-terms numerator and positive denominator of a rational."""
     if not isinstance(value, (int, Fraction)):
@@ -187,14 +195,19 @@ class GaussianRational:
         return self.to_complex()
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
+        # The text of str(Fraction) for each part, with no Fraction built.
+        re, im, den = self._re, self._im, self._den
         if not im:
-            return str(re)
-        im_text = f"{im}i" if abs(im) != 1 else ("i" if im > 0 else "-i")
+            return _format_rational(re, den)
+        if im == den:
+            im_text = "i"
+        elif im == -den:
+            im_text = "-i"
+        else:
+            im_text = _format_rational(im, den) + "i"
         if not re:
             return im_text
-        sign = "+" if im > 0 else ""
-        return f"{re}{sign}{im_text}"
+        return f"{_format_rational(re, den)}{'+' if im > 0 else ''}{im_text}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"

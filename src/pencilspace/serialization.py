@@ -33,7 +33,7 @@ from . import gaussint
 from .errors import ParseError
 from .matrices import Matrix, _new, _stored
 from .pencil import Pencil2P, QuadPoly2P, QuadSystem2P
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _format_rational
 from .space import FreeBlocks
 
 COEFF_KEYS = ("A20", "A11", "A02", "A10", "A01", "A00")
@@ -162,17 +162,10 @@ def parse_scalar(value: Any, location: str) -> GaussianRational:
 
 
 def format_scalar(value: GaussianRational) -> Any:
-    if value.is_real():
-        return str(value.re)
-    return {"re": str(value.re), "im": str(value.im)}
-
-
-def _format_rational(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for den > 0: "n" or "n/d" in lowest terms."""
-    g = gcd(num, den)
-    if g == den:
-        return str(num // g)
-    return f"{num // g}/{den // g}"
+    re, im, den = value._re, value._im, value._den
+    if not im:
+        return _format_rational(re, den)
+    return {"re": _format_rational(re, den), "im": _format_rational(im, den)}
 
 
 # -- matrices ------------------------------------------------------------------

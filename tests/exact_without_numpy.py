@@ -69,11 +69,16 @@ pencil laid out from the transformed blocks, are checked on every
 Python version.  Last, the dimension witness of each corpus q_
 quadratic, whose ansatz rows are counted with no elimination, must be
 9n^2 plus Matrix.rank (Bareiss) of the three vectorized ansatz parts
-that generate_member builds with zero free blocks.  Last, main hands
-argv[1:] straight to the command's subparser: every transcript argv,
-and probes for help, no command, an unknown command, left-over and
-missing arguments and bad values, must give through main the
-Namespace, exit code, stdout and stderr of build_parser().parse_args;
+that generate_member builds with zero free blocks.  Last, main reads a
+plain command line off the command's subparser's own tables and hands
+any other argv[1:] straight to that subparser: every transcript argv,
+probes for help, no command, an unknown command, left-over and missing
+arguments and bad values, the boundary of the plain command line
+(empty, underscored, padded, dash-led and spaced values, repeated
+options, "-qFILE" and "-q=FILE") and the benchmark's way of writing each
+command must give through main the Namespace, exit code, stdout and
+stderr of build_parser().parse_args, so each Python version's own
+argparse checks the reader;
 and every corpus file must read to the same values, or the same
 ParseError, through the document pass and through the general reader
 alone.
@@ -329,13 +334,33 @@ def run_checks() -> None:
     for sub in commands.values():
         sub.set_defaults(handler=seen.append)
     cached, cli._parser = cli._parser, lambda: (parser, commands)
-    q, l = "corpus/q_worked.json", "corpus/l_worked.json"
+    q, l, s = "corpus/q_worked.json", "corpus/l_worked.json", "corpus/sys_circle_line.json"
+    b = "corpus/blocks_worked.json"
+    v = ["procedure", "-q", q, "-v", "1,1,2"]
     probes = [
         ["-h"], ["certify", "-h"], [], ["nope", "-q", q], ["-q", q],
         ["certify", "-q", q, "-l", l, "--extra"], ["certify", "-q", q],
         ["procedure", "-q", q, "-v", "1,1,2", "--seed", "x"],
-        ["compare", "-s", "corpus/sys_circle_line.json", "--tol", "nan"],
+        ["compare", "-s", s, "--tol", "nan"],
         ["certify", "--prob", q, "-l", l], ["certify", "--", "-q", q],
+        # the boundary of the plain command line that main reads itself
+        v + ["--alpha="], v + ["--alpha", ""], v + ["--seed=1_0"], v + ["--seed", " 7"],
+        ["delta", "-s", s, "--alpha1", "-3/2"], ["delta", "-s", s, "--alpha1", "-.5", "--alpha2=-2"],
+        ["certify", "-q", q, "-l", l, "-q", q], ["certify", "-q", q, "--problem", q, "-l", l],
+        v + ["--seed", "x", "--seed", "1"],
+        ["certify", "-q=" + q, "-l", l], ["certify", "-q" + q, "-l", l],
+        ["standard", "-q", q, "-o", "-x"], ["standard", "-q", q, "-o", "-"], ["standard", "-q", q, "--out=-x"],
+        ["procedure", "-q", q, "-v", "1, 1, 2"], ["procedure", "-q", q, "-v", "-1, 1, 2"],
+        v + ["--alpha=--"], v + ["--alpha", "--"],
+        ["compare", "-s", s, "--tol=-1"], ["compare", "-s", s, "--tol", "1e-9"], ["certify", "-q", q, "-l"],
+        # one argv of each command, as the benchmark writes its command lines
+        ["generate", "-q", q, "--vector=-1,1/2,3", "--blocks", b],
+        ["procedure", "-q", q, "--vector=-2,1,1/3", "--alpha=-3/2", "--blocks", b, "--seed=7"],
+        ["compare", "-s", s, "--alpha1=1/2", "--alpha2=-1", "--seed=3"],
+        ["qep-linearize", "-s", s, "--alpha1=2", "--alpha2=-3/2", "--seed=4"],
+        ["delta", "-s", s, "--alpha1=1", "--alpha2=1/2", "--seed=5"],
+        ["verify-pair", "-s", "corpus/sys_rational_eig.json", "--pair", "corpus/pair_rational_eig.json",
+         "--alpha1=-1", "--alpha2=2", "--seed=6"],
     ]
     with open("tests/golden/cli_transcript.json", encoding="utf-8") as f:
         argvs = [e["argv"] for e in json.load(f)] + probes

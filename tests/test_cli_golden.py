@@ -23,6 +23,7 @@ CHANGES.md), delete the transcript first.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -261,6 +262,47 @@ ARGPARSE_PROBES = [
     ["certify", "--prob", Q_WORKED, "-l", L_WORKED],
     ["certify", "--", "-q", Q_WORKED],
     ["procedure", "-q", Q_WORKED, "-v", "-1,1,2"],
+    # The boundary of the plain command line main reads itself: empty,
+    # underscored, padded, dash-led and spaced values, repeated options,
+    # short options with an attached value, and a value of the wrong type.
+    ["procedure", "-q", Q_WORKED, "-v", "1,1,2", "--alpha="],
+    ["procedure", "-q", Q_WORKED, "-v", "1,1,2", "--alpha", ""],
+    ["procedure", "-q", Q_WORKED, "-v", "1,1,2", "--seed=1_0"],
+    ["procedure", "-q", Q_WORKED, "-v", "1,1,2", "--seed", " 7"],
+    ["delta", "-s", SYS_CL, "--alpha1", "-3/2"],
+    ["delta", "-s", SYS_CL, "--alpha1", "-.5", "--alpha2=-2"],
+    ["certify", "-q", Q_WORKED, "-l", L_WORKED, "-q", Q_WORKED],
+    ["certify", "-q", Q_WORKED, "--problem", Q_WORKED, "-l", L_WORKED],
+    ["procedure", "-q", Q_WORKED, "-v", "1,1,2", "--seed", "x", "--seed", "1"],
+    ["certify", "-q=" + Q_WORKED, "-l", L_WORKED],
+    ["certify", "-q" + Q_WORKED, "-l", L_WORKED],
+    ["standard", "-q", Q_WORKED, "-o", "-x"],
+    ["standard", "-q", Q_WORKED, "-o", "-"],
+    ["standard", "-q", Q_WORKED, "--out=-x"],
+    ["procedure", "-q", Q_WORKED, "-v", "1, 1, 2"],
+    ["procedure", "-q", Q_WORKED, "-v", "-1, 1, 2"],
+    ["procedure", "-q", Q_WORKED, "-v", "1,1,2", "--alpha=--"],
+    ["procedure", "-q", Q_WORKED, "-v", "1,1,2", "--alpha", "--"],
+    ["compare", "-s", SYS_CL, "--tol=-1"],
+    ["compare", "-s", SYS_CL, "--tol", "1e-9"],
+    ["certify", "-q", Q_WORKED, "-l"],
+]
+
+# One argv of each command, written as the benchmark's command lines are:
+# files after short options, rationals and seeds after "=".
+PLAIN_ARGVS = [
+    ["standard", "-q", Q_WORKED],
+    ["member", "-q", Q_WORKED, "-l", L_WORKED],
+    ["generate", "-q", Q_WORKED, "--vector=-1,1/2,3", "--blocks", B_WORKED],
+    ["kernel", "--blocks", B_WORKED],
+    ["procedure", "-q", Q_WORKED, "--vector=-2,1,1/3", "--alpha=-3/2", "--blocks", B_WORKED, "--seed=7"],
+    ["certify", "-q", Q_WORKED, "-l", L_WORKED],
+    ["spectrum", "-s", SYS_CL],
+    ["compare", "-s", SYS_CL, "--alpha1=1/2", "--alpha2=-1", "--seed=3"],
+    ["qep-linearize", "-s", SYS_CL, "--alpha1=2", "--alpha2=-3/2", "--seed=4"],
+    ["delta", "-s", SYS_CL, "--alpha1=1", "--alpha2=1/2", "--seed=5"],
+    ["verify-pair", "-s", SYS_RE, "--pair", PAIR_RE, "--alpha1=-1", "--alpha2=2", "--seed=6"],
+    ["dimension", "-q", Q_CIRCLE],
 ]
 
 
@@ -277,26 +319,64 @@ def _parse_outcome(parse, argv: list[str]) -> tuple:
     return args, out.getvalue(), err.getvalue()
 
 
-def test_main_parses_as_the_full_parser_does(monkeypatch):
-    # main hands argv[1:] to the subparser; what it passes each handler,
-    # and every usage, help and error it prints, must be the full parser's.
+def _recording_parser(monkeypatch) -> tuple:
+    """Point main at a fresh parser whose handlers append their Namespace
+    to a list and return 0; the parser, its subparsers and that list."""
     parser, commands = cli._build_parser()
     seen = []
     for sub in commands.values():
         sub.set_defaults(handler=lambda args: seen.append(args) or 0)
     monkeypatch.setattr(cli, "_parser", lambda: (parser, commands))
+    return parser, commands, seen
+
+
+def test_main_parses_as_the_full_parser_does(monkeypatch):
+    # main reads a plain argv itself and hands any other argv[1:] to the
+    # subparser; what it passes each handler, and every usage, help and
+    # error it prints, must be the full parser's.
+    parser, _, seen = _recording_parser(monkeypatch)
 
     def through_main(argv):
         assert main(argv) == 0
         return seen.pop()
 
-    argvs = [entry["argv"] for entry in _entries()] + ARGPARSE_PROBES
+    argvs = [entry["argv"] for entry in _entries()] + ARGPARSE_PROBES + PLAIN_ARGVS
     for argv in argvs:
         assert _parse_outcome(through_main, argv) == _parse_outcome(cli.build_parser().parse_args, argv), argv
     # A command with nothing left over never reaches the top-level parser.
     monkeypatch.setattr(parser, "parse_args", None)
     for argv in argvs[:3]:
         _parse_outcome(through_main, argv)
+
+
+def test_plain_args_convert_a_string_default_through_its_type():
+    # No command has a typed string default; argparse converts one when its
+    # option is not given, and fails when it does not convert.
+    sub = argparse.ArgumentParser(prog="x")
+    sub.add_argument("--n", type=int, default="5")
+    sub.add_argument("--name")
+    for argv in (["x"], ["x", "--n", "7"], ["x", "--name=y"]):
+        expected = sub.parse_known_args(argv[1:], argparse.Namespace(command="x"))[0]
+        assert cli._plain_args(sub, argv) == expected
+    sub.set_defaults(n="z")
+    assert cli._plain_args(sub, ["x"]) is None
+    assert cli._plain_args(sub, ["x", "--n", "7"]).n == 7
+
+
+def test_plain_command_lines_are_read_without_argparse(monkeypatch):
+    # Each command as the benchmark writes it is read off the subparser's
+    # tables: no argparse parse runs, at either level.
+    _, commands, seen = _recording_parser(monkeypatch)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"argparse parsed {args}")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    assert sorted(argv[0] for argv in PLAIN_ARGVS) == sorted(commands)
+    for argv in PLAIN_ARGVS:
+        assert main(list(argv)) == 0
+        assert seen.pop().command == argv[0]
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pencilspace.scalars import GaussianRational
+from pencilspace.serialization import format_scalar
 
 from conftest import ReferenceGaussian
 
@@ -68,6 +69,31 @@ def test_str_forms():
     assert str(gr(0, -2)) == "-2i"
     assert str(gr(1, Fraction(1, 2))) == "1+1/2i"
     assert str(gr(1, -1)) == "1-i"
+
+
+# Each part: zero, +-1 and +-1/2 (so i, -i, 1/2i, -1/2i), small fractions
+# of either sign, and numerators and denominators past 2**64.
+_str_parts = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]),
+    st.fractions(min_value=-7, max_value=7, max_denominator=12),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**70)),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_str_parts, _str_parts)
+def test_str_and_format_scalar_match_the_fraction_formula(re, im):
+    # The oracle is ReferenceGaussian.__str__, the formula on Fraction parts
+    # that GaussianRational.__str__ ran before it read its integer form.
+    x = GaussianRational(re, im)
+    assert str(x) == str(ReferenceGaussian(re, im))
+    assert format_scalar(x) == (str(re) if not im else {"re": str(re), "im": str(im)})
+
+
+def test_str_of_i_over_a_denominator():
+    assert [str(gr(0, Fraction(k, 2))) for k in (1, -1, 2, -2)] == ["1/2i", "-1/2i", "i", "-i"]
+    assert str(gr(Fraction(-3, 4), Fraction(-1, 2))) == "-3/4-1/2i"
+    assert str(gr(-(2**65), Fraction(2**64 + 1, 3))) == f"{-(2**65)}+{2**64 + 1}/3i"
 
 
 fractions_st = st.fractions(

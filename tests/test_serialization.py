@@ -602,7 +602,9 @@ def test_flat_matrix_codec_builds_no_fraction_or_gaussian_rational():
         ser.format_matrix(m)
     finally:
         sys.setprofile(None)
-    assert seen == set()
+    # The rational formatter, ints to text, is the one function of
+    # scalars.py the codec calls.
+    assert seen <= {"_format_rational"}
 
 
 def test_pencil_document_codec_builds_no_fraction_or_gaussian_rational(rng):
@@ -628,7 +630,9 @@ def test_pencil_document_codec_builds_no_fraction_or_gaussian_rational(rng):
         written = ser.serialize_pencil(parsed)
     finally:
         sys.setprofile(None)
-    assert seen == set()
+    # The rational formatter, ints to text, is the one function of
+    # scalars.py the codec calls.
+    assert seen <= {"_format_rational"}
     assert parsed == pencil and written == text
 
 
